@@ -79,8 +79,8 @@ class ConstellationSpec:
             raise ValueError("num_orbits must be >= 1")
         if self.sats_per_orbit < 1:
             raise ValueError("sats_per_orbit must be >= 1")
-        if self.altitude_km <= 0:
-            raise ValueError("altitude_km must be positive")
+        if not math.isfinite(self.altitude_km) or self.altitude_km <= 0:
+            raise ValueError("altitude_km must be positive and finite")
         if not 0.0 <= self.inclination_deg <= 180.0:
             raise ValueError("inclination_deg must be in [0, 180]")
         if not 0 <= self.phasing_factor < max(self.num_orbits, 1):
@@ -101,10 +101,11 @@ class LinkConfig:
     def validate(self) -> None:
         for name in ("intra_orbit_rate_bps", "inter_orbit_rate_bps",
                      "sgl_rate_bps", "ground_dedicated_rate_bps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_isl_range_km <= 0:
-            raise ValueError("max_isl_range_km must be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be positive and finite")
+        if not math.isfinite(self.max_isl_range_km) or self.max_isl_range_km <= 0:
+            raise ValueError("max_isl_range_km must be positive and finite")
         if self.cross_seam_policy not in ("disabled", "enabled"):
             raise ValueError("cross_seam_policy must be 'disabled' or 'enabled'")
 
@@ -147,8 +148,8 @@ class GroundStation:
             raise ValueError("latitude_deg must be in [-90, 90]")
         if not -180.0 <= self.longitude_deg <= 180.0:
             raise ValueError("longitude_deg must be in [-180, 180]")
-        if self.dedicated_rate_bps <= 0:
-            raise ValueError("dedicated_rate_bps must be positive")
+        if not math.isfinite(self.dedicated_rate_bps) or self.dedicated_rate_bps <= 0:
+            raise ValueError("dedicated_rate_bps must be positive and finite")
         if not 0.0 <= self.min_elevation_deg < 90.0:
             raise ValueError("min_elevation_deg must be in [0, 90)")
 
@@ -311,6 +312,24 @@ def snapshot(
     return TopologySnapshot(time=t, links=tuple(links), positions=positions)
 
 
+def _visibility(constellation: WalkerConstellation, station: GroundStation,
+                times: np.ndarray, sat_pos: np.ndarray) -> np.ndarray:
+    """Whether each satellite is above the station's mask, shape (len(times), n).
+
+    sat_pos holds the constellation's positions at times, shape (len(times), n, 3).
+    """
+    theta = EARTH_ROTATION_RAD_S * (times - constellation.spec.epoch)
+    ex, ey, ez = station.ecef_km()
+    st_pos = np.stack(
+        [np.cos(theta) * ex - np.sin(theta) * ey,
+         np.sin(theta) * ex + np.cos(theta) * ey,
+         np.full_like(theta, ez)], axis=-1)  # (T, 3)
+    zen = st_pos / np.linalg.norm(st_pos, axis=-1, keepdims=True)
+    d = sat_pos - st_pos[:, None, :]
+    sin_elev = np.einsum("tnk,tk->tn", d, zen) / np.linalg.norm(d, axis=-1)
+    return sin_elev >= math.sin(math.radians(station.min_elevation_deg))
+
+
 def contact_windows(
     constellation: WalkerConstellation,
     stations: tuple,
@@ -324,12 +343,13 @@ def contact_windows(
     The interval [start, start+horizon) is sampled every `step` seconds; runs
     of consecutive visible samples become one window reaching one step past
     the last visible sample, so windows for a pair never overlap and always
-    have positive duration.
+    have positive duration. Windows are ordered by station, then satellite,
+    then time.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not math.isfinite(horizon) or horizon <= 0:
+        raise ValueError("horizon must be positive and finite")
+    if not math.isfinite(step) or step <= 0:
+        raise ValueError("step must be positive and finite")
     cfg = link_config if link_config is not None else LinkConfig()
     cfg.validate()
 
@@ -337,30 +357,18 @@ def contact_windows(
     if len(times) == 0:
         return []
     sat_pos = constellation.positions_at_times(times)  # (T, n, 3)
+    sats = constellation.satellites
     windows: list[ContactWindow] = []
     for st in stations:
         st.validate()
-        theta = EARTH_ROTATION_RAD_S * (times - constellation.spec.epoch)
-        ex, ey, ez = st.ecef_km()
-        st_pos = np.stack(
-            [np.cos(theta) * ex - np.sin(theta) * ey,
-             np.sin(theta) * ex + np.cos(theta) * ey,
-             np.full_like(theta, ez)], axis=-1)  # (T, 3)
-        zen = st_pos / np.linalg.norm(st_pos, axis=-1, keepdims=True)
-        d = sat_pos - st_pos[:, None, :]
-        sin_elev = np.einsum("tnk,tk->tn", d, zen) / np.linalg.norm(d, axis=-1)
-        visible = sin_elev >= math.sin(math.radians(st.min_elevation_deg))  # (T, n)
-        for i, sat in enumerate(constellation.satellites):
-            col = visible[:, i]
-            j = 0
-            while j < len(col):
-                if col[j]:
-                    k = j
-                    while k + 1 < len(col) and col[k + 1]:
-                        k += 1
-                    windows.append(ContactWindow(sat, st.id, float(times[j]),
-                                                 float(times[k] + step), cfg.sgl_rate_bps))
-                    j = k + 1
-                else:
-                    j += 1
+        visible = _visibility(constellation, st, times, sat_pos)  # (T, n)
+        # Rises (+1) and falls (-1) of each satellite's column, padded so that
+        # runs touching either end of the horizon still have both edges.
+        edges = np.diff(visible.T.astype(np.int8), prepend=0, append=0, axis=1)
+        sat_idx, rise = np.nonzero(edges == 1)
+        _, fall = np.nonzero(edges == -1)
+        starts = times[rise].tolist()
+        ends = (times[fall - 1] + step).tolist()
+        windows.extend(ContactWindow(sats[i], st.id, t0, t1, cfg.sgl_rate_bps)
+                       for i, t0, t1 in zip(sat_idx.tolist(), starts, ends))
     return windows

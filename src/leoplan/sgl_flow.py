@@ -10,6 +10,7 @@ decides how much of each orbit's model lands per epoch.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -230,10 +231,10 @@ def schedule_downlink(
         visibility contribute an empty entry), the final state, and whether
         every orbit finished inside the horizon.
     """
-    if epoch_seconds <= 0:
-        raise ValueError("epoch_seconds must be positive")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not math.isfinite(epoch_seconds) or epoch_seconds <= 0:
+        raise ValueError("epoch_seconds must be positive and finite")
+    if not math.isfinite(horizon) or horizon <= 0:
+        raise ValueError("horizon must be positive and finite")
     if isinstance(model_bits, dict):
         sizes = set(model_bits.values())
         if len(sizes) > 1:

@@ -9,6 +9,10 @@ and uplink) or fully in space over disjoint inter-orbit paths, then spread
 back around each ring. Latency, bits over radio links, compute, and energy
 are accounted per phase; a round that cannot finish a transfer inside the
 horizon is flagged incomplete and truncated.
+
+Each ground-link phase samples visibility on its own grid, starting at the
+phase's start, and only as far as its schedule reaches; the result is
+identical to sampling the whole horizon.
 """
 
 from __future__ import annotations
@@ -113,10 +117,10 @@ class FederationConfig:
             raise ValueError("intra_orbit_agg_rounds must be positive")
         if self.aggregation_mode not in (GROUND, DECENTRALIZED):
             raise ValueError(f"aggregation_mode must be '{GROUND}' or '{DECENTRALIZED}'")
-        if self.epoch_seconds <= 0 or self.horizon_seconds <= 0:
-            raise ValueError("epoch_seconds and horizon_seconds must be positive")
-        if self.window_step_seconds <= 0:
-            raise ValueError("window_step_seconds must be positive")
+        for name in ("epoch_seconds", "horizon_seconds", "window_step_seconds"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -201,28 +205,44 @@ def simulate_round(
     seconds = {p: 0.0 for p in PHASES}
     bits = {p: 0.0 for p in PHASES}
     flops = {p: 0.0 for p in PHASES}
-    complete = True
-    delivered_ground_bits = 0.0
     now = start_time
 
     def window_start() -> float:
         return spec.epoch if config.freeze_topology else now
 
     def flow_phase(phase: str, model_bits_per_orbit: float) -> bool:
-        """Run a coordinated SGL transfer; returns False when it misses the horizon."""
+        """Run a coordinated SGL transfer; returns False when it misses the horizon.
+
+        Visibility is sampled only as far as the schedule reaches: one epoch
+        first, then twice the span, recomputed from scratch, until the
+        transfer completes. Each call samples one step past the scheduled
+        span; that extra sample keeps a window live at the cut reaching past
+        the last scheduled epoch, so every scheduled epoch sees exactly the
+        windows full-horizon sampling gives it. Once the span plus that step
+        would reach the horizon, the full-horizon call is made, so an
+        incomplete transfer books what full-horizon sampling books.
+        """
         nonlocal now
         if not setup.stations:
             seconds[phase] = config.horizon_seconds
             now += config.horizon_seconds
             return False
-        windows = contact_windows(
-            constellation, setup.stations, config.horizon_seconds,
-            step=config.window_step_seconds, link_config=setup.link_config,
-            start=window_start())
-        result = schedule_downlink(
-            windows, model_bits_per_orbit, setup.stations, config.horizon_seconds,
-            epoch_seconds=config.epoch_seconds, start_time=window_start(),
-            orbits=range(P))
+        horizon, step = config.horizon_seconds, config.window_step_seconds
+        span = config.epoch_seconds
+        while True:
+            sampled = span + step
+            if sampled >= horizon:
+                span = sampled = horizon
+            windows = contact_windows(
+                constellation, setup.stations, sampled, step=step,
+                link_config=setup.link_config, start=window_start())
+            result = schedule_downlink(
+                windows, model_bits_per_orbit, setup.stations, span,
+                epoch_seconds=config.epoch_seconds, start_time=window_start(),
+                orbits=range(P))
+            if result.complete or span == horizon:
+                break
+            span *= 2
         elapsed = result.epochs_used * config.epoch_seconds
         delivered = sum(sum(e.delivered.values()) for e in result.epochs)
         seconds[phase] = elapsed if result.complete else config.horizon_seconds
@@ -232,59 +252,58 @@ def simulate_round(
 
     intra_ring = RingSpec.uniform(S, setup.link_config.intra_orbit_rate_bps) if S >= 2 else None
 
-    # Embedding computation on every satellite in parallel.
-    embed_flops = 2.0 * workload.embedding_params * samples
-    seconds["embedding_compute"] = embed_flops / setup.compute.satellite_flops_per_s
-    flops["embedding_compute"] = embed_flops * n_sats
-    now += seconds["embedding_compute"]
+    def run_phases() -> bool:
+        """Walk the phase sequence; returns False once a transfer truncates the round."""
+        nonlocal now
+        # Embedding computation on every satellite in parallel.
+        embed_flops = 2.0 * workload.embedding_params * samples
+        seconds["embedding_compute"] = embed_flops / setup.compute.satellite_flops_per_s
+        flops["embedding_compute"] = embed_flops * n_sats
+        now += seconds["embedding_compute"]
 
-    # Each orbit concatenates its embeddings over the ring.
-    if intra_ring is not None:
-        gather = plan_all_gather(intra_ring, [workload.embedding_bits_per_satellite] * S)
-        seconds["intra_orbit_gather"] = gather.completion_time
-        bits["intra_orbit_gather"] = float(P * gather.total_bits_sent)
-        now += gather.completion_time
+        # Each orbit concatenates its embeddings over the ring.
+        if intra_ring is not None:
+            gather = plan_all_gather(intra_ring, [workload.embedding_bits_per_satellite] * S)
+            seconds["intra_orbit_gather"] = gather.completion_time
+            bits["intra_orbit_gather"] = float(P * gather.total_bits_sent)
+            now += gather.completion_time
 
-    orbit_embedding_bits = float(S * workload.embedding_bits_per_satellite)
-    ok = flow_phase("sgl_down", orbit_embedding_bits)
-    delivered_ground_bits = bits["sgl_down"]
-    if not ok:
-        return _finish_trace(round_index, start_time, seconds, bits, flops, False,
-                             delivered_ground_bits, setup.energy)
+        orbit_embedding_bits = float(S * workload.embedding_bits_per_satellite)
+        if not flow_phase("sgl_down", orbit_embedding_bits):
+            return False
 
-    encode_flops = 2.0 * workload.encoder_params * samples * n_sats
-    seconds["cloud_encode"] = encode_flops / setup.compute.cloud_flops_per_s
-    flops["cloud_encode"] = encode_flops
-    now += seconds["cloud_encode"]
+        encode_flops = 2.0 * workload.encoder_params * samples * n_sats
+        seconds["cloud_encode"] = encode_flops / setup.compute.cloud_flops_per_s
+        flops["cloud_encode"] = encode_flops
+        now += seconds["cloud_encode"]
 
-    if not flow_phase("sgl_up", orbit_embedding_bits):
-        return _finish_trace(round_index, start_time, seconds, bits, flops, False,
-                             delivered_ground_bits, setup.energy)
+        if not flow_phase("sgl_up", orbit_embedding_bits):
+            return False
 
-    train_flops = workload.flops_per_sample_head * samples * workload.local_epochs
-    seconds["local_train"] = train_flops / setup.compute.satellite_flops_per_s
-    flops["local_train"] = train_flops * n_sats
-    now += seconds["local_train"]
+        train_flops = workload.flops_per_sample_head * samples * workload.local_epochs
+        seconds["local_train"] = train_flops / setup.compute.satellite_flops_per_s
+        flops["local_train"] = train_flops * n_sats
+        now += seconds["local_train"]
 
-    if intra_ring is not None and workload.head_bits > 0:
-        reduce = plan_all_reduce(intra_ring, workload.head_bits)
-        seconds["intra_orbit_aggregate"] = config.intra_orbit_agg_rounds * reduce.completion_time
-        bits["intra_orbit_aggregate"] = float(
-            P * config.intra_orbit_agg_rounds * reduce.total_bits_sent)
-        now += seconds["intra_orbit_aggregate"]
+        if intra_ring is not None and workload.head_bits > 0:
+            reduce = plan_all_reduce(intra_ring, workload.head_bits)
+            seconds["intra_orbit_aggregate"] = (config.intra_orbit_agg_rounds
+                                                * reduce.completion_time)
+            bits["intra_orbit_aggregate"] = float(
+                P * config.intra_orbit_agg_rounds * reduce.total_bits_sent)
+            now += seconds["intra_orbit_aggregate"]
 
-    if config.aggregation_mode == GROUND:
-        if not flow_phase("inter_orbit_or_global_aggregate", float(workload.head_bits)):
-            return _finish_trace(round_index, start_time, seconds, bits, flops, False,
-                                 delivered_ground_bits, setup.energy)
-        if not flow_phase("broadcast", float(workload.head_bits)):
-            return _finish_trace(round_index, start_time, seconds, bits, flops, False,
-                                 delivered_ground_bits, setup.energy)
-        spread = _ring_spread_seconds(workload, constellation, setup.link_config)
-        seconds["broadcast"] += spread
-        bits["broadcast"] += float(P * max(S - 1, 0) * workload.head_bits)
-        now += spread
-    else:
+        if config.aggregation_mode == GROUND:
+            if not flow_phase("inter_orbit_or_global_aggregate", float(workload.head_bits)):
+                return False
+            if not flow_phase("broadcast", float(workload.head_bits)):
+                return False
+            spread = _ring_spread_seconds(workload, constellation, setup.link_config)
+            seconds["broadcast"] += spread
+            bits["broadcast"] += float(P * max(S - 1, 0) * workload.head_bits)
+            now += spread
+            return True
+
         # Sweep the accumulating head forward across orbits, then back.
         agg = 0.0
         stages = ([(p, p + 1) for p in range(P - 1)]
@@ -296,8 +315,7 @@ def simulate_round(
                 paths = select_disjoint_paths(graph, src, dst)
                 if len(paths) == 0:
                     seconds["inter_orbit_or_global_aggregate"] = config.horizon_seconds
-                    return _finish_trace(round_index, start_time, seconds, bits, flops,
-                                         False, delivered_ground_bits, setup.energy)
+                    return False
                 agg += parallel_transfer_time(paths, workload.head_bits)
                 bits["inter_orbit_or_global_aggregate"] += float(workload.head_bits)
         seconds["inter_orbit_or_global_aggregate"] = agg
@@ -305,18 +323,14 @@ def simulate_round(
         seconds["broadcast"] = _ring_spread_seconds(workload, constellation, setup.link_config)
         bits["broadcast"] = float(P * max(S - 1, 0) * workload.head_bits)
         now += seconds["broadcast"]
+        return True
 
-    return _finish_trace(round_index, start_time, seconds, bits, flops, complete,
-                         delivered_ground_bits, setup.energy)
-
-
-def _finish_trace(round_index, start_time, seconds, bits, flops, complete,
-                  delivered_ground_bits, energy_model: EnergyModel) -> RoundTrace:
-    total = sum(seconds.values())
-    per_bit = energy_model.e_tx_j_per_bit + energy_model.e_rx_j_per_bit
-    energy = per_bit * sum(bits.values()) + energy_model.e_flop_j * sum(flops.values())
-    return RoundTrace(round_index, start_time, dict(seconds), dict(bits), dict(flops),
-                      total, energy, complete, delivered_ground_bits)
+    complete = run_phases()
+    per_bit = setup.energy.e_tx_j_per_bit + setup.energy.e_rx_j_per_bit
+    energy = per_bit * sum(bits.values()) + setup.energy.e_flop_j * sum(flops.values())
+    # Every exit comes after the downlink, so its bits are the ground delivery.
+    return RoundTrace(round_index, start_time, seconds, bits, flops, sum(seconds.values()),
+                      energy, complete, bits["sgl_down"])
 
 
 def simulate_fine_tuning(

@@ -3,7 +3,9 @@
 The reference algorithms are deliberately slow and obvious: exhaustive cut
 enumeration, textbook Dijkstra over plain dicts, brute-force subset search.
 They share no code with the library, so agreement between the two is
-meaningful evidence rather than a tautology.
+meaningful evidence rather than a tautology. The one exception is
+run_length_windows, which takes the library's visibility samples so that
+only the run detection under test differs.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ import heapq
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
 from leoplan import (
     AugmentedGraph,
+    ConstellationSpec,
     ContactWindow,
     FlowNetwork,
     GroundStation,
@@ -31,6 +35,7 @@ from leoplan import (
     WeightedDigraph,
     dag_latency,
 )
+from leoplan.constellation import _visibility
 
 
 def sat(label):
@@ -389,3 +394,59 @@ def best_single_link_epochs(windows, model_bits, stations, horizon, epoch_second
     if best[0] <= epoch_count:
         return best[0], True
     return epoch_count, False
+
+
+def run_length_windows(constellation, stations, horizon, step, sgl_rate_bps, start=0.0):
+    """Contact windows by walking each satellite's visibility samples one by one.
+
+    Same sampling grid and window rule as contact_windows: a run of visible
+    samples becomes one window from its first sample to one step past its
+    last; windows come ordered by station, then satellite, then time.
+    """
+    times = start + np.arange(0.0, horizon, step)
+    if len(times) == 0:
+        return []
+    sat_pos = constellation.positions_at_times(times)
+    windows = []
+    for st in stations:
+        visible = _visibility(constellation, st, times, sat_pos)
+        for i, sid in enumerate(constellation.satellites):
+            col = visible[:, i]
+            j = 0
+            while j < len(col):
+                if col[j]:
+                    k = j
+                    while k + 1 < len(col) and col[k + 1]:
+                        k += 1
+                    windows.append(ContactWindow(sid, st.id, float(times[j]),
+                                                 float(times[k] + step), sgl_rate_bps))
+                    j = k + 1
+                else:
+                    j += 1
+    return windows
+
+
+@st.composite
+def walker_specs(draw, max_orbits=4, max_sats=6):
+    """Small Walker-delta shells at any inclination and phasing."""
+    num_orbits = draw(st.integers(1, max_orbits))
+    return ConstellationSpec(
+        num_orbits=num_orbits,
+        sats_per_orbit=draw(st.integers(1, max_sats)),
+        altitude_km=draw(st.floats(350.0, 2000.0)),
+        inclination_deg=draw(st.floats(0.0, 180.0)),
+        phasing_factor=draw(st.integers(0, num_orbits - 1)),
+        epoch=draw(st.floats(-500.0, 500.0)),
+    )
+
+
+@st.composite
+def station_sets(draw, max_stations=3):
+    """Up to max_stations stations with distinct ids, anywhere, with any mask."""
+    count = draw(st.integers(0, max_stations))
+    return tuple(
+        GroundStation(f"gs-{i}", draw(st.floats(-90.0, 90.0)),
+                      draw(st.floats(-180.0, 180.0)),
+                      dedicated_rate_bps=draw(st.floats(1e2, 1e6)),
+                      min_elevation_deg=draw(st.floats(0.0, 60.0)))
+        for i in range(count))

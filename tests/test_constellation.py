@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leoplan import (
     EARTH_RADIUS_KM,
@@ -16,6 +18,8 @@ from leoplan import (
     elevation_deg,
     snapshot,
 )
+
+from oracles import run_length_windows, station_sets, walker_specs
 
 EARTH_ROTATION_RAD_S = 7.2921159e-5
 
@@ -42,6 +46,21 @@ def test_spec_validation():
         ConstellationSpec(6, 11, 550.0, 200.0).validate()
     with pytest.raises(ValueError):
         ConstellationSpec(6, 11, 550.0, 53.0, phasing_factor=6).validate()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_spec_rejects_non_finite_altitude(value):
+    with pytest.raises(ValueError, match="altitude_km must be positive and finite"):
+        ConstellationSpec(6, 11, value, 53.0).validate()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["intra_orbit_rate_bps", "inter_orbit_rate_bps",
+                                  "sgl_rate_bps", "ground_dedicated_rate_bps",
+                                  "max_isl_range_km"])
+def test_link_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        LinkConfig(**{name: value}).validate()
 
 
 def test_link_config_validation():
@@ -202,6 +221,12 @@ def test_ground_station_validation():
     GroundStation("ok", 0.0, 0.0, min_elevation_deg=0.0).validate()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_ground_station_rejects_non_finite_rate(value):
+    with pytest.raises(ValueError, match="dedicated_rate_bps must be positive and finite"):
+        GroundStation("bad", 0.0, 0.0, dedicated_rate_bps=value).validate()
+
+
 def test_elevation_against_triangle_formula():
     rng = np.random.default_rng(5)
     r = EARTH_RADIUS_KM + 550.0
@@ -276,6 +301,40 @@ def test_contact_windows_bad_arguments():
         contact_windows(walker, (st,), horizon=0.0)
     with pytest.raises(ValueError):
         contact_windows(walker, (st,), horizon=100.0, step=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["horizon", "step"])
+def test_contact_windows_rejects_non_finite(name, value):
+    walker = build_walker(ConstellationSpec(1, 1, 550.0, 0.0))
+    args = {"horizon": 100.0, "step": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        contact_windows(walker, (GroundStation("gs", 0.0, 0.0),), **args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=walker_specs(), stations=station_sets(),
+       start=st.floats(-1e4, 1e5), step=st.floats(0.5, 200.0),
+       steps=st.integers(1, 400))
+def test_edge_detection_matches_run_length_oracle(spec, stations, start, step, steps):
+    """Same windows as a sample-by-sample walk: same order, same float bits.
+
+    Steps run past a 60 s epoch, and the horizon can end mid-step or inside a
+    pass, so runs touching either end of the grid are covered.
+    """
+    walker = build_walker(spec)
+    horizon = steps * step * 0.999
+    cfg = LinkConfig(sgl_rate_bps=3e6)
+    got = contact_windows(walker, stations, horizon, step=step, link_config=cfg,
+                          start=start)
+    want = run_length_windows(walker, stations, horizon, step, 3e6, start=start)
+
+    def key(windows):
+        return [(w.ground_station, w.satellite, w.start.hex(), w.end.hex(), w.rate_bps)
+                for w in windows]
+
+    assert key(got) == key(want)
+    assert all(type(w.start) is float and type(w.end) is float for w in got)
 
 
 def test_sgl_links_in_snapshot():

@@ -249,6 +249,15 @@ def test_schedule_downlink_argument_errors():
         schedule_downlink(windows, 0.0, stations, horizon=600.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["horizon", "epoch_seconds"])
+def test_schedule_downlink_rejects_non_finite(name, value):
+    windows = [ContactWindow(SatelliteId(0, 0), "gs", 0.0, 600.0, 1e7)]
+    args = {"horizon": 600.0, "epoch_seconds": 60.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        schedule_downlink(windows, 1e9, (GroundStation("gs", 0.0, 0.0),), **args)
+
+
 def test_coordinated_never_slower_than_single_link():
     from oracles import best_single_link_epochs
 

@@ -1,6 +1,9 @@
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leoplan import (
     ComputeModel,
@@ -11,13 +14,21 @@ from leoplan import (
     SimulationSetup,
     WorkloadSpec,
     build_walker,
+    contact_windows,
     head_fraction,
+    parse_scenario,
     payload_bits,
+    schedule_downlink,
     simulate_fine_tuning,
     simulate_round,
 )
+from leoplan import simkernel
 from leoplan.constellation import LIGHT_SPEED_KM_S
 from leoplan.simkernel import PHASES
+
+from oracles import station_sets, walker_specs
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def small_workload(**kw):
@@ -76,6 +87,13 @@ def test_config_validation():
         FederationConfig(window_step_seconds=0.0).validate()
     with pytest.raises(ValueError, match="compute throughputs"):
         ComputeModel(satellite_flops_per_s=0.0).validate()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["epoch_seconds", "horizon_seconds", "window_step_seconds"])
+def test_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        FederationConfig(**{name: value}).validate()
 
 
 def test_single_satellite_ground_round_closed_form():
@@ -248,3 +266,112 @@ def test_simulate_round_deterministic():
                        seed=99)
     assert a.phase_seconds == b.phase_seconds
     assert a.energy_joules == b.energy_joules
+
+
+def epoch_rows(result):
+    return [(e.epoch_index, e.assignment.flows, e.assignment.value, e.delivered)
+            for e in result.epochs]
+
+
+@settings(max_examples=50, deadline=None)
+@given(spec=walker_specs(), stations=station_sets(), start=st.floats(-1e4, 1e5),
+       step=st.floats(0.5, 200.0), epoch_seconds=st.floats(20.0, 120.0),
+       epochs=st.integers(1, 8), sgl_rate=st.floats(1e2, 1e5),
+       model_bits=st.floats(1e3, 1e6))
+def test_bounded_sampling_schedules_the_full_horizon_prefix(
+        spec, stations, start, step, epoch_seconds, epochs, sgl_rate, model_bits):
+    """Windows sampled one step past E epochs schedule those E epochs exactly as
+    windows sampled over a longer horizon do."""
+    walker = build_walker(spec)
+    cfg = LinkConfig(sgl_rate_bps=sgl_rate)
+    span = epochs * epoch_seconds
+    full_horizon = span + 3 * epoch_seconds + 2 * step
+    orbits = range(spec.num_orbits)
+
+    def schedule(sampled, horizon):
+        windows = contact_windows(walker, stations, sampled, step=step, link_config=cfg,
+                                  start=start)
+        return schedule_downlink(windows, model_bits, stations, horizon,
+                                 epoch_seconds=epoch_seconds, start_time=start,
+                                 orbits=orbits)
+
+    bounded = schedule(span + step, span)
+    full = schedule(full_horizon, full_horizon)
+    assert epoch_rows(bounded) == epoch_rows(full)[:int(span // epoch_seconds)]
+
+
+def full_horizon_round(mp, config, *args, **kwargs):
+    """simulate_round with every ground phase sampled and scheduled over the
+    whole horizon, as one contact_windows call per phase would."""
+    real_windows, real_schedule = simkernel.contact_windows, simkernel.schedule_downlink
+    mp.setattr(simkernel, "contact_windows",
+               lambda walker, stations, horizon, **kw:
+               real_windows(walker, stations, config.horizon_seconds, **kw))
+    mp.setattr(simkernel, "schedule_downlink",
+               lambda windows, bits, stations, horizon, **kw:
+               real_schedule(windows, bits, stations, config.horizon_seconds, **kw))
+    return simulate_round(config, *args, **kwargs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=walker_specs(max_orbits=3, max_sats=4), stations=station_sets(),
+       freeze=st.booleans(), step=st.floats(1.0, 100.0),
+       epoch_seconds=st.floats(30.0, 120.0), horizon=st.floats(100.0, 4000.0),
+       sgl_rate=st.floats(1e2, 1e5), samples=st.integers(1, 50),
+       start=st.floats(0.0, 1e4))
+def test_round_matches_full_horizon_sampling(spec, stations, freeze, step, epoch_seconds,
+                                             horizon, sgl_rate, samples, start):
+    walker = build_walker(spec)
+    config = FederationConfig(epoch_seconds=epoch_seconds, horizon_seconds=horizon,
+                              window_step_seconds=step, freeze_topology=freeze)
+    setup = SimulationSetup(stations=stations, link_config=LinkConfig(sgl_rate_bps=sgl_rate))
+    args = (walker, small_workload(samples_per_satellite=samples), setup)
+    got = simulate_round(config, *args, start_time=start)
+    with pytest.MonkeyPatch.context() as mp:
+        want = full_horizon_round(mp, config, *args, start_time=start)
+    assert got == want
+
+
+def test_unreachable_station_ends_on_the_full_horizon(monkeypatch):
+    # An equatorial shell never rises 10 degrees above a station at 80 N, so
+    # each phase doubles its span until the last call covers the horizon.
+    walker = build_walker(ConstellationSpec(1, 2, 550.0, 0.0))
+    config = FederationConfig(epoch_seconds=60.0, horizon_seconds=1000.0,
+                              window_step_seconds=5.0)
+    setup = SimulationSetup(stations=(GroundStation("gs", 80.0, 0.0),))
+    sampled = []
+    real = simkernel.contact_windows
+
+    def recording(walker_, stations, horizon, **kw):
+        sampled.append(horizon)
+        return real(walker_, stations, horizon, **kw)
+
+    monkeypatch.setattr(simkernel, "contact_windows", recording)
+    got = simulate_round(config, walker, small_workload(), setup)
+    assert sampled == [65.0, 125.0, 245.0, 485.0, 965.0, 1000.0]
+    assert not got.complete
+    assert got.phase_seconds["sgl_down"] == 1000.0
+    assert got.phase_bits["sgl_down"] == 0.0
+    with pytest.MonkeyPatch.context() as mp:
+        assert got == full_horizon_round(mp, config, walker, small_workload(), setup)
+
+
+def test_demo_samples_a_tenth_of_the_full_horizon(monkeypatch):
+    """Guard: the demo's 40 ground-link phases must not go back to sampling
+    the whole horizon each."""
+    scn = parse_scenario(REPO / "scenarios" / "demo_walker6.json")
+    setup = SimulationSetup(stations=scn.ground_stations, link_config=scn.link_config,
+                            compute=scn.compute, energy=scn.energy)
+    sampled = []
+    real = simkernel.contact_windows
+
+    def recording(walker, stations, horizon, **kw):
+        sampled.append(horizon)
+        return real(walker, stations, horizon, **kw)
+
+    monkeypatch.setattr(simkernel, "contact_windows", recording)
+    _, agg = simulate_fine_tuning(scn.federation, build_walker(scn.constellation),
+                                  scn.workload, setup)
+    assert agg.complete
+    assert len(sampled) >= 40
+    assert sum(sampled) < 40 * scn.federation.horizon_seconds / 10
