@@ -11,6 +11,7 @@ JSON description on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from .collective import RingSpec, plan_all_reduce
 from .msdag import shared_modules
 from .scenario import ScenarioError, parse_request, parse_scenario, scenario_digest
 from .sgl_flow import schedule_downlink
-from .simkernel import SimulationSetup, FederationConfig, PHASES, simulate_fine_tuning
+from .simkernel import SimulationSetup, PHASES, simulate_fine_tuning
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -83,12 +84,7 @@ def _deployment_instance(scn, at_time: float) -> deployment.DeploymentInstance:
 def _cmd_simulate(scn, args, out: Path) -> list:
     config = scn.federation
     if args.mode is not None:
-        config = FederationConfig(
-            rounds=config.rounds, intra_orbit_agg_rounds=config.intra_orbit_agg_rounds,
-            aggregation_mode=args.mode, epoch_seconds=config.epoch_seconds,
-            horizon_seconds=config.horizon_seconds,
-            window_step_seconds=config.window_step_seconds,
-            freeze_topology=config.freeze_topology)
+        config = dataclasses.replace(config, aggregation_mode=args.mode)
     constellation = build_walker(scn.constellation)
     traces, agg = simulate_fine_tuning(config, constellation, scn.workload,
                                        _setup_from(scn), seed=scn.seed or 0)

@@ -326,8 +326,16 @@ def _visibility(constellation: WalkerConstellation, station: GroundStation,
          np.full_like(theta, ez)], axis=-1)  # (T, 3)
     zen = st_pos / np.linalg.norm(st_pos, axis=-1, keepdims=True)
     d = sat_pos - st_pos[:, None, :]
-    sin_elev = np.einsum("tnk,tk->tn", d, zen) / np.linalg.norm(d, axis=-1)
-    return sin_elev >= math.sin(math.radians(station.min_elevation_deg))
+    up = np.einsum("tnk,tk->tn", d, zen)
+    # validate() keeps the mask in [0, 90), so a satellite below the horizon
+    # plane (up < 0) has a negative sine of elevation and is never visible.
+    # Only the samples above it need the range norm; they go through the
+    # same elementwise formula as a full-array evaluation would.
+    t, i = np.nonzero(up >= 0.0)
+    sin_elev = up[t, i] / np.linalg.norm(d[t, i], axis=-1)
+    visible = np.zeros(up.shape, dtype=bool)
+    visible[t, i] = sin_elev >= math.sin(math.radians(station.min_elevation_deg))
+    return visible
 
 
 def contact_windows(

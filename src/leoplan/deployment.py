@@ -280,6 +280,7 @@ class DeploymentMdp:
     def __init__(self, instance: DeploymentInstance, dead_end_reward: float = DEAD_END_REWARD):
         self.instance = instance
         self.dead_end_reward = dead_end_reward
+        self._scales = _feature_scales(instance)
 
     def reset(self, seed: int = 0) -> MdpState:
         del seed  # transitions are deterministic; kept for interface symmetry
@@ -321,8 +322,8 @@ class DeploymentMdp:
         return MdpTransition(next_state, reward, next_state.done)
 
 
-def _feature_scales(env: DeploymentMdp):
-    inst = env.instance
+def _feature_scales(inst: DeploymentInstance):
+    """(compute, objective) divisors that bring action features to order one."""
     min_thr = min(s.throughput_flops for s in inst.satellites)
     compute = max((svc.flops for svc in inst.services.values()), default=1.0) / min_thr
     total = sum(svc.flops for svc in inst.services.values()) / min_thr
@@ -333,7 +334,7 @@ def action_features(env: DeploymentMdp, state: MdpState, action) -> np.ndarray:
     """Hand-crafted linear features for one (state, action) pair."""
     sid, sat_id = action
     inst = env.instance
-    compute_scale, obj_scale = env._scales  # cached on the env by the trainer
+    compute_scale, obj_scale = env._scales
     svc = inst.services[sid]
     run = svc.flops / inst.throughput(sat_id) / compute_scale
 
@@ -388,11 +389,6 @@ class TrainingReport:
     mean_gap: float | None = None
 
 
-def _ensure_scales(env: DeploymentMdp) -> None:
-    if not hasattr(env, "_scales"):
-        env._scales = _feature_scales(env)
-
-
 def rollout(env: DeploymentMdp, choose, record=None) -> float:
     """Play one episode; choose(state) -> action; returns the episode return."""
     state = env.reset()
@@ -428,8 +424,6 @@ def train_policy_gradient(envs, episodes: int, seed: int, lr: float = 0.15,
     if isinstance(envs, DeploymentMdp):
         envs = [envs]
     envs = list(envs)
-    for env in envs:
-        _ensure_scales(env)
     rng = np.random.default_rng(seed)
     policy = LinearPolicy(np.zeros(N_FEATURES))
     baselines = [0.0] * len(envs)
@@ -471,7 +465,6 @@ def train_policy_gradient(envs, episodes: int, seed: int, lr: float = 0.15,
 
 def plan_from_policy(env: DeploymentMdp, policy: LinearPolicy) -> DeploymentPlan:
     """Deterministic greedy rollout of a trained policy into a plan."""
-    _ensure_scales(env)
     rng = np.random.default_rng(0)
     state = env.reset()
     while not state.done:
@@ -487,7 +480,6 @@ def plan_from_policy(env: DeploymentMdp, policy: LinearPolicy) -> DeploymentPlan
 def evaluate_policy(env: DeploymentMdp, policy: LinearPolicy, episodes: int, seed: int,
                     greedy: bool = False) -> float:
     """Mean episode return of a policy on one environment."""
-    _ensure_scales(env)
     rng = np.random.default_rng(seed)
     totals = [rollout(env, lambda s: policy.act(env, s, rng, greedy=greedy))
               for _ in range(episodes)]

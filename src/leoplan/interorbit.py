@@ -17,6 +17,11 @@ from .constellation import LinkKind, SatelliteId, TopologySnapshot
 
 _ISL_KINDS = (LinkKind.INTRA_ORBIT_ISL, LinkKind.INTER_ORBIT_ISL, LinkKind.CROSS_SEAM_ISL)
 
+# Rows of the distance matrix relaxed per step of the all-pairs loop. It
+# bounds the scratch buffers, so one step's working set stays in cache at
+# shell sizes instead of streaming whole n x n temporaries.
+_ROW_BLOCK = 128
+
 
 def _node_key(node):
     """Stable sort key across satellite ids and string nodes."""
@@ -81,7 +86,16 @@ def build_weighted_graph(snapshot: TopologySnapshot, include_ground: bool = Fals
 
 
 class ShortestPaths:
-    """All-pairs shortest path distances with next-hop reconstruction."""
+    """All-pairs shortest path distances with next-hop reconstruction.
+
+    Floyd-Warshall over the graph's 1/rate weights. Nodes are indexed in
+    sorted order and the intermediate node k runs over that order; a pair's
+    distance and next hop are replaced only when the path through k is
+    strictly shorter (``<``), so among equal-weight paths the one found
+    first in this order is kept. ``next_hop[i, j]`` is the index of the node
+    after i on the kept i->j path (i itself when i == j, -1 when j is
+    unreachable), and ``path`` follows it hop by hop.
+    """
 
     def __init__(self, graph: WeightedDigraph):
         self.graph = graph
@@ -89,20 +103,32 @@ class ShortestPaths:
         self.index = {n: i for i, n in enumerate(self.nodes)}
         n = len(self.nodes)
         dist = np.full((n, n), np.inf)
-        nxt = np.full((n, n), -1, dtype=np.int64)
+        nxt = np.full((n, n), -1, dtype=np.int32)
         np.fill_diagonal(dist, 0.0)
-        for i in range(n):
-            nxt[i, i] = i
+        np.fill_diagonal(nxt, np.arange(n))
         for (u, v), attr in graph.edges.items():
             i, j = self.index[u], self.index[v]
             if attr.weight < dist[i, j]:
                 dist[i, j] = attr.weight
                 nxt[i, j] = j
+        # Updating in place, one block of rows at a time, gives exactly the
+        # result of building a fresh matrix per k: row k and column k cannot
+        # change in iteration k, because dist[k, k] == 0 and x + 0.0 == x, so
+        # every block reads the same dist[k] and dist[:, k] values the whole
+        # iteration started from. The strict < and the order of k are as
+        # before, so ties break the same way.
+        alt = np.empty((min(n, _ROW_BLOCK), n))
+        better = np.empty(alt.shape, dtype=bool)
         for k in range(n):
-            alt = dist[:, k, None] + dist[None, k, :]
-            better = alt < dist
-            dist = np.where(better, alt, dist)
-            nxt = np.where(better, nxt[:, k, None], nxt)
+            via_k = dist[k]
+            for r in range(0, n, _ROW_BLOCK):
+                d = dist[r:r + _ROW_BLOCK]
+                h = nxt[r:r + _ROW_BLOCK]
+                a, b = alt[:len(d)], better[:len(d)]
+                np.add(d[:, k, None], via_k, out=a)
+                np.less(a, d, out=b)
+                np.copyto(d, a, where=b)
+                np.copyto(h, h[:, k, None], where=b)
         self.dist = dist
         self.next_hop = nxt
 
@@ -136,7 +162,12 @@ class ShortestPaths:
 
 
 def all_pairs_shortest(graph: WeightedDigraph) -> ShortestPaths:
-    """Floyd-Warshall over 1/rate weights; nodes iterated in sorted order."""
+    """Floyd-Warshall over 1/rate weights; nodes iterated in sorted order.
+
+    A pair's route changes only on a strictly shorter path through the next
+    node in that order; see ShortestPaths for the kept tie-break and the
+    next-hop reconstruction.
+    """
     return ShortestPaths(graph)
 
 

@@ -40,6 +40,14 @@ def _check_keys(obj: dict, path: str, required: tuple, optional: tuple) -> None:
             f"{path}.{k}" for k in missing))
 
 
+def _validate(section, path: str) -> None:
+    """Run section.validate(), re-raising its failure as a ScenarioError at path."""
+    try:
+        section.validate()
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
 def _num(obj: dict, key: str, path: str, default=None) -> float:
     if key not in obj:
         return default
@@ -124,7 +132,7 @@ def parse_scenario(source) -> Scenario:
         phasing_factor=_int(c, "phasing_factor", "constellation", 0),
         epoch=_num(c, "epoch", "constellation", 0.0),
     )
-    constellation.validate()
+    _validate(constellation, "constellation")
 
     links = _require_mapping(root.get("links", {}), "links")
     _check_keys(links, "links", required=(),
@@ -144,7 +152,7 @@ def parse_scenario(source) -> Scenario:
         cross_seam_policy=_str(links, "cross_seam_policy", "links",
                                defaults.cross_seam_policy),
     )
-    link_config.validate()
+    _validate(link_config, "links")
 
     stations = []
     raw_stations = root.get("ground_stations", [])
@@ -162,7 +170,7 @@ def parse_scenario(source) -> Scenario:
             dedicated_rate_bps=_num(st, "dedicated_rate_bps", path, 10e9),
             min_elevation_deg=_num(st, "min_elevation_deg", path, 10.0),
         )
-        station.validate()
+        _validate(station, path)
         stations.append(station)
     if len({s.id for s in stations}) != len(stations):
         raise ScenarioError("ground_stations: duplicate station ids")
@@ -184,7 +192,7 @@ def parse_scenario(source) -> Scenario:
         local_epochs=_int(w, "local_epochs", "workload", 1),
         flops_per_sample_head=_num(w, "flops_per_sample_head", "workload", 1e6),
     )
-    workload.validate()
+    _validate(workload, "workload")
 
     f = _require_mapping(root.get("federation", {}), "federation")
     _check_keys(f, "federation", required=(),
@@ -204,7 +212,7 @@ def parse_scenario(source) -> Scenario:
                                  fdefaults.window_step_seconds),
         freeze_topology=_bool(f, "freeze_topology", "federation", fdefaults.freeze_topology),
     )
-    federation.validate()
+    _validate(federation, "federation")
 
     comp = _require_mapping(root.get("compute", {}), "compute")
     _check_keys(comp, "compute", required=(),
@@ -217,7 +225,7 @@ def parse_scenario(source) -> Scenario:
         cloud_flops_per_s=_num(comp, "cloud_flops_per_s", "compute",
                                cdefaults.cloud_flops_per_s),
     )
-    compute.validate()
+    _validate(compute, "compute")
     memory = _num(comp, "satellite_memory_bytes", "compute", 8e9)
     budget = _num(comp, "satellite_energy_budget_j", "compute", float("inf"))
     if memory < 0:
@@ -232,7 +240,7 @@ def parse_scenario(source) -> Scenario:
         e_rx_j_per_bit=_num(en, "e_rx_j_per_bit", "energy", edefaults.e_rx_j_per_bit),
         e_flop_j=_num(en, "e_flop_j", "energy", edefaults.e_flop_j),
     )
-    energy.validate()
+    _validate(energy, "energy")
 
     tasks: dict = {}
     active: tuple = ()

@@ -5,13 +5,16 @@ enumeration, textbook Dijkstra over plain dicts, brute-force subset search.
 They share no code with the library, so agreement between the two is
 meaningful evidence rather than a tautology. The one exception is
 run_length_windows, which takes the library's visibility samples so that
-only the run detection under test differs.
+only the run detection under test differs. floyd_warshall and
+reference_visibility keep the library's earlier whole-array formulations,
+so the faster versions must reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -35,7 +38,7 @@ from leoplan import (
     WeightedDigraph,
     dag_latency,
 )
-from leoplan.constellation import _visibility
+from leoplan.constellation import EARTH_ROTATION_RAD_S, _visibility
 
 
 def sat(label):
@@ -150,6 +153,87 @@ def random_layered_network(rng):
     for (u, v), c in caps.items():
         net.add_edge(u, v, c)
     return net, caps
+
+
+def floyd_warshall(graph):
+    """(dist, next_hop) over graph.sorted_nodes(), one fresh matrix per k.
+
+    The same relaxation as ShortestPaths (strict <, k in sorted-node order),
+    written as whole-matrix numpy expressions that never update in place.
+    """
+    nodes = graph.sorted_nodes()
+    index = {node: i for i, node in enumerate(nodes)}
+    n = len(nodes)
+    dist = np.full((n, n), np.inf)
+    nxt = np.full((n, n), -1, dtype=np.int64)
+    np.fill_diagonal(dist, 0.0)
+    for i in range(n):
+        nxt[i, i] = i
+    for (u, v), attr in graph.edges.items():
+        i, j = index[u], index[v]
+        if attr.weight < dist[i, j]:
+            dist[i, j] = attr.weight
+            nxt[i, j] = j
+    for k in range(n):
+        alt = dist[:, k, None] + dist[None, k, :]
+        better = alt < dist
+        dist = np.where(better, alt, dist)
+        nxt = np.where(better, nxt[:, k, None], nxt)
+    return dist, nxt
+
+
+def next_hop_path(nodes, next_hop, i, j):
+    """Node list from index i to j following next_hop, or None if unreachable."""
+    if next_hop[i, j] < 0:
+        return None
+    hops = [i]
+    while hops[-1] != j:
+        hops.append(int(next_hop[hops[-1], j]))
+    return [nodes[h] for h in hops]
+
+
+def random_sparse_digraph(rng, n, out_degree, isolated_share, tied):
+    """A directed WeightedDigraph on n nodes for all-pairs comparisons.
+
+    Each non-isolated node gets about out_degree out-edges to random other
+    non-isolated nodes, drawn independently per direction, so the graph is
+    asymmetric. Capacities are uniform in [1e6, 1e9], or with tied=True drawn
+    from {1e9, 2e9, 3e9} so that many paths weigh the same; either way the
+    1/capacity weights are not powers of two.
+    """
+    names = [f"n{i:03d}" for i in range(n)]
+    g = WeightedDigraph()
+    for name in names:
+        g.add_node(name)
+    live = [i for i in range(n) if rng.random() >= isolated_share]
+    if len(live) < 2:
+        return g
+    for u in live:
+        for _ in range(int(rng.poisson(out_degree))):
+            v = live[int(rng.integers(0, len(live)))]
+            if v == u:
+                continue
+            if tied:
+                cap = float(rng.choice([1e9, 2e9, 3e9]))
+            else:
+                cap = float(rng.uniform(1e6, 1e9))
+            g.add_edge(names[u], names[v], cap)
+    return g
+
+
+def reference_visibility(constellation, station, times, sat_pos):
+    """Above-mask flags, shape (len(times), n), from the sine of elevation
+    evaluated at every sample: up-component over range, against the mask."""
+    theta = EARTH_ROTATION_RAD_S * (times - constellation.spec.epoch)
+    ex, ey, ez = station.ecef_km()
+    st_pos = np.stack(
+        [np.cos(theta) * ex - np.sin(theta) * ey,
+         np.sin(theta) * ex + np.cos(theta) * ey,
+         np.full_like(theta, ez)], axis=-1)
+    zen = st_pos / np.linalg.norm(st_pos, axis=-1, keepdims=True)
+    d = sat_pos - st_pos[:, None, :]
+    sin_elev = np.einsum("tnk,tk->tn", d, zen) / np.linalg.norm(d, axis=-1)
+    return sin_elev >= math.sin(math.radians(station.min_elevation_deg))
 
 
 def random_rate_digraph(rng, max_nodes=12):

@@ -287,6 +287,25 @@ def test_error_exit_codes(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "ScenarioError"
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("constellation", "num_orbits", 0, "constellation: num_orbits must be >= 1"),
+    ("workload", "precision_bits", 8, "workload: precision_bits must be 16, 32, or 64"),
+])
+def test_semantic_scenario_errors_exit_2(tmp_path, capsys, section, key, value, message):
+    path = Path(sim_scenario(tmp_path))
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj[section][key] = value
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, stdout, err = run_cli(capsys, "simulate", str(path), "--out-dir",
+                                str(tmp_path / "out"))
+    assert code == 2
+    assert stdout == ""
+    body = json.loads(err)["error"]
+    assert body["type"] == "ScenarioError"
+    assert body["message"] == message
+    assert not (tmp_path / "out").exists()
+
+
 def test_console_script(tmp_path):
     exe = shutil.which("leoplan")
     if exe:

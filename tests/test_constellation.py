@@ -19,7 +19,9 @@ from leoplan import (
     snapshot,
 )
 
-from oracles import run_length_windows, station_sets, walker_specs
+from leoplan.constellation import _visibility
+
+from oracles import reference_visibility, run_length_windows, station_sets, walker_specs
 
 EARTH_ROTATION_RAD_S = 7.2921159e-5
 
@@ -335,6 +337,24 @@ def test_edge_detection_matches_run_length_oracle(spec, stations, start, step, s
 
     assert key(got) == key(want)
     assert all(type(w.start) is float and type(w.end) is float for w in got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=walker_specs(), lat=st.one_of(st.just(0.0), st.floats(-90.0, 90.0)),
+       lon=st.one_of(st.just(0.0), st.floats(-180.0, 180.0)),
+       mask=st.one_of(st.just(0.0), st.floats(0.0, 90.0, exclude_max=True), st.just(89.9)),
+       start=st.floats(-1e4, 1e5), step=st.floats(0.5, 200.0), steps=st.integers(1, 300))
+def test_visibility_matches_full_evaluation(spec, lat, lon, mask, start, step, steps):
+    """Skipping the range norm below the horizon plane changes no flag."""
+    walker = build_walker(spec)
+    station = GroundStation("gs", lat, lon, min_elevation_deg=mask)
+    station.validate()
+    times = start + np.arange(0.0, steps * step, step)
+    sat_pos = walker.positions_at_times(times)
+    got = _visibility(walker, station, times, sat_pos)
+    want = reference_visibility(walker, station, times, sat_pos)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_sgl_links_in_snapshot():

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leoplan import (
     ConstellationSpec,
@@ -18,7 +20,15 @@ from leoplan.constellation import LinkKind
 
 import numpy as np
 
-from oracles import brute_route_metrics, dijkstra_distances, random_rate_digraph, toy_snapshot
+from oracles import (
+    brute_route_metrics,
+    dijkstra_distances,
+    floyd_warshall,
+    next_hop_path,
+    random_rate_digraph,
+    random_sparse_digraph,
+    toy_snapshot,
+)
 
 
 def test_add_edge_rejects_bad_capacity():
@@ -119,6 +129,37 @@ def test_path_metrics_match_bruteforce():
                 assert total == sp.distance(u, v)
                 checked += 1
     assert checked > 500
+
+
+def assert_same_routes(g, sources):
+    """ShortestPaths equals the whole-matrix reference bit for bit, and its
+    path() lists from the given source indices equal the reference's."""
+    sp = all_pairs_shortest(g)
+    dist, nxt = floyd_warshall(g)
+    assert sp.nodes == g.sorted_nodes()
+    assert np.array_equal(sp.dist, dist)
+    assert np.array_equal(sp.next_hop, nxt)
+    for i in sources:
+        for j, dst in enumerate(sp.nodes):
+            assert sp.path(sp.nodes[i], dst) == next_hop_path(sp.nodes, nxt, i, j)
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 261])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), out_degree=st.floats(0.5, 4.0),
+       isolated_share=st.sampled_from([0.0, 0.1, 0.5]), tied=st.booleans())
+def test_all_pairs_matches_whole_matrix_reference(n, seed, out_degree, isolated_share, tied):
+    """Sizes straddle the 128-row block, so the last block can be partial."""
+    rng = np.random.default_rng(seed)
+    g = random_sparse_digraph(rng, n, out_degree, isolated_share, tied)
+    assert_same_routes(g, sources=sorted({0, n // 2, n - 1}))
+
+
+def test_all_pairs_matches_reference_on_a_shell_snapshot():
+    walker = build_walker(ConstellationSpec(12, 22, 550.0, 53.0, phasing_factor=1))
+    g = build_weighted_graph(snapshot(walker, 0.0, LinkConfig()))
+    assert len(g.nodes) == 264
+    assert_same_routes(g, sources=(0, 131, 263))
 
 
 def test_disjoint_paths_rectangle():

@@ -177,6 +177,34 @@ def test_station_errors():
         parse_scenario(obj)
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("constellation", "num_orbits", 0, "constellation: num_orbits must be >= 1"),
+    ("links", "sgl_rate_bps", -1.0, "links: sgl_rate_bps must be positive and finite"),
+    ("workload", "precision_bits", 8, "workload: precision_bits must be 16, 32, or 64"),
+    ("federation", "rounds", 0, "federation: rounds must be positive"),
+    ("compute", "satellite_flops_per_s", 0.0, "compute: compute throughputs must be positive"),
+    ("energy", "e_tx_j_per_bit", -1.0, "energy: energy coefficients must be nonnegative"),
+])
+def test_semantic_errors_name_their_section(section, key, value, message):
+    obj = minimal()
+    obj.setdefault(section, {})[key] = value
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(obj)
+    assert str(info.value) == message
+
+
+def test_semantic_station_error_names_its_index():
+    obj = minimal()
+    obj["ground_stations"] = [
+        {"id": "gs-a", "latitude_deg": 0.0, "longitude_deg": 0.0},
+        {"id": "gs-b", "latitude_deg": 0.0, "longitude_deg": 0.0, "min_elevation_deg": 90.0},
+        {"id": "gs-c", "latitude_deg": 91.0, "longitude_deg": 0.0},
+    ]
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(obj)
+    assert str(info.value) == "ground_stations[1]: min_elevation_deg must be in [0, 90)"
+
+
 def test_task_errors():
     obj = full()
     obj["tasks"]["library"].append(copy.deepcopy(obj["tasks"]["library"][0]))
