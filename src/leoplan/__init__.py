@@ -4,7 +4,8 @@ The package splits into geometry (constellation), in-orbit collectives
 (collective), inter-orbit routing (interorbit), satellite-ground flow
 scheduling (sgl_flow), microservice task graphs (msdag), placement solvers
 (deployment), energy-minimal request routing (orchestration), federated
-round simulation (simkernel), and scenario file handling (scenario).
+round simulation (simkernel), and scenario file handling (scenario). The
+graph algorithms they share live in one module (graph).
 """
 
 from .constellation import (
@@ -88,7 +89,6 @@ from .orchestration import (
     build_augmented_graph,
     dst_exact,
     dst_heuristic,
-    full_hosting_reduction_check,
     validate_tree,
 )
 from .simkernel import (

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constellation import SatelliteId, TopologySnapshot
+from .graph import topological_order
 from .interorbit import all_pairs_shortest, build_weighted_graph
 from .msdag import ServiceDag
 
@@ -76,24 +77,12 @@ class DeploymentInstance:
         ]
         self._task_topos = [dag.topological_order() for dag in self.tasks]
         self._throughput = {sat.id: sat.throughput_flops for sat in self.satellites}
-        self._metrics_cache: dict = {}
         self._routes = all_pairs_shortest(build_weighted_graph(snapshot))
+        self.transfer_seconds = self._routes.transfer_seconds
         self.max_throughput = max(s.throughput_flops for s in self.satellites)
 
     def throughput(self, sat_id: SatelliteId) -> float:
         return self._throughput[sat_id]
-
-    def transfer_seconds(self, u: SatelliteId, v: SatelliteId, bits: float) -> float:
-        if u == v:
-            return 0.0
-        key = (u, v)
-        if key not in self._metrics_cache:
-            m = self._routes.path_metrics(u, v)
-            self._metrics_cache[key] = m
-        m = self._metrics_cache[key]
-        if m is None:
-            raise ValueError(f"hosts {u} and {v} are not connected in the snapshot")
-        return bits / m[0] + m[1]
 
     def service_fits(self, service_id: str, sat: SatelliteNode, residual_memory: float) -> bool:
         svc = self.services[service_id]
@@ -106,26 +95,8 @@ class DeploymentInstance:
 
 def _merged_topological_order(tasks) -> list:
     """Dependency-respecting order over the union of all task DAGs."""
-    nodes: set = set()
-    edges: set = set()
-    for dag in tasks:
-        nodes.update(dag.service_ids())
-        edges.update((u, v) for (u, v, _) in dag.edges)
-    indeg = {n: 0 for n in nodes}
-    for (_, v) in edges:
-        indeg[v] += 1
-    ready = sorted(n for n in nodes if indeg[n] == 0)
-    order = []
-    while ready:
-        u = ready.pop(0)
-        order.append(u)
-        newly = []
-        for (a, b) in edges:
-            if a == u:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    newly.append(b)
-        ready = sorted(ready + newly)
+    nodes = {sid for dag in tasks for sid in dag.service_ids()}
+    order = topological_order(nodes, [(u, v) for dag in tasks for (u, v, _) in dag.edges])
     if len(order) != len(nodes):
         raise ValueError("task union contains a dependency cycle")
     return order

@@ -8,26 +8,12 @@ across the paths in parallel.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constellation import LinkKind, SatelliteId, TopologySnapshot
+from .graph import Digraph, dijkstra, floyd_warshall, node_key, path_to
 
-_ISL_KINDS = (LinkKind.INTRA_ORBIT_ISL, LinkKind.INTER_ORBIT_ISL, LinkKind.CROSS_SEAM_ISL)
-
-# Rows of the distance matrix relaxed per step of the all-pairs loop. It
-# bounds the scratch buffers, so one step's working set stays in cache at
-# shell sizes instead of streaming whole n x n temporaries.
-_ROW_BLOCK = 128
-
-
-def _node_key(node):
-    """Stable sort key across satellite ids and string nodes."""
-    if isinstance(node, SatelliteId):
-        return (0, node.orbit_index, node.slot_index)
-    return (1, str(node))
+ISL_KINDS = (LinkKind.INTRA_ORBIT_ISL, LinkKind.INTER_ORBIT_ISL, LinkKind.CROSS_SEAM_ISL)
 
 
 @dataclass(frozen=True)
@@ -37,33 +23,16 @@ class EdgeAttr:
     propagation_s: float
 
 
-class WeightedDigraph:
+class WeightedDigraph(Digraph):
     """Directed graph with weight = 1/capacity per edge."""
-
-    def __init__(self):
-        self.nodes: list = []
-        self._node_set: set = set()
-        self.edges: dict = {}
-        self.adjacency: dict = {}
-
-    def add_node(self, node) -> None:
-        if node not in self._node_set:
-            self._node_set.add(node)
-            self.nodes.append(node)
-            self.adjacency[node] = []
 
     def add_edge(self, u, v, capacity_bps: float, propagation_s: float = 0.0) -> None:
         if capacity_bps <= 0:
             raise ValueError("capacity must be positive")
-        self.add_node(u)
-        self.add_node(v)
-        attr = EdgeAttr(1.0 / capacity_bps, capacity_bps, propagation_s)
-        if (u, v) not in self.edges:
-            self.adjacency[u].append(v)
-        self.edges[(u, v)] = attr
+        self._set_edge(u, v, EdgeAttr(1.0 / capacity_bps, capacity_bps, propagation_s))
 
-    def sorted_nodes(self) -> list:
-        return sorted(self.nodes, key=_node_key)
+    def weight(self, u, v) -> float:
+        return self.edges[(u, v)].weight
 
 
 def build_weighted_graph(snapshot: TopologySnapshot, include_ground: bool = False) -> WeightedDigraph:
@@ -73,9 +42,9 @@ def build_weighted_graph(snapshot: TopologySnapshot, include_ground: bool = Fals
     dedicated links so paths may run down to stations and the cloud.
     """
     g = WeightedDigraph()
-    for sat in sorted(snapshot.positions, key=_node_key):
+    for sat in sorted(snapshot.positions, key=node_key):
         g.add_node(sat)
-    kinds = _ISL_KINDS + ((LinkKind.SGL, LinkKind.GROUND_DEDICATED) if include_ground else ())
+    kinds = ISL_KINDS + ((LinkKind.SGL, LinkKind.GROUND_DEDICATED) if include_ground else ())
     for link in snapshot.links:
         if not link.available or link.kind not in kinds:
             continue
@@ -88,49 +57,17 @@ def build_weighted_graph(snapshot: TopologySnapshot, include_ground: bool = Fals
 class ShortestPaths:
     """All-pairs shortest path distances with next-hop reconstruction.
 
-    Floyd-Warshall over the graph's 1/rate weights. Nodes are indexed in
-    sorted order and the intermediate node k runs over that order; a pair's
-    distance and next hop are replaced only when the path through k is
-    strictly shorter (``<``), so among equal-weight paths the one found
-    first in this order is kept. ``next_hop[i, j]`` is the index of the node
-    after i on the kept i->j path (i itself when i == j, -1 when j is
-    unreachable), and ``path`` follows it hop by hop.
+    graph.floyd_warshall over the 1/rate weights, nodes indexed in sorted
+    order (see leoplan.graph for the tie-break it keeps); ``path`` follows
+    ``next_hop`` hop by hop.
     """
 
     def __init__(self, graph: WeightedDigraph):
         self.graph = graph
         self.nodes = graph.sorted_nodes()
         self.index = {n: i for i, n in enumerate(self.nodes)}
-        n = len(self.nodes)
-        dist = np.full((n, n), np.inf)
-        nxt = np.full((n, n), -1, dtype=np.int32)
-        np.fill_diagonal(dist, 0.0)
-        np.fill_diagonal(nxt, np.arange(n))
-        for (u, v), attr in graph.edges.items():
-            i, j = self.index[u], self.index[v]
-            if attr.weight < dist[i, j]:
-                dist[i, j] = attr.weight
-                nxt[i, j] = j
-        # Updating in place, one block of rows at a time, gives exactly the
-        # result of building a fresh matrix per k: row k and column k cannot
-        # change in iteration k, because dist[k, k] == 0 and x + 0.0 == x, so
-        # every block reads the same dist[k] and dist[:, k] values the whole
-        # iteration started from. The strict < and the order of k are as
-        # before, so ties break the same way.
-        alt = np.empty((min(n, _ROW_BLOCK), n))
-        better = np.empty(alt.shape, dtype=bool)
-        for k in range(n):
-            via_k = dist[k]
-            for r in range(0, n, _ROW_BLOCK):
-                d = dist[r:r + _ROW_BLOCK]
-                h = nxt[r:r + _ROW_BLOCK]
-                a, b = alt[:len(d)], better[:len(d)]
-                np.add(d[:, k, None], via_k, out=a)
-                np.less(a, d, out=b)
-                np.copyto(d, a, where=b)
-                np.copyto(h, h[:, k, None], where=b)
-        self.dist = dist
-        self.next_hop = nxt
+        self.dist, self.next_hop = floyd_warshall(graph, self.index)
+        self._metrics: dict = {}
 
     def distance(self, u, v) -> float:
         return float(self.dist[self.index[u], self.index[v]])
@@ -160,6 +97,19 @@ class ShortestPaths:
             prop += attr.propagation_s
         return (bottleneck, prop)
 
+    def transfer_seconds(self, u, v, bits: float) -> float:
+        """bits / bottleneck + propagation along the kept u->v path, with the
+        path's metrics cached per pair; 0.0 when u == v."""
+        if u == v:
+            return 0.0
+        key = (u, v)
+        if key not in self._metrics:
+            self._metrics[key] = self.path_metrics(u, v)
+        m = self._metrics[key]
+        if m is None:
+            raise ValueError(f"no route from {u} to {v}: hosts not connected in the snapshot")
+        return bits / m[0] + m[1]
+
 
 def all_pairs_shortest(graph: WeightedDigraph) -> ShortestPaths:
     """Floyd-Warshall over 1/rate weights; nodes iterated in sorted order.
@@ -180,32 +130,6 @@ class PathSet:
         return len(self.paths)
 
 
-def _multi_source_dijkstra(adj: dict, sources: list, targets: set):
-    """Cheapest path from any source to any target; deterministic tie-breaks."""
-    dist = {s: 0.0 for s in sources}
-    prev: dict = {}
-    heap = [(0.0, _node_key(s), s) for s in sorted(sources, key=_node_key)]
-    heapq.heapify(heap)
-    settled = set()
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        if u in targets:
-            path = [u]
-            while path[-1] in prev:
-                path.append(prev[path[-1]])
-            return path[::-1]
-        for v, attr in sorted(adj.get(u, {}).items(), key=lambda kv: _node_key(kv[0])):
-            nd = d + attr.weight
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                prev[v] = u
-                heapq.heappush(heap, (nd, _node_key(v), v))
-    return None
-
-
 def select_disjoint_paths(
     graph: WeightedDigraph,
     source_orbit: int,
@@ -224,14 +148,15 @@ def select_disjoint_paths(
                if isinstance(n, SatelliteId) and n.orbit_index == source_orbit]
     targets = {n for n in graph.nodes
                if isinstance(n, SatelliteId) and n.orbit_index == dest_orbit}
-    adj = {u: {v: graph.edges[(u, v)] for v in vs} for u, vs in graph.adjacency.items()}
+    adj = graph.weighted_adjacency()
 
     paths, bottlenecks = [], []
     while max_paths is None or len(paths) < max_paths:
-        path = _multi_source_dijkstra(adj, sources, targets)
-        if path is None:
+        _, prev, reached = dijkstra(adj, sources, targets)
+        if reached is None:
             break
-        bottleneck = min(adj[a][b].capacity_bps for a, b in zip(path, path[1:]))
+        path = path_to(prev, reached)
+        bottleneck = min(graph.edges[e].capacity_bps for e in zip(path, path[1:]))
         for a, b in zip(path, path[1:]):
             del adj[a][b]
         paths.append(tuple(path))

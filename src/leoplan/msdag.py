@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .constellation import SatelliteId, TopologySnapshot
+from .graph import reachable, topological_order
 from .interorbit import ShortestPaths, all_pairs_shortest, build_weighted_graph
 
 
@@ -56,21 +57,7 @@ class ServiceDag:
 
     def topological_order(self) -> list:
         ids = self.service_ids()
-        indeg = {i: 0 for i in ids}
-        for (_, v, _) in self.edges:
-            indeg[v] += 1
-        ready = sorted(i for i in ids if indeg[i] == 0)
-        order = []
-        while ready:
-            u = ready.pop(0)
-            order.append(u)
-            newly = []
-            for (a, b, _) in self.edges:
-                if a == u:
-                    indeg[b] -= 1
-                    if indeg[b] == 0:
-                        newly.append(b)
-            ready = sorted(ready + newly)
+        order = topological_order(ids, [(u, v) for (u, v, _) in self.edges])
         if len(order) != len(ids):
             raise ValueError(f"task {self.task_id}: dependency cycle")
         return order
@@ -155,19 +142,8 @@ def validate_dag(dag: ServiceDag) -> ValidationReport:
                 report.messages.append("dependency cycle: " + " -> ".join(cyc))
                 return report
 
-    def reachable(seeds, nxt):
-        seen = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            u = frontier.pop()
-            for v in nxt[u]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return seen
-
-    from_entry = reachable(dag.entries, succ)
-    to_exit = reachable([dag.exit_node], pred)
+    from_entry = reachable(succ, dag.entries)
+    to_exit = reachable(pred, [dag.exit_node])
     report.unreachable_from_entry = sorted(set(ids) - from_entry)
     report.cannot_reach_exit = sorted(set(ids) - to_exit)
     if report.unreachable_from_entry:
@@ -245,22 +221,15 @@ class Router:
         self._paths: ShortestPaths = all_pairs_shortest(
             build_weighted_graph(snapshot, include_ground=include_ground))
 
-    def link_metrics(self, u, v):
+    def transfer_seconds(self, u, v, payload_bits: float, overhead_s: float) -> float:
+        """Payload time along the routed u->v path plus a per-hop overhead;
+        0.0 when both ends are the same host."""
         if u == v:
-            return (float("inf"), 0.0)
-        if u not in self._paths.index or v not in self._paths.index:
-            raise ValueError(f"host {v if u in self._paths.index else u} not in topology")
-        metrics = self._paths.path_metrics(u, v)
-        if metrics is None:
-            raise ValueError(f"no route from {u} to {v} in snapshot")
-        return metrics
-
-
-def _transfer_seconds(router: Router, model: LatencyModel, u, v, payload_bits: float) -> float:
-    if u == v:
-        return 0.0
-    bottleneck, prop = router.link_metrics(u, v)
-    return payload_bits / bottleneck + prop + model.edge_overhead_s
+            return 0.0
+        for host in (u, v):
+            if host not in self._paths.index:
+                raise ValueError(f"host {host} not in topology")
+        return self._paths.transfer_seconds(u, v, payload_bits) + overhead_s
 
 
 def dag_latency(
@@ -291,14 +260,15 @@ def dag_latency(
         run = dag.service(sid).flops / model.throughput(host)
         preds = dag.predecessors(sid)
         if preds:
-            arrivals = [(finish[u] + _transfer_seconds(router, model, placement[u], host, bits), u)
+            arrivals = [(finish[u] + router.transfer_seconds(placement[u], host, bits,
+                                                             model.edge_overhead_s), u)
                         for (u, bits) in preds]
             start, via[sid] = max(arrivals, key=lambda a: (a[0], a[1]))
         else:
             start = 0.0
             via[sid] = None
             if source is not None:
-                start = _transfer_seconds(router, model, source, host, input_bits)
+                start = router.transfer_seconds(source, host, input_bits, model.edge_overhead_s)
         finish[sid] = start + run
 
     total = finish[dag.exit_node]
@@ -307,8 +277,9 @@ def dag_latency(
         path.append(via[path[-1]])
     path.reverse()
     if destination is not None:
-        total += _transfer_seconds(router, model, placement[dag.exit_node], destination,
-                                   dag.service(dag.exit_node).output_bits)
+        total += router.transfer_seconds(placement[dag.exit_node], destination,
+                                         dag.service(dag.exit_node).output_bits,
+                                         model.edge_overhead_s)
         path.append(destination)
     return LatencyBreakdown(total, tuple(path))
 

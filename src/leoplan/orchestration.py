@@ -6,20 +6,18 @@ hosting satellite, the compute energy of the stages it runs. Reaching every
 host (and the egress gateway) from the request's ingress satellite is then a
 minimum directed Steiner tree problem, solved two ways: a shortest-path-tree
 heuristic and an exact dynamic program over terminal subsets for small
-instances. A full-hosting reduction report compares the exact tree against a
-minimum spanning arborescence when every node is a terminal.
+instances. Both run on the shared graph core (leoplan.graph), whose
+tie-break rules pick the tree among equal-energy ones.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
-import networkx as nx
-
-from .constellation import LinkKind, TopologySnapshot
-from .interorbit import _node_key
+from .constellation import TopologySnapshot
+from .graph import Digraph, dijkstra, floyd_warshall, node_key, path_to, reachable
+from .interorbit import ISL_KINDS
 from .msdag import ServiceDag
 
 EXACT_MAX_TERMINALS = 6
@@ -39,33 +37,17 @@ class EnergyModel:
             raise ValueError("energy coefficients must be nonnegative")
 
 
-class AugmentedGraph:
+class AugmentedGraph(Digraph):
     """Digraph over satellites with per-edge energy cost in joules."""
 
     def __init__(self):
-        self.nodes: list = []
-        self._node_set: set = set()
-        self.edges: dict = {}
-        self.adjacency: dict = {}
+        super().__init__()
         self.hosting: dict = {}
-
-    def add_node(self, node) -> None:
-        if node not in self._node_set:
-            self._node_set.add(node)
-            self.nodes.append(node)
-            self.adjacency[node] = []
 
     def add_edge(self, u, v, energy_j: float) -> None:
         if energy_j < 0:
             raise ValueError("edge energy must be nonnegative")
-        self.add_node(u)
-        self.add_node(v)
-        if (u, v) not in self.edges:
-            self.adjacency[u].append(v)
-        self.edges[(u, v)] = energy_j
-
-    def sorted_nodes(self) -> list:
-        return sorted(self.nodes, key=_node_key)
+        self._set_edge(u, v, energy_j)
 
 
 @dataclass(frozen=True)
@@ -126,7 +108,7 @@ def build_augmented_graph(
 
     g = AugmentedGraph()
     g.hosting = {host: tuple(sids) for host, sids in hosting.items()}
-    for sat in sorted(snapshot.positions, key=_node_key):
+    for sat in sorted(snapshot.positions, key=node_key):
         g.add_node(sat)
 
     def edge_energy(head) -> float:
@@ -136,8 +118,7 @@ def build_augmented_graph(
         return e
 
     for link in snapshot.links:
-        if not link.available or link.kind not in (
-                LinkKind.INTRA_ORBIT_ISL, LinkKind.INTER_ORBIT_ISL, LinkKind.CROSS_SEAM_ISL):
+        if not link.available or link.kind not in ISL_KINDS:
             continue
         a, b = link.endpoints
         g.add_edge(a, b, edge_energy(b))
@@ -151,38 +132,17 @@ def build_augmented_graph(
     return g, instance
 
 
-def _dijkstra(graph: AugmentedGraph, root):
-    dist = {root: 0.0}
-    prev: dict = {}
-    heap = [(0.0, _node_key(root), root)]
-    settled = set()
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        for v in sorted(graph.adjacency.get(u, []), key=_node_key):
-            nd = d + graph.edges[(u, v)]
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                prev[v] = u
-                heapq.heappush(heap, (nd, _node_key(v), v))
-    return dist, prev
-
-
 def dst_heuristic(graph: AugmentedGraph, instance: SteinerInstance) -> SteinerTree:
     """Shortest-path tree heuristic: route each terminal along the Dijkstra
     tree from the root and merge the paths; shared prefixes are counted once."""
     instance.validate()
-    dist, prev = _dijkstra(graph, instance.root)
+    dist, prev, _ = dijkstra(graph.weighted_adjacency(), [instance.root])
     edges: set = set()
-    for t in sorted(instance.terminals, key=_node_key):
+    for t in sorted(instance.terminals, key=node_key):
         if t not in dist:
             raise ValueError(f"terminal {t} unreachable from root {instance.root}")
-        node = t
-        while node != instance.root:
-            edges.add((prev[node], node))
-            node = prev[node]
+        path = path_to(prev, t)
+        edges.update(zip(path, path[1:]))
     total = sum(graph.edges[e] for e in edges)
     return SteinerTree(frozenset(edges), total)
 
@@ -201,7 +161,7 @@ def dst_exact(graph: AugmentedGraph, instance: SteinerInstance,
     nodes = graph.sorted_nodes()
     if len(nodes) > max_nodes:
         raise ValueError(f"size bound exceeded: {len(nodes)} nodes > {max_nodes}")
-    terms = sorted(instance.terminals - {instance.root}, key=_node_key)
+    terms = sorted(instance.terminals - {instance.root}, key=node_key)
     if len(terms) > max_terminals:
         raise ValueError(f"size bound exceeded: {len(terms)} terminals > {max_terminals}")
     if not terms:
@@ -209,26 +169,7 @@ def dst_exact(graph: AugmentedGraph, instance: SteinerInstance,
 
     index = {n: i for i, n in enumerate(nodes)}
     n = len(nodes)
-    dist = [[math.inf] * n for _ in range(n)]
-    nxt = [[-1] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0.0
-        nxt[i][i] = i
-    for (u, v), w in graph.edges.items():
-        i, j = index[u], index[v]
-        if w < dist[i][j]:
-            dist[i][j] = w
-            nxt[i][j] = j
-    for k in range(n):
-        for i in range(n):
-            dik = dist[i][k]
-            if dik == math.inf:
-                continue
-            for j in range(n):
-                alt = dik + dist[k][j]
-                if alt < dist[i][j]:
-                    dist[i][j] = alt
-                    nxt[i][j] = nxt[i][k]
+    dist, nxt = (a.tolist() for a in floyd_warshall(graph, index))
 
     for t in terms:
         if dist[index[instance.root]][index[t]] == math.inf:
@@ -307,74 +248,13 @@ def _prune_to_tree(graph: AugmentedGraph, edges: set, instance: SteinerInstance)
     """Within the chosen edges, keep one cheapest path per terminal."""
     adj: dict = {}
     for (u, v) in edges:
-        adj.setdefault(u, []).append(v)
-    dist = {instance.root: 0.0}
-    prev: dict = {}
-    heap = [(0.0, _node_key(instance.root), instance.root)]
-    settled = set()
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        for v in sorted(adj.get(u, []), key=_node_key):
-            nd = d + graph.edges[(u, v)]
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                prev[v] = u
-                heapq.heappush(heap, (nd, _node_key(v), v))
+        adj.setdefault(u, {})[v] = graph.edges[(u, v)]
+    _, prev, _ = dijkstra(adj, [instance.root])
     kept: set = set()
     for t in instance.terminals:
-        node = t
-        while node != instance.root:
-            kept.add((prev[node], node))
-            node = prev[node]
+        path = path_to(prev, t)
+        kept.update(zip(path, path[1:]))
     return kept
-
-
-def shortest_path_sum(graph: AugmentedGraph, instance: SteinerInstance) -> float:
-    """Energy of routing every terminal independently (no path sharing)."""
-    dist, _ = _dijkstra(graph, instance.root)
-    total = 0.0
-    for t in instance.terminals:
-        if t not in dist:
-            raise ValueError(f"terminal {t} unreachable from root {instance.root}")
-        total += dist[t]
-    return total
-
-
-@dataclass(frozen=True)
-class ReductionReport:
-    """Exact Steiner result vs minimum spanning arborescence when every node hosts."""
-
-    dst_energy: float
-    arborescence_energy: float
-    dst_edges: frozenset
-    arborescence_edges: frozenset
-    equal_within_tol: bool
-
-
-def full_hosting_reduction_check(graph: AugmentedGraph, instance: SteinerInstance,
-                                 tol: float = 1e-9) -> ReductionReport:
-    """Compare dst_exact against an Edmonds minimum spanning arborescence.
-
-    Meaningful when the terminals cover every node (universal hosting); the
-    report states both energies without asserting equality.
-    """
-    tree = dst_exact(graph, instance)
-
-    g = nx.DiGraph()
-    g.add_nodes_from(graph.nodes)
-    for (u, v), w in graph.edges.items():
-        if v == instance.root:
-            continue  # forcing the arborescence root
-        g.add_edge(u, v, weight=w)
-    arb = nx.algorithms.tree.branchings.minimum_spanning_arborescence(
-        g, attr="weight", preserve_attrs=True)
-    arb_edges = frozenset(arb.edges())
-    arb_energy = float(sum(graph.edges[e] for e in arb_edges))
-    return ReductionReport(tree.total_energy, arb_energy, tree.edges, arb_edges,
-                           abs(tree.total_energy - arb_energy) <= tol)
 
 
 def stage_host_order(dag: ServiceDag, assignment) -> list:
@@ -394,21 +274,14 @@ def validate_tree(graph: AugmentedGraph, instance: SteinerInstance,
         raise ValueError("a node has two parents")
     if instance.root in heads:
         raise ValueError("root must not have a parent")
-    adj: dict = {}
+    succ: dict = {}
     for (u, v) in tree.edges:
-        adj.setdefault(u, []).append(v)
-    seen = {instance.root}
-    frontier = [instance.root]
-    while frontier:
-        u = frontier.pop()
-        for v in adj.get(u, []):
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
+        succ.setdefault(u, []).append(v)
+    seen = reachable(succ, [instance.root])
     if len(seen) != len(tree.nodes | {instance.root}):
         raise ValueError("tree has edges not reachable from the root")
     missing = instance.terminals - seen
     if missing:
-        raise ValueError(f"terminals not covered: {sorted(missing, key=_node_key)}")
+        raise ValueError(f"terminals not covered: {sorted(missing, key=node_key)}")
     if len(tree.edges) != len(tree.nodes | {instance.root}) - 1:
         raise ValueError("edge count does not match a tree")

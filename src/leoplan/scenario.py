@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,6 +74,14 @@ def _str(obj: dict, key: str, path: str, default=None) -> str:
     if not isinstance(v, str):
         raise ScenarioError(f"{path}.{key}: expected a string")
     return v
+
+
+def _sat(obj: dict, key: str, path: str) -> SatelliteId:
+    label = _str(obj, key, path)
+    try:
+        return SatelliteId.parse(label)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}.{key}: {exc}") from exc
 
 
 def _bool(obj: dict, key: str, path: str, default=None) -> bool:
@@ -228,8 +237,10 @@ def parse_scenario(source) -> Scenario:
     _validate(compute, "compute")
     memory = _num(comp, "satellite_memory_bytes", "compute", 8e9)
     budget = _num(comp, "satellite_energy_budget_j", "compute", float("inf"))
-    if memory < 0:
-        raise ScenarioError("compute.satellite_memory_bytes: must be nonnegative")
+    if not (math.isfinite(memory) and memory >= 0):
+        raise ScenarioError("compute.satellite_memory_bytes: must be nonnegative and finite")
+    if not budget >= 0:  # inf, the default, means no budget
+        raise ScenarioError("compute.satellite_energy_budget_j: must be nonnegative")
 
     en = _require_mapping(root.get("energy", {}), "energy")
     _check_keys(en, "energy", required=(),
@@ -469,10 +480,10 @@ def parse_request(source) -> dict:
                 optional=("gateway", "hop_payload_bits"))
     out = {
         "task_id": _str(req, "task_id", "request"),
-        "source": SatelliteId.parse(_str(req, "source", "request")),
+        "source": _sat(req, "source", "request"),
         "gateway": None,
         "hop_payload_bits": _num(req, "hop_payload_bits", "request", None),
     }
     if req.get("gateway") is not None:
-        out["gateway"] = SatelliteId.parse(_str(req, "gateway", "request"))
+        out["gateway"] = _sat(req, "gateway", "request")
     return out

@@ -7,7 +7,10 @@ meaningful evidence rather than a tautology. The one exception is
 run_length_windows, which takes the library's visibility samples so that
 only the run detection under test differs. floyd_warshall and
 reference_visibility keep the library's earlier whole-array formulations,
-so the faster versions must reproduce them bit for bit.
+so the faster versions must reproduce them bit for bit; likewise
+merged_topological_order and multi_source_dijkstra keep the loops that
+leoplan.graph replaced. full_hosting_reduction_check runs the library's
+dst_exact against networkx's Edmonds arborescence.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from dataclasses import dataclass
 
+import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
@@ -37,6 +42,7 @@ from leoplan import (
     TopologySnapshot,
     WeightedDigraph,
     dag_latency,
+    dst_exact,
 )
 from leoplan.constellation import EARTH_ROTATION_RAD_S, _visibility
 
@@ -81,6 +87,51 @@ def dijkstra_distances(weights, source):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, next(counter), v))
     return dist
+
+
+def shortest_path_sum(graph, instance):
+    """Energy of routing every terminal of a Steiner instance independently
+    (no path sharing), an upper bound on every tree heuristic."""
+    dist = dijkstra_distances(graph.edges, instance.root)
+    total = 0.0
+    for t in instance.terminals:
+        if t not in dist:
+            raise ValueError(f"terminal {t} unreachable from root {instance.root}")
+        total += dist[t]
+    return total
+
+
+@dataclass(frozen=True)
+class ReductionReport:
+    """Exact Steiner result vs minimum spanning arborescence when every node hosts."""
+
+    dst_energy: float
+    arborescence_energy: float
+    dst_edges: frozenset
+    arborescence_edges: frozenset
+    equal_within_tol: bool
+
+
+def full_hosting_reduction_check(graph, instance, tol=1e-9):
+    """Compare dst_exact against an Edmonds minimum spanning arborescence.
+
+    Meaningful when the terminals cover every node (universal hosting); the
+    report states both energies without asserting equality.
+    """
+    tree = dst_exact(graph, instance)
+
+    g = nx.DiGraph()
+    g.add_nodes_from(graph.nodes)
+    for (u, v), w in graph.edges.items():
+        if v == instance.root:
+            continue  # forcing the arborescence root
+        g.add_edge(u, v, weight=w)
+    arb = nx.algorithms.tree.branchings.minimum_spanning_arborescence(
+        g, attr="weight", preserve_attrs=True)
+    arb_edges = frozenset(arb.edges())
+    arb_energy = float(sum(graph.edges[e] for e in arb_edges))
+    return ReductionReport(tree.total_energy, arb_energy, tree.edges, arb_edges,
+                           abs(tree.total_energy - arb_energy) <= tol)
 
 
 def brute_route_metrics(weights, caps, props, u, v):
@@ -534,3 +585,128 @@ def station_sets(draw, max_stations=3):
                       dedicated_rate_bps=draw(st.floats(1e2, 1e6)),
                       min_elevation_deg=draw(st.floats(0.0, 60.0)))
         for i in range(count))
+
+
+def merged_topological_order(tasks):
+    """Dependency order over the union of task DAGs by a list-based Kahn
+    loop: the least ready id comes next, found by re-sorting the ready list."""
+    nodes: set = set()
+    edges: set = set()
+    for dag in tasks:
+        nodes.update(dag.service_ids())
+        edges.update((u, v) for (u, v, _) in dag.edges)
+    indeg = {n: 0 for n in nodes}
+    for (_, v) in edges:
+        indeg[v] += 1
+    ready = sorted(n for n in nodes if indeg[n] == 0)
+    order = []
+    while ready:
+        u = ready.pop(0)
+        order.append(u)
+        newly = []
+        for (a, b) in edges:
+            if a == u:
+                indeg[b] -= 1
+                if indeg[b] == 0:
+                    newly.append(b)
+        ready = sorted(ready + newly)
+    if len(order) != len(nodes):
+        raise ValueError("task union contains a dependency cycle")
+    return order
+
+
+def _sat_first_key(node):
+    if isinstance(node, SatelliteId):
+        return (0, node.orbit_index, node.slot_index)
+    return (1, str(node))
+
+
+def multi_source_dijkstra(adj, sources, targets):
+    """Cheapest path from any source to any target over {u: {v: EdgeAttr}},
+    popping the least (distance, node key) and relaxing neighbours in key
+    order with a strict <; None when no target is reachable."""
+    dist = {s: 0.0 for s in sources}
+    prev = {}
+    heap = [(0.0, _sat_first_key(s), s) for s in sorted(sources, key=_sat_first_key)]
+    heapq.heapify(heap)
+    settled = set()
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        if u in targets:
+            path = [u]
+            while path[-1] in prev:
+                path.append(prev[path[-1]])
+            return path[::-1]
+        for v, attr in sorted(adj.get(u, {}).items(), key=lambda kv: _sat_first_key(kv[0])):
+            nd = d + attr.weight
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                prev[v] = u
+                heapq.heappush(heap, (nd, _sat_first_key(v), v))
+    return None
+
+
+def reference_disjoint_paths(graph, source_orbit, dest_orbit, max_paths=None):
+    """(paths, bottlenecks) picked one multi_source_dijkstra path at a time,
+    deleting each picked path's edges before the next search."""
+    sats = [n for n in graph.nodes if isinstance(n, SatelliteId)]
+    sources = [n for n in sats if n.orbit_index == source_orbit]
+    targets = {n for n in sats if n.orbit_index == dest_orbit}
+    adj = {u: {v: graph.edges[(u, v)] for v in vs} for u, vs in graph.adjacency.items()}
+    paths, bottlenecks = [], []
+    while max_paths is None or len(paths) < max_paths:
+        path = multi_source_dijkstra(adj, sources, targets)
+        if path is None:
+            break
+        bottlenecks.append(min(adj[a][b].capacity_bps for a, b in zip(path, path[1:])))
+        for a, b in zip(path, path[1:]):
+            del adj[a][b]
+        paths.append(tuple(path))
+    return tuple(paths), tuple(bottlenecks)
+
+
+@st.composite
+def task_unions(draw, max_ids=7, max_tasks=3):
+    """Task DAG lists over a shared id pool: ids recur across tasks and
+    edges repeat within and across tasks. With acyclic=True every edge runs
+    forward in one hidden rank, so the union is acyclic; otherwise edges
+    (self-loops included) may close a cycle."""
+    pool = draw(st.permutations([chr(ord("a") + i) for i in range(max_ids)]))
+    rank = {name: i for i, name in enumerate(draw(st.permutations(pool)))}
+    acyclic = draw(st.booleans())
+    tasks = []
+    for t in range(draw(st.integers(1, max_tasks))):
+        ids = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_ids,
+                            unique=True))
+        edges = []
+        for _ in range(draw(st.integers(0, 2 * len(ids)))):
+            u, v = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+            if acyclic:
+                if u == v:
+                    continue
+                u, v = sorted((u, v), key=rank.get)
+            edges.append((u, v, 1.0))
+        services = tuple(Microservice(i, 1.0, 1.0, 1.0) for i in ids)
+        tasks.append(ServiceDag(f"task{t}", services, tuple(edges), (ids[0],), ids[-1]))
+    return tasks
+
+
+@st.composite
+def tied_orbit_digraphs(draw, max_orbits=4, max_slots=4, max_relays=2):
+    """WeightedDigraph over a small shell plus string relay nodes, with rates
+    from {1, 2, 4} Gb/s so that many paths tie on weight."""
+    sats = [SatelliteId(o, s) for o in range(draw(st.integers(2, max_orbits)))
+            for s in range(draw(st.integers(1, max_slots)))]
+    relays = [f"gs-{i}" for i in range(draw(st.integers(0, max_relays)))]
+    nodes = draw(st.permutations(sats + relays))
+    g = WeightedDigraph()
+    for node in nodes:
+        g.add_node(node)
+    for _ in range(draw(st.integers(0, 4 * len(nodes)))):
+        u, v = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+        if u != v:
+            g.add_edge(u, v, draw(st.sampled_from([1e9, 2e9, 4e9])))
+    return g

@@ -34,7 +34,7 @@ from leoplan import (
     train_policy_gradient,
 )
 from leoplan.deployment import DeploymentMdp, N_FEATURES
-from leoplan.orchestration import dst_exact, dst_heuristic, shortest_path_sum, validate_tree
+from leoplan.orchestration import dst_exact, dst_heuristic, validate_tree
 from leoplan.simkernel import SimulationSetup
 
 from oracles import (
@@ -48,6 +48,7 @@ from oracles import (
     random_steiner_instance,
     random_window_timeline,
     sat,
+    shortest_path_sum,
     toy_snapshot,
 )
 

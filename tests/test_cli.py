@@ -270,6 +270,22 @@ def test_orchestrate_errors(tmp_path, capsys):
     assert json.loads(err)["error"]["message"] == "plan file has no 'assignment' object"
 
 
+def test_orchestrate_bad_source_label_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "deploy", TWO_TASK, "--out-dir", str(out),
+                         "--solver", "greedy")
+    assert code == 0
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"task_id": "imaging", "source": "x9"}), encoding="utf-8")
+    code, stdout, err = run_cli(capsys, "orchestrate", TWO_TASK, "--out-dir", str(out),
+                                "--plan", str(out / "plan.json"), "--request", str(req))
+    assert code == 2
+    assert stdout == ""
+    body = json.loads(err)["error"]
+    assert body["type"] == "ScenarioError"
+    assert body["message"] == "request.source: not a satellite label: 'x9'"
+
+
 def test_error_exit_codes(tmp_path, capsys):
     code, stdout, err = run_cli(capsys, "simulate", str(tmp_path / "missing.json"))
     assert code == 1

@@ -11,12 +11,18 @@ from leoplan import (
     build_augmented_graph,
     dst_exact,
     dst_heuristic,
-    full_hosting_reduction_check,
     validate_tree,
 )
-from leoplan.orchestration import shortest_path_sum, stage_host_order
+from leoplan.orchestration import stage_host_order
 
-from oracles import random_steiner_instance, sat, steiner_bruteforce, toy_snapshot
+from oracles import (
+    full_hosting_reduction_check,
+    random_steiner_instance,
+    sat,
+    shortest_path_sum,
+    steiner_bruteforce,
+    toy_snapshot,
+)
 
 
 def line_graph(weights):

@@ -269,3 +269,33 @@ def test_parse_request():
         parse_request({"task_id": "t", "source": "o0s0", "foo": 1})
     with pytest.raises(ValueError, match="not a satellite label"):
         parse_request({"task_id": "t", "source": "sat-3"})
+
+
+@pytest.mark.parametrize("key", ["source", "gateway"])
+def test_request_bad_satellite_label_names_its_field(key):
+    req = {"task_id": "t", "source": "o0s0", key: "x9"}
+    with pytest.raises(ScenarioError) as info:
+        parse_request(req)
+    assert str(info.value) == f"request.{key}: not a satellite label: 'x9'"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("satellite_memory_bytes", float("nan"), "must be nonnegative and finite"),
+    ("satellite_memory_bytes", float("inf"), "must be nonnegative and finite"),
+    ("satellite_memory_bytes", -1.0, "must be nonnegative and finite"),
+    ("satellite_energy_budget_j", float("nan"), "must be nonnegative"),
+    ("satellite_energy_budget_j", -5.0, "must be nonnegative"),
+    ("satellite_energy_budget_j", float("-inf"), "must be nonnegative"),
+])
+def test_compute_host_figures_are_checked(key, value, message):
+    obj = minimal()
+    obj["compute"] = {key: value}
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(json.dumps(obj))
+    assert str(info.value) == f"compute.{key}: {message}"
+
+
+def test_compute_infinite_energy_budget_means_none():
+    obj = minimal()
+    obj["compute"] = {"satellite_energy_budget_j": float("inf")}
+    assert parse_scenario(json.dumps(obj)).satellite_energy_budget_j == float("inf")
