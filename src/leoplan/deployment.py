@@ -9,6 +9,18 @@ instance's tasks under per-satellite memory limits:
 * DeploymentMdp + train_policy_gradient: the same decision process wrapped as
   a Markov decision process with a linear softmax policy trained by REINFORCE.
   This is a deliberately small learned baseline, not a deep-RL replica.
+
+The greedy solver and the MDP grow the objective one service at a time
+(_place) instead of re-evaluating it. That is exact because both always place
+a prefix of instance.order, a topological order of the task union: when a
+service joins, every predecessor of it is placed and no successor is, so in
+each task that holds it only its own finish time is new, and each task's
+latest finish grows to the max of the old value and that finish. _place
+computes the new finish with the same float operations, in the same order, as
+the from-scratch _objective, and sums the per-task latest finishes in task
+order as _objective does, so the values are bit-identical. _objective now
+serves only the exact solver: its optimistic lower bound and its final plan
+value.
 """
 
 from __future__ import annotations
@@ -76,13 +88,44 @@ class DeploymentInstance:
             {sid: dag.predecessors(sid) for sid in dag.service_ids()} for dag in self.tasks
         ]
         self._task_topos = [dag.topological_order() for dag in self.tasks]
-        self._throughput = {sat.id: sat.throughput_flops for sat in self.satellites}
+        # Per service: the indices of the tasks that hold it, and its
+        # predecessors over all of them (repeats kept).
+        self._tasks_of = {sid: tuple(t for t, preds in enumerate(self._task_preds)
+                                     if sid in preds)
+                          for sid in self.services}
+        self._preds_of = {sid: [u for t in self._tasks_of[sid]
+                                for (u, _) in self._task_preds[t][sid]]
+                          for sid in self.services}
+        self.sat_index = {sat.id: i for i, sat in enumerate(self.satellites)}
+        if len(self.sat_index) != len(self.satellites):
+            twice = next(a.id for a, b in zip(self.satellites, self.satellites[1:])
+                         if a.id == b.id)
+            raise ValueError(f"satellite {twice} listed twice")
         self._routes = all_pairs_shortest(build_weighted_graph(snapshot))
-        self.transfer_seconds = self._routes.transfer_seconds
+        self._links: dict = {}  # (candidate index, candidate index) -> path metrics, filled on use
         self.max_throughput = max(s.throughput_flops for s in self.satellites)
 
     def throughput(self, sat_id: SatelliteId) -> float:
-        return self._throughput[sat_id]
+        return self.satellites[self.sat_index[sat_id]].throughput_flops
+
+    def transfer_seconds(self, u: SatelliteId, v: SatelliteId, bits: float) -> float:
+        """bits / bottleneck + propagation along the routed path between two
+        candidates; 0.0 when u == v."""
+        return self._transfer(self.sat_index[u], self.sat_index[v], bits)
+
+    def _transfer(self, i: int, j: int, bits: float) -> float:
+        """transfer_seconds between the candidates at indices i and j."""
+        if i == j:
+            return 0.0
+        key = (i, j)
+        if key not in self._links:
+            self._links[key] = self._routes.path_metrics(self.satellites[i].id,
+                                                         self.satellites[j].id)
+        m = self._links[key]
+        if m is None:
+            raise ValueError(f"no route from {self.satellites[i].id} to "
+                             f"{self.satellites[j].id}: hosts not connected in the snapshot")
+        return bits / m[0] + m[1]
 
     def service_fits(self, service_id: str, sat: SatelliteNode, residual_memory: float) -> bool:
         svc = self.services[service_id]
@@ -132,6 +175,32 @@ def _objective(instance: DeploymentInstance, placed: dict, optimistic: bool = Fa
             best = max(best, finish[sid])
         total += best
     return total
+
+
+def _place(instance: DeploymentInstance, hosts: dict, finishes: dict, bests: tuple,
+           sid: str, j: int):
+    """The objective after hosting sid on candidate j, grown from a placed prefix.
+
+    hosts maps each service of the prefix of instance.order before sid to its
+    candidate index, finishes maps it to {task index: finish time}, and bests
+    holds every task's latest finish (0.0 for a task with nothing placed).
+    Returns (finishes, bests, objective) with sid placed; the arguments are
+    not changed.
+    """
+    run = instance.services[sid].flops / instance.satellites[j].throughput_flops
+    own = {}
+    bests = list(bests)
+    for t in instance._tasks_of[sid]:
+        start = 0.0
+        for (u, bits) in instance._task_preds[t][sid]:
+            arrival = finishes[u][t] + instance._transfer(hosts[u], j, bits)
+            start = max(start, arrival)
+        own[t] = start + run
+        bests[t] = max(bests[t], own[t])
+    total = 0.0
+    for best in bests:  # as _objective adds them; sum() compensates from Python 3.12
+        total += best
+    return {**finishes, sid: own}, tuple(bests), total
 
 
 @dataclass(frozen=True)
@@ -204,24 +273,27 @@ def solve_greedy(instance: DeploymentInstance) -> DeploymentPlan:
     Ties go to the lowest satellite id. Returns an infeasible plan with an
     empty assignment if some service fits nowhere.
     """
-    placed: dict = {}
-    residuals = {sat.id: sat.memory_bytes for sat in instance.satellites}
+    hosts: dict = {}
+    finishes: dict = {}
+    bests = (0.0,) * len(instance.tasks)
+    objective = 0.0
+    residuals = [sat.memory_bytes for sat in instance.satellites]
     for sid in instance.order:
-        best_sat = None
+        best_j = None
         best_obj = math.inf
-        for sat in instance.satellites:
-            if not instance.service_fits(sid, sat, residuals[sat.id]):
+        for j, sat in enumerate(instance.satellites):
+            if not instance.service_fits(sid, sat, residuals[j]):
                 continue
-            placed[sid] = sat.id
-            obj = _objective(instance, placed)
-            del placed[sid]
-            if obj < best_obj:
-                best_obj, best_sat = obj, sat
-        if best_sat is None:
+            grown = _place(instance, hosts, finishes, bests, sid, j)
+            if grown[2] < best_obj:
+                best_obj, best_j, best_grown = grown[2], j, grown
+        if best_j is None:
             return DeploymentPlan({}, False, None, "greedy")
-        placed[sid] = best_sat.id
-        residuals[best_sat.id] -= instance.services[sid].memory_bytes
-    return DeploymentPlan(placed, True, _objective(instance, placed), "greedy")
+        hosts[sid] = best_j
+        finishes, bests, objective = best_grown
+        residuals[best_j] -= instance.services[sid].memory_bytes
+    placed = {sid: instance.satellites[j].id for sid, j in hosts.items()}
+    return DeploymentPlan(placed, True, objective, "greedy")
 
 
 @dataclass(frozen=True)
@@ -232,9 +304,28 @@ class MdpState:
     objective: float
     done: bool
     dead_end: bool = False
+    # What _place needs to grow the objective, and the feasible actions; all
+    # follow from the fields above, so they take no part in equality.
+    hosts: dict = field(default_factory=dict, compare=False, repr=False)
+    finishes: dict = field(default_factory=dict, compare=False, repr=False)
+    bests: tuple = field(default=(), compare=False, repr=False)
+    actions: tuple | None = field(default=None, compare=False, repr=False)
 
     def placed(self) -> dict:
         return dict(self.assignment)
+
+
+def _progress(instance: DeploymentInstance, state: MdpState):
+    """(hosts, finishes, bests) of a state; a state built by hand instead of
+    by reset or step has none, so they are replayed from its assignment."""
+    if len(state.bests) == len(instance.tasks):
+        return state.hosts, state.finishes, state.bests
+    hosts, finishes, bests = {}, {}, (0.0,) * len(instance.tasks)
+    for sid, sat_id in state.assignment:
+        j = instance.sat_index[sat_id]
+        finishes, bests, _ = _place(instance, hosts, finishes, bests, sid, j)
+        hosts[sid] = j
+    return hosts, finishes, bests
 
 
 @dataclass(frozen=True)
@@ -257,14 +348,20 @@ class DeploymentMdp:
         del seed  # transitions are deterministic; kept for interface symmetry
         res = tuple(s.memory_bytes for s in self.instance.satellites)
         done = len(self.instance.order) == 0
-        return MdpState(0, (), res, 0.0, done)
+        return MdpState(0, (), res, 0.0, done, bests=(0.0,) * len(self.instance.tasks),
+                        actions=self._feasible(0, res, done))
+
+    def _feasible(self, next_index: int, residuals: tuple, done: bool) -> tuple:
+        if done:
+            return ()
+        sid = self.instance.order[next_index]
+        return tuple((sid, sat.id) for i, sat in enumerate(self.instance.satellites)
+                     if self.instance.service_fits(sid, sat, residuals[i]))
 
     def feasible_actions(self, state: MdpState) -> tuple:
-        if state.done:
-            return ()
-        sid = self.instance.order[state.next_index]
-        return tuple((sid, sat.id) for i, sat in enumerate(self.instance.satellites)
-                     if self.instance.service_fits(sid, sat, state.residual_memory[i]))
+        if state.actions is None:
+            return self._feasible(state.next_index, state.residual_memory, state.done)
+        return state.actions
 
     def step(self, state: MdpState, action) -> MdpTransition:
         if state.done:
@@ -273,23 +370,21 @@ class DeploymentMdp:
         feasible = self.feasible_actions(state)
         if action not in feasible:
             raise ValueError(f"action {action} is not feasible; feasible: {list(feasible)}")
-        sat_index = next(i for i, s in enumerate(self.instance.satellites) if s.id == sat_id)
-        placed = state.placed()
-        placed[sid] = sat_id
-        objective = _objective(self.instance, placed)
+        inst = self.instance
+        j = inst.sat_index[sat_id]
+        hosts, finishes, bests = _progress(inst, state)
+        finishes, bests, objective = _place(inst, hosts, finishes, bests, sid, j)
         reward = -(objective - state.objective)
-        next_state = MdpState(
-            state.next_index + 1,
-            state.assignment + ((sid, sat_id),),
-            _residuals_after(self.instance, state.residual_memory, sat_index, sid),
-            objective,
-            state.next_index + 1 == len(self.instance.order),
-        )
-        if not next_state.done and not self.feasible_actions(next_state):
+        next_index = state.next_index + 1
+        residuals = _residuals_after(inst, state.residual_memory, j, sid)
+        done = next_index == len(inst.order)
+        actions = self._feasible(next_index, residuals, done)
+        dead_end = not done and not actions
+        if dead_end:
             reward += self.dead_end_reward
-            next_state = MdpState(next_state.next_index, next_state.assignment,
-                                  next_state.residual_memory, next_state.objective,
-                                  True, dead_end=True)
+        next_state = MdpState(next_index, state.assignment + ((sid, sat_id),), residuals,
+                              objective, done or dead_end, dead_end, {**hosts, sid: j}, finishes,
+                              bests, actions)
         return MdpTransition(next_state, reward, next_state.done)
 
 
@@ -307,21 +402,19 @@ def action_features(env: DeploymentMdp, state: MdpState, action) -> np.ndarray:
     inst = env.instance
     compute_scale, obj_scale = env._scales
     svc = inst.services[sid]
-    run = svc.flops / inst.throughput(sat_id) / compute_scale
+    j = inst.sat_index[sat_id]
+    sat = inst.satellites[j]
+    run = svc.flops / sat.throughput_flops / compute_scale
 
-    placed = state.placed()
-    placed[sid] = sat_id
-    delta = (_objective(inst, placed) - state.objective) / obj_scale
+    hosts, finishes, bests = _progress(inst, state)
+    _, _, objective = _place(inst, hosts, finishes, bests, sid, j)
+    delta = (objective - state.objective) / obj_scale
 
-    sat_index = next(i for i, s in enumerate(inst.satellites) if s.id == sat_id)
-    capacity = inst.satellites[sat_index].memory_bytes
-    residual = (state.residual_memory[sat_index] - svc.memory_bytes) / capacity if capacity else 0.0
+    capacity = sat.memory_bytes
+    residual = (state.residual_memory[j] - svc.memory_bytes) / capacity if capacity else 0.0
 
-    preds = [u for t in range(len(inst.tasks))
-             for (u, _) in inst._task_preds[t].get(sid, [])]
-    hosted_preds = [u for u in preds if u in dict(state.assignment)]
-    colocated = (sum(1 for u in hosted_preds if dict(state.assignment)[u] == sat_id)
-                 / len(hosted_preds)) if hosted_preds else 0.0
+    preds = inst._preds_of[sid]  # all placed: the state is a prefix of instance.order
+    colocated = sum(1 for u in preds if hosts[u] == j) / len(preds) if preds else 0.0
     return np.array([1.0, run, delta, residual, colocated])
 
 
@@ -336,7 +429,7 @@ class LinearPolicy:
 
     def distribution(self, env: DeploymentMdp, state: MdpState):
         actions = env.feasible_actions(state)
-        feats = np.stack([action_features(env, state, a) for a in actions])
+        feats = np.array([action_features(env, state, a) for a in actions])
         scores = feats @ self.theta
         scores -= scores.max()
         probs = np.exp(scores)

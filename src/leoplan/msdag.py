@@ -115,32 +115,33 @@ def validate_dag(dag: ServiceDag) -> ValidationReport:
         succ[u].append(v)
         pred[v].append(u)
 
-    # Cycle detection with an explicit stack; reports one offending cycle.
+    # Depth-first cycle detection with an explicit stack, so a long chain
+    # cannot exhaust the interpreter's; reports the first cycle met, roots in
+    # sorted order and successors in edge order. stack_path is the current
+    # path and pending[k] the successors of stack_path[k] not yet tried.
     color = {i: 0 for i in ids}
-    stack_path: list = []
-
-    def visit(u: str) -> list | None:
-        color[u] = 1
-        stack_path.append(u)
-        for v in succ[u]:
-            if color[v] == 1:
-                return stack_path[stack_path.index(v):] + [v]
-            if color[v] == 0:
-                found = visit(v)
-                if found:
-                    return found
-        stack_path.pop()
-        color[u] = 2
-        return None
-
-    for i in sorted(ids):
-        if color[i] == 0:
-            cyc = visit(i)
-            if cyc:
-                report.ok = False
-                report.cycle = cyc
-                report.messages.append("dependency cycle: " + " -> ".join(cyc))
-                return report
+    for root in sorted(ids):
+        if color[root] != 0:
+            continue
+        color[root] = 1
+        stack_path = [root]
+        pending = [iter(succ[root])]
+        while pending:
+            for v in pending[-1]:
+                if color[v] == 1:
+                    cyc = stack_path[stack_path.index(v):] + [v]
+                    report.ok = False
+                    report.cycle = cyc
+                    report.messages.append("dependency cycle: " + " -> ".join(cyc))
+                    return report
+                if color[v] == 0:
+                    color[v] = 1
+                    stack_path.append(v)
+                    pending.append(iter(succ[v]))
+                    break
+            else:
+                color[stack_path.pop()] = 2
+                pending.pop()
 
     from_entry = reachable(succ, dag.entries)
     to_exit = reachable(pred, [dag.exit_node])

@@ -295,6 +295,9 @@ def parse_scenario(source) -> Scenario:
                 raise ScenarioError(
                     f"deployment.satellites: {label} outside the constellation")
             parsed.append(sat)
+        if len(set(parsed)) != len(parsed):
+            twice = next(s for i, s in enumerate(parsed) if s in parsed[:i])
+            raise ScenarioError(f"deployment.satellites: {twice} listed twice")
         dep_sats = tuple(parsed)
 
     seed = _int(root, "seed", "scenario", None)

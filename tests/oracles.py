@@ -9,8 +9,11 @@ only the run detection under test differs. floyd_warshall and
 reference_visibility keep the library's earlier whole-array formulations,
 so the faster versions must reproduce them bit for bit; likewise
 merged_topological_order and multi_source_dijkstra keep the loops that
-leoplan.graph replaced. full_hosting_reduction_check runs the library's
-dst_exact against networkx's Edmonds arborescence.
+leoplan.graph replaced, reference_dag_cycle the recursive search validate_dag
+replaced, and reference_action_features and reference_greedy the placement
+code that re-evaluated the from-scratch objective for every candidate.
+full_hosting_reduction_check runs the library's dst_exact against networkx's
+Edmonds arborescence.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from leoplan import (
     dst_exact,
 )
 from leoplan.constellation import EARTH_ROTATION_RAD_S, _visibility
+from leoplan.deployment import DeploymentPlan, _objective
 
 
 def sat(label):
@@ -328,8 +332,8 @@ def random_service_dag(rng, task_id, ids):
     return ServiceDag(task_id, services, edges, (order[0],), order[-1])
 
 
-def random_deployment_instance(rng, max_sats=4, max_services=6):
-    """(tasks, satellites, snapshot) small enough for full enumeration."""
+def _random_candidates(rng, max_sats):
+    """(satellites, snapshot): 2..max_sats candidates on one ring of links."""
     n_sats = int(rng.integers(2, max_sats + 1))
     labels = [f"o0s{i}" for i in range(n_sats)]
     edges = []
@@ -342,6 +346,12 @@ def random_deployment_instance(rng, max_sats=4, max_services=6):
                       float(rng.uniform(5.0, 9.0)))
         for lb in labels
     ]
+    return satellites, snapshot_
+
+
+def random_deployment_instance(rng, max_sats=4, max_services=6):
+    """(tasks, satellites, snapshot) small enough for full enumeration."""
+    satellites, snapshot_ = _random_candidates(rng, max_sats)
     n_services = int(rng.integers(2, max_services + 1))
     ids = [f"svc{i}" for i in range(n_services)]
     if n_services >= 4 and rng.random() < 0.5:
@@ -352,6 +362,76 @@ def random_deployment_instance(rng, max_sats=4, max_services=6):
     tasks = [random_service_dag(rng, f"task{k}", group)
              for k, group in enumerate(groups)]
     return tasks, satellites, snapshot_
+
+
+def random_sharing_instance(rng, max_sats=4, max_services=7, max_tasks=3):
+    """(tasks, satellites, snapshot) with 2..max_tasks tasks over random
+    subsets of one service table, so a service recurs across tasks with other
+    neighbours and other payloads. Each task chains its members in one hidden
+    order and adds random forward edges, so the union stays acyclic."""
+    satellites, snapshot_ = _random_candidates(rng, max_sats)
+    n = int(rng.integers(2, max_services + 1))
+    order = [f"svc{i}" for i in rng.permutation(n)]
+    table = {i: Microservice(i, float(rng.uniform(0.5e12, 3e12)), float(rng.uniform(1.0, 3.0)),
+                             float(rng.uniform(1e5, 1e6)))
+             for i in order}
+    tasks = []
+    for k in range(int(rng.integers(2, max_tasks + 1))):
+        size = int(rng.integers(1, n + 1))
+        members = [order[m] for m in sorted(rng.choice(n, size=size, replace=False))]
+        edges = tuple((members[a], members[b], float(rng.uniform(1e5, 2e6)))
+                      for b in range(1, size) for a in range(b)
+                      if a == b - 1 or rng.random() < 0.3)
+        tasks.append(ServiceDag(f"task{k}", tuple(table[i] for i in members), edges,
+                                (members[0],), members[-1]))
+    return tasks, satellites, snapshot_
+
+
+def reference_action_features(env, state, action):
+    """deployment.action_features re-evaluating the whole objective for the
+    candidate, with linear satellite searches and per-use assignment dicts."""
+    sid, sat_id = action
+    inst = env.instance
+    compute_scale, obj_scale = env._scales
+    svc = inst.services[sid]
+    run = svc.flops / inst.throughput(sat_id) / compute_scale
+
+    placed = state.placed()
+    placed[sid] = sat_id
+    delta = (_objective(inst, placed) - state.objective) / obj_scale
+
+    sat_index = next(i for i, s in enumerate(inst.satellites) if s.id == sat_id)
+    capacity = inst.satellites[sat_index].memory_bytes
+    residual = (state.residual_memory[sat_index] - svc.memory_bytes) / capacity if capacity else 0.0
+
+    preds = [u for t in range(len(inst.tasks))
+             for (u, _) in inst._task_preds[t].get(sid, [])]
+    hosted_preds = [u for u in preds if u in dict(state.assignment)]
+    colocated = (sum(1 for u in hosted_preds if dict(state.assignment)[u] == sat_id)
+                 / len(hosted_preds)) if hosted_preds else 0.0
+    return np.array([1.0, run, delta, residual, colocated])
+
+
+def reference_greedy(instance):
+    """solve_greedy re-evaluating the whole objective for every candidate."""
+    placed: dict = {}
+    residuals = {s.id: s.memory_bytes for s in instance.satellites}
+    for sid in instance.order:
+        best_sat = None
+        best_obj = math.inf
+        for node in instance.satellites:
+            if not instance.service_fits(sid, node, residuals[node.id]):
+                continue
+            placed[sid] = node.id
+            obj = _objective(instance, placed)
+            del placed[sid]
+            if obj < best_obj:
+                best_obj, best_sat = obj, node
+        if best_sat is None:
+            return DeploymentPlan({}, False, None, "greedy")
+        placed[sid] = best_sat.id
+        residuals[best_sat.id] -= instance.services[sid].memory_bytes
+    return DeploymentPlan(placed, True, _objective(instance, placed), "greedy")
 
 
 def enumerate_best_assignment(tasks, satellites, snapshot_):
@@ -613,6 +693,38 @@ def merged_topological_order(tasks):
     if len(order) != len(nodes):
         raise ValueError("task union contains a dependency cycle")
     return order
+
+
+def reference_dag_cycle(dag):
+    """The dependency cycle validate_dag reports, by recursive depth-first
+    search: roots in sorted order, successors in edge order; [] if acyclic."""
+    ids = dag.service_ids()
+    succ = {i: [] for i in ids}
+    for (u, v, _) in dag.edges:
+        succ[u].append(v)
+    color = {i: 0 for i in ids}
+    path: list = []
+
+    def visit(u):
+        color[u] = 1
+        path.append(u)
+        for v in succ[u]:
+            if color[v] == 1:
+                return path[path.index(v):] + [v]
+            if color[v] == 0:
+                found = visit(v)
+                if found:
+                    return found
+        path.pop()
+        color[u] = 2
+        return None
+
+    for i in sorted(ids):
+        if color[i] == 0:
+            found = visit(i)
+            if found:
+                return found
+    return []
 
 
 def _sat_first_key(node):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leoplan import (
     DeploymentInstance,
@@ -16,9 +18,25 @@ from leoplan import (
     solve_greedy,
     train_policy_gradient,
 )
-from leoplan.deployment import DEAD_END_REWARD, N_FEATURES, rollout
+from leoplan import deployment
+from leoplan.deployment import (
+    DEAD_END_REWARD,
+    N_FEATURES,
+    MdpState,
+    _objective,
+    action_features,
+    rollout,
+)
 
-from oracles import enumerate_best_assignment, random_deployment_instance, sat, toy_snapshot
+from oracles import (
+    enumerate_best_assignment,
+    random_deployment_instance,
+    random_sharing_instance,
+    reference_action_features,
+    reference_greedy,
+    sat,
+    toy_snapshot,
+)
 
 
 def ms(sid, flops=1e12, mem=1.0, out=1e6):
@@ -280,3 +298,113 @@ def test_training_report_gap():
                                       optima=[exact.objective])
     assert report.mean_gap is not None
     assert report.mean_gap >= -1e-9
+
+
+def sharing_env():
+    """Three tasks over seven services, five of them in every task."""
+    tasks, sats_, snap = random_sharing_instance(np.random.default_rng(10))
+    shared = set.intersection(*(set(dag.service_ids()) for dag in tasks))
+    assert len(tasks) == 3 and len(shared) == 5
+    return DeploymentMdp(DeploymentInstance(tasks, sats_, snap))
+
+
+def test_repeated_candidate_rejected():
+    snap = toy_snapshot([("o0s0", "o0s1", 1e9)])
+    sats = [SatelliteNode(sat("o0s1"), 1e12, 1.0), SatelliteNode(sat("o0s0"), 1e12, 1.0),
+            SatelliteNode(sat("o0s1"), 2e12, 1.0)]
+    with pytest.raises(ValueError, match="satellite o0s1 listed twice"):
+        DeploymentInstance([chain_task(["a"])], sats, snap)
+
+
+def test_unconnected_hosts_raise_only_when_a_transfer_needs_them():
+    snap = toy_snapshot([("o0s0", "o0s1", 1e9)], extra_sats=("o0s2",))
+    roomy = [SatelliteNode(sat("o0s0"), 1e12, 10.0), SatelliteNode(sat("o0s2"), 1e12, 10.0)]
+    env = DeploymentMdp(DeploymentInstance([chain_task(["a", "b"])], roomy, snap))
+    state = env.reset()
+    for sid in ("a", "b"):
+        state = env.step(state, (sid, sat("o0s0"))).state
+    assert state.done and state.objective == 2.0
+
+    # Room for one service per satellite: b must follow a across the gap.
+    tight = [SatelliteNode(sat("o0s0"), 1e12, 1.0), SatelliteNode(sat("o0s2"), 1e12, 1.0)]
+    inst = DeploymentInstance([chain_task(["a", "b"])], tight, snap)
+    message = "no route from o0s0 to o0s2: hosts not connected in the snapshot"
+    with pytest.raises(ValueError, match=message):
+        solve_greedy(inst)
+    env = DeploymentMdp(inst)
+    state = env.step(env.reset(), ("a", sat("o0s0"))).state
+    with pytest.raises(ValueError, match=message):
+        action_features(env, state, ("b", sat("o0s2")))
+    with pytest.raises(ValueError, match=message):
+        env.step(state, ("b", sat("o0s2")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sharing=st.booleans())
+def test_incremental_objective_and_features_match_from_scratch(seed, sharing):
+    """Along a random feasible rollout, every state's objective equals the
+    from-scratch one and every action's features equal the reference ones,
+    bit for bit; a state rebuilt from its public fields alone agrees too."""
+    rng = np.random.default_rng(seed)
+    build = random_sharing_instance if sharing else random_deployment_instance
+    inst = DeploymentInstance(*build(rng))
+    env = DeploymentMdp(inst)
+    state = env.reset()
+    while True:
+        assert state.objective == _objective(inst, state.placed())
+        bare = MdpState(state.next_index, state.assignment, state.residual_memory,
+                        state.objective, state.done, state.dead_end)
+        actions = env.feasible_actions(state)
+        assert env.feasible_actions(bare) == actions
+        if not actions:
+            break
+        for action in actions:
+            want = reference_action_features(env, state, action)
+            assert np.array_equal(action_features(env, state, action), want)
+            assert np.array_equal(action_features(env, bare, action), want)
+        action = actions[int(rng.integers(len(actions)))]
+        tr = env.step(state, action)
+        assert env.step(bare, action) == tr
+        state = tr.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sharing=st.booleans())
+def test_greedy_matches_reference(seed, sharing):
+    rng = np.random.default_rng(seed)
+    build = random_sharing_instance if sharing else random_deployment_instance
+    inst = DeploymentInstance(*build(rng))
+    got, want = solve_greedy(inst), reference_greedy(inst)
+    assert got.feasible == want.feasible
+    assert got.assignment == want.assignment
+    if want.objective is None:
+        assert got.objective is None
+    else:
+        assert got.objective.hex() == want.objective.hex()
+
+
+@pytest.mark.parametrize("make_env", [benchmark_env, sharing_env])
+def test_training_draws_match_reference_features(make_env, monkeypatch):
+    """The same policy-gradient run, feature for feature and draw for draw,
+    with the reference features looked up in place of the incremental ones."""
+    policy, report = train_policy_gradient(make_env(), episodes=40, seed=9)
+    monkeypatch.setattr(deployment, "action_features", reference_action_features)
+    ref_policy, ref_report = train_policy_gradient(make_env(), episodes=40, seed=9)
+    assert np.array_equal(policy.theta, ref_policy.theta)
+    assert report.returns == ref_report.returns
+    assert report.greedy_returns == ref_report.greedy_returns
+
+
+def test_training_and_greedy_never_reevaluate_the_objective(monkeypatch):
+    calls = []
+    from_scratch = deployment._objective
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return from_scratch(*args, **kwargs)
+
+    monkeypatch.setattr(deployment, "_objective", counted)
+    env = benchmark_env()
+    train_policy_gradient(env, episodes=20, seed=1)
+    solve_greedy(env.instance)
+    assert calls == []

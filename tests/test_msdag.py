@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from leoplan import (
     LatencyModel,
@@ -10,11 +11,12 @@ from leoplan import (
     TaskRequest,
     dag_latency,
     end_to_end_latency,
+    parse_scenario,
     shared_modules,
     validate_dag,
 )
 
-from oracles import random_service_dag, sat, toy_snapshot
+from oracles import random_service_dag, reference_dag_cycle, sat, task_unions, toy_snapshot
 
 
 def ms(sid, flops=1e9, mem=1.0, out=1e6):
@@ -98,6 +100,40 @@ def test_random_dags_validate():
     for k in range(50):
         dag = random_service_dag(rng, f"t{k}", [f"s{i}" for i in range(6)])
         assert validate_dag(dag).ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(tasks=task_unions())
+def test_validate_reports_the_recursive_search_cycle(tasks):
+    for dag in tasks:
+        report = validate_dag(dag)
+        want = reference_dag_cycle(dag)
+        assert report.cycle == want
+        if want:
+            assert report.messages == ["dependency cycle: " + " -> ".join(want)]
+
+
+def test_long_chain_validates():
+    """Deeper than the interpreter's recursion limit, directly and as a
+    scenario's task library entry."""
+    ids = [f"s{i}" for i in range(5000)]
+    dag = ServiceDag("long", tuple(ms(i) for i in ids),
+                     tuple((u, v, 1.0) for u, v in zip(ids, ids[1:])), (ids[0],), ids[-1])
+    assert validate_dag(dag).ok
+    scenario = {
+        "constellation": {"num_orbits": 1, "sats_per_orbit": 1,
+                          "altitude_km": 550.0, "inclination_deg": 0.0},
+        "workload": {"samples_per_satellite": 10, "batch_size": 10, "embedding_dim": 16,
+                     "precision_bits": 32, "head_params": 100, "embedding_params": 1000,
+                     "encoder_params": 100000},
+        "tasks": {"library": [{
+            "id": "long",
+            "services": [{"id": i, "flops": 1e9, "memory_bytes": 1.0, "output_bits": 1e6}
+                         for i in ids],
+            "edges": [{"from": u, "to": v, "payload_bits": 1.0} for u, v in zip(ids, ids[1:])],
+            "exit": ids[-1]}]},
+    }
+    assert parse_scenario(scenario).tasks["long"].topological_order() == ids
 
 
 def test_topological_order():

@@ -240,6 +240,13 @@ def test_deployment_errors():
         parse_scenario(obj)
 
 
+def test_repeated_deployment_satellite_rejected():
+    obj = full()
+    obj["deployment"]["satellites"] = ["o0s1", "o1s0", "o0s1"]
+    with pytest.raises(ScenarioError, match="deployment.satellites: o0s1 listed twice"):
+        parse_scenario(obj)
+
+
 def test_bundled_scenarios_parse():
     demo = parse_scenario("scenarios/demo_walker6.json")
     assert demo.constellation.num_orbits == 6
