@@ -102,30 +102,16 @@ class DeploymentInstance:
                          if a.id == b.id)
             raise ValueError(f"satellite {twice} listed twice")
         self._routes = all_pairs_shortest(build_weighted_graph(snapshot))
-        self._links: dict = {}  # (candidate index, candidate index) -> path metrics, filled on use
+        self.transfer_seconds = self._routes.transfer_seconds
+        # Candidate index -> node index in self._routes.
+        self._route_of = [self._routes.index.get(sat.id) for sat in self.satellites]
+        if None in self._route_of:
+            missing = self.satellites[self._route_of.index(None)].id
+            raise ValueError(f"satellite {missing} not in the snapshot")
         self.max_throughput = max(s.throughput_flops for s in self.satellites)
 
     def throughput(self, sat_id: SatelliteId) -> float:
         return self.satellites[self.sat_index[sat_id]].throughput_flops
-
-    def transfer_seconds(self, u: SatelliteId, v: SatelliteId, bits: float) -> float:
-        """bits / bottleneck + propagation along the routed path between two
-        candidates; 0.0 when u == v."""
-        return self._transfer(self.sat_index[u], self.sat_index[v], bits)
-
-    def _transfer(self, i: int, j: int, bits: float) -> float:
-        """transfer_seconds between the candidates at indices i and j."""
-        if i == j:
-            return 0.0
-        key = (i, j)
-        if key not in self._links:
-            self._links[key] = self._routes.path_metrics(self.satellites[i].id,
-                                                         self.satellites[j].id)
-        m = self._links[key]
-        if m is None:
-            raise ValueError(f"no route from {self.satellites[i].id} to "
-                             f"{self.satellites[j].id}: hosts not connected in the snapshot")
-        return bits / m[0] + m[1]
 
     def service_fits(self, service_id: str, sat: SatelliteNode, residual_memory: float) -> bool:
         svc = self.services[service_id]
@@ -184,23 +170,26 @@ def _place(instance: DeploymentInstance, hosts: dict, finishes: dict, bests: tup
     hosts maps each service of the prefix of instance.order before sid to its
     candidate index, finishes maps it to {task index: finish time}, and bests
     holds every task's latest finish (0.0 for a task with nothing placed).
-    Returns (finishes, bests, objective) with sid placed; the arguments are
-    not changed.
+    Returns (own, bests, objective) with sid placed, own being sid's
+    {task index: finish time}; the arguments are not changed.
     """
     run = instance.services[sid].flops / instance.satellites[j].throughput_flops
+    transfer = instance._routes.transfer_at
+    route_of = instance._route_of
+    to = route_of[j]
     own = {}
     bests = list(bests)
     for t in instance._tasks_of[sid]:
         start = 0.0
         for (u, bits) in instance._task_preds[t][sid]:
-            arrival = finishes[u][t] + instance._transfer(hosts[u], j, bits)
+            arrival = finishes[u][t] + transfer(route_of[hosts[u]], to, bits)
             start = max(start, arrival)
         own[t] = start + run
         bests[t] = max(bests[t], own[t])
     total = 0.0
     for best in bests:  # as _objective adds them; sum() compensates from Python 3.12
         total += best
-    return {**finishes, sid: own}, tuple(bests), total
+    return own, tuple(bests), total
 
 
 @dataclass(frozen=True)
@@ -290,7 +279,7 @@ def solve_greedy(instance: DeploymentInstance) -> DeploymentPlan:
         if best_j is None:
             return DeploymentPlan({}, False, None, "greedy")
         hosts[sid] = best_j
-        finishes, bests, objective = best_grown
+        finishes[sid], bests, objective = best_grown
         residuals[best_j] -= instance.services[sid].memory_bytes
     placed = {sid: instance.satellites[j].id for sid, j in hosts.items()}
     return DeploymentPlan(placed, True, objective, "greedy")
@@ -304,12 +293,10 @@ class MdpState:
     objective: float
     done: bool
     dead_end: bool = False
-    # What _place needs to grow the objective, and the feasible actions; all
-    # follow from the fields above, so they take no part in equality.
-    hosts: dict = field(default_factory=dict, compare=False, repr=False)
-    finishes: dict = field(default_factory=dict, compare=False, repr=False)
-    bests: tuple = field(default=(), compare=False, repr=False)
-    actions: tuple | None = field(default=None, compare=False, repr=False)
+    # (hosts, finishes, bests, feasible actions): what _place needs to grow
+    # the objective, and the actions. It follows from the fields above, so it
+    # takes no part in equality; None on a state built by hand.
+    progress: tuple | None = field(default=None, compare=False, repr=False)
 
     def placed(self) -> dict:
         return dict(self.assignment)
@@ -318,12 +305,13 @@ class MdpState:
 def _progress(instance: DeploymentInstance, state: MdpState):
     """(hosts, finishes, bests) of a state; a state built by hand instead of
     by reset or step has none, so they are replayed from its assignment."""
-    if len(state.bests) == len(instance.tasks):
-        return state.hosts, state.finishes, state.bests
+    if state.progress is not None:
+        hosts, finishes, bests, _ = state.progress
+        return hosts, finishes, bests
     hosts, finishes, bests = {}, {}, (0.0,) * len(instance.tasks)
     for sid, sat_id in state.assignment:
         j = instance.sat_index[sat_id]
-        finishes, bests, _ = _place(instance, hosts, finishes, bests, sid, j)
+        finishes[sid], bests, _ = _place(instance, hosts, finishes, bests, sid, j)
         hosts[sid] = j
     return hosts, finishes, bests
 
@@ -348,8 +336,9 @@ class DeploymentMdp:
         del seed  # transitions are deterministic; kept for interface symmetry
         res = tuple(s.memory_bytes for s in self.instance.satellites)
         done = len(self.instance.order) == 0
-        return MdpState(0, (), res, 0.0, done, bests=(0.0,) * len(self.instance.tasks),
-                        actions=self._feasible(0, res, done))
+        bests = (0.0,) * len(self.instance.tasks)
+        return MdpState(0, (), res, 0.0, done,
+                        progress=({}, {}, bests, self._feasible(0, res, done)))
 
     def _feasible(self, next_index: int, residuals: tuple, done: bool) -> tuple:
         if done:
@@ -359,9 +348,9 @@ class DeploymentMdp:
                      if self.instance.service_fits(sid, sat, residuals[i]))
 
     def feasible_actions(self, state: MdpState) -> tuple:
-        if state.actions is None:
+        if state.progress is None:
             return self._feasible(state.next_index, state.residual_memory, state.done)
-        return state.actions
+        return state.progress[3]
 
     def step(self, state: MdpState, action) -> MdpTransition:
         if state.done:
@@ -373,7 +362,7 @@ class DeploymentMdp:
         inst = self.instance
         j = inst.sat_index[sat_id]
         hosts, finishes, bests = _progress(inst, state)
-        finishes, bests, objective = _place(inst, hosts, finishes, bests, sid, j)
+        own, bests, objective = _place(inst, hosts, finishes, bests, sid, j)
         reward = -(objective - state.objective)
         next_index = state.next_index + 1
         residuals = _residuals_after(inst, state.residual_memory, j, sid)
@@ -383,8 +372,8 @@ class DeploymentMdp:
         if dead_end:
             reward += self.dead_end_reward
         next_state = MdpState(next_index, state.assignment + ((sid, sat_id),), residuals,
-                              objective, done or dead_end, dead_end, {**hosts, sid: j}, finishes,
-                              bests, actions)
+                              objective, done or dead_end, dead_end,
+                              ({**hosts, sid: j}, {**finishes, sid: own}, bests, actions))
         return MdpTransition(next_state, reward, next_state.done)
 
 

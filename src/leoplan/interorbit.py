@@ -98,18 +98,25 @@ class ShortestPaths:
         return (bottleneck, prop)
 
     def transfer_seconds(self, u, v, bits: float) -> float:
-        """bits / bottleneck + propagation along the kept u->v path, with the
-        path's metrics cached per pair; 0.0 when u == v."""
+        """bits / bottleneck + propagation along the kept u->v path; 0.0 when
+        u == v."""
         if u == v:
             return 0.0
-        key = (u, v)
+        return self.transfer_at(self.index[u], self.index[v], bits)
+
+    def transfer_at(self, i: int, j: int, bits: float) -> float:
+        """transfer_seconds between the nodes at indices i and j, with the
+        path's metrics cached per index pair."""
+        if i == j:
+            return 0.0
+        key = (i, j)
         if key not in self._metrics:
-            self._metrics[key] = self.path_metrics(u, v)
+            self._metrics[key] = self.path_metrics(self.nodes[i], self.nodes[j])
         m = self._metrics[key]
         if m is None:
-            raise ValueError(f"no route from {u} to {v}: hosts not connected in the snapshot")
+            raise ValueError(f"no route from {self.nodes[i]} to {self.nodes[j]}: "
+                             "hosts not connected in the snapshot")
         return bits / m[0] + m[1]
-
 
 def all_pairs_shortest(graph: WeightedDigraph) -> ShortestPaths:
     """Floyd-Warshall over 1/rate weights; nodes iterated in sorted order.

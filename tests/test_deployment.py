@@ -99,6 +99,13 @@ def test_transfer_seconds():
         inst.transfer_seconds(sat("o0s0"), sat("o0s2"), 1.0)
 
 
+def test_candidate_outside_the_snapshot_is_rejected():
+    snap = toy_snapshot([("o0s0", "o0s1", 1e6, 0.02)])
+    sats = [SatelliteNode(sat(f"o0s{i}"), 1e12, 10.0) for i in range(3)]
+    with pytest.raises(ValueError, match="satellite o0s2 not in the snapshot"):
+        DeploymentInstance([chain_task(["a"])], sats, snap)
+
+
 def test_exact_picks_faster_host():
     inst = two_sat_instance(tasks=[chain_task(["solo"])])
     plan = solve_exact(inst)

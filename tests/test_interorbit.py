@@ -92,6 +92,20 @@ def test_shortest_path_hand_case():
     assert sp.distance(a, a) == 0.0
 
 
+def test_transfer_by_node_and_by_index_agree():
+    snap = toy_snapshot([("o0s0", "o0s1", 1e6, 0.02), ("o0s1", "o0s2", 4e5, 0.01)],
+                        extra_sats=("o5s0",))
+    sp = all_pairs_shortest(build_weighted_graph(snap))
+    a, c, d = (SatelliteId.parse(x) for x in ("o0s0", "o0s2", "o5s0"))
+    i, j = sp.index[a], sp.index[c]
+    assert sp.transfer_seconds(a, c, 2e6) == sp.transfer_at(i, j, 2e6) == 2e6 / 4e5 + 0.03
+    assert sp.transfer_seconds(d, d, 1.0) == sp.transfer_at(sp.index[d], sp.index[d], 1.0) == 0.0
+    for call in (lambda: sp.transfer_seconds(a, d, 1.0),
+                 lambda: sp.transfer_at(i, sp.index[d], 1.0)):
+        with pytest.raises(ValueError, match="no route from o0s0 to o5s0: hosts not connected"):
+            call()
+
+
 def test_all_pairs_matches_dijkstra_exactly():
     # Power-of-two rates make every path weight an exact dyadic sum, so the
     # two algorithms must agree bit for bit.
