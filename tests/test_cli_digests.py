@@ -1,0 +1,78 @@
+"""Pin the bytes of every CLI output on the bundled scenarios.
+
+Each case runs one subcommand in-process on one bundled scenario and keeps
+its exit code, the sha256 of each output file (by file name) and the run
+report's ``scenario_digest``. The test compares the sweep with the committed
+table ``cli_digests.json``; re-record it with ``tests/record_cli_digests.py``
+only in a change whose stated purpose is to change these outputs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+from leoplan.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
+SCENARIOS = ("demo_walker6", "two_task_sharing")
+TABLE = Path(__file__).resolve().parent / "cli_digests.json"
+REQUEST = {"task_id": "imaging", "source": "o2s3", "gateway": "o0s3"}
+
+# (case name, subcommand argv after the scenario path); orchestrate reads the
+# plan that deploy-greedy wrote, so it runs after it.
+CASES = (
+    ("simulate-ground", ["simulate", "--mode", "ground", "--emit-plot-data"]),
+    ("simulate-decentralized", ["simulate", "--mode", "decentralized", "--emit-plot-data"]),
+    ("downlink", ["downlink"]),
+    ("allreduce", ["allreduce"]),
+    ("routes", ["routes"]),
+    ("deploy-exact", ["deploy", "--solver", "exact"]),
+    ("deploy-pg", ["deploy", "--solver", "pg"]),
+    ("deploy-greedy", ["deploy", "--solver", "greedy"]),
+    ("orchestrate", ["orchestrate", "--plan", "{deploy-greedy}/plan.json",
+                     "--request", "{request}"]),
+)
+
+
+def _run(argv: list) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def sweep(work: Path) -> dict:
+    """Run every case on every bundled scenario under work; return the table."""
+    request = work / "request.json"
+    request.write_text(json.dumps(REQUEST), encoding="utf-8")
+    table: dict = {}
+    for name in SCENARIOS:
+        scenario = str(REPO / "scenarios" / f"{name}.json")
+        dirs = {"request": str(request)}
+        for case, args in CASES:
+            out_dir = work / name / case
+            dirs[case] = str(out_dir)
+            argv = [args[0], scenario, "--out-dir", str(out_dir)]
+            argv += [a.format(**dirs) for a in args[1:]]
+            code, stdout = _run(argv)
+            row: dict = {"exit": code}
+            if code == 0:
+                report = json.loads(stdout)
+                row["scenario_digest"] = report["scenario_digest"]
+                row["outputs"] = {
+                    Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                    for p in report["outputs"]}
+            table[f"{name}/{case}"] = row
+    return table
+
+
+def test_cli_outputs_match_recorded_digests(tmp_path):
+    recorded = json.loads(TABLE.read_text(encoding="utf-8"))
+    swept = sweep(tmp_path)
+    assert sorted(swept) == sorted(recorded)
+    for key, row in swept.items():
+        assert row == recorded[key], key
