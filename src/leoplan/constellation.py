@@ -85,6 +85,8 @@ class ConstellationSpec:
             raise ValueError("inclination_deg must be in [0, 180]")
         if not 0 <= self.phasing_factor < max(self.num_orbits, 1):
             raise ValueError("phasing_factor must satisfy 0 <= F < num_orbits")
+        if not math.isfinite(self.epoch):
+            raise ValueError("epoch must be finite")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ no matter how many tasks call it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .constellation import SatelliteId, TopologySnapshot
 from .graph import reachable, topological_order
@@ -25,8 +27,10 @@ class Microservice:
     def validate(self) -> None:
         if not self.id:
             raise ValueError("microservice id must be nonempty")
-        if self.flops < 0 or self.memory_bytes < 0 or self.output_bits < 0:
-            raise ValueError(f"microservice {self.id}: negative resource figure")
+        for name in ("flops", "memory_bytes", "output_bits"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"microservice {self.id}: {name} must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -43,17 +47,26 @@ class ServiceDag:
     entries: tuple
     exit_node: str | None
 
+    @cached_property
+    def _by_id(self) -> dict:
+        # reversed, so the first of repeated ids wins
+        return {s.id: s for s in reversed(self.services)}
+
+    @cached_property
+    def _preds(self) -> dict:
+        preds: dict = {}
+        for (u, v, bits) in self.edges:
+            preds.setdefault(v, []).append((u, bits))
+        return preds
+
     def service(self, service_id: str) -> Microservice:
-        for s in self.services:
-            if s.id == service_id:
-                return s
-        raise KeyError(service_id)
+        return self._by_id[service_id]
 
     def service_ids(self) -> list:
         return [s.id for s in self.services]
 
     def predecessors(self, node: str) -> list:
-        return [(u, bits) for (u, v, bits) in self.edges if v == node]
+        return list(self._preds.get(node, ()))
 
     def topological_order(self) -> list:
         ids = self.service_ids()
@@ -91,9 +104,9 @@ def validate_dag(dag: ServiceDag) -> ValidationReport:
         if u not in known or v not in known:
             report.ok = False
             report.messages.append(f"edge {u}->{v} references unknown microservice")
-        if bits < 0:
+        if not (math.isfinite(bits) and bits >= 0):
             report.ok = False
-            report.messages.append(f"edge {u}->{v} has negative payload")
+            report.messages.append(f"edge {u}->{v}: payload_bits must be nonnegative and finite")
     for e in dag.entries:
         if e not in known:
             report.ok = False

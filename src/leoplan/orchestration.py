@@ -33,8 +33,10 @@ class EnergyModel:
     e_flop_j: float = 1e-12
 
     def validate(self) -> None:
-        if self.e_tx_j_per_bit < 0 or self.e_rx_j_per_bit < 0 or self.e_flop_j < 0:
-            raise ValueError("energy coefficients must be nonnegative")
+        for name in ("e_tx_j_per_bit", "e_rx_j_per_bit", "e_flop_j"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 class AugmentedGraph(Digraph):

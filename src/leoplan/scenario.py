@@ -3,14 +3,21 @@
 Unknown fields are rejected with their path, missing required fields are
 listed, and parse/serialize round-trips are lossless, so a scenario digest
 is stable no matter how many times it is re-serialized.
+
+Each flat section is parsed through one codec whose field table, a
+``(name, kind, default)`` row per field, is read from the section's own
+dataclass: the annotation gives the kind and a field without a default is
+required. Range rules stay in each dataclass's ``validate()``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .constellation import ConstellationSpec, GroundStation, LinkConfig, SatelliteId
@@ -18,9 +25,30 @@ from .msdag import Microservice, ServiceDag, validate_dag
 from .orchestration import EnergyModel
 from .simkernel import ComputeModel, FederationConfig, WorkloadSpec
 
+_REQUIRED = dataclasses.MISSING
+
+# kind -> (the JSON value types it takes, what an error says was expected).
+# bool is a subclass of int, so only the bool kind takes true and false.
+_KINDS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "bool": (bool, "a boolean"),
+}
+
 
 class ScenarioError(ValueError):
     """A scenario file failed validation; the message names the field(s)."""
+
+
+def _load(source):
+    """The JSON value in a path, in JSON text, or an already parsed object."""
+    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    if isinstance(source, str):
+        return json.loads(source)
+    return source
 
 
 def _require_mapping(obj, path: str) -> dict:
@@ -29,16 +57,58 @@ def _require_mapping(obj, path: str) -> dict:
     return obj
 
 
-def _check_keys(obj: dict, path: str, required: tuple, optional: tuple) -> None:
-    allowed = set(required) | set(optional)
-    unknown = sorted(k for k in obj if k not in allowed)
+def _require_list(obj, path: str) -> list:
+    if not isinstance(obj, list):
+        raise ScenarioError(f"{path}: expected a list")
+    return obj
+
+
+def _check_keys(obj: dict, path: str, names, required) -> None:
+    unknown = [k for k in obj if k not in names]
     if unknown:
         raise ScenarioError(f"{path}: unknown field(s): " + ", ".join(
-            f"{path}.{k}" for k in unknown))
+            f"{path}.{k}" for k in sorted(unknown)))
     missing = sorted(k for k in required if k not in obj)
     if missing:
         raise ScenarioError(f"{path}: missing required field(s): " + ", ".join(
             f"{path}.{k}" for k in missing))
+
+
+def _value(v, kind: str, path: str, name: str):
+    types, expected = _KINDS[kind]
+    if not isinstance(v, types) or isinstance(v, bool) != (kind == "bool"):
+        raise ScenarioError(f"{path}.{name}: expected {expected}")
+    if kind != "float":
+        return v
+    try:
+        return float(v)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ScenarioError(f"{path}.{name}: must be finite") from None
+
+
+@functools.cache
+def _rows(cls) -> tuple:
+    """The (name, kind, default) row of every field of a flat dataclass.
+
+    The section modules postpone annotations, so a field's type is its
+    annotation text, which is the kind: "int", "float", "str" or "bool".
+    """
+    return tuple((f.name, f.type, f.default) for f in dataclasses.fields(cls))
+
+
+@functools.cache
+def _keys(rows) -> tuple:
+    """The field names of rows, and the names of the required ones."""
+    return (frozenset(name for name, _, _ in rows),
+            tuple(name for name, _, default in rows if default is _REQUIRED))
+
+
+def _decode(obj, path: str, rows) -> dict:
+    """Check obj against rows; every row's value, defaults filled in."""
+    obj = _require_mapping(obj, path)
+    _check_keys(obj, path, *_keys(rows))
+    return {name: _value(obj[name], kind, path, name) if name in obj else default
+            for name, kind, default in rows}
 
 
 def _validate(section, path: str) -> None:
@@ -49,48 +119,18 @@ def _validate(section, path: str) -> None:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def _num(obj: dict, key: str, path: str, default=None) -> float:
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{path}.{key}: expected a number")
-    return float(v)
+def _section(cls, obj, path: str):
+    """Parse and validate one flat scenario section into cls."""
+    section = cls(**_decode(obj, path, _rows(cls)))
+    _validate(section, path)
+    return section
 
 
-def _int(obj: dict, key: str, path: str, default=None) -> int:
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ScenarioError(f"{path}.{key}: expected an integer")
-    return v
-
-
-def _str(obj: dict, key: str, path: str, default=None) -> str:
-    if key not in obj:
-        return default
-    v = obj[key]
-    if not isinstance(v, str):
-        raise ScenarioError(f"{path}.{key}: expected a string")
-    return v
-
-
-def _sat(obj: dict, key: str, path: str) -> SatelliteId:
-    label = _str(obj, key, path)
+def _sat(label: str, path: str) -> SatelliteId:
     try:
         return SatelliteId.parse(label)
     except ValueError as exc:
-        raise ScenarioError(f"{path}.{key}: {exc}") from exc
-
-
-def _bool(obj: dict, key: str, path: str, default=None) -> bool:
-    if key not in obj:
-        return default
-    v = obj[key]
-    if not isinstance(v, bool):
-        raise ScenarioError(f"{path}.{key}: expected a boolean")
-    return v
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -114,153 +154,52 @@ class Scenario:
         return [self.tasks[tid] for tid in self.active_tasks]
 
 
+# Rows for the shapes that are not one dataclass: the host figures that the
+# compute section carries for Scenario, DAG edges, and the request file.
+_HOST = tuple(row for row in _rows(Scenario)
+              if row[0] in ("satellite_memory_bytes", "satellite_energy_budget_j"))
+_COMPUTE = _rows(ComputeModel) + _HOST
+_EDGE = (("from", "str", _REQUIRED), ("to", "str", _REQUIRED),
+         ("payload_bits", "float", _REQUIRED))
+_REQUEST = (("task_id", "str", _REQUIRED), ("source", "str", _REQUIRED),
+            ("gateway", "str", None), ("hop_payload_bits", "float", None))
+_ROOT = ("seed", "constellation", "links", "ground_stations", "workload", "federation",
+         "compute", "energy", "tasks", "deployment")
+
+
 def parse_scenario(source) -> Scenario:
     """Parse and validate a scenario from a path, JSON text, or parsed dict."""
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        with open(source, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    elif isinstance(source, str):
-        obj = json.loads(source)
-    else:
-        obj = source
-    root = _require_mapping(obj, "scenario")
-    _check_keys(root, "scenario",
-                required=("constellation", "workload"),
-                optional=("seed", "links", "ground_stations", "federation", "compute",
-                          "energy", "tasks", "deployment"))
+    root = _require_mapping(_load(source), "scenario")
+    _check_keys(root, "scenario", _ROOT, ("constellation", "workload"))
 
-    c = _require_mapping(root["constellation"], "constellation")
-    _check_keys(c, "constellation",
-                required=("num_orbits", "sats_per_orbit", "altitude_km", "inclination_deg"),
-                optional=("phasing_factor", "epoch"))
-    constellation = ConstellationSpec(
-        num_orbits=_int(c, "num_orbits", "constellation"),
-        sats_per_orbit=_int(c, "sats_per_orbit", "constellation"),
-        altitude_km=_num(c, "altitude_km", "constellation"),
-        inclination_deg=_num(c, "inclination_deg", "constellation"),
-        phasing_factor=_int(c, "phasing_factor", "constellation", 0),
-        epoch=_num(c, "epoch", "constellation", 0.0),
-    )
-    _validate(constellation, "constellation")
+    constellation = _section(ConstellationSpec, root["constellation"], "constellation")
+    link_config = _section(LinkConfig, root.get("links", {}), "links")
 
-    links = _require_mapping(root.get("links", {}), "links")
-    _check_keys(links, "links", required=(),
-                optional=("intra_orbit_rate_bps", "inter_orbit_rate_bps", "sgl_rate_bps",
-                          "ground_dedicated_rate_bps", "max_isl_range_km",
-                          "cross_seam_policy"))
-    defaults = LinkConfig()
-    link_config = LinkConfig(
-        intra_orbit_rate_bps=_num(links, "intra_orbit_rate_bps", "links",
-                                  defaults.intra_orbit_rate_bps),
-        inter_orbit_rate_bps=_num(links, "inter_orbit_rate_bps", "links",
-                                  defaults.inter_orbit_rate_bps),
-        sgl_rate_bps=_num(links, "sgl_rate_bps", "links", defaults.sgl_rate_bps),
-        ground_dedicated_rate_bps=_num(links, "ground_dedicated_rate_bps", "links",
-                                       defaults.ground_dedicated_rate_bps),
-        max_isl_range_km=_num(links, "max_isl_range_km", "links", defaults.max_isl_range_km),
-        cross_seam_policy=_str(links, "cross_seam_policy", "links",
-                               defaults.cross_seam_policy),
-    )
-    _validate(link_config, "links")
-
-    stations = []
-    raw_stations = root.get("ground_stations", [])
-    if not isinstance(raw_stations, list):
-        raise ScenarioError("ground_stations: expected a list")
-    for i, entry in enumerate(raw_stations):
-        path = f"ground_stations[{i}]"
-        st = _require_mapping(entry, path)
-        _check_keys(st, path, required=("id", "latitude_deg", "longitude_deg"),
-                    optional=("dedicated_rate_bps", "min_elevation_deg"))
-        station = GroundStation(
-            id=_str(st, "id", path),
-            latitude_deg=_num(st, "latitude_deg", path),
-            longitude_deg=_num(st, "longitude_deg", path),
-            dedicated_rate_bps=_num(st, "dedicated_rate_bps", path, 10e9),
-            min_elevation_deg=_num(st, "min_elevation_deg", path, 10.0),
-        )
-        _validate(station, path)
-        stations.append(station)
+    raw_stations = _require_list(root.get("ground_stations", []), "ground_stations")
+    stations = tuple(_section(GroundStation, entry, f"ground_stations[{i}]")
+                     for i, entry in enumerate(raw_stations))
     if len({s.id for s in stations}) != len(stations):
         raise ScenarioError("ground_stations: duplicate station ids")
 
-    w = _require_mapping(root["workload"], "workload")
-    _check_keys(w, "workload",
-                required=("samples_per_satellite", "batch_size", "embedding_dim",
-                          "precision_bits", "head_params", "embedding_params",
-                          "encoder_params"),
-                optional=("local_epochs", "flops_per_sample_head"))
-    workload = WorkloadSpec(
-        samples_per_satellite=_int(w, "samples_per_satellite", "workload"),
-        batch_size=_int(w, "batch_size", "workload"),
-        embedding_dim=_int(w, "embedding_dim", "workload"),
-        precision_bits=_int(w, "precision_bits", "workload"),
-        head_params=_int(w, "head_params", "workload"),
-        embedding_params=_int(w, "embedding_params", "workload"),
-        encoder_params=_int(w, "encoder_params", "workload"),
-        local_epochs=_int(w, "local_epochs", "workload", 1),
-        flops_per_sample_head=_num(w, "flops_per_sample_head", "workload", 1e6),
-    )
-    _validate(workload, "workload")
+    workload = _section(WorkloadSpec, root["workload"], "workload")
+    federation = _section(FederationConfig, root.get("federation", {}), "federation")
 
-    f = _require_mapping(root.get("federation", {}), "federation")
-    _check_keys(f, "federation", required=(),
-                optional=("rounds", "intra_orbit_agg_rounds", "aggregation_mode",
-                          "epoch_seconds", "horizon_seconds", "window_step_seconds",
-                          "freeze_topology"))
-    fdefaults = FederationConfig()
-    federation = FederationConfig(
-        rounds=_int(f, "rounds", "federation", fdefaults.rounds),
-        intra_orbit_agg_rounds=_int(f, "intra_orbit_agg_rounds", "federation",
-                                    fdefaults.intra_orbit_agg_rounds),
-        aggregation_mode=_str(f, "aggregation_mode", "federation",
-                              fdefaults.aggregation_mode),
-        epoch_seconds=_num(f, "epoch_seconds", "federation", fdefaults.epoch_seconds),
-        horizon_seconds=_num(f, "horizon_seconds", "federation", fdefaults.horizon_seconds),
-        window_step_seconds=_num(f, "window_step_seconds", "federation",
-                                 fdefaults.window_step_seconds),
-        freeze_topology=_bool(f, "freeze_topology", "federation", fdefaults.freeze_topology),
-    )
-    _validate(federation, "federation")
-
-    comp = _require_mapping(root.get("compute", {}), "compute")
-    _check_keys(comp, "compute", required=(),
-                optional=("satellite_flops_per_s", "cloud_flops_per_s",
-                          "satellite_memory_bytes", "satellite_energy_budget_j"))
-    cdefaults = ComputeModel()
-    compute = ComputeModel(
-        satellite_flops_per_s=_num(comp, "satellite_flops_per_s", "compute",
-                                   cdefaults.satellite_flops_per_s),
-        cloud_flops_per_s=_num(comp, "cloud_flops_per_s", "compute",
-                               cdefaults.cloud_flops_per_s),
-    )
+    values = _decode(root.get("compute", {}), "compute", _COMPUTE)
+    memory = values.pop("satellite_memory_bytes")
+    budget = values.pop("satellite_energy_budget_j")
+    compute = ComputeModel(**values)
     _validate(compute, "compute")
-    memory = _num(comp, "satellite_memory_bytes", "compute", 8e9)
-    budget = _num(comp, "satellite_energy_budget_j", "compute", float("inf"))
     if not (math.isfinite(memory) and memory >= 0):
         raise ScenarioError("compute.satellite_memory_bytes: must be nonnegative and finite")
     if not budget >= 0:  # inf, the default, means no budget
         raise ScenarioError("compute.satellite_energy_budget_j: must be nonnegative")
 
-    en = _require_mapping(root.get("energy", {}), "energy")
-    _check_keys(en, "energy", required=(),
-                optional=("e_tx_j_per_bit", "e_rx_j_per_bit", "e_flop_j"))
-    edefaults = EnergyModel()
-    energy = EnergyModel(
-        e_tx_j_per_bit=_num(en, "e_tx_j_per_bit", "energy", edefaults.e_tx_j_per_bit),
-        e_rx_j_per_bit=_num(en, "e_rx_j_per_bit", "energy", edefaults.e_rx_j_per_bit),
-        e_flop_j=_num(en, "e_flop_j", "energy", edefaults.e_flop_j),
-    )
-    _validate(energy, "energy")
+    energy = _section(EnergyModel, root.get("energy", {}), "energy")
 
     tasks: dict = {}
-    active: tuple = ()
     t = _require_mapping(root.get("tasks", {}), "tasks")
-    _check_keys(t, "tasks", required=(), optional=("library", "active"))
-    library = t.get("library", [])
-    if not isinstance(library, list):
-        raise ScenarioError("tasks.library: expected a list")
-    for i, entry in enumerate(library):
+    _check_keys(t, "tasks", ("library", "active"), ())
+    for i, entry in enumerate(_require_list(t.get("library", []), "tasks.library")):
         path = f"tasks.library[{i}]"
         dag = _parse_task(_require_mapping(entry, path), path)
         if dag.task_id in tasks:
@@ -269,16 +208,15 @@ def parse_scenario(source) -> Scenario:
         if not report.ok:
             raise ScenarioError(f"{path} ({dag.task_id}): " + "; ".join(report.messages))
         tasks[dag.task_id] = dag
-    raw_active = t.get("active", list(tasks))
-    if not isinstance(raw_active, list) or not all(isinstance(x, str) for x in raw_active):
+    active = t.get("active", list(tasks))
+    if not isinstance(active, list) or not all(isinstance(x, str) for x in active):
         raise ScenarioError("tasks.active: expected a list of task ids")
-    for tid in raw_active:
+    for tid in active:
         if tid not in tasks:
             raise ScenarioError(f"tasks.active: dangling task id {tid!r}")
-    active = tuple(raw_active)
 
     dep = _require_mapping(root.get("deployment", {}), "deployment")
-    _check_keys(dep, "deployment", required=(), optional=("satellites",))
+    _check_keys(dep, "deployment", ("satellites",), ())
     dep_sats = None
     if "satellites" in dep:
         raw = dep["satellites"]
@@ -286,33 +224,29 @@ def parse_scenario(source) -> Scenario:
             raise ScenarioError("deployment.satellites: expected a list of satellite labels")
         parsed = []
         for label in raw:
-            try:
-                sat = SatelliteId.parse(label)
-            except ValueError as exc:
-                raise ScenarioError(f"deployment.satellites: {exc}") from exc
+            sat = _sat(label, "deployment.satellites")
             if (sat.orbit_index >= constellation.num_orbits
                     or sat.slot_index >= constellation.sats_per_orbit):
                 raise ScenarioError(
                     f"deployment.satellites: {label} outside the constellation")
+            if sat in parsed:
+                raise ScenarioError(f"deployment.satellites: {sat} listed twice")
             parsed.append(sat)
-        if len(set(parsed)) != len(parsed):
-            twice = next(s for i, s in enumerate(parsed) if s in parsed[:i])
-            raise ScenarioError(f"deployment.satellites: {twice} listed twice")
         dep_sats = tuple(parsed)
 
-    seed = _int(root, "seed", "scenario", None)
+    seed = _value(root["seed"], "int", "scenario", "seed") if "seed" in root else None
 
     return Scenario(
         constellation=constellation,
         link_config=link_config,
-        ground_stations=tuple(stations),
+        ground_stations=stations,
         workload=workload,
         federation=federation,
         compute=compute,
         energy=energy,
         tasks=tasks,
         task_order=tuple(tasks),
-        active_tasks=active,
+        active_tasks=tuple(active),
         deployment_satellites=dep_sats,
         satellite_memory_bytes=memory,
         satellite_energy_budget_j=budget,
@@ -321,119 +255,49 @@ def parse_scenario(source) -> Scenario:
 
 
 def _parse_task(obj: dict, path: str) -> ServiceDag:
-    _check_keys(obj, path, required=("id", "services", "edges", "exit"),
-                optional=("entries",))
-    services = []
-    raw_services = obj["services"]
-    if not isinstance(raw_services, list):
-        raise ScenarioError(f"{path}.services: expected a list")
-    for j, s in enumerate(raw_services):
-        spath = f"{path}.services[{j}]"
-        sv = _require_mapping(s, spath)
-        _check_keys(sv, spath, required=("id", "flops", "memory_bytes", "output_bits"),
-                    optional=())
-        services.append(Microservice(
-            id=_str(sv, "id", spath),
-            flops=_num(sv, "flops", spath),
-            memory_bytes=_num(sv, "memory_bytes", spath),
-            output_bits=_num(sv, "output_bits", spath),
-        ))
-    edges = []
-    raw_edges = obj["edges"]
-    if not isinstance(raw_edges, list):
-        raise ScenarioError(f"{path}.edges: expected a list")
-    for j, e in enumerate(raw_edges):
-        epath = f"{path}.edges[{j}]"
-        ev = _require_mapping(e, epath)
-        _check_keys(ev, epath, required=("from", "to", "payload_bits"), optional=())
-        edges.append((_str(ev, "from", epath), _str(ev, "to", epath),
-                      _num(ev, "payload_bits", epath)))
-    known = {s.id for s in services}
+    _check_keys(obj, path, ("id", "services", "edges", "exit", "entries"),
+                ("id", "services", "edges", "exit"))
+    raw_services = _require_list(obj["services"], f"{path}.services")
+    services = tuple(Microservice(**_decode(s, f"{path}.services[{j}]", _rows(Microservice)))
+                     for j, s in enumerate(raw_services))
+    raw_edges = _require_list(obj["edges"], f"{path}.edges")
+    edges = tuple(tuple(_decode(e, f"{path}.edges[{j}]", _EDGE).values())
+                  for j, e in enumerate(raw_edges))
     if "entries" in obj:
-        raw_entries = obj["entries"]
-        if not isinstance(raw_entries, list) or not all(isinstance(x, str) for x in raw_entries):
+        entries = obj["entries"]
+        if not isinstance(entries, list) or not all(isinstance(x, str) for x in entries):
             raise ScenarioError(f"{path}.entries: expected a list of service ids")
-        entries = tuple(raw_entries)
     else:
         with_preds = {v for (_, v, _) in edges}
-        entries = tuple(s.id for s in services if s.id not in with_preds)
-    del known
+        entries = [s.id for s in services if s.id not in with_preds]
     return ServiceDag(
-        task_id=_str(obj, "id", path),
-        services=tuple(services),
-        edges=tuple(edges),
-        entries=entries,
-        exit_node=_str(obj, "exit", path),
+        task_id=_value(obj["id"], "str", path, "id"),
+        services=services,
+        edges=edges,
+        entries=tuple(entries),
+        exit_node=_value(obj["exit"], "str", path, "exit"),
     )
 
 
 def serialize_scenario(scenario: Scenario) -> dict:
     """Explicit JSON form; parse(serialize(s)) == s."""
-    c = scenario.constellation
+    compute = asdict(scenario.compute)
+    compute["satellite_memory_bytes"] = scenario.satellite_memory_bytes
+    if scenario.satellite_energy_budget_j != math.inf:
+        compute["satellite_energy_budget_j"] = scenario.satellite_energy_budget_j
     out = {
-        "constellation": {
-            "num_orbits": c.num_orbits,
-            "sats_per_orbit": c.sats_per_orbit,
-            "altitude_km": c.altitude_km,
-            "inclination_deg": c.inclination_deg,
-            "phasing_factor": c.phasing_factor,
-            "epoch": c.epoch,
-        },
-        "links": {
-            "intra_orbit_rate_bps": scenario.link_config.intra_orbit_rate_bps,
-            "inter_orbit_rate_bps": scenario.link_config.inter_orbit_rate_bps,
-            "sgl_rate_bps": scenario.link_config.sgl_rate_bps,
-            "ground_dedicated_rate_bps": scenario.link_config.ground_dedicated_rate_bps,
-            "max_isl_range_km": scenario.link_config.max_isl_range_km,
-            "cross_seam_policy": scenario.link_config.cross_seam_policy,
-        },
-        "ground_stations": [
-            {
-                "id": s.id,
-                "latitude_deg": s.latitude_deg,
-                "longitude_deg": s.longitude_deg,
-                "dedicated_rate_bps": s.dedicated_rate_bps,
-                "min_elevation_deg": s.min_elevation_deg,
-            }
-            for s in scenario.ground_stations
-        ],
-        "workload": {
-            "samples_per_satellite": scenario.workload.samples_per_satellite,
-            "batch_size": scenario.workload.batch_size,
-            "embedding_dim": scenario.workload.embedding_dim,
-            "precision_bits": scenario.workload.precision_bits,
-            "head_params": scenario.workload.head_params,
-            "embedding_params": scenario.workload.embedding_params,
-            "encoder_params": scenario.workload.encoder_params,
-            "local_epochs": scenario.workload.local_epochs,
-            "flops_per_sample_head": scenario.workload.flops_per_sample_head,
-        },
-        "federation": {
-            "rounds": scenario.federation.rounds,
-            "intra_orbit_agg_rounds": scenario.federation.intra_orbit_agg_rounds,
-            "aggregation_mode": scenario.federation.aggregation_mode,
-            "epoch_seconds": scenario.federation.epoch_seconds,
-            "horizon_seconds": scenario.federation.horizon_seconds,
-            "window_step_seconds": scenario.federation.window_step_seconds,
-            "freeze_topology": scenario.federation.freeze_topology,
-        },
-        "compute": {
-            "satellite_flops_per_s": scenario.compute.satellite_flops_per_s,
-            "cloud_flops_per_s": scenario.compute.cloud_flops_per_s,
-            "satellite_memory_bytes": scenario.satellite_memory_bytes,
-        },
-        "energy": {
-            "e_tx_j_per_bit": scenario.energy.e_tx_j_per_bit,
-            "e_rx_j_per_bit": scenario.energy.e_rx_j_per_bit,
-            "e_flop_j": scenario.energy.e_flop_j,
-        },
+        "constellation": asdict(scenario.constellation),
+        "links": asdict(scenario.link_config),
+        "ground_stations": [asdict(s) for s in scenario.ground_stations],
+        "workload": asdict(scenario.workload),
+        "federation": asdict(scenario.federation),
+        "compute": compute,
+        "energy": asdict(scenario.energy),
         "tasks": {
             "library": [_serialize_task(scenario.tasks[tid]) for tid in scenario.task_order],
             "active": list(scenario.active_tasks),
         },
     }
-    if scenario.satellite_energy_budget_j != float("inf"):
-        out["compute"]["satellite_energy_budget_j"] = scenario.satellite_energy_budget_j
     if scenario.deployment_satellites is not None:
         out["deployment"] = {
             "satellites": [s.label for s in scenario.deployment_satellites]}
@@ -445,14 +309,8 @@ def serialize_scenario(scenario: Scenario) -> dict:
 def _serialize_task(dag: ServiceDag) -> dict:
     return {
         "id": dag.task_id,
-        "services": [
-            {"id": s.id, "flops": s.flops, "memory_bytes": s.memory_bytes,
-             "output_bits": s.output_bits}
-            for s in dag.services
-        ],
-        "edges": [
-            {"from": u, "to": v, "payload_bits": bits} for (u, v, bits) in dag.edges
-        ],
+        "services": [asdict(s) for s in dag.services],
+        "edges": [{name: v for (name, _, _), v in zip(_EDGE, edge)} for edge in dag.edges],
         "entries": list(dag.entries),
         "exit": dag.exit_node,
     }
@@ -471,22 +329,14 @@ def parse_request(source) -> dict:
     Schema: {"task_id": str, "source": "oPsS", "gateway": "oPsS" | null,
              "hop_payload_bits": number (optional)}.
     """
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        with open(source, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    elif isinstance(source, str):
-        obj = json.loads(source)
-    else:
-        obj = source
-    req = _require_mapping(obj, "request")
-    _check_keys(req, "request", required=("task_id", "source"),
-                optional=("gateway", "hop_payload_bits"))
-    out = {
-        "task_id": _str(req, "task_id", "request"),
-        "source": _sat(req, "source", "request"),
-        "gateway": None,
-        "hop_payload_bits": _num(req, "hop_payload_bits", "request", None),
-    }
-    if req.get("gateway") is not None:
-        out["gateway"] = _sat(req, "gateway", "request")
+    req = _require_mapping(_load(source), "request")
+    if "gateway" in req and req["gateway"] is None:  # an explicit null means no gateway
+        req = {k: v for k, v in req.items() if k != "gateway"}
+    out = _decode(req, "request", _REQUEST)
+    out["source"] = _sat(out["source"], "request.source")
+    if out["gateway"] is not None:
+        out["gateway"] = _sat(out["gateway"], "request.gateway")
+    bits = out["hop_payload_bits"]
+    if bits is not None and not (math.isfinite(bits) and bits >= 0):
+        raise ScenarioError("request.hop_payload_bits: must be nonnegative and finite")
     return out

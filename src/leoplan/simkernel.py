@@ -84,12 +84,13 @@ class WorkloadSpec:
             raise ValueError("embedding_dim must be positive")
         if self.precision_bits not in (16, 32, 64):
             raise ValueError("precision_bits must be 16, 32, or 64")
-        if min(self.head_params, self.embedding_params, self.encoder_params) < 0:
-            raise ValueError("parameter counts must be nonnegative")
+        for name in ("head_params", "embedding_params", "encoder_params"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.local_epochs <= 0:
             raise ValueError("local_epochs must be positive")
-        if self.flops_per_sample_head < 0:
-            raise ValueError("flops_per_sample_head must be nonnegative")
+        if not (math.isfinite(self.flops_per_sample_head) and self.flops_per_sample_head >= 0):
+            raise ValueError("flops_per_sample_head must be nonnegative and finite")
 
     @property
     def embedding_bits_per_satellite(self) -> int:
@@ -129,8 +130,10 @@ class ComputeModel:
     cloud_flops_per_s: float = 100e12
 
     def validate(self) -> None:
-        if self.satellite_flops_per_s <= 0 or self.cloud_flops_per_s <= 0:
-            raise ValueError("compute throughputs must be positive")
+        for name in ("satellite_flops_per_s", "cloud_flops_per_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)

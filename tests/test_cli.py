@@ -333,3 +333,21 @@ def test_console_script(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["subcommand"] == "allreduce"
+
+
+@pytest.mark.parametrize("bits", [-3.0, float("nan")])
+def test_orchestrate_bad_hop_payload_bits_exits_2(tmp_path, capsys, bits):
+    out = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "deploy", TWO_TASK, "--out-dir", str(out),
+                         "--solver", "greedy")
+    assert code == 0
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"task_id": "imaging", "source": "o2s3",
+                               "hop_payload_bits": bits}), encoding="utf-8")
+    code, stdout, err = run_cli(capsys, "orchestrate", TWO_TASK, "--out-dir", str(out),
+                                "--plan", str(out / "plan.json"), "--request", str(req))
+    assert code == 2
+    assert stdout == ""
+    body = json.loads(err)["error"]
+    assert body["type"] == "ScenarioError"
+    assert body["message"] == "request.hop_payload_bits: must be nonnegative and finite"

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 
 from leoplan import (
+    DeploymentInstance,
     LatencyModel,
     Microservice,
     Router,
     SatelliteId,
+    SatelliteNode,
     ServiceDag,
     TaskRequest,
     dag_latency,
@@ -87,8 +89,8 @@ def test_validate_negative_payload_and_resources():
                      (("a", "b", -5.0),), ("a",), "b")
     report = validate_dag(dag)
     assert not report.ok
-    assert "edge a->b has negative payload" in report.messages
-    assert "microservice b: negative resource figure" in report.messages
+    assert "edge a->b: payload_bits must be nonnegative and finite" in report.messages
+    assert "microservice b: flops must be nonnegative and finite" in report.messages
 
 
 def test_validate_empty_task():
@@ -270,3 +272,34 @@ def test_latency_model_overrides():
     model = LatencyModel(1e12, {sat("o0s0"): 5e11})
     assert model.throughput(sat("o0s0")) == 5e11
     assert model.throughput(sat("o0s1")) == 1e12
+
+
+class _CountingTuple(tuple):
+    """A tuple that counts how often it is iterated."""
+
+    def __iter__(self):
+        self.iterations = getattr(self, "iterations", 0) + 1
+        return super().__iter__()
+
+
+def test_long_chain_lookups_are_indexed():
+    # A 2,000-service chain on one host: building a placement instance and
+    # one dag_latency must walk the services and edges a bounded number of
+    # times, not once per service.
+    n = 2000
+    ids = [f"s{i}" for i in range(n)]
+    services = _CountingTuple(Microservice(sid, 1e9 + i, 1.0, 1e6) for i, sid in enumerate(ids))
+    edges = _CountingTuple((u, v, 1e6 + i) for i, (u, v) in enumerate(zip(ids, ids[1:])))
+    dag = ServiceDag("chain", services, edges, (ids[0],), ids[-1])
+    host = sat("o0s0")
+    snap = toy_snapshot([("o0s0", "o0s1", 1e9)])
+    DeploymentInstance([dag], [SatelliteNode(host, 1e12, 1e12)], snap)
+    result = dag_latency(dag, {sid: host for sid in ids}, Router(snap), LatencyModel())
+    assert services.iterations <= 10
+    assert edges.iterations <= 10
+
+    expected = 0.0
+    for i in range(n):
+        expected += (1e9 + i) / 1e12
+    assert result.total_seconds == expected
+    assert result.critical_path == tuple(ids)

@@ -1,14 +1,24 @@
 import copy
+import dataclasses
 import json
+import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leoplan import (
     ComputeModel,
+    ConstellationSpec,
+    EnergyModel,
     FederationConfig,
+    GroundStation,
     LinkConfig,
+    Microservice,
     SatelliteId,
     ScenarioError,
+    WorkloadSpec,
     parse_request,
     parse_scenario,
     scenario_digest,
@@ -67,6 +77,9 @@ def test_minimal_scenario_defaults():
     assert s.ground_stations == ()
     assert s.federation == FederationConfig()
     assert s.compute == ComputeModel()
+    assert s.energy == EnergyModel()
+    assert s.workload.local_epochs == WorkloadSpec.local_epochs
+    assert s.workload.flops_per_sample_head == WorkloadSpec.flops_per_sample_head
     assert s.satellite_memory_bytes == 8e9
     assert s.satellite_energy_budget_j == float("inf")
     assert s.seed is None
@@ -82,6 +95,7 @@ def test_full_scenario_fields():
     assert s.link_config.cross_seam_policy == "enabled"
     assert [g.id for g in s.ground_stations] == ["gs-a", "gs-b"]
     assert s.ground_stations[1].min_elevation_deg == 15.0
+    assert s.ground_stations[0] == GroundStation("gs-a", 10.0, 20.0)
     assert s.federation.rounds == 3
     assert s.federation.aggregation_mode == "decentralized"
     assert s.satellite_energy_budget_j == 50.0
@@ -157,6 +171,10 @@ def test_type_errors():
     obj["constellation"] = []
     with pytest.raises(ScenarioError, match="constellation: expected an object"):
         parse_scenario(obj)
+    obj = minimal()
+    obj["constellation"]["altitude_km"] = 10**400
+    with pytest.raises(ScenarioError, match="constellation.altitude_km: must be finite"):
+        parse_scenario(json.dumps(obj))
 
 
 def test_station_errors():
@@ -182,8 +200,9 @@ def test_station_errors():
     ("links", "sgl_rate_bps", -1.0, "links: sgl_rate_bps must be positive and finite"),
     ("workload", "precision_bits", 8, "workload: precision_bits must be 16, 32, or 64"),
     ("federation", "rounds", 0, "federation: rounds must be positive"),
-    ("compute", "satellite_flops_per_s", 0.0, "compute: compute throughputs must be positive"),
-    ("energy", "e_tx_j_per_bit", -1.0, "energy: energy coefficients must be nonnegative"),
+    ("compute", "satellite_flops_per_s", 0.0,
+     "compute: satellite_flops_per_s must be positive and finite"),
+    ("energy", "e_tx_j_per_bit", -1.0, "energy: e_tx_j_per_bit must be nonnegative and finite"),
 ])
 def test_semantic_errors_name_their_section(section, key, value, message):
     obj = minimal()
@@ -306,3 +325,127 @@ def test_compute_infinite_energy_budget_means_none():
     obj = minimal()
     obj["compute"] = {"satellite_energy_budget_j": float("inf")}
     assert parse_scenario(json.dumps(obj)).satellite_energy_budget_j == float("inf")
+
+
+@pytest.mark.parametrize("value", [-3.0, float("nan"), float("inf")])
+def test_request_hop_payload_bits_is_checked(value):
+    with pytest.raises(ScenarioError) as info:
+        parse_request({"task_id": "t", "source": "o0s0", "hop_payload_bits": value})
+    assert str(info.value) == "request.hop_payload_bits: must be nonnegative and finite"
+
+
+def _non_finite_cases():
+    """(where, field, value) for NaN, inf and -inf in every float field a
+    scenario file can set; an infinite energy budget is valid (no budget)."""
+    flat = {"constellation": ConstellationSpec, "links": LinkConfig,
+            "ground_stations[0]": GroundStation, "workload": WorkloadSpec,
+            "federation": FederationConfig, "compute": ComputeModel, "energy": EnergyModel,
+            "tasks.library[0].services[0]": Microservice}
+    fields = [(where, f.name) for where, cls in flat.items()
+              for f in dataclasses.fields(cls) if f.type == "float"]
+    fields += [("compute", "satellite_memory_bytes"), ("compute", "satellite_energy_budget_j"),
+               ("tasks.library[0].edges[0]", "payload_bits")]
+    return [(where, name, value) for where, name in fields
+            for value in (math.nan, math.inf, -math.inf)
+            if (name, value) != ("satellite_energy_budget_j", math.inf)]
+
+
+def _at(obj: dict, where: str) -> dict:
+    """The dict inside obj at a path such as tasks.library[0].edges[0]."""
+    for part in where.split("."):
+        key, _, index = part.partition("[")
+        obj = obj[key]
+        if index:
+            obj = obj[int(index.rstrip("]"))]
+    return obj
+
+
+@pytest.mark.parametrize("where, name, value", _non_finite_cases())
+def test_non_finite_numbers_are_rejected_with_their_field(where, name, value):
+    obj = full()
+    _at(obj, where)[name] = value
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(json.dumps(obj))
+    message = str(info.value)
+    # a task's errors are reported at the task, naming the service or edge
+    section = "tasks.library[0]" if where.startswith("tasks") else where
+    assert message.startswith(section), message
+    assert re.search(rf"\b{name}\b", message), message
+
+
+def _num(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenario dicts, each optional field present or left to its default."""
+    def some(**fields):
+        return draw(st.fixed_dictionaries({}, optional=fields))
+
+    orbits = draw(st.integers(1, 4))
+    slots = draw(st.integers(1, 4))
+    obj = {
+        "constellation": {
+            "num_orbits": orbits, "sats_per_orbit": slots,
+            "altitude_km": draw(_num(200.0, 2000.0) | st.integers(200, 2000)),
+            "inclination_deg": draw(_num(0.0, 180.0)),
+            **some(phasing_factor=st.integers(0, orbits - 1), epoch=_num(-1e6, 1e6))},
+        "links": some(intra_orbit_rate_bps=_num(1.0, 1e12), inter_orbit_rate_bps=_num(1.0, 1e12),
+                      sgl_rate_bps=_num(1.0, 1e12), ground_dedicated_rate_bps=_num(1.0, 1e12),
+                      max_isl_range_km=_num(1.0, 1e5),
+                      cross_seam_policy=st.sampled_from(["disabled", "enabled"])),
+        "ground_stations": [
+            {"id": f"gs{i}", "latitude_deg": draw(_num(-90.0, 90.0)),
+             "longitude_deg": draw(_num(-180.0, 180.0)),
+             **some(dedicated_rate_bps=_num(1.0, 1e12),
+                    min_elevation_deg=_num(0.0, 90.0, exclude_max=True))}
+            for i in range(draw(st.integers(0, 3)))],
+        "workload": {
+            "samples_per_satellite": draw(st.integers(1, 1000)),
+            "batch_size": draw(st.integers(1, 1000)),
+            "embedding_dim": draw(st.integers(1, 1000)),
+            "precision_bits": draw(st.sampled_from([16, 32, 64])),
+            "head_params": draw(st.integers(0, 10**9)),
+            "embedding_params": draw(st.integers(0, 10**9)),
+            "encoder_params": draw(st.integers(0, 10**9)),
+            **some(local_epochs=st.integers(1, 5), flops_per_sample_head=_num(0.0, 1e12))},
+        "federation": some(rounds=st.integers(1, 5), intra_orbit_agg_rounds=st.integers(1, 5),
+                           aggregation_mode=st.sampled_from(["ground", "decentralized"]),
+                           epoch_seconds=_num(1e-3, 1e4), horizon_seconds=_num(1e-3, 1e5),
+                           window_step_seconds=_num(1e-3, 1e3), freeze_topology=st.booleans()),
+        "compute": some(satellite_flops_per_s=_num(1.0, 1e15), cloud_flops_per_s=_num(1.0, 1e15),
+                        satellite_memory_bytes=_num(0.0, 1e12),
+                        satellite_energy_budget_j=_num(0.0, 1e6) | st.just(math.inf)),
+        "energy": some(e_tx_j_per_bit=_num(0.0, 1.0), e_rx_j_per_bit=_num(0.0, 1.0),
+                       e_flop_j=_num(0.0, 1.0)),
+    }
+    n = draw(st.integers(0, 4))
+    if n:
+        ids = [f"m{i}" for i in range(n)]
+        obj["tasks"] = {"library": [{
+            "id": "t",
+            "services": [{"id": sid, "flops": draw(_num(0.0, 1e12)),
+                          "memory_bytes": draw(_num(0.0, 1e10)),
+                          "output_bits": draw(_num(0.0, 1e9))} for sid in ids],
+            "edges": [{"from": u, "to": v, "payload_bits": draw(_num(0.0, 1e9))}
+                      for u, v in zip(ids, ids[1:])],
+            "exit": ids[-1]}]}
+    labels = [f"o{p}s{s}" for p in range(orbits) for s in range(slots)]
+    if draw(st.booleans()):
+        obj["deployment"] = {"satellites": draw(st.lists(st.sampled_from(labels),
+                                                         unique=True))}
+    if draw(st.booleans()):
+        obj["seed"] = draw(st.integers(0, 2**31))
+    return obj
+
+
+@settings(max_examples=60, deadline=None)
+@given(obj=scenarios())
+def test_serialize_parse_serialize_is_a_fixed_point(obj):
+    parsed = parse_scenario(obj)
+    once = serialize_scenario(parsed)
+    again = parse_scenario(json.loads(json.dumps(once)))
+    assert again == parsed
+    assert serialize_scenario(again) == once
+    assert scenario_digest(again) == scenario_digest(parsed)

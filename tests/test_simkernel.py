@@ -85,7 +85,7 @@ def test_config_validation():
         FederationConfig(aggregation_mode="mesh").validate()
     with pytest.raises(ValueError, match="window_step_seconds"):
         FederationConfig(window_step_seconds=0.0).validate()
-    with pytest.raises(ValueError, match="compute throughputs"):
+    with pytest.raises(ValueError, match="satellite_flops_per_s must be positive and finite"):
         ComputeModel(satellite_flops_per_s=0.0).validate()
 
 
