@@ -16,6 +16,32 @@ outputs (placement, routes and trees all follow the chosen paths):
   and replaces a pair's route only on a strictly shorter path through k.
 * topological_order is the lexicographically smallest order: of all nodes
   whose predecessors are done, the least comes next.
+
+Floyd-Warshall is run destination-major: row j of its arrays holds column j
+of the distance matrix, the distances and next hops of every source into j.
+Iteration k sets d[i, j] = d[i, k] + d[k, j] (and the next hop of i to that
+of the i -> k path) wherever that sum is strictly less. Four facts let it
+work in place and skip work without changing one bit or one tie-break:
+
+* Finite span. inf + x is inf or NaN for every x, and neither is < d, so
+  a source i with d[i, k] == inf or a destination j with d[k, j] == inf
+  cannot change in iteration k. Only the contiguous span between the first
+  and the last finite entry of row k and of column k is relaxed.
+* In place. Row k and column k cannot change in iteration k, because
+  d[k, k] == 0 and x + 0.0 == x, so updating in place, one block of
+  destinations at a time, reads exactly the values a fresh matrix per k
+  would, and the strict < and the order of k keep its tie-breaks.
+* Pivot pass. To update column j, iteration k reads only column k and
+  column j itself, so each destination column evolves on its own given the
+  pivot columns. Column j is read as a pivot only in iteration j, so
+  pivot_columns relaxes only the columns after k in iteration k; afterwards
+  column j holds exactly its value at the start of iteration j, which is
+  what every later iteration read from it.
+* Column replay. replay_column finishes column j by applying iterations
+  k = j+1 .. n-1 to it with the stored pivot columns, in the same order,
+  with the same additions and the same strict <, so it equals column j of
+  the full floyd_warshall bit for bit. A route's whole next-hop chain into
+  j lies in column j, so one replay serves every path to j.
 """
 
 from __future__ import annotations
@@ -26,9 +52,9 @@ import numpy as np
 
 from .constellation import SatelliteId
 
-# Rows of the distance matrix relaxed per step of the all-pairs loop. It
-# bounds the scratch buffers, so one step's working set stays in cache at
-# shell sizes instead of streaming whole n x n temporaries.
+# Destination rows relaxed per step of the Floyd-Warshall loop. It bounds
+# the scratch buffers, so one step's working set stays in cache at shell
+# sizes instead of streaming whole n x n temporaries.
 _ROW_BLOCK = 128
 
 
@@ -112,11 +138,12 @@ def path_to(prev: dict, node) -> list:
     return path[::-1]
 
 
-def floyd_warshall(graph: Digraph, index: dict):
-    """All-pairs (dist, next_hop) arrays over the nodes of index, in its order.
+def _initial(graph: Digraph, index: dict):
+    """Destination-major (dist, next_hop) of the direct edges over index.
 
-    ``next_hop[i, j]`` is the index of the node after i on the kept i->j
-    path (i itself when i == j, -1 when j is unreachable).
+    Row j holds column j of the distance matrix: entry [j, i] is for the
+    pair i -> j, and next_hop[j, i] is the node after i on the kept path
+    (i itself when i == j, -1 while j is unreachable from i).
     """
     n = len(index)
     dist = np.full((n, n), np.inf)
@@ -126,28 +153,86 @@ def floyd_warshall(graph: Digraph, index: dict):
     for (u, v) in graph.edges:
         i, j = index[u], index[v]
         w = graph.weight(u, v)
-        if w < dist[i, j]:
-            dist[i, j] = w
-            nxt[i, j] = j
-    # Updating in place, one block of rows at a time, gives exactly the
-    # result of building a fresh matrix per k: row k and column k cannot
-    # change in iteration k, because dist[k, k] == 0 and x + 0.0 == x, so
-    # every block reads the same dist[k] and dist[:, k] values the whole
-    # iteration started from. The strict < and the order of k are those of
-    # the fresh-matrix form, so ties break the same way.
-    alt = np.empty((min(n, _ROW_BLOCK), n))
-    better = np.empty(alt.shape, dtype=bool)
+        if w < dist[j, i]:
+            dist[j, i] = w
+            nxt[j, i] = j
+    return dist, nxt
+
+
+def _finite_span(values):
+    """(first, stop) of the finite entries of a vector; (0, 0) when none."""
+    # bytes.find/rfind scan in C at a fraction of argmax's call overhead,
+    # which dominates on desk-size graphs.
+    finite = (values != np.inf).tobytes()
+    first = finite.find(1)
+    return (first, finite.rfind(1) + 1) if first >= 0 else (0, 0)
+
+
+def _relax(dist, nxt, pivot_pass: bool) -> None:
+    """Floyd-Warshall iterations k = 0 .. n-1 in place on destination-major
+    arrays over the finite spans, relaxing every destination, or with
+    pivot_pass only the destinations after k (see the module docstring)."""
+    n = len(dist)
+    buf = np.empty(min(n, _ROW_BLOCK) * n)
+    mask = np.empty(buf.shape, dtype=bool)
     for k in range(n):
-        via_k = dist[k]
-        for r in range(0, n, _ROW_BLOCK):
-            d = dist[r:r + _ROW_BLOCK]
-            h = nxt[r:r + _ROW_BLOCK]
-            a, b = alt[:len(d)], better[:len(d)]
-            np.add(d[:, k, None], via_k, out=a)
+        lo = k + 1 if pivot_pass else 0
+        first, stop = _finite_span(dist[lo:, k])
+        if first == stop:
+            continue
+        c0, c1 = _finite_span(dist[k])
+        via_k = dist[k, c0:c1]
+        hop_k = nxt[k, c0:c1]
+        for r in range(lo + first, lo + stop, _ROW_BLOCK):
+            r1 = min(r + _ROW_BLOCK, lo + stop)
+            d = dist[r:r1, c0:c1]
+            a = buf[:d.size].reshape(d.shape)
+            b = mask[:d.size].reshape(d.shape)
+            np.add(dist[r:r1, k, None], via_k, out=a)
             np.less(a, d, out=b)
             np.copyto(d, a, where=b)
-            np.copyto(h, h[:, k, None], where=b)
+            np.copyto(nxt[r:r1, c0:c1], hop_k, where=b)
+
+
+def floyd_warshall(graph: Digraph, index: dict):
+    """All-pairs (dist, next_hop) arrays over the nodes of index, in its order.
+
+    ``next_hop[i, j]`` is the index of the node after i on the kept i->j
+    path (i itself when i == j, -1 when j is unreachable).
+    """
+    dist, nxt = _initial(graph, index)
+    _relax(dist, nxt, pivot_pass=False)
+    return dist.T, nxt.T
+
+
+def pivot_columns(graph: Digraph, index: dict):
+    """Destination-major (dist, next_hop) whose row j is column j of the
+    distance matrix as Floyd-Warshall iteration j reads it; replay_column
+    finishes any one of them."""
+    dist, nxt = _initial(graph, index)
+    _relax(dist, nxt, pivot_pass=True)
     return dist, nxt
+
+
+def replay_column(dist, nxt, j: int):
+    """Final (dist, next_hop) vectors of destination j from the pivot arrays:
+    entry i is the i -> j distance and the node after i on the kept path.
+
+    Applies iterations k = j+1 .. n-1 to row j; iteration j itself changes
+    nothing, and a k with no route from k to j cannot relax anything.
+    """
+    col, hop = dist[j].copy(), nxt[j].copy()
+    alt = np.empty(len(col))
+    better = np.empty(len(col), dtype=bool)
+    for k in range(j + 1, len(col)):
+        via = col[k]
+        if via == np.inf:
+            continue
+        np.add(dist[k], via, out=alt)
+        np.less(alt, col, out=better)
+        np.copyto(col, alt, where=better)
+        np.copyto(hop, nxt[k], where=better)
+    return col, hop
 
 
 def topological_order(nodes, edges) -> list:

@@ -1,5 +1,6 @@
-"""Inter-orbit routing: rate-reciprocal weights, all-pairs shortest paths,
-and iterative selection of edge-disjoint paths between two orbits.
+"""Inter-orbit routing: rate-reciprocal weights, shortest paths built per
+destination on request, and iterative selection of edge-disjoint paths
+between two orbits.
 
 Paths deleted from the graph after selection cannot be reused, so the
 returned set is pairwise edge-disjoint and the payload can be striped
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constellation import LinkKind, SatelliteId, TopologySnapshot
-from .graph import Digraph, dijkstra, floyd_warshall, node_key, path_to
+from .graph import Digraph, dijkstra, node_key, path_to, pivot_columns, replay_column
 
 ISL_KINDS = (LinkKind.INTRA_ORBIT_ISL, LinkKind.INTER_ORBIT_ISL, LinkKind.CROSS_SEAM_ISL)
 
@@ -55,30 +56,41 @@ def build_weighted_graph(snapshot: TopologySnapshot, include_ground: bool = Fals
 
 
 class ShortestPaths:
-    """All-pairs shortest path distances with next-hop reconstruction.
+    """Shortest routes into each destination, built on first request.
 
-    graph.floyd_warshall over the 1/rate weights, nodes indexed in sorted
-    order (see leoplan.graph for the tie-break it keeps); ``path`` follows
-    ``next_hop`` hop by hop.
+    graph.pivot_columns over the 1/rate weights, nodes indexed in sorted
+    order; ``column(j)`` replays destination j's column of the Floyd-Warshall
+    matrix once and caches it (see leoplan.graph for why that is exact and
+    for the tie-break it keeps). ``path`` follows that column's next hops.
     """
 
     def __init__(self, graph: WeightedDigraph):
         self.graph = graph
         self.nodes = graph.sorted_nodes()
         self.index = {n: i for i, n in enumerate(self.nodes)}
-        self.dist, self.next_hop = floyd_warshall(graph, self.index)
+        self._pivots = pivot_columns(graph, self.index)
+        self._columns: dict = {}
         self._metrics: dict = {}
 
+    def column(self, j: int):
+        """(dist, next_hop) vectors of the routes into the node at index j:
+        entry i is the i -> j distance and the index of the node after i on
+        the kept path (i itself when i == j, -1 when j is unreachable)."""
+        if j not in self._columns:
+            self._columns[j] = replay_column(*self._pivots, j)
+        return self._columns[j]
+
     def distance(self, u, v) -> float:
-        return float(self.dist[self.index[u], self.index[v]])
+        return float(self.column(self.index[v])[0][self.index[u]])
 
     def path(self, u, v) -> list | None:
         i, j = self.index[u], self.index[v]
-        if self.next_hop[i, j] < 0:
+        hop = self.column(j)[1]
+        if hop[i] < 0:
             return None
         hops = [i]
         while hops[-1] != j:
-            hops.append(int(self.next_hop[hops[-1], j]))
+            hops.append(int(hop[hops[-1]]))
         return [self.nodes[h] for h in hops]
 
     def path_metrics(self, u, v):
@@ -118,12 +130,14 @@ class ShortestPaths:
                              "hosts not connected in the snapshot")
         return bits / m[0] + m[1]
 
-def all_pairs_shortest(graph: WeightedDigraph) -> ShortestPaths:
-    """Floyd-Warshall over 1/rate weights; nodes iterated in sorted order.
 
-    A pair's route changes only on a strictly shorter path through the next
-    node in that order; see ShortestPaths for the kept tie-break and the
-    next-hop reconstruction.
+def all_pairs_shortest(graph: WeightedDigraph) -> ShortestPaths:
+    """Floyd-Warshall routes over 1/rate weights; nodes iterated in sorted order.
+
+    Runs the pivot pass now and finishes each destination on its first
+    request. A pair's route changes only on a strictly shorter path through
+    the next node in that order; see ShortestPaths for the kept tie-break
+    and the next-hop reconstruction.
     """
     return ShortestPaths(graph)
 

@@ -229,7 +229,7 @@ class LatencyBreakdown:
 
 
 class Router:
-    """Caches all-pairs routes over a snapshot for repeated latency queries."""
+    """Caches routes over a snapshot for repeated latency queries."""
 
     def __init__(self, snapshot: TopologySnapshot, include_ground: bool = True):
         self._paths: ShortestPaths = all_pairs_shortest(

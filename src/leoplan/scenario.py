@@ -78,12 +78,13 @@ def _value(v, kind: str, path: str, name: str):
     types, expected = _KINDS[kind]
     if not isinstance(v, types) or isinstance(v, bool) != (kind == "bool"):
         raise ScenarioError(f"{path}.{name}: expected {expected}")
-    if kind != "float":
+    if kind not in ("float", "int"):
         return v
     try:
-        return float(v)
+        as_float = float(v)
     except OverflowError:  # a JSON integer beyond the float range
         raise ScenarioError(f"{path}.{name}: must be finite") from None
+    return as_float if kind == "float" else v
 
 
 @functools.cache

@@ -187,15 +187,13 @@ def simulate_round(
     workload: WorkloadSpec,
     setup: SimulationSetup,
     round_index: int = 0,
-    seed: int = 0,
     start_time: float = 0.0,
 ) -> RoundTrace:
     """Simulate one federated round starting at start_time.
 
-    The seed is accepted for interface stability; every phase is deterministic,
-    so identical arguments always produce identical traces.
+    Every phase is deterministic, so identical arguments always produce
+    identical traces.
     """
-    del seed
     config.validate()
     workload.validate()
     setup.compute.validate()
@@ -346,14 +344,16 @@ def simulate_fine_tuning(
     """Run config.rounds federated rounds back to back.
 
     Returns (traces, RunAggregate); the simulated clock of round k+1 starts
-    where round k ended.
+    where round k ended. The rounds are deterministic and draw no random
+    numbers, so seed changes nothing; it stays in the signature because the
+    CLI and perfbench pass the scenario's seed.
     """
     config.validate()
     traces = []
     t = constellation.spec.epoch
     for r in range(config.rounds):
         trace = simulate_round(config, constellation, workload, setup,
-                               round_index=r, seed=seed, start_time=t)
+                               round_index=r, start_time=t)
         traces.append(trace)
         t = trace.start_time + trace.total_seconds
 

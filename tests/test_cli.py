@@ -322,6 +322,20 @@ def test_semantic_scenario_errors_exit_2(tmp_path, capsys, section, key, value, 
     assert not (tmp_path / "out").exists()
 
 
+def test_int_beyond_float_range_exits_2(tmp_path, capsys):
+    obj = json.loads(Path(TWO_TASK).read_text(encoding="utf-8"))
+    obj["workload"]["head_params"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, stdout, err = run_cli(capsys, "allreduce", str(path), "--out-dir",
+                                str(tmp_path / "out"))
+    assert code == 2
+    assert stdout == ""
+    body = json.loads(err)["error"]
+    assert body["type"] == "ScenarioError"
+    assert body["message"] == "workload.head_params: must be finite"
+
+
 def test_console_script(tmp_path):
     exe = shutil.which("leoplan")
     if exe:

@@ -415,3 +415,39 @@ def test_training_and_greedy_never_reevaluate_the_objective(monkeypatch):
     train_policy_gradient(env, episodes=20, seed=1)
     solve_greedy(env.instance)
     assert calls == []
+
+
+def test_shell_instance_replays_only_candidate_columns(monkeypatch):
+    # Placement asks for routes between 12 candidates of a 528-node shell: no
+    # full all-pairs matrix may be built, and each candidate's destination
+    # column is replayed at most once.
+    from leoplan import ConstellationSpec, LinkConfig, build_walker, graph, interorbit, snapshot
+    from leoplan import msdag, orchestration
+
+    def full_matrix(*args, **kwargs):
+        raise AssertionError("full all-pairs matrix built")
+
+    for module in (graph, interorbit, deployment, msdag, orchestration):
+        if hasattr(module, "floyd_warshall"):
+            monkeypatch.setattr(module, "floyd_warshall", full_matrix)
+    walker = build_walker(ConstellationSpec(24, 22, 550.0, 53.0, phasing_factor=1))
+    snap = snapshot(walker, 0.0, LinkConfig())
+    sats = [SatelliteNode(sat(f"o{2 * k}s{(7 * k) % 22}"), 1e12 * (1 + k % 3), 3.0)
+            for k in range(12)]
+    tasks = [chain_task([f"a{i}" for i in range(6)], task_id="ta"),
+             chain_task(["a0", "a1"] + [f"b{i}" for i in range(5)], task_id="tb")]
+    inst = DeploymentInstance(tasks, sats, snap)
+
+    replayed = []
+    replay = interorbit.replay_column
+
+    def counted(dist, nxt, j):
+        replayed.append(j)
+        return replay(dist, nxt, j)
+
+    monkeypatch.setattr(interorbit, "replay_column", counted)
+    plan = solve_greedy(inst)
+    assert plan.feasible
+    assert len(set(plan.assignment.values())) > 1  # routes were asked for
+    assert replayed and len(replayed) == len(set(replayed)) <= len(sats)
+    assert len(inst._routes._columns) == len(replayed)  # none before the spy

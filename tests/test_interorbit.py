@@ -17,6 +17,7 @@ from leoplan import (
     snapshot,
 )
 from leoplan.constellation import LinkKind
+from leoplan.graph import pivot_columns
 
 import numpy as np
 
@@ -146,13 +147,16 @@ def test_path_metrics_match_bruteforce():
 
 
 def assert_same_routes(g, sources):
-    """ShortestPaths equals the whole-matrix reference bit for bit, and its
-    path() lists from the given source indices equal the reference's."""
+    """Every destination column of ShortestPaths equals the whole-matrix
+    reference bit for bit, and its path() lists from the given source
+    indices equal the reference's."""
     sp = all_pairs_shortest(g)
     dist, nxt = floyd_warshall(g)
     assert sp.nodes == g.sorted_nodes()
-    assert np.array_equal(sp.dist, dist)
-    assert np.array_equal(sp.next_hop, nxt)
+    for j in range(len(sp.nodes)):
+        col, hop = sp.column(j)
+        assert col.dtype == dist.dtype and col.tobytes() == dist[:, j].tobytes()
+        assert np.array_equal(hop, nxt[:, j])
     for i in sources:
         for j, dst in enumerate(sp.nodes):
             assert sp.path(sp.nodes[i], dst) == next_hop_path(sp.nodes, nxt, i, j)
@@ -166,14 +170,43 @@ def test_all_pairs_matches_whole_matrix_reference(n, seed, out_degree, isolated_
     """Sizes straddle the 128-row block, so the last block can be partial."""
     rng = np.random.default_rng(seed)
     g = random_sparse_digraph(rng, n, out_degree, isolated_share, tied)
-    assert_same_routes(g, sources=sorted({0, n // 2, n - 1}))
+    assert_same_routes(g, sources=range(n))
+
+
+def shell_graph(cross_seam_policy="disabled"):
+    walker = build_walker(ConstellationSpec(12, 22, 550.0, 53.0, phasing_factor=1))
+    g = build_weighted_graph(snapshot(walker, 0.0,
+                                      LinkConfig(cross_seam_policy=cross_seam_policy)))
+    assert len(g.nodes) == 264
+    return g
 
 
 def test_all_pairs_matches_reference_on_a_shell_snapshot():
-    walker = build_walker(ConstellationSpec(12, 22, 550.0, 53.0, phasing_factor=1))
-    g = build_weighted_graph(snapshot(walker, 0.0, LinkConfig()))
-    assert len(g.nodes) == 264
+    assert_same_routes(shell_graph(), sources=(0, 131, 263))
+
+
+def test_all_pairs_matches_reference_on_a_cross_seam_shell():
+    g = shell_graph("enabled")
+    # The seam links give o0s0 neighbours in the last orbit, so the finite
+    # span of its pivot row already runs into the last orbit.
+    dist, _ = pivot_columns(g, {n: i for i, n in enumerate(g.sorted_nodes())})
+    assert np.flatnonzero(np.isfinite(dist[0]))[-1] >= 264 - 22
     assert_same_routes(g, sources=(0, 131, 263))
+
+
+def test_unconnected_pair_keeps_its_error_and_matches_reference():
+    # Two rings with no link between them: replays skip every pivot of the
+    # other ring, and a transfer across still raises the no-route error.
+    ring = [("o0s0", "o0s1", 1e9), ("o0s1", "o0s2", 2e9), ("o0s2", "o0s0", 1e9)]
+    other = [("o1s0", "o1s1", 1e9), ("o1s1", "o1s2", 1e9), ("o1s2", "o1s0", 4e9)]
+    g = build_weighted_graph(toy_snapshot(ring + other))
+    assert_same_routes(g, sources=range(6))
+    sp = all_pairs_shortest(g)
+    a, b = SatelliteId.parse("o0s1"), SatelliteId.parse("o1s2")
+    assert sp.distance(a, b) == math.inf and sp.path(a, b) is None
+    with pytest.raises(ValueError, match="no route from o0s1 to o1s2: hosts not connected "
+                                         "in the snapshot"):
+        sp.transfer_seconds(a, b, 1.0)
 
 
 def test_disjoint_paths_rectangle():

@@ -177,6 +177,16 @@ def test_type_errors():
         parse_scenario(json.dumps(obj))
 
 
+@pytest.mark.parametrize("section, name", [("constellation", "num_orbits"),
+                                           ("workload", "head_params")])
+def test_int_beyond_float_range_is_rejected(section, name):
+    # Int fields meet float arithmetic downstream, so they must fit a float.
+    obj = minimal()
+    obj[section][name] = 10**400
+    with pytest.raises(ScenarioError, match=f"{section}.{name}: must be finite"):
+        parse_scenario(json.dumps(obj))
+
+
 def test_station_errors():
     obj = minimal()
     obj["ground_stations"] = {"id": "gs"}
