@@ -39,6 +39,14 @@ class SatelliteId:
     orbit_index: int
     slot_index: int
 
+    def __post_init__(self) -> None:
+        # The planners key dicts and sets by satellite, so the dataclass hash,
+        # hash((orbit_index, slot_index)), is computed once and kept.
+        object.__setattr__(self, "_hash", hash((self.orbit_index, self.slot_index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def label(self) -> str:
         return f"o{self.orbit_index}s{self.slot_index}"
@@ -215,16 +223,18 @@ class WalkerConstellation:
         """Positions for many instants at once, shape (len(times), num_satellites, 3)."""
         dt = np.asarray(times, dtype=float)[:, None] - self.spec.epoch
         u = self._phase0[None, :] + self.mean_motion * dt
-        cos_u, sin_u = np.cos(u), np.sin(u)
         ci, si = math.cos(self._incl), math.sin(self._incl)
-        # In-plane coordinates rotated by inclination, then by RAAN about z.
-        xo = self.radius_km * cos_u
-        yo = self.radius_km * sin_u * ci
-        zo = self.radius_km * sin_u * si
+        # In-plane coordinates rotated by inclination, then by RAAN about z,
+        # written straight into the result.
+        out = np.empty(u.shape + (3,))
+        xo = self.radius_km * np.cos(u)
+        r_sin_u = self.radius_km * np.sin(u)
+        np.multiply(r_sin_u, si, out=out[..., 2])
+        yo = r_sin_u * ci
         co, so = np.cos(self._raan), np.sin(self._raan)
-        x = xo * co[None, :] - yo * so[None, :]
-        y = xo * so[None, :] + yo * co[None, :]
-        return np.stack([x, y, zo], axis=-1)
+        np.subtract(xo * co[None, :], yo * so[None, :], out=out[..., 0])
+        np.add(xo * so[None, :], yo * co[None, :], out=out[..., 1])
+        return out
 
     def position_of(self, sat: SatelliteId, t: float) -> np.ndarray:
         return self.positions_at(t)[self._index[sat]]
@@ -264,7 +274,9 @@ def snapshot(
     Emits the intra-orbit rings, the same-slot inter-orbit ISLs of adjacent
     planes that are within range (the wrap-around plane pair counts as the
     seam and follows the cross-seam policy), and, when stations are given,
-    the currently visible SGLs plus each station's dedicated ground link.
+    the currently visible SGLs plus each station's dedicated ground link. A
+    satellite gets an SGL exactly when contact_windows would count the
+    instant t as a visible sample.
     """
     link_config.validate()
     spec = constellation.spec
@@ -303,22 +315,44 @@ def snapshot(
     for st in stations:
         st.validate()
         st_pos = station_eci_km(st, t, spec.epoch)
-        for sat in constellation.satellites:
-            if elevation_deg(positions[sat], st_pos) >= st.min_elevation_deg:
-                dist = float(np.linalg.norm(positions[sat] - st_pos))
-                links.append(Link(LinkKind.SGL, (sat, st.id), link_config.sgl_rate_bps,
-                                  dist / LIGHT_SPEED_KM_S))
+        _, visible = _visibility(constellation, st, np.array([t], dtype=float), pos[None])
+        for i in visible.tolist():
+            dist = float(np.linalg.norm(pos[i] - st_pos))
+            links.append(Link(LinkKind.SGL, (constellation.satellites[i], st.id),
+                              link_config.sgl_rate_bps, dist / LIGHT_SPEED_KM_S))
         links.append(Link(LinkKind.GROUND_DEDICATED, (st.id, "cloud"),
                           st.dedicated_rate_bps, 0.0))
 
     return TopologySnapshot(time=t, links=tuple(links), positions=positions)
 
 
+# Margin below the exact cone bound p* in _visibility, in km; its docstring
+# shows rounding moves the crossing of the mask by about 1e-12 km.
+_CONE_MARGIN_KM = 1.0
+
+
 def _visibility(constellation: WalkerConstellation, station: GroundStation,
-                times: np.ndarray, sat_pos: np.ndarray) -> np.ndarray:
-    """Whether each satellite is above the station's mask, shape (len(times), n).
+                times: np.ndarray, sat_pos: np.ndarray) -> tuple:
+    """Index arrays (t, i) of the samples where satellite i is above the
+    station's mask at times[t], in row-major order of the (len(times), n) grid.
+    This is the one visibility test: contact_windows and snapshot both use it.
 
     sat_pos holds the constellation's positions at times, shape (len(times), n, 3).
+
+    A sample is visible when the sine of elevation, up / |d| with d = sat - st
+    and up = d . zen, is at least sin(mask), but that formula runs only on the
+    samples inside a cone around the zenith. With the satellite at radius r,
+    the station at R and p = sat . zen, up = p - R and |d|^2 = r^2 + R^2 - 2 R p,
+    so the sine is (p - R) / sqrt(r^2 + R^2 - 2 R p). Its derivative in p is
+    (r^2 - R p) / |d|^3 > 0 (p <= r and R < r), so a mask m >= 0 holds exactly
+    when p >= p* = R cos^2 m + sin m sqrt(r^2 - R^2 cos^2 m), and p* >= R. For
+    p >= R, |d|^2 <= r^2 - R p, so an absolute error e in up or |d| moves the p
+    at which the computed sine crosses the mask by at most about e. Those
+    errors, and the rounding of p, r and R, are about 1e-12 km, so every sample
+    the formula flags has p >= p* - _CONE_MARGIN_KM and the samples left out
+    are false either way. The kept samples go through the formula elementwise,
+    so the result is bit-identical to evaluating it at every sample; the only
+    (T, n) arrays built are p and its cone test.
     """
     theta = EARTH_ROTATION_RAD_S * (times - constellation.spec.epoch)
     ex, ey, ez = station.ecef_km()
@@ -327,17 +361,16 @@ def _visibility(constellation: WalkerConstellation, station: GroundStation,
          np.sin(theta) * ex + np.cos(theta) * ey,
          np.full_like(theta, ez)], axis=-1)  # (T, 3)
     zen = st_pos / np.linalg.norm(st_pos, axis=-1, keepdims=True)
-    d = sat_pos - st_pos[:, None, :]
-    up = np.einsum("tnk,tk->tn", d, zen)
-    # validate() keeps the mask in [0, 90), so a satellite below the horizon
-    # plane (up < 0) has a negative sine of elevation and is never visible.
-    # Only the samples above it need the range norm; they go through the
-    # same elementwise formula as a full-array evaluation would.
-    t, i = np.nonzero(up >= 0.0)
-    sin_elev = up[t, i] / np.linalg.norm(d[t, i], axis=-1)
-    visible = np.zeros(up.shape, dtype=bool)
-    visible[t, i] = sin_elev >= math.sin(math.radians(station.min_elevation_deg))
-    return visible
+    sin_mask = math.sin(math.radians(station.min_elevation_deg))
+    cos2 = 1.0 - sin_mask * sin_mask
+    r, big_r = constellation.radius_km, EARTH_RADIUS_KM
+    p_star = big_r * cos2 + sin_mask * math.sqrt(r * r - big_r * big_r * cos2)
+    p = np.matmul(sat_pos, zen[:, :, None])[..., 0]
+    t, i = np.nonzero(p >= p_star - _CONE_MARGIN_KM)
+    d = sat_pos[t, i] - st_pos[t]
+    sin_elev = np.einsum("ck,ck->c", d, zen[t]) / np.linalg.norm(d, axis=-1)
+    keep = sin_elev >= sin_mask
+    return t[keep], i[keep]
 
 
 def contact_windows(
@@ -371,14 +404,19 @@ def contact_windows(
     windows: list[ContactWindow] = []
     for st in stations:
         st.validate()
-        visible = _visibility(constellation, st, times, sat_pos)  # (T, n)
-        # Rises (+1) and falls (-1) of each satellite's column, padded so that
-        # runs touching either end of the horizon still have both edges.
-        edges = np.diff(visible.T.astype(np.int8), prepend=0, append=0, axis=1)
-        sat_idx, rise = np.nonzero(edges == 1)
-        _, fall = np.nonzero(edges == -1)
-        starts = times[rise].tolist()
-        ends = (times[fall - 1] + step).tolist()
-        windows.extend(ContactWindow(sats[i], st.id, t0, t1, cfg.sgl_rate_bps)
-                       for i, t0, t1 in zip(sat_idx.tolist(), starts, ends))
+        t, i = _visibility(constellation, st, times, sat_pos)
+        if len(t) == 0:
+            continue
+        # Satellite-major order; a run is a stretch of consecutive keys, and
+        # the gap of len(times) + 1 per satellite keeps runs of two satellites apart.
+        order = np.lexsort((t, i))
+        t, i = t[order], i[order]
+        key = i * (len(times) + 1) + t
+        breaks = np.flatnonzero(np.diff(key) != 1) + 1
+        first = np.concatenate(([0], breaks))
+        last = np.concatenate((breaks, [len(key)])) - 1
+        starts = times[t[first]].tolist()
+        ends = (times[t[last]] + step).tolist()
+        windows.extend(ContactWindow(sats[k], st.id, t0, t1, cfg.sgl_rate_bps)
+                       for k, t0, t1 in zip(i[first].tolist(), starts, ends))
     return windows

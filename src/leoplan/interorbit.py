@@ -9,6 +9,7 @@ across the paths in parallel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .constellation import LinkKind, SatelliteId, TopologySnapshot
@@ -28,8 +29,8 @@ class WeightedDigraph(Digraph):
     """Directed graph with weight = 1/capacity per edge."""
 
     def add_edge(self, u, v, capacity_bps: float, propagation_s: float = 0.0) -> None:
-        if capacity_bps <= 0:
-            raise ValueError("capacity must be positive")
+        if not math.isfinite(capacity_bps) or capacity_bps <= 0:
+            raise ValueError("capacity must be positive and finite")
         self._set_edge(u, v, EdgeAttr(1.0 / capacity_bps, capacity_bps, propagation_s))
 
     def weight(self, u, v) -> float:

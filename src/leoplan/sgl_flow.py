@@ -10,6 +10,7 @@ decides how much of each orbit's model lands per epoch.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -29,8 +30,8 @@ class FlowNetwork:
         self.adjacency: dict = {}
 
     def add_edge(self, u, v, capacity: float) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be nonnegative")
+        if not capacity >= 0:
+            raise ValueError(f"capacity must be nonnegative, got {capacity}")
         if (u, v) in self.capacity:
             self.capacity[(u, v)] += capacity
             return
@@ -85,10 +86,10 @@ def build_flow_network(
     Edge capacities are fractions of model_bits, so a unit of flow equals one
     full model copy delivered.
     """
-    if window_duration <= 0:
-        raise ValueError("window_duration must be positive")
-    if model_bits <= 0:
-        raise ValueError("model_bits must be positive")
+    if not math.isfinite(window_duration) or window_duration <= 0:
+        raise ValueError("window_duration must be positive and finite")
+    if not math.isfinite(model_bits) or model_bits <= 0:
+        raise ValueError("model_bits must be positive and finite")
     state.validate()
     by_station = {st.id: st for st in stations}
 
@@ -114,47 +115,60 @@ def build_flow_network(
 def max_flow(network: FlowNetwork, source=SOURCE, sink=SINK) -> FlowAssignment:
     """Ford-Fulkerson with BFS augmenting paths (shortest first), deterministic.
 
-    Returns the flow on every forward edge plus the total value; the result
-    always satisfies capacity and conservation, checked before returning.
+    Vertices are numbered in insertion order, and every ordered pair with an
+    edge either way gets one residual slot, so the search runs on integers.
+    Each vertex scans its out-edges in insertion order, then the tails of its
+    in-edges that are not also heads; ties, paths and every float operation
+    are those of a residual dict keyed by vertex pairs. Returns the flow on
+    every forward edge plus the total value; the result always satisfies
+    capacity and conservation, checked before returning.
     """
-    residual = dict(network.capacity)
-    for (u, v) in network.capacity:
-        residual.setdefault((v, u), 0.0)
-    neighbors: dict = {u: list(vs) for u, vs in network.adjacency.items()}
-    for (u, v) in network.capacity:
-        if u not in neighbors.get(v, []):
-            neighbors.setdefault(v, []).append(u)
+    index = {u: k for k, u in enumerate(network.adjacency)}
+    pairs = [(index[u], index[v]) for u, v in network.capacity]
+    residual = list(network.capacity.values())
+    slot = {pair: k for k, pair in enumerate(pairs)}
+    neighbors: list = [[] for _ in index]
+    for k, (i, j) in enumerate(pairs):
+        neighbors[i].append((j, k))
+    for i, j in pairs[:len(network.capacity)]:
+        if (j, i) not in slot:
+            slot[(j, i)] = len(pairs)
+            pairs.append((j, i))
+            residual.append(0.0)
+            neighbors[j].append((i, slot[(j, i)]))
+    reverse = [slot[(j, i)] for i, j in pairs]
 
     value = 0.0
-    while True:
-        prev = {source: None}
-        queue = deque([source])
-        while queue and sink not in prev:
+    s, t = index.get(source), index.get(sink)
+    while s is not None and t is not None and s != t:
+        via = [-1] * len(index)  # residual slot each vertex was reached by
+        via[s] = len(pairs)  # reached, by no slot
+        queue = deque([s])
+        while queue and via[t] < 0:
             u = queue.popleft()
-            for v in neighbors.get(u, []):
-                if v not in prev and residual.get((u, v), 0.0) > FLOW_TOL:
-                    prev[v] = u
+            for v, k in neighbors[u]:
+                if via[v] < 0 and residual[k] > FLOW_TOL:
+                    via[v] = k
                     queue.append(v)
-        if sink not in prev:
+        if via[t] < 0:
             break
         bottleneck = float("inf")
-        v = sink
-        while prev[v] is not None:
-            u = prev[v]
-            bottleneck = min(bottleneck, residual[(u, v)])
-            v = u
-        v = sink
-        while prev[v] is not None:
-            u = prev[v]
-            residual[(u, v)] -= bottleneck
-            residual[(v, u)] += bottleneck
-            v = u
+        v = t
+        while v != s:
+            bottleneck = min(bottleneck, residual[via[v]])
+            v = pairs[via[v]][0]
+        v = t
+        while v != s:
+            k = via[v]
+            residual[k] -= bottleneck
+            residual[reverse[k]] += bottleneck
+            v = pairs[k][0]
         value += bottleneck
 
     flows = {}
-    for (u, v), cap in network.capacity.items():
-        f = cap - residual[(u, v)]
-        flows[(u, v)] = f if f > FLOW_TOL else 0.0
+    for (key, cap), left in zip(network.capacity.items(), residual):
+        f = cap - left
+        flows[key] = f if f > FLOW_TOL else 0.0
     assignment = FlowAssignment(flows, value)
     check_feasible(network, assignment, source, sink)
     return assignment
@@ -170,12 +184,13 @@ def check_feasible(network: FlowNetwork, assignment: FlowAssignment,
             raise ValueError(f"edge {u}->{v}: flow {f} violates capacity {cap}")
         excess[u] = excess.get(u, 0.0) - f
         excess[v] = excess.get(v, 0.0) + f
+    inflow = excess.get(sink, 0.0)
+    excess.pop(source, None)
+    excess.pop(sink, None)
     for node, e in excess.items():
-        if node in (source, sink):
-            continue
         if abs(e) > tol:
             raise ValueError(f"node {node}: flow imbalance {e}")
-    if abs(excess.get(sink, 0.0) - assignment.value) > max(tol, 1e-6 * abs(assignment.value)):
+    if abs(inflow - assignment.value) > max(tol, 1e-6 * abs(assignment.value)):
         raise ValueError("flow value does not match net inflow at sink")
 
 
@@ -199,6 +214,38 @@ class DownlinkResult:
 
 def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
     return max(0.0, min(a1, b1) - max(a0, b0))
+
+
+def _epoch_span(start: float, end: float, start_time: float, epoch_seconds: float,
+                count: int) -> tuple:
+    """Epochs [lo, hi) among the first count whose [t0, t0 + epoch_seconds),
+    t0 = start_time + e * epoch_seconds, the window [start, end) can overlap.
+
+    _overlap is positive only where t0 < end and t0 + epoch_seconds > start.
+    Both sides are the scheduler's own float expressions and never decrease
+    with e, so walking from the rounded estimate finds the exact bounds; a
+    window that is empty, reversed or NaN overlaps no epoch.
+    """
+    if not start < end:
+        return 0, 0
+
+    def t0(e: int) -> float:
+        return start_time + e * epoch_seconds
+
+    def estimate(x: float) -> int:
+        return int(min(max((x - start_time) / epoch_seconds, 0.0), count))
+
+    lo = estimate(start)
+    while lo > 0 and t0(lo - 1) + epoch_seconds > start:
+        lo -= 1
+    while lo < count and t0(lo) + epoch_seconds <= start:
+        lo += 1
+    hi = estimate(end)
+    while hi > 0 and t0(hi - 1) >= end:
+        hi -= 1
+    while hi < count and t0(hi) < end:
+        hi += 1
+    return lo, hi
 
 
 def schedule_downlink(
@@ -242,8 +289,10 @@ def schedule_downlink(
         if orbits is None:
             orbits = sorted(model_bits)
         model_bits = sizes.pop() if sizes else 0.0
-    if model_bits <= 0:
-        raise ValueError("model_bits must be positive")
+    if not math.isfinite(model_bits) or model_bits <= 0:
+        raise ValueError("model_bits must be positive and finite")
+    if not math.isfinite(start_time):
+        raise ValueError("start_time must be finite")
     if orbits is None:
         orbits = sorted({w.satellite.orbit_index for w in windows})
 
@@ -253,15 +302,27 @@ def schedule_downlink(
 
     epochs: list[EpochFlow] = []
     epoch_count = int(horizon // epoch_seconds)
+    # Each window joins the scan at the first epoch it can overlap and leaves
+    # after its last (_epoch_span), so an epoch tests only those windows, in
+    # timeline order, where a full scan would test every window.
+    pending = []
+    for k, w in enumerate(windows):
+        if w.satellite.orbit_index in state.remaining:
+            lo, hi = _epoch_span(w.start, w.end, start_time, epoch_seconds, epoch_count)
+            if lo < hi:
+                pending.append((lo, k, hi, w))
+    pending.sort(reverse=True)
+    live: list = []  # (timeline index, end epoch, window), in timeline order
     for e in range(epoch_count):
         if state.done(tol):
             break
         t0 = start_time + e * epoch_seconds
         t1 = t0 + epoch_seconds
+        while pending and pending[-1][0] == e:
+            bisect.insort(live, pending.pop()[1:])
+        live = [entry for entry in live if entry[1] > e]
         active = []
-        for w in windows:
-            if w.satellite.orbit_index not in state.remaining:
-                continue
+        for _, _, w in live:
             ov = _overlap(w.start, w.end, t0, t1)
             if ov > 0:
                 active.append(ContactWindow(w.satellite, w.ground_station, t0, t1,
@@ -271,7 +332,7 @@ def schedule_downlink(
             net = build_flow_network(active, state, epoch_seconds, model_bits, stations)
             assignment = max_flow(net)
             for (u, v), f in assignment.flows.items():
-                if u == SOURCE and isinstance(v, SatelliteId):
+                if isinstance(v, SatelliteId) and u == SOURCE:
                     delivered[v.orbit_index] += f
         else:
             assignment = FlowAssignment({}, 0.0)

@@ -10,8 +10,12 @@ reference_visibility keep the library's earlier whole-array formulations,
 so the faster versions must reproduce them bit for bit; likewise
 merged_topological_order and multi_source_dijkstra keep the loops that
 leoplan.graph replaced, reference_dag_cycle the recursive search validate_dag
-replaced, and reference_action_features and reference_greedy the placement
-code that re-evaluated the from-scratch objective for every candidate.
+replaced, reference_action_features and reference_greedy the placement
+code that re-evaluated the from-scratch objective for every candidate, and
+reference_max_flow and reference_schedule_downlink the dict-keyed max-flow
+and the scheduler that tested every window in every epoch (it builds each
+epoch's network with the library's _overlap and build_flow_network, so only
+the window scan and the max-flow differ).
 full_hosting_reduction_check runs the library's dst_exact against networkx's
 Edmonds arborescence.
 """
@@ -19,9 +23,13 @@ Edmonds arborescence.
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import itertools
 import math
+import sys
+from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -44,11 +52,17 @@ from leoplan import (
     SteinerInstance,
     TopologySnapshot,
     WeightedDigraph,
+    build_flow_network,
+    build_walker,
+    check_feasible,
     dag_latency,
     dst_exact,
+    parse_scenario,
 )
 from leoplan.constellation import EARTH_ROTATION_RAD_S, _visibility
 from leoplan.deployment import DeploymentPlan, _objective
+from leoplan.sgl_flow import (FLOW_TOL, SINK, SOURCE, DownlinkResult, DownlinkState, EpochFlow,
+                              FlowAssignment, _overlap)
 
 
 def sat(label):
@@ -274,6 +288,13 @@ def random_sparse_digraph(rng, n, out_degree, isolated_share, tied):
                 cap = float(rng.uniform(1e6, 1e9))
             g.add_edge(names[u], names[v], cap)
     return g
+
+
+def visibility_flags(constellation, station, times, sat_pos):
+    """The library's visible samples as flags, shape (len(times), n)."""
+    visible = np.zeros(sat_pos.shape[:2], dtype=bool)
+    visible[_visibility(constellation, station, times, sat_pos)] = True
+    return visible
 
 
 def reference_visibility(constellation, station, times, sat_pos):
@@ -549,6 +570,160 @@ def random_window_timeline(rng):
     return windows, stations
 
 
+def reference_max_flow(network, source=SOURCE, sink=SINK):
+    """Shortest-augmenting-path max-flow on a residual dict keyed by vertex
+    pairs; the formulation leoplan.sgl_flow.max_flow numbers into integers."""
+    residual = dict(network.capacity)
+    for (u, v) in network.capacity:
+        residual.setdefault((v, u), 0.0)
+    neighbors: dict = {u: list(vs) for u, vs in network.adjacency.items()}
+    for (u, v) in network.capacity:
+        if u not in neighbors.get(v, []):
+            neighbors.setdefault(v, []).append(u)
+
+    value = 0.0
+    while True:
+        prev = {source: None}
+        queue = deque([source])
+        while queue and sink not in prev:
+            u = queue.popleft()
+            for v in neighbors.get(u, []):
+                if v not in prev and residual.get((u, v), 0.0) > FLOW_TOL:
+                    prev[v] = u
+                    queue.append(v)
+        if sink not in prev:
+            break
+        bottleneck = float("inf")
+        v = sink
+        while prev[v] is not None:
+            u = prev[v]
+            bottleneck = min(bottleneck, residual[(u, v)])
+            v = u
+        v = sink
+        while prev[v] is not None:
+            u = prev[v]
+            residual[(u, v)] -= bottleneck
+            residual[(v, u)] += bottleneck
+            v = u
+        value += bottleneck
+
+    flows = {}
+    for (u, v), cap in network.capacity.items():
+        f = cap - residual[(u, v)]
+        flows[(u, v)] = f if f > FLOW_TOL else 0.0
+    assignment = FlowAssignment(flows, value)
+    check_feasible(network, assignment, source, sink)
+    return assignment
+
+
+def reference_schedule_downlink(windows, model_bits, stations, horizon, epoch_seconds,
+                                orbits, start_time=0.0, tol=FLOW_TOL):
+    """schedule_downlink from full models, testing every window against every
+    epoch and running reference_max_flow; the scan the scheduler replaced by
+    per-window epoch spans."""
+    state = DownlinkState(remaining={int(o): 1.0 for o in orbits})
+    epochs = []
+    for e in range(int(horizon // epoch_seconds)):
+        if state.done(tol):
+            break
+        t0 = start_time + e * epoch_seconds
+        t1 = t0 + epoch_seconds
+        active = []
+        for w in windows:
+            if w.satellite.orbit_index not in state.remaining:
+                continue
+            ov = _overlap(w.start, w.end, t0, t1)
+            if ov > 0:
+                active.append(ContactWindow(w.satellite, w.ground_station, t0, t1,
+                                            w.rate_bps * ov / epoch_seconds))
+        delivered = {o: 0.0 for o in state.remaining}
+        if active:
+            net = build_flow_network(active, state, epoch_seconds, model_bits, stations)
+            assignment = reference_max_flow(net)
+            for (u, v), f in assignment.flows.items():
+                if u == SOURCE and isinstance(v, SatelliteId):
+                    delivered[v.orbit_index] += f
+        else:
+            assignment = FlowAssignment({}, 0.0)
+        for o, f in delivered.items():
+            state.remaining[o] = max(0.0, state.remaining[o] - f)
+        state.elapsed_windows += 1
+        epochs.append(EpochFlow(e, assignment, delivered))
+    return DownlinkResult(epochs, state, state.done(tol))
+
+
+def random_flow_network(rng):
+    """A FlowNetwork on s, t and up to eight inner vertices with any edge
+    shape: anti-parallel pairs (half the edges get one), self-loops, repeated
+    (merged) edges, edges into s and out of t, zero and tied capacities; s or
+    t may be missing."""
+    names = ["s", "t"] + [f"v{i}" for i in range(int(rng.integers(1, 9)))]
+
+    def capacity():
+        return float(rng.choice([0.0, 0.5, 1.0, 2.0, rng.uniform(0.0, 3.0)]))
+
+    net = FlowNetwork()
+    for _ in range(int(rng.integers(1, 31))):
+        u, v = (str(x) for x in rng.choice(names, 2))
+        net.add_edge(u, v, capacity())
+        if rng.random() < 0.5:
+            net.add_edge(v, u, capacity())
+    return net
+
+
+@st.composite
+def downlink_timelines(draw):
+    """Keyword arguments of schedule_downlink over a random window timeline.
+
+    A nonzero start_time, horizons that end mid-epoch, and window ends drawn
+    from anywhere around the horizon, from the scheduler's own epoch
+    boundaries (start_time + k * epoch_seconds and that plus epoch_seconds),
+    before start_time or past the horizon, and +-inf; some windows are empty
+    or reversed. orbits may leave out an orbit that has windows.
+    """
+    epoch = draw(st.sampled_from([60.0, 7.5, 0.1, 13.37]))
+    start_time = draw(st.one_of(st.just(0.0), st.floats(-1e5, 1e6)))
+    count = draw(st.integers(1, 12))
+    horizon = count * epoch + draw(st.sampled_from([0.0, 0.5 * epoch]))
+    k = st.integers(-2, count + 2)
+    instant = st.one_of(
+        st.floats(start_time - 3 * epoch, start_time + horizon + 3 * epoch),
+        k.map(lambda j: start_time + j * epoch),
+        k.map(lambda j: start_time + j * epoch + epoch),
+        st.sampled_from([-math.inf, math.inf]))
+    sats = [SatelliteId(o, s) for o in range(3) for s in range(2)]
+    stations = tuple(GroundStation(f"gs-{g}", 0.0, 0.0,
+                                   dedicated_rate_bps=draw(st.floats(1e5, 1e8)))
+                     for g in range(2))
+    windows = []
+    for _ in range(draw(st.integers(0, 14))):
+        a, b = draw(instant), draw(instant)
+        if draw(st.booleans()):
+            a, b = min(a, b), max(a, b)
+        windows.append(ContactWindow(draw(st.sampled_from(sats)),
+                                     draw(st.sampled_from(stations)).id, a, b,
+                                     draw(st.floats(1e5, 1e7))))
+    orbits = draw(st.sets(st.integers(0, 3), min_size=1))
+    return {"windows": windows, "stations": stations, "start_time": start_time,
+            "horizon": horizon, "epoch_seconds": epoch, "orbits": sorted(orbits),
+            "model_bits": 1e7 * epoch * draw(st.floats(0.05, 4.0))}
+
+
+def shell_plan_case(seed=0, op_index=0):
+    """(walker, scenario, request time) of the benchmark's shell_plan op: a
+    24x22 shell with 8 seeded stations, generated by perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    module = sys.modules[name]
+    inp = module.shell_plan_input(seed, op_index)
+    scn = parse_scenario(inp["scenario"])
+    return build_walker(scn.constellation), scn, inp["request"]["time"]
+
+
 def best_single_link_epochs(windows, model_bits, stations, horizon, epoch_seconds,
                             orbits, start_time=0.0):
     """Fewest epochs any one-link-at-a-time schedule needs, by exhaustive search.
@@ -624,7 +799,7 @@ def run_length_windows(constellation, stations, horizon, step, sgl_rate_bps, sta
     sat_pos = constellation.positions_at_times(times)
     windows = []
     for st in stations:
-        visible = _visibility(constellation, st, times, sat_pos)
+        visible = visibility_flags(constellation, st, times, sat_pos)
         for i, sid in enumerate(constellation.satellites):
             col = visible[:, i]
             j = 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,9 +20,14 @@ from leoplan import (
     snapshot,
 )
 
-from leoplan.constellation import _visibility
-
-from oracles import reference_visibility, run_length_windows, station_sets, walker_specs
+from oracles import (
+    reference_visibility,
+    run_length_windows,
+    shell_plan_case,
+    station_sets,
+    visibility_flags,
+    walker_specs,
+)
 
 EARTH_ROTATION_RAD_S = 7.2921159e-5
 
@@ -339,22 +345,58 @@ def test_edge_detection_matches_run_length_oracle(spec, stations, start, step, s
     assert all(type(w.start) is float and type(w.end) is float for w in got)
 
 
-@settings(max_examples=60, deadline=None)
-@given(spec=walker_specs(), lat=st.one_of(st.just(0.0), st.floats(-90.0, 90.0)),
+@settings(max_examples=100, deadline=None)
+@given(spec=walker_specs(),
+       altitude=st.one_of(st.none(), st.floats(1.0, 40000.0), st.sampled_from([1e-3, 35786.0])),
+       lat=st.one_of(st.sampled_from([0.0, -90.0, 90.0]), st.floats(-90.0, 90.0)),
        lon=st.one_of(st.just(0.0), st.floats(-180.0, 180.0)),
        mask=st.one_of(st.just(0.0), st.floats(0.0, 90.0, exclude_max=True), st.just(89.9)),
        start=st.floats(-1e4, 1e5), step=st.floats(0.5, 200.0), steps=st.integers(1, 300))
-def test_visibility_matches_full_evaluation(spec, lat, lon, mask, start, step, steps):
-    """Skipping the range norm below the horizon plane changes no flag."""
+def test_visibility_matches_full_evaluation(spec, altitude, lat, lon, mask, start, step, steps):
+    """Running the elevation formula only inside the cone changes no flag, at
+    any altitude, with the horizon and near-zenith masks and at the poles."""
+    if altitude is not None:
+        spec = dataclasses.replace(spec, altitude_km=altitude)
     walker = build_walker(spec)
     station = GroundStation("gs", lat, lon, min_elevation_deg=mask)
     station.validate()
     times = start + np.arange(0.0, steps * step, step)
     sat_pos = walker.positions_at_times(times)
-    got = _visibility(walker, station, times, sat_pos)
+    got = visibility_flags(walker, station, times, sat_pos)
     want = reference_visibility(walker, station, times, sat_pos)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+def test_cone_prefilter_matches_full_evaluation_on_shell_plan_grid():
+    walker, scn, at = shell_plan_case()
+    fed = scn.federation
+    times = at + np.arange(0.0, fed.horizon_seconds, fed.window_step_seconds)
+    sat_pos = walker.positions_at_times(times)
+    for station in scn.ground_stations:
+        got = visibility_flags(walker, station, times, sat_pos)
+        assert got.any()
+        assert np.array_equal(got, reference_visibility(walker, station, times, sat_pos))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=walker_specs(), stations=station_sets(),
+       lat=st.sampled_from([-90.0, 0.0, 45.0, 90.0]), mask=st.sampled_from([0.0, 10.0, 89.9]),
+       start=st.integers(-10000, 100000), step=st.sampled_from([0.5, 1.0, 5.0, 30.0]),
+       steps=st.integers(1, 200))
+def test_snapshot_sgl_set_matches_contact_windows(spec, stations, lat, mask, start, step, steps):
+    """A snapshot at a sample instant has an SGL for exactly the pairs whose
+    contact window covers that sample. Integer starts and binary steps keep
+    every sample time exact, so window membership is a plain comparison."""
+    walker = build_walker(spec)
+    stations = stations + (GroundStation("gs-x", lat, 10.0, min_elevation_deg=mask),)
+    windows = contact_windows(walker, stations, steps * step, step=step, start=float(start))
+    times = float(start) + np.arange(0.0, steps * step, step)
+    for t in times[::max(1, steps // 7)].tolist():
+        snap = snapshot(walker, t, LinkConfig(), stations=stations)
+        got = [l.endpoints for l in snap.links_of_kind(LinkKind.SGL)]
+        want = [(w.satellite, w.ground_station) for w in windows if w.start <= t < w.end]
+        assert got == want
 
 
 def test_sgl_links_in_snapshot():

@@ -34,8 +34,12 @@ from oracles import (
 
 def test_add_edge_rejects_bad_capacity():
     g = WeightedDigraph()
-    with pytest.raises(ValueError, match="capacity must be positive"):
-        g.add_edge("a", "b", 0.0)
+    # A NaN weight would be dropped by Floyd-Warshall (nan < inf is false)
+    # but recorded by Dijkstra, so the planners would disagree on one graph.
+    for capacity in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="capacity must be positive and finite"):
+            g.add_edge("a", "b", capacity)
+    assert g.edges == {}
 
 
 def test_add_edge_overwrites_attr_once():

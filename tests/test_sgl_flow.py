@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from leoplan import (
     ContactWindow,
@@ -9,12 +12,23 @@ from leoplan import (
     SatelliteId,
     build_flow_network,
     check_feasible,
+    contact_windows,
     max_flow,
     schedule_downlink,
 )
+from leoplan import sgl_flow
 from leoplan.sgl_flow import SINK, SOURCE
 
-from oracles import exhaustive_min_cut, random_layered_network, random_window_timeline
+from oracles import (
+    downlink_timelines,
+    exhaustive_min_cut,
+    random_flow_network,
+    random_layered_network,
+    random_window_timeline,
+    reference_max_flow,
+    reference_schedule_downlink,
+    shell_plan_case,
+)
 
 
 def test_add_edge_accumulates_parallel_capacity():
@@ -25,6 +39,9 @@ def test_add_edge_accumulates_parallel_capacity():
     assert net.adjacency["a"] == ["b"]
     with pytest.raises(ValueError, match="nonnegative"):
         net.add_edge("a", "c", -1.0)
+    with pytest.raises(ValueError, match="capacity must be nonnegative, got nan"):
+        net.add_edge("a", "c", math.nan)
+    assert net.capacity == {("a", "b"): 1.5}
 
 
 def test_max_flow_chain():
@@ -65,6 +82,20 @@ def test_max_flow_needs_residual_pushback():
     res = max_flow(net)
     assert abs(res.value - 2.0) < 1e-12
     assert res.flows[("u", "v")] == 0.0
+
+
+def test_max_flow_anti_parallel_edges_share_residuals():
+    # The first path runs s-v0-v4-t; the second goes s-v3-v4-v0-v5-t through
+    # v4->v0, whose residual (its capacity plus the push-back from v0->v4) is
+    # the one slot of the pair (v4, v0), so both edges end with no flow.
+    net = FlowNetwork()
+    for u, v in [("s", "v0"), ("s", "v3"), ("v0", "v4"), ("v4", "v0"), ("v3", "v4"),
+                 ("v4", "t"), ("v0", "v5"), ("v5", "t")]:
+        net.add_edge(u, v, 1.0)
+    res = max_flow(net, "s", "t")
+    assert res.value == 2.0
+    assert res.flows[("v0", "v4")] == 0.0 and res.flows[("v4", "v0")] == 0.0
+    assert _flow_key(res) == _flow_key(reference_max_flow(net, "s", "t"))
 
 
 def test_max_flow_disconnected():
@@ -141,6 +172,11 @@ def test_build_flow_network_errors():
         build_flow_network(w, DownlinkState({2: 1.0}), 0.0, 1e8, st)
     with pytest.raises(ValueError, match="model_bits"):
         build_flow_network(w, DownlinkState({2: 1.0}), 60.0, 0.0, st)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="window_duration must be positive and finite"):
+            build_flow_network(w, DownlinkState({2: 1.0}), bad, 1e8, st)
+        with pytest.raises(ValueError, match="model_bits must be positive and finite"):
+            build_flow_network(w, DownlinkState({2: 1.0}), 60.0, bad, st)
     with pytest.raises(ValueError, match="outside"):
         DownlinkState({0: 1.5}).validate()
 
@@ -247,15 +283,80 @@ def test_schedule_downlink_argument_errors():
         schedule_downlink(windows, 1e9, stations, horizon=0.0)
     with pytest.raises(ValueError, match="model_bits"):
         schedule_downlink(windows, 0.0, stations, horizon=600.0)
+    # A NaN start_time would make every window overlap every epoch in full.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="start_time must be finite"):
+            schedule_downlink(windows, 1e9, stations, horizon=600.0, start_time=bad)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("name", ["horizon", "epoch_seconds"])
+@pytest.mark.parametrize("name", ["horizon", "epoch_seconds", "model_bits"])
 def test_schedule_downlink_rejects_non_finite(name, value):
+    # A NaN or inf model_bits would schedule nothing and report the transfer
+    # incomplete.
     windows = [ContactWindow(SatelliteId(0, 0), "gs", 0.0, 600.0, 1e7)]
-    args = {"horizon": 600.0, "epoch_seconds": 60.0, name: value}
+    args = {"model_bits": 1e9, "horizon": 600.0, "epoch_seconds": 60.0, name: value}
     with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-        schedule_downlink(windows, 1e9, (GroundStation("gs", 0.0, 0.0),), **args)
+        schedule_downlink(windows, stations=(GroundStation("gs", 0.0, 0.0),), **args)
+
+
+def _flow_key(assignment):
+    return ([(k, f.hex()) for k, f in assignment.flows.items()], assignment.value.hex())
+
+
+def test_max_flow_matches_dict_keyed_reference():
+    """Integer-addressed residuals give the reference's flows bit for bit,
+    on layered networks and on networks of any edge shape."""
+    rng = np.random.default_rng(1618)
+    nets = [random_layered_network(rng)[0] for _ in range(200)]
+    nets += [random_flow_network(rng) for _ in range(400)]
+    for net in nets:
+        assert _flow_key(max_flow(net, "s", "t")) == _flow_key(reference_max_flow(net, "s", "t"))
+
+
+def _schedule_key(result):
+    return (result.complete, result.state.elapsed_windows,
+            [(o, f.hex()) for o, f in result.state.remaining.items()],
+            [(ep.epoch_index, [(o, f.hex()) for o, f in ep.delivered.items()],
+              _flow_key(ep.assignment)) for ep in result.epochs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=downlink_timelines())
+def test_schedule_downlink_matches_full_scan(case):
+    """Scanning only the epochs each window can overlap books exactly what
+    testing every window in every epoch books: delivered, flows and the
+    final remaining fractions, bit for bit."""
+    got = schedule_downlink(**case)
+    want = reference_schedule_downlink(**case)
+    assert _schedule_key(got) == _schedule_key(want)
+
+
+def test_schedule_downlink_tests_each_window_only_near_its_epochs(monkeypatch):
+    """On the benchmark's 24x22 shell_plan timeline, the overlap test runs at
+    most once per epoch a window can touch, not once per window per epoch."""
+    walker, scn, at = shell_plan_case()
+    fed = scn.federation
+    windows = contact_windows(walker, scn.ground_stations, fed.horizon_seconds,
+                              step=fed.window_step_seconds, link_config=scn.link_config,
+                              start=at)
+    calls = []
+    overlap = sgl_flow._overlap
+
+    def counted(*args):
+        calls.append(args)
+        return overlap(*args)
+
+    monkeypatch.setattr(sgl_flow, "_overlap", counted)
+    model_bits = float(scn.constellation.sats_per_orbit
+                       * scn.workload.embedding_bits_per_satellite)
+    res = schedule_downlink(windows, model_bits, scn.ground_stations, fed.horizon_seconds,
+                            epoch_seconds=fed.epoch_seconds, start_time=at,
+                            orbits=range(scn.constellation.num_orbits))
+    assert res.epochs_used > 10 and len(windows) > 500
+    reach = sum(int(w.duration // fed.epoch_seconds) + 2 for w in windows)
+    assert 0 < len(calls) <= reach
+    assert len(calls) * 5 < res.epochs_used * len(windows)
 
 
 def test_coordinated_never_slower_than_single_link():
