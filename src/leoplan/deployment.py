@@ -21,6 +21,20 @@ the from-scratch _objective, and sums the per-task latest finishes in task
 order as _objective does, so the values are bit-identical. _objective now
 serves only the exact solver: its optimistic lower bound and its final plan
 value.
+
+train_policy_gradient does each state's work once per run. The MDP is
+deterministic and a state follows from its assignment, while an action's
+features depend on the state and never on the policy weights. So one call
+keeps, per environment, a dict from assignment to the feasible actions, their
+feature matrix (built on the first visit, through action_features) and each
+action's transition (filled when that action is first drawn); a repeat visit
+runs only the softmax, the draw and the gradient, on the same arrays as the
+first, and the greedy decode that ends the run walks the same dicts. The draw
+(_draw) is what Generator.choice(n, p=probs) does for one sample: the same
+cumulative sum, normalised by its last entry, searched with one rng.random()
+from the same stream. Indices, theta and every return are therefore
+bit-identical to a run that rebuilds each state and calls choice. The dicts
+live only for the call.
 """
 
 from __future__ import annotations
@@ -410,6 +424,30 @@ def action_features(env: DeploymentMdp, state: MdpState, action) -> np.ndarray:
 N_FEATURES = 5
 
 
+def _feature_matrix(env: DeploymentMdp, state: MdpState, actions) -> np.ndarray:
+    """One row of action_features per action."""
+    return np.array([action_features(env, state, a) for a in actions])
+
+
+def _softmax(feats: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Action probabilities of a linear softmax policy over a feature matrix."""
+    scores = feats @ theta
+    scores -= scores.max()
+    probs = np.exp(scores)
+    probs /= probs.sum()
+    return probs
+
+
+def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """One index drawn as rng.choice(len(probs), p=probs) draws it: the same
+    index and the same use of rng's stream."""
+    cdf = probs.cumsum()
+    if not cdf[-1] > 0.0:
+        raise ValueError("Probabilities contain NaN")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 @dataclass
 class LinearPolicy:
     """Softmax over feasible actions with a linear score per action."""
@@ -418,19 +456,13 @@ class LinearPolicy:
 
     def distribution(self, env: DeploymentMdp, state: MdpState):
         actions = env.feasible_actions(state)
-        feats = np.array([action_features(env, state, a) for a in actions])
-        scores = feats @ self.theta
-        scores -= scores.max()
-        probs = np.exp(scores)
-        probs /= probs.sum()
-        return actions, feats, probs
+        feats = _feature_matrix(env, state, actions)
+        return actions, feats, _softmax(feats, self.theta)
 
     def act(self, env: DeploymentMdp, state: MdpState, rng: np.random.Generator,
             greedy: bool = False):
         actions, _, probs = self.distribution(env, state)
-        if greedy:
-            return actions[int(np.argmax(probs))]
-        return actions[int(rng.choice(len(actions), p=probs))]
+        return actions[int(np.argmax(probs)) if greedy else _draw(probs, rng)]
 
 
 @dataclass
@@ -459,13 +491,47 @@ def rollout(env: DeploymentMdp, choose, record=None) -> float:
     return total
 
 
+def _cached_episode(env: DeploymentMdp, cache: dict, state: MdpState, theta: np.ndarray,
+                    rng: np.random.Generator | None):
+    """One episode from state through a training run's cache of env (see the
+    module docstring). rng draws each action; with rng None the most probable
+    action is taken and no gradient is summed.
+
+    Returns (episode return, summed score-function gradient).
+    """
+    grads = np.zeros(N_FEATURES)
+    total = 0.0
+    while not state.done:
+        node = cache.get(state.assignment)
+        if node is None:
+            actions = env.feasible_actions(state)
+            node = (actions, _feature_matrix(env, state, actions), [None] * len(actions))
+            cache[state.assignment] = node
+        actions, feats, slots = node
+        if not actions:
+            total += env.dead_end_reward  # nothing fits before the first placement
+            break
+        probs = _softmax(feats, theta)
+        if rng is None:
+            choice = int(np.argmax(probs))
+        else:
+            choice = _draw(probs, rng)
+            grads += feats[choice] - probs @ feats
+        tr = slots[choice]
+        if tr is None:
+            tr = slots[choice] = env.step(state, actions[choice])
+        total += tr.reward
+        state = tr.state
+    return total, grads
+
+
 def train_policy_gradient(envs, episodes: int, seed: int, lr: float = 0.15,
                           optima=None):
     """REINFORCE with a running-mean baseline over one or more environments.
 
     Args:
         envs: a DeploymentMdp or a sequence of them; training cycles through.
-        episodes: number of sampled episodes.
+        episodes: number of sampled episodes, at least 1.
         seed: RNG seed; identical seeds give identical training runs.
         lr: step size on the linear policy weights.
         optima: optional per-env optimal objectives; enables mean_gap in the
@@ -473,40 +539,35 @@ def train_policy_gradient(envs, episodes: int, seed: int, lr: float = 0.15,
 
     Returns:
         (LinearPolicy, TrainingReport)
+
+    Raises:
+        ValueError: on no environment or fewer than one episode.
     """
     if isinstance(envs, DeploymentMdp):
         envs = [envs]
     envs = list(envs)
+    if not envs:
+        raise ValueError("policy-gradient training needs at least one environment")
+    if episodes < 1:
+        raise ValueError(f"policy-gradient training needs episodes >= 1, got {episodes}")
     rng = np.random.default_rng(seed)
     policy = LinearPolicy(np.zeros(N_FEATURES))
     baselines = [0.0] * len(envs)
     counts = [0] * len(envs)
     returns = []
+    caches = [{} for _ in envs]
+    starts = [env.reset() for env in envs]
 
     for ep in range(episodes):
         idx = ep % len(envs)
-        env = envs[idx]
-        state = env.reset()
-        grads = np.zeros(N_FEATURES)
-        total = 0.0
-        while not state.done:
-            if not env.feasible_actions(state):
-                total += env.dead_end_reward
-                break
-            actions, feats, probs = policy.distribution(env, state)
-            choice = int(rng.choice(len(actions), p=probs))
-            grads += feats[choice] - probs @ feats
-            tr = env.step(state, actions[choice])
-            total += tr.reward
-            state = tr.state
+        total, grads = _cached_episode(envs[idx], caches[idx], starts[idx], policy.theta, rng)
         counts[idx] += 1
         baselines[idx] += (total - baselines[idx]) / counts[idx]
         policy.theta = policy.theta + lr * (total - baselines[idx]) * grads
         returns.append(total)
 
-    greedy_returns = []
-    for env in envs:
-        greedy_returns.append(rollout(env, lambda s, e=env: policy.act(e, s, rng, greedy=True)))
+    greedy_returns = [_cached_episode(env, cache, start, policy.theta, None)[0]
+                      for env, cache, start in zip(envs, caches, starts)]
     mean_gap = None
     if optima is not None:
         gaps = [(-g) - opt for g, opt in zip(greedy_returns, optima)]

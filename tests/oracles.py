@@ -11,7 +11,9 @@ so the faster versions must reproduce them bit for bit; likewise
 merged_topological_order and multi_source_dijkstra keep the loops that
 leoplan.graph replaced, reference_dag_cycle the recursive search validate_dag
 replaced, reference_action_features and reference_greedy the placement
-code that re-evaluated the from-scratch objective for every candidate, and
+code that re-evaluated the from-scratch objective for every candidate,
+reference_train_policy_gradient the training loop that rebuilt every state's
+features and drew with Generator.choice, and
 reference_max_flow and reference_schedule_downlink the dict-keyed max-flow
 and the scheduler that tested every window in every epoch (it builds each
 epoch's network with the library's _overlap and build_flow_network, so only
@@ -60,7 +62,9 @@ from leoplan import (
     parse_scenario,
 )
 from leoplan.constellation import EARTH_ROTATION_RAD_S, _visibility
-from leoplan.deployment import DeploymentPlan, _objective
+from leoplan import deployment
+from leoplan.deployment import (N_FEATURES, DeploymentMdp, DeploymentPlan, TrainingReport,
+                                _objective)
 from leoplan.sgl_flow import (FLOW_TOL, SINK, SOURCE, DownlinkResult, DownlinkState, EpochFlow,
                               FlowAssignment, _overlap)
 
@@ -433,6 +437,71 @@ def reference_action_features(env, state, action):
     return np.array([1.0, run, delta, residual, colocated])
 
 
+def reference_train_policy_gradient(envs, episodes, seed, lr=0.15, optima=None):
+    """deployment.train_policy_gradient as it was before its per-run cache:
+    every step rebuilds the state's features through the library's
+    action_features, draws with Generator.choice, and every episode starts from
+    a fresh reset. Returns (theta, TrainingReport)."""
+    if isinstance(envs, DeploymentMdp):
+        envs = [envs]
+    envs = list(envs)
+    rng = np.random.default_rng(seed)
+    theta = np.zeros(N_FEATURES)
+
+    def distribution(env, state):
+        actions = env.feasible_actions(state)
+        feats = np.array([deployment.action_features(env, state, a) for a in actions])
+        scores = feats @ theta
+        scores -= scores.max()
+        probs = np.exp(scores)
+        probs /= probs.sum()
+        return actions, feats, probs
+
+    baselines = [0.0] * len(envs)
+    counts = [0] * len(envs)
+    returns = []
+    for ep in range(episodes):
+        idx = ep % len(envs)
+        env = envs[idx]
+        state = env.reset()
+        grads = np.zeros(N_FEATURES)
+        total = 0.0
+        while not state.done:
+            if not env.feasible_actions(state):
+                total += env.dead_end_reward
+                break
+            actions, feats, probs = distribution(env, state)
+            choice = int(rng.choice(len(actions), p=probs))
+            grads += feats[choice] - probs @ feats
+            tr = env.step(state, actions[choice])
+            total += tr.reward
+            state = tr.state
+        counts[idx] += 1
+        baselines[idx] += (total - baselines[idx]) / counts[idx]
+        theta = theta + lr * (total - baselines[idx]) * grads
+        returns.append(total)
+
+    greedy_returns = []
+    for env in envs:
+        state = env.reset()
+        total = 0.0
+        while not state.done:
+            if not env.feasible_actions(state):
+                total += env.dead_end_reward
+                break
+            actions, _, probs = distribution(env, state)
+            tr = env.step(state, actions[int(np.argmax(probs))])
+            total += tr.reward
+            state = tr.state
+        greedy_returns.append(total)
+    mean_gap = None
+    if optima is not None:
+        mean_gap = float(np.mean([(-g) - opt for g, opt in zip(greedy_returns, optima)]))
+    report = TrainingReport(episodes, returns, float(np.mean(returns[-max(1, episodes // 4):])),
+                            greedy_returns, mean_gap)
+    return theta, report
+
+
 def reference_greedy(instance):
     """solve_greedy re-evaluating the whole objective for every candidate."""
     placed: dict = {}
@@ -709,17 +778,24 @@ def downlink_timelines(draw):
             "model_bits": 1e7 * epoch * draw(st.floats(0.05, 4.0))}
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_workloads():
+    """The benchmark's perfbench/workloads.py, imported once from its file
+    (perfbench is not a package)."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
 def shell_plan_case(seed=0, op_index=0):
     """(walker, scenario, request time) of the benchmark's shell_plan op: a
     24x22 shell with 8 seeded stations, generated by perfbench/workloads.py."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    name = "perfbench_workloads"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, path)
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    module = sys.modules[name]
-    inp = module.shell_plan_input(seed, op_index)
+    inp = perfbench_workloads().shell_plan_input(seed, op_index)
     scn = parse_scenario(inp["scenario"])
     return build_walker(scn.constellation), scn, inp["request"]["time"]
 

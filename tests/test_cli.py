@@ -205,6 +205,18 @@ def test_deploy_pg(tmp_path, capsys):
     assert "needs a seed" in json.loads(err)["error"]["message"]
 
 
+
+@pytest.mark.parametrize("episodes", ["0", "-5"])
+def test_deploy_pg_without_episodes_exits_1(tmp_path, capsys, episodes):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "deploy", TWO_TASK, "--out-dir", str(out),
+                                "--solver", "pg", "--episodes", episodes)
+    assert (code, stdout) == (1, "")
+    assert json.loads(err)["error"] == {
+        "subcommand": "deploy", "type": "ValueError",
+        "message": f"policy-gradient training needs episodes >= 1, got {episodes}"}
+    assert not (out / "plan.json").exists()
+
 def test_deploy_without_tasks(tmp_path, capsys):
     scn = sim_scenario(tmp_path)
     code, _, err = run_cli(capsys, "deploy", scn, "--out-dir", str(tmp_path / "o"))

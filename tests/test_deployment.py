@@ -34,6 +34,7 @@ from oracles import (
     random_sharing_instance,
     reference_action_features,
     reference_greedy,
+    reference_train_policy_gradient,
     sat,
     toy_snapshot,
 )
@@ -400,6 +401,101 @@ def test_training_draws_match_reference_features(make_env, monkeypatch):
     assert np.array_equal(policy.theta, ref_policy.theta)
     assert report.returns == ref_report.returns
     assert report.greedy_returns == ref_report.greedy_returns
+
+
+def squeezed_env(rng, sharing):
+    """A random instance whose candidates keep a random 15-100% of their
+    memory, so that episodes often dead-end, some before the first step."""
+    build = random_sharing_instance if sharing else random_deployment_instance
+    tasks, sats, snap = build(rng)
+    squeeze = float(rng.uniform(0.15, 1.0))
+    sats = [SatelliteNode(s.id, s.throughput_flops, s.memory_bytes * squeeze) for s in sats]
+    return DeploymentMdp(DeploymentInstance(tasks, sats, snap))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sharing=st.booleans(), n_envs=st.integers(1, 3),
+       episodes=st.integers(1, 60))
+def test_training_matches_the_reference_loop(seed, sharing, n_envs, episodes):
+    """The cached training run against the loop that rebuilds every state and
+    draws with Generator.choice: the same theta, returns and gap, bit for bit."""
+    rng = np.random.default_rng(seed)
+    envs = [squeezed_env(rng, sharing) for _ in range(n_envs)]
+    optima = [float(rng.uniform(0.0, 10.0)) for _ in envs]
+    policy, report = train_policy_gradient(envs, episodes=episodes, seed=seed, optima=optima)
+    theta, want = reference_train_policy_gradient(envs, episodes, seed, optima=optima)
+    assert policy.theta.tobytes() == theta.tobytes()
+    assert [r.hex() for r in report.returns] == [r.hex() for r in want.returns]
+    assert [g.hex() for g in report.greedy_returns] == [g.hex() for g in want.greedy_returns]
+    assert report.mean_return.hex() == want.mean_return.hex()
+    assert report.mean_gap.hex() == want.mean_gap.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), spread=st.floats(-2.0, 3.0))
+def test_draw_matches_generator_choice(seed, n, spread):
+    """_draw picks Generator.choice's index and leaves the generator where
+    choice leaves it, on softmax outputs from near-uniform to one-hot."""
+    src = np.random.default_rng(seed)
+    feats = src.normal(size=(n, N_FEATURES)) * 10.0 ** spread
+    probs = deployment._softmax(feats, src.normal(size=N_FEATURES))
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        assert deployment._draw(probs, ours) == int(ref.choice(n, p=probs))
+    assert ours.random() == ref.random()
+
+
+class FixedDraw:
+    """A generator stand-in whose random() returns one chosen value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("probs, u, index", [
+    ([0.25, 0.25, 0.5], 0.25, 1),  # a draw on a boundary goes right, as in Generator.choice
+    ([0.1] * 10, np.nextafter(1.0, 0.0), 9),  # sums to 1 - 2**-53: the cdf is normalised
+])
+def test_draw_boundaries(probs, u, index):
+    assert deployment._draw(np.array(probs), FixedDraw(u)) == index
+
+
+def test_draw_rejects_nan_like_generator_choice():
+    probs = np.array([np.nan, 1.0])
+    with pytest.raises(ValueError, match="Probabilities contain NaN"):
+        np.random.default_rng(0).choice(2, p=probs)
+    with pytest.raises(ValueError, match="Probabilities contain NaN"):
+        deployment._draw(probs, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("make_env", [benchmark_env, sharing_env])
+def test_training_builds_each_action_features_once(make_env, monkeypatch):
+    # A run revisits its states hundreds of times; each (state, action) pair's
+    # features are built on the first visit only, greedy decode included.
+    keys = []
+    features = deployment.action_features
+
+    def counted(env, state, action):
+        keys.append((state.assignment, action))
+        return features(env, state, action)
+
+    monkeypatch.setattr(deployment, "action_features", counted)
+    train_policy_gradient(make_env(), episodes=300, seed=0)
+    assert keys and len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("episodes", [0, -5])
+def test_training_needs_an_episode(episodes):
+    with pytest.raises(ValueError, match=f"needs episodes >= 1, got {episodes}"):
+        train_policy_gradient(benchmark_env(), episodes=episodes, seed=0)
+
+
+def test_training_needs_an_environment():
+    with pytest.raises(ValueError, match="needs at least one environment"):
+        train_policy_gradient([], episodes=10, seed=0)
 
 
 def test_training_and_greedy_never_reevaluate_the_objective(monkeypatch):
