@@ -208,6 +208,7 @@ class WalkerConstellation:
             + 2.0 * math.pi * spec.phasing_factor * pp / (spec.num_orbits * spec.sats_per_orbit)
         )
         self._incl = math.radians(spec.inclination_deg)
+        self._cos_raan, self._sin_raan = np.cos(self._raan), np.sin(self._raan)
         self.satellites = [SatelliteId(int(a), int(b)) for a, b in zip(pp, ss)]
         self._index = {sat: i for i, sat in enumerate(self.satellites)}
 
@@ -221,8 +222,17 @@ class WalkerConstellation:
 
     def positions_at_times(self, times: np.ndarray) -> np.ndarray:
         """Positions for many instants at once, shape (len(times), num_satellites, 3)."""
-        dt = np.asarray(times, dtype=float)[:, None] - self.spec.epoch
-        u = self._phase0[None, :] + self.mean_motion * dt
+        return self._positions(np.asarray(times, dtype=float)[:, None], slice(None))
+
+    def _positions(self, times: np.ndarray, sats) -> np.ndarray:
+        """Positions (km) of the satellites indexed by sats (an index array or
+        a slice) at times, broadcast together; shape broadcast + (3,).
+
+        The one place the orbit is written down: a position has the same bits
+        whether it comes from a full grid or from gathered (t, i) pairs.
+        """
+        dt = times - self.spec.epoch
+        u = self._phase0[sats] + self.mean_motion * dt
         ci, si = math.cos(self._incl), math.sin(self._incl)
         # In-plane coordinates rotated by inclination, then by RAAN about z,
         # written straight into the result.
@@ -231,9 +241,9 @@ class WalkerConstellation:
         r_sin_u = self.radius_km * np.sin(u)
         np.multiply(r_sin_u, si, out=out[..., 2])
         yo = r_sin_u * ci
-        co, so = np.cos(self._raan), np.sin(self._raan)
-        np.subtract(xo * co[None, :], yo * so[None, :], out=out[..., 0])
-        np.add(xo * so[None, :], yo * co[None, :], out=out[..., 1])
+        co, so = self._cos_raan[sats], self._sin_raan[sats]
+        np.subtract(xo * co, yo * so, out=out[..., 0])
+        np.add(xo * so, yo * co, out=out[..., 1])
         return out
 
     def position_of(self, sat: SatelliteId, t: float) -> np.ndarray:
@@ -312,11 +322,16 @@ def snapshot(
     if P >= 3 and link_config.cross_seam_policy == "enabled":
         pair_planes(P - 1, 0, LinkKind.CROSS_SEAM_ISL)
 
+    stations = tuple(stations)
     for st in stations:
         st.validate()
+    if stations:
+        s, visible, _ = _visible_samples(constellation, stations, np.array([t], dtype=float))
+        # s is sorted, so station k's satellites are visible[bounds[k]:bounds[k + 1]].
+        bounds = np.searchsorted(s, np.arange(len(stations) + 1)).tolist()
+    for k, st in enumerate(stations):
         st_pos = station_eci_km(st, t, spec.epoch)
-        _, visible = _visibility(constellation, st, np.array([t], dtype=float), pos[None])
-        for i in visible.tolist():
+        for i in visible[bounds[k]:bounds[k + 1]].tolist():
             dist = float(np.linalg.norm(pos[i] - st_pos))
             links.append(Link(LinkKind.SGL, (constellation.satellites[i], st.id),
                               link_config.sgl_rate_bps, dist / LIGHT_SPEED_KM_S))
@@ -326,51 +341,106 @@ def snapshot(
     return TopologySnapshot(time=t, links=tuple(links), positions=positions)
 
 
-# Margin below the exact cone bound p* in _visibility, in km; its docstring
-# shows rounding moves the crossing of the mask by about 1e-12 km.
+# Margin below the exact cone bound p* in _visible_samples, in km; its
+# docstring shows rounding moves the crossing of the mask by about 1e-12 km.
 _CONE_MARGIN_KM = 1.0
 
+# Samples per sieve block in _visible_samples. Every sample of a block lies
+# within (_SIEVE_BLOCK - 1) / 2 steps of the block's midpoint, so the cone is
+# widened by (mean motion + Earth rotation) * 5.5 steps: 0.03 rad at a 5 s
+# step in LEO, against a cone half-angle of about 0.3 rad. Any value >= 1
+# gives the same flags; a larger block tests fewer midpoints but keeps more
+# samples for the exact test.
+_SIEVE_BLOCK = 12
 
-def _visibility(constellation: WalkerConstellation, station: GroundStation,
-                times: np.ndarray, sat_pos: np.ndarray) -> tuple:
-    """Index arrays (t, i) of the samples where satellite i is above the
-    station's mask at times[t], in row-major order of the (len(times), n) grid.
-    This is the one visibility test: contact_windows and snapshot both use it.
 
-    sat_pos holds the constellation's positions at times, shape (len(times), n, 3).
+def _station_frames(stations: tuple, times: np.ndarray, epoch: float) -> tuple:
+    """Inertial positions (km) and unit zeniths of stations at times, each
+    shape (len(stations), len(times), 3)."""
+    theta = EARTH_ROTATION_RAD_S * (times - epoch)
+    c, s = np.cos(theta), np.sin(theta)
+    ecef = np.array([st.ecef_km() for st in stations]).reshape(-1, 3)
+    ex, ey, ez = ecef[:, 0:1], ecef[:, 1:2], ecef[:, 2:3]
+    pos = np.empty((len(stations), len(times), 3))
+    pos[..., 0] = c * ex - s * ey
+    pos[..., 1] = s * ex + c * ey
+    pos[..., 2] = ez
+    return pos, pos / np.linalg.norm(pos, axis=-1, keepdims=True)
+
+
+def _visible_samples(constellation: WalkerConstellation, stations: tuple,
+                     times: np.ndarray) -> tuple:
+    """Index arrays (s, i, t) of the samples where satellite i is above the
+    mask of stations[s] at times[t], sorted by s, then i, then t. This is the
+    one visibility test: contact_windows and snapshot both use it. times must
+    be nondecreasing.
 
     A sample is visible when the sine of elevation, up / |d| with d = sat - st
-    and up = d . zen, is at least sin(mask), but that formula runs only on the
-    samples inside a cone around the zenith. With the satellite at radius r,
+    and up = d . zen, is at least sin(mask). With the satellite at radius r,
     the station at R and p = sat . zen, up = p - R and |d|^2 = r^2 + R^2 - 2 R p,
     so the sine is (p - R) / sqrt(r^2 + R^2 - 2 R p). Its derivative in p is
     (r^2 - R p) / |d|^3 > 0 (p <= r and R < r), so a mask m >= 0 holds exactly
     when p >= p* = R cos^2 m + sin m sqrt(r^2 - R^2 cos^2 m), and p* >= R. For
     p >= R, |d|^2 <= r^2 - R p, so an absolute error e in up or |d| moves the p
     at which the computed sine crosses the mask by at most about e. Those
-    errors, and the rounding of p, r and R, are about 1e-12 km, so every sample
-    the formula flags has p >= p* - _CONE_MARGIN_KM and the samples left out
-    are false either way. The kept samples go through the formula elementwise,
-    so the result is bit-identical to evaluating it at every sample; the only
-    (T, n) arrays built are p and its cone test.
+    errors, and the rounding of p, r and R, are about 1e-12 km, so every
+    sample the formula flags has p >= p* - _CONE_MARGIN_KM: its angle psi from
+    the zenith is at most psi* = acos((p* - _CONE_MARGIN_KM) / r).
+
+    The samples are cut into blocks of _SIEVE_BLOCK, and positions are first
+    computed only at each block's midpoint. A satellite's direction turns at
+    the mean motion and a zenith at most at Earth's rotation rate, so psi
+    changes no faster than their sum, and a sample within `half` seconds of
+    its midpoint can have psi <= psi* only if psi <= psi* + rate * half at the
+    midpoint. Blocks whose midpoint p falls below r cos(psi* + rate * half +
+    eps) are dropped for that station and satellite, with one matmul for all
+    stations; eps covers the rounding of times, angles and p, which grows
+    with |t - epoch|. Where the widened angle reaches pi every block is kept.
+    The kept blocks' samples get exact positions from the same formula as
+    positions_at_times and go through the sine formula elementwise, so the
+    flags are bit-identical to evaluating it at every sample; no
+    (len(times), n) array is built.
     """
-    theta = EARTH_ROTATION_RAD_S * (times - constellation.spec.epoch)
-    ex, ey, ez = station.ecef_km()
-    st_pos = np.stack(
-        [np.cos(theta) * ex - np.sin(theta) * ey,
-         np.sin(theta) * ex + np.cos(theta) * ey,
-         np.full_like(theta, ez)], axis=-1)  # (T, 3)
-    zen = st_pos / np.linalg.norm(st_pos, axis=-1, keepdims=True)
-    sin_mask = math.sin(math.radians(station.min_elevation_deg))
-    cos2 = 1.0 - sin_mask * sin_mask
-    r, big_r = constellation.radius_km, EARTH_RADIUS_KM
-    p_star = big_r * cos2 + sin_mask * math.sqrt(r * r - big_r * big_r * cos2)
-    p = np.matmul(sat_pos, zen[:, :, None])[..., 0]
-    t, i = np.nonzero(p >= p_star - _CONE_MARGIN_KM)
-    d = sat_pos[t, i] - st_pos[t]
-    sin_elev = np.einsum("ck,ck->c", d, zen[t]) / np.linalg.norm(d, axis=-1)
-    keep = sin_elev >= sin_mask
-    return t[keep], i[keep]
+    count = len(times)
+    epoch, r = constellation.spec.epoch, constellation.radius_km
+    sin_mask = np.array([math.sin(math.radians(st.min_elevation_deg)) for st in stations])
+
+    first = np.arange(0, count, _SIEVE_BLOCK)
+    last = np.minimum(first + (_SIEVE_BLOCK - 1), count - 1)
+    half = 0.5 * (times[last] - times[first])
+    mid = times[first] + half
+    rate = constellation.mean_motion + EARTH_ROTATION_RAD_S
+    reach = max(abs(times[0] - epoch), abs(times[-1] - epoch))
+    slack = rate * float(half.max()) + 1e-6 + 1e-12 * (4.0 * math.pi + rate * reach)
+    bound = []
+    for sm in sin_mask.tolist():
+        cos2 = 1.0 - sm * sm
+        p_star = EARTH_RADIUS_KM * cos2 + sm * math.sqrt(r * r - EARTH_RADIUS_KM**2 * cos2)
+        angle = math.acos(min(1.0, (p_star - _CONE_MARGIN_KM) / r)) + slack
+        bound.append(r * math.cos(angle) if angle < math.pi else -math.inf)
+    _, zen_mid = _station_frames(stations, mid, epoch)
+    sat_mid = constellation._positions(mid[:, None], slice(None))  # (blocks, n, 3)
+    p_mid = np.matmul(zen_mid.transpose(1, 0, 2), sat_mid.transpose(0, 2, 1))
+    near = p_mid >= np.array(bound)[:, None]  # (blocks, stations, n)
+    # Flat indices in (station, satellite, block) order, split back up.
+    pair, b = np.divmod(np.flatnonzero(near.transpose(1, 2, 0)), len(first))
+    s, i = np.divmod(pair, constellation.num_satellites)
+
+    # Each kept (station, satellite, block) expands into its samples, in order.
+    t = (first[b][:, None] + np.arange(_SIEVE_BLOCK)).ravel()
+    s = np.repeat(s, _SIEVE_BLOCK)
+    i = np.repeat(i, _SIEVE_BLOCK)
+    if count % _SIEVE_BLOCK:
+        inside = t < count
+        s, i, t = s[inside], i[inside], t[inside]
+    st_pos, zen = _station_frames(stations, times, epoch)
+    sample = s * count + t
+    d = constellation._positions(times[t], i)
+    d -= np.take(st_pos.reshape(-1, 3), sample, axis=0)
+    up = np.einsum("ck,ck->c", d, np.take(zen.reshape(-1, 3), sample, axis=0))
+    sin_elev = up / np.linalg.norm(d, axis=-1)
+    keep = sin_elev >= sin_mask[s]
+    return s[keep], i[keep], t[keep]
 
 
 def contact_windows(
@@ -393,30 +463,28 @@ def contact_windows(
         raise ValueError("horizon must be positive and finite")
     if not math.isfinite(step) or step <= 0:
         raise ValueError("step must be positive and finite")
+    if not math.isfinite(start):
+        raise ValueError("start must be finite")
     cfg = link_config if link_config is not None else LinkConfig()
     cfg.validate()
 
     times = start + np.arange(0.0, horizon, step)
-    if len(times) == 0:
+    stations = tuple(stations)
+    if len(times) == 0 or not stations:
         return []
-    sat_pos = constellation.positions_at_times(times)  # (T, n, 3)
-    sats = constellation.satellites
-    windows: list[ContactWindow] = []
     for st in stations:
         st.validate()
-        t, i = _visibility(constellation, st, times, sat_pos)
-        if len(t) == 0:
-            continue
-        # Satellite-major order; a run is a stretch of consecutive keys, and
-        # the gap of len(times) + 1 per satellite keeps runs of two satellites apart.
-        order = np.lexsort((t, i))
-        t, i = t[order], i[order]
-        key = i * (len(times) + 1) + t
-        breaks = np.flatnonzero(np.diff(key) != 1) + 1
-        first = np.concatenate(([0], breaks))
-        last = np.concatenate((breaks, [len(key)])) - 1
-        starts = times[t[first]].tolist()
-        ends = (times[t[last]] + step).tolist()
-        windows.extend(ContactWindow(sats[k], st.id, t0, t1, cfg.sgl_rate_bps)
-                       for k, t0, t1 in zip(i[first].tolist(), starts, ends))
-    return windows
+    s, i, t = _visible_samples(constellation, stations, times)
+    if len(t) == 0:
+        return []
+    # A run is a stretch of consecutive keys; the gap of len(times) + 1 per
+    # (station, satellite) keeps runs of two pairs apart.
+    key = (s * constellation.num_satellites + i) * (len(times) + 1) + t
+    breaks = np.flatnonzero(np.diff(key) != 1) + 1
+    first = np.concatenate(([0], breaks))
+    last = np.concatenate((breaks, [len(key)])) - 1
+    starts = times[t[first]].tolist()
+    ends = (times[t[last]] + step).tolist()
+    sats = constellation.satellites
+    return [ContactWindow(sats[k], stations[j].id, t0, t1, cfg.sgl_rate_bps)
+            for j, k, t0, t1 in zip(s[first].tolist(), i[first].tolist(), starts, ends)]

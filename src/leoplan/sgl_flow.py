@@ -121,7 +121,8 @@ def max_flow(network: FlowNetwork, source=SOURCE, sink=SINK) -> FlowAssignment:
     in-edges that are not also heads; ties, paths and every float operation
     are those of a residual dict keyed by vertex pairs. Returns the flow on
     every forward edge plus the total value; the result always satisfies
-    capacity and conservation, checked before returning.
+    capacity and conservation, checked on the integer slots before returning
+    (_check_slots, which accepts exactly what check_feasible accepts).
     """
     index = {u: k for k, u in enumerate(network.adjacency)}
     pairs = [(index[u], index[v]) for u, v in network.capacity]
@@ -165,13 +166,36 @@ def max_flow(network: FlowNetwork, source=SOURCE, sink=SINK) -> FlowAssignment:
             v = pairs[k][0]
         value += bottleneck
 
-    flows = {}
-    for (key, cap), left in zip(network.capacity.items(), residual):
+    flows = []
+    for cap, left in zip(network.capacity.values(), residual):
         f = cap - left
-        flows[key] = f if f > FLOW_TOL else 0.0
-    assignment = FlowAssignment(flows, value)
-    check_feasible(network, assignment, source, sink)
-    return assignment
+        flows.append(f if f > FLOW_TOL else 0.0)
+    _check_slots(list(index), pairs, list(network.capacity.values()), flows, value, s, t)
+    return FlowAssignment(dict(zip(network.capacity, flows)), value)
+
+
+def _check_slots(vertices: list, pairs: list, capacities: list, flows: list,
+                 value: float, s, t, tol: float = FLOW_TOL) -> None:
+    """check_feasible on max_flow's integer numbering.
+
+    Edge k runs from vertices[pairs[k][0]] to vertices[pairs[k][1]] with
+    capacities[k] and flows[k]; s and t are the source and sink indices, or
+    None when absent. The excess of each vertex is summed in the same edge
+    order as check_feasible's dict, so both accept and reject the same
+    assignments; a capacity or value error has the same message.
+    """
+    excess = [0.0] * len(vertices)
+    for (i, j), cap, f in zip(pairs, capacities, flows):
+        if f < -tol or f > cap + tol:
+            raise ValueError(f"edge {vertices[i]}->{vertices[j]}: flow {f} violates capacity {cap}")
+        excess[i] -= f
+        excess[j] += f
+    inflow = 0.0 if t is None else excess[t]
+    for k, e in enumerate(excess):
+        if k != s and k != t and abs(e) > tol:
+            raise ValueError(f"node {vertices[k]}: flow imbalance {e}")
+    if abs(inflow - value) > max(tol, 1e-6 * abs(value)):
+        raise ValueError("flow value does not match net inflow at sink")
 
 
 def check_feasible(network: FlowNetwork, assignment: FlowAssignment,

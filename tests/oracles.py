@@ -61,7 +61,7 @@ from leoplan import (
     dst_exact,
     parse_scenario,
 )
-from leoplan.constellation import EARTH_ROTATION_RAD_S, _visibility
+from leoplan.constellation import EARTH_ROTATION_RAD_S, _visible_samples
 from leoplan import deployment
 from leoplan.deployment import (N_FEATURES, DeploymentMdp, DeploymentPlan, TrainingReport,
                                 _objective)
@@ -294,10 +294,11 @@ def random_sparse_digraph(rng, n, out_degree, isolated_share, tied):
     return g
 
 
-def visibility_flags(constellation, station, times, sat_pos):
-    """The library's visible samples as flags, shape (len(times), n)."""
-    visible = np.zeros(sat_pos.shape[:2], dtype=bool)
-    visible[_visibility(constellation, station, times, sat_pos)] = True
+def visibility_flags(constellation, station, times):
+    """The library's visible samples for one station as flags, shape (len(times), n)."""
+    visible = np.zeros((len(times), constellation.num_satellites), dtype=bool)
+    _, i, t = _visible_samples(constellation, (station,), times)
+    visible[t, i] = True
     return visible
 
 
@@ -863,11 +864,13 @@ def best_single_link_epochs(windows, model_bits, stations, horizon, epoch_second
 
 
 def run_length_windows(constellation, stations, horizon, step, sgl_rate_bps, start=0.0):
-    """Contact windows by walking each satellite's visibility samples one by one.
+    """Contact windows by walking each satellite's visible samples one by one.
 
-    Same sampling grid and window rule as contact_windows: a run of visible
-    samples becomes one window from its first sample to one step past its
-    last; windows come ordered by station, then satellite, then time.
+    Visibility comes from reference_visibility on the full position grid, not
+    from the library's sieve. Same sampling grid and window rule as
+    contact_windows: a run of visible samples becomes one window from its
+    first sample to one step past its last; windows come ordered by station,
+    then satellite, then time.
     """
     times = start + np.arange(0.0, horizon, step)
     if len(times) == 0:
@@ -875,20 +878,17 @@ def run_length_windows(constellation, stations, horizon, step, sgl_rate_bps, sta
     sat_pos = constellation.positions_at_times(times)
     windows = []
     for st in stations:
-        visible = visibility_flags(constellation, st, times, sat_pos)
+        visible = reference_visibility(constellation, st, times, sat_pos)
         for i, sid in enumerate(constellation.satellites):
-            col = visible[:, i]
-            j = 0
-            while j < len(col):
-                if col[j]:
-                    k = j
-                    while k + 1 < len(col) and col[k + 1]:
-                        k += 1
-                    windows.append(ContactWindow(sid, st.id, float(times[j]),
-                                                 float(times[k] + step), sgl_rate_bps))
-                    j = k + 1
-                else:
-                    j += 1
+            samples = np.flatnonzero(visible[:, i]).tolist()
+            run_start = None
+            for j, nxt in zip(samples, samples[1:] + [None]):
+                if run_start is None:
+                    run_start = j
+                if nxt != j + 1:
+                    windows.append(ContactWindow(sid, st.id, float(times[run_start]),
+                                                 float(times[j] + step), sgl_rate_bps))
+                    run_start = None
     return windows
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -114,6 +115,23 @@ def test_downlink_outputs(tmp_path, capsys):
     lines = (out / "epochs.csv").read_text().splitlines()
     assert lines[0] == "epoch,orbit,delivered_fraction,flow_value"
     assert lines[1].split(",")[:3] == ["0", "0", "1"]
+
+
+@pytest.mark.parametrize("start", ["inf", "nan"])
+def test_downlink_non_finite_start_prints_one_error_line(tmp_path, start):
+    """Rejected before any sampling: stderr holds the JSON error line and no
+    numpy warning. Runs in a child process, so stderr is exactly what a user sees."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "leoplan.cli", "downlink", sim_scenario(tmp_path),
+                           "--start", start, "--out-dir", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert [json.loads(line) for line in proc.stderr.splitlines()] == [
+        {"error": {"subcommand": "downlink", "type": "ValueError",
+                   "message": "start must be finite"}}]
 
 
 def test_allreduce_outputs(tmp_path, capsys):

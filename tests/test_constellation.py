@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leoplan import (
@@ -311,72 +312,100 @@ def test_contact_windows_bad_arguments():
         contact_windows(walker, (st,), horizon=100.0, step=0.0)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("name", ["horizon", "step"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["horizon", "step", "start"])
 def test_contact_windows_rejects_non_finite(name, value):
     walker = build_walker(ConstellationSpec(1, 1, 550.0, 0.0))
-    args = {"horizon": 100.0, "step": 1.0, name: value}
-    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+    args = {"horizon": 100.0, "step": 1.0, "start": 0.0, name: value}
+    message = "start must be finite" if name == "start" else f"{name} must be positive and finite"
+    with pytest.raises(ValueError, match=message):
         contact_windows(walker, (GroundStation("gs", 0.0, 0.0),), **args)
 
 
-@settings(max_examples=60, deadline=None)
-@given(spec=walker_specs(), stations=station_sets(),
-       start=st.floats(-1e4, 1e5), step=st.floats(0.5, 200.0),
-       steps=st.integers(1, 400))
-def test_edge_detection_matches_run_length_oracle(spec, stations, start, step, steps):
-    """Same windows as a sample-by-sample walk: same order, same float bits.
+def window_key(windows):
+    return [(w.ground_station, w.satellite, w.start.hex(), w.end.hex(), w.rate_bps)
+            for w in windows]
+
+
+# Draws shared by the two sieve properties below: any altitude from a grazing
+# 1 m shell to beyond geostationary, pole stations, the horizon and
+# near-zenith masks, and steps long enough that the block slack of
+# _visible_samples passes pi, so that every block is kept.
+altitudes = st.one_of(st.none(), st.floats(1e-3, 40000.0), st.sampled_from([1e-3, 35786.0]))
+latitudes = st.one_of(st.sampled_from([0.0, -90.0, 90.0]), st.floats(-90.0, 90.0))
+masks = st.one_of(st.just(0.0), st.floats(0.0, 90.0, exclude_max=True), st.just(89.9))
+steps_s = st.one_of(st.floats(0.5, 200.0), st.floats(200.0, 3000.0))
+# Sample counts: up to 33 blocks of _SIEVE_BLOCK = 12, often with a partial last block.
+sample_counts = st.one_of(st.integers(1, 400), st.sampled_from([11, 12, 13, 25, 36, 37, 121]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=walker_specs(), stations=station_sets(), altitude=altitudes,
+       lat=latitudes, mask=masks, start=st.floats(-1e4, 1e5), step=steps_s,
+       steps=sample_counts)
+@example(spec=ConstellationSpec(3, 4, 35786.0, 0.0), stations=(), altitude=None, lat=90.0,
+         mask=89.9, start=0.0, step=3000.0, steps=37)
+@example(spec=ConstellationSpec(2, 5, 550.0, 53.0), stations=(), altitude=1e-3, lat=-90.0,
+         mask=0.0, start=-250.0, step=2000.0, steps=25)
+def test_edge_detection_matches_run_length_oracle(spec, stations, altitude, lat, mask, start,
+                                                  step, steps):
+    """Same windows as a sample-by-sample walk over the dense reference
+    visibility: same order, same float bits.
 
     Steps run past a 60 s epoch, and the horizon can end mid-step or inside a
     pass, so runs touching either end of the grid are covered.
     """
+    if altitude is not None:
+        spec = dataclasses.replace(spec, altitude_km=altitude)
     walker = build_walker(spec)
+    stations = stations + (GroundStation("gs-x", lat, 10.0, min_elevation_deg=mask),)
     horizon = steps * step * 0.999
     cfg = LinkConfig(sgl_rate_bps=3e6)
     got = contact_windows(walker, stations, horizon, step=step, link_config=cfg,
                           start=start)
     want = run_length_windows(walker, stations, horizon, step, 3e6, start=start)
-
-    def key(windows):
-        return [(w.ground_station, w.satellite, w.start.hex(), w.end.hex(), w.rate_bps)
-                for w in windows]
-
-    assert key(got) == key(want)
+    assert window_key(got) == window_key(want)
     assert all(type(w.start) is float and type(w.end) is float for w in got)
 
 
 @settings(max_examples=100, deadline=None)
 @given(spec=walker_specs(),
-       altitude=st.one_of(st.none(), st.floats(1.0, 40000.0), st.sampled_from([1e-3, 35786.0])),
-       lat=st.one_of(st.sampled_from([0.0, -90.0, 90.0]), st.floats(-90.0, 90.0)),
-       lon=st.one_of(st.just(0.0), st.floats(-180.0, 180.0)),
-       mask=st.one_of(st.just(0.0), st.floats(0.0, 90.0, exclude_max=True), st.just(89.9)),
-       start=st.floats(-1e4, 1e5), step=st.floats(0.5, 200.0), steps=st.integers(1, 300))
+       altitude=altitudes, lat=latitudes, lon=st.one_of(st.just(0.0), st.floats(-180.0, 180.0)),
+       mask=masks, start=st.floats(-1e4, 1e5), step=steps_s, steps=sample_counts)
 def test_visibility_matches_full_evaluation(spec, altitude, lat, lon, mask, start, step, steps):
-    """Running the elevation formula only inside the cone changes no flag, at
-    any altitude, with the horizon and near-zenith masks and at the poles."""
+    """Running the elevation formula only on the sieved blocks changes no
+    flag, at any altitude, with the horizon and near-zenith masks and at the
+    poles."""
     if altitude is not None:
         spec = dataclasses.replace(spec, altitude_km=altitude)
     walker = build_walker(spec)
     station = GroundStation("gs", lat, lon, min_elevation_deg=mask)
     station.validate()
     times = start + np.arange(0.0, steps * step, step)
-    sat_pos = walker.positions_at_times(times)
-    got = visibility_flags(walker, station, times, sat_pos)
-    want = reference_visibility(walker, station, times, sat_pos)
+    got = visibility_flags(walker, station, times)
+    want = reference_visibility(walker, station, times, walker.positions_at_times(times))
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want)
 
 
-def test_cone_prefilter_matches_full_evaluation_on_shell_plan_grid():
+def test_shell_plan_windows_match_dense_oracle_in_bounded_memory():
+    """On the benchmark's shell_plan grid (1,080 samples x 528 satellites x 8
+    stations) the windows equal the dense oracle's, and one call peaks below
+    26 MB, under the 27.4 MB of two (T, n, 3) position grids: the sieve never
+    builds one."""
     walker, scn, at = shell_plan_case()
     fed = scn.federation
-    times = at + np.arange(0.0, fed.horizon_seconds, fed.window_step_seconds)
-    sat_pos = walker.positions_at_times(times)
-    for station in scn.ground_stations:
-        got = visibility_flags(walker, station, times, sat_pos)
-        assert got.any()
-        assert np.array_equal(got, reference_visibility(walker, station, times, sat_pos))
+    args = (walker, scn.ground_stations, fed.horizon_seconds)
+    tracemalloc.start()
+    try:
+        got = contact_windows(*args, step=fed.window_step_seconds, start=at)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = run_length_windows(*args, fed.window_step_seconds, LinkConfig().sgl_rate_bps, start=at)
+    assert {w.ground_station for w in got} == {gs.id for gs in scn.ground_stations}
+    assert window_key(got) == window_key(want)
+    assert peak < 26e6
 
 
 @settings(max_examples=60, deadline=None)

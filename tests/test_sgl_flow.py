@@ -17,7 +17,7 @@ from leoplan import (
     schedule_downlink,
 )
 from leoplan import sgl_flow
-from leoplan.sgl_flow import SINK, SOURCE
+from leoplan.sgl_flow import SINK, SOURCE, FlowAssignment
 
 from oracles import (
     downlink_timelines,
@@ -312,6 +312,49 @@ def test_max_flow_matches_dict_keyed_reference():
     nets += [random_flow_network(rng) for _ in range(400)]
     for net in nets:
         assert _flow_key(max_flow(net, "s", "t")) == _flow_key(reference_max_flow(net, "s", "t"))
+
+
+def test_slot_check_agrees_with_check_feasible():
+    """max_flow's own check on integer slots accepts and rejects the same
+    assignments as the public check_feasible: max-flow results, and results
+    with one flow pushed past its capacity or below zero, one flow nudged off
+    balance, or the value moved off the inflow at the sink."""
+    rng = np.random.default_rng(2718)
+    seen = set()
+    for _ in range(600):
+        net = random_flow_network(rng)
+        base = max_flow(net, "s", "t")
+        flows, value = list(base.flows.values()), base.value
+        k = int(rng.integers(len(flows)))
+        cap = list(net.capacity.values())[k]
+        kind = int(rng.integers(5))
+        if kind == 1:
+            flows[k] = cap + float(rng.choice([0.5e-9, 2e-9, 0.5]))
+        elif kind == 2:
+            flows[k] = -float(rng.choice([0.5e-9, 2e-9, 0.5]))
+        elif kind == 3:
+            flows[k] += float(rng.choice([0.5e-9, 2e-9, 0.25]))
+        elif kind == 4:
+            value += float(rng.choice([0.5e-9, 2e-9, 0.25]))
+        index = {u: j for j, u in enumerate(net.adjacency)}
+        pairs = [(index[u], index[v]) for u, v in net.capacity]
+
+        def verdict(check):
+            try:
+                check()
+            except ValueError as exc:
+                return str(exc).split()[0]
+            return "ok"
+
+        want = verdict(lambda: check_feasible(
+            net, FlowAssignment(dict(zip(net.capacity, flows)), value), "s", "t"))
+        got = verdict(lambda: sgl_flow._check_slots(
+            list(index), pairs, list(net.capacity.values()), flows, value,
+            index.get("s"), index.get("t")))
+        assert got == want
+        seen.add((kind, want))
+    assert {want for _, want in seen} == {"ok", "edge", "node", "flow"}
+    assert (0, "ok") in seen
 
 
 def _schedule_key(result):
