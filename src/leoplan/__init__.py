@@ -22,7 +22,6 @@ from .constellation import (
     WalkerConstellation,
     build_walker,
     contact_windows,
-    elevation_deg,
     snapshot,
 )
 from .collective import (
@@ -34,7 +33,6 @@ from .collective import (
     execute,
     plan_all_gather,
     plan_all_reduce,
-    uniform_all_reduce_time,
 )
 from .interorbit import (
     PathSet,
@@ -52,7 +50,6 @@ from .sgl_flow import (
     FlowAssignment,
     FlowNetwork,
     build_flow_network,
-    check_feasible,
     max_flow,
     schedule_downlink,
 )
@@ -62,9 +59,7 @@ from .msdag import (
     Microservice,
     Router,
     ServiceDag,
-    TaskRequest,
     dag_latency,
-    end_to_end_latency,
     shared_modules,
     validate_dag,
 )
@@ -75,7 +70,6 @@ from .deployment import (
     LinearPolicy,
     SatelliteNode,
     TrainingReport,
-    evaluate_policy,
     plan_from_policy,
     solve_exact,
     solve_greedy,

@@ -197,7 +197,3 @@ def execute(schedule: RingSchedule, initial_contents):
         elapsed += max(st.block_bits / schedule.link_rates[st.sender] for st, _ in payloads)
     return contents, elapsed
 
-
-def uniform_all_reduce_time(node_count: int, payload_bits: float, rate_bps: float) -> float:
-    """Closed form 2(N-1)/N * D/r for a uniform ring, ignoring block padding."""
-    return 2.0 * (node_count - 1) / node_count * payload_bits / rate_bps

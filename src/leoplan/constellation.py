@@ -210,7 +210,6 @@ class WalkerConstellation:
         self._incl = math.radians(spec.inclination_deg)
         self._cos_raan, self._sin_raan = np.cos(self._raan), np.sin(self._raan)
         self.satellites = [SatelliteId(int(a), int(b)) for a, b in zip(pp, ss)]
-        self._index = {sat: i for i, sat in enumerate(self.satellites)}
 
     @property
     def num_satellites(self) -> int:
@@ -246,31 +245,10 @@ class WalkerConstellation:
         np.add(xo * so, yo * co, out=out[..., 1])
         return out
 
-    def position_of(self, sat: SatelliteId, t: float) -> np.ndarray:
-        return self.positions_at(t)[self._index[sat]]
-
-    def index_of(self, sat: SatelliteId) -> int:
-        return self._index[sat]
-
 
 def build_walker(spec: ConstellationSpec) -> WalkerConstellation:
     """Validate the shell parameters and construct the constellation."""
     return WalkerConstellation(spec)
-
-
-def station_eci_km(station: GroundStation, t: float, epoch: float = 0.0) -> np.ndarray:
-    """Inertial position of a station fixed to the rotating Earth."""
-    theta = EARTH_ROTATION_RAD_S * (t - epoch)
-    c, s = math.cos(theta), math.sin(theta)
-    ex, ey, ez = station.ecef_km()
-    return np.array([c * ex - s * ey, s * ex + c * ey, ez])
-
-
-def elevation_deg(sat_pos_km: np.ndarray, station_pos_km: np.ndarray) -> float:
-    """Elevation of a satellite above the local horizon of a station position."""
-    d = sat_pos_km - station_pos_km
-    zen = station_pos_km / np.linalg.norm(station_pos_km)
-    return math.degrees(math.asin(float(np.dot(d, zen) / np.linalg.norm(d))))
 
 
 def snapshot(
@@ -326,13 +304,14 @@ def snapshot(
     for st in stations:
         st.validate()
     if stations:
-        s, visible, _ = _visible_samples(constellation, stations, np.array([t], dtype=float))
+        at = np.array([t], dtype=float)
+        s, visible, _ = _visible_samples(constellation, stations, at)
         # s is sorted, so station k's satellites are visible[bounds[k]:bounds[k + 1]].
         bounds = np.searchsorted(s, np.arange(len(stations) + 1)).tolist()
+        st_pos, _ = _station_frames(stations, at, spec.epoch)
     for k, st in enumerate(stations):
-        st_pos = station_eci_km(st, t, spec.epoch)
         for i in visible[bounds[k]:bounds[k + 1]].tolist():
-            dist = float(np.linalg.norm(pos[i] - st_pos))
+            dist = float(np.linalg.norm(pos[i] - st_pos[k, 0]))
             links.append(Link(LinkKind.SGL, (constellation.satellites[i], st.id),
                               link_config.sgl_rate_bps, dist / LIGHT_SPEED_KM_S))
         links.append(Link(LinkKind.GROUND_DEDICATED, (st.id, "cloud"),
@@ -356,7 +335,11 @@ _SIEVE_BLOCK = 12
 
 def _station_frames(stations: tuple, times: np.ndarray, epoch: float) -> tuple:
     """Inertial positions (km) and unit zeniths of stations at times, each
-    shape (len(stations), len(times), 3)."""
+    shape (len(stations), len(times), 3).
+
+    The one place a station's turn with the Earth is written down: the
+    visibility test and snapshot's SGL delays both read it.
+    """
     theta = EARTH_ROTATION_RAD_S * (times - epoch)
     c, s = np.cos(theta), np.sin(theta)
     ecef = np.array([st.ecef_km() for st in stations]).reshape(-1, 3)

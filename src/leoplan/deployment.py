@@ -34,7 +34,8 @@ first, and the greedy decode that ends the run walks the same dicts. The draw
 cumulative sum, normalised by its last entry, searched with one rng.random()
 from the same stream. Indices, theta and every return are therefore
 bit-identical to a run that rebuilds each state and calls choice. The dicts
-live only for the call.
+live only for the call; plan_from_policy runs the same greedy decode on a
+fresh dict.
 """
 
 from __future__ import annotations
@@ -339,15 +340,17 @@ class MdpTransition:
 
 class DeploymentMdp:
     """Sequential placement as an MDP: one service per step, reward is the
-    negative latency increment, dead ends cost dead_end_reward."""
+    negative latency increment, dead ends cost DEAD_END_REWARD."""
 
-    def __init__(self, instance: DeploymentInstance, dead_end_reward: float = DEAD_END_REWARD):
+    def __init__(self, instance: DeploymentInstance):
         self.instance = instance
-        self.dead_end_reward = dead_end_reward
         self._scales = _feature_scales(instance)
+        # Per position in instance.order, the (service, satellite) action of
+        # every candidate; feasible action tuples share these pairs.
+        self._actions = [tuple((sid, sat.id) for sat in instance.satellites)
+                         for sid in instance.order]
 
-    def reset(self, seed: int = 0) -> MdpState:
-        del seed  # transitions are deterministic; kept for interface symmetry
+    def reset(self) -> MdpState:
         res = tuple(s.memory_bytes for s in self.instance.satellites)
         done = len(self.instance.order) == 0
         bests = (0.0,) * len(self.instance.tasks)
@@ -357,9 +360,11 @@ class DeploymentMdp:
     def _feasible(self, next_index: int, residuals: tuple, done: bool) -> tuple:
         if done:
             return ()
-        sid = self.instance.order[next_index]
-        return tuple((sid, sat.id) for i, sat in enumerate(self.instance.satellites)
-                     if self.instance.service_fits(sid, sat, residuals[i]))
+        inst = self.instance
+        sid = inst.order[next_index]
+        return tuple(action for action, sat, residual
+                     in zip(self._actions[next_index], inst.satellites, residuals)
+                     if inst.service_fits(sid, sat, residual))
 
     def feasible_actions(self, state: MdpState) -> tuple:
         if state.progress is None:
@@ -384,7 +389,7 @@ class DeploymentMdp:
         actions = self._feasible(next_index, residuals, done)
         dead_end = not done and not actions
         if dead_end:
-            reward += self.dead_end_reward
+            reward += DEAD_END_REWARD
         next_state = MdpState(next_index, state.assignment + ((sid, sat_id),), residuals,
                               objective, done or dead_end, dead_end,
                               ({**hosts, sid: j}, {**finishes, sid: own}, bests, actions))
@@ -454,16 +459,6 @@ class LinearPolicy:
 
     theta: np.ndarray
 
-    def distribution(self, env: DeploymentMdp, state: MdpState):
-        actions = env.feasible_actions(state)
-        feats = _feature_matrix(env, state, actions)
-        return actions, feats, _softmax(feats, self.theta)
-
-    def act(self, env: DeploymentMdp, state: MdpState, rng: np.random.Generator,
-            greedy: bool = False):
-        actions, _, probs = self.distribution(env, state)
-        return actions[int(np.argmax(probs)) if greedy else _draw(probs, rng)]
-
 
 @dataclass
 class TrainingReport:
@@ -474,30 +469,13 @@ class TrainingReport:
     mean_gap: float | None = None
 
 
-def rollout(env: DeploymentMdp, choose, record=None) -> float:
-    """Play one episode; choose(state) -> action; returns the episode return."""
-    state = env.reset()
-    total = 0.0
-    while not state.done:
-        if not env.feasible_actions(state):
-            total += env.dead_end_reward  # nothing fits before the first placement
-            break
-        action = choose(state)
-        if record is not None:
-            record.append((state, action))
-        tr = env.step(state, action)
-        total += tr.reward
-        state = tr.state
-    return total
-
-
 def _cached_episode(env: DeploymentMdp, cache: dict, state: MdpState, theta: np.ndarray,
                     rng: np.random.Generator | None):
     """One episode from state through a training run's cache of env (see the
     module docstring). rng draws each action; with rng None the most probable
     action is taken and no gradient is summed.
 
-    Returns (episode return, summed score-function gradient).
+    Returns (episode return, summed score-function gradient, final state).
     """
     grads = np.zeros(N_FEATURES)
     total = 0.0
@@ -509,7 +487,7 @@ def _cached_episode(env: DeploymentMdp, cache: dict, state: MdpState, theta: np.
             cache[state.assignment] = node
         actions, feats, slots = node
         if not actions:
-            total += env.dead_end_reward  # nothing fits before the first placement
+            total += DEAD_END_REWARD  # nothing fits before the first placement
             break
         probs = _softmax(feats, theta)
         if rng is None:
@@ -522,7 +500,7 @@ def _cached_episode(env: DeploymentMdp, cache: dict, state: MdpState, theta: np.
             tr = slots[choice] = env.step(state, actions[choice])
         total += tr.reward
         state = tr.state
-    return total, grads
+    return total, grads, state
 
 
 def train_policy_gradient(envs, episodes: int, seed: int, lr: float = 0.15,
@@ -560,7 +538,7 @@ def train_policy_gradient(envs, episodes: int, seed: int, lr: float = 0.15,
 
     for ep in range(episodes):
         idx = ep % len(envs)
-        total, grads = _cached_episode(envs[idx], caches[idx], starts[idx], policy.theta, rng)
+        total, grads, _ = _cached_episode(envs[idx], caches[idx], starts[idx], policy.theta, rng)
         counts[idx] += 1
         baselines[idx] += (total - baselines[idx]) / counts[idx]
         policy.theta = policy.theta + lr * (total - baselines[idx]) * grads
@@ -578,23 +556,9 @@ def train_policy_gradient(envs, episodes: int, seed: int, lr: float = 0.15,
 
 
 def plan_from_policy(env: DeploymentMdp, policy: LinearPolicy) -> DeploymentPlan:
-    """Deterministic greedy rollout of a trained policy into a plan."""
-    rng = np.random.default_rng(0)
-    state = env.reset()
-    while not state.done:
-        if not env.feasible_actions(state):
-            return DeploymentPlan({}, False, None, "pg")
-        action = policy.act(env, state, rng, greedy=True)
-        state = env.step(state, action).state
-    if state.dead_end:
+    """Deterministic greedy rollout of a trained policy into a plan: the most
+    probable action at every step, as the greedy decode of training takes it."""
+    _, _, state = _cached_episode(env, {}, env.reset(), policy.theta, None)
+    if not state.done or state.dead_end:
         return DeploymentPlan({}, False, None, "pg")
     return DeploymentPlan(state.placed(), True, state.objective, "pg")
-
-
-def evaluate_policy(env: DeploymentMdp, policy: LinearPolicy, episodes: int, seed: int,
-                    greedy: bool = False) -> float:
-    """Mean episode return of a policy on one environment."""
-    rng = np.random.default_rng(seed)
-    totals = [rollout(env, lambda s: policy.act(env, s, rng, greedy=greedy))
-              for _ in range(episodes)]
-    return float(np.mean(totals))

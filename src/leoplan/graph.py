@@ -1,5 +1,6 @@
 """The graph algorithms every planner shares: one digraph, Dijkstra,
-Floyd-Warshall, a topological order and reachability.
+Floyd-Warshall by pivot columns and per-destination replay, a topological
+order and reachability.
 
 Results are deterministic, and the tie-break rules below are part of the
 outputs (placement, routes and trees all follow the chosen paths):
@@ -12,7 +13,7 @@ outputs (placement, routes and trees all follow the chosen paths):
   The order in which one node's neighbours are relaxed cannot change
   anything: each relaxation touches only its own neighbour, and the heap
   orders its entries by (distance, node_key), not by push order.
-* floyd_warshall lets the intermediate node k run over the given node order
+* Floyd-Warshall lets the intermediate node k run over the given node order
   and replaces a pair's route only on a strictly shorter path through k.
 * topological_order is the lexicographically smallest order: of all nodes
   whose predecessors are done, the least comes next.
@@ -20,8 +21,13 @@ outputs (placement, routes and trees all follow the chosen paths):
 Floyd-Warshall is run destination-major: row j of its arrays holds column j
 of the distance matrix, the distances and next hops of every source into j.
 Iteration k sets d[i, j] = d[i, k] + d[k, j] (and the next hop of i to that
-of the i -> k path) wherever that sum is strictly less. Four facts let it
-work in place and skip work without changing one bit or one tie-break:
+of the i -> k path) wherever that sum is strictly less. It runs as one pivot
+pass (pivot_columns) plus one replay per destination asked for
+(replay_column); inter-orbit routing replays the destinations it is asked
+about, and the exact Steiner solver replays every destination to get the
+whole matrix. Four facts let the pass and the replays work in place and
+skip work without changing one bit or one tie-break against the textbook
+whole-matrix algorithm:
 
 * Finite span. inf + x is inf or NaN for every x, and neither is < d, so
   a source i with d[i, k] == inf or a destination j with d[k, j] == inf
@@ -40,8 +46,8 @@ work in place and skip work without changing one bit or one tie-break:
 * Column replay. replay_column finishes column j by applying iterations
   k = j+1 .. n-1 to it with the stored pivot columns, in the same order,
   with the same additions and the same strict <, so it equals column j of
-  the full floyd_warshall bit for bit. A route's whole next-hop chain into
-  j lies in column j, so one replay serves every path to j.
+  the whole-matrix Floyd-Warshall bit for bit. A route's whole next-hop
+  chain into j lies in column j, so one replay serves every path to j.
 """
 
 from __future__ import annotations
@@ -168,15 +174,20 @@ def _finite_span(values):
     return (first, finite.rfind(1) + 1) if first >= 0 else (0, 0)
 
 
-def _relax(dist, nxt, pivot_pass: bool) -> None:
-    """Floyd-Warshall iterations k = 0 .. n-1 in place on destination-major
-    arrays over the finite spans, relaxing every destination, or with
-    pivot_pass only the destinations after k (see the module docstring)."""
+def pivot_columns(graph: Digraph, index: dict):
+    """Destination-major (dist, next_hop) whose row j is column j of the
+    distance matrix as Floyd-Warshall iteration j reads it; replay_column
+    finishes any one of them.
+
+    Runs iterations k = 0 .. n-1 in place over the finite spans, relaxing
+    only the destinations after k (see the module docstring).
+    """
+    dist, nxt = _initial(graph, index)
     n = len(dist)
     buf = np.empty(min(n, _ROW_BLOCK) * n)
     mask = np.empty(buf.shape, dtype=bool)
     for k in range(n):
-        lo = k + 1 if pivot_pass else 0
+        lo = k + 1
         first, stop = _finite_span(dist[lo:, k])
         if first == stop:
             continue
@@ -192,25 +203,6 @@ def _relax(dist, nxt, pivot_pass: bool) -> None:
             np.less(a, d, out=b)
             np.copyto(d, a, where=b)
             np.copyto(nxt[r:r1, c0:c1], hop_k, where=b)
-
-
-def floyd_warshall(graph: Digraph, index: dict):
-    """All-pairs (dist, next_hop) arrays over the nodes of index, in its order.
-
-    ``next_hop[i, j]`` is the index of the node after i on the kept i->j
-    path (i itself when i == j, -1 when j is unreachable).
-    """
-    dist, nxt = _initial(graph, index)
-    _relax(dist, nxt, pivot_pass=False)
-    return dist.T, nxt.T
-
-
-def pivot_columns(graph: Digraph, index: dict):
-    """Destination-major (dist, next_hop) whose row j is column j of the
-    distance matrix as Floyd-Warshall iteration j reads it; replay_column
-    finishes any one of them."""
-    dist, nxt = _initial(graph, index)
-    _relax(dist, nxt, pivot_pass=True)
     return dist, nxt
 
 

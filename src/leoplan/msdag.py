@@ -200,17 +200,6 @@ def shared_modules(tasks):
 
 
 @dataclass(frozen=True)
-class TaskRequest:
-    """A concrete invocation: where the sensing data enters and where results land."""
-
-    dag_id: str
-    source_satellite: SatelliteId
-    destination: str | None = None
-    input_bits: float = 0.0
-    release_time: float = 0.0
-
-
-@dataclass(frozen=True)
 class LatencyModel:
     """Compute throughput per host plus a fixed per-hop handoff overhead."""
 
@@ -297,19 +286,3 @@ def dag_latency(
         path.append(destination)
     return LatencyBreakdown(total, tuple(path))
 
-
-def end_to_end_latency(
-    request: TaskRequest,
-    dag: ServiceDag,
-    placement,
-    snapshot: TopologySnapshot,
-    model: LatencyModel,
-) -> LatencyBreakdown:
-    """Convenience wrapper that builds a router from the snapshot first."""
-    if request.dag_id != dag.task_id:
-        raise ValueError("request does not match the task DAG")
-    router = Router(snapshot, include_ground=True)
-    return dag_latency(dag, placement, router, model,
-                       source=request.source_satellite,
-                       input_bits=request.input_bits,
-                       destination=request.destination)

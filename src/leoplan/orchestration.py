@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .constellation import TopologySnapshot
-from .graph import Digraph, dijkstra, floyd_warshall, node_key, path_to, reachable
+from .graph import Digraph, dijkstra, node_key, path_to, pivot_columns, reachable, replay_column
 from .interorbit import ISL_KINDS
 from .msdag import ServiceDag
 
@@ -171,10 +171,15 @@ def dst_exact(graph: AugmentedGraph, instance: SteinerInstance,
 
     index = {n: i for i, n in enumerate(nodes)}
     n = len(nodes)
-    dist, nxt = (a.tolist() for a in floyd_warshall(graph, index))
+    # One replayed column per destination j: dist[j][i] is the i -> j
+    # distance and nxt[j][i] the node after i on that path.
+    pivots = pivot_columns(graph, index)
+    columns = [replay_column(*pivots, j) for j in range(n)]
+    dist = [col.tolist() for col, _ in columns]
+    nxt = [hop.tolist() for _, hop in columns]
 
     for t in terms:
-        if dist[index[instance.root]][index[t]] == math.inf:
+        if dist[index[t]][index[instance.root]] == math.inf:
             raise ValueError(f"terminal {t} unreachable from root {instance.root}")
 
     k = len(terms)
@@ -183,8 +188,7 @@ def dst_exact(graph: AugmentedGraph, instance: SteinerInstance,
     f = [[math.inf] * n for _ in range(full + 1)]
     choice: dict = {}
     for ti, t in enumerate(terms):
-        for v in range(n):
-            f[1 << ti][v] = dist[v][index[t]]
+        f[1 << ti] = list(dist[index[t]])
 
     masks = sorted(range(1, full + 1), key=lambda m: bin(m).count("1"))
     for mask in masks:
@@ -206,9 +210,9 @@ def dst_exact(graph: AugmentedGraph, instance: SteinerInstance,
         for v in range(n):
             best, arg = math.inf, None
             for u in range(n):
-                if g_row[u] == math.inf or dist[v][u] == math.inf:
+                if g_row[u] == math.inf or dist[u][v] == math.inf:
                     continue
-                cand = dist[v][u] + g_row[u]
+                cand = dist[u][v] + g_row[u]
                 if cand < best:
                     best, arg = cand, u
             f[mask][v] = best
@@ -223,7 +227,7 @@ def dst_exact(graph: AugmentedGraph, instance: SteinerInstance,
 
     def expand_path(i: int, j: int) -> None:
         while i != j:
-            step = nxt[i][j]
+            step = nxt[j][i]
             edges.add((nodes[i], nodes[step]))
             i = step
 

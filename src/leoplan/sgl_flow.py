@@ -39,9 +39,6 @@ class FlowNetwork:
         self.adjacency.setdefault(u, []).append(v)
         self.adjacency.setdefault(v, [])
 
-    def vertices(self) -> list:
-        return list(self.adjacency)
-
 
 @dataclass(frozen=True)
 class FlowAssignment:
@@ -54,7 +51,6 @@ class DownlinkState:
     """Per-orbit fraction of the model still waiting on the ground transfer."""
 
     remaining: dict
-    elapsed_windows: int = 0
 
     def validate(self) -> None:
         for orbit, frac in self.remaining.items():
@@ -122,7 +118,7 @@ def max_flow(network: FlowNetwork, source=SOURCE, sink=SINK) -> FlowAssignment:
     are those of a residual dict keyed by vertex pairs. Returns the flow on
     every forward edge plus the total value; the result always satisfies
     capacity and conservation, checked on the integer slots before returning
-    (_check_slots, which accepts exactly what check_feasible accepts).
+    (_check_slots).
     """
     index = {u: k for k, u in enumerate(network.adjacency)}
     pairs = [(index[u], index[v]) for u, v in network.capacity]
@@ -176,13 +172,15 @@ def max_flow(network: FlowNetwork, source=SOURCE, sink=SINK) -> FlowAssignment:
 
 def _check_slots(vertices: list, pairs: list, capacities: list, flows: list,
                  value: float, s, t, tol: float = FLOW_TOL) -> None:
-    """check_feasible on max_flow's integer numbering.
+    """Raise ValueError unless capacities and conservation hold within tol,
+    on max_flow's integer numbering.
 
     Edge k runs from vertices[pairs[k][0]] to vertices[pairs[k][1]] with
     capacities[k] and flows[k]; s and t are the source and sink indices, or
     None when absent. The excess of each vertex is summed in the same edge
-    order as check_feasible's dict, so both accept and reject the same
-    assignments; a capacity or value error has the same message.
+    order as the dict-keyed reference check in tests/oracles.py, so both
+    accept and reject the same assignments; a capacity or value error has
+    the same message.
     """
     excess = [0.0] * len(vertices)
     for (i, j), cap, f in zip(pairs, capacities, flows):
@@ -195,26 +193,6 @@ def _check_slots(vertices: list, pairs: list, capacities: list, flows: list,
         if k != s and k != t and abs(e) > tol:
             raise ValueError(f"node {vertices[k]}: flow imbalance {e}")
     if abs(inflow - value) > max(tol, 1e-6 * abs(value)):
-        raise ValueError("flow value does not match net inflow at sink")
-
-
-def check_feasible(network: FlowNetwork, assignment: FlowAssignment,
-                   source=SOURCE, sink=SINK, tol: float = FLOW_TOL) -> None:
-    """Raise ValueError unless capacities and conservation hold within tol."""
-    excess: dict = {}
-    for (u, v), f in assignment.flows.items():
-        cap = network.capacity[(u, v)]
-        if f < -tol or f > cap + tol:
-            raise ValueError(f"edge {u}->{v}: flow {f} violates capacity {cap}")
-        excess[u] = excess.get(u, 0.0) - f
-        excess[v] = excess.get(v, 0.0) + f
-    inflow = excess.get(sink, 0.0)
-    excess.pop(source, None)
-    excess.pop(sink, None)
-    for node, e in excess.items():
-        if abs(e) > tol:
-            raise ValueError(f"node {node}: flow imbalance {e}")
-    if abs(inflow - assignment.value) > max(tol, 1e-6 * abs(assignment.value)):
         raise ValueError("flow value does not match net inflow at sink")
 
 
@@ -362,7 +340,6 @@ def schedule_downlink(
             assignment = FlowAssignment({}, 0.0)
         for o, f in delivered.items():
             state.remaining[o] = max(0.0, state.remaining[o] - f)
-        state.elapsed_windows += 1
         epochs.append(EpochFlow(e, assignment, delivered))
 
     return DownlinkResult(epochs, state, state.done(tol))

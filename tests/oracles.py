@@ -7,7 +7,9 @@ meaningful evidence rather than a tautology. The one exception is
 run_length_windows, which takes the library's visibility samples so that
 only the run detection under test differs. floyd_warshall and
 reference_visibility keep the library's earlier whole-array formulations,
-so the faster versions must reproduce them bit for bit; likewise
+so the faster versions must reproduce them bit for bit (floyd_warshall is
+the matrix that leoplan.graph's pivot pass plus per-destination replay
+serves to routing and to dst_exact, over any Digraph's weight()); likewise
 merged_topological_order and multi_source_dijkstra keep the loops that
 leoplan.graph replaced, reference_dag_cycle the recursive search validate_dag
 replaced, reference_action_features and reference_greedy the placement
@@ -18,6 +20,12 @@ reference_max_flow and reference_schedule_downlink the dict-keyed max-flow
 and the scheduler that tested every window in every epoch (it builds each
 epoch's network with the library's _overlap and build_flow_network, so only
 the window scan and the max-flow differ).
+check_feasible is the dict-keyed flow check that max_flow's integer-slot
+check must agree with. station_position and elevation_deg rotate a station
+and measure elevation one sample at a time with math's scalar functions.
+rollout, policy_distribution and evaluate_policy play a linear softmax
+policy step by step through DeploymentMdp, drawing with Generator.choice,
+and uniform_all_reduce_time is the ring all-reduce closed form.
 full_hosting_reduction_check runs the library's dst_exact against networkx's
 Edmonds arborescence.
 """
@@ -56,15 +64,14 @@ from leoplan import (
     WeightedDigraph,
     build_flow_network,
     build_walker,
-    check_feasible,
     dag_latency,
     dst_exact,
     parse_scenario,
 )
 from leoplan.constellation import EARTH_ROTATION_RAD_S, _visible_samples
 from leoplan import deployment
-from leoplan.deployment import (N_FEATURES, DeploymentMdp, DeploymentPlan, TrainingReport,
-                                _objective)
+from leoplan.deployment import (DEAD_END_REWARD, N_FEATURES, DeploymentMdp, DeploymentPlan,
+                                TrainingReport, _objective)
 from leoplan.sgl_flow import (FLOW_TOL, SINK, SOURCE, DownlinkResult, DownlinkState, EpochFlow,
                               FlowAssignment, _overlap)
 
@@ -231,8 +238,9 @@ def random_layered_network(rng):
 def floyd_warshall(graph):
     """(dist, next_hop) over graph.sorted_nodes(), one fresh matrix per k.
 
-    The same relaxation as ShortestPaths (strict <, k in sorted-node order),
-    written as whole-matrix numpy expressions that never update in place.
+    The same relaxation as ShortestPaths and dst_exact (strict <, k in
+    sorted-node order), written as whole-matrix numpy expressions that never
+    update in place, on the weights graph.weight(u, v) of any Digraph.
     """
     nodes = graph.sorted_nodes()
     index = {node: i for i, node in enumerate(nodes)}
@@ -242,10 +250,11 @@ def floyd_warshall(graph):
     np.fill_diagonal(dist, 0.0)
     for i in range(n):
         nxt[i, i] = i
-    for (u, v), attr in graph.edges.items():
+    for (u, v) in graph.edges:
         i, j = index[u], index[v]
-        if attr.weight < dist[i, j]:
-            dist[i, j] = attr.weight
+        w = graph.weight(u, v)
+        if w < dist[i, j]:
+            dist[i, j] = w
             nxt[i, j] = j
     for k in range(n):
         alt = dist[:, k, None] + dist[None, k, :]
@@ -265,17 +274,21 @@ def next_hop_path(nodes, next_hop, i, j):
     return [nodes[h] for h in hops]
 
 
-def random_sparse_digraph(rng, n, out_degree, isolated_share, tied):
-    """A directed WeightedDigraph on n nodes for all-pairs comparisons.
+def random_sparse_digraph(rng, n, out_degree, isolated_share, weights):
+    """A directed Digraph on n nodes for all-pairs comparisons.
 
     Each non-isolated node gets about out_degree out-edges to random other
     non-isolated nodes, drawn independently per direction, so the graph is
-    asymmetric. Capacities are uniform in [1e6, 1e9], or with tied=True drawn
-    from {1e9, 2e9, 3e9} so that many paths weigh the same; either way the
-    1/capacity weights are not powers of two.
+    asymmetric. With weights "rate" it is a WeightedDigraph with capacities
+    uniform in [1e6, 1e9], with "tied" capacities from {1e9, 2e9, 3e9} so that
+    many paths weigh the same; either way the 1/capacity weights are not
+    powers of two. With "energy" it is an AugmentedGraph of plain floats as a
+    Steiner instance has them: 0.0 (a free hop, so zero-weight cycles and
+    ties) for about a third of the edges, the rest tied from {1e-9, 2e-9,
+    3e-9} or uniform in [0, 2).
     """
     names = [f"n{i:03d}" for i in range(n)]
-    g = WeightedDigraph()
+    g = AugmentedGraph() if weights == "energy" else WeightedDigraph()
     for name in names:
         g.add_node(name)
     live = [i for i in range(n) if rng.random() >= isolated_share]
@@ -286,11 +299,19 @@ def random_sparse_digraph(rng, n, out_degree, isolated_share, tied):
             v = live[int(rng.integers(0, len(live)))]
             if v == u:
                 continue
-            if tied:
-                cap = float(rng.choice([1e9, 2e9, 3e9]))
+            if weights == "energy":
+                pick = rng.random()
+                if pick < 0.3:
+                    value = 0.0
+                elif pick < 0.65:
+                    value = float(rng.choice([1e-9, 2e-9, 3e-9]))
+                else:
+                    value = float(rng.uniform(0.0, 2.0))
+            elif weights == "tied":
+                value = float(rng.choice([1e9, 2e9, 3e9]))
             else:
-                cap = float(rng.uniform(1e6, 1e9))
-            g.add_edge(names[u], names[v], cap)
+                value = float(rng.uniform(1e6, 1e9))
+            g.add_edge(names[u], names[v], value)
     return g
 
 
@@ -315,6 +336,26 @@ def reference_visibility(constellation, station, times, sat_pos):
     d = sat_pos - st_pos[:, None, :]
     sin_elev = np.einsum("tnk,tk->tn", d, zen) / np.linalg.norm(d, axis=-1)
     return sin_elev >= math.sin(math.radians(station.min_elevation_deg))
+
+
+def station_position(station, t, epoch=0.0):
+    """Inertial position (km) of a station fixed to the rotating Earth at t."""
+    theta = EARTH_ROTATION_RAD_S * (t - epoch)
+    c, s = math.cos(theta), math.sin(theta)
+    ex, ey, ez = station.ecef_km()
+    return np.array([c * ex - s * ey, s * ex + c * ey, ez])
+
+
+def elevation_deg(sat_pos_km, station_pos_km):
+    """Elevation (degrees) of a satellite above the local horizon of a station position."""
+    d = sat_pos_km - station_pos_km
+    zen = station_pos_km / np.linalg.norm(station_pos_km)
+    return math.degrees(math.asin(float(np.dot(d, zen) / np.linalg.norm(d))))
+
+
+def uniform_all_reduce_time(node_count, payload_bits, rate_bps):
+    """Closed form 2(N-1)/N * D/r for a uniform ring, ignoring block padding."""
+    return 2.0 * (node_count - 1) / node_count * payload_bits / rate_bps
 
 
 def random_rate_digraph(rng, max_nodes=12):
@@ -438,6 +479,50 @@ def reference_action_features(env, state, action):
     return np.array([1.0, run, delta, residual, colocated])
 
 
+def policy_distribution(env, state, theta):
+    """(feasible actions, feature matrix, softmax probabilities) of a linear
+    policy with weights theta in state."""
+    actions = env.feasible_actions(state)
+    feats = np.array([deployment.action_features(env, state, a) for a in actions])
+    scores = feats @ theta
+    scores -= scores.max()
+    probs = np.exp(scores)
+    probs /= probs.sum()
+    return actions, feats, probs
+
+
+def rollout(env, choose, record=None):
+    """Play one episode from reset; choose(state) -> action. Returns the
+    episode return; record, when given, collects every (state, action)."""
+    state = env.reset()
+    total = 0.0
+    while not state.done:
+        if not env.feasible_actions(state):
+            total += DEAD_END_REWARD  # nothing fits before the first placement
+            break
+        action = choose(state)
+        if record is not None:
+            record.append((state, action))
+        tr = env.step(state, action)
+        total += tr.reward
+        state = tr.state
+    return total
+
+
+def evaluate_policy(env, policy, episodes, seed, greedy=False):
+    """Mean episode return of a LinearPolicy on one environment, drawing each
+    action with Generator.choice (or taking the most probable with greedy)."""
+    rng = np.random.default_rng(seed)
+
+    def choose(state):
+        actions, _, probs = policy_distribution(env, state, policy.theta)
+        if greedy:
+            return actions[int(np.argmax(probs))]
+        return actions[int(rng.choice(len(actions), p=probs))]
+
+    return float(np.mean([rollout(env, choose) for _ in range(episodes)]))
+
+
 def reference_train_policy_gradient(envs, episodes, seed, lr=0.15, optima=None):
     """deployment.train_policy_gradient as it was before its per-run cache:
     every step rebuilds the state's features through the library's
@@ -448,16 +533,6 @@ def reference_train_policy_gradient(envs, episodes, seed, lr=0.15, optima=None):
     envs = list(envs)
     rng = np.random.default_rng(seed)
     theta = np.zeros(N_FEATURES)
-
-    def distribution(env, state):
-        actions = env.feasible_actions(state)
-        feats = np.array([deployment.action_features(env, state, a) for a in actions])
-        scores = feats @ theta
-        scores -= scores.max()
-        probs = np.exp(scores)
-        probs /= probs.sum()
-        return actions, feats, probs
-
     baselines = [0.0] * len(envs)
     counts = [0] * len(envs)
     returns = []
@@ -469,9 +544,9 @@ def reference_train_policy_gradient(envs, episodes, seed, lr=0.15, optima=None):
         total = 0.0
         while not state.done:
             if not env.feasible_actions(state):
-                total += env.dead_end_reward
+                total += DEAD_END_REWARD
                 break
-            actions, feats, probs = distribution(env, state)
+            actions, feats, probs = policy_distribution(env, state, theta)
             choice = int(rng.choice(len(actions), p=probs))
             grads += feats[choice] - probs @ feats
             tr = env.step(state, actions[choice])
@@ -488,9 +563,9 @@ def reference_train_policy_gradient(envs, episodes, seed, lr=0.15, optima=None):
         total = 0.0
         while not state.done:
             if not env.feasible_actions(state):
-                total += env.dead_end_reward
+                total += DEAD_END_REWARD
                 break
-            actions, _, probs = distribution(env, state)
+            actions, _, probs = policy_distribution(env, state, theta)
             tr = env.step(state, actions[int(np.argmax(probs))])
             total += tr.reward
             state = tr.state
@@ -640,6 +715,26 @@ def random_window_timeline(rng):
     return windows, stations
 
 
+def check_feasible(network, assignment, source=SOURCE, sink=SINK, tol=FLOW_TOL):
+    """Raise ValueError unless capacities and conservation hold within tol,
+    with one dict of excesses keyed by vertex."""
+    excess = {}
+    for (u, v), f in assignment.flows.items():
+        cap = network.capacity[(u, v)]
+        if f < -tol or f > cap + tol:
+            raise ValueError(f"edge {u}->{v}: flow {f} violates capacity {cap}")
+        excess[u] = excess.get(u, 0.0) - f
+        excess[v] = excess.get(v, 0.0) + f
+    inflow = excess.get(sink, 0.0)
+    excess.pop(source, None)
+    excess.pop(sink, None)
+    for node, e in excess.items():
+        if abs(e) > tol:
+            raise ValueError(f"node {node}: flow imbalance {e}")
+    if abs(inflow - assignment.value) > max(tol, 1e-6 * abs(assignment.value)):
+        raise ValueError("flow value does not match net inflow at sink")
+
+
 def reference_max_flow(network, source=SOURCE, sink=SINK):
     """Shortest-augmenting-path max-flow on a residual dict keyed by vertex
     pairs; the formulation leoplan.sgl_flow.max_flow numbers into integers."""
@@ -717,7 +812,6 @@ def reference_schedule_downlink(windows, model_bits, stations, horizon, epoch_se
             assignment = FlowAssignment({}, 0.0)
         for o, f in delivered.items():
             state.remaining[o] = max(0.0, state.remaining[o] - f)
-        state.elapsed_windows += 1
         epochs.append(EpochFlow(e, assignment, delivered))
     return DownlinkResult(epochs, state, state.done(tol))
 

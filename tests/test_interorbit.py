@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leoplan import (
@@ -153,7 +153,8 @@ def test_path_metrics_match_bruteforce():
 def assert_same_routes(g, sources):
     """Every destination column of ShortestPaths equals the whole-matrix
     reference bit for bit, and its path() lists from the given source
-    indices equal the reference's."""
+    indices equal the reference's. Any Digraph works: the columns are the
+    pivot pass plus replay that dst_exact also reads."""
     sp = all_pairs_shortest(g)
     dist, nxt = floyd_warshall(g)
     assert sp.nodes == g.sorted_nodes()
@@ -169,11 +170,14 @@ def assert_same_routes(g, sources):
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 261])
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), out_degree=st.floats(0.5, 4.0),
-       isolated_share=st.sampled_from([0.0, 0.1, 0.5]), tied=st.booleans())
-def test_all_pairs_matches_whole_matrix_reference(n, seed, out_degree, isolated_share, tied):
-    """Sizes straddle the 128-row block, so the last block can be partial."""
+       isolated_share=st.sampled_from([0.0, 0.1, 0.5]),
+       weights=st.sampled_from(["rate", "tied", "energy"]))
+@example(seed=12, out_degree=3.0, isolated_share=0.1, weights="energy")
+def test_all_pairs_matches_whole_matrix_reference(n, seed, out_degree, isolated_share, weights):
+    """Sizes straddle the 128-row block, so the last block can be partial.
+    Energy weights include free (0.0) edges, as Steiner graphs have them."""
     rng = np.random.default_rng(seed)
-    g = random_sparse_digraph(rng, n, out_degree, isolated_share, tied)
+    g = random_sparse_digraph(rng, n, out_degree, isolated_share, weights)
     assert_same_routes(g, sources=range(n))
 
 

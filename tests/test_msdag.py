@@ -10,9 +10,7 @@ from leoplan import (
     SatelliteId,
     SatelliteNode,
     ServiceDag,
-    TaskRequest,
     dag_latency,
-    end_to_end_latency,
     parse_scenario,
     shared_modules,
     validate_dag,
@@ -256,16 +254,16 @@ def test_empty_dag_latency_zero():
     assert out.critical_path == ()
 
 
-def test_end_to_end_latency_wrapper():
+def test_latency_from_a_source_satellite():
+    # The input crosses o0s0 -> o0s1 (1 s at 1 Mbps), then three 1 s stages.
     snap = toy_snapshot([("o0s0", "o0s1", 1e6)])
     dag = chain_dag(task_id="imaging")
     placement = {s: sat("o0s1") for s in "abc"}
-    req = TaskRequest("imaging", sat("o0s0"), input_bits=1e6)
-    out = end_to_end_latency(req, dag, placement, snap, LatencyModel(1e9))
+    router = Router(snap, include_ground=True)
+    out = dag_latency(dag, placement, router, LatencyModel(1e9), source=sat("o0s0"),
+                      input_bits=1e6)
     assert abs(out.total_seconds - 4.0) < 1e-12
-    with pytest.raises(ValueError, match="does not match the task DAG"):
-        end_to_end_latency(TaskRequest("other", sat("o0s0")), dag, placement,
-                           snap, LatencyModel())
+    assert out.critical_path == ("a", "b", "c")
 
 
 def test_latency_model_overrides():
