@@ -78,7 +78,7 @@ def _deployment_instance(scn, at_time: float) -> deployment.DeploymentInstance:
                                      scn.satellite_energy_budget_j)
             for sid in sat_ids]
     topo = snapshot(constellation, at_time, scn.link_config)
-    return deployment.DeploymentInstance(dags, sats, topo)
+    return deployment.DeploymentInstance(dags, sats, topo, e_flop_j=scn.energy.e_flop_j)
 
 
 def _cmd_simulate(scn, args, out: Path) -> list:

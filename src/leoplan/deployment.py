@@ -1,26 +1,32 @@
 """Placing microservices onto satellites.
 
 Three routes to a plan, all minimizing the summed end-to-end latency of the
-instance's tasks under per-satellite memory limits:
+instance's tasks under per-satellite memory limits and energy budgets:
 
-* solve_exact: best-first branch and bound with an admissible compute-only
-  lower bound; guaranteed optimal but guarded by a size bound.
+* solve_exact: best-first branch and bound with an admissible lower bound;
+  guaranteed optimal but guarded by a size bound.
 * solve_greedy: one pass in dependency order, cheapest feasible host each time.
 * DeploymentMdp + train_policy_gradient: the same decision process wrapped as
   a Markov decision process with a linear softmax policy trained by REINFORCE.
   This is a deliberately small learned baseline, not a deep-RL replica.
 
-The greedy solver and the MDP grow the objective one service at a time
-(_place) instead of re-evaluating it. That is exact because both always place
-a prefix of instance.order, a topological order of the task union: when a
+All three place a prefix of instance.order, a topological order of the task
+union, and grow it one service at a time through _place. A _Prefix holds the
+candidate index of each placed position, the finish time of each placed
+(service, task) slot, every task's latest finish (0.0 for a task with nothing
+placed) and their sum, the objective. When a
 service joins, every predecessor of it is placed and no successor is, so in
 each task that holds it only its own finish time is new, and each task's
 latest finish grows to the max of the old value and that finish. _place
-computes the new finish with the same float operations, in the same order, as
-the from-scratch _objective, and sums the per-task latest finishes in task
-order as _objective does, so the values are bit-identical. _objective now
-serves only the exact solver: its optimistic lower bound and its final plan
-value.
+computes the new finish from the predecessors in the DAG's order and sums the
+latest finishes in task order, the float operations of a from-scratch
+longest-path evaluation, so the objective equals that evaluation bit for bit.
+
+solve_exact bounds a prefix by finishing it optimistically (_bound): each
+unplaced service runs on the fastest candidate and receives its inputs for
+free. Any completion runs a service no faster and pays no negative transfer,
+and + and max never decrease, so no completion finishes a task earlier; the
+bound is admissible, and on a full prefix it is the objective itself.
 
 train_policy_gradient does each state's work once per run. The MDP is
 deterministic and a state follows from its assignment, while an action's
@@ -44,22 +50,24 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .constellation import SatelliteId, TopologySnapshot
 from .graph import topological_order
 from .interorbit import all_pairs_shortest, build_weighted_graph
-from .msdag import ServiceDag
 
 EXACT_MAX_SATELLITES = 6
 EXACT_MAX_SERVICES = 8
 DEAD_END_REWARD = -1e6
+LEARNING_RATE = 0.15
 
 
 @dataclass(frozen=True)
 class SatelliteNode:
-    """A candidate host: compute throughput, memory, and an energy allowance."""
+    """A candidate host: compute throughput, memory, and the energy one
+    hosted service may draw (inf: no budget)."""
 
     id: SatelliteId
     throughput_flops: float
@@ -67,21 +75,26 @@ class SatelliteNode:
     energy_budget_j: float = math.inf
 
     def validate(self) -> None:
-        if self.throughput_flops <= 0:
+        if not self.throughput_flops > 0:
             raise ValueError(f"{self.id}: throughput must be positive")
-        if self.memory_bytes < 0:
+        if not self.memory_bytes >= 0:
             raise ValueError(f"{self.id}: memory must be nonnegative")
+        if not self.energy_budget_j >= 0:
+            raise ValueError(f"{self.id}: energy budget must be nonnegative")
 
 
 class DeploymentInstance:
-    """Tasks to place, candidate satellites, and the snapshot used for routing."""
+    """Tasks to place, candidate satellites, and the snapshot used for routing.
+
+    A service fits a candidate when it fits the candidate's residual memory
+    and its flops at e_flop_j joules each fit the candidate's energy budget.
+    """
 
     def __init__(self, tasks, satellites, snapshot: TopologySnapshot,
-                 enforce_energy_budget: bool = False, e_flop_j: float = 1e-12):
+                 e_flop_j: float = 1e-12):
         self.tasks = tuple(tasks)
         self.satellites = tuple(sorted(satellites, key=lambda s: s.id))
         self.snapshot = snapshot
-        self.enforce_energy_budget = enforce_energy_budget
         self.e_flop_j = e_flop_j
         if not self.tasks:
             raise ValueError("instance needs at least one task")
@@ -99,42 +112,42 @@ class DeploymentInstance:
                 self.services[svc.id] = svc
 
         self.order = _merged_topological_order(self.tasks)
-        self._task_preds = [
-            {sid: dag.predecessors(sid) for sid in dag.service_ids()} for dag in self.tasks
-        ]
-        self._task_topos = [dag.topological_order() for dag in self.tasks]
-        # Per service: the indices of the tasks that hold it, and its
-        # predecessors over all of them (repeats kept).
-        self._tasks_of = {sid: tuple(t for t, preds in enumerate(self._task_preds)
-                                     if sid in preds)
-                          for sid in self.services}
-        self._preds_of = {sid: [u for t in self._tasks_of[sid]
-                                for (u, _) in self._task_preds[t][sid]]
-                          for sid in self.services}
+        # Per position in order, one (task index, predecessors) row per task
+        # that holds the service, in task order; a predecessor is (its finish
+        # slot, its position, payload bits) in the DAG's order. Slots number
+        # the (service, task) pairs position-major, so the finish times of a
+        # prefix fill a prefix of the slots.
+        position = {sid: p for p, sid in enumerate(self.order)}
+        members = [set(dag.service_ids()) for dag in self.tasks]
+        slot: dict = {}
+        self._rows = []
+        for sid in self.order:
+            held = [t for t, ids in enumerate(members) if sid in ids]
+            self._rows.append(tuple(
+                (t, tuple((slot[u, t], position[u], bits)
+                          for u, bits in self.tasks[t].predecessors(sid)))
+                for t in held))
+            for t in held:
+                slot[sid, t] = len(slot)
         self.sat_index = {sat.id: i for i, sat in enumerate(self.satellites)}
         if len(self.sat_index) != len(self.satellites):
             twice = next(a.id for a, b in zip(self.satellites, self.satellites[1:])
                          if a.id == b.id)
             raise ValueError(f"satellite {twice} listed twice")
         self._routes = all_pairs_shortest(build_weighted_graph(snapshot))
-        self.transfer_seconds = self._routes.transfer_seconds
         # Candidate index -> node index in self._routes.
         self._route_of = [self._routes.index.get(sat.id) for sat in self.satellites]
         if None in self._route_of:
             missing = self.satellites[self._route_of.index(None)].id
             raise ValueError(f"satellite {missing} not in the snapshot")
         self.max_throughput = max(s.throughput_flops for s in self.satellites)
-
-    def throughput(self, sat_id: SatelliteId) -> float:
-        return self.satellites[self.sat_index[sat_id]].throughput_flops
+        self._empty_prefix = _Prefix((), (), (0.0,) * len(self.tasks), 0.0)
 
     def service_fits(self, service_id: str, sat: SatelliteNode, residual_memory: float) -> bool:
         svc = self.services[service_id]
         if svc.memory_bytes > residual_memory:
             return False
-        if self.enforce_energy_budget and svc.flops * self.e_flop_j > sat.energy_budget_j:
-            return False
-        return True
+        return not svc.flops * self.e_flop_j > sat.energy_budget_j
 
 
 def _merged_topological_order(tasks) -> list:
@@ -146,65 +159,57 @@ def _merged_topological_order(tasks) -> list:
     return order
 
 
-def _objective(instance: DeploymentInstance, placed: dict, optimistic: bool = False) -> float:
-    """Summed longest-path latency over whichever nodes are placed.
-
-    With optimistic=True unplaced nodes run on the fastest satellite for free
-    transfers, which lower-bounds every completion of the partial assignment.
-    """
+def _total(bests) -> float:
     total = 0.0
-    for t, dag in enumerate(instance.tasks):
-        finish: dict = {}
-        best = 0.0
-        for sid in instance._task_topos[t]:
-            hosted = sid in placed
-            if not hosted and not optimistic:
-                continue
-            svc = instance.services[sid]
-            run = svc.flops / (instance.throughput(placed[sid]) if hosted
-                               else instance.max_throughput)
-            start = 0.0
-            for (u, bits) in instance._task_preds[t][sid]:
-                if u not in finish:
-                    continue
-                if hosted and u in placed:
-                    arrival = finish[u] + instance.transfer_seconds(placed[u], placed[sid], bits)
-                else:
-                    arrival = finish[u]
-                start = max(start, arrival)
-            finish[sid] = start + run
-            best = max(best, finish[sid])
+    for best in bests:  # in task order; sum() compensates from Python 3.12
         total += best
     return total
 
 
-def _place(instance: DeploymentInstance, hosts: dict, finishes: dict, bests: tuple,
-           sid: str, j: int):
-    """The objective after hosting sid on candidate j, grown from a placed prefix.
+class _Prefix(NamedTuple):
+    """A placed prefix of instance.order (see the module docstring)."""
 
-    hosts maps each service of the prefix of instance.order before sid to its
-    candidate index, finishes maps it to {task index: finish time}, and bests
-    holds every task's latest finish (0.0 for a task with nothing placed).
-    Returns (own, bests, objective) with sid placed, own being sid's
-    {task index: finish time}; the arguments are not changed.
-    """
-    run = instance.services[sid].flops / instance.satellites[j].throughput_flops
+    hosts: tuple
+    finishes: tuple
+    bests: tuple
+    objective: float
+
+
+def _place(instance: DeploymentInstance, prefix: _Prefix, j: int) -> _Prefix:
+    """prefix grown by hosting the next service of instance.order on candidate j."""
+    hosts, finishes, bests, _ = prefix
+    p = len(hosts)
+    run = instance.services[instance.order[p]].flops / instance.satellites[j].throughput_flops
     transfer = instance._routes.transfer_at
     route_of = instance._route_of
     to = route_of[j]
-    own = {}
     bests = list(bests)
-    for t in instance._tasks_of[sid]:
+    for t, preds in instance._rows[p]:
         start = 0.0
-        for (u, bits) in instance._task_preds[t][sid]:
-            arrival = finishes[u][t] + transfer(route_of[hosts[u]], to, bits)
-            start = max(start, arrival)
-        own[t] = start + run
-        bests[t] = max(bests[t], own[t])
-    total = 0.0
-    for best in bests:  # as _objective adds them; sum() compensates from Python 3.12
-        total += best
-    return own, tuple(bests), total
+        for slot, q, bits in preds:
+            start = max(start, finishes[slot] + transfer(route_of[hosts[q]], to, bits))
+        finishes += (start + run,)
+        bests[t] = max(bests[t], finishes[-1])
+    return _Prefix(hosts + (j,), finishes, tuple(bests), _total(bests))
+
+
+def _bound(instance: DeploymentInstance, prefix: _Prefix) -> float:
+    """The objective with every unplaced service on the fastest candidate and
+    free transfers into it: a lower bound on every completion of prefix."""
+    finishes, bests = list(prefix.finishes), list(prefix.bests)
+    for p in range(len(prefix.hosts), len(instance.order)):
+        run = instance.services[instance.order[p]].flops / instance.max_throughput
+        for t, preds in instance._rows[p]:
+            start = 0.0
+            for slot, _, _ in preds:
+                start = max(start, finishes[slot])
+            finishes.append(start + run)
+            bests[t] = max(bests[t], finishes[-1])
+    return _total(bests)
+
+
+def _assignment(instance: DeploymentInstance, hosts: tuple) -> dict:
+    return {sid: instance.satellites[j].id for sid, j in zip(instance.order, hosts)}
 
 
 @dataclass(frozen=True)
@@ -221,54 +226,49 @@ def _residuals_after(instance, residuals: tuple, sat_index: int, service_id: str
     return tuple(lst)
 
 
-def solve_exact(instance: DeploymentInstance,
-                max_satellites: int = EXACT_MAX_SATELLITES,
-                max_services: int = EXACT_MAX_SERVICES) -> DeploymentPlan:
+def solve_exact(instance: DeploymentInstance) -> DeploymentPlan:
     """Optimal plan by best-first branch and bound.
 
     Raises:
-        ValueError: when the instance exceeds the size bound; the exact solver
+        ValueError: when the instance has more than EXACT_MAX_SATELLITES
+            candidates or EXACT_MAX_SERVICES microservices; the exact solver
             is meant for desk-scale instances only.
     """
-    if len(instance.satellites) > max_satellites or len(instance.order) > max_services:
-        raise ValueError(
-            f"size bound exceeded: exact solver accepts at most {max_satellites} "
-            f"satellites and {max_services} microservices "
-            f"(got {len(instance.satellites)} and {len(instance.order)})")
-
     order = instance.order
+    if len(instance.satellites) > EXACT_MAX_SATELLITES or len(order) > EXACT_MAX_SERVICES:
+        raise ValueError(
+            f"size bound exceeded: exact solver accepts at most {EXACT_MAX_SATELLITES} "
+            f"satellites and {EXACT_MAX_SERVICES} microservices "
+            f"(got {len(instance.satellites)} and {len(order)})")
     if not order:
         return DeploymentPlan({}, True, 0.0, "exact")
     start_res = tuple(s.memory_bytes for s in instance.satellites)
     counter = itertools.count()
-    heap = [(0.0, next(counter), {}, start_res)]
-    best_plan: dict | None = None
+    heap = [(0.0, next(counter), instance._empty_prefix, start_res)]
+    best = None
     best_obj = math.inf
 
     while heap:
-        lb, _, placed, residuals = heapq.heappop(heap)
+        lb, _, prefix, residuals = heapq.heappop(heap)
         if lb >= best_obj:
             continue
-        depth = len(placed)
+        depth = len(prefix.hosts)
         if depth == len(order):
-            if lb < best_obj:
-                best_obj = lb
-                best_plan = placed
+            best, best_obj = prefix, lb
             continue
         sid = order[depth]
-        for i, sat in enumerate(instance.satellites):
-            if not instance.service_fits(sid, sat, residuals[i]):
+        for j, sat in enumerate(instance.satellites):
+            if not instance.service_fits(sid, sat, residuals[j]):
                 continue
-            child = dict(placed)
-            child[sid] = sat.id
-            child_lb = _objective(instance, child, optimistic=True)
+            child = _place(instance, prefix, j)
+            child_lb = _bound(instance, child)
             if child_lb < best_obj:
                 heapq.heappush(heap, (child_lb, next(counter), child,
-                                      _residuals_after(instance, residuals, i, sid)))
+                                      _residuals_after(instance, residuals, j, sid)))
 
-    if best_plan is None:
+    if best is None:
         return DeploymentPlan({}, False, None, "exact")
-    return DeploymentPlan(best_plan, True, _objective(instance, best_plan), "exact")
+    return DeploymentPlan(_assignment(instance, best.hosts), True, best.objective, "exact")
 
 
 def solve_greedy(instance: DeploymentInstance) -> DeploymentPlan:
@@ -277,27 +277,20 @@ def solve_greedy(instance: DeploymentInstance) -> DeploymentPlan:
     Ties go to the lowest satellite id. Returns an infeasible plan with an
     empty assignment if some service fits nowhere.
     """
-    hosts: dict = {}
-    finishes: dict = {}
-    bests = (0.0,) * len(instance.tasks)
-    objective = 0.0
+    prefix = instance._empty_prefix
     residuals = [sat.memory_bytes for sat in instance.satellites]
     for sid in instance.order:
-        best_j = None
-        best_obj = math.inf
+        best_j, best_obj = None, math.inf
         for j, sat in enumerate(instance.satellites):
-            if not instance.service_fits(sid, sat, residuals[j]):
-                continue
-            grown = _place(instance, hosts, finishes, bests, sid, j)
-            if grown[2] < best_obj:
-                best_obj, best_j, best_grown = grown[2], j, grown
+            if instance.service_fits(sid, sat, residuals[j]):
+                grown = _place(instance, prefix, j)
+                if grown.objective < best_obj:
+                    best_j, best_obj, best = j, grown.objective, grown
         if best_j is None:
             return DeploymentPlan({}, False, None, "greedy")
-        hosts[sid] = best_j
-        finishes[sid], bests, objective = best_grown
+        prefix = best
         residuals[best_j] -= instance.services[sid].memory_bytes
-    placed = {sid: instance.satellites[j].id for sid, j in hosts.items()}
-    return DeploymentPlan(placed, True, objective, "greedy")
+    return DeploymentPlan(_assignment(instance, prefix.hosts), True, prefix.objective, "greedy")
 
 
 @dataclass(frozen=True)
@@ -307,28 +300,14 @@ class MdpState:
     residual_memory: tuple
     objective: float
     done: bool
-    dead_end: bool = False
-    # (hosts, finishes, bests, feasible actions): what _place needs to grow
-    # the objective, and the actions. It follows from the fields above, so it
-    # takes no part in equality; None on a state built by hand.
-    progress: tuple | None = field(default=None, compare=False, repr=False)
+    dead_end: bool
+    # The _place prefix behind objective, and the feasible actions; both
+    # follow from the fields above, so they take no part in equality.
+    prefix: _Prefix = field(compare=False, repr=False)
+    actions: tuple = field(compare=False, repr=False)
 
     def placed(self) -> dict:
         return dict(self.assignment)
-
-
-def _progress(instance: DeploymentInstance, state: MdpState):
-    """(hosts, finishes, bests) of a state; a state built by hand instead of
-    by reset or step has none, so they are replayed from its assignment."""
-    if state.progress is not None:
-        hosts, finishes, bests, _ = state.progress
-        return hosts, finishes, bests
-    hosts, finishes, bests = {}, {}, (0.0,) * len(instance.tasks)
-    for sid, sat_id in state.assignment:
-        j = instance.sat_index[sat_id]
-        finishes[sid], bests, _ = _place(instance, hosts, finishes, bests, sid, j)
-        hosts[sid] = j
-    return hosts, finishes, bests
 
 
 @dataclass(frozen=True)
@@ -346,16 +325,15 @@ class DeploymentMdp:
         self.instance = instance
         self._scales = _feature_scales(instance)
         # Per position in instance.order, the (service, satellite) action of
-        # every candidate; feasible action tuples share these pairs.
+        # every candidate; feasible action tuples and assignments share these pairs.
         self._actions = [tuple((sid, sat.id) for sat in instance.satellites)
                          for sid in instance.order]
 
     def reset(self) -> MdpState:
         res = tuple(s.memory_bytes for s in self.instance.satellites)
         done = len(self.instance.order) == 0
-        bests = (0.0,) * len(self.instance.tasks)
-        return MdpState(0, (), res, 0.0, done,
-                        progress=({}, {}, bests, self._feasible(0, res, done)))
+        return MdpState(0, (), res, 0.0, done, False, self.instance._empty_prefix,
+                        self._feasible(0, res, done))
 
     def _feasible(self, next_index: int, residuals: tuple, done: bool) -> tuple:
         if done:
@@ -367,22 +345,18 @@ class DeploymentMdp:
                      if inst.service_fits(sid, sat, residual))
 
     def feasible_actions(self, state: MdpState) -> tuple:
-        if state.progress is None:
-            return self._feasible(state.next_index, state.residual_memory, state.done)
-        return state.progress[3]
+        return state.actions
 
     def step(self, state: MdpState, action) -> MdpTransition:
         if state.done:
             raise ValueError("episode is over")
-        sid, sat_id = action
-        feasible = self.feasible_actions(state)
-        if action not in feasible:
-            raise ValueError(f"action {action} is not feasible; feasible: {list(feasible)}")
+        if action not in state.actions:
+            raise ValueError(f"action {action} is not feasible; feasible: {list(state.actions)}")
         inst = self.instance
+        sid, sat_id = action
         j = inst.sat_index[sat_id]
-        hosts, finishes, bests = _progress(inst, state)
-        own, bests, objective = _place(inst, hosts, finishes, bests, sid, j)
-        reward = -(objective - state.objective)
+        prefix = _place(inst, state.prefix, j)
+        reward = -(prefix.objective - state.objective)
         next_index = state.next_index + 1
         residuals = _residuals_after(inst, state.residual_memory, j, sid)
         done = next_index == len(inst.order)
@@ -390,9 +364,8 @@ class DeploymentMdp:
         dead_end = not done and not actions
         if dead_end:
             reward += DEAD_END_REWARD
-        next_state = MdpState(next_index, state.assignment + ((sid, sat_id),), residuals,
-                              objective, done or dead_end, dead_end,
-                              ({**hosts, sid: j}, {**finishes, sid: own}, bests, actions))
+        next_state = MdpState(next_index, state.assignment + (action,), residuals,
+                              prefix.objective, done or dead_end, dead_end, prefix, actions)
         return MdpTransition(next_state, reward, next_state.done)
 
 
@@ -414,15 +387,14 @@ def action_features(env: DeploymentMdp, state: MdpState, action) -> np.ndarray:
     sat = inst.satellites[j]
     run = svc.flops / sat.throughput_flops / compute_scale
 
-    hosts, finishes, bests = _progress(inst, state)
-    _, _, objective = _place(inst, hosts, finishes, bests, sid, j)
-    delta = (objective - state.objective) / obj_scale
+    delta = (_place(inst, state.prefix, j).objective - state.objective) / obj_scale
 
     capacity = sat.memory_bytes
     residual = (state.residual_memory[j] - svc.memory_bytes) / capacity if capacity else 0.0
 
-    preds = inst._preds_of[sid]  # all placed: the state is a prefix of instance.order
-    colocated = sum(1 for u in preds if hosts[u] == j) / len(preds) if preds else 0.0
+    hosts = state.prefix.hosts
+    preds = [q for _, row in inst._rows[state.next_index] for _, q, _ in row]
+    colocated = sum(1 for q in preds if hosts[q] == j) / len(preds) if preds else 0.0
     return np.array([1.0, run, delta, residual, colocated])
 
 
@@ -466,7 +438,6 @@ class TrainingReport:
     returns: list
     mean_return: float
     greedy_returns: list
-    mean_gap: float | None = None
 
 
 def _cached_episode(env: DeploymentMdp, cache: dict, state: MdpState, theta: np.ndarray,
@@ -482,7 +453,7 @@ def _cached_episode(env: DeploymentMdp, cache: dict, state: MdpState, theta: np.
     while not state.done:
         node = cache.get(state.assignment)
         if node is None:
-            actions = env.feasible_actions(state)
+            actions = state.actions
             node = (actions, _feature_matrix(env, state, actions), [None] * len(actions))
             cache[state.assignment] = node
         actions, feats, slots = node
@@ -503,17 +474,14 @@ def _cached_episode(env: DeploymentMdp, cache: dict, state: MdpState, theta: np.
     return total, grads, state
 
 
-def train_policy_gradient(envs, episodes: int, seed: int, lr: float = 0.15,
-                          optima=None):
-    """REINFORCE with a running-mean baseline over one or more environments.
+def train_policy_gradient(envs, episodes: int, seed: int):
+    """REINFORCE with a running-mean baseline over one or more environments,
+    stepping the linear policy weights by LEARNING_RATE.
 
     Args:
         envs: a DeploymentMdp or a sequence of them; training cycles through.
         episodes: number of sampled episodes, at least 1.
         seed: RNG seed; identical seeds give identical training runs.
-        lr: step size on the linear policy weights.
-        optima: optional per-env optimal objectives; enables mean_gap in the
-            report (mean of greedy-policy objective minus optimum).
 
     Returns:
         (LinearPolicy, TrainingReport)
@@ -541,17 +509,13 @@ def train_policy_gradient(envs, episodes: int, seed: int, lr: float = 0.15,
         total, grads, _ = _cached_episode(envs[idx], caches[idx], starts[idx], policy.theta, rng)
         counts[idx] += 1
         baselines[idx] += (total - baselines[idx]) / counts[idx]
-        policy.theta = policy.theta + lr * (total - baselines[idx]) * grads
+        policy.theta = policy.theta + LEARNING_RATE * (total - baselines[idx]) * grads
         returns.append(total)
 
     greedy_returns = [_cached_episode(env, cache, start, policy.theta, None)[0]
                       for env, cache, start in zip(envs, caches, starts)]
-    mean_gap = None
-    if optima is not None:
-        gaps = [(-g) - opt for g, opt in zip(greedy_returns, optima)]
-        mean_gap = float(np.mean(gaps))
     report = TrainingReport(episodes, returns, float(np.mean(returns[-max(1, episodes // 4):])),
-                            greedy_returns, mean_gap)
+                            greedy_returns)
     return policy, report
 
 

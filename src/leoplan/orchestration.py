@@ -149,23 +149,22 @@ def dst_heuristic(graph: AugmentedGraph, instance: SteinerInstance) -> SteinerTr
     return SteinerTree(frozenset(edges), total)
 
 
-def dst_exact(graph: AugmentedGraph, instance: SteinerInstance,
-              max_terminals: int = EXACT_MAX_TERMINALS,
-              max_nodes: int = EXACT_MAX_NODES) -> SteinerTree:
+def dst_exact(graph: AugmentedGraph, instance: SteinerInstance) -> SteinerTree:
     """Minimum directed Steiner tree by dynamic programming over terminal subsets.
 
-    Size-guarded: intended for desk-scale verification, not production graphs.
+    Size-guarded (EXACT_MAX_NODES nodes, EXACT_MAX_TERMINALS terminals besides
+    the root): intended for desk-scale verification, not production graphs.
 
     Raises:
         ValueError: when bounds are exceeded or a terminal is unreachable.
     """
     instance.validate()
     nodes = graph.sorted_nodes()
-    if len(nodes) > max_nodes:
-        raise ValueError(f"size bound exceeded: {len(nodes)} nodes > {max_nodes}")
+    if len(nodes) > EXACT_MAX_NODES:
+        raise ValueError(f"size bound exceeded: {len(nodes)} nodes > {EXACT_MAX_NODES}")
     terms = sorted(instance.terminals - {instance.root}, key=node_key)
-    if len(terms) > max_terminals:
-        raise ValueError(f"size bound exceeded: {len(terms)} terminals > {max_terminals}")
+    if len(terms) > EXACT_MAX_TERMINALS:
+        raise ValueError(f"size bound exceeded: {len(terms)} terminals > {EXACT_MAX_TERMINALS}")
     if not terms:
         return SteinerTree(frozenset(), 0.0)
 

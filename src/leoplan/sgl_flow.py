@@ -57,8 +57,8 @@ class DownlinkState:
             if not 0.0 <= frac <= 1.0:
                 raise ValueError(f"orbit {orbit}: remaining fraction {frac} outside [0, 1]")
 
-    def done(self, tol: float = FLOW_TOL) -> bool:
-        return all(f <= tol for f in self.remaining.values())
+    def done(self) -> bool:
+        return all(f <= FLOW_TOL for f in self.remaining.values())
 
 
 def build_flow_network(
@@ -171,9 +171,9 @@ def max_flow(network: FlowNetwork, source=SOURCE, sink=SINK) -> FlowAssignment:
 
 
 def _check_slots(vertices: list, pairs: list, capacities: list, flows: list,
-                 value: float, s, t, tol: float = FLOW_TOL) -> None:
-    """Raise ValueError unless capacities and conservation hold within tol,
-    on max_flow's integer numbering.
+                 value: float, s, t) -> None:
+    """Raise ValueError unless capacities and conservation hold within
+    FLOW_TOL, on max_flow's integer numbering.
 
     Edge k runs from vertices[pairs[k][0]] to vertices[pairs[k][1]] with
     capacities[k] and flows[k]; s and t are the source and sink indices, or
@@ -184,15 +184,15 @@ def _check_slots(vertices: list, pairs: list, capacities: list, flows: list,
     """
     excess = [0.0] * len(vertices)
     for (i, j), cap, f in zip(pairs, capacities, flows):
-        if f < -tol or f > cap + tol:
+        if f < -FLOW_TOL or f > cap + FLOW_TOL:
             raise ValueError(f"edge {vertices[i]}->{vertices[j]}: flow {f} violates capacity {cap}")
         excess[i] -= f
         excess[j] += f
     inflow = 0.0 if t is None else excess[t]
     for k, e in enumerate(excess):
-        if k != s and k != t and abs(e) > tol:
+        if k != s and k != t and abs(e) > FLOW_TOL:
             raise ValueError(f"node {vertices[k]}: flow imbalance {e}")
-    if abs(inflow - value) > max(tol, 1e-6 * abs(value)):
+    if abs(inflow - value) > max(FLOW_TOL, 1e-6 * abs(value)):
         raise ValueError("flow value does not match net inflow at sink")
 
 
@@ -252,27 +252,22 @@ def _epoch_span(start: float, end: float, start_time: float, epoch_seconds: floa
 
 def schedule_downlink(
     windows,
-    model_bits,
+    model_bits: float,
     stations,
     horizon: float,
     epoch_seconds: float = 60.0,
-    initial_state: DownlinkState | None = None,
     start_time: float = 0.0,
     orbits=None,
-    tol: float = FLOW_TOL,
 ) -> DownlinkResult:
-    """Drive per-epoch max-flow rounds until every orbit's model is down.
+    """Drive per-epoch max-flow rounds until every orbit's full model is down.
 
     Args:
         windows: the contact window timeline.
-        model_bits: one orbit's model size in bits; a per-orbit mapping is
-            accepted but its values must be identical (fraction bookkeeping
-            needs a single normalizer).
+        model_bits: one orbit's model size in bits, the same for every orbit.
         stations: stations referenced by the windows.
         horizon: scheduling stops start_time + horizon seconds in, complete or not.
         epoch_seconds: epoch granularity; a window contributes capacity in
             proportion to its overlap with each epoch.
-        initial_state: resume from a partial state instead of full models.
         orbits: orbits holding a model; defaults to the orbits seen in windows.
 
     Returns:
@@ -284,13 +279,6 @@ def schedule_downlink(
         raise ValueError("epoch_seconds must be positive and finite")
     if not math.isfinite(horizon) or horizon <= 0:
         raise ValueError("horizon must be positive and finite")
-    if isinstance(model_bits, dict):
-        sizes = set(model_bits.values())
-        if len(sizes) > 1:
-            raise ValueError("per-orbit model sizes must be uniform")
-        if orbits is None:
-            orbits = sorted(model_bits)
-        model_bits = sizes.pop() if sizes else 0.0
     if not math.isfinite(model_bits) or model_bits <= 0:
         raise ValueError("model_bits must be positive and finite")
     if not math.isfinite(start_time):
@@ -298,9 +286,7 @@ def schedule_downlink(
     if orbits is None:
         orbits = sorted({w.satellite.orbit_index for w in windows})
 
-    state = initial_state if initial_state is not None else DownlinkState(
-        remaining={int(o): 1.0 for o in orbits})
-    state.validate()
+    state = DownlinkState(remaining={int(o): 1.0 for o in orbits})
 
     epochs: list[EpochFlow] = []
     epoch_count = int(horizon // epoch_seconds)
@@ -316,7 +302,7 @@ def schedule_downlink(
     pending.sort(reverse=True)
     live: list = []  # (timeline index, end epoch, window), in timeline order
     for e in range(epoch_count):
-        if state.done(tol):
+        if state.done():
             break
         t0 = start_time + e * epoch_seconds
         t1 = t0 + epoch_seconds
@@ -342,4 +328,4 @@ def schedule_downlink(
             state.remaining[o] = max(0.0, state.remaining[o] - f)
         epochs.append(EpochFlow(e, assignment, delivered))
 
-    return DownlinkResult(epochs, state, state.done(tol))
+    return DownlinkResult(epochs, state, state.done())

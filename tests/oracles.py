@@ -12,8 +12,10 @@ the matrix that leoplan.graph's pivot pass plus per-destination replay
 serves to routing and to dst_exact, over any Digraph's weight()); likewise
 merged_topological_order and multi_source_dijkstra keep the loops that
 leoplan.graph replaced, reference_dag_cycle the recursive search validate_dag
-replaced, reference_action_features and reference_greedy the placement
-code that re-evaluated the from-scratch objective for every candidate,
+replaced, reference_objective the from-scratch placement objective (its
+optimistic mode the exact solver's bound), reference_action_features,
+reference_greedy and reference_solve_exact the placement code that
+re-evaluated it for every candidate or child,
 reference_train_policy_gradient the training loop that rebuilt every state's
 features and drew with Generator.choice, and
 reference_max_flow and reference_schedule_downlink the dict-keyed max-flow
@@ -70,8 +72,8 @@ from leoplan import (
 )
 from leoplan.constellation import EARTH_ROTATION_RAD_S, _visible_samples
 from leoplan import deployment
-from leoplan.deployment import (DEAD_END_REWARD, N_FEATURES, DeploymentMdp, DeploymentPlan,
-                                TrainingReport, _objective)
+from leoplan.deployment import (DEAD_END_REWARD, LEARNING_RATE, N_FEATURES, DeploymentMdp,
+                                DeploymentPlan, TrainingReport)
 from leoplan.sgl_flow import (FLOW_TOL, SINK, SOURCE, DownlinkResult, DownlinkState, EpochFlow,
                               FlowAssignment, _overlap)
 
@@ -454,6 +456,73 @@ def random_sharing_instance(rng, max_sats=4, max_services=7, max_tasks=3):
     return tasks, satellites, snapshot_
 
 
+def reference_objective(instance, placed, optimistic=False):
+    """Summed longest-path latency over whichever services are placed,
+    walking every task DAG from scratch through the public ServiceDag API: the
+    evaluation deployment._place grows one service at a time.
+
+    With optimistic=True unplaced services run on the fastest candidate with
+    free transfers, which lower-bounds every completion of the placement.
+    """
+    throughput = {s.id: s.throughput_flops for s in instance.satellites}
+    fastest = max(throughput.values())
+    total = 0.0
+    for dag in instance.tasks:
+        finish: dict = {}
+        best = 0.0
+        for sid in dag.topological_order():
+            hosted = sid in placed
+            if not hosted and not optimistic:
+                continue
+            run = dag.service(sid).flops / (throughput[placed[sid]] if hosted else fastest)
+            start = 0.0
+            for (u, bits) in dag.predecessors(sid):
+                if u not in finish:
+                    continue
+                if hosted and u in placed:
+                    arrival = finish[u] + instance._routes.transfer_seconds(placed[u],
+                                                                            placed[sid], bits)
+                else:
+                    arrival = finish[u]
+                start = max(start, arrival)
+            finish[sid] = start + run
+            best = max(best, finish[sid])
+        total += best
+    return total
+
+
+def reference_solve_exact(instance):
+    """deployment.solve_exact as it was before its shared prefix state: each
+    child is an assignment dict whose bound is reference_objective(optimistic=
+    True) from scratch, and the plan's objective is evaluated once more."""
+    order = instance.order
+    if not order:
+        return DeploymentPlan({}, True, 0.0, "exact")
+    counter = itertools.count()
+    heap = [(0.0, next(counter), {}, tuple(s.memory_bytes for s in instance.satellites))]
+    best_plan, best_obj = None, math.inf
+    while heap:
+        lb, _, placed, residuals = heapq.heappop(heap)
+        if lb >= best_obj:
+            continue
+        if len(placed) == len(order):
+            best_plan, best_obj = placed, lb
+            continue
+        sid = order[len(placed)]
+        for i, node in enumerate(instance.satellites):
+            if not instance.service_fits(sid, node, residuals[i]):
+                continue
+            child = {**placed, sid: node.id}
+            child_lb = reference_objective(instance, child, optimistic=True)
+            if child_lb < best_obj:
+                rest = list(residuals)
+                rest[i] -= instance.services[sid].memory_bytes
+                heapq.heappush(heap, (child_lb, next(counter), child, tuple(rest)))
+    if best_plan is None:
+        return DeploymentPlan({}, False, None, "exact")
+    return DeploymentPlan(best_plan, True, reference_objective(instance, best_plan), "exact")
+
+
 def reference_action_features(env, state, action):
     """deployment.action_features re-evaluating the whole objective for the
     candidate, with linear satellite searches and per-use assignment dicts."""
@@ -461,18 +530,17 @@ def reference_action_features(env, state, action):
     inst = env.instance
     compute_scale, obj_scale = env._scales
     svc = inst.services[sid]
-    run = svc.flops / inst.throughput(sat_id) / compute_scale
+    sat_index = next(i for i, s in enumerate(inst.satellites) if s.id == sat_id)
+    run = svc.flops / inst.satellites[sat_index].throughput_flops / compute_scale
 
     placed = state.placed()
     placed[sid] = sat_id
-    delta = (_objective(inst, placed) - state.objective) / obj_scale
+    delta = (reference_objective(inst, placed) - state.objective) / obj_scale
 
-    sat_index = next(i for i, s in enumerate(inst.satellites) if s.id == sat_id)
     capacity = inst.satellites[sat_index].memory_bytes
     residual = (state.residual_memory[sat_index] - svc.memory_bytes) / capacity if capacity else 0.0
 
-    preds = [u for t in range(len(inst.tasks))
-             for (u, _) in inst._task_preds[t].get(sid, [])]
+    preds = [u for dag in inst.tasks for (u, _) in dag.predecessors(sid)]
     hosted_preds = [u for u in preds if u in dict(state.assignment)]
     colocated = (sum(1 for u in hosted_preds if dict(state.assignment)[u] == sat_id)
                  / len(hosted_preds)) if hosted_preds else 0.0
@@ -523,7 +591,7 @@ def evaluate_policy(env, policy, episodes, seed, greedy=False):
     return float(np.mean([rollout(env, choose) for _ in range(episodes)]))
 
 
-def reference_train_policy_gradient(envs, episodes, seed, lr=0.15, optima=None):
+def reference_train_policy_gradient(envs, episodes, seed):
     """deployment.train_policy_gradient as it was before its per-run cache:
     every step rebuilds the state's features through the library's
     action_features, draws with Generator.choice, and every episode starts from
@@ -554,7 +622,7 @@ def reference_train_policy_gradient(envs, episodes, seed, lr=0.15, optima=None):
             state = tr.state
         counts[idx] += 1
         baselines[idx] += (total - baselines[idx]) / counts[idx]
-        theta = theta + lr * (total - baselines[idx]) * grads
+        theta = theta + LEARNING_RATE * (total - baselines[idx]) * grads
         returns.append(total)
 
     greedy_returns = []
@@ -570,11 +638,8 @@ def reference_train_policy_gradient(envs, episodes, seed, lr=0.15, optima=None):
             total += tr.reward
             state = tr.state
         greedy_returns.append(total)
-    mean_gap = None
-    if optima is not None:
-        mean_gap = float(np.mean([(-g) - opt for g, opt in zip(greedy_returns, optima)]))
     report = TrainingReport(episodes, returns, float(np.mean(returns[-max(1, episodes // 4):])),
-                            greedy_returns, mean_gap)
+                            greedy_returns)
     return theta, report
 
 
@@ -589,7 +654,7 @@ def reference_greedy(instance):
             if not instance.service_fits(sid, node, residuals[node.id]):
                 continue
             placed[sid] = node.id
-            obj = _objective(instance, placed)
+            obj = reference_objective(instance, placed)
             del placed[sid]
             if obj < best_obj:
                 best_obj, best_sat = obj, node
@@ -597,7 +662,7 @@ def reference_greedy(instance):
             return DeploymentPlan({}, False, None, "greedy")
         placed[sid] = best_sat.id
         residuals[best_sat.id] -= instance.services[sid].memory_bytes
-    return DeploymentPlan(placed, True, _objective(instance, placed), "greedy")
+    return DeploymentPlan(placed, True, reference_objective(instance, placed), "greedy")
 
 
 def enumerate_best_assignment(tasks, satellites, snapshot_):
@@ -782,14 +847,14 @@ def reference_max_flow(network, source=SOURCE, sink=SINK):
 
 
 def reference_schedule_downlink(windows, model_bits, stations, horizon, epoch_seconds,
-                                orbits, start_time=0.0, tol=FLOW_TOL):
+                                orbits, start_time=0.0):
     """schedule_downlink from full models, testing every window against every
     epoch and running reference_max_flow; the scan the scheduler replaced by
     per-window epoch spans."""
     state = DownlinkState(remaining={int(o): 1.0 for o in orbits})
     epochs = []
     for e in range(int(horizon // epoch_seconds)):
-        if state.done(tol):
+        if state.done():
             break
         t0 = start_time + e * epoch_seconds
         t1 = t0 + epoch_seconds
@@ -813,7 +878,7 @@ def reference_schedule_downlink(windows, model_bits, stations, horizon, epoch_se
         for o, f in delivered.items():
             state.remaining[o] = max(0.0, state.remaining[o] - f)
         epochs.append(EpochFlow(e, assignment, delivered))
-    return DownlinkResult(epochs, state, state.done(tol))
+    return DownlinkResult(epochs, state, state.done())
 
 
 def random_flow_network(rng):

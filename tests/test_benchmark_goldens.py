@@ -1,11 +1,14 @@
-"""The benchmark's recorded desk_solvers outputs, checked in Tier-1.
+"""The benchmark's recorded outputs, checked in Tier-1.
 
 perfbench/goldens.json holds the sha256 of each op's canonical output for
-seeds 0-9 and the first 3 ops, and perfbench/run.py compares them only while
-it times a run. Here the same 30 desk_solvers ops (exact, greedy and
-policy-gradient placement, per-task latencies, Steiner trees) run through
-perfbench/workloads.py and every digest is compared, so a change to a
-placement output fails in the test suite too. Both files are only read.
+every workload, seeds 0-9 and the first 3 ops, and perfbench/run.py compares
+them only while it times a run. Here the same ops run through
+perfbench/workloads.py and every digest is compared: desk_solvers (exact,
+greedy and policy-gradient placement, per-task latencies, Steiner trees),
+shell_plan (disjoint routes, greedy placement on a 24x22 shell, heuristic
+trees, the downlink schedule) and fed_ground (a federated campaign). So a
+change to any of those outputs fails in the test suite too. Both files are
+only read.
 """
 
 import json
@@ -14,14 +17,15 @@ import pytest
 
 from oracles import PERFBENCH, perfbench_workloads
 
-GOLDENS = json.loads((PERFBENCH / "goldens.json").read_text(encoding="utf-8"))["desk_solvers"]
+GOLDENS = json.loads((PERFBENCH / "goldens.json").read_text(encoding="utf-8"))
+CASES = [(name, seed) for name in sorted(GOLDENS) for seed in sorted(GOLDENS[name], key=int)]
 
 
-@pytest.mark.parametrize("seed", sorted(GOLDENS, key=int))
-def test_desk_solvers_outputs_match_the_benchmark_goldens(seed):
+@pytest.mark.parametrize("name, seed", CASES)
+def test_outputs_match_the_benchmark_goldens(name, seed):
     workloads = perfbench_workloads()
-    workload = workloads.WORKLOADS["desk_solvers"]
-    for op_index, want in enumerate(GOLDENS[seed]):
+    workload = workloads.WORKLOADS[name]
+    for op_index, want in enumerate(GOLDENS[name][seed]):
         result = workload.run(workload.make_input(int(seed), op_index))
         assert workload.check(result) == []
-        assert workloads.output_digest(workload, result) == want, f"seed {seed} op {op_index}"
+        assert workloads.output_digest(workload, result) == want, f"{name} seed {seed} op {op_index}"

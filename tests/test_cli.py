@@ -235,6 +235,31 @@ def test_deploy_pg_without_episodes_exits_1(tmp_path, capsys, episodes):
         "message": f"policy-gradient training needs episodes >= 1, got {episodes}"}
     assert not (out / "plan.json").exists()
 
+@pytest.mark.parametrize("solver", ["exact", "greedy", "pg"])
+def test_deploy_applies_the_energy_budget(tmp_path, capsys, solver):
+    # Every service draws at least 1e9 flops x energy.e_flop_j (1e-12 J by
+    # default), far above a 1e-30 J budget; at 1e-40 J/flop all of them fit.
+    obj = json.loads(Path(TWO_TASK).read_text())
+    obj["compute"]["satellite_energy_budget_j"] = 1e-30
+    bodies = []
+    for e_flop_j in (None, 1e-40):
+        if e_flop_j is not None:
+            obj["energy"] = {"e_flop_j": e_flop_j}
+        path = tmp_path / "budget.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "deploy", str(path), "--out-dir", str(out),
+                             "--solver", solver, "--episodes", "5")
+        assert code == 0
+        bodies.append(json.loads((out / "plan.json").read_text()))
+    assert bodies[0]["feasible"] is False
+    assert bodies[0]["assignment"] == {} and bodies[0]["objective_seconds"] is None
+    code, _, _ = run_cli(capsys, "deploy", TWO_TASK, "--out-dir", str(tmp_path / "free"),
+                         "--solver", solver, "--episodes", "5")
+    assert code == 0
+    assert bodies[1] == json.loads((tmp_path / "free" / "plan.json").read_text())
+
+
 def test_deploy_without_tasks(tmp_path, capsys):
     scn = sim_scenario(tmp_path)
     code, _, err = run_cli(capsys, "deploy", scn, "--out-dir", str(tmp_path / "o"))

@@ -18,13 +18,7 @@ from leoplan import (
     train_policy_gradient,
 )
 from leoplan import deployment
-from leoplan.deployment import (
-    DEAD_END_REWARD,
-    N_FEATURES,
-    MdpState,
-    _objective,
-    action_features,
-)
+from leoplan.deployment import DEAD_END_REWARD, N_FEATURES, action_features
 
 from oracles import (
     enumerate_best_assignment,
@@ -34,6 +28,8 @@ from oracles import (
     random_sharing_instance,
     reference_action_features,
     reference_greedy,
+    reference_objective,
+    reference_solve_exact,
     reference_train_policy_gradient,
     rollout,
     sat,
@@ -65,9 +61,13 @@ def test_instance_validation():
         DeploymentInstance([], sats, snap)
     with pytest.raises(ValueError, match="at least one satellite"):
         DeploymentInstance([chain_task(["a"])], [], snap)
-    with pytest.raises(ValueError, match="throughput must be positive"):
-        DeploymentInstance([chain_task(["a"])],
-                           [SatelliteNode(sat("o0s0"), 0.0, 1.0)], snap)
+    for bad, message in [((0.0, 1.0), "throughput must be positive"),
+                         ((np.nan, 1.0), "throughput must be positive"),
+                         ((1e12, np.nan), "memory must be nonnegative"),
+                         ((1e12, 1.0, -1.0), "energy budget must be nonnegative"),
+                         ((1e12, 1.0, np.nan), "energy budget must be nonnegative")]:
+        with pytest.raises(ValueError, match=f"o0s0: {message}"):
+            DeploymentInstance([chain_task(["a"])], [SatelliteNode(sat("o0s0"), *bad)], snap)
     t1 = chain_task(["a", "b"], task_id="t1")
     t2 = ServiceDag("t2", (ms("a", flops=9e9),), (), ("a",), "a")
     with pytest.raises(ValueError, match="microservice a redefined across tasks"):
@@ -92,13 +92,16 @@ def test_merged_order_respects_dependencies():
 
 
 def test_transfer_seconds():
+    # a -> b carries 1e6 bits: nothing on one host, 1e6 / 1e6 + 0.02 s across
+    # the link, between two 1 s runs.
     snap = toy_snapshot([("o0s0", "o0s1", 1e6, 0.02)], extra_sats=("o0s2",))
     sats = [SatelliteNode(sat(f"o0s{i}"), 1e12, 10.0) for i in range(3)]
-    inst = DeploymentInstance([chain_task(["a"])], sats, snap)
-    assert inst.transfer_seconds(sat("o0s0"), sat("o0s0"), 1e9) == 0.0
-    assert abs(inst.transfer_seconds(sat("o0s0"), sat("o0s1"), 2e6) - 2.02) < 1e-12
+    env = DeploymentMdp(DeploymentInstance([chain_task(["a", "b"])], sats, snap))
+    first = env.step(env.reset(), ("a", sat("o0s0"))).state
+    assert env.step(first, ("b", sat("o0s0"))).state.objective == 2.0
+    assert abs(env.step(first, ("b", sat("o0s1"))).state.objective - 3.02) < 1e-12
     with pytest.raises(ValueError, match="not connected in the snapshot"):
-        inst.transfer_seconds(sat("o0s0"), sat("o0s2"), 1.0)
+        env.step(first, ("b", sat("o0s2")))
 
 
 def test_candidate_outside_the_snapshot_is_rejected():
@@ -170,11 +173,17 @@ def test_energy_budget_filter():
     sats = [SatelliteNode(sat("o0s0"), 2e12, 10.0, energy_budget_j=0.5),
             SatelliteNode(sat("o0s1"), 1e12, 10.0)]
     task = chain_task(["a"], flops=1e12)  # 1 J at 1e-12 J/flop
-    relaxed = DeploymentInstance([task], sats, snap)
-    assert solve_exact(relaxed).assignment == {"a": sat("o0s0")}
-    strict = DeploymentInstance([task], sats, snap, enforce_energy_budget=True)
-    plan = solve_exact(strict)
-    assert plan.assignment == {"a": sat("o0s1")}
+    strict = DeploymentInstance([task], sats, snap)
+    assert solve_exact(strict).assignment == {"a": sat("o0s1")}
+    assert solve_greedy(strict).assignment == {"a": sat("o0s1")}
+    env = DeploymentMdp(strict)
+    assert env.feasible_actions(env.reset()) == (("a", sat("o0s1")),)
+    # At 1e-13 J/flop the service draws 0.1 J, within the faster host's budget.
+    cheap = DeploymentInstance([task], sats, snap, e_flop_j=1e-13)
+    assert solve_exact(cheap).assignment == {"a": sat("o0s0")}
+    unbudgeted = [SatelliteNode(s.id, s.throughput_flops, s.memory_bytes) for s in sats]
+    assert solve_exact(DeploymentInstance([task], unbudgeted, snap)).assignment == {
+        "a": sat("o0s0")}
 
 
 def test_exact_matches_enumeration_oracle():
@@ -301,12 +310,11 @@ def test_trained_policy_beats_uniform():
 
 
 def test_training_report_gap():
+    # The greedy decode's return is minus its objective, never below the optimum.
     env = benchmark_env()
     exact = solve_exact(env.instance)
-    _, report = train_policy_gradient(env, episodes=200, seed=3,
-                                      optima=[exact.objective])
-    assert report.mean_gap is not None
-    assert report.mean_gap >= -1e-9
+    _, report = train_policy_gradient(env, episodes=200, seed=3)
+    assert -report.greedy_returns[0] - exact.objective >= -1e-9
 
 
 def sharing_env():
@@ -353,28 +361,21 @@ def test_unconnected_hosts_raise_only_when_a_transfer_needs_them():
 def test_incremental_objective_and_features_match_from_scratch(seed, sharing):
     """Along a random feasible rollout, every state's objective equals the
     from-scratch one and every action's features equal the reference ones,
-    bit for bit; a state rebuilt from its public fields alone agrees too."""
+    bit for bit."""
     rng = np.random.default_rng(seed)
     build = random_sharing_instance if sharing else random_deployment_instance
     inst = DeploymentInstance(*build(rng))
     env = DeploymentMdp(inst)
     state = env.reset()
     while True:
-        assert state.objective == _objective(inst, state.placed())
-        bare = MdpState(state.next_index, state.assignment, state.residual_memory,
-                        state.objective, state.done, state.dead_end)
+        assert state.objective.hex() == reference_objective(inst, state.placed()).hex()
         actions = env.feasible_actions(state)
-        assert env.feasible_actions(bare) == actions
         if not actions:
             break
         for action in actions:
             want = reference_action_features(env, state, action)
             assert np.array_equal(action_features(env, state, action), want)
-            assert np.array_equal(action_features(env, bare, action), want)
-        action = actions[int(rng.integers(len(actions)))]
-        tr = env.step(state, action)
-        assert env.step(bare, action) == tr
-        state = tr.state
+        state = env.step(state, actions[int(rng.integers(len(actions)))]).state
 
 
 @settings(max_examples=150, deadline=None)
@@ -404,14 +405,23 @@ def test_training_draws_match_reference_features(make_env, monkeypatch):
     assert report.greedy_returns == ref_report.greedy_returns
 
 
-def squeezed_env(rng, sharing):
+def squeezed_instance(rng, sharing, budgets=False):
     """A random instance whose candidates keep a random 15-100% of their
-    memory, so that episodes often dead-end, some before the first step."""
+    memory, so that episodes often dead-end, some before the first step. With
+    budgets, each candidate may also get an energy budget between 0.5 and
+    3.5 J, around the 0.5-3 J one service draws."""
     build = random_sharing_instance if sharing else random_deployment_instance
     tasks, sats, snap = build(rng)
     squeeze = float(rng.uniform(0.15, 1.0))
-    sats = [SatelliteNode(s.id, s.throughput_flops, s.memory_bytes * squeeze) for s in sats]
-    return DeploymentMdp(DeploymentInstance(tasks, sats, snap))
+    sats = [SatelliteNode(s.id, s.throughput_flops, s.memory_bytes * squeeze,
+                          float(rng.uniform(0.5, 3.5)) if budgets and rng.random() < 0.5
+                          else math.inf)
+            for s in sats]
+    return DeploymentInstance(tasks, sats, snap)
+
+
+def squeezed_env(rng, sharing):
+    return DeploymentMdp(squeezed_instance(rng, sharing))
 
 
 @settings(max_examples=60, deadline=None)
@@ -419,17 +429,45 @@ def squeezed_env(rng, sharing):
        episodes=st.integers(1, 60))
 def test_training_matches_the_reference_loop(seed, sharing, n_envs, episodes):
     """The cached training run against the loop that rebuilds every state and
-    draws with Generator.choice: the same theta, returns and gap, bit for bit."""
+    draws with Generator.choice: the same theta and returns, bit for bit."""
     rng = np.random.default_rng(seed)
     envs = [squeezed_env(rng, sharing) for _ in range(n_envs)]
-    optima = [float(rng.uniform(0.0, 10.0)) for _ in envs]
-    policy, report = train_policy_gradient(envs, episodes=episodes, seed=seed, optima=optima)
-    theta, want = reference_train_policy_gradient(envs, episodes, seed, optima=optima)
+    policy, report = train_policy_gradient(envs, episodes=episodes, seed=seed)
+    theta, want = reference_train_policy_gradient(envs, episodes, seed)
     assert policy.theta.tobytes() == theta.tobytes()
     assert [r.hex() for r in report.returns] == [r.hex() for r in want.returns]
     assert [g.hex() for g in report.greedy_returns] == [g.hex() for g in want.greedy_returns]
     assert report.mean_return.hex() == want.mean_return.hex()
-    assert report.mean_gap.hex() == want.mean_gap.hex()
+
+
+@settings(max_examples=240, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sharing=st.booleans(), budgets=st.booleans())
+def test_exact_matches_the_reference_solver(seed, sharing, budgets):
+    """solve_exact against the solver that bounds every child assignment from
+    scratch: the same hosts, feasibility and objective bits, and every child
+    bound equal to the from-scratch optimistic objective of its placement, on
+    squeezed instances (often infeasible) with and without energy budgets."""
+    inst = squeezed_instance(np.random.default_rng(seed), sharing, budgets)
+    bounds = []
+    bound = deployment._bound
+
+    def recorded(instance, prefix):
+        bounds.append((prefix.hosts, bound(instance, prefix)))
+        return bounds[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deployment, "_bound", recorded)
+        got = solve_exact(inst)
+    want = reference_solve_exact(inst)
+    assert (got.feasible, got.assignment, got.solver) == (want.feasible, want.assignment, "exact")
+    assert list(got.assignment) == list(want.assignment)
+    if want.objective is None:
+        assert got.objective is None
+    else:
+        assert got.objective.hex() == want.objective.hex()
+    for hosts, value in bounds:
+        placed = {sid: inst.satellites[j].id for sid, j in zip(inst.order, hosts)}
+        assert value.hex() == reference_objective(inst, placed, optimistic=True).hex()
 
 
 @settings(max_examples=100, deadline=None)
@@ -531,19 +569,35 @@ def test_training_needs_an_environment():
         train_policy_gradient([], episodes=10, seed=0)
 
 
-def test_training_and_greedy_never_reevaluate_the_objective(monkeypatch):
-    calls = []
-    from_scratch = deployment._objective
+def test_no_solver_reevaluates_the_objective(monkeypatch):
+    # No library module keeps a from-scratch objective, and solve_exact grows
+    # each child that fits through exactly one _place call.
+    import importlib
+    import pkgutil
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return from_scratch(*args, **kwargs)
+    import leoplan
 
-    monkeypatch.setattr(deployment, "_objective", counted)
-    env = benchmark_env()
-    train_policy_gradient(env, episodes=20, seed=1)
-    solve_greedy(env.instance)
-    assert calls == []
+    for info in pkgutil.iter_modules(leoplan.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"leoplan.{info.name}")
+            assert not hasattr(module, "_objective"), info.name
+
+    inst = sharing_env().instance
+    fits, places = [], []
+    service_fits, place = inst.service_fits, deployment._place
+
+    def counted_fits(*args):
+        fits.append(service_fits(*args))
+        return fits[-1]
+
+    def counted_place(*args):
+        places.append(args)
+        return place(*args)
+
+    monkeypatch.setattr(inst, "service_fits", counted_fits)
+    monkeypatch.setattr(deployment, "_place", counted_place)
+    assert solve_exact(inst).feasible
+    assert places and len(places) == sum(fits) < len(fits)
 
 
 def test_shell_instance_replays_only_candidate_columns(monkeypatch):

@@ -192,6 +192,11 @@ def test_schedule_downlink_two_epochs():
     assert abs(res.epochs[0].delivered[0] - 0.5) < 1e-12
     assert abs(res.epochs[1].delivered[0] - 0.5) < 1e-12
     assert res.state.remaining[0] == 0.0
+    # Orbit 1 holds a model but has no windows, so it never finishes.
+    res = schedule_downlink(windows, 1.2e9, stations, horizon=600.0, orbits=[0, 1])
+    assert not res.complete
+    assert res.epochs_used == 10
+    assert res.state.remaining == {0: 0.0, 1: 1.0}
 
 
 def test_schedule_downlink_partial_window_overlap():
@@ -244,33 +249,6 @@ def test_schedule_downlink_orbit_cap_is_per_satellite():
     assert res.epochs_used == 1
     assert abs(res.epochs[0].delivered[0] - 2.0) < 1e-9
     assert res.state.remaining[0] == 0.0
-
-
-def test_schedule_downlink_per_orbit_dict():
-    s = SatelliteId(0, 0)
-    windows = [ContactWindow(s, "gs", 0.0, 600.0, 1e7)]
-    stations = (GroundStation("gs", 0.0, 0.0),)
-    res = schedule_downlink(windows, {0: 1.2e9, 1: 1.2e9}, stations, horizon=600.0)
-    # Orbit 1 has no windows, so it can never finish.
-    assert not res.complete
-    assert res.state.remaining[0] == 0.0
-    assert res.state.remaining[1] == 1.0
-    with pytest.raises(ValueError, match="must be uniform"):
-        schedule_downlink(windows, {0: 1.2e9, 1: 2.4e9}, stations, horizon=600.0)
-
-
-def test_schedule_downlink_resume_state():
-    s = SatelliteId(0, 0)
-    windows = [ContactWindow(s, "gs", 0.0, 600.0, 1e7)]
-    stations = (GroundStation("gs", 0.0, 0.0),)
-    first = schedule_downlink(windows, 1.2e9, stations, horizon=60.0)
-    assert not first.complete
-    assert abs(first.state.remaining[0] - 0.5) < 1e-12
-    second = schedule_downlink(windows, 1.2e9, stations, horizon=600.0,
-                               initial_state=first.state, start_time=60.0)
-    assert second.complete
-    assert second.epochs_used == 1
-    assert first.epochs_used + second.epochs_used == 2
 
 
 def test_schedule_downlink_argument_errors():
