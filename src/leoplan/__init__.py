@@ -49,7 +49,6 @@ from .sgl_flow import (
     EpochFlow,
     FlowAssignment,
     FlowNetwork,
-    build_flow_network,
     max_flow,
     schedule_downlink,
 )

@@ -6,6 +6,11 @@ fraction, satellite-to-station edges carry the fraction their link can move
 within the epoch, and stations drain into a virtual sink through their
 dedicated ground links. A deterministic shortest-augmenting-path max-flow
 decides how much of each orbit's model lands per epoch.
+
+schedule_downlink fixes the edge order once per call, and every epoch's
+network follows it: source edges by satellite, satellite-to-station edges by
+(orbit, slot, station, timeline index), station-to-sink edges by station id.
+Edge order is search order, so it decides ties between augmenting paths.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ import bisect
 import math
 from collections import deque
 from dataclasses import dataclass, field
-
-from .constellation import ContactWindow, GroundStation, SatelliteId
 
 SOURCE = "source"
 SINK = "sink"
@@ -30,8 +33,8 @@ class FlowNetwork:
         self.adjacency: dict = {}
 
     def add_edge(self, u, v, capacity: float) -> None:
-        if not capacity >= 0:
-            raise ValueError(f"capacity must be nonnegative, got {capacity}")
+        if not 0 <= capacity < math.inf:
+            raise ValueError(f"capacity must be nonnegative and finite, got {capacity}")
         if (u, v) in self.capacity:
             self.capacity[(u, v)] += capacity
             return
@@ -52,60 +55,8 @@ class DownlinkState:
 
     remaining: dict
 
-    def validate(self) -> None:
-        for orbit, frac in self.remaining.items():
-            if not 0.0 <= frac <= 1.0:
-                raise ValueError(f"orbit {orbit}: remaining fraction {frac} outside [0, 1]")
-
     def done(self) -> bool:
         return all(f <= FLOW_TOL for f in self.remaining.values())
-
-
-def build_flow_network(
-    windows,
-    state: DownlinkState,
-    window_duration: float,
-    model_bits: float,
-    stations,
-) -> FlowNetwork:
-    """Assemble the layered network for one scheduling epoch.
-
-    Args:
-        windows: contact windows active in the epoch; rates already scaled to
-            the usable fraction of the epoch.
-        state: remaining model fraction per orbit.
-        window_duration: epoch length in seconds.
-        model_bits: size of one orbit's model; all orbits share this size.
-        stations: GroundStation objects (or any objects with id and
-            dedicated_rate_bps) for the stations appearing in windows.
-
-    Edge capacities are fractions of model_bits, so a unit of flow equals one
-    full model copy delivered.
-    """
-    if not math.isfinite(window_duration) or window_duration <= 0:
-        raise ValueError("window_duration must be positive and finite")
-    if not math.isfinite(model_bits) or model_bits <= 0:
-        raise ValueError("model_bits must be positive and finite")
-    state.validate()
-    by_station = {st.id: st for st in stations}
-
-    net = FlowNetwork()
-    sats = sorted({w.satellite for w in windows},
-                  key=lambda s: (s.orbit_index, s.slot_index))
-    for sat in sats:
-        if sat.orbit_index not in state.remaining:
-            raise ValueError(f"window references orbit {sat.orbit_index} with no tracked model")
-        net.add_edge(SOURCE, sat, state.remaining[sat.orbit_index])
-    for w in sorted(windows, key=lambda w: (w.satellite.orbit_index,
-                                            w.satellite.slot_index, w.ground_station)):
-        net.add_edge(w.satellite, w.ground_station,
-                     w.rate_bps * window_duration / model_bits)
-    for gs_id in sorted({w.ground_station for w in windows}):
-        if gs_id not in by_station:
-            raise ValueError(f"window references unknown station {gs_id!r}")
-        st = by_station[gs_id]
-        net.add_edge(gs_id, SINK, st.dedicated_rate_bps * window_duration / model_bits)
-    return net
 
 
 def max_flow(network: FlowNetwork, source=SOURCE, sink=SINK) -> FlowAssignment:
@@ -287,20 +238,26 @@ def schedule_downlink(
         orbits = sorted({w.satellite.orbit_index for w in windows})
 
     state = DownlinkState(remaining={int(o): 1.0 for o in orbits})
+    # Edge capacities are fractions of model_bits, so a unit of flow is one
+    # full model delivered. A repeated station id keeps its last entry.
+    sink_capacity = {st.id: st.dedicated_rate_bps * epoch_seconds / model_bits
+                     for st in sorted(stations, key=lambda st: st.id)}
 
     epochs: list[EpochFlow] = []
     epoch_count = int(horizon // epoch_seconds)
     # Each window joins the scan at the first epoch it can overlap and leaves
     # after its last (_epoch_span), so an epoch tests only those windows, in
-    # timeline order, where a full scan would test every window.
+    # edge order, where a full scan would test every window.
     pending = []
     for k, w in enumerate(windows):
-        if w.satellite.orbit_index in state.remaining:
+        sat = w.satellite
+        if sat.orbit_index in state.remaining:
             lo, hi = _epoch_span(w.start, w.end, start_time, epoch_seconds, epoch_count)
             if lo < hi:
-                pending.append((lo, k, hi, w))
+                pending.append((lo, (sat.orbit_index, sat.slot_index, w.ground_station, k),
+                                hi, w))
     pending.sort(reverse=True)
-    live: list = []  # (timeline index, end epoch, window), in timeline order
+    live: list = []  # (edge key, end epoch, window), in edge key order
     for e in range(epoch_count):
         if state.done():
             break
@@ -309,19 +266,28 @@ def schedule_downlink(
         while pending and pending[-1][0] == e:
             bisect.insort(live, pending.pop()[1:])
         live = [entry for entry in live if entry[1] > e]
-        active = []
-        for _, _, w in live:
-            ov = _overlap(w.start, w.end, t0, t1)
-            if ov > 0:
-                active.append(ContactWindow(w.satellite, w.ground_station, t0, t1,
-                                            w.rate_bps * ov / epoch_seconds))
+        active = [(w, ov) for _, _, w in live if (ov := _overlap(w.start, w.end, t0, t1)) > 0]
         delivered = {o: 0.0 for o in state.remaining}
         if active:
-            net = build_flow_network(active, state, epoch_seconds, model_bits, stations)
+            net = FlowNetwork()
+            for w, _ in active:
+                if w.satellite not in net.adjacency:
+                    net.add_edge(SOURCE, w.satellite, state.remaining[w.satellite.orbit_index])
+            for w, ov in active:
+                # The link's rate scaled to its share of the epoch, times the
+                # epoch: rate * ov / model_bits would round differently.
+                net.add_edge(w.satellite, w.ground_station,
+                             w.rate_bps * ov / epoch_seconds * epoch_seconds / model_bits)
+            present = {w.ground_station for w, _ in active}
+            if not present <= sink_capacity.keys():
+                unknown = min(present - sink_capacity.keys())
+                raise ValueError(f"window references unknown station {unknown!r}")
+            for gs, cap in sink_capacity.items():
+                if gs in present:
+                    net.add_edge(gs, SINK, cap)
             assignment = max_flow(net)
-            for (u, v), f in assignment.flows.items():
-                if isinstance(v, SatelliteId) and u == SOURCE:
-                    delivered[v.orbit_index] += f
+            for sat in net.adjacency[SOURCE]:
+                delivered[sat.orbit_index] += assignment.flows[(SOURCE, sat)]
         else:
             assignment = FlowAssignment({}, 0.0)
         for o, f in delivered.items():

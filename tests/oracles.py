@@ -19,9 +19,10 @@ re-evaluated it for every candidate or child,
 reference_train_policy_gradient the training loop that rebuilt every state's
 features and drew with Generator.choice, and
 reference_max_flow and reference_schedule_downlink the dict-keyed max-flow
-and the scheduler that tested every window in every epoch (it builds each
-epoch's network with the library's _overlap and build_flow_network, so only
-the window scan and the max-flow differ).
+and the scheduler that tested every window in every epoch and built each
+epoch's network with build_flow_network, which copies the live windows,
+sorts them and re-validates the state (it takes only _overlap and
+FlowNetwork from the library).
 check_feasible is the dict-keyed flow check that max_flow's integer-slot
 check must agree with. station_position and elevation_deg rotate a station
 and measure elevation one sample at a time with math's scalar functions.
@@ -55,6 +56,7 @@ from leoplan import (
     GroundStation,
     LatencyModel,
     Link,
+    LinkConfig,
     LinkKind,
     Microservice,
     Router,
@@ -64,8 +66,8 @@ from leoplan import (
     SteinerInstance,
     TopologySnapshot,
     WeightedDigraph,
-    build_flow_network,
     build_walker,
+    contact_windows,
     dag_latency,
     dst_exact,
     parse_scenario,
@@ -846,6 +848,42 @@ def reference_max_flow(network, source=SOURCE, sink=SINK):
     return assignment
 
 
+def build_flow_network(windows, state, window_duration, model_bits, stations):
+    """The layered network of one scheduling epoch, from the windows active in
+    it (rates already scaled to their share of the epoch); the builder that
+    schedule_downlink replaced by a network built in its fixed edge order.
+
+    Edge capacities are fractions of model_bits, so a unit of flow equals one
+    full model copy delivered.
+    """
+    if not math.isfinite(window_duration) or window_duration <= 0:
+        raise ValueError("window_duration must be positive and finite")
+    if not math.isfinite(model_bits) or model_bits <= 0:
+        raise ValueError("model_bits must be positive and finite")
+    for orbit, frac in state.remaining.items():
+        if not 0.0 <= frac <= 1.0:
+            raise ValueError(f"orbit {orbit}: remaining fraction {frac} outside [0, 1]")
+    by_station = {st.id: st for st in stations}
+
+    net = FlowNetwork()
+    sats = sorted({w.satellite for w in windows},
+                  key=lambda s: (s.orbit_index, s.slot_index))
+    for sat in sats:
+        if sat.orbit_index not in state.remaining:
+            raise ValueError(f"window references orbit {sat.orbit_index} with no tracked model")
+        net.add_edge(SOURCE, sat, state.remaining[sat.orbit_index])
+    for w in sorted(windows, key=lambda w: (w.satellite.orbit_index,
+                                            w.satellite.slot_index, w.ground_station)):
+        net.add_edge(w.satellite, w.ground_station,
+                     w.rate_bps * window_duration / model_bits)
+    for gs_id in sorted({w.ground_station for w in windows}):
+        if gs_id not in by_station:
+            raise ValueError(f"window references unknown station {gs_id!r}")
+        st = by_station[gs_id]
+        net.add_edge(gs_id, SINK, st.dedicated_rate_bps * window_duration / model_bits)
+    return net
+
+
 def reference_schedule_downlink(windows, model_bits, stations, horizon, epoch_seconds,
                                 orbits, start_time=0.0):
     """schedule_downlink from full models, testing every window against every
@@ -1075,6 +1113,26 @@ def station_sets(draw, max_stations=3):
                       dedicated_rate_bps=draw(st.floats(1e2, 1e6)),
                       min_elevation_deg=draw(st.floats(0.0, 60.0)))
         for i in range(count))
+
+
+@st.composite
+def contact_window_timelines(draw):
+    """Keyword arguments of schedule_downlink over the windows contact_windows
+    finds for a random shell and station set, which come ordered by station
+    rather than by satellite: a nonzero start, 1 to 200 epochs, and a model
+    that one full-epoch link moves in 0.01 to 2 epochs."""
+    spec = draw(walker_specs())
+    stations = draw(station_sets(max_stations=4))
+    start = draw(st.floats(-1e4, 1e5))
+    epoch = draw(st.sampled_from([60.0, 300.0, 45.0]))
+    horizon = draw(st.integers(1, 200)) * epoch
+    rate = draw(st.floats(1e3, 1e7))
+    windows = contact_windows(build_walker(spec), stations, horizon,
+                              step=draw(st.sampled_from([10.0, 30.0, 120.0])),
+                              link_config=LinkConfig(sgl_rate_bps=rate), start=start)
+    return {"windows": windows, "stations": stations, "start_time": start,
+            "horizon": horizon, "epoch_seconds": epoch, "orbits": range(spec.num_orbits),
+            "model_bits": rate * epoch * draw(st.floats(0.01, 2.0))}
 
 
 def merged_topological_order(tasks):

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 
 from leoplan import (
     ContactWindow,
-    DownlinkState,
     FlowNetwork,
     GroundStation,
     SatelliteId,
-    build_flow_network,
     contact_windows,
     max_flow,
     schedule_downlink,
@@ -20,6 +18,7 @@ from leoplan.sgl_flow import SINK, SOURCE, FlowAssignment
 
 from oracles import (
     check_feasible,
+    contact_window_timelines,
     downlink_timelines,
     exhaustive_min_cut,
     random_flow_network,
@@ -39,8 +38,10 @@ def test_add_edge_accumulates_parallel_capacity():
     assert net.adjacency["a"] == ["b"]
     with pytest.raises(ValueError, match="nonnegative"):
         net.add_edge("a", "c", -1.0)
-    with pytest.raises(ValueError, match="capacity must be nonnegative, got nan"):
+    with pytest.raises(ValueError, match="capacity must be nonnegative and finite, got nan"):
         net.add_edge("a", "c", math.nan)
+    with pytest.raises(ValueError, match="capacity must be nonnegative and finite, got inf"):
+        net.add_edge("a", "c", math.inf)
     assert net.capacity == {("a", "b"): 1.5}
 
 
@@ -138,47 +139,60 @@ def test_check_feasible_rejects_bad_flows():
         check_feasible(net, FlowAssignment({(SOURCE, "a"): 0.5, ("a", SINK): 0.5}, 0.9))
 
 
-def test_build_flow_network_layering():
+def test_schedule_downlink_network_layering(monkeypatch):
+    """The epoch network follows the call's fixed edge order, whatever the
+    timeline order: source edges by satellite, satellite-to-station edges by
+    (orbit, slot, station) with a repeated pair adding its capacity, then
+    station-to-sink edges by station id."""
     s00, s01, s10 = SatelliteId(0, 0), SatelliteId(0, 1), SatelliteId(1, 0)
     windows = [
-        ContactWindow(s00, "gs-a", 0.0, 60.0, 1e6),
-        ContactWindow(s01, "gs-a", 0.0, 60.0, 2e6),
         ContactWindow(s10, "gs-b", 0.0, 60.0, 4e6),
+        ContactWindow(s01, "gs-a", 0.0, 60.0, 2e6),
+        ContactWindow(s00, "gs-b", 0.0, 60.0, 1e6),
+        ContactWindow(s00, "gs-a", 0.0, 30.0, 1e6),
+        ContactWindow(s00, "gs-a", 30.0, 60.0, 3e6),
     ]
-    stations = (GroundStation("gs-a", 0.0, 0.0, dedicated_rate_bps=8e6),
-                GroundStation("gs-b", 0.0, 90.0, dedicated_rate_bps=8e6))
-    state = DownlinkState({0: 1.0, 1: 0.25})
+    stations = (GroundStation("gs-b", 0.0, 90.0, dedicated_rate_bps=8e6),
+                GroundStation("gs-a", 0.0, 0.0, dedicated_rate_bps=8e6))
     model = 2.4e8
-    net = build_flow_network(windows, state, 60.0, model, stations)
-    # Orbit cap is applied per satellite edge, not shared across the orbit.
-    assert net.capacity[(SOURCE, s00)] == 1.0
-    assert net.capacity[(SOURCE, s01)] == 1.0
-    assert net.capacity[(SOURCE, s10)] == 0.25
-    assert abs(net.capacity[(s00, "gs-a")] - 1e6 * 60 / model) < 1e-15
-    assert abs(net.capacity[("gs-a", SINK)] - 8e6 * 60 / model) < 1e-15
-    assert abs(net.capacity[("gs-b", SINK)] - 2.0) < 1e-15
+    nets = []
+
+    def recorded(net):
+        nets.append(net)
+        return max_flow(net)
+
+    monkeypatch.setattr(sgl_flow, "max_flow", recorded)
+    schedule_downlink(windows, model, stations, horizon=60.0)
+    (net,) = nets
+    assert list(net.capacity) == [
+        (SOURCE, s00), (SOURCE, s01), (SOURCE, s10),
+        (s00, "gs-a"), (s00, "gs-b"), (s01, "gs-a"), (s10, "gs-b"),
+        ("gs-a", SINK), ("gs-b", SINK)]
+    # The orbit's remaining fraction caps each satellite's source edge.
+    assert net.capacity[(SOURCE, s00)] == net.capacity[(SOURCE, s01)] == 1.0
+    assert abs(net.capacity[(s00, "gs-a")] - (1e6 + 3e6) * 30 / model) < 1e-15
+    assert net.capacity[(s10, "gs-b")] == 4e6 * 60 / model
+    assert net.capacity[("gs-a", SINK)] == net.capacity[("gs-b", SINK)] == 2.0
 
 
-def test_build_flow_network_errors():
-    s = SatelliteId(2, 0)
-    w = [ContactWindow(s, "gs", 0.0, 60.0, 1e6)]
-    st = (GroundStation("gs", 0.0, 0.0),)
-    with pytest.raises(ValueError, match="orbit 2 with no tracked model"):
-        build_flow_network(w, DownlinkState({0: 1.0}), 60.0, 1e8, st)
-    with pytest.raises(ValueError, match="unknown station 'gs-x'"):
-        build_flow_network([ContactWindow(s, "gs-x", 0.0, 60.0, 1e6)],
-                           DownlinkState({2: 1.0}), 60.0, 1e8, st)
-    with pytest.raises(ValueError, match="window_duration"):
-        build_flow_network(w, DownlinkState({2: 1.0}), 0.0, 1e8, st)
-    with pytest.raises(ValueError, match="model_bits"):
-        build_flow_network(w, DownlinkState({2: 1.0}), 60.0, 0.0, st)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="window_duration must be positive and finite"):
-            build_flow_network(w, DownlinkState({2: 1.0}), bad, 1e8, st)
-        with pytest.raises(ValueError, match="model_bits must be positive and finite"):
-            build_flow_network(w, DownlinkState({2: 1.0}), 60.0, bad, st)
-    with pytest.raises(ValueError, match="outside"):
-        DownlinkState({0: 1.5}).validate()
+def test_schedule_downlink_unknown_station():
+    windows = [ContactWindow(SatelliteId(2, 0), "gs-x", 0.0, 60.0, 1e6)]
+    with pytest.raises(ValueError, match="window references unknown station 'gs-x'"):
+        schedule_downlink(windows, 1e8, (GroundStation("gs", 0.0, 0.0),), horizon=60.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("field", ["rate_bps", "dedicated_rate_bps"])
+def test_schedule_downlink_rejects_bad_capacity(field, bad):
+    """An infinite rate would make max_flow book inf - inf = NaN on its edge
+    and then report a false imbalance; every bad rate is named as a
+    capacity."""
+    rate = bad if field == "rate_bps" else 1e7
+    dedicated = bad if field == "dedicated_rate_bps" else 1e9
+    windows = [ContactWindow(SatelliteId(0, 0), "gs", 0.0, 600.0, rate)]
+    stations = (GroundStation("gs", 0.0, 0.0, dedicated_rate_bps=dedicated),)
+    with pytest.raises(ValueError, match="capacity must be nonnegative and finite, got"):
+        schedule_downlink(windows, 1.2e9, stations, horizon=600.0)
 
 
 def test_schedule_downlink_two_epochs():
@@ -351,6 +365,51 @@ def test_schedule_downlink_matches_full_scan(case):
     got = schedule_downlink(**case)
     want = reference_schedule_downlink(**case)
     assert _schedule_key(got) == _schedule_key(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=contact_window_timelines())
+def test_schedule_downlink_matches_full_scan_on_contact_windows(case):
+    """On real visibility the scheduler books what the per-epoch builder and
+    reference max-flow book, bit for bit; contact_windows lists windows by
+    station first, so this fails unless live windows are put in edge order."""
+    got = schedule_downlink(**case)
+    want = reference_schedule_downlink(**case)
+    assert _schedule_key(got) == _schedule_key(want)
+
+
+def test_schedule_downlink_builds_one_network_per_live_epoch(monkeypatch):
+    """On the benchmark's 24x22 shell_plan timeline, each epoch with a live
+    window builds exactly one FlowNetwork and hands it to one max_flow call,
+    made through the module binding the layer trace wraps."""
+    walker, scn, at = shell_plan_case()
+    fed = scn.federation
+    windows = contact_windows(walker, scn.ground_stations, fed.horizon_seconds,
+                              step=fed.window_step_seconds, link_config=scn.link_config,
+                              start=at)
+    built, calls = [], []
+
+    class CountedNetwork(FlowNetwork):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    def counted(net):
+        calls.append((net, len(built)))
+        return max_flow(net)
+
+    monkeypatch.setattr(sgl_flow, "FlowNetwork", CountedNetwork)
+    monkeypatch.setattr(sgl_flow, "max_flow", counted)
+    model_bits = float(scn.constellation.sats_per_orbit
+                       * scn.workload.embedding_bits_per_satellite)
+    res = schedule_downlink(windows, model_bits, scn.ground_stations, fed.horizon_seconds,
+                            epoch_seconds=fed.epoch_seconds, start_time=at,
+                            orbits=range(scn.constellation.num_orbits))
+    live_epochs = [ep for ep in res.epochs if ep.assignment.flows]
+    assert len(live_epochs) > 10
+    assert len(built) == len(calls) == len(live_epochs)
+    # Each call gets the network built just before it, and no other is built.
+    assert [(id(net), n) for net, n in calls] == [(id(net), k + 1) for k, net in enumerate(built)]
 
 
 def test_schedule_downlink_tests_each_window_only_near_its_epochs(monkeypatch):
