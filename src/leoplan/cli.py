@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from . import deployment, orchestration
-from .constellation import build_walker, contact_windows, snapshot
+from .constellation import SatelliteId, build_walker, contact_windows, snapshot
 from .interorbit import build_weighted_graph, parallel_transfer_time, select_disjoint_paths
 from .collective import RingSpec, plan_all_reduce
 from .msdag import shared_modules
@@ -251,7 +251,6 @@ def _cmd_orchestrate(scn, args, out: Path) -> list:
         plan_body = json.load(fh)
     if "assignment" not in plan_body:
         raise ValueError("plan file has no 'assignment' object")
-    from .constellation import SatelliteId
     assignment = {sid: SatelliteId.parse(label)
                   for sid, label in plan_body["assignment"].items()}
     if request["task_id"] not in scn.tasks:

@@ -69,16 +69,10 @@ class CollectiveResult:
 def plan_all_reduce(ring: RingSpec, payload_bits: int) -> CollectiveResult:
     """Schedule a ring all-reduce of payload_bits per node.
 
-    The payload is split into N blocks of ceil(D/N) bits (the last block is
-    padded up). Reduce-scatter leaves node i owning the full sum of block
-    (i+1) mod N; all-gather then circulates the finished blocks.
-
-    Args:
-        ring: the ring to schedule on.
-        payload_bits: per-node payload size in bits, must be >= node_count.
-
-    Returns:
-        CollectiveResult with completion time, per-node bits sent, and the schedule.
+    The payload, at least node_count bits, is split into N blocks of
+    ceil(D/N) bits (the last block is padded up). Reduce-scatter leaves node
+    i owning the full sum of block (i+1) mod N; all-gather then circulates
+    the finished blocks.
     """
     ring.validate()
     n = ring.node_count
@@ -144,21 +138,13 @@ def _schedule_time(schedule: RingSchedule) -> float:
 
 
 def execute(schedule: RingSchedule, initial_contents):
-    """Run a schedule on concrete block values.
+    """Run a schedule on one mapping block_id -> value per node; returns
+    (final_contents, elapsed_seconds). Values need an elementwise `+`.
 
-    Args:
-        schedule: a plan from plan_all_reduce or plan_all_gather.
-        initial_contents: one mapping block_id -> value per node. Values must
-            support `+` with elementwise meaning (ints, floats, numpy arrays).
-
-    Returns:
-        (final_contents, elapsed_seconds). Reduce-scatter transfers add into
-        the receiver's copy of the block; all-gather transfers store it.
-
-    Raises:
-        ValueError: if the schedule is malformed (wrong ring edge, a sender
-            transmitting a block it does not hold, or a node used twice as
-            sender or receiver within one step).
+    Reduce-scatter transfers add into the receiver's copy of the block and
+    all-gather transfers store it. Raises ValueError on a malformed schedule:
+    a transfer off the ring, a sender without the block, or a node used
+    twice as sender or receiver within one step.
     """
     n = schedule.node_count
     if len(initial_contents) != n:

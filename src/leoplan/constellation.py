@@ -320,16 +320,13 @@ def snapshot(
     return TopologySnapshot(time=t, links=tuple(links), positions=positions)
 
 
-# Margin below the exact cone bound p* in _visible_samples, in km; its
-# docstring shows rounding moves the crossing of the mask by about 1e-12 km.
+# Margin below the exact cone bound p* in _visible_samples, in km; rounding
+# moves the mask crossing by about 1e-12 km.
 _CONE_MARGIN_KM = 1.0
 
-# Samples per sieve block in _visible_samples. Every sample of a block lies
-# within (_SIEVE_BLOCK - 1) / 2 steps of the block's midpoint, so the cone is
-# widened by (mean motion + Earth rotation) * 5.5 steps: 0.03 rad at a 5 s
-# step in LEO, against a cone half-angle of about 0.3 rad. Any value >= 1
-# gives the same flags; a larger block tests fewer midpoints but keeps more
-# samples for the exact test.
+# Samples per sieve block in _visible_samples. Any value >= 1 gives the same
+# flags; a larger block tests fewer midpoints but keeps more samples for the
+# exact test (at a 5 s LEO step the cone widens by 0.03 of its ~0.3 rad).
 _SIEVE_BLOCK = 12
 
 
@@ -358,31 +355,16 @@ def _visible_samples(constellation: WalkerConstellation, stations: tuple,
     one visibility test: contact_windows and snapshot both use it. times must
     be nondecreasing.
 
-    A sample is visible when the sine of elevation, up / |d| with d = sat - st
-    and up = d . zen, is at least sin(mask). With the satellite at radius r,
-    the station at R and p = sat . zen, up = p - R and |d|^2 = r^2 + R^2 - 2 R p,
-    so the sine is (p - R) / sqrt(r^2 + R^2 - 2 R p). Its derivative in p is
-    (r^2 - R p) / |d|^3 > 0 (p <= r and R < r), so a mask m >= 0 holds exactly
-    when p >= p* = R cos^2 m + sin m sqrt(r^2 - R^2 cos^2 m), and p* >= R. For
-    p >= R, |d|^2 <= r^2 - R p, so an absolute error e in up or |d| moves the p
-    at which the computed sine crosses the mask by at most about e. Those
-    errors, and the rounding of p, r and R, are about 1e-12 km, so every
-    sample the formula flags has p >= p* - _CONE_MARGIN_KM: its angle psi from
-    the zenith is at most psi* = acos((p* - _CONE_MARGIN_KM) / r).
-
-    The samples are cut into blocks of _SIEVE_BLOCK, and positions are first
-    computed only at each block's midpoint. A satellite's direction turns at
-    the mean motion and a zenith at most at Earth's rotation rate, so psi
-    changes no faster than their sum, and a sample within `half` seconds of
-    its midpoint can have psi <= psi* only if psi <= psi* + rate * half at the
-    midpoint. Blocks whose midpoint p falls below r cos(psi* + rate * half +
-    eps) are dropped for that station and satellite, with one matmul for all
-    stations; eps covers the rounding of times, angles and p, which grows
-    with |t - epoch|. Where the widened angle reaches pi every block is kept.
-    The kept blocks' samples get exact positions from the same formula as
-    positions_at_times and go through the sine formula elementwise, so the
-    flags are bit-identical to evaluating it at every sample; no
-    (len(times), n) array is built.
+    The sine of elevation, (p - R) / |sat - st| with p = sat . zenith, rises
+    with p, so a mask m holds exactly where p >= p* = R cos^2 m + sin m
+    sqrt(r^2 - R^2 cos^2 m); with _CONE_MARGIN_KM for rounding, every flagged
+    sample lies within psi* = acos((p* - _CONE_MARGIN_KM) / r) of the zenith.
+    Positions are first found at the midpoint of each block of _SIEVE_BLOCK
+    samples, and a (station, satellite, block) is dropped when the midpoint
+    lies outside psi* widened by how far both can turn in half a block, plus
+    rounding. The kept samples go through the sine formula elementwise, so the
+    flags equal evaluating it at every sample
+    (test_visibility_matches_full_evaluation); no (len(times), n) array is built.
     """
     count = len(times)
     epoch, r = constellation.spec.epoch, constellation.radius_km

@@ -14,34 +14,22 @@ All three place a prefix of instance.order, a topological order of the task
 union, and grow it one service at a time through _place. A _Prefix holds the
 candidate index of each placed position, the finish time of each placed
 (service, task) slot, every task's latest finish (0.0 for a task with nothing
-placed) and their sum, the objective. When a
-service joins, every predecessor of it is placed and no successor is, so in
-each task that holds it only its own finish time is new, and each task's
-latest finish grows to the max of the old value and that finish. _place
-computes the new finish from the predecessors in the DAG's order and sums the
-latest finishes in task order, the float operations of a from-scratch
-longest-path evaluation, so the objective equals that evaluation bit for bit.
+placed) and their sum, the objective. A joining service has every
+predecessor placed and no successor, so only its own finish times are new;
+_place makes the float operations of a from-scratch longest-path evaluation
+and equals it bit for bit
+(test_incremental_objective_and_features_match_from_scratch).
 
-solve_exact bounds a prefix by finishing it optimistically (_bound): each
-unplaced service runs on the fastest candidate and receives its inputs for
-free. Any completion runs a service no faster and pays no negative transfer,
-and + and max never decrease, so no completion finishes a task earlier; the
-bound is admissible, and on a full prefix it is the objective itself.
+solve_exact bounds a prefix by running every unplaced service on the fastest
+candidate with free inputs (_bound); no completion finishes a task earlier
+(test_exact_matches_enumeration_oracle).
 
-train_policy_gradient does each state's work once per run. The MDP is
-deterministic and a state follows from its assignment, while an action's
-features depend on the state and never on the policy weights. So one call
-keeps, per environment, a dict from assignment to the feasible actions, their
-feature matrix (built on the first visit, through action_features) and each
-action's transition (filled when that action is first drawn); a repeat visit
-runs only the softmax, the draw and the gradient, on the same arrays as the
-first, and the greedy decode that ends the run walks the same dicts. The draw
-(_draw) is what Generator.choice(n, p=probs) does for one sample: the same
-cumulative sum, normalised by its last entry, searched with one rng.random()
-from the same stream. Indices, theta and every return are therefore
-bit-identical to a run that rebuilds each state and calls choice. The dicts
-live only for the call; plan_from_policy runs the same greedy decode on a
-fresh dict.
+train_policy_gradient keeps, per environment and for one call, each visited
+assignment's feasible actions, their feature matrix and each drawn action's
+transition: the MDP is deterministic and the features never depend on the
+policy weights. _draw is Generator.choice(n, p=probs) for one sample, so
+training equals a run that rebuilds every state and calls choice, bit for
+bit (test_training_matches_the_reference_loop).
 """
 
 from __future__ import annotations
@@ -113,10 +101,9 @@ class DeploymentInstance:
 
         self.order = _merged_topological_order(self.tasks)
         # Per position in order, one (task index, predecessors) row per task
-        # that holds the service, in task order; a predecessor is (its finish
-        # slot, its position, payload bits) in the DAG's order. Slots number
-        # the (service, task) pairs position-major, so the finish times of a
-        # prefix fill a prefix of the slots.
+        # that holds the service; a predecessor is (its finish slot, its
+        # position, payload bits). Slots number the (service, task) pairs
+        # position-major, so a prefix's finish times fill a prefix of them.
         position = {sid: p for p, sid in enumerate(self.order)}
         members = [set(dag.service_ids()) for dag in self.tasks]
         slot: dict = {}
@@ -344,9 +331,6 @@ class DeploymentMdp:
                      in zip(self._actions[next_index], inst.satellites, residuals)
                      if inst.service_fits(sid, sat, residual))
 
-    def feasible_actions(self, state: MdpState) -> tuple:
-        return state.actions
-
     def step(self, state: MdpState, action) -> MdpTransition:
         if state.done:
             raise ValueError("episode is over")
@@ -401,11 +385,6 @@ def action_features(env: DeploymentMdp, state: MdpState, action) -> np.ndarray:
 N_FEATURES = 5
 
 
-def _feature_matrix(env: DeploymentMdp, state: MdpState, actions) -> np.ndarray:
-    """One row of action_features per action."""
-    return np.array([action_features(env, state, a) for a in actions])
-
-
 def _softmax(feats: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Action probabilities of a linear softmax policy over a feature matrix."""
     scores = feats @ theta
@@ -454,8 +433,8 @@ def _cached_episode(env: DeploymentMdp, cache: dict, state: MdpState, theta: np.
         node = cache.get(state.assignment)
         if node is None:
             actions = state.actions
-            node = (actions, _feature_matrix(env, state, actions), [None] * len(actions))
-            cache[state.assignment] = node
+            feats = np.array([action_features(env, state, a) for a in actions])
+            node = cache[state.assignment] = (actions, feats, [None] * len(actions))
         actions, feats, slots = node
         if not actions:
             total += DEAD_END_REWARD  # nothing fits before the first placement

@@ -10,44 +10,20 @@ outputs (placement, routes and trees all follow the chosen paths):
 * dijkstra pops the least (distance, node_key) entry and replaces a
   tentative distance only on a strictly smaller one (``<``), so among
   equal-weight paths the one through the first-settled predecessor stays.
-  The order in which one node's neighbours are relaxed cannot change
-  anything: each relaxation touches only its own neighbour, and the heap
-  orders its entries by (distance, node_key), not by push order.
+  The order in which one node's neighbours are relaxed changes nothing
+  (test_select_disjoint_paths_matches_reference_loop).
 * Floyd-Warshall lets the intermediate node k run over the given node order
   and replaces a pair's route only on a strictly shorter path through k.
 * topological_order is the lexicographically smallest order: of all nodes
   whose predecessors are done, the least comes next.
 
 Floyd-Warshall is run destination-major: row j of its arrays holds column j
-of the distance matrix, the distances and next hops of every source into j.
-Iteration k sets d[i, j] = d[i, k] + d[k, j] (and the next hop of i to that
-of the i -> k path) wherever that sum is strictly less. It runs as one pivot
-pass (pivot_columns) plus one replay per destination asked for
-(replay_column); inter-orbit routing replays the destinations it is asked
-about, and the exact Steiner solver replays every destination to get the
-whole matrix. Four facts let the pass and the replays work in place and
-skip work without changing one bit or one tie-break against the textbook
-whole-matrix algorithm:
-
-* Finite span. inf + x is inf or NaN for every x, and neither is < d, so
-  a source i with d[i, k] == inf or a destination j with d[k, j] == inf
-  cannot change in iteration k. Only the contiguous span between the first
-  and the last finite entry of row k and of column k is relaxed.
-* In place. Row k and column k cannot change in iteration k, because
-  d[k, k] == 0 and x + 0.0 == x, so updating in place, one block of
-  destinations at a time, reads exactly the values a fresh matrix per k
-  would, and the strict < and the order of k keep its tie-breaks.
-* Pivot pass. To update column j, iteration k reads only column k and
-  column j itself, so each destination column evolves on its own given the
-  pivot columns. Column j is read as a pivot only in iteration j, so
-  pivot_columns relaxes only the columns after k in iteration k; afterwards
-  column j holds exactly its value at the start of iteration j, which is
-  what every later iteration read from it.
-* Column replay. replay_column finishes column j by applying iterations
-  k = j+1 .. n-1 to it with the stored pivot columns, in the same order,
-  with the same additions and the same strict <, so it equals column j of
-  the whole-matrix Floyd-Warshall bit for bit. A route's whole next-hop
-  chain into j lies in column j, so one replay serves every path to j.
+of the distance matrix. pivot_columns runs iterations k = 0 .. n-1 in place
+on the destinations after k, over the finite span of row k and column k only
+(inf + x is never < d); each destination column evolves on its own given the
+pivot columns, so replay_column finishes column j with iterations
+k = j+1 .. n-1. Together they equal the textbook whole-matrix algorithm bit
+for bit, tie-breaks included (test_all_pairs_matches_whole_matrix_reference).
 """
 
 from __future__ import annotations

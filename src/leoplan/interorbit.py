@@ -59,13 +59,13 @@ def build_weighted_graph(snapshot: TopologySnapshot, include_ground: bool = Fals
 class ShortestPaths:
     """Shortest routes into each destination, built on first request.
 
-    graph.pivot_columns over the 1/rate weights, nodes indexed in sorted
+    graph.pivot_columns over the graph's weights, nodes indexed in sorted
     order; ``column(j)`` replays destination j's column of the Floyd-Warshall
-    matrix once and caches it (see leoplan.graph for why that is exact and
-    for the tie-break it keeps). ``path`` follows that column's next hops.
+    matrix once and caches it (see leoplan.graph for the tie-break it keeps).
+    ``path`` follows that column's next hops.
     """
 
-    def __init__(self, graph: WeightedDigraph):
+    def __init__(self, graph: Digraph):
         self.graph = graph
         self.nodes = graph.sorted_nodes()
         self.index = {n: i for i, n in enumerate(self.nodes)}
@@ -81,9 +81,6 @@ class ShortestPaths:
             self._columns[j] = replay_column(*self._pivots, j)
         return self._columns[j]
 
-    def distance(self, u, v) -> float:
-        return float(self.column(self.index[v])[0][self.index[u]])
-
     def path(self, u, v) -> list | None:
         i, j = self.index[u], self.index[v]
         hop = self.column(j)[1]
@@ -94,52 +91,30 @@ class ShortestPaths:
             hops.append(int(hop[hops[-1]]))
         return [self.nodes[h] for h in hops]
 
-    def path_metrics(self, u, v):
-        """(bottleneck_rate_bps, propagation_s) along the reconstructed path,
-        or None when v is unreachable from u. Same node -> (inf, 0)."""
-        path = self.path(u, v)
-        if path is None:
-            return None
-        if len(path) == 1:
-            return (float("inf"), 0.0)
-        bottleneck = float("inf")
-        prop = 0.0
-        for a, b in zip(path, path[1:]):
-            attr = self.graph.edges[(a, b)]
-            bottleneck = min(bottleneck, attr.capacity_bps)
-            prop += attr.propagation_s
-        return (bottleneck, prop)
-
-    def transfer_seconds(self, u, v, bits: float) -> float:
-        """bits / bottleneck + propagation along the kept u->v path; 0.0 when
-        u == v."""
-        if u == v:
-            return 0.0
-        return self.transfer_at(self.index[u], self.index[v], bits)
-
     def transfer_at(self, i: int, j: int, bits: float) -> float:
-        """transfer_seconds between the nodes at indices i and j, with the
-        path's metrics cached per index pair."""
+        """bits / bottleneck rate + propagation along the kept path from the
+        node at index i to the node at index j; 0.0 when i == j. The path's
+        (bottleneck, propagation) is cached per index pair."""
         if i == j:
             return 0.0
-        key = (i, j)
-        if key not in self._metrics:
-            self._metrics[key] = self.path_metrics(self.nodes[i], self.nodes[j])
-        m = self._metrics[key]
-        if m is None:
-            raise ValueError(f"no route from {self.nodes[i]} to {self.nodes[j]}: "
-                             "hosts not connected in the snapshot")
-        return bits / m[0] + m[1]
+        if (i, j) not in self._metrics:
+            path = self.path(self.nodes[i], self.nodes[j])
+            if path is None:
+                raise ValueError(f"no route from {self.nodes[i]} to {self.nodes[j]}: "
+                                 "hosts not connected in the snapshot")
+            bottleneck, prop = float("inf"), 0.0
+            for a, b in zip(path, path[1:]):
+                attr = self.graph.edges[(a, b)]
+                bottleneck = min(bottleneck, attr.capacity_bps)
+                prop += attr.propagation_s
+            self._metrics[(i, j)] = (bottleneck, prop)
+        bottleneck, prop = self._metrics[(i, j)]
+        return bits / bottleneck + prop
 
 
 def all_pairs_shortest(graph: WeightedDigraph) -> ShortestPaths:
-    """Floyd-Warshall routes over 1/rate weights; nodes iterated in sorted order.
-
-    Runs the pivot pass now and finishes each destination on its first
-    request. A pair's route changes only on a strictly shorter path through
-    the next node in that order; see ShortestPaths for the kept tie-break
-    and the next-hop reconstruction.
-    """
+    """Floyd-Warshall routes over 1/rate weights, each destination finished
+    on its first request (see ShortestPaths)."""
     return ShortestPaths(graph)
 
 

@@ -128,10 +128,8 @@ def validate_dag(dag: ServiceDag) -> ValidationReport:
         succ[u].append(v)
         pred[v].append(u)
 
-    # Depth-first cycle detection with an explicit stack, so a long chain
-    # cannot exhaust the interpreter's; reports the first cycle met, roots in
-    # sorted order and successors in edge order. stack_path is the current
-    # path and pending[k] the successors of stack_path[k] not yet tried.
+    # Depth-first cycle detection on an explicit stack (roots sorted,
+    # successors in edge order); pending[k] holds stack_path[k]'s untried ones.
     color = {i: 0 for i in ids}
     for root in sorted(ids):
         if color[root] != 0:
@@ -229,10 +227,11 @@ class Router:
         0.0 when both ends are the same host."""
         if u == v:
             return 0.0
+        index = self._paths.index
         for host in (u, v):
-            if host not in self._paths.index:
+            if host not in index:
                 raise ValueError(f"host {host} not in topology")
-        return self._paths.transfer_seconds(u, v, payload_bits) + overhead_s
+        return self._paths.transfer_at(index[u], index[v], payload_bits) + overhead_s
 
 
 def dag_latency(

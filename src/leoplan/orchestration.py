@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .constellation import TopologySnapshot
-from .graph import Digraph, dijkstra, node_key, path_to, pivot_columns, reachable, replay_column
-from .interorbit import ISL_KINDS
+from .graph import Digraph, dijkstra, node_key, path_to, reachable
+from .interorbit import ISL_KINDS, ShortestPaths
 from .msdag import ServiceDag
 
 EXACT_MAX_TERMINALS = 6
@@ -41,10 +41,6 @@ class EnergyModel:
 
 class AugmentedGraph(Digraph):
     """Digraph over satellites with per-edge energy cost in joules."""
-
-    def __init__(self):
-        super().__init__()
-        self.hosting: dict = {}
 
     def add_edge(self, u, v, energy_j: float) -> None:
         if energy_j < 0:
@@ -109,13 +105,12 @@ def build_augmented_graph(
         hosting.setdefault(assignment[sid], []).append(sid)
 
     g = AugmentedGraph()
-    g.hosting = {host: tuple(sids) for host, sids in hosting.items()}
     for sat in sorted(snapshot.positions, key=node_key):
         g.add_node(sat)
 
     def edge_energy(head) -> float:
         e = (energy_model.e_tx_j_per_bit + energy_model.e_rx_j_per_bit) * hop_payload_bits
-        for sid in g.hosting.get(head, ()):
+        for sid in hosting.get(head, ()):
             e += energy_model.e_flop_j * dag.service(sid).flops
         return e
 
@@ -126,7 +121,7 @@ def build_augmented_graph(
         g.add_edge(a, b, edge_energy(b))
         g.add_edge(b, a, edge_energy(a))
 
-    terminals = set(g.hosting)
+    terminals = set(hosting)
     if gateway is not None:
         terminals.add(gateway)
     instance = SteinerInstance(root, frozenset(terminals))
@@ -168,12 +163,12 @@ def dst_exact(graph: AugmentedGraph, instance: SteinerInstance) -> SteinerTree:
     if not terms:
         return SteinerTree(frozenset(), 0.0)
 
-    index = {n: i for i, n in enumerate(nodes)}
+    routes = ShortestPaths(graph)
+    index = routes.index
     n = len(nodes)
-    # One replayed column per destination j: dist[j][i] is the i -> j
-    # distance and nxt[j][i] the node after i on that path.
-    pivots = pivot_columns(graph, index)
-    columns = [replay_column(*pivots, j) for j in range(n)]
+    # One column per destination j: dist[j][i] is the i -> j distance and
+    # nxt[j][i] the node after i on that path.
+    columns = [routes.column(j) for j in range(n)]
     dist = [col.tolist() for col, _ in columns]
     nxt = [hop.tolist() for _, hop in columns]
 

@@ -62,14 +62,11 @@ class DownlinkState:
 def max_flow(network: FlowNetwork, source=SOURCE, sink=SINK) -> FlowAssignment:
     """Ford-Fulkerson with BFS augmenting paths (shortest first), deterministic.
 
-    Vertices are numbered in insertion order, and every ordered pair with an
-    edge either way gets one residual slot, so the search runs on integers.
-    Each vertex scans its out-edges in insertion order, then the tails of its
-    in-edges that are not also heads; ties, paths and every float operation
-    are those of a residual dict keyed by vertex pairs. Returns the flow on
-    every forward edge plus the total value; the result always satisfies
-    capacity and conservation, checked on the integer slots before returning
-    (_check_slots).
+    Runs on integer residual slots, one per ordered pair with an edge either
+    way; each vertex scans its out-edges in insertion order, then the tails
+    of its other in-edges, as a residual dict keyed by vertex pairs does
+    (test_max_flow_matches_dict_keyed_reference). Returns the flow on every
+    forward edge plus the total value, checked by _check_slots.
     """
     index = {u: k for k, u in enumerate(network.adjacency)}
     pairs = [(index[u], index[v]) for u, v in network.capacity]
@@ -128,10 +125,8 @@ def _check_slots(vertices: list, pairs: list, capacities: list, flows: list,
 
     Edge k runs from vertices[pairs[k][0]] to vertices[pairs[k][1]] with
     capacities[k] and flows[k]; s and t are the source and sink indices, or
-    None when absent. The excess of each vertex is summed in the same edge
-    order as the dict-keyed reference check in tests/oracles.py, so both
-    accept and reject the same assignments; a capacity or value error has
-    the same message.
+    None. It accepts what the dict-keyed check does
+    (test_slot_check_agrees_with_check_feasible).
     """
     excess = [0.0] * len(vertices)
     for (i, j), cap, f in zip(pairs, capacities, flows):
@@ -174,10 +169,9 @@ def _epoch_span(start: float, end: float, start_time: float, epoch_seconds: floa
     """Epochs [lo, hi) among the first count whose [t0, t0 + epoch_seconds),
     t0 = start_time + e * epoch_seconds, the window [start, end) can overlap.
 
-    _overlap is positive only where t0 < end and t0 + epoch_seconds > start.
-    Both sides are the scheduler's own float expressions and never decrease
-    with e, so walking from the rounded estimate finds the exact bounds; a
-    window that is empty, reversed or NaN overlaps no epoch.
+    Walks from a rounded estimate on the scheduler's own float expressions,
+    so the bounds are exact (test_schedule_downlink_matches_full_scan); an
+    empty, reversed or NaN window overlaps no epoch.
     """
     if not start < end:
         return 0, 0
@@ -250,6 +244,8 @@ def schedule_downlink(
     # edge order, where a full scan would test every window.
     pending = []
     for k, w in enumerate(windows):
+        if w.ground_station not in sink_capacity:
+            raise ValueError(f"window references unknown station {w.ground_station!r}")
         sat = w.satellite
         if sat.orbit_index in state.remaining:
             lo, hi = _epoch_span(w.start, w.end, start_time, epoch_seconds, epoch_count)
@@ -279,9 +275,6 @@ def schedule_downlink(
                 net.add_edge(w.satellite, w.ground_station,
                              w.rate_bps * ov / epoch_seconds * epoch_seconds / model_bits)
             present = {w.ground_station for w, _ in active}
-            if not present <= sink_capacity.keys():
-                unknown = min(present - sink_capacity.keys())
-                raise ValueError(f"window references unknown station {unknown!r}")
             for gs, cap in sink_capacity.items():
                 if gs in present:
                     net.add_edge(gs, SINK, cap)

@@ -10,9 +10,10 @@ back around each ring. Latency, bits over radio links, compute, and energy
 are accounted per phase; a round that cannot finish a transfer inside the
 horizon is flagged incomplete and truncated.
 
-Each ground-link phase samples visibility on its own grid, starting at the
-phase's start, and only as far as its schedule reaches; the result is
-identical to sampling the whole horizon.
+A campaign validates its inputs and plans both ring collectives once; the
+inputs never change between its rounds. Each ground-link phase samples
+visibility from the phase's start only as far as its schedule reaches, with
+the result of sampling the whole horizon.
 """
 
 from __future__ import annotations
@@ -181,18 +182,14 @@ def _ring_spread_seconds(workload: WorkloadSpec, constellation: WalkerConstellat
     return (s - 1) * hop
 
 
-def simulate_round(
-    config: FederationConfig,
-    constellation: WalkerConstellation,
-    workload: WorkloadSpec,
-    setup: SimulationSetup,
-    round_index: int = 0,
-    start_time: float = 0.0,
-) -> RoundTrace:
-    """Simulate one federated round starting at start_time.
+def _campaign(config: FederationConfig, constellation: WalkerConstellation,
+              workload: WorkloadSpec, setup: SimulationSetup, rounds: int,
+              round_index: int, start_time: float) -> list:
+    """`rounds` federated rounds back to back, numbered from round_index: the
+    first starts at start_time and each later one where the one before ended.
 
-    Every phase is deterministic, so identical arguments always produce
-    identical traces.
+    The inputs are validated and both ring collectives planned once, before
+    the first round; each round then runs only its own phases.
     """
     config.validate()
     workload.validate()
@@ -202,11 +199,13 @@ def simulate_round(
     P, S = spec.num_orbits, spec.sats_per_orbit
     n_sats = P * S
     samples = workload.samples_per_satellite
-
-    seconds = {p: 0.0 for p in PHASES}
-    bits = {p: 0.0 for p in PHASES}
-    flops = {p: 0.0 for p in PHASES}
-    now = start_time
+    gather = reduce = None
+    if S >= 2:
+        ring = RingSpec.uniform(S, setup.link_config.intra_orbit_rate_bps)
+        gather = plan_all_gather(ring, [workload.embedding_bits_per_satellite] * S)
+        if workload.head_bits > 0:
+            reduce = plan_all_reduce(ring, workload.head_bits)
+    spread = _ring_spread_seconds(workload, constellation, setup.link_config)
 
     def window_start() -> float:
         return spec.epoch if config.freeze_topology else now
@@ -214,14 +213,10 @@ def simulate_round(
     def flow_phase(phase: str, model_bits_per_orbit: float) -> bool:
         """Run a coordinated SGL transfer; returns False when it misses the horizon.
 
-        Visibility is sampled only as far as the schedule reaches: one epoch
-        first, then twice the span, recomputed from scratch, until the
-        transfer completes. Each call samples one step past the scheduled
-        span; that extra sample keeps a window live at the cut reaching past
-        the last scheduled epoch, so every scheduled epoch sees exactly the
-        windows full-horizon sampling gives it. Once the span plus that step
-        would reach the horizon, the full-horizon call is made, so an
-        incomplete transfer books what full-horizon sampling books.
+        Samples visibility one step past the scheduled span, one epoch first,
+        then twice the span from scratch, until the transfer completes or the
+        span reaches the horizon; each scheduled epoch sees the windows that
+        full-horizon sampling gives it (test_round_matches_full_horizon_sampling).
         """
         nonlocal now
         if not setup.stations:
@@ -251,8 +246,6 @@ def simulate_round(
         now += seconds[phase]
         return result.complete
 
-    intra_ring = RingSpec.uniform(S, setup.link_config.intra_orbit_rate_bps) if S >= 2 else None
-
     def run_phases() -> bool:
         """Walk the phase sequence; returns False once a transfer truncates the round."""
         nonlocal now
@@ -263,8 +256,7 @@ def simulate_round(
         now += seconds["embedding_compute"]
 
         # Each orbit concatenates its embeddings over the ring.
-        if intra_ring is not None:
-            gather = plan_all_gather(intra_ring, [workload.embedding_bits_per_satellite] * S)
+        if gather is not None:
             seconds["intra_orbit_gather"] = gather.completion_time
             bits["intra_orbit_gather"] = float(P * gather.total_bits_sent)
             now += gather.completion_time
@@ -286,8 +278,7 @@ def simulate_round(
         flops["local_train"] = train_flops * n_sats
         now += seconds["local_train"]
 
-        if intra_ring is not None and workload.head_bits > 0:
-            reduce = plan_all_reduce(intra_ring, workload.head_bits)
+        if reduce is not None:
             seconds["intra_orbit_aggregate"] = (config.intra_orbit_agg_rounds
                                                 * reduce.completion_time)
             bits["intra_orbit_aggregate"] = float(
@@ -299,39 +290,58 @@ def simulate_round(
                 return False
             if not flow_phase("broadcast", float(workload.head_bits)):
                 return False
-            spread = _ring_spread_seconds(workload, constellation, setup.link_config)
-            seconds["broadcast"] += spread
-            bits["broadcast"] += float(P * max(S - 1, 0) * workload.head_bits)
-            now += spread
-            return True
-
-        # Sweep the accumulating head forward across orbits, then back.
-        agg = 0.0
-        stages = ([(p, p + 1) for p in range(P - 1)]
-                  + [(p, p - 1) for p in range(P - 1, 0, -1)])
-        if stages:
-            topo = snapshot(constellation, window_start(), setup.link_config)
-            graph = build_weighted_graph(topo)
-            for src, dst in stages:
-                paths = select_disjoint_paths(graph, src, dst)
-                if len(paths) == 0:
-                    seconds["inter_orbit_or_global_aggregate"] = config.horizon_seconds
-                    return False
-                agg += parallel_transfer_time(paths, workload.head_bits)
-                bits["inter_orbit_or_global_aggregate"] += float(workload.head_bits)
-        seconds["inter_orbit_or_global_aggregate"] = agg
-        now += agg
-        seconds["broadcast"] = _ring_spread_seconds(workload, constellation, setup.link_config)
-        bits["broadcast"] = float(P * max(S - 1, 0) * workload.head_bits)
-        now += seconds["broadcast"]
+        else:
+            # Sweep the accumulating head forward across orbits, then back.
+            agg = 0.0
+            stages = ([(p, p + 1) for p in range(P - 1)]
+                      + [(p, p - 1) for p in range(P - 1, 0, -1)])
+            if stages:
+                topo = snapshot(constellation, window_start(), setup.link_config)
+                graph = build_weighted_graph(topo)
+                for src, dst in stages:
+                    paths = select_disjoint_paths(graph, src, dst)
+                    if len(paths) == 0:
+                        seconds["inter_orbit_or_global_aggregate"] = config.horizon_seconds
+                        return False
+                    agg += parallel_transfer_time(paths, workload.head_bits)
+                    bits["inter_orbit_or_global_aggregate"] += float(workload.head_bits)
+            seconds["inter_orbit_or_global_aggregate"] = agg
+            now += agg
+        seconds["broadcast"] += spread
+        bits["broadcast"] += float(P * max(S - 1, 0) * workload.head_bits)
+        now += spread
         return True
 
-    complete = run_phases()
     per_bit = setup.energy.e_tx_j_per_bit + setup.energy.e_rx_j_per_bit
-    energy = per_bit * sum(bits.values()) + setup.energy.e_flop_j * sum(flops.values())
-    # Every exit comes after the downlink, so its bits are the ground delivery.
-    return RoundTrace(round_index, start_time, seconds, bits, flops, sum(seconds.values()),
-                      energy, complete, bits["sgl_down"])
+    traces = []
+    for r in range(round_index, round_index + rounds):
+        seconds = {p: 0.0 for p in PHASES}
+        bits = {p: 0.0 for p in PHASES}
+        flops = {p: 0.0 for p in PHASES}
+        now = start_time
+        complete = run_phases()
+        energy = per_bit * sum(bits.values()) + setup.energy.e_flop_j * sum(flops.values())
+        # Every exit comes after the downlink, so its bits are the ground delivery.
+        traces.append(RoundTrace(r, start_time, seconds, bits, flops, sum(seconds.values()),
+                                 energy, complete, bits["sgl_down"]))
+        start_time = start_time + traces[-1].total_seconds
+    return traces
+
+
+def simulate_round(
+    config: FederationConfig,
+    constellation: WalkerConstellation,
+    workload: WorkloadSpec,
+    setup: SimulationSetup,
+    round_index: int = 0,
+    start_time: float = 0.0,
+) -> RoundTrace:
+    """The first round of a campaign that starts at start_time.
+
+    Every phase is deterministic, so identical arguments always produce
+    identical traces.
+    """
+    return _campaign(config, constellation, workload, setup, 1, round_index, start_time)[0]
 
 
 def simulate_fine_tuning(
@@ -341,22 +351,15 @@ def simulate_fine_tuning(
     setup: SimulationSetup,
     seed: int = 0,
 ):
-    """Run config.rounds federated rounds back to back.
+    """Run config.rounds federated rounds back to back from the constellation epoch.
 
     Returns (traces, RunAggregate); the simulated clock of round k+1 starts
     where round k ended. The rounds are deterministic and draw no random
     numbers, so seed changes nothing; it stays in the signature because the
     CLI and perfbench pass the scenario's seed.
     """
-    config.validate()
-    traces = []
-    t = constellation.spec.epoch
-    for r in range(config.rounds):
-        trace = simulate_round(config, constellation, workload, setup,
-                               round_index=r, start_time=t)
-        traces.append(trace)
-        t = trace.start_time + trace.total_seconds
-
+    traces = _campaign(config, constellation, workload, setup, config.rounds, 0,
+                       constellation.spec.epoch)
     phase_totals = {p: sum(tr.phase_seconds[p] for tr in traces) for p in PHASES}
     agg = RunAggregate(
         rounds=len(traces),

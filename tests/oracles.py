@@ -23,6 +23,9 @@ and the scheduler that tested every window in every epoch and built each
 epoch's network with build_flow_network, which copies the live windows,
 sorts them and re-validates the state (it takes only _overlap and
 FlowNetwork from the library).
+reference_simulate_round is the federated round that validated its inputs
+and planned both ring collectives every round, and
+reference_simulate_fine_tuning chains it round by round.
 check_feasible is the dict-keyed flow check that max_flow's integer-slot
 check must agree with. station_position and elevation_deg rotate a station
 and measure elevation one sample at a time with math's scalar functions.
@@ -67,17 +70,24 @@ from leoplan import (
     TopologySnapshot,
     WeightedDigraph,
     build_walker,
+    build_weighted_graph,
     contact_windows,
     dag_latency,
     dst_exact,
+    parallel_transfer_time,
     parse_scenario,
+    schedule_downlink,
+    select_disjoint_paths,
+    snapshot,
 )
-from leoplan.constellation import EARTH_ROTATION_RAD_S, _visible_samples
+from leoplan.collective import RingSpec, plan_all_gather, plan_all_reduce
+from leoplan.constellation import EARTH_ROTATION_RAD_S, LIGHT_SPEED_KM_S, _visible_samples
 from leoplan import deployment
 from leoplan.deployment import (DEAD_END_REWARD, LEARNING_RATE, N_FEATURES, DeploymentMdp,
                                 DeploymentPlan, TrainingReport)
 from leoplan.sgl_flow import (FLOW_TOL, SINK, SOURCE, DownlinkResult, DownlinkState, EpochFlow,
                               FlowAssignment, _overlap)
+from leoplan.simkernel import PHASES, RoundTrace, RunAggregate
 
 
 def sat(label):
@@ -482,8 +492,9 @@ def reference_objective(instance, placed, optimistic=False):
                 if u not in finish:
                     continue
                 if hosted and u in placed:
-                    arrival = finish[u] + instance._routes.transfer_seconds(placed[u],
-                                                                            placed[sid], bits)
+                    routes = instance._routes
+                    arrival = finish[u] + routes.transfer_at(
+                        routes.index[placed[u]], routes.index[placed[sid]], bits)
                 else:
                     arrival = finish[u]
                 start = max(start, arrival)
@@ -552,7 +563,7 @@ def reference_action_features(env, state, action):
 def policy_distribution(env, state, theta):
     """(feasible actions, feature matrix, softmax probabilities) of a linear
     policy with weights theta in state."""
-    actions = env.feasible_actions(state)
+    actions = state.actions
     feats = np.array([deployment.action_features(env, state, a) for a in actions])
     scores = feats @ theta
     scores -= scores.max()
@@ -567,7 +578,7 @@ def rollout(env, choose, record=None):
     state = env.reset()
     total = 0.0
     while not state.done:
-        if not env.feasible_actions(state):
+        if not state.actions:
             total += DEAD_END_REWARD  # nothing fits before the first placement
             break
         action = choose(state)
@@ -613,7 +624,7 @@ def reference_train_policy_gradient(envs, episodes, seed):
         grads = np.zeros(N_FEATURES)
         total = 0.0
         while not state.done:
-            if not env.feasible_actions(state):
+            if not state.actions:
                 total += DEAD_END_REWARD
                 break
             actions, feats, probs = policy_distribution(env, state, theta)
@@ -632,7 +643,7 @@ def reference_train_policy_gradient(envs, episodes, seed):
         state = env.reset()
         total = 0.0
         while not state.done:
-            if not env.feasible_actions(state):
+            if not state.actions:
                 total += DEAD_END_REWARD
                 break
             actions, _, probs = policy_distribution(env, state, theta)
@@ -1290,3 +1301,157 @@ def tied_orbit_digraphs(draw, max_orbits=4, max_slots=4, max_relays=2):
         if u != v:
             g.add_edge(u, v, draw(st.sampled_from([1e9, 2e9, 4e9])))
     return g
+
+
+def reference_simulate_round(config, constellation, workload, setup, round_index=0,
+                             start_time=0.0):
+    """simkernel.simulate_round as it was before campaigns: every round
+    validates its inputs and plans both ring collectives again, and the
+    ground and decentralized branches each book the broadcast ring spread.
+    Chained round by round, it is the reference for simulate_fine_tuning."""
+    config.validate()
+    workload.validate()
+    setup.compute.validate()
+    setup.energy.validate()
+    spec = constellation.spec
+    P, S = spec.num_orbits, spec.sats_per_orbit
+    n_sats = P * S
+    samples = workload.samples_per_satellite
+
+    seconds = {p: 0.0 for p in PHASES}
+    bits = {p: 0.0 for p in PHASES}
+    flops = {p: 0.0 for p in PHASES}
+    now = start_time
+
+    def window_start():
+        return spec.epoch if config.freeze_topology else now
+
+    def flow_phase(phase, model_bits_per_orbit):
+        nonlocal now
+        if not setup.stations:
+            seconds[phase] = config.horizon_seconds
+            now += config.horizon_seconds
+            return False
+        horizon, step = config.horizon_seconds, config.window_step_seconds
+        span = config.epoch_seconds
+        while True:
+            sampled = span + step
+            if sampled >= horizon:
+                span = sampled = horizon
+            windows = contact_windows(
+                constellation, setup.stations, sampled, step=step,
+                link_config=setup.link_config, start=window_start())
+            result = schedule_downlink(
+                windows, model_bits_per_orbit, setup.stations, span,
+                epoch_seconds=config.epoch_seconds, start_time=window_start(),
+                orbits=range(P))
+            if result.complete or span == horizon:
+                break
+            span *= 2
+        elapsed = result.epochs_used * config.epoch_seconds
+        delivered = sum(sum(e.delivered.values()) for e in result.epochs)
+        seconds[phase] = elapsed if result.complete else config.horizon_seconds
+        bits[phase] += delivered * model_bits_per_orbit
+        now += seconds[phase]
+        return result.complete
+
+    def ring_spread():
+        if S < 2:
+            return 0.0
+        chord_km = 2.0 * constellation.radius_km * math.sin(math.pi / S)
+        hop = (workload.head_bits / setup.link_config.intra_orbit_rate_bps
+               + chord_km / LIGHT_SPEED_KM_S)
+        return (S - 1) * hop
+
+    intra_ring = RingSpec.uniform(S, setup.link_config.intra_orbit_rate_bps) if S >= 2 else None
+
+    def run_phases():
+        nonlocal now
+        embed_flops = 2.0 * workload.embedding_params * samples
+        seconds["embedding_compute"] = embed_flops / setup.compute.satellite_flops_per_s
+        flops["embedding_compute"] = embed_flops * n_sats
+        now += seconds["embedding_compute"]
+        if intra_ring is not None:
+            gather = plan_all_gather(intra_ring, [workload.embedding_bits_per_satellite] * S)
+            seconds["intra_orbit_gather"] = gather.completion_time
+            bits["intra_orbit_gather"] = float(P * gather.total_bits_sent)
+            now += gather.completion_time
+        orbit_embedding_bits = float(S * workload.embedding_bits_per_satellite)
+        if not flow_phase("sgl_down", orbit_embedding_bits):
+            return False
+        encode_flops = 2.0 * workload.encoder_params * samples * n_sats
+        seconds["cloud_encode"] = encode_flops / setup.compute.cloud_flops_per_s
+        flops["cloud_encode"] = encode_flops
+        now += seconds["cloud_encode"]
+        if not flow_phase("sgl_up", orbit_embedding_bits):
+            return False
+        train_flops = workload.flops_per_sample_head * samples * workload.local_epochs
+        seconds["local_train"] = train_flops / setup.compute.satellite_flops_per_s
+        flops["local_train"] = train_flops * n_sats
+        now += seconds["local_train"]
+        if intra_ring is not None and workload.head_bits > 0:
+            reduce = plan_all_reduce(intra_ring, workload.head_bits)
+            seconds["intra_orbit_aggregate"] = (config.intra_orbit_agg_rounds
+                                                * reduce.completion_time)
+            bits["intra_orbit_aggregate"] = float(
+                P * config.intra_orbit_agg_rounds * reduce.total_bits_sent)
+            now += seconds["intra_orbit_aggregate"]
+        if config.aggregation_mode == "ground":
+            if not flow_phase("inter_orbit_or_global_aggregate", float(workload.head_bits)):
+                return False
+            if not flow_phase("broadcast", float(workload.head_bits)):
+                return False
+            spread = ring_spread()
+            seconds["broadcast"] += spread
+            bits["broadcast"] += float(P * max(S - 1, 0) * workload.head_bits)
+            now += spread
+            return True
+        agg = 0.0
+        stages = ([(p, p + 1) for p in range(P - 1)]
+                  + [(p, p - 1) for p in range(P - 1, 0, -1)])
+        if stages:
+            topo = snapshot(constellation, window_start(), setup.link_config)
+            graph = build_weighted_graph(topo)
+            for src, dst in stages:
+                paths = select_disjoint_paths(graph, src, dst)
+                if len(paths) == 0:
+                    seconds["inter_orbit_or_global_aggregate"] = config.horizon_seconds
+                    return False
+                agg += parallel_transfer_time(paths, workload.head_bits)
+                bits["inter_orbit_or_global_aggregate"] += float(workload.head_bits)
+        seconds["inter_orbit_or_global_aggregate"] = agg
+        now += agg
+        seconds["broadcast"] = ring_spread()
+        bits["broadcast"] = float(P * max(S - 1, 0) * workload.head_bits)
+        now += seconds["broadcast"]
+        return True
+
+    complete = run_phases()
+    per_bit = setup.energy.e_tx_j_per_bit + setup.energy.e_rx_j_per_bit
+    energy = per_bit * sum(bits.values()) + setup.energy.e_flop_j * sum(flops.values())
+    return RoundTrace(round_index, start_time, seconds, bits, flops, sum(seconds.values()),
+                      energy, complete, bits["sgl_down"])
+
+
+def reference_simulate_fine_tuning(config, constellation, workload, setup):
+    """(traces, RunAggregate) of config.rounds reference_simulate_round calls,
+    each starting where the one before ended, as simulate_fine_tuning chained
+    its rounds before campaigns."""
+    config.validate()
+    traces = []
+    t = constellation.spec.epoch
+    for r in range(config.rounds):
+        trace = reference_simulate_round(config, constellation, workload, setup,
+                                         round_index=r, start_time=t)
+        traces.append(trace)
+        t = trace.start_time + trace.total_seconds
+    phase_totals = {p: sum(tr.phase_seconds[p] for tr in traces) for p in PHASES}
+    return traces, RunAggregate(
+        rounds=len(traces),
+        total_seconds=sum(tr.total_seconds for tr in traces),
+        total_bits=sum(sum(tr.phase_bits.values()) for tr in traces),
+        total_flops=sum(sum(tr.phase_flops.values()) for tr in traces),
+        total_energy_joules=sum(tr.energy_joules for tr in traces),
+        complete=all(tr.complete for tr in traces),
+        phase_second_totals=phase_totals,
+    )

@@ -177,7 +177,7 @@ def test_energy_budget_filter():
     assert solve_exact(strict).assignment == {"a": sat("o0s1")}
     assert solve_greedy(strict).assignment == {"a": sat("o0s1")}
     env = DeploymentMdp(strict)
-    assert env.feasible_actions(env.reset()) == (("a", sat("o0s1")),)
+    assert env.reset().actions == (("a", sat("o0s1")),)
     # At 1e-13 J/flop the service draws 0.1 J, within the faster host's budget.
     cheap = DeploymentInstance([task], sats, snap, e_flop_j=1e-13)
     assert solve_exact(cheap).assignment == {"a": sat("o0s0")}
@@ -211,7 +211,7 @@ def test_mdp_reset_and_feasible_actions():
     state = env.reset()
     assert state.next_index == 0 and not state.done
     assert state.residual_memory == (10.0, 10.0)
-    assert env.feasible_actions(state) == (("a", sat("o0s0")), ("a", sat("o0s1")))
+    assert state.actions == (("a", sat("o0s0")), ("a", sat("o0s1")))
 
 
 def test_mdp_rewards_telescope_to_objective():
@@ -253,7 +253,7 @@ def test_mdp_dead_end():
     tr = env.step(env.reset(), ("a", sat("o0s0")))
     assert tr.done and tr.state.dead_end
     assert tr.reward <= DEAD_END_REWARD
-    assert rollout(env, lambda s: env.feasible_actions(s)[0]) <= DEAD_END_REWARD
+    assert rollout(env, lambda s: s.actions[0]) <= DEAD_END_REWARD
 
 
 def test_rollout_dead_on_arrival():
@@ -261,7 +261,7 @@ def test_rollout_dead_on_arrival():
     sats = [SatelliteNode(sat("o0s0"), 1e12, 1.0)]
     inst = DeploymentInstance([chain_task(["a"], mem=5.0)], sats, snap)
     env = DeploymentMdp(inst)
-    assert env.feasible_actions(env.reset()) == ()
+    assert env.reset().actions == ()
     assert rollout(env, lambda s: None) == DEAD_END_REWARD
 
 
@@ -369,7 +369,7 @@ def test_incremental_objective_and_features_match_from_scratch(seed, sharing):
     state = env.reset()
     while True:
         assert state.objective.hex() == reference_objective(inst, state.placed()).hex()
-        actions = env.feasible_actions(state)
+        actions = state.actions
         if not actions:
             break
         for action in actions:
@@ -483,7 +483,7 @@ def test_plan_from_policy_is_the_stepwise_greedy_decode(seed, sharing):
     theta = rng.normal(size=N_FEATURES) * 10.0 ** rng.uniform(-2.0, 2.0)
     state = env.reset()
     while True:
-        actions = env.feasible_actions(state)
+        actions = state.actions
         if not state.done:
             sid = inst.order[state.next_index]
             assert actions == tuple((sid, s.id) for s, res in zip(inst.satellites,

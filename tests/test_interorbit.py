@@ -32,6 +32,11 @@ from oracles import (
 )
 
 
+def distance(sp, u, v) -> float:
+    """The u -> v distance, read off v's destination column."""
+    return float(sp.column(sp.index[v])[0][sp.index[u]])
+
+
 def test_add_edge_rejects_bad_capacity():
     g = WeightedDigraph()
     # A NaN weight would be dropped by Floyd-Warshall (nan < inf is false)
@@ -78,9 +83,10 @@ def test_isolated_satellites_still_nodes():
     assert len(g.nodes) == 3
     sp = all_pairs_shortest(g)
     a, c = SatelliteId.parse("o0s0"), SatelliteId.parse("o5s0")
-    assert sp.distance(a, c) == math.inf
+    assert distance(sp, a, c) == math.inf
     assert sp.path(a, c) is None
-    assert sp.path_metrics(a, c) is None
+    with pytest.raises(ValueError, match="no route from o0s0 to o5s0"):
+        sp.transfer_at(sp.index[a], sp.index[c], 1.0)
 
 
 def test_shortest_path_hand_case():
@@ -90,25 +96,34 @@ def test_shortest_path_hand_case():
     g = build_weighted_graph(snap)
     sp = all_pairs_shortest(g)
     a, b, c = (SatelliteId.parse(x) for x in ("o0s0", "o0s1", "o0s2"))
-    assert abs(sp.distance(a, c) - 2e-6) < 1e-18
+    assert abs(distance(sp, a, c) - 2e-6) < 1e-18
     assert sp.path(a, c) == [a, b, c]
-    assert sp.path_metrics(a, c) == (1e6, 0.0)
-    assert sp.path_metrics(a, a) == (math.inf, 0.0)
-    assert sp.distance(a, a) == 0.0
+    i, j = sp.index[a], sp.index[c]
+    assert sp.transfer_at(i, j, 3e6) == 3e6 / 1e6 + 0.0  # bottleneck 1e6, no propagation
+    assert sp.transfer_at(i, i, 3e6) == 0.0
+    assert distance(sp, a, a) == 0.0
+
+
+def route_metrics(g):
+    """The weight, capacity and propagation dicts brute_route_metrics reads."""
+    return ({e: a.weight for e, a in g.edges.items()},
+            {e: a.capacity_bps for e, a in g.edges.items()},
+            {e: a.propagation_s for e, a in g.edges.items()})
 
 
 def test_transfer_by_node_and_by_index_agree():
     snap = toy_snapshot([("o0s0", "o0s1", 1e6, 0.02), ("o0s1", "o0s2", 4e5, 0.01)],
                         extra_sats=("o5s0",))
-    sp = all_pairs_shortest(build_weighted_graph(snap))
+    g = build_weighted_graph(snap)
+    sp = all_pairs_shortest(g)
     a, c, d = (SatelliteId.parse(x) for x in ("o0s0", "o0s2", "o5s0"))
     i, j = sp.index[a], sp.index[c]
-    assert sp.transfer_seconds(a, c, 2e6) == sp.transfer_at(i, j, 2e6) == 2e6 / 4e5 + 0.03
-    assert sp.transfer_seconds(d, d, 1.0) == sp.transfer_at(sp.index[d], sp.index[d], 1.0) == 0.0
-    for call in (lambda: sp.transfer_seconds(a, d, 1.0),
-                 lambda: sp.transfer_at(i, sp.index[d], 1.0)):
-        with pytest.raises(ValueError, match="no route from o0s0 to o5s0: hosts not connected"):
-            call()
+    bottleneck, prop = brute_route_metrics(*route_metrics(g), a, c)
+    assert sp.transfer_at(i, j, 2e6) == 2e6 / bottleneck + prop == 2e6 / 4e5 + 0.03
+    assert sp.transfer_at(sp.index[d], sp.index[d], 1.0) == 0.0
+    assert brute_route_metrics(*route_metrics(g), a, d) is None
+    with pytest.raises(ValueError, match="no route from o0s0 to o5s0: hosts not connected"):
+        sp.transfer_at(i, sp.index[d], 1.0)
 
 
 def test_all_pairs_matches_dijkstra_exactly():
@@ -121,31 +136,35 @@ def test_all_pairs_matches_dijkstra_exactly():
         for src in g.sorted_nodes():
             ref = dijkstra_distances(weights, src)
             for dst in g.sorted_nodes():
-                got = sp.distance(src, dst)
+                got = distance(sp, src, dst)
                 want = ref.get(dst, math.inf)
                 assert got == want, (src, dst, got, want)
 
 
 def test_path_metrics_match_bruteforce():
+    """transfer_at books bits over the bottleneck plus the propagation of the
+    min-weight path that enumerating every simple path finds. Generic rates
+    and delays make that path unique, so both sum the same delays in order."""
     rng = np.random.default_rng(99)
     checked = 0
     for _ in range(60):
-        g, weights = random_rate_digraph(rng, max_nodes=7)
-        caps = {e: a.capacity_bps for e, a in g.edges.items()}
-        props = {e: a.propagation_s for e, a in g.edges.items()}
+        names = [f"n{i}" for i in range(int(rng.integers(2, 8)))]
+        g = WeightedDigraph()
+        for name in names:
+            g.add_node(name)
+        for u in names:
+            for v in names:
+                if u != v and rng.random() < 0.35:
+                    g.add_edge(u, v, float(rng.uniform(1e6, 1e9)), float(rng.uniform(0.0, 0.02)))
         sp = all_pairs_shortest(g)
-        for u in g.sorted_nodes():
-            for v in g.sorted_nodes():
-                want = brute_route_metrics(weights, caps, props, u, v)
-                got = sp.path_metrics(u, v)
+        for i, u in enumerate(sp.nodes):
+            for j, v in enumerate(sp.nodes):
+                want = brute_route_metrics(*route_metrics(g), u, v)
                 if want is None:
-                    assert got is None
+                    with pytest.raises(ValueError, match=f"no route from {u} to {v}"):
+                        sp.transfer_at(i, j, 1e6)
                     continue
-                # Bottleneck may differ between equally short paths; the
-                # reconstructed path must itself be min-weight.
-                path = sp.path(u, v)
-                total = sum(weights[(a, b)] for a, b in zip(path, path[1:]))
-                assert total == sp.distance(u, v)
+                assert sp.transfer_at(i, j, 1e6) == 1e6 / want[0] + want[1]
                 checked += 1
     assert checked > 500
 
@@ -211,10 +230,10 @@ def test_unconnected_pair_keeps_its_error_and_matches_reference():
     assert_same_routes(g, sources=range(6))
     sp = all_pairs_shortest(g)
     a, b = SatelliteId.parse("o0s1"), SatelliteId.parse("o1s2")
-    assert sp.distance(a, b) == math.inf and sp.path(a, b) is None
+    assert distance(sp, a, b) == math.inf and sp.path(a, b) is None
     with pytest.raises(ValueError, match="no route from o0s1 to o1s2: hosts not connected "
                                          "in the snapshot"):
-        sp.transfer_seconds(a, b, 1.0)
+        sp.transfer_at(sp.index[a], sp.index[b], 1.0)
 
 
 def test_disjoint_paths_rectangle():
@@ -309,7 +328,7 @@ def test_demo_shell_routes_exist():
     g = build_weighted_graph(snap)
     sp = all_pairs_shortest(g)
     src, dst = SatelliteId(0, 0), SatelliteId(3, 5)
-    assert sp.distance(src, dst) < math.inf
+    assert distance(sp, src, dst) < math.inf
     path = sp.path(src, dst)
     assert path[0] == src and path[-1] == dst
     for a, b in zip(path, path[1:]):

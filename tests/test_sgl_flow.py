@@ -181,6 +181,19 @@ def test_schedule_downlink_unknown_station():
         schedule_downlink(windows, 1e8, (GroundStation("gs", 0.0, 0.0),), horizon=60.0)
 
 
+@pytest.mark.parametrize("stray", [
+    ContactWindow(SatelliteId(0, 0), "gs-x", 300.0, 360.0, 1e6),  # after the transfer ends
+    ContactWindow(SatelliteId(1, 0), "gs-x", 0.0, 60.0, 1e6),  # orbit 1 holds no model
+    ContactWindow(SatelliteId(0, 0), "gs-x", 0.0, 60.0, 1e6),  # live in the first epoch
+])
+def test_schedule_downlink_checks_every_window_station(stray):
+    # The gs window alone moves the whole model in the first epoch.
+    windows = [ContactWindow(SatelliteId(0, 0), "gs", 0.0, 60.0, 1e6), stray]
+    with pytest.raises(ValueError, match="window references unknown station 'gs-x'"):
+        schedule_downlink(windows, 1e7, (GroundStation("gs", 0.0, 0.0),), horizon=600.0,
+                          orbits=[0])
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
 @pytest.mark.parametrize("field", ["rate_bps", "dedicated_rate_bps"])
 def test_schedule_downlink_rejects_bad_capacity(field, bad):

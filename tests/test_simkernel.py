@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from leoplan import simkernel
 from leoplan.constellation import LIGHT_SPEED_KM_S
 from leoplan.simkernel import PHASES
 
-from oracles import station_sets, walker_specs
+from oracles import reference_simulate_fine_tuning, station_sets, walker_specs
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -373,3 +374,79 @@ def test_demo_samples_a_tenth_of_the_full_horizon(monkeypatch):
     assert agg.complete
     assert len(sampled) >= 40
     assert sum(sampled) < 40 * scn.federation.horizon_seconds / 10
+
+
+def hexed(value):
+    """value with every float replaced by its .hex(), recursively."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: hexed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [hexed(v) for v in value]
+    return value
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec=walker_specs(), stations=station_sets(),
+       mode=st.sampled_from(["ground", "decentralized"]), freeze=st.booleans(),
+       rounds=st.integers(1, 4), epoch_seconds=st.floats(20.0, 120.0),
+       horizon=st.floats(50.0, 20000.0), step=st.floats(5.0, 60.0),
+       sgl_rate=st.floats(1e3, 1e7), isl_range=st.sampled_from([1.0, 5500.0, 15000.0]),
+       head_params=st.sampled_from([0, 1, 7, 100]), samples=st.integers(1, 50),
+       agg_rounds=st.integers(1, 3))
+def test_campaign_matches_the_per_round_reference(spec, stations, mode, freeze, rounds,
+                                                  epoch_seconds, horizon, step, sgl_rate,
+                                                  isl_range, head_params, samples, agg_rounds):
+    """simulate_fine_tuning equals the reference rounds chained one by one,
+    every float bit for bit; short horizons truncate rounds."""
+    walker = build_walker(spec)
+    config = FederationConfig(rounds=rounds, intra_orbit_agg_rounds=agg_rounds,
+                              aggregation_mode=mode, epoch_seconds=epoch_seconds,
+                              horizon_seconds=horizon, window_step_seconds=step,
+                              freeze_topology=freeze)
+    workload = small_workload(samples_per_satellite=samples, precision_bits=16,
+                              head_params=head_params)
+    setup = SimulationSetup(stations=stations,
+                            link_config=LinkConfig(sgl_rate_bps=sgl_rate,
+                                                   max_isl_range_km=isl_range))
+
+    def outcome(run):
+        """The hexed traces and aggregate, or the error message."""
+        try:
+            traces, agg = run(config, walker, workload, setup)
+        except ValueError as exc:  # a zero head has no ground transfer to book
+            return str(exc)
+        return hexed([dataclasses.asdict(t) for t in traces] + [dataclasses.asdict(agg)])
+
+    assert outcome(simulate_fine_tuning) == outcome(reference_simulate_fine_tuning)
+
+
+def test_campaign_plans_each_ring_collective_once(monkeypatch):
+    calls = {"gather": 0, "reduce": 0}
+    real_gather, real_reduce = simkernel.plan_all_gather, simkernel.plan_all_reduce
+
+    def gather(*args, **kwargs):
+        calls["gather"] += 1
+        return real_gather(*args, **kwargs)
+
+    def reduce(*args, **kwargs):
+        calls["reduce"] += 1
+        return real_reduce(*args, **kwargs)
+
+    monkeypatch.setattr(simkernel, "plan_all_gather", gather)
+    monkeypatch.setattr(simkernel, "plan_all_reduce", reduce)
+    walker = build_walker(ConstellationSpec(2, 3, 550.0, 0.0))
+    config = FederationConfig(rounds=5, freeze_topology=True, horizon_seconds=7200.0)
+    traces, agg = simulate_fine_tuning(config, walker, small_workload(), zenith_setup())
+    assert len(traces) == 5 and agg.complete  # every round reached both ring phases
+    assert calls == {"gather": 1, "reduce": 1}
+
+
+def test_campaign_rejects_a_head_smaller_than_the_ring_before_the_first_round():
+    # Without stations every round truncates at sgl_down, before the head is
+    # aggregated; the all-reduce is still planned, and rejected, up front.
+    walker = build_walker(ConstellationSpec(1, 22, 550.0, 53.0))
+    workload = small_workload(head_params=1, precision_bits=16)  # 16 bits < 22 nodes
+    with pytest.raises(ValueError, match="payload_bits must be at least node_count"):
+        simulate_fine_tuning(FederationConfig(), walker, workload, SimulationSetup())
