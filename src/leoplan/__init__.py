@@ -20,6 +20,7 @@ from .constellation import (
     SatelliteId,
     TopologySnapshot,
     WalkerConstellation,
+    node_key,
     build_walker,
     contact_windows,
     snapshot,
@@ -37,12 +38,12 @@ from .collective import (
 from .interorbit import (
     PathSet,
     ShortestPaths,
-    WeightedDigraph,
     all_pairs_shortest,
     build_weighted_graph,
     parallel_transfer_time,
     select_disjoint_paths,
 )
+from .graph import Topology
 from .sgl_flow import (
     DownlinkResult,
     DownlinkState,
@@ -75,7 +76,6 @@ from .deployment import (
     train_policy_gradient,
 )
 from .orchestration import (
-    AugmentedGraph,
     EnergyModel,
     SteinerInstance,
     SteinerTree,

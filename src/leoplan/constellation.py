@@ -8,10 +8,12 @@ calls with the same arguments return identical results.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +30,8 @@ class LinkKind(str, Enum):
     SGL = "sgl"
     GROUND_DEDICATED = "ground_dedicated"
 
+
+ISL_KINDS = (LinkKind.INTRA_ORBIT_ISL, LinkKind.INTER_ORBIT_ISL, LinkKind.CROSS_SEAM_ISL)
 
 _SAT_LABEL = re.compile(r"^o(\d+)s(\d+)$")
 
@@ -60,6 +64,14 @@ class SatelliteId:
         if m is None:
             raise ValueError(f"not a satellite label: {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))
+
+
+def node_key(node):
+    """The order graphs number their nodes in: satellites by (orbit, slot),
+    then every other node by its string."""
+    if isinstance(node, SatelliteId):
+        return (0, node.orbit_index, node.slot_index)
+    return (1, str(node))
 
 
 @dataclass(frozen=True)
@@ -141,6 +153,20 @@ class TopologySnapshot:
 
     def links_of_kind(self, *kinds: LinkKind) -> list:
         return [l for l in self.links if l.kind in kinds]
+
+    @cached_property
+    def numbered(self) -> tuple:
+        """(nodes, satellites, table), read by every graph over the snapshot:
+        each node once in node_key order, the first `satellites` of them the
+        satellites, and per available link, in link order, the row (end
+        index, end index, 1.0 for an ISL else 0.0, rate, delay)."""
+        live = [l for l in self.links if l.available]
+        nodes = sorted({*self.positions, *(v for l in live for v in l.endpoints)}, key=node_key)
+        index = {v: i for i, v in enumerate(nodes)}
+        rows = [(index[a], index[b], l.kind in ISL_KINDS, l.rate_bps, l.propagation_delay_s)
+                for l in live for a, b in [l.endpoints]]
+        table = np.fromiter(itertools.chain.from_iterable(rows), float, 5 * len(rows))
+        return nodes, sum(isinstance(v, SatelliteId) for v in nodes), table.reshape(-1, 5)
 
 
 @dataclass(frozen=True)
@@ -265,59 +291,48 @@ def snapshot(
     the currently visible SGLs plus each station's dedicated ground link. A
     satellite gets an SGL exactly when contact_windows would count the
     instant t as a visible sample.
+
+    Links join the constellation's own SatelliteId objects. Every length is
+    sqrt(vecdot(d, d)), the dot product np.linalg.norm takes, so delays and
+    range decisions equal a per-link norm bit for bit
+    (test_snapshot_lengths_match_per_link_norms).
     """
     link_config.validate()
-    spec = constellation.spec
-    pos = constellation.positions_at(t)
-    positions = {sat: pos[i] for i, sat in enumerate(constellation.satellites)}
-    links: list[Link] = []
-
-    def isl(kind: LinkKind, a: SatelliteId, b: SatelliteId, rate: float) -> Link:
-        dist = float(np.linalg.norm(positions[a] - positions[b]))
-        return Link(kind, (a, b), rate, dist / LIGHT_SPEED_KM_S)
-
-    P, S = spec.num_orbits, spec.sats_per_orbit
-    for p in range(P):
-        if S == 2:
-            links.append(isl(LinkKind.INTRA_ORBIT_ISL, SatelliteId(p, 0), SatelliteId(p, 1),
-                             link_config.intra_orbit_rate_bps))
-        elif S >= 3:
-            for s in range(S):
-                links.append(isl(LinkKind.INTRA_ORBIT_ISL, SatelliteId(p, s),
-                                 SatelliteId(p, (s + 1) % S),
-                                 link_config.intra_orbit_rate_bps))
-
-    def pair_planes(pa: int, pb: int, kind: LinkKind) -> None:
-        for s in range(S):
-            a, b = SatelliteId(pa, s), SatelliteId(pb, s)
-            dist = float(np.linalg.norm(positions[a] - positions[b]))
-            if dist <= link_config.max_isl_range_km:
-                links.append(Link(kind, (a, b), link_config.inter_orbit_rate_bps,
-                                  dist / LIGHT_SPEED_KM_S))
-
-    for p in range(P - 1):
-        pair_planes(p, p + 1, LinkKind.INTER_ORBIT_ISL)
-    if P >= 3 and link_config.cross_seam_policy == "enabled":
-        pair_planes(P - 1, 0, LinkKind.CROSS_SEAM_ISL)
-
     stations = tuple(stations)
     for st in stations:
         st.validate()
+    spec, sats = constellation.spec, constellation.satellites
+    P, S = spec.num_orbits, spec.sats_per_orbit
+    pos = constellation.positions_at(t)
+    # ISL ends as satellite indices (orbit * S + slot), with their ISL_KINDS
+    # index: the rings (one link for a pair of slots), the adjacent plane
+    # pairs, then the seam.
+    ring = np.arange(P * S)[::2 if S == 2 else 1] if S >= 2 else np.arange(0)
+    pair = np.arange((P - 1) * S)
+    seam = np.arange(S) if P >= 3 and link_config.cross_seam_policy == "enabled" else pair[:0]
+    a = np.concatenate((ring, pair, seam + (P - 1) * S))
+    b = np.concatenate((ring - ring % S + (ring + 1) % S, pair + S, seam))
+    kind = np.repeat(np.arange(3), (len(ring), len(pair), len(seam)))
+    d = pos[a] - pos[b]
+    length = np.sqrt(np.vecdot(d, d))
+    keep = (kind == 0) | (length <= link_config.max_isl_range_km)
+    rate = (link_config.intra_orbit_rate_bps,) + (link_config.inter_orbit_rate_bps,) * 2
+    links = [Link(ISL_KINDS[k], (sats[i], sats[j]), rate[k], x / LIGHT_SPEED_KM_S)
+             for k, i, j, x in zip(*(v[keep].tolist() for v in (kind, a, b, length)))]
     if stations:
         at = np.array([t], dtype=float)
-        s, visible, _ = _visible_samples(constellation, stations, at)
-        # s is sorted, so station k's satellites are visible[bounds[k]:bounds[k + 1]].
-        bounds = np.searchsorted(s, np.arange(len(stations) + 1)).tolist()
+        s, i, _ = _visible_samples(constellation, stations, at)
         st_pos, _ = _station_frames(stations, at, spec.epoch)
-    for k, st in enumerate(stations):
-        for i in visible[bounds[k]:bounds[k + 1]].tolist():
-            dist = float(np.linalg.norm(pos[i] - st_pos[k, 0]))
-            links.append(Link(LinkKind.SGL, (constellation.satellites[i], st.id),
-                              link_config.sgl_rate_bps, dist / LIGHT_SPEED_KM_S))
-        links.append(Link(LinkKind.GROUND_DEDICATED, (st.id, "cloud"),
-                          st.dedicated_rate_bps, 0.0))
-
-    return TopologySnapshot(time=t, links=tuple(links), positions=positions)
+        d = pos[i] - st_pos[s, 0]
+        delay = (np.sqrt(np.vecdot(d, d)) / LIGHT_SPEED_KM_S).tolist()
+        # s is sorted, so station k's SGLs are rows bounds[k]:bounds[k + 1].
+        bounds = np.searchsorted(s, np.arange(len(stations) + 1)).tolist()
+        for k, st in enumerate(stations):
+            links += [Link(LinkKind.SGL, (sats[j], st.id), link_config.sgl_rate_bps, delay[r])
+                      for r, j in enumerate(i[bounds[k]:bounds[k + 1]].tolist(), bounds[k])]
+            links.append(Link(LinkKind.GROUND_DEDICATED, (st.id, "cloud"),
+                              st.dedicated_rate_bps, 0.0))
+    return TopologySnapshot(time=t, links=tuple(links), positions=dict(zip(sats, pos)))
 
 
 # Margin below the exact cone bound p* in _visible_samples, in km; rounding

@@ -121,12 +121,13 @@ class DeploymentInstance:
             twice = next(a.id for a, b in zip(self.satellites, self.satellites[1:])
                          if a.id == b.id)
             raise ValueError(f"satellite {twice} listed twice")
-        self._routes = all_pairs_shortest(build_weighted_graph(snapshot))
+        graph = build_weighted_graph(snapshot)
         # Candidate index -> node index in self._routes.
-        self._route_of = [self._routes.index.get(sat.id) for sat in self.satellites]
+        self._route_of = [graph.index.get(sat.id) for sat in self.satellites]
         if None in self._route_of:
             missing = self.satellites[self._route_of.index(None)].id
             raise ValueError(f"satellite {missing} not in the snapshot")
+        self._routes = all_pairs_shortest(graph, self._route_of)
         self.max_throughput = max(s.throughput_flops for s in self.satellites)
         self._empty_prefix = _Prefix((), (), (0.0,) * len(self.tasks), 0.0)
 

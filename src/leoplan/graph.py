@@ -1,19 +1,21 @@
-"""The graph algorithms every planner shares: one digraph, Dijkstra,
-Floyd-Warshall by pivot columns and per-destination replay, a topological
-order and reachability.
+"""The graph algorithms every planner shares, on one integer form.
+
+A Topology numbers its nodes once, in node_key order (on a Walker shell a
+satellite's index is orbit * S + slot; ground nodes follow by their string)
+and keeps its edges in CSR lists; planners map back to labels only at output.
 
 Results are deterministic, and the tie-break rules below are part of the
 outputs (placement, routes and trees all follow the chosen paths):
 
-* Nodes sort by node_key: satellites by (orbit, slot), before every other
-  node, which sorts by its string.
-* dijkstra pops the least (distance, node_key) entry and replaces a
-  tentative distance only on a strictly smaller one (``<``), so among
-  equal-weight paths the one through the first-settled predecessor stays.
-  The order in which one node's neighbours are relaxed changes nothing
-  (test_select_disjoint_paths_matches_reference_loop).
-* Floyd-Warshall lets the intermediate node k run over the given node order
-  and replaces a pair's route only on a strictly shorter path through k.
+* dijkstra pops the least (distance, index) entry, which is the least
+  (distance, node_key) entry, and replaces a tentative distance only on a
+  strictly smaller one (``<``), so among equal-weight paths the one through
+  the first-settled predecessor stays; the order in which one node's
+  neighbours are relaxed changes nothing. Searches, disjoint paths and trees
+  equal the label-keyed loops they replaced
+  (test_integer_planners_match_the_label_references).
+* Floyd-Warshall lets the intermediate node k run over the index order and
+  replaces a pair's route only on a strictly shorter path through k.
 * topological_order is the lexicographically smallest order: of all nodes
   whose predecessors are done, the least comes next.
 
@@ -21,18 +23,19 @@ Floyd-Warshall is run destination-major: row j of its arrays holds column j
 of the distance matrix. pivot_columns runs iterations k = 0 .. n-1 in place
 on the destinations after k, over the finite span of row k and column k only
 (inf + x is never < d); each destination column evolves on its own given the
-pivot columns, so replay_column finishes column j with iterations
+pivot columns, so replay_columns finishes column j with iterations
 k = j+1 .. n-1. Together they equal the textbook whole-matrix algorithm bit
 for bit, tie-breaks included (test_all_pairs_matches_whole_matrix_reference).
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import math
+from functools import cached_property
 
 import numpy as np
-
-from .constellation import SatelliteId
 
 # Destination rows relaxed per step of the Floyd-Warshall loop. It bounds
 # the scratch buffers, so one step's working set stays in cache at shell
@@ -40,104 +43,101 @@ from .constellation import SatelliteId
 _ROW_BLOCK = 128
 
 
-def node_key(node):
-    """Stable sort key across satellite ids and string nodes."""
-    if isinstance(node, SatelliteId):
-        return (0, node.orbit_index, node.slot_index)
-    return (1, str(node))
-
-
-class Digraph:
-    """Directed graph with one value per edge; nodes and each node's
-    out-neighbours keep their insertion order.
-
-    Subclasses validate and build the edge value in add_edge and read the
-    path weight out of it in weight().
+class Topology:
+    """A directed graph numbered once: node i is nodes[i] (given in node_key
+    order), edge e runs tails[e] -> heads[e] with weight, capacity (bits/s)
+    and propagation (s) at e; an energy graph has no capacities and delays
+    (None). Edges sort by (tail, head), so node u's out-edges are offsets[u]
+    .. offsets[u + 1] - 1; an edge given twice keeps its last values. All
+    plain lists, which the search loops index fastest.
     """
 
-    def __init__(self):
-        self.nodes: list = []
-        self.edges: dict = {}
-        self.adjacency: dict = {}
+    def __init__(self, nodes, tails, heads, weights, capacities=None, propagation=None):
+        n = len(nodes)
+        key = np.asarray(tails, dtype=np.intp) * n + np.asarray(heads, dtype=np.intp)
+        # On the reversed keys, np.unique's first index is an edge's last entry.
+        unique, first = np.unique(key[::-1], return_index=True)
+        pick = len(key) - 1 - first
+        tails, heads = np.divmod(unique, max(n, 1))
+        self.nodes = list(nodes)
+        self.offsets = np.searchsorted(tails, np.arange(n + 1)).tolist()
+        self.tails, self.heads = tails.tolist(), heads.tolist()
+        self.weights, self.capacities, self.propagation = (
+            None if v is None else np.asarray(v, dtype=float)[pick].tolist()
+            for v in (weights, capacities, propagation))
 
-    def add_node(self, node) -> None:
-        if node not in self.adjacency:
-            self.nodes.append(node)
-            self.adjacency[node] = []
+    @cached_property
+    def index(self) -> dict:
+        """Node label -> index."""
+        return {v: i for i, v in enumerate(self.nodes)}
 
-    def _set_edge(self, u, v, value) -> None:
-        self.add_node(u)
-        self.add_node(v)
-        if (u, v) not in self.edges:
-            self.adjacency[u].append(v)
-        self.edges[(u, v)] = value
+    @cached_property
+    def edges(self) -> dict:
+        """(tail label, head label) -> edge index."""
+        nodes = self.nodes
+        return {(nodes[u], nodes[v]): e for e, (u, v) in enumerate(zip(self.tails, self.heads))}
 
-    def weight(self, u, v) -> float:
-        return self.edges[(u, v)]
-
-    def sorted_nodes(self) -> list:
-        return sorted(self.nodes, key=node_key)
-
-    def weighted_adjacency(self) -> dict:
-        """{u: {v: weight}} over every node, the input dijkstra takes."""
-        return {u: {v: self.weight(u, v) for v in vs} for u, vs in self.adjacency.items()}
+    def edge(self, u: int, v: int) -> int:
+        """Index of the edge u -> v, which must exist."""
+        return bisect.bisect_left(self.heads, v, self.offsets[u], self.offsets[u + 1])
 
 
-def dijkstra(adj: dict, sources, targets=()):
-    """Shortest paths from a set of sources over {u: {v: weight}}.
-
-    Stops once a node of targets is settled; without targets it settles
-    every reachable node. Returns (dist, prev, reached): tentative and final
-    distances, the predecessor of every node reached by an edge, and the
-    settled target (None when there is none).
-    """
-    dist = {s: 0.0 for s in sources}
-    prev: dict = {}
-    heap = [(0.0, node_key(s), s) for s in sources]
+def dijkstra(graph: Topology, sources, targets=None, weights=None):
+    """Shortest paths from source indices over weights (graph.weights by
+    default; an infinite weight takes an edge out), stopping once a node i
+    with targets[i] true is settled. Returns (dist, prev, reached): distances
+    (inf where unreached), the edge into each node reached by one (else -1),
+    and the settled target or None."""
+    offsets, heads = graph.offsets, graph.heads
+    weights = graph.weights if weights is None else weights
+    n = len(graph.nodes)
+    dist, prev, settled = [math.inf] * n, [-1] * n, [False] * n
+    for s in sources:
+        dist[s] = 0.0
+    heap = [(0.0, s) for s in sources]
     heapq.heapify(heap)
-    settled = set()
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in settled:
+        d, u = pop(heap)
+        if settled[u]:
             continue
-        settled.add(u)
-        if u in targets:
+        settled[u] = True
+        if targets is not None and targets[u]:
             return dist, prev, u
-        for v, w in adj.get(u, {}).items():
-            nd = d + w
-            if v not in dist or nd < dist[v]:
+        for e in range(offsets[u], offsets[u + 1]):
+            nd = d + weights[e]
+            v = heads[e]
+            if nd < dist[v]:
                 dist[v] = nd
-                prev[v] = u
-                heapq.heappush(heap, (nd, node_key(v), v))
+                prev[v] = e
+                push(heap, (nd, v))
     return dist, prev, None
 
 
-def path_to(prev: dict, node) -> list:
-    """Nodes from the search's source to node, following dijkstra's prev."""
-    path = [node]
-    while path[-1] in prev:
-        path.append(prev[path[-1]])
+def path_edges(graph: Topology, prev: list, node: int) -> list:
+    """Edges from the search's source to node, following dijkstra's prev."""
+    path = []
+    while prev[node] >= 0:
+        path.append(prev[node])
+        node = graph.tails[prev[node]]
     return path[::-1]
 
 
-def _initial(graph: Digraph, index: dict):
-    """Destination-major (dist, next_hop) of the direct edges over index.
-
-    Row j holds column j of the distance matrix: entry [j, i] is for the
-    pair i -> j, and next_hop[j, i] is the node after i on the kept path
-    (i itself when i == j, -1 while j is unreachable from i).
-    """
-    n = len(index)
+def _initial(graph: Topology):
+    """Destination-major (dist, next_hop) of the direct edges: entry [j, i]
+    is for the pair i -> j, and next_hop[j, i] the node after i on the kept
+    path (i itself when i == j, -1 while j is unreachable from i)."""
+    n = len(graph.nodes)
     dist = np.full((n, n), np.inf)
     nxt = np.full((n, n), -1, dtype=np.int32)
+    weights = np.array(graph.weights, dtype=float)
+    live = weights < np.inf
+    heads = np.array(graph.heads, dtype=np.intp)[live]
+    tails = np.array(graph.tails, dtype=np.intp)[live]
+    dist[heads, tails] = weights[live]
+    nxt[heads, tails] = heads
     np.fill_diagonal(dist, 0.0)
     np.fill_diagonal(nxt, np.arange(n))
-    for (u, v) in graph.edges:
-        i, j = index[u], index[v]
-        w = graph.weight(u, v)
-        if w < dist[j, i]:
-            dist[j, i] = w
-            nxt[j, i] = j
     return dist, nxt
 
 
@@ -150,15 +150,12 @@ def _finite_span(values):
     return (first, finite.rfind(1) + 1) if first >= 0 else (0, 0)
 
 
-def pivot_columns(graph: Digraph, index: dict):
+def pivot_columns(graph: Topology):
     """Destination-major (dist, next_hop) whose row j is column j of the
-    distance matrix as Floyd-Warshall iteration j reads it; replay_column
-    finishes any one of them.
-
-    Runs iterations k = 0 .. n-1 in place over the finite spans, relaxing
-    only the destinations after k (see the module docstring).
-    """
-    dist, nxt = _initial(graph, index)
+    distance matrix as Floyd-Warshall iteration j reads it: iterations
+    k = 0 .. n-1 in place over the finite spans, relaxing only the
+    destinations after k (see the module docstring)."""
+    dist, nxt = _initial(graph)
     n = len(dist)
     buf = np.empty(min(n, _ROW_BLOCK) * n)
     mask = np.empty(buf.shape, dtype=bool)
@@ -182,25 +179,23 @@ def pivot_columns(graph: Digraph, index: dict):
     return dist, nxt
 
 
-def replay_column(dist, nxt, j: int):
-    """Final (dist, next_hop) vectors of destination j from the pivot arrays:
-    entry i is the i -> j distance and the node after i on the kept path.
-
-    Applies iterations k = j+1 .. n-1 to row j; iteration j itself changes
-    nothing, and a k with no route from k to j cannot relax anything.
-    """
-    col, hop = dist[j].copy(), nxt[j].copy()
-    alt = np.empty(len(col))
-    better = np.empty(len(col), dtype=bool)
-    for k in range(j + 1, len(col)):
-        via = col[k]
-        if via == np.inf:
-            continue
-        np.add(dist[k], via, out=alt)
-        np.less(alt, col, out=better)
-        np.copyto(col, alt, where=better)
-        np.copyto(hop, nxt[k], where=better)
-    return col, hop
+def replay_columns(dist, nxt, js):
+    """Final (dist, next_hop) rows of the ascending destinations js from the
+    pivot arrays: entry [r, i] is the i -> js[r] distance and the node after
+    i on the kept path. Iterations k = j+1 .. n-1 run for every j in one pass
+    over k (iteration j changes nothing); the rows due at k are the prefix
+    with j < k, and a row infinitely far from k keeps every entry."""
+    cols, hops = dist[js], nxt[js]
+    alt = np.empty(cols.shape)
+    better = np.empty(cols.shape, dtype=bool)
+    for k in range(js[0] + 1, dist.shape[1]):
+        m = bisect.bisect_left(js, k)
+        c, a, b = cols[:m], alt[:m], better[:m]
+        np.add(dist[k], c[:, k, None], out=a)
+        np.less(a, c, out=b)
+        np.copyto(c, a, where=b)
+        np.copyto(hops[:m], nxt[k], where=b)
+    return cols, hops
 
 
 def topological_order(nodes, edges) -> list:

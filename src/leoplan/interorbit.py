@@ -12,64 +12,53 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constellation import LinkKind, SatelliteId, TopologySnapshot
-from .graph import Digraph, dijkstra, node_key, path_to, pivot_columns, replay_column
+import numpy as np
 
-ISL_KINDS = (LinkKind.INTRA_ORBIT_ISL, LinkKind.INTER_ORBIT_ISL, LinkKind.CROSS_SEAM_ISL)
-
-
-@dataclass(frozen=True)
-class EdgeAttr:
-    weight: float
-    capacity_bps: float
-    propagation_s: float
+from .constellation import SatelliteId, TopologySnapshot
+from .graph import Topology, dijkstra, path_edges, pivot_columns, replay_columns
 
 
-class WeightedDigraph(Digraph):
-    """Directed graph with weight = 1/capacity per edge."""
+def snapshot_edges(snapshot: TopologySnapshot, include_ground: bool = False):
+    """(nodes, tails, heads, rows): the satellites (and with include_ground
+    the ground nodes), and edges a -> b, b -> a per kept link with each
+    edge's row in snapshot.numbered."""
+    nodes, satellites, table = snapshot.numbered
+    rows = np.arange(len(table)) if include_ground else np.flatnonzero(table[:, 2])
+    nodes = nodes if include_ground else nodes[:satellites]
+    ends = table[rows, :2].astype(np.intp)
+    if ends.size and ends.max() >= len(nodes):
+        raise ValueError("an ISL must join two satellites")
+    return nodes, ends.ravel(), ends[:, ::-1].ravel(), np.repeat(rows, 2)
 
-    def add_edge(self, u, v, capacity_bps: float, propagation_s: float = 0.0) -> None:
-        if not math.isfinite(capacity_bps) or capacity_bps <= 0:
-            raise ValueError("capacity must be positive and finite")
-        self._set_edge(u, v, EdgeAttr(1.0 / capacity_bps, capacity_bps, propagation_s))
 
-    def weight(self, u, v) -> float:
-        return self.edges[(u, v)].weight
-
-
-def build_weighted_graph(snapshot: TopologySnapshot, include_ground: bool = False) -> WeightedDigraph:
+def build_weighted_graph(snapshot: TopologySnapshot, include_ground: bool = False) -> Topology:
     """One pair of directed edges per available link, weighted by 1/rate.
 
     By default only ISLs enter the graph; include_ground adds SGL and ground
     dedicated links so paths may run down to stations and the cloud.
     """
-    g = WeightedDigraph()
-    for sat in sorted(snapshot.positions, key=node_key):
-        g.add_node(sat)
-    kinds = ISL_KINDS + ((LinkKind.SGL, LinkKind.GROUND_DEDICATED) if include_ground else ())
-    for link in snapshot.links:
-        if not link.available or link.kind not in kinds:
-            continue
-        a, b = link.endpoints
-        g.add_edge(a, b, link.rate_bps, link.propagation_delay_s)
-        g.add_edge(b, a, link.rate_bps, link.propagation_delay_s)
-    return g
+    nodes, tails, heads, rows = snapshot_edges(snapshot, include_ground)
+    rates, delays = snapshot.numbered[2][rows, 3:].T
+    if not np.all((rates > 0) & (rates < np.inf)):
+        raise ValueError("capacity must be positive and finite")
+    return Topology(nodes, tails, heads, 1.0 / rates, rates, delays)
 
 
 class ShortestPaths:
     """Shortest routes into each destination, built on first request.
 
-    graph.pivot_columns over the graph's weights, nodes indexed in sorted
-    order; ``column(j)`` replays destination j's column of the Floyd-Warshall
-    matrix once and caches it (see leoplan.graph for the tie-break it keeps).
-    ``path`` follows that column's next hops.
+    graph.pivot_columns over the graph's weights; ``column(j)`` replays
+    destination j's Floyd-Warshall column once, all the given destinations
+    together on the first request for one (see leoplan.graph for the
+    tie-break). ``path`` follows a column's next hops.
     """
 
-    def __init__(self, graph: Digraph):
+    def __init__(self, graph: Topology, destinations=()):
         self.graph = graph
-        self.nodes = graph.sorted_nodes()
-        self.index = {n: i for i, n in enumerate(self.nodes)}
-        self._pivots = pivot_columns(graph, self.index)
+        self.nodes = graph.nodes
+        self.index = graph.index
+        self._pivots = pivot_columns(graph)
+        self._due = sorted(set(destinations))
         self._columns: dict = {}
         self._metrics: dict = {}
 
@@ -78,18 +67,23 @@ class ShortestPaths:
         entry i is the i -> j distance and the index of the node after i on
         the kept path (i itself when i == j, -1 when j is unreachable)."""
         if j not in self._columns:
-            self._columns[j] = replay_column(*self._pivots, j)
+            js = self._due if j in self._due else [j]
+            self._columns.update(zip(js, zip(*replay_columns(*self._pivots, js))))
+            self._due = [] if js is self._due else self._due
         return self._columns[j]
 
-    def path(self, u, v) -> list | None:
-        i, j = self.index[u], self.index[v]
+    def _hops(self, i: int, j: int) -> list | None:
         hop = self.column(j)[1]
         if hop[i] < 0:
             return None
         hops = [i]
         while hops[-1] != j:
             hops.append(int(hop[hops[-1]]))
-        return [self.nodes[h] for h in hops]
+        return hops
+
+    def path(self, u, v) -> list | None:
+        hops = self._hops(self.index[u], self.index[v])
+        return None if hops is None else [self.nodes[h] for h in hops]
 
     def transfer_at(self, i: int, j: int, bits: float) -> float:
         """bits / bottleneck rate + propagation along the kept path from the
@@ -98,24 +92,22 @@ class ShortestPaths:
         if i == j:
             return 0.0
         if (i, j) not in self._metrics:
-            path = self.path(self.nodes[i], self.nodes[j])
-            if path is None:
+            hops = self._hops(i, j)
+            if hops is None:
                 raise ValueError(f"no route from {self.nodes[i]} to {self.nodes[j]}: "
                                  "hosts not connected in the snapshot")
-            bottleneck, prop = float("inf"), 0.0
-            for a, b in zip(path, path[1:]):
-                attr = self.graph.edges[(a, b)]
-                bottleneck = min(bottleneck, attr.capacity_bps)
-                prop += attr.propagation_s
-            self._metrics[(i, j)] = (bottleneck, prop)
+            g = self.graph
+            edges = [g.edge(a, b) for a, b in zip(hops, hops[1:])]
+            self._metrics[(i, j)] = (min(g.capacities[e] for e in edges),
+                                     sum(g.propagation[e] for e in edges))
         bottleneck, prop = self._metrics[(i, j)]
         return bits / bottleneck + prop
 
 
-def all_pairs_shortest(graph: WeightedDigraph) -> ShortestPaths:
+def all_pairs_shortest(graph: Topology, destinations=()) -> ShortestPaths:
     """Floyd-Warshall routes over 1/rate weights, each destination finished
     on its first request (see ShortestPaths)."""
-    return ShortestPaths(graph)
+    return ShortestPaths(graph, destinations)
 
 
 @dataclass(frozen=True)
@@ -128,7 +120,7 @@ class PathSet:
 
 
 def select_disjoint_paths(
-    graph: WeightedDigraph,
+    graph: Topology,
     source_orbit: int,
     dest_orbit: int,
     max_paths: int | None = None,
@@ -137,27 +129,25 @@ def select_disjoint_paths(
 
     Every satellite of source_orbit is a valid origin and every satellite of
     dest_orbit a valid destination. Selection stops when the orbits are
-    disconnected or max_paths is reached.
+    disconnected or max_paths is reached. A used edge gets an infinite weight.
     """
     if source_orbit == dest_orbit:
         raise ValueError("source and destination orbits must differ")
-    sources = [n for n in graph.sorted_nodes()
-               if isinstance(n, SatelliteId) and n.orbit_index == source_orbit]
-    targets = {n for n in graph.nodes
-               if isinstance(n, SatelliteId) and n.orbit_index == dest_orbit}
-    adj = graph.weighted_adjacency()
+    orbit = [v.orbit_index if isinstance(v, SatelliteId) else None for v in graph.nodes]
+    sources = [i for i, o in enumerate(orbit) if o == source_orbit]
+    targets = [o == dest_orbit for o in orbit]
+    weights = list(graph.weights)
 
     paths, bottlenecks = [], []
     while max_paths is None or len(paths) < max_paths:
-        _, prev, reached = dijkstra(adj, sources, targets)
+        _, prev, reached = dijkstra(graph, sources, targets, weights)
         if reached is None:
             break
-        path = path_to(prev, reached)
-        bottleneck = min(graph.edges[e].capacity_bps for e in zip(path, path[1:]))
-        for a, b in zip(path, path[1:]):
-            del adj[a][b]
-        paths.append(tuple(path))
-        bottlenecks.append(bottleneck)
+        edges = path_edges(graph, prev, reached)
+        bottlenecks.append(min(graph.capacities[e] for e in edges))
+        for e in edges:
+            weights[e] = math.inf
+        paths.append(tuple(graph.nodes[graph.tails[e]] for e in edges) + (graph.nodes[reached],))
     return PathSet(tuple(paths), tuple(bottlenecks))
 
 

@@ -15,9 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constellation import TopologySnapshot
-from .graph import Digraph, dijkstra, node_key, path_to, reachable
-from .interorbit import ISL_KINDS, ShortestPaths
+import numpy as np
+
+from .constellation import TopologySnapshot, node_key
+from .graph import Topology, dijkstra, path_edges, pivot_columns, reachable, replay_columns
+from .interorbit import snapshot_edges
 from .msdag import ServiceDag
 
 EXACT_MAX_TERMINALS = 6
@@ -39,15 +41,6 @@ class EnergyModel:
                 raise ValueError(f"{name} must be nonnegative and finite")
 
 
-class AugmentedGraph(Digraph):
-    """Digraph over satellites with per-edge energy cost in joules."""
-
-    def add_edge(self, u, v, energy_j: float) -> None:
-        if energy_j < 0:
-            raise ValueError("edge energy must be nonnegative")
-        self._set_edge(u, v, energy_j)
-
-
 @dataclass(frozen=True)
 class SteinerInstance:
     root: object
@@ -65,11 +58,7 @@ class SteinerTree:
 
     @property
     def nodes(self) -> set:
-        out = set()
-        for (u, v) in self.edges:
-            out.add(u)
-            out.add(v)
-        return out
+        return {node for edge in self.edges for node in edge}
 
 
 def build_augmented_graph(
@@ -90,8 +79,8 @@ def build_augmented_graph(
     payload is the largest inter-stage payload of the DAG.
 
     Returns:
-        (AugmentedGraph, SteinerInstance) with terminals = hosting satellites
-        plus the gateway when given.
+        (Topology over the satellites and ISLs, SteinerInstance) with
+        terminals = hosting satellites plus the gateway when given.
     """
     energy_model.validate()
     for sid in dag.service_ids():
@@ -104,22 +93,20 @@ def build_augmented_graph(
     for sid in dag.topological_order():
         hosting.setdefault(assignment[sid], []).append(sid)
 
-    g = AugmentedGraph()
-    for sat in sorted(snapshot.positions, key=node_key):
-        g.add_node(sat)
-
-    def edge_energy(head) -> float:
-        e = (energy_model.e_tx_j_per_bit + energy_model.e_rx_j_per_bit) * hop_payload_bits
-        for sid in hosting.get(head, ()):
-            e += energy_model.e_flop_j * dag.service(sid).flops
-        return e
-
-    for link in snapshot.links:
-        if not link.available or link.kind not in ISL_KINDS:
-            continue
-        a, b = link.endpoints
-        g.add_edge(a, b, edge_energy(b))
-        g.add_edge(b, a, edge_energy(a))
+    nodes, tails, heads, _ = snapshot_edges(snapshot)
+    radio = (energy_model.e_tx_j_per_bit + energy_model.e_rx_j_per_bit) * hop_payload_bits
+    energy = np.full(len(nodes), radio)
+    index = {v: i for i, v in enumerate(nodes)}
+    for host, sids in hosting.items():
+        if host in index:
+            e = radio
+            for sid in sids:
+                e += energy_model.e_flop_j * dag.service(sid).flops
+            energy[index[host]] = e
+    energy = energy[heads]
+    if not np.all((energy >= 0) & (energy < np.inf)):
+        raise ValueError("edge energy must be nonnegative and finite")
+    g = Topology(nodes, tails, heads, energy)
 
     terminals = set(hosting)
     if gateway is not None:
@@ -129,22 +116,37 @@ def build_augmented_graph(
     return g, instance
 
 
-def dst_heuristic(graph: AugmentedGraph, instance: SteinerInstance) -> SteinerTree:
+def _tree_edges(graph: Topology, prev: list, ends) -> tuple:
+    """(label pair set, label pair -> edge) of the search's paths to ends."""
+    edges: set = set()
+    index: dict = {}
+    for i in ends:
+        for e in path_edges(graph, prev, i):
+            pair = graph.nodes[graph.tails[e]], graph.nodes[graph.heads[e]]
+            edges.add(pair)
+            index[pair] = e
+    return edges, index
+
+
+def dst_heuristic(graph: Topology, instance: SteinerInstance) -> SteinerTree:
     """Shortest-path tree heuristic: route each terminal along the Dijkstra
     tree from the root and merge the paths; shared prefixes are counted once."""
     instance.validate()
-    dist, prev, _ = dijkstra(graph.weighted_adjacency(), [instance.root])
-    edges: set = set()
+    index = graph.index
+    root = index.get(instance.root)
+    dist, prev, _ = dijkstra(graph, [] if root is None else [root])
+    ends = []
     for t in sorted(instance.terminals, key=node_key):
-        if t not in dist:
+        i = index.get(t)
+        if t != instance.root and (i is None or dist[i] == math.inf):
             raise ValueError(f"terminal {t} unreachable from root {instance.root}")
-        path = path_to(prev, t)
-        edges.update(zip(path, path[1:]))
-    total = sum(graph.edges[e] for e in edges)
-    return SteinerTree(frozenset(edges), total)
+        ends += [] if i is None else [i]
+    edges, pick = _tree_edges(graph, prev, ends)
+    # Summed over the label set, in its iteration order.
+    return SteinerTree(frozenset(edges), sum(graph.weights[pick[e]] for e in edges))
 
 
-def dst_exact(graph: AugmentedGraph, instance: SteinerInstance) -> SteinerTree:
+def dst_exact(graph: Topology, instance: SteinerInstance) -> SteinerTree:
     """Minimum directed Steiner tree by dynamic programming over terminal subsets.
 
     Size-guarded (EXACT_MAX_NODES nodes, EXACT_MAX_TERMINALS terminals besides
@@ -154,7 +156,7 @@ def dst_exact(graph: AugmentedGraph, instance: SteinerInstance) -> SteinerTree:
         ValueError: when bounds are exceeded or a terminal is unreachable.
     """
     instance.validate()
-    nodes = graph.sorted_nodes()
+    nodes = graph.nodes
     if len(nodes) > EXACT_MAX_NODES:
         raise ValueError(f"size bound exceeded: {len(nodes)} nodes > {EXACT_MAX_NODES}")
     terms = sorted(instance.terminals - {instance.root}, key=node_key)
@@ -163,14 +165,10 @@ def dst_exact(graph: AugmentedGraph, instance: SteinerInstance) -> SteinerTree:
     if not terms:
         return SteinerTree(frozenset(), 0.0)
 
-    routes = ShortestPaths(graph)
-    index = routes.index
-    n = len(nodes)
-    # One column per destination j: dist[j][i] is the i -> j distance and
-    # nxt[j][i] the node after i on that path.
-    columns = [routes.column(j) for j in range(n)]
-    dist = [col.tolist() for col, _ in columns]
-    nxt = [hop.tolist() for _, hop in columns]
+    n, index = len(nodes), graph.index
+    # One Floyd-Warshall column per destination j: dist[j][i] is the i -> j
+    # distance and nxt[j][i] the node after i on that path.
+    dist, nxt = (a.tolist() for a in replay_columns(*pivot_columns(graph), list(range(n))))
 
     for t in terms:
         if dist[index[t]][index[instance.root]] == math.inf:
@@ -237,24 +235,21 @@ def dst_exact(graph: AugmentedGraph, instance: SteinerInstance) -> SteinerTree:
 
     unwind(full, root_i)
     tree_edges = _prune_to_tree(graph, edges, instance)
-    pruned_total = sum(graph.edges[e] for e in tree_edges)
+    pruned_total = sum(graph.weights[graph.edges[e]] for e in tree_edges)
     if pruned_total > total + 1e-9:
         raise AssertionError("reconstruction produced a costlier tree than the DP value")
     # Pruning duplicates can only tie the optimum; report the edge-consistent sum.
     return SteinerTree(frozenset(tree_edges), pruned_total)
 
 
-def _prune_to_tree(graph: AugmentedGraph, edges: set, instance: SteinerInstance) -> set:
+def _prune_to_tree(graph: Topology, edges: set, instance: SteinerInstance) -> set:
     """Within the chosen edges, keep one cheapest path per terminal."""
-    adj: dict = {}
-    for (u, v) in edges:
-        adj.setdefault(u, {})[v] = graph.edges[(u, v)]
-    _, prev, _ = dijkstra(adj, [instance.root])
-    kept: set = set()
-    for t in instance.terminals:
-        path = path_to(prev, t)
-        kept.update(zip(path, path[1:]))
-    return kept
+    weights = [math.inf] * len(graph.weights)
+    for pair in edges:
+        e = graph.edges[pair]
+        weights[e] = graph.weights[e]
+    _, prev, _ = dijkstra(graph, [graph.index[instance.root]], weights=weights)
+    return _tree_edges(graph, prev, [graph.index[t] for t in instance.terminals])[0]
 
 
 def stage_host_order(dag: ServiceDag, assignment) -> list:
@@ -262,7 +257,7 @@ def stage_host_order(dag: ServiceDag, assignment) -> list:
     return [(sid, assignment[sid]) for sid in dag.topological_order()]
 
 
-def validate_tree(graph: AugmentedGraph, instance: SteinerInstance,
+def validate_tree(graph: Topology, instance: SteinerInstance,
                   tree: SteinerTree) -> None:
     """Raise ValueError unless tree is a root-arborescence reaching all terminals."""
     if not tree.edges:

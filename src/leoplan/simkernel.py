@@ -285,6 +285,8 @@ def _campaign(config: FederationConfig, constellation: WalkerConstellation,
                 P * config.intra_orbit_agg_rounds * reduce.total_bits_sent)
             now += seconds["intra_orbit_aggregate"]
 
+        if workload.head_bits == 0:
+            return True  # no head to aggregate or broadcast, as reduce is skipped
         if config.aggregation_mode == GROUND:
             if not flow_phase("inter_orbit_or_global_aggregate", float(workload.head_bits)):
                 return False

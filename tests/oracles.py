@@ -9,9 +9,10 @@ only the run detection under test differs. floyd_warshall and
 reference_visibility keep the library's earlier whole-array formulations,
 so the faster versions must reproduce them bit for bit (floyd_warshall is
 the matrix that leoplan.graph's pivot pass plus per-destination replay
-serves to routing and to dst_exact, over any Digraph's weight()); likewise
-merged_topological_order and multi_source_dijkstra keep the loops that
-leoplan.graph replaced, reference_dag_cycle the recursive search validate_dag
+serves to routing and to dst_exact, over any Topology's weights); likewise
+merged_topological_order, label_dijkstra, reference_dst_heuristic and
+multi_source_dijkstra keep the label-keyed loops that leoplan.graph's
+integer ones replaced, reference_dag_cycle the recursive search validate_dag
 replaced, reference_objective the from-scratch placement objective (its
 optimistic mode the exact solver's bound), reference_action_features,
 reference_greedy and reference_solve_exact the placement code that
@@ -33,7 +34,11 @@ rollout, policy_distribution and evaluate_policy play a linear softmax
 policy step by step through DeploymentMdp, drawing with Generator.choice,
 and uniform_all_reduce_time is the ring all-reduce closed form.
 full_hosting_reduction_check runs the library's dst_exact against networkx's
-Edmonds arborescence.
+Edmonds arborescence. reference_snapshot builds snapshot's links one at a
+time with a per-link np.linalg.norm, as snapshot did before its lengths were
+vectorised. label_graph builds a Topology from labelled edges for the
+hand-made and random graphs, and adjacency and edge_values read one back as
+the label-keyed dicts the references take.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ import numpy as np
 from hypothesis import strategies as st
 
 from leoplan import (
-    AugmentedGraph,
     ConstellationSpec,
     ContactWindow,
     FlowNetwork,
@@ -67,8 +71,9 @@ from leoplan import (
     SatelliteNode,
     ServiceDag,
     SteinerInstance,
+    SteinerTree,
     TopologySnapshot,
-    WeightedDigraph,
+    Topology,
     build_walker,
     build_weighted_graph,
     contact_windows,
@@ -78,10 +83,12 @@ from leoplan import (
     parse_scenario,
     schedule_downlink,
     select_disjoint_paths,
+    node_key,
     snapshot,
 )
 from leoplan.collective import RingSpec, plan_all_gather, plan_all_reduce
-from leoplan.constellation import EARTH_ROTATION_RAD_S, LIGHT_SPEED_KM_S, _visible_samples
+from leoplan.constellation import (EARTH_ROTATION_RAD_S, LIGHT_SPEED_KM_S, _station_frames,
+                                   _visible_samples)
 from leoplan import deployment
 from leoplan.deployment import (DEAD_END_REWARD, LEARNING_RATE, N_FEATURES, DeploymentMdp,
                                 DeploymentPlan, TrainingReport)
@@ -110,6 +117,120 @@ def toy_snapshot(edges, extra_sats=(), kind=LinkKind.INTER_ORBIT_ISL, time=0.0):
     return TopologySnapshot(time=time, links=tuple(links), positions=positions)
 
 
+def reference_snapshot(constellation, t, link_config, stations=()):
+    """snapshot's links as the per-link loop built them: fresh SatelliteIds
+    and one float(np.linalg.norm(...)) / LIGHT_SPEED_KM_S per link."""
+    pos = constellation.positions_at(t)
+    P, S = constellation.spec.num_orbits, constellation.spec.sats_per_orbit
+    links = []
+
+    def isl(kind, a, b, rate, ranged):
+        dist = float(np.linalg.norm(pos[a[0] * S + a[1]] - pos[b[0] * S + b[1]]))
+        if not ranged or dist <= link_config.max_isl_range_km:
+            links.append(Link(kind, (SatelliteId(*a), SatelliteId(*b)), rate,
+                              dist / LIGHT_SPEED_KM_S))
+
+    for p in range(P):
+        for s in range(1 if S == 2 else S if S >= 3 else 0):
+            isl(LinkKind.INTRA_ORBIT_ISL, (p, s), (p, (s + 1) % S),
+                link_config.intra_orbit_rate_bps, False)
+    pairs = [(p, p + 1, LinkKind.INTER_ORBIT_ISL) for p in range(P - 1)]
+    if P >= 3 and link_config.cross_seam_policy == "enabled":
+        pairs.append((P - 1, 0, LinkKind.CROSS_SEAM_ISL))
+    for pa, pb, kind in pairs:
+        for s in range(S):
+            isl(kind, (pa, s), (pb, s), link_config.inter_orbit_rate_bps, True)
+    at = np.array([t], dtype=float)
+    if stations:
+        st_pos, _ = _station_frames(stations, at, constellation.spec.epoch)
+        s_idx, visible, _ = _visible_samples(constellation, stations, at)
+    for k, st in enumerate(stations):
+        for i in visible[s_idx == k].tolist():
+            dist = float(np.linalg.norm(pos[i] - st_pos[k, 0]))
+            links.append(Link(LinkKind.SGL, (constellation.satellites[i], st.id),
+                              link_config.sgl_rate_bps, dist / LIGHT_SPEED_KM_S))
+        links.append(Link(LinkKind.GROUND_DEDICATED, (st.id, "cloud"),
+                          st.dedicated_rate_bps, 0.0))
+    return links
+
+
+def label_graph(edges, nodes=(), energy=False):
+    """Topology over labelled edges, numbered in node_key order: edges are
+    (u, v, capacity[, propagation]) with weight 1/capacity or, with energy,
+    (u, v, joules). An edge listed twice keeps its last values."""
+    labels = sorted({*nodes, *(x for e in edges for x in e[:2])}, key=node_key)
+    index = {v: i for i, v in enumerate(labels)}
+    tails = [index[e[0]] for e in edges]
+    heads = [index[e[1]] for e in edges]
+    if energy:
+        return Topology(labels, tails, heads, [e[2] for e in edges])
+    return Topology(labels, tails, heads, [1.0 / e[2] for e in edges], [e[2] for e in edges],
+                    [e[3] if len(e) > 3 else 0.0 for e in edges])
+
+
+def edge_values(graph, values=None):
+    """{(u, v) labels: value} of every edge; values defaults to the weights."""
+    values = graph.weights if values is None else values
+    return {pair: values[e] for pair, e in graph.edges.items()}
+
+
+def label_dijkstra(adj, sources, targets=()):
+    """The label-keyed Dijkstra that leoplan.graph.dijkstra replaced: over
+    {u: {v: weight}}, popping the least (distance, node_key, node) entry with
+    a strict <, stopping at the first settled target. Returns (dist, prev,
+    reached) with prev the predecessor label."""
+    dist = {s: 0.0 for s in sources}
+    prev: dict = {}
+    heap = [(0.0, node_key(s), s) for s in sources]
+    heapq.heapify(heap)
+    settled = set()
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        if u in targets:
+            return dist, prev, u
+        for v, w in adj.get(u, {}).items():
+            nd = d + w
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                prev[v] = u
+                heapq.heappush(heap, (nd, node_key(v), v))
+    return dist, prev, None
+
+
+def label_path(prev, node):
+    """Labels from label_dijkstra's source to node."""
+    path = [node]
+    while path[-1] in prev:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
+def adjacency(graph, values=None):
+    """{u: {v: value}} over every node of a Topology (weights by default)."""
+    values = graph.weights if values is None else values
+    adj = {u: {} for u in graph.nodes}
+    for (u, v), e in graph.edges.items():
+        adj[u][v] = values[e]
+    return adj
+
+
+def reference_dst_heuristic(graph, instance):
+    """dst_heuristic on label_dijkstra: each sorted terminal's path merged
+    into one label set, whose weights are summed in set order."""
+    dist, prev, _ = label_dijkstra(adjacency(graph), [instance.root])
+    weights = edge_values(graph)
+    edges = set()
+    for t in sorted(instance.terminals, key=node_key):
+        if t not in dist:
+            raise ValueError(f"terminal {t} unreachable from root {instance.root}")
+        path = label_path(prev, t)
+        edges.update(zip(path, path[1:]))
+    return SteinerTree(frozenset(edges), sum(weights[e] for e in edges))
+
+
 def dijkstra_distances(weights, source):
     """Single-source shortest distances over a plain {(u, v): weight} dict."""
     adj = {}
@@ -135,7 +256,7 @@ def dijkstra_distances(weights, source):
 def shortest_path_sum(graph, instance):
     """Energy of routing every terminal of a Steiner instance independently
     (no path sharing), an upper bound on every tree heuristic."""
-    dist = dijkstra_distances(graph.edges, instance.root)
+    dist = dijkstra_distances(edge_values(graph), instance.root)
     total = 0.0
     for t in instance.terminals:
         if t not in dist:
@@ -165,14 +286,15 @@ def full_hosting_reduction_check(graph, instance, tol=1e-9):
 
     g = nx.DiGraph()
     g.add_nodes_from(graph.nodes)
-    for (u, v), w in graph.edges.items():
+    weights = edge_values(graph)
+    for (u, v), w in weights.items():
         if v == instance.root:
             continue  # forcing the arborescence root
         g.add_edge(u, v, weight=w)
     arb = nx.algorithms.tree.branchings.minimum_spanning_arborescence(
         g, attr="weight", preserve_attrs=True)
     arb_edges = frozenset(arb.edges())
-    arb_energy = float(sum(graph.edges[e] for e in arb_edges))
+    arb_energy = float(sum(weights[e] for e in arb_edges))
     return ReductionReport(tree.total_energy, arb_energy, tree.edges, arb_edges,
                            abs(tree.total_energy - arb_energy) <= tol)
 
@@ -250,13 +372,13 @@ def random_layered_network(rng):
 
 
 def floyd_warshall(graph):
-    """(dist, next_hop) over graph.sorted_nodes(), one fresh matrix per k.
+    """(dist, next_hop) over graph.nodes, one fresh matrix per k.
 
     The same relaxation as ShortestPaths and dst_exact (strict <, k in
-    sorted-node order), written as whole-matrix numpy expressions that never
-    update in place, on the weights graph.weight(u, v) of any Digraph.
+    node order), written as whole-matrix numpy expressions that never
+    update in place, on the labelled edge weights of any Topology.
     """
-    nodes = graph.sorted_nodes()
+    nodes = graph.nodes
     index = {node: i for i, node in enumerate(nodes)}
     n = len(nodes)
     dist = np.full((n, n), np.inf)
@@ -264,9 +386,8 @@ def floyd_warshall(graph):
     np.fill_diagonal(dist, 0.0)
     for i in range(n):
         nxt[i, i] = i
-    for (u, v) in graph.edges:
+    for (u, v), w in edge_values(graph).items():
         i, j = index[u], index[v]
-        w = graph.weight(u, v)
         if w < dist[i, j]:
             dist[i, j] = w
             nxt[i, j] = j
@@ -289,25 +410,23 @@ def next_hop_path(nodes, next_hop, i, j):
 
 
 def random_sparse_digraph(rng, n, out_degree, isolated_share, weights):
-    """A directed Digraph on n nodes for all-pairs comparisons.
+    """A directed Topology on n nodes for all-pairs comparisons.
 
     Each non-isolated node gets about out_degree out-edges to random other
     non-isolated nodes, drawn independently per direction, so the graph is
-    asymmetric. With weights "rate" it is a WeightedDigraph with capacities
+    asymmetric. With weights "rate" it is a routing graph with capacities
     uniform in [1e6, 1e9], with "tied" capacities from {1e9, 2e9, 3e9} so that
     many paths weigh the same; either way the 1/capacity weights are not
-    powers of two. With "energy" it is an AugmentedGraph of plain floats as a
+    powers of two. With "energy" it is an energy graph of plain floats as a
     Steiner instance has them: 0.0 (a free hop, so zero-weight cycles and
     ties) for about a third of the edges, the rest tied from {1e-9, 2e-9,
     3e-9} or uniform in [0, 2).
     """
     names = [f"n{i:03d}" for i in range(n)]
-    g = AugmentedGraph() if weights == "energy" else WeightedDigraph()
-    for name in names:
-        g.add_node(name)
+    edges = []
     live = [i for i in range(n) if rng.random() >= isolated_share]
     if len(live) < 2:
-        return g
+        return label_graph(edges, names)
     for u in live:
         for _ in range(int(rng.poisson(out_degree))):
             v = live[int(rng.integers(0, len(live)))]
@@ -325,8 +444,8 @@ def random_sparse_digraph(rng, n, out_degree, isolated_share, weights):
                 value = float(rng.choice([1e9, 2e9, 3e9]))
             else:
                 value = float(rng.uniform(1e6, 1e9))
-            g.add_edge(names[u], names[v], value)
-    return g
+            edges.append((names[u], names[v], value))
+    return label_graph(edges, names, energy=weights == "energy")
 
 
 def visibility_flags(constellation, station, times):
@@ -373,21 +492,16 @@ def uniform_all_reduce_time(node_count, payload_bits, rate_bps):
 
 
 def random_rate_digraph(rng, max_nodes=12):
-    """(WeightedDigraph, weight dict) with power-of-two weights, so every path
-    sum is exact in floating point and algorithms must agree bit for bit."""
+    """(routing Topology, weight dict) with power-of-two weights, so every
+    path sum is exact in floating point and algorithms must agree bit for bit."""
     n = int(rng.integers(2, max_nodes + 1))
     names = [f"n{i}" for i in range(n)]
-    g = WeightedDigraph()
-    for name in names:
-        g.add_node(name)
     weights = {}
     for u in names:
         for v in names:
             if u != v and rng.random() < 0.35:
-                w = float(2 ** int(rng.integers(0, 5)))
-                g.add_edge(u, v, 1.0 / w)
-                weights[(u, v)] = w
-    return g, weights
+                weights[(u, v)] = float(2 ** int(rng.integers(0, 5)))
+    return label_graph([(u, v, 1.0 / w) for (u, v), w in weights.items()], names), weights
 
 
 def random_service_dag(rng, task_id, ids):
@@ -718,30 +832,33 @@ def enumerate_best_assignment(tasks, satellites, snapshot_):
     return best_obj, best_assignment, feasible
 
 
-def random_steiner_instance(rng, max_nodes=9, max_terminals=4, extra_p=0.25):
-    """(AugmentedGraph, SteinerInstance) with every node reachable from v0."""
+def random_steiner_instance(rng, max_nodes=9, max_terminals=4, extra_p=0.25, free_p=0.0):
+    """(energy Topology, SteinerInstance) with every node reachable from v0.
+    Each edge is made free (0.0) with probability free_p."""
     n = int(rng.integers(3, max_nodes + 1))
     names = [f"v{i}" for i in range(n)]
-    g = AugmentedGraph()
-    for name in names:
-        g.add_node(name)
+    energy = {}
     for k in range(1, n):
         j = int(rng.integers(0, k))
-        g.add_edge(names[j], names[k], float(rng.uniform(0.1, 2.0)))
+        energy[(names[j], names[k])] = float(rng.uniform(0.1, 2.0))
     for u in names:
         for v in names:
-            if u != v and (u, v) not in g.edges and rng.random() < extra_p:
-                g.add_edge(u, v, float(rng.uniform(0.1, 2.0)))
+            if u != v and (u, v) not in energy and rng.random() < extra_p:
+                energy[(u, v)] = float(rng.uniform(0.1, 2.0))
     k_terms = int(rng.integers(1, min(max_terminals, n - 1) + 1))
     perm = list(names[1:])
     rng.shuffle(perm)
+    for e in energy if free_p else ():
+        if rng.random() < free_p:
+            energy[e] = 0.0
+    g = label_graph([(u, v, w) for (u, v), w in energy.items()], names, energy=True)
     return g, SteinerInstance(names[0], frozenset(perm[:k_terms]))
 
 
 def steiner_bruteforce(graph, instance):
     """Minimum root-arborescence cost covering the terminals, by trying every
     edge subset. Only usable on very small graphs."""
-    edge_items = list(graph.edges.items())
+    edge_items = list(edge_values(graph).items())
     needed = instance.terminals - {instance.root}
     if not needed:
         return 0.0
@@ -1213,7 +1330,7 @@ def _sat_first_key(node):
 
 
 def multi_source_dijkstra(adj, sources, targets):
-    """Cheapest path from any source to any target over {u: {v: EdgeAttr}},
+    """Cheapest path from any source to any target over {u: {v: (weight, capacity)}},
     popping the least (distance, node key) and relaxing neighbours in key
     order with a strict <; None when no target is reachable."""
     dist = {s: 0.0 for s in sources}
@@ -1232,7 +1349,7 @@ def multi_source_dijkstra(adj, sources, targets):
                 path.append(prev[path[-1]])
             return path[::-1]
         for v, attr in sorted(adj.get(u, {}).items(), key=lambda kv: _sat_first_key(kv[0])):
-            nd = d + attr.weight
+            nd = d + attr[0]
             if v not in dist or nd < dist[v]:
                 dist[v] = nd
                 prev[v] = u
@@ -1246,13 +1363,13 @@ def reference_disjoint_paths(graph, source_orbit, dest_orbit, max_paths=None):
     sats = [n for n in graph.nodes if isinstance(n, SatelliteId)]
     sources = [n for n in sats if n.orbit_index == source_orbit]
     targets = {n for n in sats if n.orbit_index == dest_orbit}
-    adj = {u: {v: graph.edges[(u, v)] for v in vs} for u, vs in graph.adjacency.items()}
+    adj = adjacency(graph, list(zip(graph.weights, graph.capacities)))
     paths, bottlenecks = [], []
     while max_paths is None or len(paths) < max_paths:
         path = multi_source_dijkstra(adj, sources, targets)
         if path is None:
             break
-        bottlenecks.append(min(adj[a][b].capacity_bps for a, b in zip(path, path[1:])))
+        bottlenecks.append(min(adj[a][b][1] for a, b in zip(path, path[1:])))
         for a, b in zip(path, path[1:]):
             del adj[a][b]
         paths.append(tuple(path))
@@ -1287,20 +1404,35 @@ def task_unions(draw, max_ids=7, max_tasks=3):
 
 @st.composite
 def tied_orbit_digraphs(draw, max_orbits=4, max_slots=4, max_relays=2):
-    """WeightedDigraph over a small shell plus string relay nodes, with rates
-    from {1, 2, 4} Gb/s so that many paths tie on weight."""
+    """Routing Topology over a small shell plus string relay nodes, with
+    rates from {1, 2, 4} Gb/s so that many paths tie on weight."""
     sats = [SatelliteId(o, s) for o in range(draw(st.integers(2, max_orbits)))
             for s in range(draw(st.integers(1, max_slots)))]
     relays = [f"gs-{i}" for i in range(draw(st.integers(0, max_relays)))]
     nodes = draw(st.permutations(sats + relays))
-    g = WeightedDigraph()
-    for node in nodes:
-        g.add_node(node)
+    edges = []
     for _ in range(draw(st.integers(0, 4 * len(nodes)))):
         u, v = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
         if u != v:
-            g.add_edge(u, v, draw(st.sampled_from([1e9, 2e9, 4e9])))
-    return g
+            edges.append((u, v, draw(st.sampled_from([1e9, 2e9, 4e9]))))
+    return label_graph(edges, nodes)
+
+
+@st.composite
+def routing_graphs(draw):
+    """A routing Topology of one of three kinds: a walker_specs shell's ISL
+    graph at a drawn instant, the same with station_sets and
+    include_ground (string station and cloud nodes), or a
+    tied_orbit_digraphs graph."""
+    kind = draw(st.sampled_from(["shell", "ground", "tied"]))
+    if kind == "tied":
+        return draw(tied_orbit_digraphs())
+    config = LinkConfig(max_isl_range_km=draw(st.sampled_from([1500.0, 5500.0, 15000.0])),
+                        cross_seam_policy=draw(st.sampled_from(["disabled", "enabled"])))
+    stations = draw(station_sets()) if kind == "ground" else ()
+    topo = snapshot(build_walker(draw(walker_specs())), draw(st.floats(0.0, 6000.0)), config,
+                    stations)
+    return build_weighted_graph(topo, include_ground=kind == "ground")
 
 
 def reference_simulate_round(config, constellation, workload, setup, round_index=0,
@@ -1396,6 +1528,8 @@ def reference_simulate_round(config, constellation, workload, setup, round_index
             bits["intra_orbit_aggregate"] = float(
                 P * config.intra_orbit_agg_rounds * reduce.total_bits_sent)
             now += seconds["intra_orbit_aggregate"]
+        if workload.head_bits == 0:
+            return True
         if config.aggregation_mode == "ground":
             if not flow_phase("inter_orbit_or_global_aggregate", float(workload.head_bits)):
                 return False

@@ -98,6 +98,25 @@ def test_simulate_mode_override_and_determinism(tmp_path, capsys):
     assert agg["mode"] == "decentralized"
 
 
+@pytest.mark.parametrize("mode", ["ground", "decentralized"])
+def test_simulate_a_zero_head_books_no_aggregate_or_broadcast(tmp_path, capsys, mode):
+    # A zero head passes the scenario checks; with nothing to aggregate, the
+    # global-aggregate and broadcast phases book 0 s in either mode.
+    obj = json.loads((REPO / "scenarios" / "demo_walker6.json").read_text(encoding="utf-8"))
+    obj["workload"]["head_params"] = 0
+    path = tmp_path / "zero_head.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "simulate", str(path), "--out-dir", str(out), "--mode", mode)
+    assert code == 0, err
+    lines = (out / "rounds.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    for row in lines[1:]:
+        cells = dict(zip(header, row.split(",")))
+        assert cells["inter_orbit_or_global_aggregate"] == cells["broadcast"] == "0"
+        assert cells["intra_orbit_aggregate"] == "0"
+
+
 def test_downlink_outputs(tmp_path, capsys):
     scn = sim_scenario(tmp_path)
     out = tmp_path / "out"

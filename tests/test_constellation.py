@@ -22,6 +22,7 @@ from leoplan import (
 
 from oracles import (
     elevation_deg,
+    reference_snapshot,
     reference_visibility,
     run_length_windows,
     shell_plan_case,
@@ -438,6 +439,32 @@ def test_snapshot_sgl_set_matches_contact_windows(spec, stations, lat, mask, sta
             assert math.isclose(link.propagation_delay_s, dist / LIGHT_SPEED_KM_S,
                                 rel_tol=1e-12)
             assert elevation_deg(snap.positions[sid], st_pos) >= by_id[gs].min_elevation_deg - 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=walker_specs(max_orbits=8, max_sats=12), stations=station_sets(),
+       t=st.floats(-1e4, 1e5), seam=st.sampled_from(["disabled", "enabled"]),
+       ulps=st.sampled_from([-1, 0, 1]), data=st.data())
+def test_snapshot_lengths_match_per_link_norms(spec, stations, t, seam, ulps, data):
+    """snapshot's vectorised lengths give every link, delay (by .hex()) and
+    range decision of the per-link norm loop, with max_isl_range_km on one
+    actual plane-pair length or one ulp either side of it; its satellite
+    endpoints are the constellation's own SatelliteId objects."""
+    walker = build_walker(spec)
+    P, S = spec.num_orbits, spec.sats_per_orbit
+    pos = walker.positions_at(t)
+    lengths = [float(np.linalg.norm(pos[p * S + s] - pos[(p + 1) % P * S + s]))
+               for p in range(P) for s in range(S) if P >= 2]
+    cut = data.draw(st.sampled_from(lengths)) if lengths else 5500.0
+    cut = float(np.nextafter(cut, ulps * math.inf)) if ulps else cut
+    config = LinkConfig(max_isl_range_km=max(cut, 1e-9), cross_seam_policy=seam)
+    links = snapshot(walker, t, config, stations).links
+    rows = lambda ls: [(l.kind, l.endpoints, l.rate_bps, l.propagation_delay_s.hex()) for l in ls]
+    assert rows(links) == rows(reference_snapshot(walker, t, config, stations))
+    for link in links:
+        for end in link.endpoints:
+            assert not isinstance(end, SatelliteId) or \
+                end is walker.satellites[end.orbit_index * S + end.slot_index]
 
 
 def test_sgl_links_in_snapshot():

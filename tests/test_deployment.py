@@ -602,8 +602,8 @@ def test_no_solver_reevaluates_the_objective(monkeypatch):
 
 def test_shell_instance_replays_only_candidate_columns(monkeypatch):
     # Placement asks for routes between 12 candidates of a 528-node shell: no
-    # full all-pairs matrix may be built, and each candidate's destination
-    # column is replayed at most once.
+    # full all-pairs matrix may be built, and the candidates' destination
+    # columns are replayed once, together, on the first route asked for.
     from leoplan import ConstellationSpec, LinkConfig, build_walker, interorbit, snapshot
 
     walker = build_walker(ConstellationSpec(24, 22, 550.0, 53.0, phasing_factor=1))
@@ -615,15 +615,16 @@ def test_shell_instance_replays_only_candidate_columns(monkeypatch):
     inst = DeploymentInstance(tasks, sats, snap)
 
     replayed = []
-    replay = interorbit.replay_column
+    replay = interorbit.replay_columns
 
-    def counted(dist, nxt, j):
-        replayed.append(j)
-        return replay(dist, nxt, j)
+    def counted(dist, nxt, js):
+        replayed.append(list(js))
+        return replay(dist, nxt, js)
 
-    monkeypatch.setattr(interorbit, "replay_column", counted)
+    monkeypatch.setattr(interorbit, "replay_columns", counted)
+    assert inst._routes._columns == {}
     plan = solve_greedy(inst)
     assert plan.feasible
     assert len(set(plan.assignment.values())) > 1  # routes were asked for
-    assert replayed and len(replayed) == len(set(replayed)) <= len(sats)
-    assert len(inst._routes._columns) == len(replayed)  # none before the spy
+    assert replayed == [sorted(inst._route_of)]
+    assert sorted(inst._routes._columns) == replayed[0]

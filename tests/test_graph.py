@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,45 +8,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leoplan import AugmentedGraph, SatelliteId, select_disjoint_paths
+from leoplan import (SatelliteId, SteinerInstance, Topology, all_pairs_shortest, dst_heuristic,
+                     select_disjoint_paths)
 from leoplan.deployment import _merged_topological_order
-from leoplan.graph import dijkstra, path_to, topological_order
+from leoplan.graph import dijkstra, path_edges, topological_order
 
 from oracles import (
+    adjacency,
+    floyd_warshall,
+    label_dijkstra,
+    label_graph,
+    label_path,
     merged_topological_order,
+    next_hop_path,
     reference_disjoint_paths,
+    reference_dst_heuristic,
+    routing_graphs,
     task_unions,
-    tied_orbit_digraphs,
 )
 
 REPO = Path(__file__).resolve().parents[1]
 
 
-def test_digraph_keeps_insertion_order_and_last_edge_value():
-    g = AugmentedGraph()
-    g.add_node("c")
-    g.add_edge("a", "b", 1.0)
-    g.add_edge("c", "a", 2.0)
-    g.add_edge("a", "b", 3.0)
-    g.add_edge("a", "c", 4.0)
-    assert g.nodes == ["c", "a", "b"]
-    assert g.adjacency == {"c": ["a"], "a": ["b", "c"], "b": []}
-    assert g.weighted_adjacency() == {"c": {"a": 2.0}, "a": {"b": 3.0, "c": 4.0}, "b": {}}
-    assert g.sorted_nodes() == ["a", "b", "c"]
+def test_topology_sorts_edges_into_rows_and_keeps_last_edge_value():
+    # Nodes c, a, b as indices 2, 0, 1; a -> b is given twice.
+    g = Topology(["a", "b", "c"], [0, 2, 0, 0], [1, 0, 1, 2], [1.0, 2.0, 3.0, 4.0],
+                 capacities=[5.0, 6.0, 7.0, 8.0])
+    assert (g.offsets, g.tails, g.heads) == ([0, 2, 2, 3], [0, 0, 2], [1, 2, 0])
+    assert (g.weights, g.capacities, g.propagation) == ([3.0, 4.0, 2.0], [7.0, 8.0, 6.0], None)
+    assert g.edges == {("a", "b"): 0, ("a", "c"): 1, ("c", "a"): 2}
+    assert g.index == {"a": 0, "b": 1, "c": 2}
+    assert [g.edge(0, 1), g.edge(0, 2), g.edge(2, 0)] == [0, 1, 2]
+    empty = Topology(["x"], [], [], [])
+    assert (empty.offsets, empty.edges) == ([0, 0], {})
 
 
 def test_dijkstra_keeps_first_of_tied_paths_and_stops_at_first_target():
-    # s->a->t and s->b->t weigh the same; a sorts before b, so it is settled
-    # first and t keeps a, whatever order s lists its neighbours in.
-    adj = {"s": {"b": 1.0, "a": 1.0}, "a": {"t": 1.0}, "b": {"t": 1.0, "u": 0.5}}
-    dist, prev, reached = dijkstra(adj, ["s"])
+    # s->a->t and s->b->t weigh the same; a has the lower index, so it is
+    # settled first and t keeps a, whatever order s lists its neighbours in.
+    g = label_graph([("s", "b", 1.0), ("s", "a", 1.0), ("a", "t", 1.0), ("b", "t", 1.0),
+                     ("b", "u", 0.5)], energy=True)
+    a, b, s, t, u = (g.index[v] for v in "abstu")
+
+    def labels(prev, node):
+        edges = path_edges(g, prev, node)
+        return [g.nodes[g.tails[e]] for e in edges] + [g.nodes[node]]
+
+    dist, prev, reached = dijkstra(g, [s])
     assert reached is None
-    assert path_to(prev, "t") == ["s", "a", "t"]
-    assert dist == {"s": 0.0, "a": 1.0, "b": 1.0, "t": 2.0, "u": 1.5}
-    dist, prev, reached = dijkstra(adj, ["s"], targets={"t", "u"})
-    assert reached == "u" and path_to(prev, "u") == ["s", "b", "u"]
-    assert "t" in dist  # tentative, not settled
-    assert dijkstra(adj, ["s"], targets={"zz"})[2] is None
+    assert labels(prev, t) == ["s", "a", "t"]
+    assert dist == [1.0, 1.0, 0.0, 2.0, 1.5]
+    dist, prev, reached = dijkstra(g, [s], targets=[v in (t, u) for v in range(5)])
+    assert reached == u and labels(prev, u) == ["s", "b", "u"]
+    assert dist[t] == 2.0  # tentative, not settled
+    assert dijkstra(g, [s], targets=[False] * 5)[2] is None
+    # An infinite weight takes the edge out.
+    cut = [math.inf if e == g.edges[("b", "u")] else w for e, w in enumerate(g.weights)]
+    dist, _, _ = dijkstra(g, [s], weights=cut)
+    assert dist[u] == math.inf
 
 
 def test_topological_order_is_lexicographically_smallest_and_drops_cycles():
@@ -69,14 +89,54 @@ def test_merged_order_matches_list_kahn(tasks):
         assert dag.topological_order() == merged_topological_order([dag])
 
 
-@settings(max_examples=200, deadline=None)
-@given(graph=tied_orbit_digraphs(), max_paths=st.one_of(st.none(), st.integers(1, 3)),
-       data=st.data())
-def test_select_disjoint_paths_matches_reference_loop(graph, max_paths, data):
-    orbits = sorted({n.orbit_index for n in graph.nodes if isinstance(n, SatelliteId)})
-    src, dst = data.draw(st.permutations(orbits))[:2]
-    got = select_disjoint_paths(graph, src, dst, max_paths)
-    assert (got.paths, got.bottlenecks) == reference_disjoint_paths(graph, src, dst, max_paths)
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=routing_graphs(), data=st.data())
+def test_integer_planners_match_the_label_references(graph, data):
+    """On shells (with and without ground nodes) and tied digraphs, every
+    integer search equals its label-keyed reference: dijkstra's distances
+    (by .hex()) and paths, select_disjoint_paths' paths and bottlenecks,
+    dst_heuristic's tree and energy, and ShortestPaths' distances and paths
+    against the whole-matrix Floyd-Warshall."""
+    hexed = lambda values: [v.hex() for v in values]
+    nodes, index = graph.nodes, graph.index
+    source = data.draw(st.sampled_from(nodes))
+    dist, prev, _ = dijkstra(graph, [index[source]])
+    want, want_prev, _ = label_dijkstra(adjacency(graph), [source])
+    assert hexed(dist) == hexed(want.get(v, math.inf) for v in nodes)
+    for i, v in enumerate(nodes):
+        if v in want:
+            edges = path_edges(graph, prev, i)
+            assert [nodes[graph.tails[e]] for e in edges] + [v] == label_path(want_prev, v)
+
+    orbits = sorted({v.orbit_index for v in nodes if isinstance(v, SatelliteId)})
+    if len(orbits) >= 2:
+        src, dst = data.draw(st.permutations(orbits))[:2]
+        max_paths = data.draw(st.one_of(st.none(), st.integers(1, 3)))
+        got = select_disjoint_paths(graph, src, dst, max_paths)
+        paths, bottlenecks = reference_disjoint_paths(graph, src, dst, max_paths)
+        assert got.paths == paths and hexed(got.bottlenecks) == hexed(bottlenecks)
+
+    terminals = frozenset(data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4)))
+    inst = SteinerInstance(source, terminals)
+    tree, ref = outcome(dst_heuristic, graph, inst), outcome(reference_dst_heuristic, graph, inst)
+    assert tree == ref
+    if not isinstance(tree, str):  # an empty tree sums to the int 0, as it did
+        assert repr(tree.total_energy) == repr(ref.total_energy)
+        assert float(tree.total_energy).hex() == float(ref.total_energy).hex()
+
+    sp = all_pairs_shortest(graph)
+    fw, nxt = floyd_warshall(graph)
+    j = index[data.draw(st.sampled_from(nodes))]
+    assert sp.column(j)[0].tobytes() == fw[:, j].tobytes()
+    for i, u in enumerate(nodes):
+        assert sp.path(u, nodes[j]) == next_hop_path(nodes, nxt, i, j)
 
 
 def test_import_leoplan_leaves_networkx_unloaded():

@@ -8,12 +8,13 @@ from leoplan import (
     ConstellationSpec,
     LinkConfig,
     SatelliteId,
-    WeightedDigraph,
     all_pairs_shortest,
     build_walker,
+    parse_scenario,
     build_weighted_graph,
     parallel_transfer_time,
     select_disjoint_paths,
+    node_key,
     snapshot,
 )
 from leoplan.constellation import LinkKind
@@ -24,8 +25,12 @@ import numpy as np
 from oracles import (
     brute_route_metrics,
     dijkstra_distances,
+    edge_values,
     floyd_warshall,
+    label_graph,
     next_hop_path,
+    perfbench_workloads,
+    reference_disjoint_paths,
     random_rate_digraph,
     random_sparse_digraph,
     toy_snapshot,
@@ -37,30 +42,28 @@ def distance(sp, u, v) -> float:
     return float(sp.column(sp.index[v])[0][sp.index[u]])
 
 
-def test_add_edge_rejects_bad_capacity():
-    g = WeightedDigraph()
+def test_build_graph_rejects_bad_capacity():
     # A NaN weight would be dropped by Floyd-Warshall (nan < inf is false)
     # but recorded by Dijkstra, so the planners would disagree on one graph.
     for capacity in (0.0, math.nan, math.inf, -math.inf):
+        snap = toy_snapshot([("o0s0", "o0s1", 1e6), ("o0s1", "o0s2", capacity)])
         with pytest.raises(ValueError, match="capacity must be positive and finite"):
-            g.add_edge("a", "b", capacity)
-    assert g.edges == {}
+            build_weighted_graph(snap)
 
 
-def test_add_edge_overwrites_attr_once():
-    g = WeightedDigraph()
-    g.add_edge("a", "b", 1e6)
-    g.add_edge("a", "b", 2e6)
-    assert g.adjacency["a"] == ["b"]
-    assert g.edges[("a", "b")].capacity_bps == 2e6
+def test_repeated_link_keeps_its_last_values_once():
+    g = build_weighted_graph(toy_snapshot([("o0s0", "o0s1", 1e6), ("o0s0", "o0s1", 2e6, 0.5)]))
+    a, b = SatelliteId.parse("o0s0"), SatelliteId.parse("o0s1")
+    assert g.edges == {(a, b): 0, (b, a): 1}
+    assert (g.capacities, g.propagation) == ([2e6, 2e6], [0.5, 0.5])
 
 
 def test_build_graph_is_bidirectional():
     snap = toy_snapshot([("o0s0", "o0s1", 4e6, 0.01)])
     g = build_weighted_graph(snap)
     a, b = SatelliteId.parse("o0s0"), SatelliteId.parse("o0s1")
-    assert g.edges[(a, b)].weight == 1.0 / 4e6
-    assert g.edges[(b, a)].propagation_s == 0.01
+    assert g.weights[g.edges[(a, b)]] == 1.0 / 4e6
+    assert g.propagation[g.edges[(b, a)]] == 0.01
 
 
 def test_build_graph_ground_toggle():
@@ -106,9 +109,7 @@ def test_shortest_path_hand_case():
 
 def route_metrics(g):
     """The weight, capacity and propagation dicts brute_route_metrics reads."""
-    return ({e: a.weight for e, a in g.edges.items()},
-            {e: a.capacity_bps for e, a in g.edges.items()},
-            {e: a.propagation_s for e, a in g.edges.items()})
+    return edge_values(g), edge_values(g, g.capacities), edge_values(g, g.propagation)
 
 
 def test_transfer_by_node_and_by_index_agree():
@@ -133,9 +134,9 @@ def test_all_pairs_matches_dijkstra_exactly():
     for _ in range(200):
         g, weights = random_rate_digraph(rng)
         sp = all_pairs_shortest(g)
-        for src in g.sorted_nodes():
+        for src in g.nodes:
             ref = dijkstra_distances(weights, src)
-            for dst in g.sorted_nodes():
+            for dst in g.nodes:
                 got = distance(sp, src, dst)
                 want = ref.get(dst, math.inf)
                 assert got == want, (src, dst, got, want)
@@ -149,13 +150,13 @@ def test_path_metrics_match_bruteforce():
     checked = 0
     for _ in range(60):
         names = [f"n{i}" for i in range(int(rng.integers(2, 8)))]
-        g = WeightedDigraph()
-        for name in names:
-            g.add_node(name)
+        edges = []
         for u in names:
             for v in names:
                 if u != v and rng.random() < 0.35:
-                    g.add_edge(u, v, float(rng.uniform(1e6, 1e9)), float(rng.uniform(0.0, 0.02)))
+                    edges.append((u, v, float(rng.uniform(1e6, 1e9)),
+                                  float(rng.uniform(0.0, 0.02))))
+        g = label_graph(edges, names)
         sp = all_pairs_shortest(g)
         for i, u in enumerate(sp.nodes):
             for j, v in enumerate(sp.nodes):
@@ -172,11 +173,11 @@ def test_path_metrics_match_bruteforce():
 def assert_same_routes(g, sources):
     """Every destination column of ShortestPaths equals the whole-matrix
     reference bit for bit, and its path() lists from the given source
-    indices equal the reference's. Any Digraph works: the columns are the
+    indices equal the reference's. Any Topology works: the columns are the
     pivot pass plus replay that dst_exact also reads."""
     sp = all_pairs_shortest(g)
     dist, nxt = floyd_warshall(g)
-    assert sp.nodes == g.sorted_nodes()
+    assert sp.nodes == sorted(g.nodes, key=node_key)
     for j in range(len(sp.nodes)):
         col, hop = sp.column(j)
         assert col.dtype == dist.dtype and col.tobytes() == dist[:, j].tobytes()
@@ -216,7 +217,7 @@ def test_all_pairs_matches_reference_on_a_cross_seam_shell():
     g = shell_graph("enabled")
     # The seam links give o0s0 neighbours in the last orbit, so the finite
     # span of its pivot row already runs into the last orbit.
-    dist, _ = pivot_columns(g, {n: i for i, n in enumerate(g.sorted_nodes())})
+    dist, _ = pivot_columns(g)
     assert np.flatnonzero(np.isfinite(dist[0]))[-1] >= 264 - 22
     assert_same_routes(g, sources=(0, 131, 263))
 
@@ -291,13 +292,9 @@ def test_disjoint_paths_deterministic():
     for _ in range(20):
         g, _ = random_rate_digraph(rng)
         # random_rate_digraph uses string nodes; build an orbit-labelled copy
-        labels = {}
-        g2 = WeightedDigraph()
-        for i, n in enumerate(g.sorted_nodes()):
-            labels[n] = SatelliteId(i % 2, i // 2)
-            g2.add_node(labels[n])
-        for (u, v), attr in g.edges.items():
-            g2.add_edge(labels[u], labels[v], attr.capacity_bps, attr.propagation_s)
+        labels = {n: SatelliteId(i % 2, i // 2) for i, n in enumerate(g.nodes)}
+        g2 = label_graph([(labels[u], labels[v], g.capacities[e], g.propagation[e])
+                          for (u, v), e in g.edges.items()], labels.values())
         a = select_disjoint_paths(g2, 0, 1)
         b = select_disjoint_paths(g2, 0, 1)
         assert a == b
@@ -333,3 +330,19 @@ def test_demo_shell_routes_exist():
     assert path[0] == src and path[-1] == dst
     for a, b in zip(path, path[1:]):
         assert (a, b) in g.edges
+
+
+def test_disjoint_paths_on_a_72x22_shell_match_the_reference():
+    """The benchmark's shell_plan request on a 1,584-satellite shell: the
+    integer selection returns the label-keyed reference's paths and
+    bottlenecks (a correctness check; nothing is timed)."""
+    inp = perfbench_workloads().shell_plan_input(0, 1, orbits=72, slots=22)
+    scn, req = parse_scenario(inp["scenario"]), inp["request"]
+    g = build_weighted_graph(snapshot(build_walker(scn.constellation), req["time"],
+                                      scn.link_config))
+    assert len(g.nodes) == 1584
+    got = select_disjoint_paths(g, req["source_orbit"], req["dest_orbit"])
+    paths, bottlenecks = reference_disjoint_paths(g, req["source_orbit"], req["dest_orbit"])
+    assert len(got) == len(paths) > 0
+    assert got.paths == paths
+    assert [b.hex() for b in got.bottlenecks] == [b.hex() for b in bottlenecks]
