@@ -14,7 +14,9 @@ All three place a prefix of instance.order, a topological order of the task
 union, and grow it one service at a time through _place. A _Prefix holds the
 candidate index of each placed position, the finish time of each placed
 (service, task) slot, every task's latest finish (0.0 for a task with nothing
-placed) and their sum, the objective. A joining service has every
+placed), their sum (the objective) and every candidate's free memory. The
+next service fits candidate j (_fits) when it fits j's free memory and its
+flops at e_flop_j joules each fit j's energy budget. A joining service has every
 predecessor placed and no successor, so only its own finish times are new;
 _place makes the float operations of a from-scratch longest-path evaluation
 and equals it bit for bit
@@ -72,11 +74,7 @@ class SatelliteNode:
 
 
 class DeploymentInstance:
-    """Tasks to place, candidate satellites, and the snapshot used for routing.
-
-    A service fits a candidate when it fits the candidate's residual memory
-    and its flops at e_flop_j joules each fit the candidate's energy budget.
-    """
+    """Tasks to place, candidate satellites, and the snapshot used for routing."""
 
     def __init__(self, tasks, satellites, snapshot: TopologySnapshot,
                  e_flop_j: float = 1e-12):
@@ -129,13 +127,8 @@ class DeploymentInstance:
             raise ValueError(f"satellite {missing} not in the snapshot")
         self._routes = all_pairs_shortest(graph, self._route_of)
         self.max_throughput = max(s.throughput_flops for s in self.satellites)
-        self._empty_prefix = _Prefix((), (), (0.0,) * len(self.tasks), 0.0)
-
-    def service_fits(self, service_id: str, sat: SatelliteNode, residual_memory: float) -> bool:
-        svc = self.services[service_id]
-        if svc.memory_bytes > residual_memory:
-            return False
-        return not svc.flops * self.e_flop_j > sat.energy_budget_j
+        self._empty_prefix = _Prefix((), (), (0.0,) * len(self.tasks), 0.0,
+                                     tuple(s.memory_bytes for s in self.satellites))
 
 
 def _merged_topological_order(tasks) -> list:
@@ -161,13 +154,23 @@ class _Prefix(NamedTuple):
     finishes: tuple
     bests: tuple
     objective: float
+    free: tuple
+
+
+def _fits(instance: DeploymentInstance, prefix: _Prefix, j: int) -> bool:
+    """Whether the next service of instance.order fits candidate j."""
+    svc = instance.services[instance.order[len(prefix.hosts)]]
+    if svc.memory_bytes > prefix.free[j]:
+        return False
+    return not svc.flops * instance.e_flop_j > instance.satellites[j].energy_budget_j
 
 
 def _place(instance: DeploymentInstance, prefix: _Prefix, j: int) -> _Prefix:
     """prefix grown by hosting the next service of instance.order on candidate j."""
-    hosts, finishes, bests, _ = prefix
+    hosts, finishes, bests, _, free = prefix
     p = len(hosts)
-    run = instance.services[instance.order[p]].flops / instance.satellites[j].throughput_flops
+    svc = instance.services[instance.order[p]]
+    run = svc.flops / instance.satellites[j].throughput_flops
     transfer = instance._routes.transfer_at
     route_of = instance._route_of
     to = route_of[j]
@@ -178,7 +181,9 @@ def _place(instance: DeploymentInstance, prefix: _Prefix, j: int) -> _Prefix:
             start = max(start, finishes[slot] + transfer(route_of[hosts[q]], to, bits))
         finishes += (start + run,)
         bests[t] = max(bests[t], finishes[-1])
-    return _Prefix(hosts + (j,), finishes, tuple(bests), _total(bests))
+    free = list(free)
+    free[j] -= svc.memory_bytes
+    return _Prefix(hosts + (j,), finishes, tuple(bests), _total(bests), tuple(free))
 
 
 def _bound(instance: DeploymentInstance, prefix: _Prefix) -> float:
@@ -208,12 +213,6 @@ class DeploymentPlan:
     solver: str = ""
 
 
-def _residuals_after(instance, residuals: tuple, sat_index: int, service_id: str) -> tuple:
-    lst = list(residuals)
-    lst[sat_index] -= instance.services[service_id].memory_bytes
-    return tuple(lst)
-
-
 def solve_exact(instance: DeploymentInstance) -> DeploymentPlan:
     """Optimal plan by best-first branch and bound.
 
@@ -230,29 +229,25 @@ def solve_exact(instance: DeploymentInstance) -> DeploymentPlan:
             f"(got {len(instance.satellites)} and {len(order)})")
     if not order:
         return DeploymentPlan({}, True, 0.0, "exact")
-    start_res = tuple(s.memory_bytes for s in instance.satellites)
     counter = itertools.count()
-    heap = [(0.0, next(counter), instance._empty_prefix, start_res)]
+    heap = [(0.0, next(counter), instance._empty_prefix)]
     best = None
     best_obj = math.inf
 
     while heap:
-        lb, _, prefix, residuals = heapq.heappop(heap)
+        lb, _, prefix = heapq.heappop(heap)
         if lb >= best_obj:
             continue
-        depth = len(prefix.hosts)
-        if depth == len(order):
+        if len(prefix.hosts) == len(order):
             best, best_obj = prefix, lb
             continue
-        sid = order[depth]
-        for j, sat in enumerate(instance.satellites):
-            if not instance.service_fits(sid, sat, residuals[j]):
+        for j in range(len(instance.satellites)):
+            if not _fits(instance, prefix, j):
                 continue
             child = _place(instance, prefix, j)
             child_lb = _bound(instance, child)
             if child_lb < best_obj:
-                heapq.heappush(heap, (child_lb, next(counter), child,
-                                      _residuals_after(instance, residuals, j, sid)))
+                heapq.heappush(heap, (child_lb, next(counter), child))
 
     if best is None:
         return DeploymentPlan({}, False, None, "exact")
@@ -266,18 +261,16 @@ def solve_greedy(instance: DeploymentInstance) -> DeploymentPlan:
     empty assignment if some service fits nowhere.
     """
     prefix = instance._empty_prefix
-    residuals = [sat.memory_bytes for sat in instance.satellites]
-    for sid in instance.order:
-        best_j, best_obj = None, math.inf
-        for j, sat in enumerate(instance.satellites):
-            if instance.service_fits(sid, sat, residuals[j]):
+    for _ in instance.order:
+        best, best_obj = None, math.inf
+        for j in range(len(instance.satellites)):
+            if _fits(instance, prefix, j):
                 grown = _place(instance, prefix, j)
                 if grown.objective < best_obj:
-                    best_j, best_obj, best = j, grown.objective, grown
-        if best_j is None:
+                    best, best_obj = grown, grown.objective
+        if best is None:
             return DeploymentPlan({}, False, None, "greedy")
         prefix = best
-        residuals[best_j] -= instance.services[sid].memory_bytes
     return DeploymentPlan(_assignment(instance, prefix.hosts), True, prefix.objective, "greedy")
 
 
@@ -285,7 +278,6 @@ def solve_greedy(instance: DeploymentInstance) -> DeploymentPlan:
 class MdpState:
     next_index: int
     assignment: tuple
-    residual_memory: tuple
     objective: float
     done: bool
     dead_end: bool
@@ -293,6 +285,11 @@ class MdpState:
     # follow from the fields above, so they take no part in equality.
     prefix: _Prefix = field(compare=False, repr=False)
     actions: tuple = field(compare=False, repr=False)
+
+    @property
+    def residual_memory(self) -> tuple:
+        """Each candidate's free memory after the placed services."""
+        return self.prefix.free
 
     def placed(self) -> dict:
         return dict(self.assignment)
@@ -318,19 +315,15 @@ class DeploymentMdp:
                          for sid in instance.order]
 
     def reset(self) -> MdpState:
-        res = tuple(s.memory_bytes for s in self.instance.satellites)
+        prefix = self.instance._empty_prefix
         done = len(self.instance.order) == 0
-        return MdpState(0, (), res, 0.0, done, False, self.instance._empty_prefix,
-                        self._feasible(0, res, done))
+        return MdpState(0, (), 0.0, done, False, prefix, self._feasible(prefix, done))
 
-    def _feasible(self, next_index: int, residuals: tuple, done: bool) -> tuple:
+    def _feasible(self, prefix: _Prefix, done: bool) -> tuple:
         if done:
             return ()
-        inst = self.instance
-        sid = inst.order[next_index]
-        return tuple(action for action, sat, residual
-                     in zip(self._actions[next_index], inst.satellites, residuals)
-                     if inst.service_fits(sid, sat, residual))
+        return tuple(action for j, action in enumerate(self._actions[len(prefix.hosts)])
+                     if _fits(self.instance, prefix, j))
 
     def step(self, state: MdpState, action) -> MdpTransition:
         if state.done:
@@ -338,19 +331,16 @@ class DeploymentMdp:
         if action not in state.actions:
             raise ValueError(f"action {action} is not feasible; feasible: {list(state.actions)}")
         inst = self.instance
-        sid, sat_id = action
-        j = inst.sat_index[sat_id]
-        prefix = _place(inst, state.prefix, j)
+        prefix = _place(inst, state.prefix, inst.sat_index[action[1]])
         reward = -(prefix.objective - state.objective)
         next_index = state.next_index + 1
-        residuals = _residuals_after(inst, state.residual_memory, j, sid)
         done = next_index == len(inst.order)
-        actions = self._feasible(next_index, residuals, done)
+        actions = self._feasible(prefix, done)
         dead_end = not done and not actions
         if dead_end:
             reward += DEAD_END_REWARD
-        next_state = MdpState(next_index, state.assignment + (action,), residuals,
-                              prefix.objective, done or dead_end, dead_end, prefix, actions)
+        next_state = MdpState(next_index, state.assignment + (action,), prefix.objective,
+                              done or dead_end, dead_end, prefix, actions)
         return MdpTransition(next_state, reward, next_state.done)
 
 
@@ -372,10 +362,11 @@ def action_features(env: DeploymentMdp, state: MdpState, action) -> np.ndarray:
     sat = inst.satellites[j]
     run = svc.flops / sat.throughput_flops / compute_scale
 
-    delta = (_place(inst, state.prefix, j).objective - state.objective) / obj_scale
+    grown = _place(inst, state.prefix, j)
+    delta = (grown.objective - state.objective) / obj_scale
 
     capacity = sat.memory_bytes
-    residual = (state.residual_memory[j] - svc.memory_bytes) / capacity if capacity else 0.0
+    residual = grown.free[j] / capacity if capacity else 0.0
 
     hosts = state.prefix.hosts
     preds = [q for _, row in inst._rows[state.next_index] for _, q, _ in row]
@@ -431,11 +422,11 @@ def _cached_episode(env: DeploymentMdp, cache: dict, state: MdpState, theta: np.
     grads = np.zeros(N_FEATURES)
     total = 0.0
     while not state.done:
-        node = cache.get(state.assignment)
+        node = cache.get(state.prefix.hosts)
         if node is None:
             actions = state.actions
             feats = np.array([action_features(env, state, a) for a in actions])
-            node = cache[state.assignment] = (actions, feats, [None] * len(actions))
+            node = cache[state.prefix.hosts] = (actions, feats, [None] * len(actions))
         actions, feats, slots = node
         if not actions:
             total += DEAD_END_REWARD  # nothing fits before the first placement

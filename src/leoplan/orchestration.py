@@ -143,7 +143,7 @@ def dst_heuristic(graph: Topology, instance: SteinerInstance) -> SteinerTree:
         ends += [] if i is None else [i]
     edges, pick = _tree_edges(graph, prev, ends)
     # Summed over the label set, in its iteration order.
-    return SteinerTree(frozenset(edges), sum(graph.weights[pick[e]] for e in edges))
+    return SteinerTree(frozenset(edges), sum((graph.weights[pick[e]] for e in edges), 0.0))
 
 
 def dst_exact(graph: Topology, instance: SteinerInstance) -> SteinerTree:

@@ -113,10 +113,14 @@ def _decode(obj, path: str, rows) -> dict:
 
 
 def _validate(section, path: str) -> None:
-    """Run section.validate(), re-raising its failure as a ScenarioError at path."""
+    """Run section.validate(), re-raising its failure as a ScenarioError at
+    path.field when the message opens with a field's name, else at path."""
     try:
         section.validate()
     except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name in _keys(_rows(type(section)))[0]:
+            raise ScenarioError(f"{path}.{name}: {rest}") from exc
         raise ScenarioError(f"{path}: {exc}") from exc
 
 

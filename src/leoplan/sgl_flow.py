@@ -11,6 +11,10 @@ schedule_downlink fixes the edge order once per call, and every epoch's
 network follows it: source edges by satellite, satellite-to-station edges by
 (orbit, slot, station, timeline index), station-to-sink edges by station id.
 Edge order is search order, so it decides ties between augmenting paths.
+Windows join the epoch sweep in start order once they start before the
+epoch ends, and leave once they end by its start; epoch bounds never
+decrease, so every epoch tests exactly the windows that can overlap it
+(test_schedule_downlink_matches_full_scan).
 """
 
 from __future__ import annotations
@@ -164,37 +168,6 @@ def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
     return max(0.0, min(a1, b1) - max(a0, b0))
 
 
-def _epoch_span(start: float, end: float, start_time: float, epoch_seconds: float,
-                count: int) -> tuple:
-    """Epochs [lo, hi) among the first count whose [t0, t0 + epoch_seconds),
-    t0 = start_time + e * epoch_seconds, the window [start, end) can overlap.
-
-    Walks from a rounded estimate on the scheduler's own float expressions,
-    so the bounds are exact (test_schedule_downlink_matches_full_scan); an
-    empty, reversed or NaN window overlaps no epoch.
-    """
-    if not start < end:
-        return 0, 0
-
-    def t0(e: int) -> float:
-        return start_time + e * epoch_seconds
-
-    def estimate(x: float) -> int:
-        return int(min(max((x - start_time) / epoch_seconds, 0.0), count))
-
-    lo = estimate(start)
-    while lo > 0 and t0(lo - 1) + epoch_seconds > start:
-        lo -= 1
-    while lo < count and t0(lo) + epoch_seconds <= start:
-        lo += 1
-    hi = estimate(end)
-    while hi > 0 and t0(hi - 1) >= end:
-        hi -= 1
-    while hi < count and t0(hi) < end:
-        hi += 1
-    return lo, hi
-
-
 def schedule_downlink(
     windows,
     model_bits: float,
@@ -238,31 +211,26 @@ def schedule_downlink(
                      for st in sorted(stations, key=lambda st: st.id)}
 
     epochs: list[EpochFlow] = []
-    epoch_count = int(horizon // epoch_seconds)
-    # Each window joins the scan at the first epoch it can overlap and leaves
-    # after its last (_epoch_span), so an epoch tests only those windows, in
-    # edge order, where a full scan would test every window.
+    # Windows by start, popped from the end; an empty, reversed or NaN
+    # window overlaps no epoch.
     pending = []
     for k, w in enumerate(windows):
         if w.ground_station not in sink_capacity:
             raise ValueError(f"window references unknown station {w.ground_station!r}")
         sat = w.satellite
-        if sat.orbit_index in state.remaining:
-            lo, hi = _epoch_span(w.start, w.end, start_time, epoch_seconds, epoch_count)
-            if lo < hi:
-                pending.append((lo, (sat.orbit_index, sat.slot_index, w.ground_station, k),
-                                hi, w))
+        if sat.orbit_index in state.remaining and w.start < w.end:
+            pending.append((w.start, (sat.orbit_index, sat.slot_index, w.ground_station, k), w))
     pending.sort(reverse=True)
-    live: list = []  # (edge key, end epoch, window), in edge key order
-    for e in range(epoch_count):
+    live: list = []  # (edge key, window), in edge key order
+    for e in range(int(horizon // epoch_seconds)):
         if state.done():
             break
         t0 = start_time + e * epoch_seconds
         t1 = t0 + epoch_seconds
-        while pending and pending[-1][0] == e:
+        while pending and pending[-1][0] < t1:
             bisect.insort(live, pending.pop()[1:])
-        live = [entry for entry in live if entry[1] > e]
-        active = [(w, ov) for _, _, w in live if (ov := _overlap(w.start, w.end, t0, t1)) > 0]
+        live = [entry for entry in live if entry[1].end > t0]
+        active = [(w, ov) for _, w in live if (ov := _overlap(w.start, w.end, t0, t1)) > 0]
         delivered = {o: 0.0 for o in state.remaining}
         if active:
             net = FlowNetwork()

@@ -228,7 +228,7 @@ def reference_dst_heuristic(graph, instance):
             raise ValueError(f"terminal {t} unreachable from root {instance.root}")
         path = label_path(prev, t)
         edges.update(zip(path, path[1:]))
-    return SteinerTree(frozenset(edges), sum(weights[e] for e in edges))
+    return SteinerTree(frozenset(edges), sum((weights[e] for e in edges), 0.0))
 
 
 def dijkstra_distances(weights, source):
@@ -618,6 +618,14 @@ def reference_objective(instance, placed, optimistic=False):
     return total
 
 
+def reference_fits(instance, sid, node, free):
+    """Whether service sid fits a candidate with free memory left: its memory
+    fits there, and its flops at instance.e_flop_j joules each fit the
+    candidate's energy budget."""
+    svc = instance.services[sid]
+    return not (svc.memory_bytes > free or svc.flops * instance.e_flop_j > node.energy_budget_j)
+
+
 def reference_solve_exact(instance):
     """deployment.solve_exact as it was before its shared prefix state: each
     child is an assignment dict whose bound is reference_objective(optimistic=
@@ -637,7 +645,7 @@ def reference_solve_exact(instance):
             continue
         sid = order[len(placed)]
         for i, node in enumerate(instance.satellites):
-            if not instance.service_fits(sid, node, residuals[i]):
+            if not reference_fits(instance, sid, node, residuals[i]):
                 continue
             child = {**placed, sid: node.id}
             child_lb = reference_objective(instance, child, optimistic=True)
@@ -778,7 +786,7 @@ def reference_greedy(instance):
         best_sat = None
         best_obj = math.inf
         for node in instance.satellites:
-            if not instance.service_fits(sid, node, residuals[node.id]):
+            if not reference_fits(instance, sid, node, residuals[node.id]):
                 continue
             placed[sid] = node.id
             obj = reference_objective(instance, placed)
@@ -1107,12 +1115,13 @@ def downlink_timelines(draw):
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def perfbench_workloads():
-    """The benchmark's perfbench/workloads.py, imported once from its file
-    (perfbench is not a package)."""
-    name = "perfbench_workloads"
+def perfbench_module(stem):
+    """The benchmark's perfbench/<stem>.py, imported once from its file
+    (perfbench is not a package). It is registered before it runs, as its
+    dataclasses need."""
+    name = f"perfbench_{stem}"
     if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{stem}.py")
         sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
     return sys.modules[name]
@@ -1121,7 +1130,7 @@ def perfbench_workloads():
 def shell_plan_case(seed=0, op_index=0):
     """(walker, scenario, request time) of the benchmark's shell_plan op: a
     24x22 shell with 8 seeded stations, generated by perfbench/workloads.py."""
-    inp = perfbench_workloads().shell_plan_input(seed, op_index)
+    inp = perfbench_module("workloads").shell_plan_input(seed, op_index)
     scn = parse_scenario(inp["scenario"])
     return build_walker(scn.constellation), scn, inp["request"]["time"]
 

@@ -7,15 +7,16 @@ perfbench/workloads.py and every digest is compared: desk_solvers (exact,
 greedy and policy-gradient placement, per-task latencies, Steiner trees),
 shell_plan (disjoint routes, greedy placement on a 24x22 shell, heuristic
 trees, the downlink schedule) and fed_ground (a federated campaign). So a
-change to any of those outputs fails in the test suite too. Both files are
-only read.
+change to any of those outputs fails in the test suite too. A traced op
+of each workload must also reach every layer perfbench/layers.py expects of
+it, as a --trace 1 run does. The perfbench files are only read.
 """
 
 import json
 
 import pytest
 
-from oracles import PERFBENCH, perfbench_workloads
+from oracles import PERFBENCH, perfbench_module
 
 GOLDENS = json.loads((PERFBENCH / "goldens.json").read_text(encoding="utf-8"))
 CASES = [(name, seed) for name in sorted(GOLDENS) for seed in sorted(GOLDENS[name], key=int)]
@@ -23,9 +24,25 @@ CASES = [(name, seed) for name in sorted(GOLDENS) for seed in sorted(GOLDENS[nam
 
 @pytest.mark.parametrize("name, seed", CASES)
 def test_outputs_match_the_benchmark_goldens(name, seed):
-    workloads = perfbench_workloads()
+    workloads = perfbench_module("workloads")
     workload = workloads.WORKLOADS[name]
     for op_index, want in enumerate(GOLDENS[name][seed]):
         result = workload.run(workload.make_input(int(seed), op_index))
         assert workload.check(result) == []
         assert workloads.output_digest(workload, result) == want, f"{name} seed {seed} op {op_index}"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_a_traced_op_reaches_every_expected_layer(name):
+    layers = perfbench_module("layers")
+    workload = perfbench_module("workloads").WORKLOADS[name]
+    inp = workload.make_input(0, 1)
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        result = workload.run(inp)
+    finally:
+        tracer.uninstall()
+    calls = tracer.total_calls()
+    assert [layer for layer in layers.EXPECTED_LAYERS[name] if not calls.get(layer)] == []
+    assert workload.check(result) == []

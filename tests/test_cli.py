@@ -378,8 +378,8 @@ def test_error_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section, key, value, message", [
-    ("constellation", "num_orbits", 0, "constellation: num_orbits must be >= 1"),
-    ("workload", "precision_bits", 8, "workload: precision_bits must be 16, 32, or 64"),
+    ("constellation", "num_orbits", 0, "constellation.num_orbits: must be >= 1"),
+    ("workload", "precision_bits", 8, "workload.precision_bits: must be 16, 32, or 64"),
 ])
 def test_semantic_scenario_errors_exit_2(tmp_path, capsys, section, key, value, message):
     path = Path(sim_scenario(tmp_path))

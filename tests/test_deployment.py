@@ -27,6 +27,7 @@ from oracles import (
     random_deployment_instance,
     random_sharing_instance,
     reference_action_features,
+    reference_fits,
     reference_greedy,
     reference_objective,
     reference_solve_exact,
@@ -424,6 +425,19 @@ def squeezed_env(rng, sharing):
     return DeploymentMdp(squeezed_instance(rng, sharing))
 
 
+def assert_memory_within_capacity(inst, plan, prefix):
+    """Each host's services fit its memory, and capacity less their memory,
+    taken in placement order, is the host's free memory in prefix."""
+    for j, node in enumerate(inst.satellites):
+        hosted = [inst.services[sid].memory_bytes for sid in inst.order
+                  if plan.assignment[sid] == node.id]
+        assert math.fsum(hosted) <= node.memory_bytes * (1 + 1e-12)
+        free = node.memory_bytes
+        for memory in hosted:
+            free -= memory
+        assert 0.0 <= free == prefix.free[j]
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sharing=st.booleans(), n_envs=st.integers(1, 3),
        episodes=st.integers(1, 60))
@@ -476,7 +490,8 @@ def test_plan_from_policy_is_the_stepwise_greedy_decode(seed, sharing):
     """plan_from_policy equals stepping the most probable action of the
     policy's distribution until the episode ends: the same hosts and
     objective, or infeasible on a dead end, some before the first step.
-    Every state's feasible actions are the fitting candidates in order."""
+    Every state's feasible actions are the fitting candidates in order, and
+    every feasible plan of the three solvers keeps its hosts' memory."""
     rng = np.random.default_rng(seed)
     env = squeezed_env(rng, sharing)
     inst = env.instance
@@ -488,7 +503,7 @@ def test_plan_from_policy_is_the_stepwise_greedy_decode(seed, sharing):
             sid = inst.order[state.next_index]
             assert actions == tuple((sid, s.id) for s, res in zip(inst.satellites,
                                                                  state.residual_memory)
-                                    if inst.service_fits(sid, s, res))
+                                    if reference_fits(inst, sid, s, res))
         if state.done or not actions:
             break
         actions, _, probs = policy_distribution(env, state, theta)
@@ -498,8 +513,15 @@ def test_plan_from_policy_is_the_stepwise_greedy_decode(seed, sharing):
     if state.done and not state.dead_end:
         assert plan.feasible and plan.assignment == state.placed()
         assert plan.objective.hex() == state.objective.hex()
+        assert_memory_within_capacity(inst, plan, state.prefix)
     else:
         assert not plan.feasible and plan.assignment == {} and plan.objective is None
+    for solved in (solve_exact(inst), solve_greedy(inst)):
+        if solved.feasible:
+            prefix = inst._empty_prefix
+            for sid in inst.order:
+                prefix = deployment._place(inst, prefix, inst.sat_index[solved.assignment[sid]])
+            assert_memory_within_capacity(inst, solved, prefix)
 
 
 @settings(max_examples=200, deadline=None)
@@ -584,17 +606,17 @@ def test_no_solver_reevaluates_the_objective(monkeypatch):
 
     inst = sharing_env().instance
     fits, places = [], []
-    service_fits, place = inst.service_fits, deployment._place
+    fit, place = deployment._fits, deployment._place
 
     def counted_fits(*args):
-        fits.append(service_fits(*args))
+        fits.append(fit(*args))
         return fits[-1]
 
     def counted_place(*args):
         places.append(args)
         return place(*args)
 
-    monkeypatch.setattr(inst, "service_fits", counted_fits)
+    monkeypatch.setattr(deployment, "_fits", counted_fits)
     monkeypatch.setattr(deployment, "_place", counted_place)
     assert solve_exact(inst).feasible
     assert places and len(places) == sum(fits) < len(fits)

@@ -127,9 +127,8 @@ def test_integer_planners_match_the_label_references(graph, data):
     inst = SteinerInstance(source, terminals)
     tree, ref = outcome(dst_heuristic, graph, inst), outcome(reference_dst_heuristic, graph, inst)
     assert tree == ref
-    if not isinstance(tree, str):  # an empty tree sums to the int 0, as it did
-        assert repr(tree.total_energy) == repr(ref.total_energy)
-        assert float(tree.total_energy).hex() == float(ref.total_energy).hex()
+    if not isinstance(tree, str):
+        assert tree.total_energy.hex() == ref.total_energy.hex()
 
     sp = all_pairs_shortest(graph)
     fw, nxt = floyd_warshall(graph)

@@ -29,7 +29,7 @@ from oracles import (
     floyd_warshall,
     label_graph,
     next_hop_path,
-    perfbench_workloads,
+    perfbench_module,
     reference_disjoint_paths,
     random_rate_digraph,
     random_sparse_digraph,
@@ -336,7 +336,7 @@ def test_disjoint_paths_on_a_72x22_shell_match_the_reference():
     """The benchmark's shell_plan request on a 1,584-satellite shell: the
     integer selection returns the label-keyed reference's paths and
     bottlenecks (a correctness check; nothing is timed)."""
-    inp = perfbench_workloads().shell_plan_input(0, 1, orbits=72, slots=22)
+    inp = perfbench_module("workloads").shell_plan_input(0, 1, orbits=72, slots=22)
     scn, req = parse_scenario(inp["scenario"]), inp["request"]
     g = build_weighted_graph(snapshot(build_walker(scn.constellation), req["time"],
                                       scn.link_config))

@@ -137,11 +137,16 @@ def test_dst_chain():
 
 
 def test_dst_root_is_terminal():
+    # Both solvers report the edgeless tree's energy as the float 0.0.
     g = line_graph([1.0])
     inst = SteinerInstance("v0", frozenset({"v0"}))
     tree = dst_exact(g, inst)
     assert tree.total_energy == 0.0 and tree.edges == frozenset()
     validate_tree(g, inst, tree)
+    heur = dst_heuristic(g, inst)
+    assert heur.edges == frozenset()
+    assert type(heur.total_energy) is type(tree.total_energy) is float
+    assert heur.total_energy.hex() == tree.total_energy.hex()
 
 
 def test_dst_exact_size_bounds():

@@ -206,13 +206,13 @@ def test_station_errors():
 
 
 @pytest.mark.parametrize("section, key, value, message", [
-    ("constellation", "num_orbits", 0, "constellation: num_orbits must be >= 1"),
-    ("links", "sgl_rate_bps", -1.0, "links: sgl_rate_bps must be positive and finite"),
-    ("workload", "precision_bits", 8, "workload: precision_bits must be 16, 32, or 64"),
-    ("federation", "rounds", 0, "federation: rounds must be positive"),
+    ("constellation", "num_orbits", 0, "constellation.num_orbits: must be >= 1"),
+    ("links", "sgl_rate_bps", -1.0, "links.sgl_rate_bps: must be positive and finite"),
+    ("workload", "precision_bits", 8, "workload.precision_bits: must be 16, 32, or 64"),
+    ("federation", "rounds", 0, "federation.rounds: must be positive"),
     ("compute", "satellite_flops_per_s", 0.0,
-     "compute: satellite_flops_per_s must be positive and finite"),
-    ("energy", "e_tx_j_per_bit", -1.0, "energy: e_tx_j_per_bit must be nonnegative and finite"),
+     "compute.satellite_flops_per_s: must be positive and finite"),
+    ("energy", "e_tx_j_per_bit", -1.0, "energy.e_tx_j_per_bit: must be nonnegative and finite"),
 ])
 def test_semantic_errors_name_their_section(section, key, value, message):
     obj = minimal()
@@ -231,7 +231,7 @@ def test_semantic_station_error_names_its_index():
     ]
     with pytest.raises(ScenarioError) as info:
         parse_scenario(obj)
-    assert str(info.value) == "ground_stations[1]: min_elevation_deg must be in [0, 90)"
+    assert str(info.value) == "ground_stations[1].min_elevation_deg: must be in [0, 90)"
 
 
 def test_task_errors():
@@ -344,17 +344,24 @@ def test_request_hop_payload_bits_is_checked(value):
     assert str(info.value) == "request.hop_payload_bits: must be nonnegative and finite"
 
 
+_FLAT = {"constellation": ConstellationSpec, "links": LinkConfig,
+         "ground_stations[0]": GroundStation, "workload": WorkloadSpec,
+         "federation": FederationConfig, "compute": ComputeModel, "energy": EnergyModel}
+# (where, field, kind) of every field of a flat section, the compute
+# section's host figures included.
+_FLAT_FIELDS = [(where, f.name, f.type) for where, cls in _FLAT.items()
+                for f in dataclasses.fields(cls)] + [
+    ("compute", "satellite_memory_bytes", "float"),
+    ("compute", "satellite_energy_budget_j", "float")]
+
+
 def _non_finite_cases():
     """(where, field, value) for NaN, inf and -inf in every float field a
     scenario file can set; an infinite energy budget is valid (no budget)."""
-    flat = {"constellation": ConstellationSpec, "links": LinkConfig,
-            "ground_stations[0]": GroundStation, "workload": WorkloadSpec,
-            "federation": FederationConfig, "compute": ComputeModel, "energy": EnergyModel,
-            "tasks.library[0].services[0]": Microservice}
-    fields = [(where, f.name) for where, cls in flat.items()
-              for f in dataclasses.fields(cls) if f.type == "float"]
-    fields += [("compute", "satellite_memory_bytes"), ("compute", "satellite_energy_budget_j"),
-               ("tasks.library[0].edges[0]", "payload_bits")]
+    fields = [(where, name) for where, name, kind in _FLAT_FIELDS if kind == "float"]
+    fields += [("tasks.library[0].services[0]", f.name)
+               for f in dataclasses.fields(Microservice) if f.type == "float"]
+    fields += [("tasks.library[0].edges[0]", "payload_bits")]
     return [(where, name, value) for where, name in fields
             for value in (math.nan, math.inf, -math.inf)
             if (name, value) != ("satellite_energy_budget_j", math.inf)]
@@ -381,6 +388,30 @@ def test_non_finite_numbers_are_rejected_with_their_field(where, name, value):
     section = "tasks.library[0]" if where.startswith("tasks") else where
     assert message.startswith(section), message
     assert re.search(rf"\b{name}\b", message), message
+
+
+# Per kind, values of any other JSON type.
+_WRONG_TYPE = {"int": ["1", 1.5, True, None, [1], {"x": 1}],
+               "float": ["1.5", True, None, [1.5], {"x": 1.5}],
+               "str": [1, 1.5, True, None, ["a"], {"x": "a"}],
+               "bool": ["true", 0, 1.5, None, [True], {"x": True}]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(_FLAT_FIELDS), data=st.data(),
+       negative=st.one_of(st.integers(max_value=-1),
+                          st.floats(max_value=-5e-324, allow_nan=False, allow_infinity=False)))
+def test_flat_field_errors_start_with_their_field_path(field, data, negative):
+    """A value of the wrong type and a negative number, in any field of a
+    flat section, each parse or fail at that field's path."""
+    where, name, kind = field
+    for value in (data.draw(st.sampled_from(_WRONG_TYPE[kind])), negative):
+        obj = full()
+        _at(obj, where)[name] = value
+        try:
+            parse_scenario(json.dumps(obj))
+        except ScenarioError as exc:
+            assert str(exc).startswith(f"{where}.{name}: "), str(exc)
 
 
 def _num(lo, hi, **kw):
