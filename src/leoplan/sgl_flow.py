@@ -12,9 +12,14 @@ network follows it: source edges by satellite, satellite-to-station edges by
 (orbit, slot, station, timeline index), station-to-sink edges by station id.
 Edge order is search order, so it decides ties between augmenting paths.
 Windows join the epoch sweep in start order once they start before the
-epoch ends, and leave once they end by its start; epoch bounds never
-decrease, so every epoch tests exactly the windows that can overlap it
-(test_schedule_downlink_matches_full_scan).
+epoch ends, and leave once they end by its start or their orbit has
+finished; epoch bounds never decrease and remaining fractions never grow, so
+every epoch tests exactly the windows that can still deliver in it. A
+finished orbit's source edge has no residual capacity, so leaving it out
+changes no augmenting path: delivered fractions and flow values are those of
+the full per-epoch network, bit for bit, and an epoch's flows list only the
+edges of the network it solved (test_schedule_downlink_matches_full_scan).
+An epoch with no live window gets an empty assignment and no max-flow call.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ SINK = "sink"
 FLOW_TOL = 1e-9
 
 
+def _check_capacity(capacity: float) -> None:
+    if not 0 <= capacity < math.inf:
+        raise ValueError(f"capacity must be nonnegative and finite, got {capacity}")
+
+
 class FlowNetwork:
     """Capacitated digraph; insertion order of edges fixes the search order."""
 
@@ -37,8 +47,7 @@ class FlowNetwork:
         self.adjacency: dict = {}
 
     def add_edge(self, u, v, capacity: float) -> None:
-        if not 0 <= capacity < math.inf:
-            raise ValueError(f"capacity must be nonnegative and finite, got {capacity}")
+        _check_capacity(capacity)
         if (u, v) in self.capacity:
             self.capacity[(u, v)] += capacity
             return
@@ -205,6 +214,8 @@ def schedule_downlink(
         orbits = sorted({w.satellite.orbit_index for w in windows})
 
     state = DownlinkState(remaining={int(o): 1.0 for o in orbits})
+    for st in stations:
+        _check_capacity(st.dedicated_rate_bps)
     # Edge capacities are fractions of model_bits, so a unit of flow is one
     # full model delivered. A repeated station id keeps its last entry.
     sink_capacity = {st.id: st.dedicated_rate_bps * epoch_seconds / model_bits
@@ -217,11 +228,12 @@ def schedule_downlink(
     for k, w in enumerate(windows):
         if w.ground_station not in sink_capacity:
             raise ValueError(f"window references unknown station {w.ground_station!r}")
+        _check_capacity(w.rate_bps)
         sat = w.satellite
         if sat.orbit_index in state.remaining and w.start < w.end:
             pending.append((w.start, (sat.orbit_index, sat.slot_index, w.ground_station, k), w))
     pending.sort(reverse=True)
-    live: list = []  # (edge key, window), in edge key order
+    live: list = []  # (edge key, window) of unfinished orbits, in edge key order
     for e in range(int(horizon // epoch_seconds)):
         if state.done():
             break
@@ -229,7 +241,8 @@ def schedule_downlink(
         t1 = t0 + epoch_seconds
         while pending and pending[-1][0] < t1:
             bisect.insort(live, pending.pop()[1:])
-        live = [entry for entry in live if entry[1].end > t0]
+        live = [entry for entry in live
+                if entry[1].end > t0 and state.remaining[entry[0][0]] > FLOW_TOL]
         active = [(w, ov) for _, w in live if (ov := _overlap(w.start, w.end, t0, t1)) > 0]
         delivered = {o: 0.0 for o in state.remaining}
         if active:

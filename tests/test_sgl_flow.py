@@ -14,7 +14,7 @@ from leoplan import (
     schedule_downlink,
 )
 from leoplan import sgl_flow
-from leoplan.sgl_flow import SINK, SOURCE, FlowAssignment
+from leoplan.sgl_flow import FLOW_TOL, SINK, SOURCE, FlowAssignment
 
 from oracles import (
     check_feasible,
@@ -206,6 +206,14 @@ def test_schedule_downlink_rejects_bad_capacity(field, bad):
     stations = (GroundStation("gs", 0.0, 0.0, dedicated_rate_bps=dedicated),)
     with pytest.raises(ValueError, match="capacity must be nonnegative and finite, got"):
         schedule_downlink(windows, 1.2e9, stations, horizon=600.0)
+    # The same rate on a window, or on the station of a window, that goes live
+    # only after its orbit has finished; orbit 1 keeps the sweep running.
+    windows = [ContactWindow(SatelliteId(0, 0), "gs", 0.0, 60.0, 1e9),
+               ContactWindow(SatelliteId(0, 1), "gs-late", 120.0, 180.0, rate)]
+    stations = (GroundStation("gs", 0.0, 0.0, dedicated_rate_bps=1e9),
+                GroundStation("gs-late", 0.0, 90.0, dedicated_rate_bps=dedicated))
+    with pytest.raises(ValueError, match="capacity must be nonnegative and finite, got"):
+        schedule_downlink(windows, 1.2e9, stations, horizon=600.0, orbits=[0, 1])
 
 
 def test_schedule_downlink_two_epochs():
@@ -362,22 +370,52 @@ def test_slot_check_agrees_with_check_feasible():
     assert (0, "ok") in seen
 
 
-def _schedule_key(result):
-    return (result.complete,
-            [(o, f.hex()) for o, f in result.state.remaining.items()],
-            [(ep.epoch_index, [(o, f.hex()) for o, f in ep.delivered.items()],
-              _flow_key(ep.assignment)) for ep in result.epochs])
+def _hexes(fractions):
+    return [(o, f.hex()) for o, f in fractions.items()]
+
+
+def _assert_schedules_agree(got, want):
+    """got books what the unpruned reference want books, bit for bit: the
+    same completion, remaining fractions, and per-epoch delivered fractions
+    and flow values. got's flows are an in-order sub-sequence of want's; each
+    edge it leaves out carries exactly 0.0 and belongs to an orbit already
+    finished before the epoch, or is a station's sink edge that only such
+    orbits reach."""
+    assert got.complete == want.complete
+    assert _hexes(got.state.remaining) == _hexes(want.state.remaining)
+    assert [ep.epoch_index for ep in got.epochs] == [ep.epoch_index for ep in want.epochs]
+    remaining = {o: 1.0 for o in want.state.remaining}
+    for g, w in zip(got.epochs, want.epochs):
+        assert _hexes(g.delivered) == _hexes(w.delivered)
+        assert g.assignment.value.hex() == w.assignment.value.hex()
+        finished = {o for o, f in remaining.items() if f <= FLOW_TOL}
+        live_stations = {v for (u, v) in w.assignment.flows
+                         if isinstance(u, SatelliteId) and u.orbit_index not in finished}
+        kept = list(g.assignment.flows.items())
+        k = 0
+        for (u, v), f in w.assignment.flows.items():
+            if k < len(kept) and kept[k][0] == (u, v):
+                assert kept[k][1].hex() == f.hex(), (u, v)
+                k += 1
+                continue
+            assert f == 0.0, (u, v)
+            if v == SINK:
+                assert u not in live_stations, (u, v)
+            else:
+                assert (v if u == SOURCE else u).orbit_index in finished, (u, v)
+        assert k == len(kept)
+        for o, f in w.delivered.items():
+            remaining[o] = max(0.0, remaining[o] - f)
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=downlink_timelines())
 def test_schedule_downlink_matches_full_scan(case):
-    """Scanning only the epochs each window can overlap books exactly what
-    testing every window in every epoch books: delivered, flows and the
-    final remaining fractions, bit for bit."""
-    got = schedule_downlink(**case)
-    want = reference_schedule_downlink(**case)
-    assert _schedule_key(got) == _schedule_key(want)
+    """Scanning only the epochs each window can overlap, and only the windows
+    of unfinished orbits, books exactly what testing every window in every
+    epoch books: delivered, flow values and the final remaining fractions, bit
+    for bit, with flows left out only where they are zero."""
+    _assert_schedules_agree(schedule_downlink(**case), reference_schedule_downlink(**case))
 
 
 @settings(max_examples=200, deadline=None)
@@ -386,20 +424,31 @@ def test_schedule_downlink_matches_full_scan_on_contact_windows(case):
     """On real visibility the scheduler books what the per-epoch builder and
     reference max-flow book, bit for bit; contact_windows lists windows by
     station first, so this fails unless live windows are put in edge order."""
-    got = schedule_downlink(**case)
-    want = reference_schedule_downlink(**case)
-    assert _schedule_key(got) == _schedule_key(want)
+    _assert_schedules_agree(schedule_downlink(**case), reference_schedule_downlink(**case))
 
 
-def test_schedule_downlink_builds_one_network_per_live_epoch(monkeypatch):
-    """On the benchmark's 24x22 shell_plan timeline, each epoch with a live
-    window builds exactly one FlowNetwork and hands it to one max_flow call,
-    made through the module binding the layer trace wraps."""
+def _shell_plan_downlink():
+    """The benchmark's 24x22 shell_plan contact timeline and the
+    schedule_downlink keyword arguments of its downlink."""
     walker, scn, at = shell_plan_case()
     fed = scn.federation
     windows = contact_windows(walker, scn.ground_stations, fed.horizon_seconds,
                               step=fed.window_step_seconds, link_config=scn.link_config,
                               start=at)
+    model_bits = float(scn.constellation.sats_per_orbit
+                       * scn.workload.embedding_bits_per_satellite)
+    return windows, dict(model_bits=model_bits, stations=scn.ground_stations,
+                         horizon=fed.horizon_seconds, epoch_seconds=fed.epoch_seconds,
+                         start_time=at, orbits=range(scn.constellation.num_orbits))
+
+
+def test_schedule_downlink_builds_one_network_per_live_epoch(monkeypatch):
+    """On the benchmark's 24x22 shell_plan timeline, each epoch in which an
+    unfinished orbit has a window builds exactly one FlowNetwork and hands it
+    to one max_flow call, made through the module binding the layer trace
+    wraps. The network holds exactly that epoch's satellites of unfinished
+    orbits: none of an orbit whose model is already down."""
+    windows, kwargs = _shell_plan_downlink()
     built, calls = [], []
 
     class CountedNetwork(FlowNetwork):
@@ -413,26 +462,30 @@ def test_schedule_downlink_builds_one_network_per_live_epoch(monkeypatch):
 
     monkeypatch.setattr(sgl_flow, "FlowNetwork", CountedNetwork)
     monkeypatch.setattr(sgl_flow, "max_flow", counted)
-    model_bits = float(scn.constellation.sats_per_orbit
-                       * scn.workload.embedding_bits_per_satellite)
-    res = schedule_downlink(windows, model_bits, scn.ground_stations, fed.horizon_seconds,
-                            epoch_seconds=fed.epoch_seconds, start_time=at,
-                            orbits=range(scn.constellation.num_orbits))
-    live_epochs = [ep for ep in res.epochs if ep.assignment.flows]
-    assert len(live_epochs) > 10
-    assert len(built) == len(calls) == len(live_epochs)
+    res = schedule_downlink(windows, **kwargs)
+    remaining = {o: 1.0 for o in res.state.remaining}
+    want, finished_seen = [], 0
+    for ep in res.epochs:
+        t0 = kwargs["start_time"] + ep.epoch_index * kwargs["epoch_seconds"]
+        t1 = t0 + kwargs["epoch_seconds"]
+        seen = {w.satellite for w in windows if min(w.end, t1) > max(w.start, t0)}
+        unfinished = {sat for sat in seen if remaining[sat.orbit_index] > FLOW_TOL}
+        if unfinished:
+            want.append(unfinished)
+        finished_seen += len(seen - unfinished)
+        for o, f in ep.delivered.items():
+            remaining[o] = max(0.0, remaining[o] - f)
+    assert finished_seen > 0 and len(want) > 10
+    assert len(built) == len(calls) == len(want)
     # Each call gets the network built just before it, and no other is built.
     assert [(id(net), n) for net, n in calls] == [(id(net), k + 1) for k, net in enumerate(built)]
+    assert [{v for v in net.adjacency if isinstance(v, SatelliteId)} for net, _ in calls] == want
 
 
 def test_schedule_downlink_tests_each_window_only_near_its_epochs(monkeypatch):
     """On the benchmark's 24x22 shell_plan timeline, the overlap test runs at
     most once per epoch a window can touch, not once per window per epoch."""
-    walker, scn, at = shell_plan_case()
-    fed = scn.federation
-    windows = contact_windows(walker, scn.ground_stations, fed.horizon_seconds,
-                              step=fed.window_step_seconds, link_config=scn.link_config,
-                              start=at)
+    windows, kwargs = _shell_plan_downlink()
     calls = []
     overlap = sgl_flow._overlap
 
@@ -441,13 +494,9 @@ def test_schedule_downlink_tests_each_window_only_near_its_epochs(monkeypatch):
         return overlap(*args)
 
     monkeypatch.setattr(sgl_flow, "_overlap", counted)
-    model_bits = float(scn.constellation.sats_per_orbit
-                       * scn.workload.embedding_bits_per_satellite)
-    res = schedule_downlink(windows, model_bits, scn.ground_stations, fed.horizon_seconds,
-                            epoch_seconds=fed.epoch_seconds, start_time=at,
-                            orbits=range(scn.constellation.num_orbits))
+    res = schedule_downlink(windows, **kwargs)
     assert res.epochs_used > 10 and len(windows) > 500
-    reach = sum(int(w.duration // fed.epoch_seconds) + 2 for w in windows)
+    reach = sum(int(w.duration // kwargs["epoch_seconds"]) + 2 for w in windows)
     assert 0 < len(calls) <= reach
     assert len(calls) * 5 < res.epochs_used * len(windows)
 
