@@ -372,13 +372,19 @@ def _visible_samples(constellation: WalkerConstellation, stations: tuple,
 
     The sine of elevation, (p - R) / |sat - st| with p = sat . zenith, rises
     with p, so a mask m holds exactly where p >= p* = R cos^2 m + sin m
-    sqrt(r^2 - R^2 cos^2 m); with _CONE_MARGIN_KM for rounding, every flagged
-    sample lies within psi* = acos((p* - _CONE_MARGIN_KM) / r) of the zenith.
-    Positions are first found at the midpoint of each block of _SIEVE_BLOCK
-    samples, and a (station, satellite, block) is dropped when the midpoint
-    lies outside psi* widened by how far both can turn in half a block, plus
-    rounding. The kept samples go through the sine formula elementwise, so the
-    flags equal evaluating it at every sample
+    sqrt(r^2 - R^2 cos^2 m). Positions are first found at the midpoint of each
+    block of _SIEVE_BLOCK samples; in half a block the satellite and the
+    zenith turn apart by at most `slack`, how far both can turn plus rounding.
+    Outside: every flagged sample lies within psi* = acos((p* -
+    _CONE_MARGIN_KM) / r) of the zenith, so a (station, satellite, block)
+    whose midpoint lies outside psi* + slack is dropped. Inside: a midpoint
+    within psi_in = acos((p* + _CONE_MARGIN_KM) / r) - slack puts every
+    sample of its block at p >= p* + _CONE_MARGIN_KM, where the sine is above
+    the mask by more than 2e-5 at any altitude up to GEO, far above its
+    rounding, so the whole block is flagged without the formula. There is no
+    inside when (p* + _CONE_MARGIN_KM) / r >= 1 or psi_in <= 0. Only the
+    samples of the remaining rim blocks get exact positions and the sine
+    formula, elementwise, so the flags equal evaluating it at every sample
     (test_visibility_matches_full_evaluation); no (len(times), n) array is built.
     """
     count = len(times)
@@ -392,35 +398,42 @@ def _visible_samples(constellation: WalkerConstellation, stations: tuple,
     rate = constellation.mean_motion + EARTH_ROTATION_RAD_S
     reach = max(abs(times[0] - epoch), abs(times[-1] - epoch))
     slack = rate * float(half.max()) + 1e-6 + 1e-12 * (4.0 * math.pi + rate * reach)
-    bound = []
+    outer, inner = [], []
     for sm in sin_mask.tolist():
         cos2 = 1.0 - sm * sm
         p_star = EARTH_RADIUS_KM * cos2 + sm * math.sqrt(r * r - EARTH_RADIUS_KM**2 * cos2)
         angle = math.acos(min(1.0, (p_star - _CONE_MARGIN_KM) / r)) + slack
-        bound.append(r * math.cos(angle) if angle < math.pi else -math.inf)
-    _, zen_mid = _station_frames(stations, mid, epoch)
+        outer.append(r * math.cos(angle) if angle < math.pi else -math.inf)
+        ratio = (p_star + _CONE_MARGIN_KM) / r
+        angle = math.acos(ratio) - slack if ratio < 1.0 else 0.0
+        inner.append(r * math.cos(angle) if angle > 0.0 else math.inf)
+    # One frame over the samples, then the midpoints: both are elementwise in
+    # time, so each sample's bits are those of a frame over the samples alone.
+    st_pos, zen = _station_frames(stations, np.concatenate((times, mid)), epoch)
     sat_mid = constellation._positions(mid[:, None], slice(None))  # (blocks, n, 3)
-    p_mid = np.matmul(zen_mid.transpose(1, 0, 2), sat_mid.transpose(0, 2, 1))
-    near = p_mid >= np.array(bound)[:, None]  # (blocks, stations, n)
+    p_mid = np.matmul(zen[:, count:].transpose(1, 0, 2), sat_mid.transpose(0, 2, 1))
+    near = p_mid >= np.array(outer)[:, None]  # (blocks, stations, n)
     # Flat indices in (station, satellite, block) order, split back up.
     pair, b = np.divmod(np.flatnonzero(near.transpose(1, 2, 0)), len(first))
     s, i = np.divmod(pair, constellation.num_satellites)
+    visible = p_mid[b, s, i] >= np.array(inner)[s]
 
     # Each kept (station, satellite, block) expands into its samples, in order.
     t = (first[b][:, None] + np.arange(_SIEVE_BLOCK)).ravel()
     s = np.repeat(s, _SIEVE_BLOCK)
     i = np.repeat(i, _SIEVE_BLOCK)
+    visible = np.repeat(visible, _SIEVE_BLOCK)
     if count % _SIEVE_BLOCK:
         inside = t < count
-        s, i, t = s[inside], i[inside], t[inside]
-    st_pos, zen = _station_frames(stations, times, epoch)
-    sample = s * count + t
-    d = constellation._positions(times[t], i)
+        s, i, t, visible = s[inside], i[inside], t[inside], visible[inside]
+    rim = np.flatnonzero(~visible)
+    sr, tr = s[rim], t[rim]
+    sample = sr * (count + len(mid)) + tr
+    d = constellation._positions(times[tr], i[rim])
     d -= np.take(st_pos.reshape(-1, 3), sample, axis=0)
     up = np.einsum("ck,ck->c", d, np.take(zen.reshape(-1, 3), sample, axis=0))
-    sin_elev = up / np.linalg.norm(d, axis=-1)
-    keep = sin_elev >= sin_mask[s]
-    return s[keep], i[keep], t[keep]
+    visible[rim] = up / np.linalg.norm(d, axis=-1) >= sin_mask[sr]
+    return s[visible], i[visible], t[visible]
 
 
 def contact_windows(

@@ -15,6 +15,7 @@ from leoplan import (
     LinkConfig,
     LinkKind,
     SatelliteId,
+    WalkerConstellation,
     build_walker,
     contact_windows,
     snapshot,
@@ -349,6 +350,19 @@ sample_counts = st.one_of(st.integers(1, 400), st.sampled_from([11, 12, 13, 25, 
          mask=89.9, start=0.0, step=3000.0, steps=37)
 @example(spec=ConstellationSpec(2, 5, 550.0, 53.0), stations=(), altitude=1e-3, lat=-90.0,
          mask=0.0, start=-250.0, step=2000.0, steps=25)
+# The edges of the inside certificate of _visible_samples: no inside at GEO
+# under an 89.9 deg mask, a block slack past the inside cone, a 1 m shell, the
+# one-sample grid of snapshot, and passes through the zenith of a pole.
+@example(spec=ConstellationSpec(4, 3, 35786.0, 0.0), stations=(), altitude=None, lat=0.0,
+         mask=89.9, start=0.0, step=60.0, steps=121)
+@example(spec=ConstellationSpec(4, 6, 550.0, 53.0), stations=(), altitude=None, lat=40.0,
+         mask=10.0, start=0.0, step=100.0, steps=121)
+@example(spec=ConstellationSpec(4, 6, 550.0, 0.0), stations=(), altitude=1e-3, lat=0.0,
+         mask=0.0, start=0.0, step=5.0, steps=400)
+@example(spec=ConstellationSpec(4, 6, 550.0, 53.0), stations=(), altitude=None, lat=0.0,
+         mask=10.0, start=0.0, step=5.0, steps=1)
+@example(spec=ConstellationSpec(4, 6, 550.0, 90.0), stations=(), altitude=None, lat=90.0,
+         mask=10.0, start=0.0, step=5.0, steps=400)
 def test_edge_detection_matches_run_length_oracle(spec, stations, altitude, lat, mask, start,
                                                   step, steps):
     """Same windows as a sample-by-sample walk over the dense reference
@@ -374,6 +388,17 @@ def test_edge_detection_matches_run_length_oracle(spec, stations, altitude, lat,
 @given(spec=walker_specs(),
        altitude=altitudes, lat=latitudes, lon=st.one_of(st.just(0.0), st.floats(-180.0, 180.0)),
        mask=masks, start=st.floats(-1e4, 1e5), step=steps_s, steps=sample_counts)
+# The edges of the inside certificate, as for the run-length property above.
+@example(spec=ConstellationSpec(4, 3, 35786.0, 0.0), altitude=None, lat=0.0, lon=0.0,
+         mask=89.9, start=0.0, step=60.0, steps=121)
+@example(spec=ConstellationSpec(4, 6, 550.0, 53.0), altitude=None, lat=40.0, lon=10.0,
+         mask=10.0, start=0.0, step=100.0, steps=121)
+@example(spec=ConstellationSpec(4, 6, 550.0, 0.0), altitude=1e-3, lat=0.0, lon=10.0,
+         mask=0.0, start=0.0, step=5.0, steps=400)
+@example(spec=ConstellationSpec(4, 6, 550.0, 53.0), altitude=None, lat=0.0, lon=0.0,
+         mask=10.0, start=0.0, step=5.0, steps=1)
+@example(spec=ConstellationSpec(4, 6, 550.0, 90.0), altitude=None, lat=90.0, lon=0.0,
+         mask=10.0, start=0.0, step=5.0, steps=400)
 def test_visibility_matches_full_evaluation(spec, altitude, lat, lon, mask, start, step, steps):
     """Running the elevation formula only on the sieved blocks changes no
     flag, at any altitude, with the horizon and near-zenith masks and at the
@@ -393,8 +418,9 @@ def test_visibility_matches_full_evaluation(spec, altitude, lat, lon, mask, star
 def test_shell_plan_windows_match_dense_oracle_in_bounded_memory():
     """On the benchmark's shell_plan grid (1,080 samples x 528 satellites x 8
     stations) the windows equal the dense oracle's, and one call peaks below
-    26 MB, under the 27.4 MB of two (T, n, 3) position grids: the sieve never
-    builds one."""
+    16 MB, well under the 27.4 MB of two (T, n, 3) position grids: the sieve
+    never builds one, and blocks inside a station's cone get no exact
+    positions (sending every kept block through the formula peaked at 18.1 MB)."""
     walker, scn, at = shell_plan_case()
     fed = scn.federation
     args = (walker, scn.ground_stations, fed.horizon_seconds)
@@ -407,7 +433,27 @@ def test_shell_plan_windows_match_dense_oracle_in_bounded_memory():
     want = run_length_windows(*args, fed.window_step_seconds, LinkConfig().sgl_rate_bps, start=at)
     assert {w.ground_station for w in got} == {gs.id for gs in scn.ground_stations}
     assert window_key(got) == window_key(want)
-    assert peak < 26e6
+    assert peak < 16e6
+
+
+def test_shell_plan_windows_compute_exact_positions_only_on_cone_rims(monkeypatch):
+    """One contact_windows call on the shell_plan grid computes at most
+    100,000 satellite positions: blocks certified inside a station's cone get
+    none. Sending every kept block through the formula computes 142,896."""
+    walker, scn, at = shell_plan_case()
+    computed = []
+    positions = WalkerConstellation._positions
+
+    def counted(self, times, sats):
+        out = positions(self, times, sats)
+        computed.append(out.size // 3)
+        return out
+
+    monkeypatch.setattr(WalkerConstellation, "_positions", counted)
+    fed = scn.federation
+    contact_windows(walker, scn.ground_stations, fed.horizon_seconds,
+                    step=fed.window_step_seconds, start=at)
+    assert 0 < sum(computed) <= 100_000
 
 
 @settings(max_examples=60, deadline=None)
