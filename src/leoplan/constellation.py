@@ -297,6 +297,8 @@ def snapshot(
     range decisions equal a per-link norm bit for bit
     (test_snapshot_lengths_match_per_link_norms).
     """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     link_config.validate()
     stations = tuple(stations)
     for st in stations:

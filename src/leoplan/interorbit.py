@@ -130,12 +130,19 @@ def select_disjoint_paths(
     Every satellite of source_orbit is a valid origin and every satellite of
     dest_orbit a valid destination. Selection stops when the orbits are
     disconnected or max_paths is reached. A used edge gets an infinite weight.
+    An orbit with no satellite in the graph and a max_paths below 1 are
+    rejected.
     """
     if source_orbit == dest_orbit:
         raise ValueError("source and destination orbits must differ")
+    if max_paths is not None and max_paths < 1:
+        raise ValueError("max_paths must be at least 1")
     orbit = [v.orbit_index if isinstance(v, SatelliteId) else None for v in graph.nodes]
     sources = [i for i, o in enumerate(orbit) if o == source_orbit]
     targets = [o == dest_orbit for o in orbit]
+    for o, found in ((source_orbit, sources), (dest_orbit, any(targets))):
+        if not found:
+            raise ValueError(f"orbit {o} has no satellite in the graph")
     weights = list(graph.weights)
 
     paths, bottlenecks = [], []

@@ -8,7 +8,9 @@ model is combined either through the ground (coordinated max-flow downlink
 and uplink) or fully in space over disjoint inter-orbit paths, then spread
 back around each ring. Latency, bits over radio links, compute, and energy
 are accounted per phase; a round that cannot finish a transfer inside the
-horizon is flagged incomplete and truncated.
+horizon is flagged incomplete and truncated. Every phase books its seconds,
+bits and flops through one ledger helper, which also moves the round clock
+by the booked seconds.
 
 A campaign validates its inputs and plans both ring collectives once; the
 inputs never change between its rounds. Each ground-link phase samples
@@ -210,6 +212,15 @@ def _campaign(config: FederationConfig, constellation: WalkerConstellation,
     def window_start() -> float:
         return spec.epoch if config.freeze_topology else now
 
+    def book(phase: str, secs: float, moved: float = 0.0, work: float = 0.0) -> None:
+        """The round's one ledger entry: adds secs, bits moved and flops of
+        work to the phase and moves the round clock by secs."""
+        nonlocal now
+        seconds[phase] += secs
+        bits[phase] += moved
+        flops[phase] += work
+        now += secs
+
     def flow_phase(phase: str, model_bits_per_orbit: float) -> bool:
         """Run a coordinated SGL transfer; returns False when it misses the horizon.
 
@@ -218,10 +229,8 @@ def _campaign(config: FederationConfig, constellation: WalkerConstellation,
         span reaches the horizon; each scheduled epoch sees the windows that
         full-horizon sampling gives it (test_round_matches_full_horizon_sampling).
         """
-        nonlocal now
         if not setup.stations:
-            seconds[phase] = config.horizon_seconds
-            now += config.horizon_seconds
+            book(phase, config.horizon_seconds)
             return False
         horizon, step = config.horizon_seconds, config.window_step_seconds
         span = config.epoch_seconds
@@ -239,58 +248,39 @@ def _campaign(config: FederationConfig, constellation: WalkerConstellation,
             if result.complete or span == horizon:
                 break
             span *= 2
-        elapsed = result.epochs_used * config.epoch_seconds
         delivered = sum(sum(e.delivered.values()) for e in result.epochs)
-        seconds[phase] = elapsed if result.complete else config.horizon_seconds
-        bits[phase] += delivered * model_bits_per_orbit
-        now += seconds[phase]
+        book(phase, result.epochs_used * config.epoch_seconds if result.complete else horizon,
+             delivered * model_bits_per_orbit)
         return result.complete
 
     def run_phases() -> bool:
         """Walk the phase sequence; returns False once a transfer truncates the round."""
-        nonlocal now
         # Embedding computation on every satellite in parallel.
         embed_flops = 2.0 * workload.embedding_params * samples
-        seconds["embedding_compute"] = embed_flops / setup.compute.satellite_flops_per_s
-        flops["embedding_compute"] = embed_flops * n_sats
-        now += seconds["embedding_compute"]
-
-        # Each orbit concatenates its embeddings over the ring.
-        if gather is not None:
-            seconds["intra_orbit_gather"] = gather.completion_time
-            bits["intra_orbit_gather"] = float(P * gather.total_bits_sent)
-            now += gather.completion_time
-
+        book("embedding_compute", embed_flops / setup.compute.satellite_flops_per_s,
+             work=embed_flops * n_sats)
+        if gather is not None:  # each orbit concatenates its embeddings over the ring
+            book("intra_orbit_gather", gather.completion_time, float(P * gather.total_bits_sent))
         orbit_embedding_bits = float(S * workload.embedding_bits_per_satellite)
         if not flow_phase("sgl_down", orbit_embedding_bits):
             return False
-
         encode_flops = 2.0 * workload.encoder_params * samples * n_sats
-        seconds["cloud_encode"] = encode_flops / setup.compute.cloud_flops_per_s
-        flops["cloud_encode"] = encode_flops
-        now += seconds["cloud_encode"]
-
+        book("cloud_encode", encode_flops / setup.compute.cloud_flops_per_s, work=encode_flops)
         if not flow_phase("sgl_up", orbit_embedding_bits):
             return False
-
         train_flops = workload.flops_per_sample_head * samples * workload.local_epochs
-        seconds["local_train"] = train_flops / setup.compute.satellite_flops_per_s
-        flops["local_train"] = train_flops * n_sats
-        now += seconds["local_train"]
-
+        book("local_train", train_flops / setup.compute.satellite_flops_per_s,
+             work=train_flops * n_sats)
         if reduce is not None:
-            seconds["intra_orbit_aggregate"] = (config.intra_orbit_agg_rounds
-                                                * reduce.completion_time)
-            bits["intra_orbit_aggregate"] = float(
-                P * config.intra_orbit_agg_rounds * reduce.total_bits_sent)
-            now += seconds["intra_orbit_aggregate"]
+            k = config.intra_orbit_agg_rounds
+            book("intra_orbit_aggregate", k * reduce.completion_time,
+                 float(P * k * reduce.total_bits_sent))
 
         if workload.head_bits == 0:
             return True  # no head to aggregate or broadcast, as reduce is skipped
+        phase, head = "inter_orbit_or_global_aggregate", float(workload.head_bits)
         if config.aggregation_mode == GROUND:
-            if not flow_phase("inter_orbit_or_global_aggregate", float(workload.head_bits)):
-                return False
-            if not flow_phase("broadcast", float(workload.head_bits)):
+            if not (flow_phase(phase, head) and flow_phase("broadcast", head)):
                 return False
         else:
             # Sweep the accumulating head forward across orbits, then back.
@@ -303,15 +293,12 @@ def _campaign(config: FederationConfig, constellation: WalkerConstellation,
                 for src, dst in stages:
                     paths = select_disjoint_paths(graph, src, dst)
                     if len(paths) == 0:
-                        seconds["inter_orbit_or_global_aggregate"] = config.horizon_seconds
+                        book(phase, config.horizon_seconds)
                         return False
                     agg += parallel_transfer_time(paths, workload.head_bits)
-                    bits["inter_orbit_or_global_aggregate"] += float(workload.head_bits)
-            seconds["inter_orbit_or_global_aggregate"] = agg
-            now += agg
-        seconds["broadcast"] += spread
-        bits["broadcast"] += float(P * max(S - 1, 0) * workload.head_bits)
-        now += spread
+                    book(phase, 0.0, head)
+            book(phase, agg)
+        book("broadcast", spread, float(P * max(S - 1, 0) * workload.head_bits))
         return True
 
     per_bit = setup.energy.e_tx_j_per_bit + setup.energy.e_rx_j_per_bit

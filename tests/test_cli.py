@@ -136,21 +136,35 @@ def test_downlink_outputs(tmp_path, capsys):
     assert lines[1].split(",")[:3] == ["0", "0", "1"]
 
 
-@pytest.mark.parametrize("start", ["inf", "nan"])
-def test_downlink_non_finite_start_prints_one_error_line(tmp_path, start):
-    """Rejected before any sampling: stderr holds the JSON error line and no
-    numpy warning. Runs in a child process, so stderr is exactly what a user sees."""
+def assert_one_error_line(tmp_path, command, scenario, *argv, message):
+    """Runs the CLI in a child process, so stderr is exactly what a user
+    sees: exit 1, no stdout, and one JSON error line with no numpy warning."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-m", "leoplan.cli", "downlink", sim_scenario(tmp_path),
-                           "--start", start, "--out-dir", str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-m", "leoplan.cli", command, scenario, *argv,
+                           "--out-dir", str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert [json.loads(line) for line in proc.stderr.splitlines()] == [
-        {"error": {"subcommand": "downlink", "type": "ValueError",
-                   "message": "start must be finite"}}]
+        {"error": {"subcommand": command, "type": "ValueError", "message": message}}]
+
+
+@pytest.mark.parametrize("start", ["inf", "nan"])
+def test_downlink_non_finite_start_prints_one_error_line(tmp_path, start):
+    """Rejected before any sampling."""
+    assert_one_error_line(tmp_path, "downlink", sim_scenario(tmp_path), "--start", start,
+                          message="start must be finite")
+
+
+@pytest.mark.parametrize("command", ["routes", "deploy"])
+def test_non_finite_time_prints_one_error_line(tmp_path, command):
+    """A NaN snapshot time is rejected before any geometry, not reported as
+    a disconnected snapshot or written into the output."""
+    assert_one_error_line(tmp_path, command, TWO_TASK, "--time", "nan",
+                          message="t must be finite")
+    assert not (tmp_path / "out").exists()
 
 
 def test_allreduce_outputs(tmp_path, capsys):
@@ -200,6 +214,21 @@ def test_routes_outputs(tmp_path, capsys):
     assert code == 0
     body = json.loads((out / "routes.json").read_text())
     assert len(body["paths"]) == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--source-orbit", "99"], "orbit 99 has no satellite in the graph"),
+    (["--source-orbit", "-1"], "orbit -1 has no satellite in the graph"),
+    (["--dest-orbit", "42"], "orbit 42 has no satellite in the graph"),
+    (["--max-paths", "0"], "max_paths must be at least 1"),
+    (["--max-paths", "-3"], "max_paths must be at least 1"),
+])
+def test_routes_bad_orbit_or_path_count_exits_1(tmp_path, capsys, args, message):
+    code, stdout, err = run_cli(capsys, "routes", TWO_TASK, "--out-dir",
+                                str(tmp_path / "out"), *args)
+    assert code == 1
+    assert stdout == ""
+    assert json.loads(err)["error"]["message"] == message
 
 
 def test_deploy_exact_and_shared_modules(tmp_path, capsys):

@@ -219,6 +219,13 @@ def test_snapshot_deterministic():
         assert np.array_equal(a.positions[sid], b.positions[sid])
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_snapshot_rejects_non_finite_time(t):
+    walker = build_walker(ConstellationSpec(3, 4, 550.0, 53.0, phasing_factor=1))
+    with pytest.raises(ValueError, match="t must be finite"):
+        snapshot(walker, t, LinkConfig(), stations=(GroundStation("gs", 10.0, 20.0),))
+
+
 def test_ground_station_validation():
     GroundStation("ok", 47.0, -122.3).validate()
     with pytest.raises(ValueError):

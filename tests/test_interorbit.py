@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from leoplan import (
     ConstellationSpec,
     LinkConfig,
+    PathSet,
     SatelliteId,
     all_pairs_shortest,
     build_walker,
@@ -287,6 +288,26 @@ def test_disjoint_paths_max_paths_and_same_orbit():
         select_disjoint_paths(g, 1, 1)
 
 
+@pytest.mark.parametrize("src, dst, max_paths, message", [
+    (2, 1, None, "orbit 2 has no satellite in the graph"),
+    (-1, 1, None, "orbit -1 has no satellite in the graph"),
+    (0, 42, None, "orbit 42 has no satellite in the graph"),
+    (0, 1, 0, "max_paths must be at least 1"),
+    (0, 1, -3, "max_paths must be at least 1"),
+])
+def test_disjoint_paths_reject_missing_orbit_and_bad_path_count(src, dst, max_paths, message):
+    links = [("o0s0", "o1s0", 2e9), ("o0s0", "o0s1", 10e9)]
+    g = build_weighted_graph(toy_snapshot(links))
+    with pytest.raises(ValueError, match=message):
+        select_disjoint_paths(g, src, dst, max_paths)
+
+
+def test_disjoint_paths_of_a_disconnected_orbit_pair_are_empty():
+    # Both orbits have satellites, so no path is a valid answer, not an error.
+    g = build_weighted_graph(toy_snapshot([("o0s0", "o0s1", 10e9), ("o1s0", "o1s1", 10e9)]))
+    assert select_disjoint_paths(g, 0, 1) == PathSet((), ())
+
+
 def test_disjoint_paths_deterministic():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -313,8 +334,6 @@ def test_parallel_transfer_time():
 
 
 def test_parallel_transfer_no_paths():
-    from leoplan import PathSet
-
     with pytest.raises(ValueError, match="orbits unreachable"):
         parallel_transfer_time(PathSet((), ()), 1e6)
 
