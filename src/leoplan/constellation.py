@@ -438,6 +438,46 @@ def _visible_samples(constellation: WalkerConstellation, stations: tuple,
     return s[visible], i[visible], t[visible]
 
 
+class _Timeline:
+    """The visible samples found so far on one sampling grid, so that a
+    caller who extends its span sieves only the samples it has not seen.
+
+    The grid is start + np.arange(0.0, horizon, step) for the (constellation,
+    stations, start, step) of its first use. A longer horizon's grid begins
+    with exactly a shorter one's samples, and _visible_samples flags each
+    sample exactly whatever block it falls in, so the samples merged over any
+    sequence of extensions equal one sieve of the longest grid
+    (test_extended_timeline_matches_one_sampling).
+    """
+
+    def __init__(self) -> None:
+        self.grid = None  # (constellation, stations, start, step) of the first use
+        self.count = 0  # samples sieved: times[:count]
+        self.s = self.i = self.t = np.empty(0, dtype=np.intp)
+
+    def extend(self, constellation: WalkerConstellation, stations: tuple, start: float,
+               step: float, times: np.ndarray) -> tuple:
+        """(s, i, t) as _visible_samples(constellation, stations, times) gives
+        them, sieving only times[self.count:]; times must hold the samples
+        already sieved."""
+        grid = (constellation, stations, start, step)
+        if self.grid not in (None, grid) or len(times) < self.count:
+            raise ValueError("a timeline only extends the grid it started on")
+        self.grid = grid
+        if len(times) > self.count:
+            s, i, t = _visible_samples(constellation, stations, times[self.count:])
+            t += self.count
+            if self.count:
+                # Stable on (station, satellite): the old samples of a pair,
+                # all earlier, stay ahead of its new ones.
+                s, i, t = (np.concatenate((old, new)) for old, new in
+                           ((self.s, s), (self.i, i), (self.t, t)))
+                order = np.argsort(s * constellation.num_satellites + i, kind="stable")
+                s, i, t = s[order], i[order], t[order]
+            self.s, self.i, self.t, self.count = s, i, t, len(times)
+        return self.s, self.i, self.t
+
+
 def contact_windows(
     constellation: WalkerConstellation,
     stations: tuple,
@@ -445,6 +485,8 @@ def contact_windows(
     step: float = 1.0,
     link_config: LinkConfig | None = None,
     start: float = 0.0,
+    *,
+    _timeline: _Timeline | None = None,
 ) -> list:
     """Sampled visibility windows for every (satellite, station) pair.
 
@@ -453,6 +495,10 @@ def contact_windows(
     the last visible sample, so windows for a pair never overlap and always
     have positive duration. Windows are ordered by station, then satellite,
     then time.
+
+    _timeline, a _Timeline kept by a caller that samples one grid over longer
+    and longer horizons, sieves only the samples earlier calls did not; the
+    windows are those of a call without it.
     """
     if not math.isfinite(horizon) or horizon <= 0:
         raise ValueError("horizon must be positive and finite")
@@ -469,7 +515,8 @@ def contact_windows(
         return []
     for st in stations:
         st.validate()
-    s, i, t = _visible_samples(constellation, stations, times)
+    timeline = _Timeline() if _timeline is None else _timeline
+    s, i, t = timeline.extend(constellation, stations, start, step, times)
     if len(t) == 0:
         return []
     # A run is a stretch of consecutive keys; the gap of len(times) + 1 per

@@ -274,17 +274,34 @@ def solve_greedy(instance: DeploymentInstance) -> DeploymentPlan:
     return DeploymentPlan(_assignment(instance, prefix.hosts), True, prefix.objective, "greedy")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MdpState:
-    next_index: int
-    assignment: tuple
-    objective: float
+    """A placed prefix of instance.order, with its feasible next actions.
+
+    table is the environment's action table, shared by all its states: per
+    position of instance.order, the (service, satellite id) action of every
+    candidate. The placed actions are read off the prefix through it, and two
+    states are equal when their placed actions, objective and flags are.
+    """
+
+    prefix: _Prefix = field(repr=False)
     done: bool
     dead_end: bool
-    # The _place prefix behind objective, and the feasible actions; both
-    # follow from the fields above, so they take no part in equality.
-    prefix: _Prefix = field(compare=False, repr=False)
-    actions: tuple = field(compare=False, repr=False)
+    actions: tuple = field(repr=False)
+    table: list = field(repr=False)
+
+    @property
+    def next_index(self) -> int:
+        return len(self.prefix.hosts)
+
+    @property
+    def assignment(self) -> tuple:
+        """The placed (service, satellite id) actions, in placement order."""
+        return tuple(self.table[p][j] for p, j in enumerate(self.prefix.hosts))
+
+    @property
+    def objective(self) -> float:
+        return self.prefix.objective
 
     @property
     def residual_memory(self) -> tuple:
@@ -293,6 +310,17 @@ class MdpState:
 
     def placed(self) -> dict:
         return dict(self.assignment)
+
+    def _key(self) -> tuple:
+        return self.assignment, self.objective, self.done, self.dead_end
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MdpState):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -310,14 +338,15 @@ class DeploymentMdp:
         self.instance = instance
         self._scales = _feature_scales(instance)
         # Per position in instance.order, the (service, satellite) action of
-        # every candidate; feasible action tuples and assignments share these pairs.
+        # every candidate; feasible action tuples and every state's placed
+        # actions share these pairs.
         self._actions = [tuple((sid, sat.id) for sat in instance.satellites)
                          for sid in instance.order]
 
     def reset(self) -> MdpState:
         prefix = self.instance._empty_prefix
         done = len(self.instance.order) == 0
-        return MdpState(0, (), 0.0, done, False, prefix, self._feasible(prefix, done))
+        return MdpState(prefix, done, False, self._feasible(prefix, done), self._actions)
 
     def _feasible(self, prefix: _Prefix, done: bool) -> tuple:
         if done:
@@ -333,14 +362,12 @@ class DeploymentMdp:
         inst = self.instance
         prefix = _place(inst, state.prefix, inst.sat_index[action[1]])
         reward = -(prefix.objective - state.objective)
-        next_index = state.next_index + 1
-        done = next_index == len(inst.order)
+        done = len(prefix.hosts) == len(inst.order)
         actions = self._feasible(prefix, done)
         dead_end = not done and not actions
         if dead_end:
             reward += DEAD_END_REWARD
-        next_state = MdpState(next_index, state.assignment + (action,), prefix.objective,
-                              done or dead_end, dead_end, prefix, actions)
+        next_state = MdpState(prefix, done or dead_end, dead_end, actions, self._actions)
         return MdpTransition(next_state, reward, next_state.done)
 
 

@@ -20,6 +20,13 @@ changes no augmenting path: delivered fractions and flow values are those of
 the full per-epoch network, bit for bit, and an epoch's flows list only the
 edges of the network it solved (test_schedule_downlink_matches_full_scan).
 An epoch with no live window gets an empty assignment and no max-flow call.
+
+A caller that schedules over longer and longer horizons passes the last
+result back as _resume: the live list at an epoch depends only on the
+windows, the epoch and the remaining fractions, so scheduling from the
+result's next epoch with its remaining fractions gives the epochs of one
+call over the longer horizon, and no epoch runs max_flow twice
+(test_resumed_schedule_matches_one_schedule).
 """
 
 from __future__ import annotations
@@ -185,6 +192,8 @@ def schedule_downlink(
     epoch_seconds: float = 60.0,
     start_time: float = 0.0,
     orbits=None,
+    *,
+    _resume: DownlinkResult | None = None,
 ) -> DownlinkResult:
     """Drive per-epoch max-flow rounds until every orbit's full model is down.
 
@@ -196,6 +205,11 @@ def schedule_downlink(
         epoch_seconds: epoch granularity; a window contributes capacity in
             proportion to its overlap with each epoch.
         orbits: orbits holding a model; defaults to the orbits seen in windows.
+        _resume: the result of an earlier call with the same model_bits,
+            stations, epoch_seconds, start_time and orbits over a shorter
+            horizon, whose windows were these windows cut short after its
+            last epoch. Scheduling continues from its next epoch with its
+            remaining fractions, and the result starts with its epochs.
 
     Returns:
         DownlinkResult with one EpochFlow per elapsed epoch (epochs with no
@@ -210,10 +224,14 @@ def schedule_downlink(
         raise ValueError("model_bits must be positive and finite")
     if not math.isfinite(start_time):
         raise ValueError("start_time must be finite")
-    if orbits is None:
-        orbits = sorted({w.satellite.orbit_index for w in windows})
-
-    state = DownlinkState(remaining={int(o): 1.0 for o in orbits})
+    if _resume is not None:
+        state = DownlinkState(remaining=dict(_resume.state.remaining))
+        epochs = list(_resume.epochs)
+    else:
+        if orbits is None:
+            orbits = sorted({w.satellite.orbit_index for w in windows})
+        state = DownlinkState(remaining={int(o): 1.0 for o in orbits})
+        epochs = []
     for st in stations:
         _check_capacity(st.dedicated_rate_bps)
     # Edge capacities are fractions of model_bits, so a unit of flow is one
@@ -221,20 +239,21 @@ def schedule_downlink(
     sink_capacity = {st.id: st.dedicated_rate_bps * epoch_seconds / model_bits
                      for st in sorted(stations, key=lambda st: st.id)}
 
-    epochs: list[EpochFlow] = []
     # Windows by start, popped from the end; an empty, reversed or NaN
-    # window overlaps no epoch.
+    # window, or one over before the first epoch to run, overlaps no epoch.
+    first = len(epochs)
+    t_first = start_time + first * epoch_seconds
     pending = []
     for k, w in enumerate(windows):
         if w.ground_station not in sink_capacity:
             raise ValueError(f"window references unknown station {w.ground_station!r}")
         _check_capacity(w.rate_bps)
         sat = w.satellite
-        if sat.orbit_index in state.remaining and w.start < w.end:
+        if sat.orbit_index in state.remaining and w.start < w.end and w.end > t_first:
             pending.append((w.start, (sat.orbit_index, sat.slot_index, w.ground_station, k), w))
     pending.sort(reverse=True)
     live: list = []  # (edge key, window) of unfinished orbits, in edge key order
-    for e in range(int(horizon // epoch_seconds)):
+    for e in range(first, int(horizon // epoch_seconds)):
         if state.done():
             break
         t0 = start_time + e * epoch_seconds

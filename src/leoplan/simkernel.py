@@ -15,7 +15,10 @@ by the booked seconds.
 A campaign validates its inputs and plans both ring collectives once; the
 inputs never change between its rounds. Each ground-link phase samples
 visibility from the phase's start only as far as its schedule reaches, with
-the result of sampling the whole horizon.
+the result of sampling the whole horizon. The phase is one continuing
+computation: each longer span sieves only the samples past the last one on
+the phase's visibility timeline, and its schedule resumes after its last
+epoch, so no sample is sieved and no epoch is scheduled twice.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 from .collective import RingSpec, plan_all_gather, plan_all_reduce
-from .constellation import (LIGHT_SPEED_KM_S, LinkConfig, WalkerConstellation,
+from .constellation import (LIGHT_SPEED_KM_S, LinkConfig, WalkerConstellation, _Timeline,
                             contact_windows, snapshot)
 from .interorbit import build_weighted_graph, parallel_transfer_time, select_disjoint_paths
 from .orchestration import EnergyModel
@@ -225,26 +228,30 @@ def _campaign(config: FederationConfig, constellation: WalkerConstellation,
         """Run a coordinated SGL transfer; returns False when it misses the horizon.
 
         Samples visibility one step past the scheduled span, one epoch first,
-        then twice the span from scratch, until the transfer completes or the
-        span reaches the horizon; each scheduled epoch sees the windows that
-        full-horizon sampling gives it (test_round_matches_full_horizon_sampling).
+        then twice the span, until the transfer completes or the span reaches
+        the horizon. Each doubling extends one visibility timeline by the new
+        samples only and resumes the schedule after its last epoch with the
+        orbits' remaining fractions; each scheduled epoch sees the windows
+        that full-horizon sampling gives it
+        (test_round_matches_full_horizon_sampling).
         """
         if not setup.stations:
             book(phase, config.horizon_seconds)
             return False
         horizon, step = config.horizon_seconds, config.window_step_seconds
         span = config.epoch_seconds
+        timeline, result = _Timeline(), None
         while True:
             sampled = span + step
             if sampled >= horizon:
                 span = sampled = horizon
             windows = contact_windows(
                 constellation, setup.stations, sampled, step=step,
-                link_config=setup.link_config, start=window_start())
+                link_config=setup.link_config, start=window_start(), _timeline=timeline)
             result = schedule_downlink(
                 windows, model_bits_per_orbit, setup.stations, span,
                 epoch_seconds=config.epoch_seconds, start_time=window_start(),
-                orbits=range(P))
+                orbits=range(P), _resume=result)
             if result.complete or span == horizon:
                 break
             span *= 2

@@ -20,6 +20,7 @@ from leoplan import (
     contact_windows,
     snapshot,
 )
+from leoplan import constellation
 
 from oracles import (
     elevation_deg,
@@ -389,6 +390,54 @@ def test_edge_detection_matches_run_length_oracle(spec, stations, altitude, lat,
     want = run_length_windows(walker, stations, horizon, step, 3e6, start=start)
     assert window_key(got) == window_key(want)
     assert all(type(w.start) is float and type(w.end) is float for w in got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=walker_specs(), stations=station_sets(), altitude=altitudes, lat=latitudes,
+       mask=masks, start=st.floats(-1e4, 1e5), step=steps_s, steps=sample_counts,
+       cuts=st.lists(st.floats(0.0, 1.0), max_size=4))
+# A 550 km pass lasts several 100 s steps, so cuts land inside windows.
+@example(spec=ConstellationSpec(4, 6, 550.0, 53.0), stations=(), altitude=None, lat=40.0,
+         mask=10.0, start=0.0, step=100.0, steps=121, cuts=[0.3, 0.6])
+@example(spec=ConstellationSpec(4, 6, 550.0, 53.0), stations=(), altitude=None, lat=40.0,
+         mask=10.0, start=0.0, step=5.0, steps=400, cuts=[])
+def test_extended_timeline_matches_one_sampling(spec, stations, altitude, lat, mask, start,
+                                                step, steps, cuts):
+    """A timeline extended over longer and longer spans gives, after every
+    extension, the windows of one contact_windows call over that span, by
+    .hex(); a window that crosses a cut comes out as one window. Besides the
+    drawn cuts, one cut falls inside each of the first windows of the final
+    span that hold two samples or more."""
+    if altitude is not None:
+        spec = dataclasses.replace(spec, altitude_km=altitude)
+    walker = build_walker(spec)
+    stations = stations + (GroundStation("gs-x", lat, 10.0, min_elevation_deg=mask),)
+    cfg = LinkConfig(sgl_rate_bps=3e6)
+
+    def windows(count, **kw):
+        # count samples: len(np.arange(0.0, count * step * 0.999, step)) == count
+        return contact_windows(walker, stations, count * step * 0.999, step=step,
+                               link_config=cfg, start=start, **kw)
+
+    times = start + np.arange(0.0, steps * step * 0.999, step)
+    crossed = [int(np.searchsorted(times, w.start)) + 1 for w in windows(steps)
+               if w.end - w.start > 1.5 * step][:4]
+    counts = sorted({max(1, round(f * steps)) for f in cuts} | set(crossed) | {steps})
+    timeline = constellation._Timeline()
+    for count in counts:
+        assert window_key(windows(count, _timeline=timeline)) == window_key(windows(count))
+    assert timeline.count == steps
+
+
+def test_a_timeline_extends_only_its_own_grid():
+    walker = build_walker(ConstellationSpec(2, 3, 550.0, 53.0))
+    station = (GroundStation("gs", 10.0, 10.0),)
+    timeline = constellation._Timeline()
+    contact_windows(walker, station, 60.0, step=5.0, _timeline=timeline)
+    for horizon, other in ((120.0, dict(step=4.0)), (120.0, dict(step=5.0, start=1.0)),
+                           (30.0, dict(step=5.0))):
+        with pytest.raises(ValueError, match="only extends the grid it started on"):
+            contact_windows(walker, station, horizon, _timeline=timeline, **other)
 
 
 @settings(max_examples=100, deadline=None)

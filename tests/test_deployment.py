@@ -233,6 +233,22 @@ def test_mdp_rewards_telescope_to_objective():
         assert state.placed() == plan.assignment
 
 
+def test_mdp_states_read_their_actions_off_the_prefix():
+    """A state's placed actions and next index come from its prefix; equality
+    tells apart states that place different actions, and two walks to the
+    same placement give equal states."""
+    inst = two_sat_instance()
+    env = DeploymentMdp(inst)
+    start = env.reset()
+    left, right = (env.step(start, action).state for action in start.actions)
+    assert (left.next_index, left.assignment) == (1, (("a", sat("o0s0")),))
+    assert right.assignment == (("a", sat("o0s1")),)
+    assert left != right and left != start
+    assert left == env.step(env.reset(), start.actions[0]).state
+    assert hash(left) == hash(env.step(env.reset(), start.actions[0]).state)
+    assert left.assignment[0] is start.actions[0]  # the env's pair, not a copy
+
+
 def test_mdp_step_errors():
     inst = two_sat_instance(tasks=[chain_task(["a", "b"], mem=4.0)])
     env = DeploymentMdp(inst)

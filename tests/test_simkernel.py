@@ -2,6 +2,7 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from leoplan import (
     simulate_fine_tuning,
     simulate_round,
 )
-from leoplan import simkernel
+from leoplan import constellation, sgl_flow, simkernel
 from leoplan.constellation import LIGHT_SPEED_KM_S
 from leoplan.simkernel import PHASES
 
@@ -299,15 +300,48 @@ def test_bounded_sampling_schedules_the_full_horizon_prefix(
     assert epoch_rows(bounded) == epoch_rows(full)[:int(span // epoch_seconds)]
 
 
+@settings(max_examples=50, deadline=None)
+@given(spec=walker_specs(), stations=station_sets(), start=st.floats(-1e4, 1e5),
+       step=st.floats(0.5, 200.0), epoch_seconds=st.floats(20.0, 120.0),
+       doublings=st.integers(0, 5), sgl_rate=st.floats(1e2, 1e5),
+       model_bits=st.floats(1e3, 1e6))
+def test_resumed_schedule_matches_one_schedule(spec, stations, start, step, epoch_seconds,
+                                               doublings, sgl_rate, model_bits):
+    """Doubling a span on one timeline and resuming each schedule from the
+    last gives, at every span, the epochs of one from-scratch sampling and
+    schedule of that span, by .hex()."""
+    walker = build_walker(spec)
+    cfg = LinkConfig(sgl_rate_bps=sgl_rate)
+    orbits = range(spec.num_orbits)
+
+    def schedule(span, **kw):
+        windows = contact_windows(walker, stations, span + step, step=step, link_config=cfg,
+                                  start=start, **{k: v for k, v in kw.items() if k == "_timeline"})
+        return schedule_downlink(windows, model_bits, stations, span,
+                                 epoch_seconds=epoch_seconds, start_time=start, orbits=orbits,
+                                 **{k: v for k, v in kw.items() if k == "_resume"})
+
+    timeline, resumed = constellation._Timeline(), None
+    for k in range(doublings + 1):
+        span = epoch_seconds * 2 ** k
+        resumed = schedule(span, _timeline=timeline, _resume=resumed)
+        want = schedule(span)
+        assert hexed(epoch_rows(resumed)) == hexed(epoch_rows(want))
+        assert hexed(resumed.state.remaining) == hexed(want.state.remaining)
+        assert resumed.complete == want.complete
+
+
 def full_horizon_round(mp, config, *args, **kwargs):
     """simulate_round with every ground phase sampled and scheduled over the
-    whole horizon, as one contact_windows call per phase would."""
+    whole horizon from scratch, as one contact_windows and one
+    schedule_downlink call per phase would: the phase's timeline and the
+    schedule it resumes are dropped."""
     real_windows, real_schedule = simkernel.contact_windows, simkernel.schedule_downlink
     mp.setattr(simkernel, "contact_windows",
-               lambda walker, stations, horizon, **kw:
+               lambda walker, stations, horizon, _timeline=None, **kw:
                real_windows(walker, stations, config.horizon_seconds, **kw))
     mp.setattr(simkernel, "schedule_downlink",
-               lambda windows, bits, stations, horizon, **kw:
+               lambda windows, bits, stations, horizon, _resume=None, **kw:
                real_schedule(windows, bits, stations, config.horizon_seconds, **kw))
     return simulate_round(config, *args, **kwargs)
 
@@ -374,6 +408,63 @@ def test_demo_samples_a_tenth_of_the_full_horizon(monkeypatch):
     assert agg.complete
     assert len(sampled) >= 40
     assert sum(sampled) < 40 * scn.federation.horizon_seconds / 10
+
+
+def test_demo_phases_sieve_each_sample_and_schedule_each_epoch_once(monkeypatch):
+    """Guard: within one ground-link phase of the demo campaign no sample is
+    sieved twice and no epoch reaches max_flow twice; the campaign runs
+    max_flow once per non-empty epoch of the phases' final schedules."""
+    scn = parse_scenario(REPO / "scenarios" / "demo_walker6.json")
+    setup = SimulationSetup(stations=scn.ground_stations, link_config=scn.link_config,
+                            compute=scn.compute, energy=scn.energy)
+    sieved = {}  # timeline -> sample times sieved, in call order
+    grids = {}  # timeline -> the sample times of its last call
+    phases = []  # per phase, the schedules of its calls
+    flows = [0]
+    current = [None]
+    real_sieve, real_flow = constellation._visible_samples, sgl_flow.max_flow
+    real_windows, real_schedule = simkernel.contact_windows, simkernel.schedule_downlink
+
+    def sieve(walker, stations, times):
+        sieved.setdefault(current[0], []).append(times)
+        return real_sieve(walker, stations, times)
+
+    def windows(*args, _timeline, **kw):
+        current[0] = _timeline
+        grids[_timeline] = kw["start"] + np.arange(0.0, args[2], kw["step"])
+        return real_windows(*args, _timeline=_timeline, **kw)
+
+    def max_flow(network):
+        flows[0] += 1
+        return real_flow(network)
+
+    def schedule(*args, _resume, **kw):
+        before = flows[0]
+        result = real_schedule(*args, _resume=_resume, **kw)
+        done = [] if _resume is None else _resume.epochs
+        new = result.epochs[len(done):]
+        assert result.epochs[:len(done)] == done  # the resumed epochs are kept, not redone
+        assert [e.epoch_index for e in new] == list(range(len(done), len(result.epochs)))
+        assert flows[0] - before == sum(1 for e in new if e.assignment.flows)
+        if _resume is None:
+            phases.append([])
+        phases[-1].append(result)
+        return result
+
+    monkeypatch.setattr(constellation, "_visible_samples", sieve)
+    monkeypatch.setattr(sgl_flow, "max_flow", max_flow)
+    monkeypatch.setattr(simkernel, "contact_windows", windows)
+    monkeypatch.setattr(simkernel, "schedule_downlink", schedule)
+    _, agg = simulate_fine_tuning(scn.federation, build_walker(scn.constellation),
+                                  scn.workload, setup)
+    assert agg.complete
+    assert len(phases) == len(sieved) == 4 * scn.federation.rounds
+    assert sum(len(calls) > 1 for calls in phases) > 0  # some phase extends its span
+    for timeline, blocks in sieved.items():
+        # Each sample of the phase's final grid sieved once, in order.
+        assert np.array_equal(np.concatenate(blocks), grids[timeline])
+    assert flows[0] == sum(1 for calls in phases for e in calls[-1].epochs
+                           if e.assignment.flows)
 
 
 def hexed(value):
