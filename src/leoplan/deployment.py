@@ -274,21 +274,22 @@ def solve_greedy(instance: DeploymentInstance) -> DeploymentPlan:
     return DeploymentPlan(_assignment(instance, prefix.hosts), True, prefix.objective, "greedy")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MdpState:
     """A placed prefix of instance.order, with its feasible next actions.
 
     table is the environment's action table, shared by all its states: per
     position of instance.order, the (service, satellite id) action of every
-    candidate. The placed actions are read off the prefix through it, and two
-    states are equal when their placed actions, objective and flags are.
+    candidate. The placed actions are read off the prefix through it. The
+    feasible actions follow from the prefix, so they take no part in
+    equality.
     """
 
     prefix: _Prefix = field(repr=False)
     done: bool
     dead_end: bool
-    actions: tuple = field(repr=False)
-    table: list = field(repr=False)
+    actions: tuple = field(compare=False, repr=False)
+    table: tuple = field(repr=False)
 
     @property
     def next_index(self) -> int:
@@ -311,17 +312,6 @@ class MdpState:
     def placed(self) -> dict:
         return dict(self.assignment)
 
-    def _key(self) -> tuple:
-        return self.assignment, self.objective, self.done, self.dead_end
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MdpState):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
 
 @dataclass(frozen=True)
 class MdpTransition:
@@ -340,8 +330,8 @@ class DeploymentMdp:
         # Per position in instance.order, the (service, satellite) action of
         # every candidate; feasible action tuples and every state's placed
         # actions share these pairs.
-        self._actions = [tuple((sid, sat.id) for sat in instance.satellites)
-                         for sid in instance.order]
+        self._actions = tuple(tuple((sid, sat.id) for sat in instance.satellites)
+                              for sid in instance.order)
 
     def reset(self) -> MdpState:
         prefix = self.instance._empty_prefix
@@ -361,7 +351,7 @@ class DeploymentMdp:
             raise ValueError(f"action {action} is not feasible; feasible: {list(state.actions)}")
         inst = self.instance
         prefix = _place(inst, state.prefix, inst.sat_index[action[1]])
-        reward = -(prefix.objective - state.objective)
+        reward = -(prefix.objective - state.prefix.objective)
         done = len(prefix.hosts) == len(inst.order)
         actions = self._feasible(prefix, done)
         dead_end = not done and not actions
@@ -390,13 +380,13 @@ def action_features(env: DeploymentMdp, state: MdpState, action) -> np.ndarray:
     run = svc.flops / sat.throughput_flops / compute_scale
 
     grown = _place(inst, state.prefix, j)
-    delta = (grown.objective - state.objective) / obj_scale
+    delta = (grown.objective - state.prefix.objective) / obj_scale
 
     capacity = sat.memory_bytes
     residual = grown.free[j] / capacity if capacity else 0.0
 
     hosts = state.prefix.hosts
-    preds = [q for _, row in inst._rows[state.next_index] for _, q, _ in row]
+    preds = [q for _, row in inst._rows[len(hosts)] for _, q, _ in row]
     colocated = sum(1 for q in preds if hosts[q] == j) / len(preds) if preds else 0.0
     return np.array([1.0, run, delta, residual, colocated])
 
