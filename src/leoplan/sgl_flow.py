@@ -207,9 +207,10 @@ def schedule_downlink(
         orbits: orbits holding a model; defaults to the orbits seen in windows.
         _resume: the result of an earlier call with the same model_bits,
             stations, epoch_seconds, start_time and orbits over a shorter
-            horizon, whose windows were these windows cut short after its
-            last epoch. Scheduling continues from its next epoch with its
-            remaining fractions, and the result starts with its epochs.
+            horizon, whose windows gave its epochs what these windows give
+            them (windows sampled one step past its horizon do). Scheduling
+            continues from its next epoch with its remaining fractions, and
+            the result starts with its epochs.
 
     Returns:
         DownlinkResult with one EpochFlow per elapsed epoch (epochs with no
