@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .graph import _total
+
 
 class Phase(str, Enum):
     REDUCE_SCATTER = "reduce_scatter"
@@ -134,7 +136,7 @@ def _schedule_time(schedule: RingSchedule) -> float:
         t = st.block_bits / schedule.link_rates[st.sender]
         if t > durations.get(st.step_index, 0.0):
             durations[st.step_index] = t
-    return sum(durations.values())
+    return _total(durations.values())
 
 
 def execute(schedule: RingSchedule, initial_contents):

@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constellation import SatelliteId, TopologySnapshot
-from .graph import topological_order
+from .graph import _total, topological_order
 from .interorbit import all_pairs_shortest, build_weighted_graph
 
 EXACT_MAX_SATELLITES = 6
@@ -138,13 +138,6 @@ def _merged_topological_order(tasks) -> list:
     if len(order) != len(nodes):
         raise ValueError("task union contains a dependency cycle")
     return order
-
-
-def _total(bests) -> float:
-    total = 0.0
-    for best in bests:  # in task order; sum() compensates from Python 3.12
-        total += best
-    return total
 
 
 class _Prefix(NamedTuple):
@@ -292,10 +285,6 @@ class MdpState:
     table: tuple = field(repr=False)
 
     @property
-    def next_index(self) -> int:
-        return len(self.prefix.hosts)
-
-    @property
     def assignment(self) -> tuple:
         """The placed (service, satellite id) actions, in placement order."""
         return tuple(self.table[p][j] for p, j in enumerate(self.prefix.hosts))
@@ -303,11 +292,6 @@ class MdpState:
     @property
     def objective(self) -> float:
         return self.prefix.objective
-
-    @property
-    def residual_memory(self) -> tuple:
-        """Each candidate's free memory after the placed services."""
-        return self.prefix.free
 
     def placed(self) -> dict:
         return dict(self.assignment)
@@ -365,7 +349,7 @@ def _feature_scales(inst: DeploymentInstance):
     """(compute, objective) divisors that bring action features to order one."""
     min_thr = min(s.throughput_flops for s in inst.satellites)
     compute = max((svc.flops for svc in inst.services.values()), default=1.0) / min_thr
-    total = sum(svc.flops for svc in inst.services.values()) / min_thr
+    total = _total(svc.flops for svc in inst.services.values()) / min_thr
     return max(compute, 1e-12), max(total, 1e-12)
 
 

@@ -26,6 +26,8 @@ on the destinations after k, over the finite span of row k and column k only
 pivot columns, so replay_columns finishes column j with iterations
 k = j+1 .. n-1. Together they equal the textbook whole-matrix algorithm bit
 for bit, tie-breaks included (test_all_pairs_matches_whole_matrix_reference).
+
+_total is the one float sum of every total that reaches an output.
 """
 
 from __future__ import annotations
@@ -36,11 +38,6 @@ import math
 from functools import cached_property
 
 import numpy as np
-
-# Destination rows relaxed per step of the Floyd-Warshall loop. It bounds
-# the scratch buffers, so one step's working set stays in cache at shell
-# sizes instead of streaming whole n x n temporaries.
-_ROW_BLOCK = 128
 
 
 class Topology:
@@ -156,26 +153,17 @@ def pivot_columns(graph: Topology):
     k = 0 .. n-1 in place over the finite spans, relaxing only the
     destinations after k (see the module docstring)."""
     dist, nxt = _initial(graph)
-    n = len(dist)
-    buf = np.empty(min(n, _ROW_BLOCK) * n)
-    mask = np.empty(buf.shape, dtype=bool)
-    for k in range(n):
-        lo = k + 1
-        first, stop = _finite_span(dist[lo:, k])
-        if first == stop:
+    for k in range(len(dist)):
+        r0, r1 = _finite_span(dist[k + 1:, k])
+        if r0 == r1:
             continue
+        r0, r1 = r0 + k + 1, r1 + k + 1
         c0, c1 = _finite_span(dist[k])
-        via_k = dist[k, c0:c1]
-        hop_k = nxt[k, c0:c1]
-        for r in range(lo + first, lo + stop, _ROW_BLOCK):
-            r1 = min(r + _ROW_BLOCK, lo + stop)
-            d = dist[r:r1, c0:c1]
-            a = buf[:d.size].reshape(d.shape)
-            b = mask[:d.size].reshape(d.shape)
-            np.add(dist[r:r1, k, None], via_k, out=a)
-            np.less(a, d, out=b)
-            np.copyto(d, a, where=b)
-            np.copyto(nxt[r:r1, c0:c1], hop_k, where=b)
+        d = dist[r0:r1, c0:c1]
+        via = dist[r0:r1, k, None] + dist[k, c0:c1]
+        better = via < d
+        np.copyto(d, via, where=better)
+        np.copyto(nxt[r0:r1, c0:c1], nxt[k, c0:c1], where=better)
     return dist, nxt
 
 
@@ -186,16 +174,23 @@ def replay_columns(dist, nxt, js):
     over k (iteration j changes nothing); the rows due at k are the prefix
     with j < k, and a row infinitely far from k keeps every entry."""
     cols, hops = dist[js], nxt[js]
-    alt = np.empty(cols.shape)
-    better = np.empty(cols.shape, dtype=bool)
     for k in range(js[0] + 1, dist.shape[1]):
-        m = bisect.bisect_left(js, k)
-        c, a, b = cols[:m], alt[:m], better[:m]
-        np.add(dist[k], c[:, k, None], out=a)
-        np.less(a, c, out=b)
-        np.copyto(c, a, where=b)
-        np.copyto(hops[:m], nxt[k], where=b)
+        c = cols[:bisect.bisect_left(js, k)]
+        via = dist[k] + c[:, k, None]
+        better = via < c
+        np.copyto(c, via, where=better)
+        np.copyto(hops[:len(c)], nxt[k], where=better)
     return cols, hops
+
+
+def _total(values) -> float:
+    """Float sum of values from left to right. Every float total that reaches
+    an output goes through it: builtin sum() compensates float sums from
+    Python 3.12 on, so it would give other bits on other interpreters."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def topological_order(nodes, edges) -> list:

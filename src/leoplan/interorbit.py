@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import SatelliteId, TopologySnapshot
-from .graph import Topology, dijkstra, path_edges, pivot_columns, replay_columns
+from .graph import Topology, _total, dijkstra, path_edges, pivot_columns, replay_columns
 
 
 def snapshot_edges(snapshot: TopologySnapshot, include_ground: bool = False):
@@ -99,7 +99,7 @@ class ShortestPaths:
             g = self.graph
             edges = [g.edge(a, b) for a, b in zip(hops, hops[1:])]
             self._metrics[(i, j)] = (min(g.capacities[e] for e in edges),
-                                     sum(g.propagation[e] for e in edges))
+                                     _total(g.propagation[e] for e in edges))
         bottleneck, prop = self._metrics[(i, j)]
         return bits / bottleneck + prop
 
@@ -164,4 +164,4 @@ def parallel_transfer_time(paths: PathSet, payload_bits: float) -> float:
         raise ValueError("payload_bits must be nonnegative")
     if len(paths) == 0:
         raise ValueError("no paths available: orbits unreachable")
-    return payload_bits / sum(paths.bottlenecks)
+    return payload_bits / _total(paths.bottlenecks)

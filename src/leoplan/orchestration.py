@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import TopologySnapshot, node_key
-from .graph import Topology, dijkstra, path_edges, pivot_columns, reachable, replay_columns
+from .graph import (Topology, _total, dijkstra, path_edges, pivot_columns, reachable,
+                    replay_columns)
 from .interorbit import snapshot_edges
 from .msdag import ServiceDag
 
@@ -143,7 +144,7 @@ def dst_heuristic(graph: Topology, instance: SteinerInstance) -> SteinerTree:
         ends += [] if i is None else [i]
     edges, pick = _tree_edges(graph, prev, ends)
     # Summed over the label set, in its iteration order.
-    return SteinerTree(frozenset(edges), sum((graph.weights[pick[e]] for e in edges), 0.0))
+    return SteinerTree(frozenset(edges), _total(graph.weights[pick[e]] for e in edges))
 
 
 def dst_exact(graph: Topology, instance: SteinerInstance) -> SteinerTree:
@@ -235,7 +236,7 @@ def dst_exact(graph: Topology, instance: SteinerInstance) -> SteinerTree:
 
     unwind(full, root_i)
     tree_edges = _prune_to_tree(graph, edges, instance)
-    pruned_total = sum(graph.weights[graph.edges[e]] for e in tree_edges)
+    pruned_total = _total(graph.weights[graph.edges[e]] for e in tree_edges)
     if pruned_total > total + 1e-9:
         raise AssertionError("reconstruction produced a costlier tree than the DP value")
     # Pruning duplicates can only tie the optimum; report the edge-consistent sum.

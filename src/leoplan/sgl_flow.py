@@ -35,9 +35,18 @@ import bisect
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from enum import Enum
 
-SOURCE = "source"
-SINK = "sink"
+
+class _Terminal(Enum):
+    """The virtual source and sink. Without a str mixin they equal no station
+    id, so a station named "source" or "sink" stays a station."""
+
+    SOURCE = "source"
+    SINK = "sink"
+
+
+SOURCE, SINK = _Terminal.SOURCE, _Terminal.SINK
 FLOW_TOL = 1e-9
 
 
@@ -191,8 +200,8 @@ def schedule_downlink(
     horizon: float,
     epoch_seconds: float = 60.0,
     start_time: float = 0.0,
-    orbits=None,
     *,
+    orbits,
     _resume: DownlinkResult | None = None,
 ) -> DownlinkResult:
     """Drive per-epoch max-flow rounds until every orbit's full model is down.
@@ -204,7 +213,8 @@ def schedule_downlink(
         horizon: scheduling stops start_time + horizon seconds in, complete or not.
         epoch_seconds: epoch granularity; a window contributes capacity in
             proportion to its overlap with each epoch.
-        orbits: orbits holding a model; defaults to the orbits seen in windows.
+        orbits: orbits holding a model, each with one to deliver; an orbit
+            that never sees a station keeps the transfer incomplete.
         _resume: the result of an earlier call with the same model_bits,
             stations, epoch_seconds, start_time and orbits over a shorter
             horizon, whose windows gave its epochs what these windows give
@@ -229,8 +239,6 @@ def schedule_downlink(
         state = DownlinkState(remaining=dict(_resume.state.remaining))
         epochs = list(_resume.epochs)
     else:
-        if orbits is None:
-            orbits = sorted({w.satellite.orbit_index for w in windows})
         state = DownlinkState(remaining={int(o): 1.0 for o in orbits})
         epochs = []
     for st in stations:

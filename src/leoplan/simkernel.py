@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from .collective import RingSpec, plan_all_gather, plan_all_reduce
 from .constellation import (LIGHT_SPEED_KM_S, LinkConfig, WalkerConstellation, _Timeline,
                             contact_windows, snapshot)
+from .graph import _total
 from .interorbit import build_weighted_graph, parallel_transfer_time, select_disjoint_paths
 from .orchestration import EnergyModel
 from .sgl_flow import schedule_downlink
@@ -255,7 +256,7 @@ def _campaign(config: FederationConfig, constellation: WalkerConstellation,
             if result.complete or span == horizon:
                 break
             span *= 2
-        delivered = sum(sum(e.delivered.values()) for e in result.epochs)
+        delivered = _total(_total(e.delivered.values()) for e in result.epochs)
         book(phase, result.epochs_used * config.epoch_seconds if result.complete else horizon,
              delivered * model_bits_per_orbit)
         return result.complete
@@ -316,9 +317,9 @@ def _campaign(config: FederationConfig, constellation: WalkerConstellation,
         flops = {p: 0.0 for p in PHASES}
         now = start_time
         complete = run_phases()
-        energy = per_bit * sum(bits.values()) + setup.energy.e_flop_j * sum(flops.values())
+        energy = per_bit * _total(bits.values()) + setup.energy.e_flop_j * _total(flops.values())
         # Every exit comes after the downlink, so its bits are the ground delivery.
-        traces.append(RoundTrace(r, start_time, seconds, bits, flops, sum(seconds.values()),
+        traces.append(RoundTrace(r, start_time, seconds, bits, flops, _total(seconds.values()),
                                  energy, complete, bits["sgl_down"]))
         start_time = start_time + traces[-1].total_seconds
     return traces
@@ -356,13 +357,13 @@ def simulate_fine_tuning(
     """
     traces = _campaign(config, constellation, workload, setup, config.rounds, 0,
                        constellation.spec.epoch)
-    phase_totals = {p: sum(tr.phase_seconds[p] for tr in traces) for p in PHASES}
+    phase_totals = {p: _total(tr.phase_seconds[p] for tr in traces) for p in PHASES}
     agg = RunAggregate(
         rounds=len(traces),
-        total_seconds=sum(tr.total_seconds for tr in traces),
-        total_bits=sum(sum(tr.phase_bits.values()) for tr in traces),
-        total_flops=sum(sum(tr.phase_flops.values()) for tr in traces),
-        total_energy_joules=sum(tr.energy_joules for tr in traces),
+        total_seconds=_total(tr.total_seconds for tr in traces),
+        total_bits=_total(_total(tr.phase_bits.values()) for tr in traces),
+        total_flops=_total(_total(tr.phase_flops.values()) for tr in traces),
+        total_energy_joules=_total(tr.energy_joules for tr in traces),
         complete=all(tr.complete for tr in traces),
         phase_second_totals=phase_totals,
     )

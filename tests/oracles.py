@@ -27,6 +27,7 @@ FlowNetwork from the library).
 reference_simulate_round is the federated round that validated its inputs
 and planned both ring collectives every round, and
 reference_simulate_fine_tuning chains it round by round.
+compensated_sum is builtin sum() as CPython 3.12 computes it.
 check_feasible is the dict-keyed flow check that max_flow's integer-slot
 check must agree with. station_position and elevation_deg rotate a station
 and measure elevation one sample at a time with math's scalar functions.
@@ -43,6 +44,7 @@ the label-keyed dicts the references take.
 
 from __future__ import annotations
 
+import builtins
 import heapq
 import importlib.util
 import itertools
@@ -673,7 +675,7 @@ def reference_action_features(env, state, action):
     delta = (reference_objective(inst, placed) - state.objective) / obj_scale
 
     capacity = inst.satellites[sat_index].memory_bytes
-    residual = (state.residual_memory[sat_index] - svc.memory_bytes) / capacity if capacity else 0.0
+    residual = (state.prefix.free[sat_index] - svc.memory_bytes) / capacity if capacity else 0.0
 
     preds = [u for dag in inst.tasks for (u, _) in dag.predecessors(sid)]
     hosted_preds = [u for u in preds if u in dict(state.assignment)]
@@ -1110,6 +1112,32 @@ def downlink_timelines(draw):
     return {"windows": windows, "stations": stations, "start_time": start_time,
             "horizon": horizon, "epoch_seconds": epoch, "orbits": sorted(orbits),
             "model_bits": 1e7 * epoch * draw(st.floats(0.05, 4.0))}
+
+
+def compensated_sum(iterable, start=0):
+    """builtins.sum as CPython 3.12 computes it: exact on ints, and once the
+    running total is an exact float, Neumaier-compensated over exact float
+    items (a machine-size int is added plainly, anything else by +)."""
+    it = iter(iterable)
+    total = start
+    if type(total) is not float:
+        for item in it:
+            total = total + item
+            if type(item) not in (int, bool):
+                break
+        if type(total) is not float:
+            return builtins.sum(it, total)
+    f, c = total, 0.0
+    for item in it:
+        if type(item) in (int, bool) and abs(item) < 2**63:
+            f += float(item)
+        elif type(item) is float:
+            t = f + item
+            c += (f - t) + item if abs(f) >= abs(item) else (item - t) + f
+            f = t
+        else:
+            return builtins.sum(it, f + c + item)
+    return f + c if c and math.isfinite(c) else f
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

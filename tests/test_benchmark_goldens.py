@@ -13,10 +13,11 @@ it, as a --trace 1 run does. The perfbench files are only read.
 """
 
 import json
+import sys
 
 import pytest
 
-from oracles import PERFBENCH, perfbench_module
+from oracles import PERFBENCH, compensated_sum, perfbench_module
 
 GOLDENS = json.loads((PERFBENCH / "goldens.json").read_text(encoding="utf-8"))
 CASES = [(name, seed) for name in sorted(GOLDENS) for seed in sorted(GOLDENS[name], key=int)]
@@ -46,3 +47,23 @@ def test_a_traced_op_reaches_every_expected_layer(name):
     calls = tracer.total_calls()
     assert [layer for layer in layers.EXPECTED_LAYERS[name] if not calls.get(layer)] == []
     assert workload.check(result) == []
+
+
+def test_outputs_hold_under_the_compensated_sum_of_python_3_12(monkeypatch):
+    """From Python 3.12 builtin sum() compensates float sums, so every float
+    total that reaches an output must add left to right on its own. With
+    3.12's sum in every leoplan module, ops whose outputs hold such totals
+    (a campaign's seconds and energy, ring and route times, placement and
+    tree objectives) keep their recorded digests."""
+    assert compensated_sum([0.1] * 10) == 1.0 and compensated_sum([2, 3]) == 5
+    for name, module in list(sys.modules.items()):
+        if name == "leoplan" or name.startswith("leoplan."):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    workloads = perfbench_module("workloads")
+    moved = []
+    for name, op_index in [("fed_ground", 0), ("shell_plan", 0), ("desk_solvers", 2)]:
+        workload = workloads.WORKLOADS[name]
+        result = workload.run(workload.make_input(0, op_index))
+        if workloads.output_digest(workload, result) != GOLDENS[name]["0"][op_index]:
+            moved.append(name)
+    assert moved == []

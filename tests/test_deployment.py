@@ -210,8 +210,8 @@ def test_mdp_reset_and_feasible_actions():
     inst = two_sat_instance()
     env = DeploymentMdp(inst)
     state = env.reset()
-    assert state.next_index == 0 and not state.done
-    assert state.residual_memory == (10.0, 10.0)
+    assert state.prefix.hosts == () and not state.done
+    assert state.prefix.free == (10.0, 10.0)
     assert state.actions == (("a", sat("o0s0")), ("a", sat("o0s1")))
 
 
@@ -241,7 +241,7 @@ def test_mdp_states_read_their_actions_off_the_prefix():
     env = DeploymentMdp(inst)
     start = env.reset()
     left, right = (env.step(start, action).state for action in start.actions)
-    assert (left.next_index, left.assignment) == (1, (("a", sat("o0s0")),))
+    assert (len(left.prefix.hosts), left.assignment) == (1, (("a", sat("o0s0")),))
     assert right.assignment == (("a", sat("o0s1")),)
     assert left != right and left != start
     assert left == env.step(env.reset(), start.actions[0]).state
@@ -516,9 +516,9 @@ def test_plan_from_policy_is_the_stepwise_greedy_decode(seed, sharing):
     while True:
         actions = state.actions
         if not state.done:
-            sid = inst.order[state.next_index]
+            sid = inst.order[len(state.prefix.hosts)]
             assert actions == tuple((sid, s.id) for s, res in zip(inst.satellites,
-                                                                 state.residual_memory)
+                                                                 state.prefix.free)
                                     if reference_fits(inst, sid, s, res))
         if state.done or not actions:
             break

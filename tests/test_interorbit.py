@@ -195,8 +195,9 @@ def assert_same_routes(g, sources):
        weights=st.sampled_from(["rate", "tied", "energy"]))
 @example(seed=12, out_degree=3.0, isolated_share=0.1, weights="energy")
 def test_all_pairs_matches_whole_matrix_reference(n, seed, out_degree, isolated_share, weights):
-    """Sizes straddle the 128-row block, so the last block can be partial.
-    Energy weights include free (0.0) edges, as Steiner graphs have them."""
+    """Sizes run from one node to 261, so a pivot's finite spans range from
+    empty to hundreds of rows and columns. Energy weights include free (0.0)
+    edges, as Steiner graphs have them."""
     rng = np.random.default_rng(seed)
     g = random_sparse_digraph(rng, n, out_degree, isolated_share, weights)
     assert_same_routes(g, sources=range(n))

@@ -162,7 +162,7 @@ def test_schedule_downlink_network_layering(monkeypatch):
         return max_flow(net)
 
     monkeypatch.setattr(sgl_flow, "max_flow", recorded)
-    schedule_downlink(windows, model, stations, horizon=60.0)
+    schedule_downlink(windows, model, stations, horizon=60.0, orbits=[0, 1])
     (net,) = nets
     assert list(net.capacity) == [
         (SOURCE, s00), (SOURCE, s01), (SOURCE, s10),
@@ -178,7 +178,8 @@ def test_schedule_downlink_network_layering(monkeypatch):
 def test_schedule_downlink_unknown_station():
     windows = [ContactWindow(SatelliteId(2, 0), "gs-x", 0.0, 60.0, 1e6)]
     with pytest.raises(ValueError, match="window references unknown station 'gs-x'"):
-        schedule_downlink(windows, 1e8, (GroundStation("gs", 0.0, 0.0),), horizon=60.0)
+        schedule_downlink(windows, 1e8, (GroundStation("gs", 0.0, 0.0),), horizon=60.0,
+                          orbits=[2])
 
 
 @pytest.mark.parametrize("stray", [
@@ -205,7 +206,7 @@ def test_schedule_downlink_rejects_bad_capacity(field, bad):
     windows = [ContactWindow(SatelliteId(0, 0), "gs", 0.0, 600.0, rate)]
     stations = (GroundStation("gs", 0.0, 0.0, dedicated_rate_bps=dedicated),)
     with pytest.raises(ValueError, match="capacity must be nonnegative and finite, got"):
-        schedule_downlink(windows, 1.2e9, stations, horizon=600.0)
+        schedule_downlink(windows, 1.2e9, stations, horizon=600.0, orbits=[0])
     # The same rate on a window, or on the station of a window, that goes live
     # only after its orbit has finished; orbit 1 keeps the sweep running.
     windows = [ContactWindow(SatelliteId(0, 0), "gs", 0.0, 60.0, 1e9),
@@ -216,12 +217,26 @@ def test_schedule_downlink_rejects_bad_capacity(field, bad):
         schedule_downlink(windows, 1.2e9, stations, horizon=600.0, orbits=[0, 1])
 
 
+@pytest.mark.parametrize("station", ["source", "sink"])
+def test_stations_named_like_the_virtual_terminals_stay_stations(station):
+    """A station id equal to the name of the flow network's source or sink is
+    an ordinary station: its dedicated link caps each epoch at 0.5 model, as
+    it does under any other id."""
+    def delivered(gs):
+        windows = [ContactWindow(SatelliteId(0, 0), gs, 0.0, 60.0, 1e6)]
+        stations = (GroundStation(gs, 0.0, 0.0, dedicated_rate_bps=1e3),)
+        res = schedule_downlink(windows, 1.2e5, stations, horizon=60.0, orbits=[0])
+        return res.epochs[0].delivered, res.state.remaining
+
+    assert delivered(station) == delivered("gs") == ({0: 0.5}, {0: 0.5})
+
+
 def test_schedule_downlink_two_epochs():
     # One satellite, rate 1e7, model 1.2e9: each 60 s epoch moves half the model.
     s = SatelliteId(0, 0)
     windows = [ContactWindow(s, "gs", 0.0, 600.0, 1e7)]
     stations = (GroundStation("gs", 0.0, 0.0, dedicated_rate_bps=1e9),)
-    res = schedule_downlink(windows, 1.2e9, stations, horizon=600.0)
+    res = schedule_downlink(windows, 1.2e9, stations, horizon=600.0, orbits=[0])
     assert res.complete
     assert res.epochs_used == 2
     assert abs(res.epochs[0].delivered[0] - 0.5) < 1e-12
@@ -239,7 +254,7 @@ def test_schedule_downlink_partial_window_overlap():
     s = SatelliteId(0, 0)
     windows = [ContactWindow(s, "gs", 30.0, 60.0, 1e7)]
     stations = (GroundStation("gs", 0.0, 0.0),)
-    res = schedule_downlink(windows, 1.2e9, stations, horizon=60.0)
+    res = schedule_downlink(windows, 1.2e9, stations, horizon=60.0, orbits=[0])
     assert not res.complete
     assert abs(res.epochs[0].delivered[0] - 0.25) < 1e-12
 
@@ -248,7 +263,7 @@ def test_schedule_downlink_counts_idle_epochs():
     s = SatelliteId(0, 0)
     windows = [ContactWindow(s, "gs", 120.0, 240.0, 1e7)]
     stations = (GroundStation("gs", 0.0, 0.0),)
-    res = schedule_downlink(windows, 6e8, stations, horizon=600.0)
+    res = schedule_downlink(windows, 6e8, stations, horizon=600.0, orbits=[0])
     assert res.complete
     assert res.epochs_used == 3  # epochs 0-1 idle, epoch 2 finishes at t=180
     assert res.epochs[0].delivered == {0: 0.0}
@@ -262,7 +277,7 @@ def test_schedule_downlink_dedicated_bottleneck():
     windows = [ContactWindow(s0, "gs", 0.0, 600.0, 1e7),
                ContactWindow(s1, "gs", 0.0, 600.0, 1e7)]
     stations = (GroundStation("gs", 0.0, 0.0, dedicated_rate_bps=1.2e7),)
-    res = schedule_downlink(windows, 1.2e9, stations, horizon=600.0)
+    res = schedule_downlink(windows, 1.2e9, stations, horizon=600.0, orbits=[0, 1])
     assert abs(sum(res.epochs[0].delivered.values()) - 0.6) < 1e-12
     assert res.complete
     assert res.epochs_used == 4
@@ -279,7 +294,7 @@ def test_schedule_downlink_orbit_cap_is_per_satellite():
                ContactWindow(s1, "gs-b", 0.0, 600.0, 1e9)]
     stations = (GroundStation("gs-a", 0.0, 0.0, dedicated_rate_bps=10e9),
                 GroundStation("gs-b", 0.0, 90.0, dedicated_rate_bps=10e9))
-    res = schedule_downlink(windows, 1.2e9, stations, horizon=600.0)
+    res = schedule_downlink(windows, 1.2e9, stations, horizon=600.0, orbits=[0])
     assert res.complete
     assert res.epochs_used == 1
     assert abs(res.epochs[0].delivered[0] - 2.0) < 1e-9
@@ -291,15 +306,17 @@ def test_schedule_downlink_argument_errors():
     windows = [ContactWindow(s, "gs", 0.0, 600.0, 1e7)]
     stations = (GroundStation("gs", 0.0, 0.0),)
     with pytest.raises(ValueError, match="epoch_seconds"):
-        schedule_downlink(windows, 1e9, stations, horizon=600.0, epoch_seconds=0.0)
+        schedule_downlink(windows, 1e9, stations, horizon=600.0, epoch_seconds=0.0,
+                          orbits=[0])
     with pytest.raises(ValueError, match="horizon"):
-        schedule_downlink(windows, 1e9, stations, horizon=0.0)
+        schedule_downlink(windows, 1e9, stations, horizon=0.0, orbits=[0])
     with pytest.raises(ValueError, match="model_bits"):
-        schedule_downlink(windows, 0.0, stations, horizon=600.0)
+        schedule_downlink(windows, 0.0, stations, horizon=600.0, orbits=[0])
     # A NaN start_time would make every window overlap every epoch in full.
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="start_time must be finite"):
-            schedule_downlink(windows, 1e9, stations, horizon=600.0, start_time=bad)
+            schedule_downlink(windows, 1e9, stations, horizon=600.0, start_time=bad,
+                              orbits=[0])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -308,7 +325,8 @@ def test_schedule_downlink_rejects_non_finite(name, value):
     # A NaN or inf model_bits would schedule nothing and report the transfer
     # incomplete.
     windows = [ContactWindow(SatelliteId(0, 0), "gs", 0.0, 600.0, 1e7)]
-    args = {"model_bits": 1e9, "horizon": 600.0, "epoch_seconds": 60.0, name: value}
+    args = {"model_bits": 1e9, "horizon": 600.0, "epoch_seconds": 60.0, "orbits": [0],
+            name: value}
     with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
         schedule_downlink(windows, stations=(GroundStation("gs", 0.0, 0.0),), **args)
 
