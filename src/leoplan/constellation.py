@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,20 +37,17 @@ ISL_KINDS = (LinkKind.INTRA_ORBIT_ISL, LinkKind.INTER_ORBIT_ISL, LinkKind.CROSS_
 _SAT_LABEL = re.compile(r"^o(\d+)s(\d+)$")
 
 
-@dataclass(frozen=True, order=True)
-class SatelliteId:
-    """Identifies a satellite by its orbit (plane) and slot within the plane."""
+class SatelliteId(NamedTuple):
+    """Identifies a satellite by its orbit (plane) and slot within the plane.
+
+    A tuple, so ids sort by (orbit, slot), equal the plain tuple (orbit, slot)
+    and hash as hash((orbit, slot)) in C. Outputs depend on that hash: set
+    and dict orders follow it, and dst_heuristic sums its energy over a set
+    of id pairs, so its bits do too.
+    """
 
     orbit_index: int
     slot_index: int
-
-    def __post_init__(self) -> None:
-        # The planners key dicts and sets by satellite, so the dataclass hash,
-        # hash((orbit_index, slot_index)), is computed once and kept.
-        object.__setattr__(self, "_hash", hash((self.orbit_index, self.slot_index)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def label(self) -> str:
@@ -140,7 +138,6 @@ class Link:
     endpoints: tuple
     rate_bps: float
     propagation_delay_s: float
-    available: bool = True
 
 
 @dataclass(frozen=True)
@@ -158,13 +155,13 @@ class TopologySnapshot:
     def numbered(self) -> tuple:
         """(nodes, satellites, table), read by every graph over the snapshot:
         each node once in node_key order, the first `satellites` of them the
-        satellites, and per available link, in link order, the row (end
-        index, end index, 1.0 for an ISL else 0.0, rate, delay)."""
-        live = [l for l in self.links if l.available]
-        nodes = sorted({*self.positions, *(v for l in live for v in l.endpoints)}, key=node_key)
+        satellites, and per link, in link order, the row (end index, end
+        index, 1.0 for an ISL else 0.0, rate, delay)."""
+        nodes = sorted({*self.positions, *(v for l in self.links for v in l.endpoints)},
+                       key=node_key)
         index = {v: i for i, v in enumerate(nodes)}
         rows = [(index[a], index[b], l.kind in ISL_KINDS, l.rate_bps, l.propagation_delay_s)
-                for l in live for a, b in [l.endpoints]]
+                for l in self.links for a, b in [l.endpoints]]
         table = np.fromiter(itertools.chain.from_iterable(rows), float, 5 * len(rows))
         return nodes, sum(isinstance(v, SatelliteId) for v in nodes), table.reshape(-1, 5)
 

@@ -32,7 +32,7 @@ def snapshot_edges(snapshot: TopologySnapshot, include_ground: bool = False):
 
 
 def build_weighted_graph(snapshot: TopologySnapshot, include_ground: bool = False) -> Topology:
-    """One pair of directed edges per available link, weighted by 1/rate.
+    """One pair of directed edges per link, weighted by 1/rate.
 
     By default only ISLs enter the graph; include_ground adds SGL and ground
     dedicated links so paths may run down to stations and the cloud.
@@ -50,7 +50,8 @@ class ShortestPaths:
     graph.pivot_columns over the graph's weights; ``column(j)`` replays
     destination j's Floyd-Warshall column once, all the given destinations
     together on the first request for one (see leoplan.graph for the
-    tie-break). ``path`` follows a column's next hops.
+    tie-break). ``hops`` follows a column's next hops. Every planner reads
+    its Floyd-Warshall routes through this class.
     """
 
     def __init__(self, graph: Topology, destinations=()):
@@ -72,7 +73,9 @@ class ShortestPaths:
             self._due = [] if js is self._due else self._due
         return self._columns[j]
 
-    def _hops(self, i: int, j: int) -> list | None:
+    def hops(self, i: int, j: int) -> list | None:
+        """Node indices of the kept path from i to j, both included; None
+        when j is unreachable from i."""
         hop = self.column(j)[1]
         if hop[i] < 0:
             return None
@@ -82,7 +85,7 @@ class ShortestPaths:
         return hops
 
     def path(self, u, v) -> list | None:
-        hops = self._hops(self.index[u], self.index[v])
+        hops = self.hops(self.index[u], self.index[v])
         return None if hops is None else [self.nodes[h] for h in hops]
 
     def transfer_at(self, i: int, j: int, bits: float) -> float:
@@ -92,7 +95,7 @@ class ShortestPaths:
         if i == j:
             return 0.0
         if (i, j) not in self._metrics:
-            hops = self._hops(i, j)
+            hops = self.hops(i, j)
             if hops is None:
                 raise ValueError(f"no route from {self.nodes[i]} to {self.nodes[j]}: "
                                  "hosts not connected in the snapshot")

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import TopologySnapshot, node_key
-from .graph import (Topology, _total, dijkstra, path_edges, pivot_columns, reachable,
-                    replay_columns)
-from .interorbit import snapshot_edges
+from .graph import Topology, _total, dijkstra, path_edges, reachable
+from .interorbit import ShortestPaths, snapshot_edges
 from .msdag import ServiceDag
 
 EXACT_MAX_TERMINALS = 6
@@ -167,9 +166,8 @@ def dst_exact(graph: Topology, instance: SteinerInstance) -> SteinerTree:
         return SteinerTree(frozenset(), 0.0)
 
     n, index = len(nodes), graph.index
-    # One Floyd-Warshall column per destination j: dist[j][i] is the i -> j
-    # distance and nxt[j][i] the node after i on that path.
-    dist, nxt = (a.tolist() for a in replay_columns(*pivot_columns(graph), list(range(n))))
+    routes = ShortestPaths(graph, range(n))
+    dist = [routes.column(j)[0].tolist() for j in range(n)]  # dist[j][i]: i -> j
 
     for t in terms:
         if dist[index[t]][index[instance.root]] == math.inf:
@@ -219,10 +217,8 @@ def dst_exact(graph: Topology, instance: SteinerInstance) -> SteinerTree:
     edges: set = set()
 
     def expand_path(i: int, j: int) -> None:
-        while i != j:
-            step = nxt[j][i]
-            edges.add((nodes[i], nodes[step]))
-            i = step
+        hops = routes.hops(i, j)
+        edges.update((nodes[a], nodes[b]) for a, b in zip(hops, hops[1:]))
 
     def unwind(mask: int, v: int) -> None:
         if bin(mask).count("1") == 1:

@@ -180,9 +180,11 @@ def parse_scenario(source) -> Scenario:
     constellation = _section(ConstellationSpec, root["constellation"], "constellation")
     link_config = _section(LinkConfig, root.get("links", {}), "links")
 
+    # A station's own dedicated rate wins over the links-level one.
+    rate = {"dedicated_rate_bps": link_config.ground_dedicated_rate_bps}
     raw_stations = _require_list(root.get("ground_stations", []), "ground_stations")
-    stations = tuple(_section(GroundStation, entry, f"ground_stations[{i}]")
-                     for i, entry in enumerate(raw_stations))
+    stations = tuple(_section(GroundStation, {**rate, **_require_mapping(entry, path)}, path)
+                     for i, entry in enumerate(raw_stations) for path in [f"ground_stations[{i}]"])
     if len({s.id for s in stations}) != len(stations):
         raise ScenarioError("ground_stations: duplicate station ids")
 

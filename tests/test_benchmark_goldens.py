@@ -13,8 +13,10 @@ it, as a --trace 1 run does. The perfbench files are only read.
 """
 
 import json
+import math
 import sys
 
+import numpy as np
 import pytest
 
 from oracles import PERFBENCH, compensated_sum, perfbench_module
@@ -67,3 +69,31 @@ def test_outputs_hold_under_the_compensated_sum_of_python_3_12(monkeypatch):
         if workloads.output_digest(workload, result) != GOLDENS[name]["0"][op_index]:
             moved.append(name)
     assert moved == []
+
+
+def test_policy_gradient_outputs_hold_under_libm_exp(monkeypatch):
+    """deployment._softmax takes numpy's exp, whose SIMD loops can differ from
+    libm's exp in the last bits, and which loop runs depends on the CPU. With
+    a per-element math.exp in its place, the desk_solvers outputs (whose
+    policy-gradient plans and returns pass through the softmax) keep their
+    recorded digests, so they do not follow the host's exp."""
+    from leoplan import deployment
+
+    calls = []
+
+    class LibmExp:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def exp(x):
+            calls.append(len(x))
+            return np.array([math.exp(v) for v in x.tolist()])
+
+    monkeypatch.setattr(deployment, "np", LibmExp())
+    workloads = perfbench_module("workloads")
+    workload = workloads.WORKLOADS["desk_solvers"]
+    for op_index, want in enumerate(GOLDENS["desk_solvers"]["0"]):
+        result = workload.run(workload.make_input(0, op_index))
+        assert workloads.output_digest(workload, result) == want, f"op {op_index}"
+    assert calls

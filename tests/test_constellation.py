@@ -46,6 +46,17 @@ def test_satellite_id_labels():
             SatelliteId.parse(bad)
 
 
+@given(st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)), max_size=30))
+def test_satellite_id_hashes_and_sorts_as_its_tuple(pairs):
+    """Set and dict orders, and so every output that follows one (such as
+    the float bits of dst_heuristic's energy sum over a set of id pairs),
+    rest on a SatelliteId hashing as its (orbit, slot) tuple."""
+    ids = [SatelliteId(o, s) for o, s in pairs]
+    assert [hash(i) for i in ids] == [hash(p) for p in pairs]
+    assert [(i.orbit_index, i.slot_index) for i in sorted(ids)] == sorted(pairs)
+    assert [i.label for i in set(ids)] == [f"o{o}s{s}" for o, s in set(pairs)]
+
+
 def test_spec_validation():
     good = ConstellationSpec(6, 11, 550.0, 53.0, phasing_factor=1)
     good.validate()
@@ -153,7 +164,6 @@ def test_intra_orbit_ring_shapes():
     assert pairs == {(0, 1), (1, 2), (2, 3), (3, 0)}
     for l in four.links:
         assert l.rate_bps == 10e9
-        assert l.available
 
 
 def test_inter_orbit_same_slot_pairing():

@@ -19,9 +19,12 @@ from leoplan import (
     SatelliteId,
     ScenarioError,
     WorkloadSpec,
+    build_walker,
+    contact_windows,
     parse_request,
     parse_scenario,
     scenario_digest,
+    schedule_downlink,
     serialize_scenario,
 )
 
@@ -288,6 +291,36 @@ def test_bundled_scenarios_parse():
     assert len(shared.active_tasks) == 2
     assert shared.deployment_satellites is not None
     assert scenario_digest(parse_scenario(serialize_scenario(shared))) == scenario_digest(shared)
+
+
+def _head_downlink_epochs(scn) -> int:
+    """Epochs the head payload takes to reach the ground, as `leoplan downlink`
+    schedules it."""
+    fed, start = scn.federation, scn.constellation.epoch
+    windows = contact_windows(build_walker(scn.constellation), scn.ground_stations,
+                              fed.horizon_seconds, step=fed.window_step_seconds,
+                              link_config=scn.link_config, start=start)
+    result = schedule_downlink(windows, float(scn.workload.head_bits), scn.ground_stations,
+                               fed.horizon_seconds, epoch_seconds=fed.epoch_seconds,
+                               start_time=start, orbits=range(scn.constellation.num_orbits))
+    assert result.complete
+    return result.epochs_used
+
+
+def test_links_dedicated_rate_is_every_station_default():
+    with open("scenarios/demo_walker6.json", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    assert _head_downlink_epochs(parse_scenario(obj)) == 1
+    obj["links"]["ground_dedicated_rate_bps"] = 1e4
+    slow = parse_scenario(obj)
+    assert {g.dedicated_rate_bps for g in slow.ground_stations} == {1e4}
+    assert _head_downlink_epochs(slow) == 8
+    assert parse_scenario(serialize_scenario(slow)) == slow
+
+    obj["ground_stations"][1]["dedicated_rate_bps"] = 5e9
+    own = parse_scenario(obj)
+    assert [g.dedicated_rate_bps for g in own.ground_stations] == [1e4, 5e9, 1e4, 1e4, 1e4]
+    assert GroundStation("gs", 0.0, 0.0).dedicated_rate_bps == 10e9
 
 
 def test_parse_request():
