@@ -249,10 +249,16 @@ def _cmd_orchestrate(scn, args, out: Path) -> list:
     request = parse_request(args.request)
     with open(args.plan, "r", encoding="utf-8") as fh:
         plan_body = json.load(fh)
-    if "assignment" not in plan_body:
+    if not isinstance(plan_body, dict) or "assignment" not in plan_body:
         raise ValueError("plan file has no 'assignment' object")
-    assignment = {sid: SatelliteId.parse(label)
-                  for sid, label in plan_body["assignment"].items()}
+    if not isinstance(plan_body["assignment"], dict):
+        raise ValueError("plan.assignment: must be an object")
+    assignment = {}
+    for sid, label in plan_body["assignment"].items():
+        try:
+            assignment[sid] = SatelliteId.parse(label)
+        except ValueError as exc:
+            raise ValueError(f"plan.assignment.{sid}: {exc}") from None
     if request["task_id"] not in scn.tasks:
         raise ValueError(f"request names unknown task {request['task_id']!r}")
     dag = scn.tasks[request["task_id"]]

@@ -58,7 +58,7 @@ class SatelliteId(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "SatelliteId":
-        m = _SAT_LABEL.match(text)
+        m = _SAT_LABEL.match(text) if isinstance(text, str) else None
         if m is None:
             raise ValueError(f"not a satellite label: {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))
@@ -284,10 +284,10 @@ def snapshot(
 
     Emits the intra-orbit rings, the same-slot inter-orbit ISLs of adjacent
     planes that are within range (the wrap-around plane pair counts as the
-    seam and follows the cross-seam policy), and, when stations are given,
-    the currently visible SGLs plus each station's dedicated ground link. A
-    satellite gets an SGL exactly when contact_windows would count the
-    instant t as a visible sample.
+    seam and follows the cross-seam policy), and, when stations with
+    distinct ids are given, the currently visible SGLs plus each station's
+    dedicated ground link. A satellite gets an SGL exactly when
+    contact_windows would count the instant t as a visible sample.
 
     Links join the constellation's own SatelliteId objects. Every length is
     sqrt(vecdot(d, d)), the dot product np.linalg.norm takes, so delays and
@@ -297,9 +297,7 @@ def snapshot(
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     link_config.validate()
-    stations = tuple(stations)
-    for st in stations:
-        st.validate()
+    geometry = _StationGeometry(constellation, stations)
     spec, sats = constellation.spec, constellation.satellites
     P, S = spec.num_orbits, spec.sats_per_orbit
     pos = constellation.positions_at(t)
@@ -318,15 +316,15 @@ def snapshot(
     rate = (link_config.intra_orbit_rate_bps,) + (link_config.inter_orbit_rate_bps,) * 2
     links = [Link(ISL_KINDS[k], (sats[i], sats[j]), rate[k], x / LIGHT_SPEED_KM_S)
              for k, i, j, x in zip(*(v[keep].tolist() for v in (kind, a, b, length)))]
-    if stations:
+    if geometry.stations:
         at = np.array([t], dtype=float)
-        s, i, _ = _visible_samples(constellation, stations, at)
-        st_pos, _ = _station_frames(stations, at, spec.epoch)
+        s, i, _ = _visible_samples(constellation, geometry, at)
+        st_pos, _ = _station_frames(geometry, at, spec.epoch)
         d = pos[i] - st_pos[s, 0]
         delay = (np.sqrt(np.vecdot(d, d)) / LIGHT_SPEED_KM_S).tolist()
         # s is sorted, so station k's SGLs are rows bounds[k]:bounds[k + 1].
-        bounds = np.searchsorted(s, np.arange(len(stations) + 1)).tolist()
-        for k, st in enumerate(stations):
+        bounds = np.searchsorted(s, np.arange(len(geometry.stations) + 1)).tolist()
+        for k, st in enumerate(geometry.stations):
             links += [Link(LinkKind.SGL, (sats[j], st.id), link_config.sgl_rate_bps, delay[r])
                       for r, j in enumerate(i[bounds[k]:bounds[k + 1]].tolist(), bounds[k])]
             links.append(Link(LinkKind.GROUND_DEDICATED, (st.id, "cloud"),
@@ -342,32 +340,66 @@ _CONE_MARGIN_KM = 1.0
 # flags; a larger block tests fewer midpoints but keeps more samples for the
 # exact test (at a 5 s LEO step the cone widens by 0.03 of its ~0.3 rad).
 _SIEVE_BLOCK = 12
+_BLOCK_OFFSETS = np.arange(_SIEVE_BLOCK)
 
 
-def _station_frames(stations: tuple, times: np.ndarray, epoch: float) -> tuple:
-    """Inertial positions (km) and unit zeniths of stations at times, each
-    shape (len(stations), len(times), 3).
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1), computed as it computes it, without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+class _StationGeometry:
+    """What visibility from one (constellation, stations) pair needs that no
+    sampling grid changes: the stations, validated and with distinct ids (one
+    listed twice would carry every window twice); each station's rotation
+    basis (its frame at angle theta is cos*(ex, ey, 0) + sin*(-ey, ex, 0) +
+    (0, 0, ez)), mask sine, and outer and inner cone angles of
+    _visible_samples before the block slack (an inner 0.0 means no inside)."""
+
+    def __init__(self, constellation: WalkerConstellation, stations) -> None:
+        self.constellation, self.stations = constellation, tuple(stations)
+        ids = [st.id for st in self.stations]
+        for k, st in enumerate(self.stations):
+            st.validate()
+            if st.id in ids[:k]:
+                raise ValueError(f"station id {st.id!r} listed twice")
+        ecef = np.array([st.ecef_km() for st in self.stations]).reshape(-1, 3, 1)
+        self.ex, self.ey, self.ez = ecef.transpose(1, 0, 2)  # each (len(stations), 1)
+        sin_mask = [math.sin(math.radians(st.min_elevation_deg)) for st in self.stations]
+        self.sin_mask = np.array(sin_mask)
+        r = constellation.radius_km
+        self.outer, self.inner = [], []
+        for sm in sin_mask:
+            cos2 = 1.0 - sm * sm
+            p_star = EARTH_RADIUS_KM * cos2 + sm * math.sqrt(r * r - EARTH_RADIUS_KM**2 * cos2)
+            self.outer.append(math.acos(min(1.0, (p_star - _CONE_MARGIN_KM) / r)))
+            ratio = (p_star + _CONE_MARGIN_KM) / r
+            self.inner.append(math.acos(ratio) if ratio < 1.0 else 0.0)
+
+
+def _station_frames(geometry: _StationGeometry, times: np.ndarray, epoch: float) -> tuple:
+    """Inertial positions (km) and unit zeniths of the geometry's stations at
+    times, each shape (len(stations), len(times), 3).
 
     The one place a station's turn with the Earth is written down: the
     visibility test and snapshot's SGL delays both read it.
     """
     theta = EARTH_ROTATION_RAD_S * (times - epoch)
     c, s = np.cos(theta), np.sin(theta)
-    ecef = np.array([st.ecef_km() for st in stations]).reshape(-1, 3)
-    ex, ey, ez = ecef[:, 0:1], ecef[:, 1:2], ecef[:, 2:3]
-    pos = np.empty((len(stations), len(times), 3))
+    ex, ey = geometry.ex, geometry.ey
+    pos = np.empty((len(ex), len(times), 3))
     pos[..., 0] = c * ex - s * ey
     pos[..., 1] = s * ex + c * ey
-    pos[..., 2] = ez
-    return pos, pos / np.linalg.norm(pos, axis=-1, keepdims=True)
+    pos[..., 2] = geometry.ez
+    return pos, pos / _norms(pos)[..., None]
 
 
-def _visible_samples(constellation: WalkerConstellation, stations: tuple,
+def _visible_samples(constellation: WalkerConstellation, geometry: _StationGeometry,
                      times: np.ndarray) -> tuple:
     """Index arrays (s, i, t) of the samples where satellite i is above the
-    mask of stations[s] at times[t], sorted by s, then i, then t. This is the
-    one visibility test: contact_windows and snapshot both use it. times must
-    be nondecreasing.
+    mask of geometry.stations[s] at times[t], sorted by s, then i, then t.
+    This is the one visibility test: contact_windows and snapshot both use
+    it. times must be nondecreasing, and geometry is the constellation's.
 
     The sine of elevation, (p - R) / |sat - st| with p = sat . zenith, rises
     with p, so a mask m holds exactly where p >= p* = R cos^2 m + sin m
@@ -381,14 +413,14 @@ def _visible_samples(constellation: WalkerConstellation, stations: tuple,
     sample of its block at p >= p* + _CONE_MARGIN_KM, where the sine is above
     the mask by more than 2e-5 at any altitude up to GEO, far above its
     rounding, so the whole block is flagged without the formula. There is no
-    inside when (p* + _CONE_MARGIN_KM) / r >= 1 or psi_in <= 0. Only the
-    samples of the remaining rim blocks get exact positions and the sine
-    formula, elementwise, so the flags equal evaluating it at every sample
+    inside when (p* + _CONE_MARGIN_KM) / r >= 1 or psi_in <= 0; a call only
+    adds its slack to the geometry's angles. Only the samples of the rim
+    blocks left get exact positions and the sine formula, elementwise, so the
+    flags equal evaluating it at every sample
     (test_visibility_matches_full_evaluation); no (len(times), n) array is built.
     """
     count = len(times)
     epoch, r = constellation.spec.epoch, constellation.radius_km
-    sin_mask = np.array([math.sin(math.radians(st.min_elevation_deg)) for st in stations])
 
     first = np.arange(0, count, _SIEVE_BLOCK)
     last = np.minimum(first + (_SIEVE_BLOCK - 1), count - 1)
@@ -397,41 +429,35 @@ def _visible_samples(constellation: WalkerConstellation, stations: tuple,
     rate = constellation.mean_motion + EARTH_ROTATION_RAD_S
     reach = max(abs(times[0] - epoch), abs(times[-1] - epoch))
     slack = rate * float(half.max()) + 1e-6 + 1e-12 * (4.0 * math.pi + rate * reach)
-    outer, inner = [], []
-    for sm in sin_mask.tolist():
-        cos2 = 1.0 - sm * sm
-        p_star = EARTH_RADIUS_KM * cos2 + sm * math.sqrt(r * r - EARTH_RADIUS_KM**2 * cos2)
-        angle = math.acos(min(1.0, (p_star - _CONE_MARGIN_KM) / r)) + slack
-        outer.append(r * math.cos(angle) if angle < math.pi else -math.inf)
-        ratio = (p_star + _CONE_MARGIN_KM) / r
-        angle = math.acos(ratio) - slack if ratio < 1.0 else 0.0
-        inner.append(r * math.cos(angle) if angle > 0.0 else math.inf)
+    outer = [r * math.cos(a + slack) if a + slack < math.pi else -math.inf
+             for a in geometry.outer]
+    inner = [r * math.cos(a - slack) if a - slack > 0.0 else math.inf for a in geometry.inner]
     # One frame over the samples, then the midpoints: both are elementwise in
     # time, so each sample's bits are those of a frame over the samples alone.
-    st_pos, zen = _station_frames(stations, np.concatenate((times, mid)), epoch)
+    st_pos, zen = _station_frames(geometry, np.concatenate((times, mid)), epoch)
     sat_mid = constellation._positions(mid[:, None], slice(None))  # (blocks, n, 3)
     p_mid = np.matmul(zen[:, count:].transpose(1, 0, 2), sat_mid.transpose(0, 2, 1))
     near = p_mid >= np.array(outer)[:, None]  # (blocks, stations, n)
     # Flat indices in (station, satellite, block) order, split back up.
-    pair, b = np.divmod(np.flatnonzero(near.transpose(1, 2, 0)), len(first))
+    pair, b = np.divmod(near.transpose(1, 2, 0).ravel().nonzero()[0], len(first))
     s, i = np.divmod(pair, constellation.num_satellites)
     visible = p_mid[b, s, i] >= np.array(inner)[s]
 
     # Each kept (station, satellite, block) expands into its samples, in order.
-    t = (first[b][:, None] + np.arange(_SIEVE_BLOCK)).ravel()
-    s = np.repeat(s, _SIEVE_BLOCK)
-    i = np.repeat(i, _SIEVE_BLOCK)
-    visible = np.repeat(visible, _SIEVE_BLOCK)
+    t = (first[b][:, None] + _BLOCK_OFFSETS).ravel()
+    s = s.repeat(_SIEVE_BLOCK)
+    i = i.repeat(_SIEVE_BLOCK)
+    visible = visible.repeat(_SIEVE_BLOCK)
     if count % _SIEVE_BLOCK:
         inside = t < count
         s, i, t, visible = s[inside], i[inside], t[inside], visible[inside]
-    rim = np.flatnonzero(~visible)
+    rim = (~visible).nonzero()[0]
     sr, tr = s[rim], t[rim]
     sample = sr * (count + len(mid)) + tr
     d = constellation._positions(times[tr], i[rim])
-    d -= np.take(st_pos.reshape(-1, 3), sample, axis=0)
-    up = np.einsum("ck,ck->c", d, np.take(zen.reshape(-1, 3), sample, axis=0))
-    visible[rim] = up / np.linalg.norm(d, axis=-1) >= sin_mask[sr]
+    d -= st_pos.reshape(-1, 3).take(sample, axis=0)
+    up = np.einsum("ck,ck->c", d, zen.reshape(-1, 3).take(sample, axis=0))
+    visible[rim] = up / _norms(d) >= geometry.sin_mask[sr]
     return s[visible], i[visible], t[visible]
 
 
@@ -439,30 +465,31 @@ class _Timeline:
     """The visible samples found so far on one sampling grid, so that a
     caller who extends its span sieves only the samples it has not seen.
 
-    The grid is start + np.arange(0.0, horizon, step) for the (constellation,
-    stations, start, step) of its first use. A longer horizon's grid begins
-    with exactly a shorter one's samples, and _visible_samples flags each
-    sample exactly whatever block it falls in, so the samples merged over any
-    sequence of extensions equal one sieve of the longest grid
-    (test_extended_timeline_matches_one_sampling).
+    It carries the station geometry its caller built; the grid is start +
+    np.arange(0.0, horizon, step) for the (start, step) of its first use. A
+    longer horizon's grid begins with exactly a shorter one's samples, and
+    _visible_samples flags each sample exactly whatever block it falls in, so
+    the samples merged over any sequence of extensions equal one sieve of the
+    longest grid (test_extended_timeline_matches_one_sampling).
     """
 
-    def __init__(self) -> None:
-        self.grid = None  # (constellation, stations, start, step) of the first use
+    def __init__(self, geometry: _StationGeometry) -> None:
+        self.geometry = geometry
+        self.grid = None  # (start, step) of the first use
         self.count = 0  # samples sieved: times[:count]
         self.s = self.i = self.t = np.empty(0, dtype=np.intp)
 
     def extend(self, constellation: WalkerConstellation, stations: tuple, start: float,
                step: float, times: np.ndarray) -> tuple:
-        """(s, i, t) as _visible_samples(constellation, stations, times) gives
-        them, sieving only times[self.count:]; times must hold the samples
-        already sieved."""
-        grid = (constellation, stations, start, step)
-        if self.grid not in (None, grid) or len(times) < self.count:
+        """(s, i, t) as _visible_samples gives them over times, sieving only
+        times[self.count:]; times must hold the samples already sieved."""
+        geometry = self.geometry
+        if (geometry.constellation is not constellation or geometry.stations != stations
+                or self.grid not in (None, (start, step)) or len(times) < self.count):
             raise ValueError("a timeline only extends the grid it started on")
-        self.grid = grid
+        self.grid = (start, step)
         if len(times) > self.count:
-            s, i, t = _visible_samples(constellation, stations, times[self.count:])
+            s, i, t = _visible_samples(constellation, geometry, times[self.count:])
             t += self.count
             if self.count:
                 # Stable on (station, satellite): the old samples of a pair,
@@ -493,9 +520,10 @@ def contact_windows(
     have positive duration. Windows are ordered by station, then satellite,
     then time.
 
-    _timeline, a _Timeline kept by a caller that samples one grid over longer
-    and longer horizons, sieves only the samples earlier calls did not; the
-    windows are those of a call without it.
+    Station ids must be distinct. _timeline, a _Timeline over these
+    constellation and stations kept by a caller that samples one grid over
+    longer and longer horizons, sieves only the samples earlier calls did
+    not; the windows are those of a call without it.
     """
     if not math.isfinite(horizon) or horizon <= 0:
         raise ValueError("horizon must be positive and finite")
@@ -510,16 +538,15 @@ def contact_windows(
     stations = tuple(stations)
     if len(times) == 0 or not stations:
         return []
-    for st in stations:
-        st.validate()
-    timeline = _Timeline() if _timeline is None else _timeline
-    s, i, t = timeline.extend(constellation, stations, start, step, times)
+    if _timeline is None:
+        _timeline = _Timeline(_StationGeometry(constellation, stations))
+    s, i, t = _timeline.extend(constellation, stations, start, step, times)
     if len(t) == 0:
         return []
     # A run is a stretch of consecutive keys; the gap of len(times) + 1 per
     # (station, satellite) keeps runs of two pairs apart.
     key = (s * constellation.num_satellites + i) * (len(times) + 1) + t
-    breaks = np.flatnonzero(np.diff(key) != 1) + 1
+    breaks = (key[1:] - key[:-1] != 1).nonzero()[0] + 1
     first = np.concatenate(([0], breaks))
     last = np.concatenate((breaks, [len(key)])) - 1
     starts = times[t[first]].tolist()

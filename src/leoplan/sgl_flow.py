@@ -40,10 +40,12 @@ from enum import Enum
 
 class _Terminal(Enum):
     """The virtual source and sink. Without a str mixin they equal no station
-    id, so a station named "source" or "sink" stays a station."""
+    id, so a station named "source" or "sink" stays a station. No output
+    follows their hash, so it is object's, in C, not Enum's, in Python."""
 
     SOURCE = "source"
     SINK = "sink"
+    __hash__ = object.__hash__
 
 
 SOURCE, SINK = _Terminal.SOURCE, _Terminal.SINK
@@ -243,10 +245,12 @@ def schedule_downlink(
         epochs = []
     for st in stations:
         _check_capacity(st.dedicated_rate_bps)
+    by_id = sorted(stations, key=lambda st: st.id)
+    if twice := [a.id for a, b in zip(by_id, by_id[1:]) if a.id == b.id]:
+        raise ValueError(f"station id {twice[0]!r} listed twice")
     # Edge capacities are fractions of model_bits, so a unit of flow is one
-    # full model delivered. A repeated station id keeps its last entry.
-    sink_capacity = {st.id: st.dedicated_rate_bps * epoch_seconds / model_bits
-                     for st in sorted(stations, key=lambda st: st.id)}
+    # full model delivered.
+    sink_capacity = {st.id: st.dedicated_rate_bps * epoch_seconds / model_bits for st in by_id}
 
     # Windows by start, popped from the end; an empty, reversed or NaN
     # window, or one over before the first epoch to run, overlaps no epoch.

@@ -12,13 +12,14 @@ horizon is flagged incomplete and truncated. Every phase books its seconds,
 bits and flops through one ledger helper, which also moves the round clock
 by the booked seconds.
 
-A campaign validates its inputs and plans both ring collectives once; the
-inputs never change between its rounds. Each ground-link phase samples
-visibility from the phase's start only as far as its schedule reaches, with
-the result of sampling the whole horizon. The phase is one continuing
-computation: each longer span sieves only the samples past the last one on
-the phase's visibility timeline, and its schedule resumes after its last
-epoch, so no sample is sieved and no epoch is scheduled twice.
+A campaign validates its inputs, plans both ring collectives and builds its
+station geometry once; the inputs never change between its rounds. Each
+ground-link phase samples visibility from the phase's start only as far as
+its schedule reaches, with the result of sampling the whole horizon. The
+phase is one continuing computation: each longer span sieves only the
+samples past the last one on the phase's visibility timeline, and its
+schedule resumes after its last epoch, so no sample is sieved and no epoch
+is scheduled twice.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import math
 from dataclasses import dataclass, field
 
 from .collective import RingSpec, plan_all_gather, plan_all_reduce
-from .constellation import (LIGHT_SPEED_KM_S, LinkConfig, WalkerConstellation, _Timeline,
-                            contact_windows, snapshot)
+from .constellation import (LIGHT_SPEED_KM_S, LinkConfig, WalkerConstellation, _StationGeometry,
+                            _Timeline, contact_windows, snapshot)
 from .graph import _total
 from .interorbit import build_weighted_graph, parallel_transfer_time, select_disjoint_paths
 from .orchestration import EnergyModel
@@ -194,13 +195,14 @@ def _campaign(config: FederationConfig, constellation: WalkerConstellation,
     """`rounds` federated rounds back to back, numbered from round_index: the
     first starts at start_time and each later one where the one before ended.
 
-    The inputs are validated and both ring collectives planned once, before
-    the first round; each round then runs only its own phases.
+    The inputs are validated, both ring collectives planned and the station
+    geometry built once, before the first round; each round runs its phases.
     """
     config.validate()
     workload.validate()
     setup.compute.validate()
     setup.energy.validate()
+    geometry = _StationGeometry(constellation, setup.stations)
     spec = constellation.spec
     P, S = spec.num_orbits, spec.sats_per_orbit
     n_sats = P * S
@@ -241,7 +243,7 @@ def _campaign(config: FederationConfig, constellation: WalkerConstellation,
             return False
         horizon, step = config.horizon_seconds, config.window_step_seconds
         span = config.epoch_seconds
-        timeline, result = _Timeline(), None
+        timeline, result = _Timeline(geometry), None
         while True:
             sampled = span + step
             if sampled >= horizon:

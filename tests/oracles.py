@@ -29,7 +29,8 @@ and planned both ring collectives every round, and
 reference_simulate_fine_tuning chains it round by round.
 compensated_sum is builtin sum() as CPython 3.12 computes it.
 check_feasible is the dict-keyed flow check that max_flow's integer-slot
-check must agree with. station_position and elevation_deg rotate a station
+check must agree with. reference_station_frames rotates the stations as
+_station_frames did before their geometry was built once per campaign. station_position and elevation_deg rotate a station
 and measure elevation one sample at a time with math's scalar functions.
 rollout, policy_distribution and evaluate_policy play a linear softmax
 policy step by step through DeploymentMdp, drawing with Generator.choice,
@@ -90,7 +91,7 @@ from leoplan import (
 )
 from leoplan.collective import RingSpec, plan_all_gather, plan_all_reduce
 from leoplan.constellation import (EARTH_ROTATION_RAD_S, LIGHT_SPEED_KM_S, _station_frames,
-                                   _visible_samples)
+                                   _StationGeometry, _visible_samples)
 from leoplan import deployment
 from leoplan.deployment import (DEAD_END_REWARD, LEARNING_RATE, N_FEATURES, DeploymentMdp,
                                 DeploymentPlan, TrainingReport)
@@ -144,8 +145,9 @@ def reference_snapshot(constellation, t, link_config, stations=()):
             isl(kind, (pa, s), (pb, s), link_config.inter_orbit_rate_bps, True)
     at = np.array([t], dtype=float)
     if stations:
-        st_pos, _ = _station_frames(stations, at, constellation.spec.epoch)
-        s_idx, visible, _ = _visible_samples(constellation, stations, at)
+        geometry = _StationGeometry(constellation, stations)
+        st_pos, _ = _station_frames(geometry, at, constellation.spec.epoch)
+        s_idx, visible, _ = _visible_samples(constellation, geometry, at)
     for k, st in enumerate(stations):
         for i in visible[s_idx == k].tolist():
             dist = float(np.linalg.norm(pos[i] - st_pos[k, 0]))
@@ -453,9 +455,23 @@ def random_sparse_digraph(rng, n, out_degree, isolated_share, weights):
 def visibility_flags(constellation, station, times):
     """The library's visible samples for one station as flags, shape (len(times), n)."""
     visible = np.zeros((len(times), constellation.num_satellites), dtype=bool)
-    _, i, t = _visible_samples(constellation, (station,), times)
+    _, i, t = _visible_samples(constellation, _StationGeometry(constellation, (station,)), times)
     visible[t, i] = True
     return visible
+
+
+def reference_station_frames(stations, times, epoch):
+    """_station_frames as it was before station geometry was built once:
+    each station's ecef_km on every call, and np.linalg.norm for the zeniths."""
+    theta = EARTH_ROTATION_RAD_S * (times - epoch)
+    c, s = np.cos(theta), np.sin(theta)
+    ecef = np.array([st.ecef_km() for st in stations]).reshape(-1, 3)
+    ex, ey, ez = ecef[:, 0:1], ecef[:, 1:2], ecef[:, 2:3]
+    pos = np.empty((len(stations), len(times), 3))
+    pos[..., 0] = c * ex - s * ey
+    pos[..., 1] = s * ex + c * ey
+    pos[..., 2] = ez
+    return pos, pos / np.linalg.norm(pos, axis=-1, keepdims=True)
 
 
 def reference_visibility(constellation, station, times, sat_pos):

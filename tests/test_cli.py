@@ -373,6 +373,24 @@ def test_orchestrate_errors(tmp_path, capsys):
     assert json.loads(err)["error"]["message"] == "plan file has no 'assignment' object"
 
 
+@pytest.mark.parametrize("plan, message", [
+    ([1, 2], "plan file has no 'assignment' object"),
+    ({"assignment": [1, 2]}, "plan.assignment: must be an object"),
+    ({"assignment": {"precode_mask": 7}}, "plan.assignment.precode_mask: not a satellite label: 7"),
+    ({"assignment": {"denoise": None}}, "plan.assignment.denoise: not a satellite label: None"),
+    ({"assignment": {"denoise": "x9"}}, "plan.assignment.denoise: not a satellite label: 'x9'"),
+])
+def test_orchestrate_misshapen_plan_prints_one_error_line(tmp_path, plan, message):
+    """A plan whose assignment is not an object of labels exits 1 with one
+    JSON line naming the field, not a traceback."""
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan), encoding="utf-8")
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"task_id": "imaging", "source": "o2s3"}), encoding="utf-8")
+    assert_one_error_line(tmp_path, "orchestrate", TWO_TASK, "--plan", str(plan_path),
+                          "--request", str(req), message=message)
+
+
 def test_orchestrate_bad_source_label_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     code, _, _ = run_cli(capsys, "deploy", TWO_TASK, "--out-dir", str(out),

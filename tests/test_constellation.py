@@ -25,6 +25,7 @@ from leoplan import constellation
 from oracles import (
     elevation_deg,
     reference_snapshot,
+    reference_station_frames,
     reference_visibility,
     run_length_windows,
     shell_plan_case,
@@ -433,7 +434,7 @@ def test_extended_timeline_matches_one_sampling(spec, stations, altitude, lat, m
     crossed = [int(np.searchsorted(times, w.start)) + 1 for w in windows(steps)
                if w.end - w.start > 1.5 * step][:4]
     counts = sorted({max(1, round(f * steps)) for f in cuts} | set(crossed) | {steps})
-    timeline = constellation._Timeline()
+    timeline = constellation._Timeline(constellation._StationGeometry(walker, stations))
     for count in counts:
         assert window_key(windows(count, _timeline=timeline)) == window_key(windows(count))
     assert timeline.count == steps
@@ -442,12 +443,16 @@ def test_extended_timeline_matches_one_sampling(spec, stations, altitude, lat, m
 def test_a_timeline_extends_only_its_own_grid():
     walker = build_walker(ConstellationSpec(2, 3, 550.0, 53.0))
     station = (GroundStation("gs", 10.0, 10.0),)
-    timeline = constellation._Timeline()
+    timeline = constellation._Timeline(constellation._StationGeometry(walker, station))
     contact_windows(walker, station, 60.0, step=5.0, _timeline=timeline)
-    for horizon, other in ((120.0, dict(step=4.0)), (120.0, dict(step=5.0, start=1.0)),
-                           (30.0, dict(step=5.0))):
+    other_walker = build_walker(ConstellationSpec(2, 3, 550.0, 53.0))
+    for args, other in (((walker, station, 120.0), dict(step=4.0)),
+                        ((walker, station, 120.0), dict(step=5.0, start=1.0)),
+                        ((walker, station, 30.0), dict(step=5.0)),
+                        ((other_walker, station, 120.0), dict(step=5.0)),
+                        ((walker, (GroundStation("gs", 10.0, 11.0),), 120.0), dict(step=5.0))):
         with pytest.raises(ValueError, match="only extends the grid it started on"):
-            contact_windows(walker, station, horizon, _timeline=timeline, **other)
+            contact_windows(*args, _timeline=timeline, **other)
 
 
 @settings(max_examples=100, deadline=None)
@@ -479,6 +484,42 @@ def test_visibility_matches_full_evaluation(spec, altitude, lat, lon, mask, star
     want = reference_visibility(walker, station, times, walker.positions_at_times(times))
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stations=station_sets(max_stations=4),
+       lat=st.one_of(st.sampled_from([-90.0, -0.0, 0.0, 90.0]), st.floats(-90.0, 90.0)),
+       lon=st.one_of(st.sampled_from([-180.0, -0.0, 0.0, 180.0]), st.floats(-180.0, 180.0)),
+       epoch=st.floats(-1e6, 1e6), start=st.one_of(st.floats(-1e4, 1e5), st.floats(-1e9, 1e9)),
+       step=st.floats(0.5, 3000.0), steps=st.integers(1, 40))
+def test_station_frames_and_norms_match_the_per_call_form(stations, lat, lon, epoch, start,
+                                                          step, steps):
+    """The frames of a station geometry built once, and the sieve's norms,
+    equal by their bytes the frames rebuilt from each station's ecef_km on
+    every call and np.linalg.norm: at the poles, at -0 and +-180 degrees,
+    and far from the epoch."""
+    walker = build_walker(ConstellationSpec(2, 3, 550.0, 53.0, epoch=epoch))
+    stations = stations + (GroundStation("gs-x", lat, lon),)
+    times = start + np.arange(steps) * step
+    got = constellation._station_frames(constellation._StationGeometry(walker, stations),
+                                        times, epoch)
+    want = reference_station_frames(stations, times, epoch)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    diffs = walker.positions_at_times(times)[None] - got[0][:, :, None, :]
+    for x in (got[0], diffs, diffs.reshape(-1, 3)[::5]):
+        assert constellation._norms(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+
+
+def test_a_station_listed_twice_is_rejected():
+    """Passed twice, a station would see, and carry, every window twice."""
+    walker = build_walker(ConstellationSpec(2, 3, 550.0, 53.0))
+    gs = GroundStation("gs", 10.0, 10.0)
+    twice = (gs, GroundStation("gs-b", 0.0, 0.0), dataclasses.replace(gs, latitude_deg=20.0))
+    with pytest.raises(ValueError, match="station id 'gs' listed twice"):
+        contact_windows(walker, twice, 600.0)
+    with pytest.raises(ValueError, match="station id 'gs' listed twice"):
+        snapshot(walker, 0.0, LinkConfig(), stations=twice)
 
 
 def test_shell_plan_windows_match_dense_oracle_in_bounded_memory():

@@ -217,6 +217,15 @@ def test_schedule_downlink_rejects_bad_capacity(field, bad):
         schedule_downlink(windows, 1.2e9, stations, horizon=600.0, orbits=[0, 1])
 
 
+def test_schedule_downlink_rejects_a_station_listed_twice():
+    """Listed twice, a station's dedicated link would count twice."""
+    windows = [ContactWindow(SatelliteId(0, 0), "gs", 0.0, 60.0, 1e6)]
+    gs = GroundStation("gs", 0.0, 0.0)
+    with pytest.raises(ValueError, match="station id 'gs' listed twice"):
+        schedule_downlink(windows, 1e8, (gs, GroundStation("gs-b", 1.0, 1.0), gs),
+                          horizon=60.0, orbits=[0])
+
+
 @pytest.mark.parametrize("station", ["source", "sink"])
 def test_stations_named_like_the_virtual_terminals_stay_stations(station):
     """A station id equal to the name of the flow network's source or sink is

@@ -321,7 +321,8 @@ def test_resumed_schedule_matches_one_schedule(spec, stations, start, step, epoc
                                  epoch_seconds=epoch_seconds, start_time=start, orbits=orbits,
                                  _resume=resume)
 
-    timeline, resumed = constellation._Timeline(), None
+    timeline = constellation._Timeline(constellation._StationGeometry(walker, stations))
+    resumed = None
     for k in range(doublings + 1):
         span = epoch_seconds * 2 ** k
         resumed = schedule(span, timeline, resumed)
@@ -465,6 +466,38 @@ def test_demo_phases_sieve_each_sample_and_schedule_each_epoch_once(monkeypatch)
         assert np.array_equal(np.concatenate(blocks), grids[timeline])
     assert flows[0] == sum(1 for calls in phases for e in calls[-1].epochs
                            if e.assignment.flows)
+
+
+def demo_campaign(stations=None):
+    scn = parse_scenario(REPO / "scenarios" / "demo_walker6.json")
+    setup = SimulationSetup(stations=scn.ground_stations if stations is None else stations,
+                            link_config=scn.link_config, compute=scn.compute, energy=scn.energy)
+    return simulate_fine_tuning(scn.federation, build_walker(scn.constellation),
+                                scn.workload, setup)
+
+
+def test_demo_campaign_turns_each_station_into_ecef_once(monkeypatch):
+    """Guard: a campaign builds its station geometry once for all its
+    ground-link phases, instead of once per contact_windows call (about 300
+    ecef_km calls per demo campaign)."""
+    calls = []
+    real = GroundStation.ecef_km
+
+    def ecef_km(station):
+        calls.append(station.id)
+        return real(station)
+
+    monkeypatch.setattr(GroundStation, "ecef_km", ecef_km)
+    _, agg = demo_campaign()
+    assert agg.complete
+    stations = parse_scenario(REPO / "scenarios" / "demo_walker6.json").ground_stations
+    assert calls == [st.id for st in stations]
+
+
+def test_a_campaign_rejects_a_station_listed_twice():
+    stations = parse_scenario(REPO / "scenarios" / "demo_walker6.json").ground_stations
+    with pytest.raises(ValueError, match=f"station id {stations[0].id!r} listed twice"):
+        demo_campaign(stations + stations[:1])
 
 
 def hexed(value):
