@@ -230,7 +230,8 @@ class WalkerConstellation:
             2.0 * math.pi * ss / spec.sats_per_orbit
             + 2.0 * math.pi * spec.phasing_factor * pp / (spec.num_orbits * spec.sats_per_orbit)
         )
-        self._incl = math.radians(spec.inclination_deg)
+        incl = math.radians(spec.inclination_deg)
+        self._cos_incl, self._sin_incl = math.cos(incl), math.sin(incl)
         self._cos_raan, self._sin_raan = np.cos(self._raan), np.sin(self._raan)
         self.satellites = [SatelliteId(int(a), int(b)) for a, b in zip(pp, ss)]
 
@@ -255,7 +256,7 @@ class WalkerConstellation:
         """
         dt = times - self.spec.epoch
         u = self._phase0[sats] + self.mean_motion * dt
-        ci, si = math.cos(self._incl), math.sin(self._incl)
+        ci, si = self._cos_incl, self._sin_incl
         # In-plane coordinates rotated by inclination, then by RAAN about z,
         # written straight into the result.
         out = np.empty(u.shape + (3,))
@@ -349,12 +350,14 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 class _StationGeometry:
-    """What visibility from one (constellation, stations) pair needs that no
-    sampling grid changes: the stations, validated and with distinct ids (one
-    listed twice would carry every window twice); each station's rotation
-    basis (its frame at angle theta is cos*(ex, ey, 0) + sin*(-ey, ex, 0) +
-    (0, 0, ez)), mask sine, and outer and inner cone angles of
-    _visible_samples before the block slack (an inner 0.0 means no inside)."""
+    """What visibility from one (constellation, stations) pair needs, built
+    once: the stations, validated and with distinct ids (one listed twice
+    would carry every window twice); each station's rotation basis (its frame
+    at angle theta is cos*(ex, ey, 0) + sin*(-ey, ex, 0) + (0, 0, ez)), mask
+    sine, and outer and inner cone angles of _visible_samples before the
+    block slack (an inner 0.0 means no inside); and the visible samples of the
+    last grid start + np.arange(0.0, horizon, step) that visible() sieved.
+    """
 
     def __init__(self, constellation: WalkerConstellation, stations) -> None:
         self.constellation, self.stations = constellation, tuple(stations)
@@ -375,6 +378,34 @@ class _StationGeometry:
             self.outer.append(math.acos(min(1.0, (p_star - _CONE_MARGIN_KM) / r)))
             ratio = (p_star + _CONE_MARGIN_KM) / r
             self.inner.append(math.acos(ratio) if ratio < 1.0 else 0.0)
+        self.grid = None  # (start, step) of the kept samples
+
+    def visible(self, start: float, step: float, times: np.ndarray) -> tuple:
+        """(s, i, t) as _visible_samples gives them over times = start +
+        np.arange(0.0, horizon, step). On the kept grid, a shorter horizon
+        filters the kept samples and a longer one sieves only the samples past
+        them: its grid begins with exactly the shorter one's samples, and a
+        sample's flag does not depend on its sieve block
+        (test_kept_samples_match_one_sampling). Another grid starts over."""
+        if self.grid != (start, step):
+            # The kept samples, (s, i, t) over times[:count].
+            self.grid, self.count = (start, step), 0
+            self.s = self.i = self.t = np.empty(0, dtype=np.intp)
+        if len(times) < self.count:
+            keep = self.t < len(times)
+            return self.s[keep], self.i[keep], self.t[keep]
+        if len(times) > self.count:
+            s, i, t = _visible_samples(self.constellation, self, times[self.count:])
+            t += self.count
+            if self.count:
+                # Stable on (station, satellite): the old samples of a pair,
+                # all earlier, stay ahead of its new ones.
+                s, i, t = (np.concatenate((old, new)) for old, new in
+                           ((self.s, s), (self.i, i), (self.t, t)))
+                order = np.argsort(s * self.constellation.num_satellites + i, kind="stable")
+                s, i, t = s[order], i[order], t[order]
+            self.s, self.i, self.t, self.count = s, i, t, len(times)
+        return self.s, self.i, self.t
 
 
 def _station_frames(geometry: _StationGeometry, times: np.ndarray, epoch: float) -> tuple:
@@ -461,47 +492,6 @@ def _visible_samples(constellation: WalkerConstellation, geometry: _StationGeome
     return s[visible], i[visible], t[visible]
 
 
-class _Timeline:
-    """The visible samples found so far on one sampling grid, so that a
-    caller who extends its span sieves only the samples it has not seen.
-
-    It carries the station geometry its caller built; the grid is start +
-    np.arange(0.0, horizon, step) for the (start, step) of its first use. A
-    longer horizon's grid begins with exactly a shorter one's samples, and
-    _visible_samples flags each sample exactly whatever block it falls in, so
-    the samples merged over any sequence of extensions equal one sieve of the
-    longest grid (test_extended_timeline_matches_one_sampling).
-    """
-
-    def __init__(self, geometry: _StationGeometry) -> None:
-        self.geometry = geometry
-        self.grid = None  # (start, step) of the first use
-        self.count = 0  # samples sieved: times[:count]
-        self.s = self.i = self.t = np.empty(0, dtype=np.intp)
-
-    def extend(self, constellation: WalkerConstellation, stations: tuple, start: float,
-               step: float, times: np.ndarray) -> tuple:
-        """(s, i, t) as _visible_samples gives them over times, sieving only
-        times[self.count:]; times must hold the samples already sieved."""
-        geometry = self.geometry
-        if (geometry.constellation is not constellation or geometry.stations != stations
-                or self.grid not in (None, (start, step)) or len(times) < self.count):
-            raise ValueError("a timeline only extends the grid it started on")
-        self.grid = (start, step)
-        if len(times) > self.count:
-            s, i, t = _visible_samples(constellation, geometry, times[self.count:])
-            t += self.count
-            if self.count:
-                # Stable on (station, satellite): the old samples of a pair,
-                # all earlier, stay ahead of its new ones.
-                s, i, t = (np.concatenate((old, new)) for old, new in
-                           ((self.s, s), (self.i, i), (self.t, t)))
-                order = np.argsort(s * constellation.num_satellites + i, kind="stable")
-                s, i, t = s[order], i[order], t[order]
-            self.s, self.i, self.t, self.count = s, i, t, len(times)
-        return self.s, self.i, self.t
-
-
 def contact_windows(
     constellation: WalkerConstellation,
     stations: tuple,
@@ -510,7 +500,7 @@ def contact_windows(
     link_config: LinkConfig | None = None,
     start: float = 0.0,
     *,
-    _timeline: _Timeline | None = None,
+    _geometry: _StationGeometry | None = None,
 ) -> list:
     """Sampled visibility windows for every (satellite, station) pair.
 
@@ -520,10 +510,10 @@ def contact_windows(
     have positive duration. Windows are ordered by station, then satellite,
     then time.
 
-    Station ids must be distinct. _timeline, a _Timeline over these
-    constellation and stations kept by a caller that samples one grid over
-    longer and longer horizons, sieves only the samples earlier calls did
-    not; the windows are those of a call without it.
+    Station ids must be distinct. _geometry, the _StationGeometry of these
+    constellation and stations kept by a caller, sieves only the samples of
+    the grid that its kept ones lack; the windows are those of a call
+    without it.
     """
     if not math.isfinite(horizon) or horizon <= 0:
         raise ValueError("horizon must be positive and finite")
@@ -538,9 +528,11 @@ def contact_windows(
     stations = tuple(stations)
     if len(times) == 0 or not stations:
         return []
-    if _timeline is None:
-        _timeline = _Timeline(_StationGeometry(constellation, stations))
-    s, i, t = _timeline.extend(constellation, stations, start, step, times)
+    if _geometry is None:
+        _geometry = _StationGeometry(constellation, stations)
+    elif _geometry.constellation is not constellation or _geometry.stations != stations:
+        raise ValueError("the station geometry is of another constellation or other stations")
+    s, i, t = _geometry.visible(start, step, times)
     if len(t) == 0:
         return []
     # A run is a stretch of consecutive keys; the gap of len(times) + 1 per

@@ -72,11 +72,12 @@ def build_augmented_graph(
 ):
     """Energy-weighted digraph plus the Steiner instance for one request.
 
-    Every satellite of the snapshot is a node (non-hosting satellites relay).
-    Edge energy is (e_tx + e_rx) * hop payload, plus e_flop * flops of the
-    stages hosted at the edge's head; in any tree each host has exactly one
-    inbound edge, so compute energy is charged once per host. The default hop
-    payload is the largest inter-stage payload of the DAG.
+    Every satellite of the snapshot is a node (non-hosting satellites relay);
+    a root, gateway or host it lacks is rejected by name. Edge energy is
+    (e_tx + e_rx) * hop payload, plus e_flop * flops of the stages hosted at
+    the edge's head; in any tree each host has exactly one inbound edge, so
+    compute energy is charged once per host. The default hop payload is the
+    largest inter-stage payload of the DAG.
 
     Returns:
         (Topology over the satellites and ISLs, SteinerInstance) with
@@ -94,15 +95,17 @@ def build_augmented_graph(
         hosting.setdefault(assignment[sid], []).append(sid)
 
     nodes, tails, heads, _ = snapshot_edges(snapshot)
+    index = {v: i for i, v in enumerate(nodes)}
+    for sat in [root] + ([] if gateway is None else [gateway]) + list(hosting):
+        if sat not in index:
+            raise ValueError(f"satellite {sat} not in the snapshot")
     radio = (energy_model.e_tx_j_per_bit + energy_model.e_rx_j_per_bit) * hop_payload_bits
     energy = np.full(len(nodes), radio)
-    index = {v: i for i, v in enumerate(nodes)}
     for host, sids in hosting.items():
-        if host in index:
-            e = radio
-            for sid in sids:
-                e += energy_model.e_flop_j * dag.service(sid).flops
-            energy[index[host]] = e
+        e = radio
+        for sid in sids:
+            e += energy_model.e_flop_j * dag.service(sid).flops
+        energy[index[host]] = e
     energy = energy[heads]
     if not np.all((energy >= 0) & (energy < np.inf)):
         raise ValueError("edge energy must be nonnegative and finite")

@@ -16,10 +16,11 @@ A campaign validates its inputs, plans both ring collectives and builds its
 station geometry once; the inputs never change between its rounds. Each
 ground-link phase samples visibility from the phase's start only as far as
 its schedule reaches, with the result of sampling the whole horizon. The
-phase is one continuing computation: each longer span sieves only the
-samples past the last one on the phase's visibility timeline, and its
-schedule resumes after its last epoch, so no sample is sieved and no epoch
-is scheduled twice.
+phase is one continuing computation: the geometry keeps the visible samples
+of the grid it last sieved, so a longer span sieves only the samples past
+them, and the schedule resumes after its last epoch. No sample of a grid is
+sieved and no epoch is scheduled twice; frozen-topology phases all share the
+epoch's grid.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .collective import RingSpec, plan_all_gather, plan_all_reduce
 from .constellation import (LIGHT_SPEED_KM_S, LinkConfig, WalkerConstellation, _StationGeometry,
-                            _Timeline, contact_windows, snapshot)
+                            contact_windows, snapshot)
 from .graph import _total
 from .interorbit import build_weighted_graph, parallel_transfer_time, select_disjoint_paths
 from .orchestration import EnergyModel
@@ -232,10 +233,10 @@ def _campaign(config: FederationConfig, constellation: WalkerConstellation,
 
         Samples visibility one step past the scheduled span, one epoch first,
         then twice the span, until the transfer completes or the span reaches
-        the horizon. Each doubling extends one visibility timeline by the new
-        samples only and resumes the schedule after its last epoch with the
-        orbits' remaining fractions; each scheduled epoch sees the windows
-        that full-horizon sampling gives it
+        the horizon. Each doubling sieves only the samples the campaign's
+        geometry has not kept on this grid and resumes the schedule after its
+        last epoch with the orbits' remaining fractions; each scheduled epoch
+        sees the windows that full-horizon sampling gives it
         (test_round_matches_full_horizon_sampling).
         """
         if not setup.stations:
@@ -243,14 +244,14 @@ def _campaign(config: FederationConfig, constellation: WalkerConstellation,
             return False
         horizon, step = config.horizon_seconds, config.window_step_seconds
         span = config.epoch_seconds
-        timeline, result = _Timeline(geometry), None
+        result = None
         while True:
             sampled = span + step
             if sampled >= horizon:
                 span = sampled = horizon
             windows = contact_windows(
                 constellation, setup.stations, sampled, step=step,
-                link_config=setup.link_config, start=window_start(), _timeline=timeline)
+                link_config=setup.link_config, start=window_start(), _geometry=geometry)
             result = schedule_downlink(
                 windows, model_bits_per_orbit, setup.stations, span,
                 epoch_seconds=config.epoch_seconds, start_time=window_start(),

@@ -3,7 +3,7 @@
     PYTHONPATH=src python3 tests/record_cli_digests.py
 
 writes ``tests/cli_digests.json``: for both bundled scenarios and every case
-in ``test_cli_digests.CASES``, the exit code, the report's scenario digest
+in ``test_cli_digests.CASES`` (and each variant's cases), the exit code, the report's scenario digest
 and the sha256 of each output file. Re-record only in a change whose stated
 purpose is to change those outputs, and name each moved digest in CHANGES.md.
 """

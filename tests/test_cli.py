@@ -136,7 +136,7 @@ def test_downlink_outputs(tmp_path, capsys):
     assert lines[1].split(",")[:3] == ["0", "0", "1"]
 
 
-def assert_one_error_line(tmp_path, command, scenario, *argv, message):
+def assert_one_error_line(tmp_path, command, scenario, *argv, message, error="ValueError"):
     """Runs the CLI in a child process, so stderr is exactly what a user
     sees: exit 1, no stdout, and one JSON error line with no numpy warning."""
     env = dict(os.environ)
@@ -148,7 +148,7 @@ def assert_one_error_line(tmp_path, command, scenario, *argv, message):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert [json.loads(line) for line in proc.stderr.splitlines()] == [
-        {"error": {"subcommand": command, "type": "ValueError", "message": message}}]
+        {"error": {"subcommand": command, "type": error, "message": message}}]
 
 
 @pytest.mark.parametrize("start", ["inf", "nan"])
@@ -391,6 +391,20 @@ def test_orchestrate_misshapen_plan_prints_one_error_line(tmp_path, plan, messag
                           "--request", str(req), message=message)
 
 
+def test_orchestrate_satellite_outside_the_shell_prints_one_error_line(tmp_path):
+    """A 3x4 shell has no o9s9: a request and plan that name it exit 1
+    instead of writing trees with no edges and no energy."""
+    plan_path = tmp_path / "plan.json"
+    stages = ["precode_mask", "denoise", "projection", "classify"]
+    plan_path.write_text(json.dumps({"assignment": {sid: "o9s9" for sid in stages}}),
+                         encoding="utf-8")
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"task_id": "imaging", "source": "o9s9"}), encoding="utf-8")
+    assert_one_error_line(tmp_path, "orchestrate", TWO_TASK, "--plan", str(plan_path),
+                          "--request", str(req), message="satellite o9s9 not in the snapshot")
+    assert not (tmp_path / "out").exists()
+
+
 def test_orchestrate_bad_source_label_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     code, _, _ = run_cli(capsys, "deploy", TWO_TASK, "--out-dir", str(out),
@@ -455,6 +469,25 @@ def test_int_beyond_float_range_exits_2(tmp_path, capsys):
     body = json.loads(err)["error"]
     assert body["type"] == "ScenarioError"
     assert body["message"] == "workload.head_params: must be finite"
+
+
+@pytest.mark.parametrize("command, argv", [("simulate", []),
+                                           ("downlink", ["--payload", "embeddings"])])
+def test_workload_beyond_float_range_prints_one_error_line(tmp_path, command, argv):
+    """Integer sizes each within range whose product is not: exit 1 with one
+    JSON line, not a traceback."""
+    obj = json.loads(Path(TWO_TASK).read_text(encoding="utf-8"))
+    obj["workload"].update(samples_per_satellite=10**300, embedding_dim=10**10)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert_one_error_line(tmp_path, command, str(path), *argv, error="OverflowError",
+                          message="int too large to convert to float")
+
+
+@pytest.mark.parametrize("command", ["allreduce", "routes"])
+def test_payload_bits_beyond_float_range_print_one_error_line(tmp_path, command):
+    assert_one_error_line(tmp_path, command, TWO_TASK, "--payload-bits", str(10**400),
+                          error="OverflowError", message="int too large to convert to float")
 
 
 def test_console_script(tmp_path):

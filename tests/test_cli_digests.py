@@ -4,7 +4,9 @@ Each case runs one subcommand in-process on one bundled scenario and keeps
 its exit code, the sha256 of each output file (by file name) and the run
 report's ``scenario_digest``. The test compares the sweep with the committed
 table ``cli_digests.json``; re-record it with ``tests/record_cli_digests.py``
-only in a change whose stated purpose is to change these outputs.
+only in a change whose stated purpose is to change these outputs. Each
+variant runs some cases on a bundled scenario with its federation section
+updated, to pin a path no bundled scenario takes.
 """
 
 from __future__ import annotations
@@ -37,6 +39,13 @@ CASES = (
                      "--request", "{request}"]),
 )
 
+# variant name -> (bundled scenario, federation fields set, cases run); no
+# bundled scenario freezes its topology.
+VARIANTS = {
+    "demo_walker6_frozen": ("demo_walker6", {"freeze_topology": True},
+                            ("simulate-ground", "simulate-decentralized")),
+}
+
 
 def _run(argv: list) -> tuple:
     out, err = io.StringIO(), io.StringIO()
@@ -46,17 +55,24 @@ def _run(argv: list) -> tuple:
 
 
 def sweep(work: Path) -> dict:
-    """Run every case on every bundled scenario under work; return the table."""
+    """Run every case on every bundled scenario, and each variant's cases,
+    under work; return the table."""
     request = work / "request.json"
     request.write_text(json.dumps(REQUEST), encoding="utf-8")
+    runs = [(name, REPO / "scenarios" / f"{name}.json", CASES) for name in SCENARIOS]
+    for name, (base, federation, cases) in VARIANTS.items():
+        body = json.loads((REPO / "scenarios" / f"{base}.json").read_text(encoding="utf-8"))
+        body["federation"].update(federation)
+        path = work / f"{name}.json"
+        path.write_text(json.dumps(body), encoding="utf-8")
+        runs.append((name, path, [c for c in CASES if c[0] in cases]))
     table: dict = {}
-    for name in SCENARIOS:
-        scenario = str(REPO / "scenarios" / f"{name}.json")
+    for name, scenario, cases in runs:
         dirs = {"request": str(request)}
-        for case, args in CASES:
+        for case, args in cases:
             out_dir = work / name / case
             dirs[case] = str(out_dir)
-            argv = [args[0], scenario, "--out-dir", str(out_dir)]
+            argv = [args[0], str(scenario), "--out-dir", str(out_dir)]
             argv += [a.format(**dirs) for a in args[1:]]
             code, stdout = _run(argv)
             row: dict = {"exit": code}

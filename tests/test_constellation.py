@@ -409,16 +409,18 @@ def test_edge_detection_matches_run_length_oracle(spec, stations, altitude, lat,
        cuts=st.lists(st.floats(0.0, 1.0), max_size=4))
 # A 550 km pass lasts several 100 s steps, so cuts land inside windows.
 @example(spec=ConstellationSpec(4, 6, 550.0, 53.0), stations=(), altitude=None, lat=40.0,
-         mask=10.0, start=0.0, step=100.0, steps=121, cuts=[0.3, 0.6])
+         mask=10.0, start=0.0, step=100.0, steps=121, cuts=[0.6, 0.3])
 @example(spec=ConstellationSpec(4, 6, 550.0, 53.0), stations=(), altitude=None, lat=40.0,
          mask=10.0, start=0.0, step=5.0, steps=400, cuts=[])
-def test_extended_timeline_matches_one_sampling(spec, stations, altitude, lat, mask, start,
-                                                step, steps, cuts):
-    """A timeline extended over longer and longer spans gives, after every
-    extension, the windows of one contact_windows call over that span, by
-    .hex(); a window that crosses a cut comes out as one window. Besides the
-    drawn cuts, one cut falls inside each of the first windows of the final
-    span that hold two samples or more."""
+def test_kept_samples_match_one_sampling(spec, stations, altitude, lat, mask, start, step,
+                                         steps, cuts):
+    """One station geometry passed to calls over one grid, with sample counts
+    in any order, gives after every call the windows of one contact_windows
+    call over that span, by .hex(): a shorter span filters the kept samples,
+    a longer one extends them, and a window that crosses a cut comes out as
+    one window. Besides the drawn cuts, in their drawn order, one cut falls
+    inside each of the first windows of the final span that hold two samples
+    or more; the full span and its half come last."""
     if altitude is not None:
         spec = dataclasses.replace(spec, altitude_km=altitude)
     walker = build_walker(spec)
@@ -433,26 +435,31 @@ def test_extended_timeline_matches_one_sampling(spec, stations, altitude, lat, m
     times = start + np.arange(0.0, steps * step * 0.999, step)
     crossed = [int(np.searchsorted(times, w.start)) + 1 for w in windows(steps)
                if w.end - w.start > 1.5 * step][:4]
-    counts = sorted({max(1, round(f * steps)) for f in cuts} | set(crossed) | {steps})
-    timeline = constellation._Timeline(constellation._StationGeometry(walker, stations))
+    counts = [max(1, round(f * steps)) for f in cuts] + crossed + [steps, max(1, steps // 2)]
+    geometry = constellation._StationGeometry(walker, stations)
     for count in counts:
-        assert window_key(windows(count, _timeline=timeline)) == window_key(windows(count))
-    assert timeline.count == steps
+        assert window_key(windows(count, _geometry=geometry)) == window_key(windows(count))
+    assert geometry.count == steps
 
 
-def test_a_timeline_extends_only_its_own_grid():
-    walker = build_walker(ConstellationSpec(2, 3, 550.0, 53.0))
-    station = (GroundStation("gs", 10.0, 10.0),)
-    timeline = constellation._Timeline(constellation._StationGeometry(walker, station))
-    contact_windows(walker, station, 60.0, step=5.0, _timeline=timeline)
-    other_walker = build_walker(ConstellationSpec(2, 3, 550.0, 53.0))
-    for args, other in (((walker, station, 120.0), dict(step=4.0)),
-                        ((walker, station, 120.0), dict(step=5.0, start=1.0)),
-                        ((walker, station, 30.0), dict(step=5.0)),
-                        ((other_walker, station, 120.0), dict(step=5.0)),
-                        ((walker, (GroundStation("gs", 10.0, 11.0),), 120.0), dict(step=5.0))):
-        with pytest.raises(ValueError, match="only extends the grid it started on"):
-            contact_windows(*args, _timeline=timeline, **other)
+def test_a_geometry_serves_every_grid_of_its_own_constellation_and_stations():
+    """Another step, another start or a shorter horizon gives the windows of
+    a fresh call; another constellation or other stations are rejected."""
+    walker = build_walker(ConstellationSpec(4, 6, 550.0, 53.0))
+    station = (GroundStation("gs", 40.0, 10.0),)
+    geometry = constellation._StationGeometry(walker, station)
+    for horizon, kw in ((6000.0, dict(step=5.0)), (9000.0, dict(step=4.0)),
+                        (9000.0, dict(step=4.0, start=1.0)), (3000.0, dict(step=4.0, start=1.0)),
+                        (6000.0, dict(step=5.0))):
+        want = contact_windows(walker, station, horizon, **kw)
+        assert want
+        assert window_key(contact_windows(walker, station, horizon, _geometry=geometry,
+                                          **kw)) == window_key(want)
+    other_walker = build_walker(ConstellationSpec(4, 6, 550.0, 53.0))
+    for args in ((other_walker, station, 120.0),
+                 (walker, (GroundStation("gs", 40.0, 11.0),), 120.0)):
+        with pytest.raises(ValueError, match="another constellation or other stations"):
+            contact_windows(*args, step=5.0, _geometry=geometry)
 
 
 @settings(max_examples=100, deadline=None)

@@ -112,6 +112,18 @@ def test_build_augmented_graph_gateway_terminal():
     assert inst.terminals == frozenset({sat("o0s1"), sat("o0s2")})
 
 
+@pytest.mark.parametrize("root, gateway, host", [
+    ("o9s9", None, "o0s1"), ("o0s0", "o9s9", "o0s1"), ("o0s0", "o0s2", "o9s9")])
+def test_build_augmented_graph_rejects_a_satellite_outside_the_snapshot(root, gateway, host):
+    """A root, gateway or host the snapshot lacks would give a tree with no
+    edges and no energy; it is rejected by name."""
+    snap = toy_snapshot([("o0s0", "o0s1", 1e9), ("o0s1", "o0s2", 1e9)])
+    dag = ServiceDag("t", (Microservice("m", 1e9, 1.0, 0.0),), (), ("m",), "m")
+    with pytest.raises(ValueError, match="satellite o9s9 not in the snapshot"):
+        build_augmented_graph(snap, {"m": sat(host)}, dag, EnergyModel(), sat(root),
+                              gateway=None if gateway is None else sat(gateway))
+
+
 def test_dst_exact_beats_heuristic_when_sharing_pays():
     # Hub v1 reaches both terminals for 1 apiece; direct edges cost 1.9 each.
     # Dijkstra sends each terminal down its cheaper direct path (3.8 total),

@@ -307,25 +307,25 @@ def test_bounded_sampling_schedules_the_full_horizon_prefix(
        model_bits=st.floats(1e3, 1e6))
 def test_resumed_schedule_matches_one_schedule(spec, stations, start, step, epoch_seconds,
                                                doublings, sgl_rate, model_bits):
-    """Doubling a span on one timeline and resuming each schedule from the
-    last gives, at every span, the epochs of one from-scratch sampling and
-    schedule of that span, by .hex()."""
+    """Doubling a span on one station geometry and resuming each schedule
+    from the last gives, at every span, the epochs of one from-scratch
+    sampling and schedule of that span, by .hex()."""
     walker = build_walker(spec)
     cfg = LinkConfig(sgl_rate_bps=sgl_rate)
     orbits = range(spec.num_orbits)
 
-    def schedule(span, timeline=None, resume=None):
+    def schedule(span, geometry=None, resume=None):
         windows = contact_windows(walker, stations, span + step, step=step, link_config=cfg,
-                                  start=start, _timeline=timeline)
+                                  start=start, _geometry=geometry)
         return schedule_downlink(windows, model_bits, stations, span,
                                  epoch_seconds=epoch_seconds, start_time=start, orbits=orbits,
                                  _resume=resume)
 
-    timeline = constellation._Timeline(constellation._StationGeometry(walker, stations))
+    geometry = constellation._StationGeometry(walker, stations)
     resumed = None
     for k in range(doublings + 1):
         span = epoch_seconds * 2 ** k
-        resumed = schedule(span, timeline, resumed)
+        resumed = schedule(span, geometry, resumed)
         want = schedule(span)
         assert hexed(epoch_rows(resumed)) == hexed(epoch_rows(want))
         assert hexed(resumed.state.remaining) == hexed(want.state.remaining)
@@ -335,11 +335,11 @@ def test_resumed_schedule_matches_one_schedule(spec, stations, start, step, epoc
 def full_horizon_round(mp, config, *args, **kwargs):
     """simulate_round with every ground phase sampled and scheduled over the
     whole horizon from scratch, as one contact_windows and one
-    schedule_downlink call per phase would: the phase's timeline and the
-    schedule it resumes are dropped."""
+    schedule_downlink call per phase would: the campaign's station geometry,
+    with the samples it keeps, and the schedule a phase resumes are dropped."""
     real_windows, real_schedule = simkernel.contact_windows, simkernel.schedule_downlink
     mp.setattr(simkernel, "contact_windows",
-               lambda walker, stations, horizon, _timeline=None, **kw:
+               lambda walker, stations, horizon, _geometry=None, **kw:
                real_windows(walker, stations, config.horizon_seconds, **kw))
     mp.setattr(simkernel, "schedule_downlink",
                lambda windows, bits, stations, horizon, _resume=None, **kw:
@@ -412,28 +412,29 @@ def test_demo_samples_a_tenth_of_the_full_horizon(monkeypatch):
 
 
 def test_demo_phases_sieve_each_sample_and_schedule_each_epoch_once(monkeypatch):
-    """Guard: within one ground-link phase of the demo campaign no sample is
-    sieved twice and no epoch reaches max_flow twice; the campaign runs
-    max_flow once per non-empty epoch of the phases' final schedules."""
+    """Guard: the demo campaign passes one station geometry to every
+    ground-link phase; within a phase no sample is sieved twice and no epoch
+    reaches max_flow twice; the campaign runs max_flow once per non-empty
+    epoch of the phases' final schedules."""
     scn = parse_scenario(REPO / "scenarios" / "demo_walker6.json")
     setup = SimulationSetup(stations=scn.ground_stations, link_config=scn.link_config,
                             compute=scn.compute, energy=scn.energy)
-    sieved = {}  # timeline -> sample times sieved, in call order
-    grids = {}  # timeline -> the sample times of its last call
-    phases = []  # per phase, the schedules of its calls
+    phases = []  # per phase: its schedules, the sample times it sieved, its last grid
+    sieved = []  # sample times sieved since the last schedule
+    geometries = set()
+    grid = [None]
     flows = [0]
-    current = [None]
     real_sieve, real_flow = constellation._visible_samples, sgl_flow.max_flow
     real_windows, real_schedule = simkernel.contact_windows, simkernel.schedule_downlink
 
-    def sieve(walker, stations, times):
-        sieved.setdefault(current[0], []).append(times)
-        return real_sieve(walker, stations, times)
+    def sieve(walker, geometry, times):
+        sieved.append(times)
+        return real_sieve(walker, geometry, times)
 
-    def windows(*args, _timeline, **kw):
-        current[0] = _timeline
-        grids[_timeline] = kw["start"] + np.arange(0.0, args[2], kw["step"])
-        return real_windows(*args, _timeline=_timeline, **kw)
+    def windows(*args, _geometry, **kw):
+        geometries.add(_geometry)
+        grid[0] = kw["start"] + np.arange(0.0, args[2], kw["step"])
+        return real_windows(*args, _geometry=_geometry, **kw)
 
     def max_flow(network):
         flows[0] += 1
@@ -448,8 +449,11 @@ def test_demo_phases_sieve_each_sample_and_schedule_each_epoch_once(monkeypatch)
         assert [e.epoch_index for e in new] == list(range(len(done), len(result.epochs)))
         assert flows[0] - before == sum(1 for e in new if e.assignment.flows)
         if _resume is None:
-            phases.append([])
-        phases[-1].append(result)
+            phases.append({"schedules": [], "sieved": []})
+        phases[-1]["schedules"].append(result)
+        phases[-1]["sieved"] += sieved
+        phases[-1]["grid"] = grid[0]
+        sieved.clear()
         return result
 
     monkeypatch.setattr(constellation, "_visible_samples", sieve)
@@ -459,13 +463,41 @@ def test_demo_phases_sieve_each_sample_and_schedule_each_epoch_once(monkeypatch)
     _, agg = simulate_fine_tuning(scn.federation, build_walker(scn.constellation),
                                   scn.workload, setup)
     assert agg.complete
-    assert len(phases) == len(sieved) == 4 * scn.federation.rounds
-    assert sum(len(calls) > 1 for calls in phases) > 0  # some phase extends its span
-    for timeline, blocks in sieved.items():
+    assert len(geometries) == 1
+    assert len(phases) == 4 * scn.federation.rounds
+    assert sum(len(p["schedules"]) > 1 for p in phases) > 0  # some phase extends its span
+    for p in phases:
         # Each sample of the phase's final grid sieved once, in order.
-        assert np.array_equal(np.concatenate(blocks), grids[timeline])
-    assert flows[0] == sum(1 for calls in phases for e in calls[-1].epochs
+        assert np.array_equal(np.concatenate(p["sieved"]), p["grid"])
+    assert flows[0] == sum(1 for p in phases for e in p["schedules"][-1].epochs
                            if e.assignment.flows)
+
+
+def test_frozen_demo_campaign_sieves_each_sample_once(monkeypatch):
+    """Guard: every ground-link phase of a frozen-topology campaign samples
+    the epoch's grid, so the demo campaign sieves its 13 samples once, not
+    once per phase (520)."""
+    scn = parse_scenario(REPO / "scenarios" / "demo_walker6.json")
+    setup = SimulationSetup(stations=scn.ground_stations, link_config=scn.link_config,
+                            compute=scn.compute, energy=scn.energy)
+    config = dataclasses.replace(scn.federation, freeze_topology=True)
+    sieved, calls = [], []
+    real_sieve, real_windows = constellation._visible_samples, simkernel.contact_windows
+
+    def sieve(walker, geometry, times):
+        sieved.append(len(times))
+        return real_sieve(walker, geometry, times)
+
+    def windows(*args, **kw):
+        calls.append(args[2])
+        return real_windows(*args, **kw)
+
+    monkeypatch.setattr(constellation, "_visible_samples", sieve)
+    monkeypatch.setattr(simkernel, "contact_windows", windows)
+    _, agg = simulate_fine_tuning(config, build_walker(scn.constellation), scn.workload, setup)
+    assert agg.complete
+    assert len(calls) >= 4 * config.rounds
+    assert sum(sieved) == 13
 
 
 def demo_campaign(stations=None):
