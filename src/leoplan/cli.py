@@ -92,11 +92,8 @@ def _cmd_simulate(scn, args, out: Path) -> list:
     rounds_csv = out / "rounds.csv"
     header = ["round", "start_time"] + list(PHASES) + ["total_seconds", "energy_joules",
                                                        "complete"]
-    rows = []
-    for tr in traces:
-        rows.append([tr.round_index, tr.start_time]
-                    + [tr.phase_seconds[p] for p in PHASES]
-                    + [tr.total_seconds, tr.energy_joules, tr.complete])
+    rows = [[tr.round_index, tr.start_time] + [tr.phase_seconds[p] for p in PHASES]
+            + [tr.total_seconds, tr.energy_joules, tr.complete] for tr in traces]
     _write_csv(rounds_csv, header, rows)
 
     agg_json = out / "aggregate.json"
@@ -141,10 +138,8 @@ def _cmd_downlink(scn, args, out: Path) -> list:
                                orbits=range(scn.constellation.num_orbits))
 
     epochs_csv = out / "epochs.csv"
-    rows = []
-    for ep in result.epochs:
-        for orbit in sorted(ep.delivered):
-            rows.append([ep.epoch_index, orbit, ep.delivered[orbit], ep.assignment.value])
+    rows = [[ep.epoch_index, orbit, ep.delivered[orbit], ep.assignment.value]
+            for ep in result.epochs for orbit in sorted(ep.delivered)]
     _write_csv(epochs_csv, ["epoch", "orbit", "delivered_fraction", "flow_value"], rows)
 
     summary_json = out / "downlink.json"
@@ -193,17 +188,15 @@ def _cmd_routes(scn, args, out: Path) -> list:
     payload = args.payload_bits if args.payload_bits is not None else scn.workload.head_bits
 
     routes_json = out / "routes.json"
-    body = {
+    _write_json(routes_json, {
         "time": at_time,
         "source_orbit": args.source_orbit,
         "dest_orbit": dest,
         "paths": [[sat.label for sat in p] for p in paths.paths],
         "bottlenecks_bps": list(paths.bottlenecks),
         "payload_bits": int(payload),
-    }
-    body["parallel_transfer_seconds"] = (
-        parallel_transfer_time(paths, payload) if len(paths) else None)
-    _write_json(routes_json, body)
+        "parallel_transfer_seconds": parallel_transfer_time(paths, payload) if len(paths) else None,
+    })
     return [routes_json]
 
 

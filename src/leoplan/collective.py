@@ -83,15 +83,10 @@ def plan_all_reduce(ring: RingSpec, payload_bits: int) -> CollectiveResult:
         raise ValueError("payload_bits must be at least node_count")
     block = -(-d // n)  # ceil
 
-    steps = []
-    for k in range(n - 1):
-        for i in range(n):
-            steps.append(TransferStep(k, i, (i + 1) % n, (i - k) % n, block,
-                                      Phase.REDUCE_SCATTER))
-    for k in range(n - 1):
-        for i in range(n):
-            steps.append(TransferStep(n - 1 + k, i, (i + 1) % n, (i + 1 - k) % n, block,
-                                      Phase.ALL_GATHER))
+    steps = [TransferStep(k, i, (i + 1) % n, (i - k) % n, block, Phase.REDUCE_SCATTER)
+             for k in range(n - 1) for i in range(n)]
+    steps += [TransferStep(n - 1 + k, i, (i + 1) % n, (i + 1 - k) % n, block, Phase.ALL_GATHER)
+              for k in range(n - 1) for i in range(n)]
 
     schedule = RingSchedule(n, ring.link_rates, tuple(steps))
     completion = _schedule_time(schedule)

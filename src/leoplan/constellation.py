@@ -93,10 +93,9 @@ class ConstellationSpec:
     epoch: float = 0.0
 
     def validate(self) -> None:
-        if self.num_orbits < 1:
-            raise ValueError("num_orbits must be >= 1")
-        if self.sats_per_orbit < 1:
-            raise ValueError("sats_per_orbit must be >= 1")
+        for name in ("num_orbits", "sats_per_orbit"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not math.isfinite(self.altitude_km) or self.altitude_km <= 0:
             raise ValueError("altitude_km must be positive and finite")
         if not 0.0 <= self.inclination_deg <= 180.0:
@@ -254,19 +253,19 @@ class WalkerConstellation:
         The one place the orbit is written down: a position has the same bits
         whether it comes from a full grid or from gathered (t, i) pairs.
         """
-        dt = times - self.spec.epoch
-        u = self._phase0[sats] + self.mean_motion * dt
-        ci, si = self._cos_incl, self._sin_incl
+        u = self._phase0[sats] + self.mean_motion * (times - self.spec.epoch)
         # In-plane coordinates rotated by inclination, then by RAAN about z,
-        # written straight into the result.
+        # written straight into the result; u, then xo, is reused as a buffer.
         out = np.empty(u.shape + (3,))
         xo = self.radius_km * np.cos(u)
-        r_sin_u = self.radius_km * np.sin(u)
-        np.multiply(r_sin_u, si, out=out[..., 2])
-        yo = r_sin_u * ci
+        yo = np.multiply(self.radius_km, np.sin(u, out=u), out=u)
+        np.multiply(yo, self._sin_incl, out=out[..., 2])
+        yo *= self._cos_incl
         co, so = self._cos_raan[sats], self._sin_raan[sats]
-        np.subtract(xo * co, yo * so, out=out[..., 0])
-        np.add(xo * so, yo * co, out=out[..., 1])
+        np.multiply(xo, co, out=out[..., 0])
+        np.multiply(xo, so, out=out[..., 1])
+        out[..., 0] -= np.multiply(yo, so, out=xo)
+        out[..., 1] += np.multiply(yo, co, out=yo)
         return out
 
 
@@ -319,7 +318,7 @@ def snapshot(
              for k, i, j, x in zip(*(v[keep].tolist() for v in (kind, a, b, length)))]
     if geometry.stations:
         at = np.array([t], dtype=float)
-        s, i, _ = _visible_samples(constellation, geometry, at)
+        s, i = np.divmod(_visible_samples(constellation, geometry, at) >> 32, len(sats))
         st_pos, _ = _station_frames(geometry, at, spec.epoch)
         d = pos[i] - st_pos[s, 0]
         delay = (np.sqrt(np.vecdot(d, d)) / LIGHT_SPEED_KM_S).tolist()
@@ -336,6 +335,9 @@ def snapshot(
 # Margin below the exact cone bound p* in _visible_samples, in km; rounding
 # moves the mask crossing by about 1e-12 km.
 _CONE_MARGIN_KM = 1.0
+
+# The sample field of a visible sample's key, and the longest grid (see _visible_samples).
+_SAMPLE_MASK = _MAX_SAMPLES = 2**32 - 1
 
 # Samples per sieve block in _visible_samples. Any value >= 1 gives the same
 # flags; a larger block tests fewer midpoints but keeps more samples for the
@@ -355,12 +357,17 @@ class _StationGeometry:
     would carry every window twice); each station's rotation basis (its frame
     at angle theta is cos*(ex, ey, 0) + sin*(-ey, ex, 0) + (0, 0, ez)), mask
     sine, and outer and inner cone angles of _visible_samples before the
-    block slack (an inner 0.0 means no inside); and the visible samples of the
-    last grid start + np.arange(0.0, horizon, step) that visible() sieved.
+    block slack (an inner 0.0 means no inside); and `keys`, the sorted keys
+    ((station * num_satellites + satellite) << 32) | sample of _visible_samples
+    over the first `count` samples of the last grid start + np.arange(0.0,
+    horizon, step) that visible() sieved. Keys need stations x satellites
+    below 2**31 (checked here) and a grid of at most 2**32 - 1 samples.
     """
 
     def __init__(self, constellation: WalkerConstellation, stations) -> None:
         self.constellation, self.stations = constellation, tuple(stations)
+        if len(self.stations) * constellation.num_satellites >= 2**31:
+            raise ValueError("stations x satellites must be below 2**31")
         ids = [st.id for st in self.stations]
         for k, st in enumerate(self.stations):
             st.validate()
@@ -378,34 +385,28 @@ class _StationGeometry:
             self.outer.append(math.acos(min(1.0, (p_star - _CONE_MARGIN_KM) / r)))
             ratio = (p_star + _CONE_MARGIN_KM) / r
             self.inner.append(math.acos(ratio) if ratio < 1.0 else 0.0)
-        self.grid = None  # (start, step) of the kept samples
+        self.grid = None  # (start, step) of the kept keys
 
-    def visible(self, start: float, step: float, times: np.ndarray) -> tuple:
-        """(s, i, t) as _visible_samples gives them over times = start +
-        np.arange(0.0, horizon, step). On the kept grid, a shorter horizon
-        filters the kept samples and a longer one sieves only the samples past
-        them: its grid begins with exactly the shorter one's samples, and a
-        sample's flag does not depend on its sieve block
+    def visible(self, start: float, step: float, times: np.ndarray) -> np.ndarray:
+        """The keys of _visible_samples over times = start + np.arange(0.0,
+        horizon, step). On the kept grid, a shorter horizon filters the kept
+        keys on their sample field and a longer one sieves only the samples
+        past them: its grid begins with exactly the shorter one's samples, and
+        a sample's flag does not depend on its sieve block
         (test_kept_samples_match_one_sampling). Another grid starts over."""
         if self.grid != (start, step):
-            # The kept samples, (s, i, t) over times[:count].
-            self.grid, self.count = (start, step), 0
-            self.s = self.i = self.t = np.empty(0, dtype=np.intp)
+            self.grid, self.count, self.keys = (start, step), 0, np.empty(0, dtype=np.int64)
         if len(times) < self.count:
-            keep = self.t < len(times)
-            return self.s[keep], self.i[keep], self.t[keep]
+            return self.keys[(self.keys & _SAMPLE_MASK) < len(times)]
         if len(times) > self.count:
-            s, i, t = _visible_samples(self.constellation, self, times[self.count:])
-            t += self.count
+            keys = _visible_samples(self.constellation, self, times[self.count:])
             if self.count:
-                # Stable on (station, satellite): the old samples of a pair,
-                # all earlier, stay ahead of its new ones.
-                s, i, t = (np.concatenate((old, new)) for old, new in
-                           ((self.s, s), (self.i, i), (self.t, t)))
-                order = np.argsort(s * self.constellation.num_satellites + i, kind="stable")
-                s, i, t = s[order], i[order], t[order]
-            self.s, self.i, self.t, self.count = s, i, t, len(times)
-        return self.s, self.i, self.t
+                # Two sorted runs of distinct keys: the stable sort (a merge
+                # sort) joins them in one pass.
+                keys += self.count
+                keys = np.sort(np.concatenate((self.keys, keys)), kind="stable")
+            self.keys, self.count = keys, len(times)
+        return self.keys
 
 
 def _station_frames(geometry: _StationGeometry, times: np.ndarray, epoch: float) -> tuple:
@@ -425,12 +426,33 @@ def _station_frames(geometry: _StationGeometry, times: np.ndarray, epoch: float)
     return pos, pos / _norms(pos)[..., None]
 
 
+def _kept_blocks(constellation: WalkerConstellation, geometry: _StationGeometry,
+                 mid: np.ndarray, zen: np.ndarray, slack: float) -> tuple:
+    """The midpoint stage of _visible_samples, apart so that its arrays are
+    freed before any per-sample one exists: index arrays (pair, block) of each
+    (station * num_satellites + satellite, block) whose midpoint (zeniths zen)
+    lies in the outer cone, in that order, and whether it lies in the inner one."""
+    r = constellation.radius_km
+    outer = [r * math.cos(a + slack) if a + slack < math.pi else -math.inf
+             for a in geometry.outer]
+    inner = [r * math.cos(a - slack) if a - slack > 0.0 else math.inf for a in geometry.inner]
+    p_mid = np.matmul(zen.transpose(1, 0, 2),
+                      constellation._positions(mid[:, None], slice(None)).transpose(0, 2, 1))
+    # The (blocks, stations, n) flags as (pair, block) rows.
+    near = (p_mid >= np.array(outer)[:, None]).transpose(1, 2, 0).reshape(-1, len(mid))
+    inside = (p_mid >= np.array(inner)[:, None]).transpose(1, 2, 0).reshape(-1, len(mid))
+    pair, block = near.nonzero()
+    return pair, block, inside[pair, block]
+
+
 def _visible_samples(constellation: WalkerConstellation, geometry: _StationGeometry,
-                     times: np.ndarray) -> tuple:
-    """Index arrays (s, i, t) of the samples where satellite i is above the
-    mask of geometry.stations[s] at times[t], sorted by s, then i, then t.
+                     times: np.ndarray) -> np.ndarray:
+    """Sorted int64 keys ((s * num_satellites + i) << 32) | t of the samples
+    where satellite i is above the mask of geometry.stations[s] at times[t].
     This is the one visibility test: contact_windows and snapshot both use
-    it. times must be nondecreasing, and geometry is the constellation's.
+    it. times must be nondecreasing, with fewer than 2**32 samples, and
+    geometry is the constellation's (whose stations x satellites is below
+    2**31, so a key fits in int64).
 
     The sine of elevation, (p - R) / |sat - st| with p = sat . zenith, rises
     with p, so a mask m holds exactly where p >= p* = R cos^2 m + sin m
@@ -445,51 +467,43 @@ def _visible_samples(constellation: WalkerConstellation, geometry: _StationGeome
     the mask by more than 2e-5 at any altitude up to GEO, far above its
     rounding, so the whole block is flagged without the formula. There is no
     inside when (p* + _CONE_MARGIN_KM) / r >= 1 or psi_in <= 0; a call only
-    adds its slack to the geometry's angles. Only the samples of the rim
-    blocks left get exact positions and the sine formula, elementwise, so the
+    adds its slack to the geometry's angles. Each kept block expands straight
+    into the keys of its samples; only the keys of the rim blocks left are
+    decoded, for exact positions and the sine formula, elementwise, so the
     flags equal evaluating it at every sample
     (test_visibility_matches_full_evaluation); no (len(times), n) array is built.
     """
     count = len(times)
-    epoch, r = constellation.spec.epoch, constellation.radius_km
-
+    epoch = constellation.spec.epoch
     first = np.arange(0, count, _SIEVE_BLOCK)
-    last = np.minimum(first + (_SIEVE_BLOCK - 1), count - 1)
-    half = 0.5 * (times[last] - times[first])
+    half = 0.5 * (times[np.minimum(first + (_SIEVE_BLOCK - 1), count - 1)] - times[first])
     mid = times[first] + half
     rate = constellation.mean_motion + EARTH_ROTATION_RAD_S
     reach = max(abs(times[0] - epoch), abs(times[-1] - epoch))
     slack = rate * float(half.max()) + 1e-6 + 1e-12 * (4.0 * math.pi + rate * reach)
-    outer = [r * math.cos(a + slack) if a + slack < math.pi else -math.inf
-             for a in geometry.outer]
-    inner = [r * math.cos(a - slack) if a - slack > 0.0 else math.inf for a in geometry.inner]
     # One frame over the samples, then the midpoints: both are elementwise in
     # time, so each sample's bits are those of a frame over the samples alone.
     st_pos, zen = _station_frames(geometry, np.concatenate((times, mid)), epoch)
-    sat_mid = constellation._positions(mid[:, None], slice(None))  # (blocks, n, 3)
-    p_mid = np.matmul(zen[:, count:].transpose(1, 0, 2), sat_mid.transpose(0, 2, 1))
-    near = p_mid >= np.array(outer)[:, None]  # (blocks, stations, n)
-    # Flat indices in (station, satellite, block) order, split back up.
-    pair, b = np.divmod(near.transpose(1, 2, 0).ravel().nonzero()[0], len(first))
-    s, i = np.divmod(pair, constellation.num_satellites)
-    visible = p_mid[b, s, i] >= np.array(inner)[s]
+    pair, block, inside = _kept_blocks(constellation, geometry, mid, zen[:, count:], slack)
 
-    # Each kept (station, satellite, block) expands into its samples, in order.
-    t = (first[b][:, None] + _BLOCK_OFFSETS).ravel()
-    s = s.repeat(_SIEVE_BLOCK)
-    i = i.repeat(_SIEVE_BLOCK)
-    visible = visible.repeat(_SIEVE_BLOCK)
+    # Each kept (station, satellite, block) expands into its samples' keys, in order.
+    keys = (((pair << 32) + block * _SIEVE_BLOCK)[:, None] + _BLOCK_OFFSETS).ravel()
+    visible = inside.repeat(_SIEVE_BLOCK)
+    del pair, block, inside
     if count % _SIEVE_BLOCK:
-        inside = t < count
-        s, i, t, visible = s[inside], i[inside], t[inside], visible[inside]
-    rim = (~visible).nonzero()[0]
-    sr, tr = s[rim], t[rim]
-    sample = sr * (count + len(mid)) + tr
-    d = constellation._positions(times[tr], i[rim])
-    d -= st_pos.reshape(-1, 3).take(sample, axis=0)
-    up = np.einsum("ck,ck->c", d, zen.reshape(-1, 3).take(sample, axis=0))
-    visible[rim] = up / _norms(d) >= geometry.sin_mask[sr]
-    return s[visible], i[visible], t[visible]
+        kept = (keys & _SAMPLE_MASK) < count
+        keys, visible = keys[kept], visible[kept]
+    rim = ~visible
+    t = keys[rim]
+    s, i = np.divmod(t >> 32, constellation.num_satellites)
+    t &= _SAMPLE_MASK
+    d = constellation._positions(times[t], i)
+    del i
+    t += s * (count + len(mid))  # each rim sample's row in the frames
+    d -= st_pos.reshape(-1, 3).take(t, axis=0)
+    up = np.einsum("ck,ck->c", d, zen.reshape(-1, 3).take(t, axis=0))
+    visible[rim] = up / _norms(d) >= geometry.sin_mask[s]
+    return keys[visible]
 
 
 def contact_windows(
@@ -508,19 +522,24 @@ def contact_windows(
     of consecutive visible samples become one window reaching one step past
     the last visible sample, so windows for a pair never overlap and always
     have positive duration. Windows are ordered by station, then satellite,
-    then time.
+    then time: a window is a run of consecutive keys ((station *
+    num_satellites + satellite) << 32) | sample; only its end keys are
+    decoded. A grid of at most 2**32 - 1 samples (horizon / step) keeps runs
+    of two pairs apart, and stations x satellites below 2**31 keeps keys in
+    int64; each limit is checked before any array is built.
 
     Station ids must be distinct. _geometry, the _StationGeometry of these
     constellation and stations kept by a caller, sieves only the samples of
     the grid that its kept ones lack; the windows are those of a call
     without it.
     """
-    if not math.isfinite(horizon) or horizon <= 0:
-        raise ValueError("horizon must be positive and finite")
-    if not math.isfinite(step) or step <= 0:
-        raise ValueError("step must be positive and finite")
+    for name, value in (("horizon", horizon), ("step", step)):
+        if not math.isfinite(value) or value <= 0:
+            raise ValueError(f"{name} must be positive and finite")
     if not math.isfinite(start):
         raise ValueError("start must be finite")
+    if horizon / step > _MAX_SAMPLES:
+        raise ValueError(f"horizon / step exceeds {_MAX_SAMPLES} samples")
     cfg = link_config if link_config is not None else LinkConfig()
     cfg.validate()
 
@@ -532,17 +551,16 @@ def contact_windows(
         _geometry = _StationGeometry(constellation, stations)
     elif _geometry.constellation is not constellation or _geometry.stations != stations:
         raise ValueError("the station geometry is of another constellation or other stations")
-    s, i, t = _geometry.visible(start, step, times)
-    if len(t) == 0:
+    keys = _geometry.visible(start, step, times)
+    if len(keys) == 0:
         return []
-    # A run is a stretch of consecutive keys; the gap of len(times) + 1 per
-    # (station, satellite) keeps runs of two pairs apart.
-    key = (s * constellation.num_satellites + i) * (len(times) + 1) + t
-    breaks = (key[1:] - key[:-1] != 1).nonzero()[0] + 1
-    first = np.concatenate(([0], breaks))
-    last = np.concatenate((breaks, [len(key)])) - 1
-    starts = times[t[first]].tolist()
-    ends = (times[t[last]] + step).tolist()
+    # A run is a stretch of consecutive keys; only the keys at its ends are decoded.
+    edge = keys[1:] - keys[:-1] != 1
+    first = keys[np.concatenate(([True], edge))]
+    last = keys[np.concatenate((edge, [True]))]
+    s, i = np.divmod(first >> 32, constellation.num_satellites)
+    starts = times[first & _SAMPLE_MASK].tolist()
+    ends = (times[last & _SAMPLE_MASK] + step).tolist()
     sats = constellation.satellites
     return [ContactWindow(sats[k], stations[j].id, t0, t1, cfg.sgl_rate_bps)
-            for j, k, t0, t1 in zip(s[first].tolist(), i[first].tolist(), starts, ends)]
+            for j, k, t0, t1 in zip(s.tolist(), i.tolist(), starts, ends)]

@@ -84,10 +84,6 @@ class ShortestPaths:
             hops.append(int(hop[hops[-1]]))
         return hops
 
-    def path(self, u, v) -> list | None:
-        hops = self.hops(self.index[u], self.index[v])
-        return None if hops is None else [self.nodes[h] for h in hops]
-
     def transfer_at(self, i: int, j: int, bits: float) -> float:
         """bits / bottleneck rate + propagation along the kept path from the
         node at index i to the node at index j; 0.0 when i == j. The path's

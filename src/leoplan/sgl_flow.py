@@ -229,12 +229,10 @@ def schedule_downlink(
         visibility contribute an empty entry), the final state, and whether
         every orbit finished inside the horizon.
     """
-    if not math.isfinite(epoch_seconds) or epoch_seconds <= 0:
-        raise ValueError("epoch_seconds must be positive and finite")
-    if not math.isfinite(horizon) or horizon <= 0:
-        raise ValueError("horizon must be positive and finite")
-    if not math.isfinite(model_bits) or model_bits <= 0:
-        raise ValueError("model_bits must be positive and finite")
+    for name, value in (("epoch_seconds", epoch_seconds), ("horizon", horizon),
+                        ("model_bits", model_bits)):
+        if not math.isfinite(value) or value <= 0:
+            raise ValueError(f"{name} must be positive and finite")
     if not math.isfinite(start_time):
         raise ValueError("start_time must be finite")
     if _resume is not None:

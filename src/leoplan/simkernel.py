@@ -16,11 +16,13 @@ A campaign validates its inputs, plans both ring collectives and builds its
 station geometry once; the inputs never change between its rounds. Each
 ground-link phase samples visibility from the phase's start only as far as
 its schedule reaches, with the result of sampling the whole horizon. The
-phase is one continuing computation: the geometry keeps the visible samples
-of the grid it last sieved, so a longer span sieves only the samples past
-them, and the schedule resumes after its last epoch. No sample of a grid is
-sieved and no epoch is scheduled twice; frozen-topology phases all share the
-epoch's grid.
+phase is one continuing computation: the geometry keeps one sorted int64
+key, ((station * num_satellites + satellite) << 32) | sample, per visible
+sample of the grid it last sieved, so a longer span sieves only the samples
+past them, and the schedule resumes after its last epoch. So a phase's grid
+holds at most 2**32 - 1 samples and stations x satellites stays below 2**31.
+No sample of a grid is sieved and no epoch is scheduled twice;
+frozen-topology phases all share the epoch's grid.
 """
 
 from __future__ import annotations
@@ -85,12 +87,9 @@ class WorkloadSpec:
     flops_per_sample_head: float = 1e6
 
     def validate(self) -> None:
-        if self.samples_per_satellite <= 0:
-            raise ValueError("samples_per_satellite must be positive")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if self.embedding_dim <= 0:
-            raise ValueError("embedding_dim must be positive")
+        for name in ("samples_per_satellite", "batch_size", "embedding_dim"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.precision_bits not in (16, 32, 64):
             raise ValueError("precision_bits must be 16, 32, or 64")
         for name in ("head_params", "embedding_params", "encoder_params"):
@@ -121,10 +120,9 @@ class FederationConfig:
     freeze_topology: bool = False
 
     def validate(self) -> None:
-        if self.rounds <= 0:
-            raise ValueError("rounds must be positive")
-        if self.intra_orbit_agg_rounds <= 0:
-            raise ValueError("intra_orbit_agg_rounds must be positive")
+        for name in ("rounds", "intra_orbit_agg_rounds"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.aggregation_mode not in (GROUND, DECENTRALIZED):
             raise ValueError(f"aggregation_mode must be '{GROUND}' or '{DECENTRALIZED}'")
         for name in ("epoch_seconds", "horizon_seconds", "window_step_seconds"):

@@ -90,8 +90,9 @@ from leoplan import (
     snapshot,
 )
 from leoplan.collective import RingSpec, plan_all_gather, plan_all_reduce
-from leoplan.constellation import (EARTH_ROTATION_RAD_S, LIGHT_SPEED_KM_S, _station_frames,
-                                   _StationGeometry, _visible_samples)
+from leoplan.constellation import (_BLOCK_OFFSETS, _SIEVE_BLOCK, EARTH_ROTATION_RAD_S,
+                                   LIGHT_SPEED_KM_S, _norms, _station_frames, _StationGeometry,
+                                   _visible_samples)
 from leoplan import deployment
 from leoplan.deployment import (DEAD_END_REWARD, LEARNING_RATE, N_FEATURES, DeploymentMdp,
                                 DeploymentPlan, TrainingReport)
@@ -147,7 +148,7 @@ def reference_snapshot(constellation, t, link_config, stations=()):
     if stations:
         geometry = _StationGeometry(constellation, stations)
         st_pos, _ = _station_frames(geometry, at, constellation.spec.epoch)
-        s_idx, visible, _ = _visible_samples(constellation, geometry, at)
+        s_idx, visible, _ = reference_visible_samples(constellation, geometry, at)
     for k, st in enumerate(stations):
         for i in visible[s_idx == k].tolist():
             dist = float(np.linalg.norm(pos[i] - st_pos[k, 0]))
@@ -413,6 +414,13 @@ def next_hop_path(nodes, next_hop, i, j):
     return [nodes[h] for h in hops]
 
 
+def shortest_path(sp, u, v):
+    """The nodes of ShortestPaths sp's kept path from u to v, both included;
+    None when v is unreachable from u."""
+    hops = sp.hops(sp.index[u], sp.index[v])
+    return None if hops is None else [sp.nodes[h] for h in hops]
+
+
 def random_sparse_digraph(rng, n, out_degree, isolated_share, weights):
     """A directed Topology on n nodes for all-pairs comparisons.
 
@@ -455,9 +463,57 @@ def random_sparse_digraph(rng, n, out_degree, isolated_share, weights):
 def visibility_flags(constellation, station, times):
     """The library's visible samples for one station as flags, shape (len(times), n)."""
     visible = np.zeros((len(times), constellation.num_satellites), dtype=bool)
-    _, i, t = _visible_samples(constellation, _StationGeometry(constellation, (station,)), times)
-    visible[t, i] = True
+    keys = _visible_samples(constellation, _StationGeometry(constellation, (station,)), times)
+    visible[keys & (2**32 - 1), keys >> 32] = True
     return visible
+
+
+def reference_visible_samples(constellation, geometry, times):
+    """Index arrays (s, i, t) of the samples where satellite i is above the
+    mask of geometry.stations[s] at times[t], sorted by s, then i, then t:
+    the library's sieve (see _visible_samples for the cone bounds) as it was
+    before it returned one key per visible sample, kept as the reference
+    those keys decode to."""
+    count = len(times)
+    epoch, r = constellation.spec.epoch, constellation.radius_km
+
+    first = np.arange(0, count, _SIEVE_BLOCK)
+    last = np.minimum(first + (_SIEVE_BLOCK - 1), count - 1)
+    half = 0.5 * (times[last] - times[first])
+    mid = times[first] + half
+    rate = constellation.mean_motion + EARTH_ROTATION_RAD_S
+    reach = max(abs(times[0] - epoch), abs(times[-1] - epoch))
+    slack = rate * float(half.max()) + 1e-6 + 1e-12 * (4.0 * math.pi + rate * reach)
+    outer = [r * math.cos(a + slack) if a + slack < math.pi else -math.inf
+             for a in geometry.outer]
+    inner = [r * math.cos(a - slack) if a - slack > 0.0 else math.inf for a in geometry.inner]
+    # One frame over the samples, then the midpoints: both are elementwise in
+    # time, so each sample's bits are those of a frame over the samples alone.
+    st_pos, zen = _station_frames(geometry, np.concatenate((times, mid)), epoch)
+    sat_mid = constellation._positions(mid[:, None], slice(None))  # (blocks, n, 3)
+    p_mid = np.matmul(zen[:, count:].transpose(1, 0, 2), sat_mid.transpose(0, 2, 1))
+    near = p_mid >= np.array(outer)[:, None]  # (blocks, stations, n)
+    # Flat indices in (station, satellite, block) order, split back up.
+    pair, b = np.divmod(near.transpose(1, 2, 0).ravel().nonzero()[0], len(first))
+    s, i = np.divmod(pair, constellation.num_satellites)
+    visible = p_mid[b, s, i] >= np.array(inner)[s]
+
+    # Each kept (station, satellite, block) expands into its samples, in order.
+    t = (first[b][:, None] + _BLOCK_OFFSETS).ravel()
+    s = s.repeat(_SIEVE_BLOCK)
+    i = i.repeat(_SIEVE_BLOCK)
+    visible = visible.repeat(_SIEVE_BLOCK)
+    if count % _SIEVE_BLOCK:
+        inside = t < count
+        s, i, t, visible = s[inside], i[inside], t[inside], visible[inside]
+    rim = (~visible).nonzero()[0]
+    sr, tr = s[rim], t[rim]
+    sample = sr * (count + len(mid)) + tr
+    d = constellation._positions(times[tr], i[rim])
+    d -= st_pos.reshape(-1, 3).take(sample, axis=0)
+    up = np.einsum("ck,ck->c", d, zen.reshape(-1, 3).take(sample, axis=0))
+    visible[rim] = up / _norms(d) >= geometry.sin_mask[sr]
+    return s[visible], i[visible], t[visible]
 
 
 def reference_station_frames(stations, times, epoch):

@@ -158,6 +158,18 @@ def test_downlink_non_finite_start_prints_one_error_line(tmp_path, start):
                           message="start must be finite")
 
 
+def test_downlink_oversized_grid_prints_one_error_line(tmp_path):
+    """A horizon of 1e12 s at a 1e-3 s step is 1e15 samples, more than a
+    key's 32-bit sample field holds: exit 1 with one JSON line, before the
+    7.11 PiB grid is asked for, not a MemoryError traceback."""
+    obj = json.loads((REPO / "scenarios" / "demo_walker6.json").read_text(encoding="utf-8"))
+    obj["federation"].update(horizon_seconds=1e12, window_step_seconds=1e-3)
+    path = tmp_path / "huge_grid.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert_one_error_line(tmp_path, "downlink", str(path),
+                          message="horizon / step exceeds 4294967295 samples")
+
+
 @pytest.mark.parametrize("command", ["routes", "deploy"])
 def test_non_finite_time_prints_one_error_line(tmp_path, command):
     """A NaN snapshot time is rejected before any geometry, not reported as

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from oracles import (
     reference_snapshot,
     reference_station_frames,
     reference_visibility,
+    reference_visible_samples,
     run_length_windows,
     shell_plan_case,
     station_position,
@@ -463,6 +465,60 @@ def test_a_geometry_serves_every_grid_of_its_own_constellation_and_stations():
 
 
 @settings(max_examples=100, deadline=None)
+@given(spec=walker_specs(), stations=station_sets(), altitude=altitudes, lat=latitudes,
+       mask=masks, start=st.floats(-1e4, 1e5), step=steps_s, steps=sample_counts)
+# No inside at GEO under an 89.9 deg mask, every block kept, a pole station
+# on a polar shell, and snapshot's one-sample grid.
+@example(spec=ConstellationSpec(4, 3, 35786.0, 0.0), stations=(), altitude=None, lat=0.0,
+         mask=89.9, start=0.0, step=60.0, steps=121)
+@example(spec=ConstellationSpec(2, 5, 550.0, 53.0), stations=(), altitude=1e-3, lat=-90.0,
+         mask=0.0, start=-250.0, step=2000.0, steps=25)
+@example(spec=ConstellationSpec(4, 6, 550.0, 90.0), stations=(), altitude=None, lat=90.0,
+         mask=10.0, start=0.0, step=5.0, steps=400)
+@example(spec=ConstellationSpec(4, 6, 550.0, 53.0), stations=(), altitude=None, lat=0.0,
+         mask=10.0, start=0.0, step=5.0, steps=1)
+def test_sieve_keys_decode_to_the_reference_samples(spec, stations, altitude, lat, mask, start,
+                                                    step, steps):
+    """The sieve's keys, sorted and int64, decode to exactly the (s, i, t)
+    index arrays of the sieve that returned them."""
+    if altitude is not None:
+        spec = dataclasses.replace(spec, altitude_km=altitude)
+    walker = build_walker(spec)
+    stations = stations + (GroundStation("gs-x", lat, 10.0, min_elevation_deg=mask),)
+    geometry = constellation._StationGeometry(walker, stations)
+    times = start + np.arange(0.0, steps * step * 0.999, step)
+    keys = constellation._visible_samples(walker, geometry, times)
+    assert keys.dtype == np.int64 and np.all(keys[1:] > keys[:-1])
+    s, i = np.divmod(keys >> 32, walker.num_satellites)
+    want = reference_visible_samples(walker, geometry, times)
+    for got, ref in zip((s, i, keys & (2**32 - 1)), want):
+        assert got.tolist() == ref.tolist()
+
+
+@settings(max_examples=50, deadline=None)
+@given(spec=walker_specs(), stations=station_sets(), lat=latitudes, mask=masks,
+       calls=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 150)), min_size=1,
+                      max_size=6))
+# A pass lasts several 100 s steps: longer, shorter, another grid, then back.
+@example(spec=ConstellationSpec(4, 6, 550.0, 53.0), stations=(), lat=40.0, mask=10.0,
+         calls=[(0, 40), (0, 121), (0, 7), (1, 60), (0, 121), (0, 130), (2, 13)])
+def test_a_geometry_across_grids_gives_fresh_windows(spec, stations, lat, mask, calls):
+    """One station geometry driven through longer, shorter and other-grid
+    spans, in any order, gives after every call the windows of a fresh call,
+    by .hex()."""
+    walker = build_walker(spec)
+    stations = stations + (GroundStation("gs-x", lat, 10.0, min_elevation_deg=mask),)
+    grids = ((0.0, 100.0), (0.0, 37.5), (-1234.5, 100.0))  # (start, step)
+    geometry = constellation._StationGeometry(walker, stations)
+    for grid, count in calls:
+        start, step = grids[grid]
+        kw = dict(step=step, start=start, link_config=LinkConfig(sgl_rate_bps=3e6))
+        got = contact_windows(walker, stations, count * step * 0.999, _geometry=geometry, **kw)
+        assert window_key(got) == window_key(contact_windows(walker, stations,
+                                                             count * step * 0.999, **kw))
+
+
+@settings(max_examples=100, deadline=None)
 @given(spec=walker_specs(),
        altitude=altitudes, lat=latitudes, lon=st.one_of(st.just(0.0), st.floats(-180.0, 180.0)),
        mask=masks, start=st.floats(-1e4, 1e5), step=steps_s, steps=sample_counts)
@@ -548,6 +604,67 @@ def test_shell_plan_windows_match_dense_oracle_in_bounded_memory():
     assert {w.ground_station for w in got} == {gs.id for gs in scn.ground_stations}
     assert window_key(got) == window_key(want)
     assert peak < 16e6
+
+
+def test_one_cold_shell_call_stays_below_its_memory_pin():
+    """One contact_windows call on a 24x22 shell with 8 fixed stations over
+    5,400 s at a 5 s step peaks below 8 MB under tracemalloc. The sieve that
+    returned three index arrays (s, i, t) and held its midpoint arrays through
+    the exact test peaked at 14.1 MB here; the key sieve peaks at 5.3 MB
+    (numpy 2.4)."""
+    sites = [(-4.6323, 175.7868), (42.7633, 142.4084), (-11.4759, -39.567),
+             (50.3027, 108.7441), (-29.4408, -161.8942), (30.3212, -23.7257),
+             (-22.3627, 27.6316), (50.5392, 91.6324)]
+    stations = tuple(GroundStation(f"gs-{k}", lat, lon) for k, (lat, lon) in enumerate(sites))
+    walker = build_walker(ConstellationSpec(24, 22, 550.0, 53.0, phasing_factor=1))
+    tracemalloc.start()
+    try:
+        windows = contact_windows(walker, stations, 5400.0, step=5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(windows) == 1236
+    assert peak < 8e6
+
+
+def test_an_oversized_grid_is_rejected_before_any_array(monkeypatch):
+    """A grid of more than 2**32 - 1 samples cannot be keyed: it is rejected
+    before the grid exists (1e15 samples would take 7.11 PiB). The bound is
+    exact: at a lowered limit, a grid of the limit's length passes and one
+    sample more is rejected."""
+    walker = build_walker(ConstellationSpec(6, 11, 550.0, 53.0))
+    stations = (GroundStation("gs", 40.0, 10.0),)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="horizon / step exceeds 4294967295 samples"):
+            contact_windows(walker, stations, 1e12, step=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    monkeypatch.setattr(constellation, "_MAX_SAMPLES", 100)
+    for horizon in (499.9, 500.0):  # 100 samples at a 5 s step
+        assert len(np.arange(0.0, horizon, 5.0)) == 100
+        contact_windows(walker, stations, horizon, step=5.0)
+    with pytest.raises(ValueError, match="horizon / step exceeds 100 samples"):
+        contact_windows(walker, stations, 500.001, step=5.0)
+
+
+def test_too_many_station_satellite_pairs_are_rejected():
+    """A key holds station * num_satellites + satellite in 31 bits, so
+    stations x satellites of 2**31 or more is rejected before any array; a
+    stand-in shell of that many satellites is never built."""
+    station = GroundStation("gs", 40.0, 10.0)
+    two = (station, dataclasses.replace(station, id="gs-b"))
+
+    def shell(n):
+        return types.SimpleNamespace(num_satellites=n, radius_km=6921.0)
+
+    constellation._StationGeometry(shell(2**31 - 1), (station,))
+    constellation._StationGeometry(shell(2**30 - 1), two)
+    for n, stations in ((2**31, (station,)), (2**30, two)):
+        with pytest.raises(ValueError, match=r"stations x satellites must be below 2\*\*31"):
+            constellation._StationGeometry(shell(n), stations)
 
 
 def test_shell_plan_windows_compute_exact_positions_only_on_cone_rims(monkeypatch):

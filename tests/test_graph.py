@@ -24,6 +24,7 @@ from oracles import (
     reference_disjoint_paths,
     reference_dst_heuristic,
     routing_graphs,
+    shortest_path,
     task_unions,
 )
 
@@ -135,7 +136,7 @@ def test_integer_planners_match_the_label_references(graph, data):
     j = index[data.draw(st.sampled_from(nodes))]
     assert sp.column(j)[0].tobytes() == fw[:, j].tobytes()
     for i, u in enumerate(nodes):
-        assert sp.path(u, nodes[j]) == next_hop_path(nodes, nxt, i, j)
+        assert shortest_path(sp, u, nodes[j]) == next_hop_path(nodes, nxt, i, j)
 
 
 def test_import_leoplan_leaves_networkx_unloaded():

@@ -34,6 +34,7 @@ from oracles import (
     reference_disjoint_paths,
     random_rate_digraph,
     random_sparse_digraph,
+    shortest_path,
     toy_snapshot,
 )
 
@@ -88,7 +89,7 @@ def test_isolated_satellites_still_nodes():
     sp = all_pairs_shortest(g)
     a, c = SatelliteId.parse("o0s0"), SatelliteId.parse("o5s0")
     assert distance(sp, a, c) == math.inf
-    assert sp.path(a, c) is None
+    assert shortest_path(sp, a, c) is None
     with pytest.raises(ValueError, match="no route from o0s0 to o5s0"):
         sp.transfer_at(sp.index[a], sp.index[c], 1.0)
 
@@ -101,7 +102,7 @@ def test_shortest_path_hand_case():
     sp = all_pairs_shortest(g)
     a, b, c = (SatelliteId.parse(x) for x in ("o0s0", "o0s1", "o0s2"))
     assert abs(distance(sp, a, c) - 2e-6) < 1e-18
-    assert sp.path(a, c) == [a, b, c]
+    assert shortest_path(sp, a, c) == [a, b, c]
     i, j = sp.index[a], sp.index[c]
     assert sp.transfer_at(i, j, 3e6) == 3e6 / 1e6 + 0.0  # bottleneck 1e6, no propagation
     assert sp.transfer_at(i, i, 3e6) == 0.0
@@ -185,7 +186,7 @@ def assert_same_routes(g, sources):
         assert np.array_equal(hop, nxt[:, j])
     for i in sources:
         for j, dst in enumerate(sp.nodes):
-            assert sp.path(sp.nodes[i], dst) == next_hop_path(sp.nodes, nxt, i, j)
+            assert shortest_path(sp, sp.nodes[i], dst) == next_hop_path(sp.nodes, nxt, i, j)
 
 
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 261])
@@ -233,7 +234,7 @@ def test_unconnected_pair_keeps_its_error_and_matches_reference():
     assert_same_routes(g, sources=range(6))
     sp = all_pairs_shortest(g)
     a, b = SatelliteId.parse("o0s1"), SatelliteId.parse("o1s2")
-    assert distance(sp, a, b) == math.inf and sp.path(a, b) is None
+    assert distance(sp, a, b) == math.inf and shortest_path(sp, a, b) is None
     with pytest.raises(ValueError, match="no route from o0s1 to o1s2: hosts not connected "
                                          "in the snapshot"):
         sp.transfer_at(sp.index[a], sp.index[b], 1.0)
@@ -346,7 +347,7 @@ def test_demo_shell_routes_exist():
     sp = all_pairs_shortest(g)
     src, dst = SatelliteId(0, 0), SatelliteId(3, 5)
     assert distance(sp, src, dst) < math.inf
-    path = sp.path(src, dst)
+    path = shortest_path(sp, src, dst)
     assert path[0] == src and path[-1] == dst
     for a, b in zip(path, path[1:]):
         assert (a, b) in g.edges
