@@ -28,11 +28,6 @@ class LinkKind(str, Enum):
     INTRA_ORBIT_ISL = "intra_orbit_isl"
     INTER_ORBIT_ISL = "inter_orbit_isl"
     CROSS_SEAM_ISL = "cross_seam_isl"
-    SGL = "sgl"
-    GROUND_DEDICATED = "ground_dedicated"
-
-
-ISL_KINDS = (LinkKind.INTRA_ORBIT_ISL, LinkKind.INTER_ORBIT_ISL, LinkKind.CROSS_SEAM_ISL)
 
 _SAT_LABEL = re.compile(r"^o(\d+)s(\d+)$")
 
@@ -141,7 +136,7 @@ class Link:
 
 @dataclass(frozen=True)
 class TopologySnapshot:
-    """Positions and live links of the network at one instant."""
+    """Positions and live ISLs of the constellation at one instant."""
 
     time: float
     links: tuple
@@ -152,17 +147,20 @@ class TopologySnapshot:
 
     @cached_property
     def numbered(self) -> tuple:
-        """(nodes, satellites, table), read by every graph over the snapshot:
-        each node once in node_key order, the first `satellites` of them the
-        satellites, and per link, in link order, the row (end index, end
-        index, 1.0 for an ISL else 0.0, rate, delay)."""
+        """(nodes, table), read by every graph over the snapshot: each
+        satellite once in node_key order, and per link, in link order, the row
+        (end index, end index, rate, delay). A node that is not a satellite,
+        such as a link end given by a string, is rejected."""
         nodes = sorted({*self.positions, *(v for l in self.links for v in l.endpoints)},
                        key=node_key)
+        # node_key sorts every other node after the satellites.
+        if nodes and not isinstance(nodes[-1], SatelliteId):
+            raise ValueError(f"snapshot node {nodes[-1]!r} is not a satellite")
         index = {v: i for i, v in enumerate(nodes)}
-        rows = [(index[a], index[b], l.kind in ISL_KINDS, l.rate_bps, l.propagation_delay_s)
+        rows = [(index[a], index[b], l.rate_bps, l.propagation_delay_s)
                 for l in self.links for a, b in [l.endpoints]]
-        table = np.fromiter(itertools.chain.from_iterable(rows), float, 5 * len(rows))
-        return nodes, sum(isinstance(v, SatelliteId) for v in nodes), table.reshape(-1, 5)
+        table = np.fromiter(itertools.chain.from_iterable(rows), float, 4 * len(rows))
+        return nodes, table.reshape(-1, 4)
 
 
 @dataclass(frozen=True)
@@ -274,20 +272,14 @@ def build_walker(spec: ConstellationSpec) -> WalkerConstellation:
     return WalkerConstellation(spec)
 
 
-def snapshot(
-    constellation: WalkerConstellation,
-    t: float,
-    link_config: LinkConfig,
-    stations: tuple = (),
-) -> TopologySnapshot:
-    """Topology at instant t.
+def snapshot(constellation: WalkerConstellation, t: float,
+             link_config: LinkConfig) -> TopologySnapshot:
+    """ISL topology at instant t.
 
-    Emits the intra-orbit rings, the same-slot inter-orbit ISLs of adjacent
-    planes that are within range (the wrap-around plane pair counts as the
-    seam and follows the cross-seam policy), and, when stations with
-    distinct ids are given, the currently visible SGLs plus each station's
-    dedicated ground link. A satellite gets an SGL exactly when
-    contact_windows would count the instant t as a visible sample.
+    Emits the intra-orbit rings and the same-slot inter-orbit ISLs of
+    adjacent planes that are within range (the wrap-around plane pair counts
+    as the seam and follows the cross-seam policy). Ground links are not
+    instant links: contact_windows samples them over an interval.
 
     Links join the constellation's own SatelliteId objects. Every length is
     sqrt(vecdot(d, d)), the dot product np.linalg.norm takes, so delays and
@@ -297,11 +289,10 @@ def snapshot(
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     link_config.validate()
-    geometry = _StationGeometry(constellation, stations)
     spec, sats = constellation.spec, constellation.satellites
     P, S = spec.num_orbits, spec.sats_per_orbit
     pos = constellation.positions_at(t)
-    # ISL ends as satellite indices (orbit * S + slot), with their ISL_KINDS
+    # ISL ends as satellite indices (orbit * S + slot), with their LinkKind
     # index: the rings (one link for a pair of slots), the adjacent plane
     # pairs, then the seam.
     ring = np.arange(P * S)[::2 if S == 2 else 1] if S >= 2 else np.arange(0)
@@ -314,21 +305,9 @@ def snapshot(
     length = np.sqrt(np.vecdot(d, d))
     keep = (kind == 0) | (length <= link_config.max_isl_range_km)
     rate = (link_config.intra_orbit_rate_bps,) + (link_config.inter_orbit_rate_bps,) * 2
-    links = [Link(ISL_KINDS[k], (sats[i], sats[j]), rate[k], x / LIGHT_SPEED_KM_S)
+    kinds = tuple(LinkKind)
+    links = [Link(kinds[k], (sats[i], sats[j]), rate[k], x / LIGHT_SPEED_KM_S)
              for k, i, j, x in zip(*(v[keep].tolist() for v in (kind, a, b, length)))]
-    if geometry.stations:
-        at = np.array([t], dtype=float)
-        s, i = np.divmod(_visible_samples(constellation, geometry, at) >> 32, len(sats))
-        st_pos, _ = _station_frames(geometry, at, spec.epoch)
-        d = pos[i] - st_pos[s, 0]
-        delay = (np.sqrt(np.vecdot(d, d)) / LIGHT_SPEED_KM_S).tolist()
-        # s is sorted, so station k's SGLs are rows bounds[k]:bounds[k + 1].
-        bounds = np.searchsorted(s, np.arange(len(geometry.stations) + 1)).tolist()
-        for k, st in enumerate(geometry.stations):
-            links += [Link(LinkKind.SGL, (sats[j], st.id), link_config.sgl_rate_bps, delay[r])
-                      for r, j in enumerate(i[bounds[k]:bounds[k + 1]].tolist(), bounds[k])]
-            links.append(Link(LinkKind.GROUND_DEDICATED, (st.id, "cloud"),
-                              st.dedicated_rate_bps, 0.0))
     return TopologySnapshot(time=t, links=tuple(links), positions=dict(zip(sats, pos)))
 
 
@@ -413,8 +392,8 @@ def _station_frames(geometry: _StationGeometry, times: np.ndarray, epoch: float)
     """Inertial positions (km) and unit zeniths of the geometry's stations at
     times, each shape (len(stations), len(times), 3).
 
-    The one place a station's turn with the Earth is written down: the
-    visibility test and snapshot's SGL delays both read it.
+    The one place a station's turn with the Earth is written down, read by
+    the visibility test.
     """
     theta = EARTH_ROTATION_RAD_S * (times - epoch)
     c, s = np.cos(theta), np.sin(theta)
@@ -449,10 +428,10 @@ def _visible_samples(constellation: WalkerConstellation, geometry: _StationGeome
                      times: np.ndarray) -> np.ndarray:
     """Sorted int64 keys ((s * num_satellites + i) << 32) | t of the samples
     where satellite i is above the mask of geometry.stations[s] at times[t].
-    This is the one visibility test: contact_windows and snapshot both use
-    it. times must be nondecreasing, with fewer than 2**32 samples, and
-    geometry is the constellation's (whose stations x satellites is below
-    2**31, so a key fits in int64).
+    This is the one visibility test; contact_windows reads it through
+    _StationGeometry.visible. times must be nondecreasing, with fewer than
+    2**32 samples, and geometry is the constellation's (whose stations x
+    satellites is below 2**31, so a key fits in int64).
 
     The sine of elevation, (p - R) / |sat - st| with p = sat . zenith, rises
     with p, so a mask m holds exactly where p >= p* = R cos^2 m + sin m

@@ -1,8 +1,9 @@
 """The graph algorithms every planner shares, on one integer form.
 
 A Topology numbers its nodes once, in node_key order (on a Walker shell a
-satellite's index is orbit * S + slot; ground nodes follow by their string)
-and keeps its edges in CSR lists; planners map back to labels only at output.
+satellite's index is orbit * S + slot; the string nodes of a hand-made graph
+follow by their string) and keeps its edges in CSR lists; planners map back
+to labels only at output.
 
 Results are deterministic, and the tie-break rules below are part of the
 outputs (placement, routes and trees all follow the chosen paths):

@@ -18,27 +18,18 @@ from .constellation import SatelliteId, TopologySnapshot
 from .graph import Topology, _total, dijkstra, path_edges, pivot_columns, replay_columns
 
 
-def snapshot_edges(snapshot: TopologySnapshot, include_ground: bool = False):
-    """(nodes, tails, heads, rows): the satellites (and with include_ground
-    the ground nodes), and edges a -> b, b -> a per kept link with each
-    edge's row in snapshot.numbered."""
-    nodes, satellites, table = snapshot.numbered
-    rows = np.arange(len(table)) if include_ground else np.flatnonzero(table[:, 2])
-    nodes = nodes if include_ground else nodes[:satellites]
-    ends = table[rows, :2].astype(np.intp)
-    if ends.size and ends.max() >= len(nodes):
-        raise ValueError("an ISL must join two satellites")
-    return nodes, ends.ravel(), ends[:, ::-1].ravel(), np.repeat(rows, 2)
+def snapshot_edges(snapshot: TopologySnapshot):
+    """(nodes, tails, heads): the satellites, and edges a -> b, b -> a per
+    link, in snapshot.numbered's link order."""
+    nodes, table = snapshot.numbered
+    ends = table[:, :2].astype(np.intp)
+    return nodes, ends.ravel(), ends[:, ::-1].ravel()
 
 
-def build_weighted_graph(snapshot: TopologySnapshot, include_ground: bool = False) -> Topology:
-    """One pair of directed edges per link, weighted by 1/rate.
-
-    By default only ISLs enter the graph; include_ground adds SGL and ground
-    dedicated links so paths may run down to stations and the cloud.
-    """
-    nodes, tails, heads, rows = snapshot_edges(snapshot, include_ground)
-    rates, delays = snapshot.numbered[2][rows, 3:].T
+def build_weighted_graph(snapshot: TopologySnapshot) -> Topology:
+    """One pair of directed edges per ISL, weighted by 1/rate."""
+    nodes, tails, heads = snapshot_edges(snapshot)
+    rates, delays = snapshot.numbered[1][:, 2:].repeat(2, axis=0).T
     if not np.all((rates > 0) & (rates < np.inf)):
         raise ValueError("capacity must be positive and finite")
     return Topology(nodes, tails, heads, 1.0 / rates, rates, delays)

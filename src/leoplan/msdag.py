@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .constellation import SatelliteId, TopologySnapshot
+from .constellation import TopologySnapshot
 from .graph import reachable, topological_order
 from .interorbit import ShortestPaths, all_pairs_shortest, build_weighted_graph
 
@@ -199,11 +199,18 @@ def shared_modules(tasks):
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Compute throughput per host plus a fixed per-hop handoff overhead."""
+    """Compute throughput per host, with per-host overrides of the default."""
 
     default_throughput_flops: float = 1e12
     throughput_overrides: dict = field(default_factory=dict, compare=False)
-    edge_overhead_s: float = 0.0
+
+    def validate(self) -> None:
+        overrides = [(f"throughput override of {host}", value)
+                     for host, value in self.throughput_overrides.items()]
+        for name, value in [("default_throughput_flops", self.default_throughput_flops),
+                            *overrides]:
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
 
     def throughput(self, host) -> float:
         return self.throughput_overrides.get(host, self.default_throughput_flops)
@@ -216,44 +223,37 @@ class LatencyBreakdown:
 
 
 class Router:
-    """Caches routes over a snapshot for repeated latency queries."""
+    """Caches ISL routes over a snapshot for repeated latency queries."""
 
-    def __init__(self, snapshot: TopologySnapshot, include_ground: bool = True):
-        self._paths: ShortestPaths = all_pairs_shortest(
-            build_weighted_graph(snapshot, include_ground=include_ground))
+    def __init__(self, snapshot: TopologySnapshot):
+        self._paths: ShortestPaths = all_pairs_shortest(build_weighted_graph(snapshot))
+        self.index = self._paths.index
 
-    def transfer_seconds(self, u, v, payload_bits: float, overhead_s: float) -> float:
-        """Payload time along the routed u->v path plus a per-hop overhead;
-        0.0 when both ends are the same host."""
+    def transfer_seconds(self, u, v, payload_bits: float) -> float:
+        """Payload time along the routed u->v path between two satellites of
+        the snapshot; 0.0 when both ends are the same host."""
         if u == v:
             return 0.0
-        index = self._paths.index
-        for host in (u, v):
-            if host not in index:
-                raise ValueError(f"host {host} not in topology")
-        return self._paths.transfer_at(index[u], index[v], payload_bits) + overhead_s
+        return self._paths.transfer_at(self.index[u], self.index[v], payload_bits)
 
 
-def dag_latency(
-    dag: ServiceDag,
-    placement,
-    router: Router,
-    model: LatencyModel,
-    source: SatelliteId | None = None,
-    input_bits: float = 0.0,
-    destination: str | None = None,
-) -> LatencyBreakdown:
+def dag_latency(dag: ServiceDag, placement, router: Router,
+                model: LatencyModel) -> LatencyBreakdown:
     """Longest entry-to-exit path of a placed DAG.
 
     A node starts when all inbound payloads have arrived and runs
     flops/throughput on its host; an edge costs payload/bottleneck plus
     propagation along the snapshot's min-weight route between the hosts.
+    Every host must be a satellite of the router's snapshot.
     """
+    model.validate()
     if not dag.services:
         return LatencyBreakdown(0.0, ())
     for sid in dag.service_ids():
         if sid not in placement:
             raise ValueError(f"microservice {sid} has no host in the placement")
+        if placement[sid] not in router.index:
+            raise ValueError(f"satellite {placement[sid]} not in the snapshot")
 
     finish: dict = {}
     via: dict = {}
@@ -262,26 +262,16 @@ def dag_latency(
         run = dag.service(sid).flops / model.throughput(host)
         preds = dag.predecessors(sid)
         if preds:
-            arrivals = [(finish[u] + router.transfer_seconds(placement[u], host, bits,
-                                                             model.edge_overhead_s), u)
+            arrivals = [(finish[u] + router.transfer_seconds(placement[u], host, bits), u)
                         for (u, bits) in preds]
             start, via[sid] = max(arrivals, key=lambda a: (a[0], a[1]))
         else:
             start = 0.0
             via[sid] = None
-            if source is not None:
-                start = router.transfer_seconds(source, host, input_bits, model.edge_overhead_s)
         finish[sid] = start + run
 
-    total = finish[dag.exit_node]
     path = [dag.exit_node]
     while via[path[-1]] is not None:
         path.append(via[path[-1]])
     path.reverse()
-    if destination is not None:
-        total += router.transfer_seconds(placement[dag.exit_node], destination,
-                                         dag.service(dag.exit_node).output_bits,
-                                         model.edge_overhead_s)
-        path.append(destination)
-    return LatencyBreakdown(total, tuple(path))
-
+    return LatencyBreakdown(finish[dag.exit_node], tuple(path))

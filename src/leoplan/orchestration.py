@@ -94,7 +94,7 @@ def build_augmented_graph(
     for sid in dag.topological_order():
         hosting.setdefault(assignment[sid], []).append(sid)
 
-    nodes, tails, heads, _ = snapshot_edges(snapshot)
+    nodes, tails, heads = snapshot_edges(snapshot)
     index = {v: i for i, v in enumerate(nodes)}
     for sat in [root] + ([] if gateway is None else [gateway]) + list(hosting):
         if sat not in index:

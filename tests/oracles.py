@@ -30,8 +30,8 @@ reference_simulate_fine_tuning chains it round by round.
 compensated_sum is builtin sum() as CPython 3.12 computes it.
 check_feasible is the dict-keyed flow check that max_flow's integer-slot
 check must agree with. reference_station_frames rotates the stations as
-_station_frames did before their geometry was built once per campaign. station_position and elevation_deg rotate a station
-and measure elevation one sample at a time with math's scalar functions.
+_station_frames did before their geometry was built once per campaign, and
+elevation_deg measures elevation one sample at a time.
 rollout, policy_distribution and evaluate_policy play a linear softmax
 policy step by step through DeploymentMdp, drawing with Generator.choice,
 and uniform_all_reduce_time is the ring all-reduce closed form.
@@ -121,7 +121,7 @@ def toy_snapshot(edges, extra_sats=(), kind=LinkKind.INTER_ORBIT_ISL, time=0.0):
     return TopologySnapshot(time=time, links=tuple(links), positions=positions)
 
 
-def reference_snapshot(constellation, t, link_config, stations=()):
+def reference_snapshot(constellation, t, link_config):
     """snapshot's links as the per-link loop built them: fresh SatelliteIds
     and one float(np.linalg.norm(...)) / LIGHT_SPEED_KM_S per link."""
     pos = constellation.positions_at(t)
@@ -144,18 +144,6 @@ def reference_snapshot(constellation, t, link_config, stations=()):
     for pa, pb, kind in pairs:
         for s in range(S):
             isl(kind, (pa, s), (pb, s), link_config.inter_orbit_rate_bps, True)
-    at = np.array([t], dtype=float)
-    if stations:
-        geometry = _StationGeometry(constellation, stations)
-        st_pos, _ = _station_frames(geometry, at, constellation.spec.epoch)
-        s_idx, visible, _ = reference_visible_samples(constellation, geometry, at)
-    for k, st in enumerate(stations):
-        for i in visible[s_idx == k].tolist():
-            dist = float(np.linalg.norm(pos[i] - st_pos[k, 0]))
-            links.append(Link(LinkKind.SGL, (constellation.satellites[i], st.id),
-                              link_config.sgl_rate_bps, dist / LIGHT_SPEED_KM_S))
-        links.append(Link(LinkKind.GROUND_DEDICATED, (st.id, "cloud"),
-                          st.dedicated_rate_bps, 0.0))
     return links
 
 
@@ -545,14 +533,6 @@ def reference_visibility(constellation, station, times, sat_pos):
     return sin_elev >= math.sin(math.radians(station.min_elevation_deg))
 
 
-def station_position(station, t, epoch=0.0):
-    """Inertial position (km) of a station fixed to the rotating Earth at t."""
-    theta = EARTH_ROTATION_RAD_S * (t - epoch)
-    c, s = math.cos(theta), math.sin(theta)
-    ex, ey, ez = station.ecef_km()
-    return np.array([c * ex - s * ey, s * ex + c * ey, ez])
-
-
 def elevation_deg(sat_pos_km, station_pos_km):
     """Elevation (degrees) of a satellite above the local horizon of a station position."""
     d = sat_pos_km - station_pos_km
@@ -880,7 +860,7 @@ def enumerate_best_assignment(tasks, satellites, snapshot_):
     Latency is evaluated through the DAG latency module, a separate code path
     from the solvers' internal objective.
     """
-    router = Router(snapshot_, include_ground=False)
+    router = Router(snapshot_)
     model = LatencyModel(
         default_throughput_flops=satellites[0].throughput_flops,
         throughput_overrides={s.id: s.throughput_flops for s in satellites})
@@ -1529,19 +1509,15 @@ def tied_orbit_digraphs(draw, max_orbits=4, max_slots=4, max_relays=2):
 
 @st.composite
 def routing_graphs(draw):
-    """A routing Topology of one of three kinds: a walker_specs shell's ISL
-    graph at a drawn instant, the same with station_sets and
-    include_ground (string station and cloud nodes), or a
-    tied_orbit_digraphs graph."""
-    kind = draw(st.sampled_from(["shell", "ground", "tied"]))
-    if kind == "tied":
+    """A routing Topology of one of two kinds: a walker_specs shell's ISL
+    graph at a drawn instant, or a tied_orbit_digraphs graph (with string
+    relay nodes)."""
+    if draw(st.booleans()):
         return draw(tied_orbit_digraphs())
     config = LinkConfig(max_isl_range_km=draw(st.sampled_from([1500.0, 5500.0, 15000.0])),
                         cross_seam_policy=draw(st.sampled_from(["disabled", "enabled"])))
-    stations = draw(station_sets()) if kind == "ground" else ()
-    topo = snapshot(build_walker(draw(walker_specs())), draw(st.floats(0.0, 6000.0)), config,
-                    stations)
-    return build_weighted_graph(topo, include_ground=kind == "ground")
+    topo = snapshot(build_walker(draw(walker_specs())), draw(st.floats(0.0, 6000.0)), config)
+    return build_weighted_graph(topo)
 
 
 def reference_simulate_round(config, constellation, workload, setup, round_index=0,

@@ -13,11 +13,14 @@ from leoplan import (
     LIGHT_SPEED_KM_S,
     ConstellationSpec,
     GroundStation,
+    Link,
     LinkConfig,
     LinkKind,
     SatelliteId,
+    TopologySnapshot,
     WalkerConstellation,
     build_walker,
+    build_weighted_graph,
     contact_windows,
     snapshot,
 )
@@ -31,7 +34,6 @@ from oracles import (
     reference_visible_samples,
     run_length_windows,
     shell_plan_case,
-    station_position,
     station_sets,
     visibility_flags,
     walker_specs,
@@ -225,9 +227,8 @@ def test_demo_shell_link_counts():
 
 def test_snapshot_deterministic():
     walker = build_walker(ConstellationSpec(3, 4, 550.0, 53.0, phasing_factor=1))
-    st = GroundStation("gs", 10.0, 20.0)
-    a = snapshot(walker, 500.0, LinkConfig(), stations=(st,))
-    b = snapshot(walker, 500.0, LinkConfig(), stations=(st,))
+    a = snapshot(walker, 500.0, LinkConfig())
+    b = snapshot(walker, 500.0, LinkConfig())
     assert a.links == b.links
     for sid in a.positions:
         assert np.array_equal(a.positions[sid], b.positions[sid])
@@ -237,7 +238,7 @@ def test_snapshot_deterministic():
 def test_snapshot_rejects_non_finite_time(t):
     walker = build_walker(ConstellationSpec(3, 4, 550.0, 53.0, phasing_factor=1))
     with pytest.raises(ValueError, match="t must be finite"):
-        snapshot(walker, t, LinkConfig(), stations=(GroundStation("gs", 10.0, 20.0),))
+        snapshot(walker, t, LinkConfig())
 
 
 def test_ground_station_validation():
@@ -581,8 +582,6 @@ def test_a_station_listed_twice_is_rejected():
     twice = (gs, GroundStation("gs-b", 0.0, 0.0), dataclasses.replace(gs, latitude_deg=20.0))
     with pytest.raises(ValueError, match="station id 'gs' listed twice"):
         contact_windows(walker, twice, 600.0)
-    with pytest.raises(ValueError, match="station id 'gs' listed twice"):
-        snapshot(walker, 0.0, LinkConfig(), stations=twice)
 
 
 def test_shell_plan_windows_match_dense_oracle_in_bounded_memory():
@@ -687,42 +686,11 @@ def test_shell_plan_windows_compute_exact_positions_only_on_cone_rims(monkeypatc
     assert 0 < sum(computed) <= 100_000
 
 
-@settings(max_examples=60, deadline=None)
-@given(spec=walker_specs(), stations=station_sets(),
-       lat=st.sampled_from([-90.0, 0.0, 45.0, 90.0]), mask=st.sampled_from([0.0, 10.0, 89.9]),
-       start=st.integers(-10000, 100000), step=st.sampled_from([0.5, 1.0, 5.0, 30.0]),
-       steps=st.integers(1, 200))
-def test_snapshot_sgl_set_matches_contact_windows(spec, stations, lat, mask, start, step, steps):
-    """A snapshot at a sample instant has an SGL for exactly the pairs whose
-    contact window covers that sample. Integer starts and binary steps keep
-    every sample time exact, so window membership is a plain comparison.
-    Each SGL's delay is the range to the station rotated one instant at a
-    time with scalar math, and the satellite is above the station's mask."""
-    walker = build_walker(spec)
-    stations = stations + (GroundStation("gs-x", lat, 10.0, min_elevation_deg=mask),)
-    by_id = {gs.id: gs for gs in stations}
-    windows = contact_windows(walker, stations, steps * step, step=step, start=float(start))
-    times = float(start) + np.arange(0.0, steps * step, step)
-    for t in times[::max(1, steps // 7)].tolist():
-        snap = snapshot(walker, t, LinkConfig(), stations=stations)
-        sgls = snap.links_of_kind(LinkKind.SGL)
-        got = [l.endpoints for l in sgls]
-        want = [(w.satellite, w.ground_station) for w in windows if w.start <= t < w.end]
-        assert got == want
-        for link in sgls:
-            sid, gs = link.endpoints
-            st_pos = station_position(by_id[gs], t, spec.epoch)
-            dist = float(np.linalg.norm(snap.positions[sid] - st_pos))
-            assert math.isclose(link.propagation_delay_s, dist / LIGHT_SPEED_KM_S,
-                                rel_tol=1e-12)
-            assert elevation_deg(snap.positions[sid], st_pos) >= by_id[gs].min_elevation_deg - 1e-6
-
-
 @settings(max_examples=200, deadline=None)
-@given(spec=walker_specs(max_orbits=8, max_sats=12), stations=station_sets(),
-       t=st.floats(-1e4, 1e5), seam=st.sampled_from(["disabled", "enabled"]),
-       ulps=st.sampled_from([-1, 0, 1]), data=st.data())
-def test_snapshot_lengths_match_per_link_norms(spec, stations, t, seam, ulps, data):
+@given(spec=walker_specs(max_orbits=8, max_sats=12), t=st.floats(-1e4, 1e5),
+       seam=st.sampled_from(["disabled", "enabled"]), ulps=st.sampled_from([-1, 0, 1]),
+       data=st.data())
+def test_snapshot_lengths_match_per_link_norms(spec, t, seam, ulps, data):
     """snapshot's vectorised lengths give every link, delay (by .hex()) and
     range decision of the per-link norm loop, with max_isl_range_km on one
     actual plane-pair length or one ulp either side of it; its satellite
@@ -735,24 +703,21 @@ def test_snapshot_lengths_match_per_link_norms(spec, stations, t, seam, ulps, da
     cut = data.draw(st.sampled_from(lengths)) if lengths else 5500.0
     cut = float(np.nextafter(cut, ulps * math.inf)) if ulps else cut
     config = LinkConfig(max_isl_range_km=max(cut, 1e-9), cross_seam_policy=seam)
-    links = snapshot(walker, t, config, stations).links
+    links = snapshot(walker, t, config).links
     rows = lambda ls: [(l.kind, l.endpoints, l.rate_bps, l.propagation_delay_s.hex()) for l in ls]
-    assert rows(links) == rows(reference_snapshot(walker, t, config, stations))
+    assert rows(links) == rows(reference_snapshot(walker, t, config))
     for link in links:
         for end in link.endpoints:
-            assert not isinstance(end, SatelliteId) or \
-                end is walker.satellites[end.orbit_index * S + end.slot_index]
+            assert end is walker.satellites[end.orbit_index * S + end.slot_index]
 
 
-def test_sgl_links_in_snapshot():
-    walker = build_walker(ConstellationSpec(1, 1, 550.0, 0.0))
-    st = GroundStation("gs", 0.0, 0.0, dedicated_rate_bps=7e9)
-    snap = snapshot(walker, 0.0, LinkConfig(), stations=(st,))
-    sgl = snap.links_of_kind(LinkKind.SGL)
-    assert len(sgl) == 1
-    assert sgl[0].endpoints == (SatelliteId(0, 0), "gs")
-    assert abs(sgl[0].propagation_delay_s - 550.0 / LIGHT_SPEED_KM_S) < 1e-12
-    ded = snap.links_of_kind(LinkKind.GROUND_DEDICATED)
-    assert len(ded) == 1
-    assert ded[0].endpoints == ("gs", "cloud")
-    assert ded[0].rate_bps == 7e9
+def test_a_link_to_a_non_satellite_is_rejected():
+    """A hand-built snapshot is public input: a link reaching a string node
+    has no place in the ISL-only numbering."""
+    a = SatelliteId(0, 0)
+    link = Link(LinkKind.INTRA_ORBIT_ISL, (a, "gs"), 1e9, 0.0)
+    snap = TopologySnapshot(0.0, (link,), {a: np.zeros(3)})
+    with pytest.raises(ValueError, match="snapshot node 'gs' is not a satellite"):
+        snap.numbered
+    with pytest.raises(ValueError, match="'gs' is not a satellite"):
+        build_weighted_graph(snap)

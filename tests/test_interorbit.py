@@ -68,19 +68,6 @@ def test_build_graph_is_bidirectional():
     assert g.propagation[g.edges[(b, a)]] == 0.01
 
 
-def test_build_graph_ground_toggle():
-    walker = build_walker(ConstellationSpec(1, 2, 550.0, 53.0))
-    from leoplan import GroundStation
-
-    st = GroundStation("gs", 0.0, 0.0, min_elevation_deg=0.0)
-    snap = snapshot(walker, 0.0, LinkConfig(), stations=(st,))
-    isl_only = build_weighted_graph(snap)
-    assert all(isinstance(n, SatelliteId) for n in isl_only.nodes)
-    with_ground = build_weighted_graph(snap, include_ground=True)
-    names = {str(n) for n in with_ground.nodes}
-    assert "gs" in names and "cloud" in names
-
-
 def test_isolated_satellites_still_nodes():
     # Satellites with no links must appear so queries return unreachable, not KeyError.
     snap = toy_snapshot([("o0s0", "o0s1", 1e6)], extra_sats=("o5s0",))

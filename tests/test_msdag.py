@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,7 +171,7 @@ def test_shared_modules_counts_each_task_once():
 def test_dag_latency_single_host():
     # Everything on one satellite: pure compute, no transfer terms.
     snap = toy_snapshot([("o0s0", "o0s1", 1e9)])
-    router = Router(snap, include_ground=False)
+    router = Router(snap)
     dag = chain_dag()
     placement = {s: sat("o0s0") for s in "abc"}
     out = dag_latency(dag, placement, router, LatencyModel(1e9))
@@ -179,13 +181,12 @@ def test_dag_latency_single_host():
 
 def test_dag_latency_with_transfers():
     snap = toy_snapshot([("o0s0", "o0s1", 1e6, 0.01)])
-    router = Router(snap, include_ground=False)
+    router = Router(snap)
     dag = chain_dag(payload=2e6)
     placement = {"a": sat("o0s0"), "b": sat("o0s1"), "c": sat("o0s1")}
-    model = LatencyModel(1e9, edge_overhead_s=0.5)
-    out = dag_latency(dag, placement, router, model)
-    # a runs 1 s, a->b moves 2e6/1e6 + 0.01 + 0.5, b runs 1 s, b->c colocated, c runs 1 s.
-    assert abs(out.total_seconds - (3.0 + 2.0 + 0.01 + 0.5)) < 1e-12
+    out = dag_latency(dag, placement, router, LatencyModel(1e9))
+    # a runs 1 s, a->b moves 2e6/1e6 + 0.01, b runs 1 s, b->c colocated, c runs 1 s.
+    assert abs(out.total_seconds - (3.0 + 2.0 + 0.01)) < 1e-12
 
 
 def test_dag_latency_join_takes_slower_branch():
@@ -198,7 +199,7 @@ def test_dag_latency_join_takes_slower_branch():
         "join",
     )
     snap = toy_snapshot([("o0s0", "o0s1", 1e9)])
-    router = Router(snap, include_ground=False)
+    router = Router(snap)
     placement = {s: sat("o0s0") for s in ("src", "fast", "slow", "join")}
     out = dag_latency(dag, placement, router, LatencyModel(1e9))
     assert abs(out.total_seconds - 6.0) < 1e-12
@@ -208,7 +209,7 @@ def test_dag_latency_join_takes_slower_branch():
 def test_dag_latency_multihop_bottleneck():
     # Route o0s0 -> o0s2 passes two hops; payload over min rate plus both props.
     snap = toy_snapshot([("o0s0", "o0s1", 4e6, 0.01), ("o0s1", "o0s2", 2e6, 0.02)])
-    router = Router(snap, include_ground=False)
+    router = Router(snap)
     dag = ServiceDag("t", (ms("u", flops=0.0), ms("v", flops=0.0)),
                      (("u", "v", 1e6),), ("u",), "v")
     placement = {"u": sat("o0s0"), "v": sat("o0s2")}
@@ -216,21 +217,9 @@ def test_dag_latency_multihop_bottleneck():
     assert abs(out.total_seconds - (1e6 / 2e6 + 0.03)) < 1e-12
 
 
-def test_dag_latency_source_and_destination():
-    snap = toy_snapshot([("o0s0", "o0s1", 1e6)])
-    router = Router(snap, include_ground=False)
-    dag = ServiceDag("t", (ms("only", flops=1e9, out=3e6),), (), ("only",), "only")
-    placement = {"only": sat("o0s1")}
-    out = dag_latency(dag, placement, router, LatencyModel(1e9),
-                      source=sat("o0s0"), input_bits=2e6, destination=sat("o0s0"))
-    # 2 s uplink of inputs, 1 s compute, 3 s return of outputs.
-    assert abs(out.total_seconds - 6.0) < 1e-12
-    assert out.critical_path == ("only", sat("o0s0"))
-
-
 def test_dag_latency_missing_host():
     snap = toy_snapshot([("o0s0", "o0s1", 1e6)])
-    router = Router(snap, include_ground=False)
+    router = Router(snap)
     with pytest.raises(ValueError, match="microservice b has no host"):
         dag_latency(chain_dag(), {"a": sat("o0s0"), "c": sat("o0s0")},
                     router, LatencyModel())
@@ -238,38 +227,54 @@ def test_dag_latency_missing_host():
 
 def test_dag_latency_unrouteable_hosts():
     snap = toy_snapshot([("o0s0", "o0s1", 1e6)], extra_sats=("o9s0",))
-    router = Router(snap, include_ground=False)
+    router = Router(snap)
     dag = ServiceDag("t", (ms("u"), ms("v")), (("u", "v", 1.0),), ("u",), "v")
     with pytest.raises(ValueError, match="no route"):
         dag_latency(dag, {"u": sat("o0s0"), "v": sat("o9s0")}, router, LatencyModel())
-    with pytest.raises(ValueError, match="not in topology"):
+    with pytest.raises(ValueError, match="satellite o7s7 not in the snapshot"):
         dag_latency(dag, {"u": sat("o0s0"), "v": sat("o7s7")}, router, LatencyModel())
+
+
+def test_dag_latency_rejects_a_shared_host_outside_the_snapshot():
+    """Two services on one host need no transfer, but a host the snapshot
+    lacks is still rejected, as DeploymentInstance rejects it."""
+    snap = toy_snapshot([("o0s0", "o0s1", 1e6)])
+    dag = ServiceDag("t", (ms("u"), ms("v")), (("u", "v", 1.0),), ("u",), "v")
+    placement = {"u": sat("o9s9"), "v": sat("o9s9")}
+    with pytest.raises(ValueError, match="satellite o9s9 not in the snapshot"):
+        dag_latency(dag, placement, Router(snap), LatencyModel(1e9))
+    with pytest.raises(ValueError, match="satellite o9s9 not in the snapshot"):
+        DeploymentInstance([dag], [SatelliteNode(sat("o9s9"), 1e12, 1e12)], snap)
 
 
 def test_empty_dag_latency_zero():
     snap = toy_snapshot([("o0s0", "o0s1", 1e6)])
-    router = Router(snap, include_ground=False)
+    router = Router(snap)
     out = dag_latency(ServiceDag("t", (), (), (), None), {}, router, LatencyModel())
     assert out.total_seconds == 0.0
     assert out.critical_path == ()
-
-
-def test_latency_from_a_source_satellite():
-    # The input crosses o0s0 -> o0s1 (1 s at 1 Mbps), then three 1 s stages.
-    snap = toy_snapshot([("o0s0", "o0s1", 1e6)])
-    dag = chain_dag(task_id="imaging")
-    placement = {s: sat("o0s1") for s in "abc"}
-    router = Router(snap, include_ground=True)
-    out = dag_latency(dag, placement, router, LatencyModel(1e9), source=sat("o0s0"),
-                      input_bits=1e6)
-    assert abs(out.total_seconds - 4.0) < 1e-12
-    assert out.critical_path == ("a", "b", "c")
 
 
 def test_latency_model_overrides():
     model = LatencyModel(1e12, {sat("o0s0"): 5e11})
     assert model.throughput(sat("o0s0")) == 5e11
     assert model.throughput(sat("o0s1")) == 1e12
+
+
+@pytest.mark.parametrize("value", [-1e9, -5.0, 0.0, math.inf, math.nan])
+@pytest.mark.parametrize("where", ["default", "override"])
+def test_latency_model_rejects_impossible_throughputs(value, where):
+    """A throughput must be positive and finite: a negative one gave a
+    negative latency, inf a free stage and 0.0 a ZeroDivisionError."""
+    if where == "default":
+        model, name = LatencyModel(value), "default_throughput_flops"
+    else:
+        model, name = LatencyModel(1e9, {sat("o0s0"): value}), "throughput override of o0s0"
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        model.validate()
+    snap = toy_snapshot([("o0s0", "o0s1", 1e9)])
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        dag_latency(chain_dag(), {s: sat("o0s0") for s in "abc"}, Router(snap), model)
 
 
 class _CountingTuple(tuple):
