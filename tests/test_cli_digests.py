@@ -5,8 +5,8 @@ its exit code, the sha256 of each output file (by file name) and the run
 report's ``scenario_digest``. The test compares the sweep with the committed
 table ``cli_digests.json``; re-record it with ``tests/record_cli_digests.py``
 only in a change whose stated purpose is to change these outputs. Each
-variant runs some cases on a bundled scenario with its federation section
-updated, to pin a path no bundled scenario takes.
+variant runs some cases on a bundled scenario with some top-level sections
+changed, to pin a path no bundled scenario takes.
 """
 
 from __future__ import annotations
@@ -39,11 +39,14 @@ CASES = (
                      "--request", "{request}"]),
 )
 
-# variant name -> (bundled scenario, federation fields set, cases run); no
-# bundled scenario freezes its topology.
+# variant name -> (bundled scenario, top-level changes, cases run): an object
+# updates its section's fields, any other value replaces the section. No
+# bundled scenario freezes its topology or has no ground station.
 VARIANTS = {
-    "demo_walker6_frozen": ("demo_walker6", {"freeze_topology": True},
+    "demo_walker6_frozen": ("demo_walker6", {"federation": {"freeze_topology": True}},
                             ("simulate-ground", "simulate-decentralized")),
+    "demo_walker6_no_stations": ("demo_walker6", {"ground_stations": []},
+                                 ("simulate-ground", "downlink")),
 }
 
 
@@ -60,9 +63,10 @@ def sweep(work: Path) -> dict:
     request = work / "request.json"
     request.write_text(json.dumps(REQUEST), encoding="utf-8")
     runs = [(name, REPO / "scenarios" / f"{name}.json", CASES) for name in SCENARIOS]
-    for name, (base, federation, cases) in VARIANTS.items():
+    for name, (base, changes, cases) in VARIANTS.items():
         body = json.loads((REPO / "scenarios" / f"{base}.json").read_text(encoding="utf-8"))
-        body["federation"].update(federation)
+        for key, value in changes.items():
+            body[key] = {**body[key], **value} if isinstance(value, dict) else value
         path = work / f"{name}.json"
         path.write_text(json.dumps(body), encoding="utf-8")
         runs.append((name, path, [c for c in CASES if c[0] in cases]))

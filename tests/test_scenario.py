@@ -423,6 +423,33 @@ def test_non_finite_numbers_are_rejected_with_their_field(where, name, value):
     assert re.search(rf"\b{name}\b", message), message
 
 
+# The impossible-looking values that are valid: an epoch, latitude or
+# longitude of -1, and an infinite energy budget (no budget).
+_VALID_ODD = {("epoch", -1.0), ("latitude_deg", -1.0), ("longitude_deg", -1.0),
+              ("satellite_energy_budget_j", math.inf)}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("where, name", [(where, name) for where, name, kind in _FLAT_FIELDS
+                                         if kind == "float"] + [
+    ("tasks.library[0].services[0]", f.name)
+    for f in dataclasses.fields(Microservice) if f.type == "float"])
+def test_every_float_field_rejects_bad_values_at_its_path(where, name, value):
+    """NaN, +-inf and -1 in a float field fail with a message that opens with
+    the field's path (a microservice's: its task's path, then the service
+    and field), unless the value is valid there."""
+    obj = full()
+    _at(obj, where)[name] = value
+    if (name, value) in _VALID_ODD:
+        parse_scenario(json.dumps(obj))
+        return
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(json.dumps(obj))
+    prefix = (f"tasks.library[0] (t1): microservice a: {name} must be "
+              if where.startswith("tasks") else f"{where}.{name}: ")
+    assert str(info.value).startswith(prefix), str(info.value)
+
+
 # Per kind, values of any other JSON type.
 _WRONG_TYPE = {"int": ["1", 1.5, True, None, [1], {"x": 1}],
                "float": ["1.5", True, None, [1.5], {"x": 1.5}],
