@@ -357,7 +357,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         _emit_error(args.command, exc)
         return 2
-    except (ValueError, KeyError, OSError, OverflowError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError, MemoryError) as exc:
         _emit_error(args.command, exc)
         return 1
     report = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import _total
+from .graph import _require_finite, _total
 
 
 class Phase(str, Enum):
@@ -32,8 +32,8 @@ class RingSpec:
             raise ValueError("ring needs at least 2 nodes")
         if len(self.link_rates) != self.node_count:
             raise ValueError("need exactly one link rate per node")
-        if any(r <= 0 for r in self.link_rates):
-            raise ValueError("link rates must be positive")
+        _require_finite("positive and finite",
+                        **{f"link rate {i}": r for i, r in enumerate(self.link_rates)})
 
     @classmethod
     def uniform(cls, node_count: int, rate_bps: float) -> "RingSpec":

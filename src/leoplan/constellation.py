@@ -18,6 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .graph import _require_finite
+
 EARTH_RADIUS_KM = 6371.0
 EARTH_MU_KM3_S2 = 398600.4418
 EARTH_ROTATION_RAD_S = 7.2921159e-5
@@ -91,14 +93,12 @@ class ConstellationSpec:
         for name in ("num_orbits", "sats_per_orbit"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not math.isfinite(self.altitude_km) or self.altitude_km <= 0:
-            raise ValueError("altitude_km must be positive and finite")
+        _require_finite("positive and finite", altitude_km=self.altitude_km)
         if not 0.0 <= self.inclination_deg <= 180.0:
             raise ValueError("inclination_deg must be in [0, 180]")
         if not 0 <= self.phasing_factor < max(self.num_orbits, 1):
             raise ValueError("phasing_factor must satisfy 0 <= F < num_orbits")
-        if not math.isfinite(self.epoch):
-            raise ValueError("epoch must be finite")
+        _require_finite("finite", epoch=self.epoch)
 
 
 @dataclass(frozen=True)
@@ -113,13 +113,11 @@ class LinkConfig:
     cross_seam_policy: str = "disabled"
 
     def validate(self) -> None:
-        for name in ("intra_orbit_rate_bps", "inter_orbit_rate_bps",
-                     "sgl_rate_bps", "ground_dedicated_rate_bps"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be positive and finite")
-        if not math.isfinite(self.max_isl_range_km) or self.max_isl_range_km <= 0:
-            raise ValueError("max_isl_range_km must be positive and finite")
+        _require_finite("positive and finite", intra_orbit_rate_bps=self.intra_orbit_rate_bps,
+                        inter_orbit_rate_bps=self.inter_orbit_rate_bps,
+                        sgl_rate_bps=self.sgl_rate_bps,
+                        ground_dedicated_rate_bps=self.ground_dedicated_rate_bps,
+                        max_isl_range_km=self.max_isl_range_km)
         if self.cross_seam_policy not in ("disabled", "enabled"):
             raise ValueError("cross_seam_policy must be 'disabled' or 'enabled'")
 
@@ -178,8 +176,7 @@ class GroundStation:
             raise ValueError("latitude_deg must be in [-90, 90]")
         if not -180.0 <= self.longitude_deg <= 180.0:
             raise ValueError("longitude_deg must be in [-180, 180]")
-        if not math.isfinite(self.dedicated_rate_bps) or self.dedicated_rate_bps <= 0:
-            raise ValueError("dedicated_rate_bps must be positive and finite")
+        _require_finite("positive and finite", dedicated_rate_bps=self.dedicated_rate_bps)
         if not 0.0 <= self.min_elevation_deg < 90.0:
             raise ValueError("min_elevation_deg must be in [0, 90)")
 
@@ -286,8 +283,7 @@ def snapshot(constellation: WalkerConstellation, t: float,
     range decisions equal a per-link norm bit for bit
     (test_snapshot_lengths_match_per_link_norms).
     """
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
+    _require_finite("finite", t=t)
     link_config.validate()
     spec, sats = constellation.spec, constellation.satellites
     P, S = spec.num_orbits, spec.sats_per_orbit
@@ -512,11 +508,8 @@ def contact_windows(
     the grid that its kept ones lack; the windows are those of a call
     without it.
     """
-    for name, value in (("horizon", horizon), ("step", step)):
-        if not math.isfinite(value) or value <= 0:
-            raise ValueError(f"{name} must be positive and finite")
-    if not math.isfinite(start):
-        raise ValueError("start must be finite")
+    _require_finite("positive and finite", horizon=horizon, step=step)
+    _require_finite("finite", start=start)
     if horizon / step > _MAX_SAMPLES:
         raise ValueError(f"horizon / step exceeds {_MAX_SAMPLES} samples")
     cfg = link_config if link_config is not None else LinkConfig()

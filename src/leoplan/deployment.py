@@ -26,10 +26,10 @@ solve_exact bounds a prefix by running every unplaced service on the fastest
 candidate with free inputs (_bound); no completion finishes a task earlier
 (test_exact_matches_enumeration_oracle).
 
-train_policy_gradient keeps, per environment and for one call, each visited
-assignment's feasible actions, their feature matrix and each drawn action's
-transition: the MDP is deterministic and the features never depend on the
-policy weights. _draw is Generator.choice(n, p=probs) for one sample, so
+train_policy_gradient keeps, for one call, each visited assignment's
+feasible actions, their feature matrix and each drawn action's transition:
+the MDP is deterministic and the features never depend on the policy
+weights. _draw is Generator.choice(n, p=probs) for one sample, so
 training equals a run that rebuilds every state and calls choice, bit for
 bit (test_training_matches_the_reference_loop).
 """
@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constellation import SatelliteId, TopologySnapshot
-from .graph import _total, topological_order
+from .graph import _require_finite, _total, topological_order
 from .interorbit import all_pairs_shortest, build_weighted_graph
 
 EXACT_MAX_SATELLITES = 6
@@ -65,8 +65,7 @@ class SatelliteNode:
     energy_budget_j: float = math.inf
 
     def validate(self) -> None:
-        if not self.throughput_flops > 0:
-            raise ValueError(f"{self.id}: throughput must be positive")
+        _require_finite("positive and finite", **{f"{self.id}: throughput": self.throughput_flops})
         if not self.memory_bytes >= 0:
             raise ValueError(f"{self.id}: memory must be nonnegative")
         if not self.energy_budget_j >= 0:
@@ -446,48 +445,40 @@ def _cached_episode(env: DeploymentMdp, cache: dict, state: MdpState, theta: np.
     return total, grads, state
 
 
-def train_policy_gradient(envs, episodes: int, seed: int):
-    """REINFORCE with a running-mean baseline over one or more environments,
-    stepping the linear policy weights by LEARNING_RATE.
+def train_policy_gradient(env: DeploymentMdp, episodes: int, seed: int):
+    """REINFORCE with a running-mean baseline on one environment, stepping
+    the linear policy weights by LEARNING_RATE.
 
     Args:
-        envs: a DeploymentMdp or a sequence of them; training cycles through.
+        env: the DeploymentMdp to train on.
         episodes: number of sampled episodes, at least 1.
         seed: RNG seed; identical seeds give identical training runs.
 
     Returns:
-        (LinearPolicy, TrainingReport)
+        (LinearPolicy, TrainingReport); its greedy_returns holds the one
+        greedy rollout's return.
 
     Raises:
-        ValueError: on no environment or fewer than one episode.
+        ValueError: on fewer than one episode.
     """
-    if isinstance(envs, DeploymentMdp):
-        envs = [envs]
-    envs = list(envs)
-    if not envs:
-        raise ValueError("policy-gradient training needs at least one environment")
     if episodes < 1:
         raise ValueError(f"policy-gradient training needs episodes >= 1, got {episodes}")
     rng = np.random.default_rng(seed)
     policy = LinearPolicy(np.zeros(N_FEATURES))
-    baselines = [0.0] * len(envs)
-    counts = [0] * len(envs)
+    baseline = 0.0
     returns = []
-    caches = [{} for _ in envs]
-    starts = [env.reset() for env in envs]
+    cache: dict = {}
+    start = env.reset()
 
-    for ep in range(episodes):
-        idx = ep % len(envs)
-        total, grads, _ = _cached_episode(envs[idx], caches[idx], starts[idx], policy.theta, rng)
-        counts[idx] += 1
-        baselines[idx] += (total - baselines[idx]) / counts[idx]
-        policy.theta = policy.theta + LEARNING_RATE * (total - baselines[idx]) * grads
+    for count in range(1, episodes + 1):
+        total, grads, _ = _cached_episode(env, cache, start, policy.theta, rng)
+        baseline += (total - baseline) / count
+        policy.theta = policy.theta + LEARNING_RATE * (total - baseline) * grads
         returns.append(total)
 
-    greedy_returns = [_cached_episode(env, cache, start, policy.theta, None)[0]
-                      for env, cache, start in zip(envs, caches, starts)]
+    greedy = _cached_episode(env, cache, start, policy.theta, None)[0]
     report = TrainingReport(episodes, returns, float(np.mean(returns[-max(1, episodes // 4):])),
-                            greedy_returns)
+                            [greedy])
     return policy, report
 
 

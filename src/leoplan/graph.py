@@ -28,7 +28,8 @@ pivot columns, so replay_columns finishes column j with iterations
 k = j+1 .. n-1. Together they equal the textbook whole-matrix algorithm bit
 for bit, tie-breaks included (test_all_pairs_matches_whole_matrix_reference).
 
-_total is the one float sum of every total that reaches an output.
+_total is the one float sum of every total that reaches an output, and
+_require_finite the one check of a scalar input against a finite-number rule.
 """
 
 from __future__ import annotations
@@ -192,6 +193,21 @@ def _total(values) -> float:
     for value in values:
         total += value
     return total
+
+
+# rule -> (the least value a finite input is compared with, whether it passes)
+_FINITE_RULES = {"positive and finite": (0.0, False), "nonnegative and finite": (0.0, True),
+                 "finite": (-math.inf, False)}
+
+
+def _require_finite(rule: str, **values) -> None:
+    """Raise ValueError("<name> must be <rule>") for the first of values, in
+    the order given, that breaks rule: "positive and finite", "nonnegative
+    and finite" or "finite". A name may be any text, passed as **{name: v}."""
+    least, inclusive = _FINITE_RULES[rule]
+    for name, value in values.items():
+        if not (math.isfinite(value) and (value > least or inclusive and value == least)):
+            raise ValueError(f"{name} must be {rule}")
 
 
 def topological_order(nodes, edges) -> list:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import SatelliteId, TopologySnapshot
-from .graph import Topology, _total, dijkstra, path_edges, pivot_columns, replay_columns
+from .graph import (Topology, _require_finite, _total, dijkstra, path_edges, pivot_columns,
+                    replay_columns)
 
 
 def snapshot_edges(snapshot: TopologySnapshot):
@@ -150,8 +151,7 @@ def select_disjoint_paths(
 
 def parallel_transfer_time(paths: PathSet, payload_bits: float) -> float:
     """Time to move payload_bits striped proportionally across disjoint paths."""
-    if payload_bits < 0:
-        raise ValueError("payload_bits must be nonnegative")
+    _require_finite("nonnegative and finite", payload_bits=payload_bits)
     if len(paths) == 0:
         raise ValueError("no paths available: orbits unreachable")
     return payload_bits / _total(paths.bottlenecks)

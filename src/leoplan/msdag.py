@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .constellation import TopologySnapshot
-from .graph import reachable, topological_order
+from .graph import _require_finite, reachable, topological_order
 from .interorbit import ShortestPaths, all_pairs_shortest, build_weighted_graph
 
 
@@ -27,10 +27,9 @@ class Microservice:
     def validate(self) -> None:
         if not self.id:
             raise ValueError("microservice id must be nonempty")
-        for name in ("flops", "memory_bytes", "output_bits"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"microservice {self.id}: {name} must be nonnegative and finite")
+        _require_finite("nonnegative and finite", **{
+            f"microservice {self.id}: {name}": getattr(self, name)
+            for name in ("flops", "memory_bytes", "output_bits")})
 
 
 @dataclass(frozen=True)
@@ -78,48 +77,43 @@ class ServiceDag:
 
 @dataclass
 class ValidationReport:
-    ok: bool
     cycle: list = field(default_factory=list)
     unreachable_from_entry: list = field(default_factory=list)
     cannot_reach_exit: list = field(default_factory=list)
     messages: list = field(default_factory=list)
 
+    @property
+    def ok(self) -> bool:
+        """A DAG passes when no check left a message."""
+        return not self.messages
+
 
 def validate_dag(dag: ServiceDag) -> ValidationReport:
     """Structural checks: unique ids, known endpoints, acyclicity, connectivity."""
-    report = ValidationReport(ok=True)
+    report = ValidationReport()
 
     ids = dag.service_ids()
     if len(set(ids)) != len(ids):
-        report.ok = False
         report.messages.append("duplicate microservice ids")
     for s in dag.services:
         try:
             s.validate()
         except ValueError as exc:
-            report.ok = False
             report.messages.append(str(exc))
     known = set(ids)
     for (u, v, bits) in dag.edges:
         if u not in known or v not in known:
-            report.ok = False
             report.messages.append(f"edge {u}->{v} references unknown microservice")
         if not (math.isfinite(bits) and bits >= 0):
-            report.ok = False
             report.messages.append(f"edge {u}->{v}: payload_bits must be nonnegative and finite")
     for e in dag.entries:
         if e not in known:
-            report.ok = False
             report.messages.append(f"entry {e} is not a microservice of the task")
     if dag.services and dag.exit_node not in known:
-        report.ok = False
         report.messages.append("exit node is not a microservice of the task")
     if dag.services and not dag.entries:
-        report.ok = False
         report.messages.append("task has no entry nodes")
-    if not report.ok:
-        return report
-    if not dag.services:
+    if not report.ok or not dag.services:
         return report
 
     succ = {i: [] for i in ids}
@@ -141,7 +135,6 @@ def validate_dag(dag: ServiceDag) -> ValidationReport:
             for v in pending[-1]:
                 if color[v] == 1:
                     cyc = stack_path[stack_path.index(v):] + [v]
-                    report.ok = False
                     report.cycle = cyc
                     report.messages.append("dependency cycle: " + " -> ".join(cyc))
                     return report
@@ -159,11 +152,9 @@ def validate_dag(dag: ServiceDag) -> ValidationReport:
     report.unreachable_from_entry = sorted(set(ids) - from_entry)
     report.cannot_reach_exit = sorted(set(ids) - to_exit)
     if report.unreachable_from_entry:
-        report.ok = False
         report.messages.append(
             "unreachable from entries: " + ", ".join(report.unreachable_from_entry))
     if report.cannot_reach_exit:
-        report.ok = False
         report.messages.append(
             "cannot reach exit: " + ", ".join(report.cannot_reach_exit))
     return report
@@ -205,12 +196,10 @@ class LatencyModel:
     throughput_overrides: dict = field(default_factory=dict, compare=False)
 
     def validate(self) -> None:
-        overrides = [(f"throughput override of {host}", value)
-                     for host, value in self.throughput_overrides.items()]
-        for name, value in [("default_throughput_flops", self.default_throughput_flops),
-                            *overrides]:
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
+        _require_finite("positive and finite",
+                        default_throughput_flops=self.default_throughput_flops,
+                        **{f"throughput override of {host}": value
+                           for host, value in self.throughput_overrides.items()})
 
     def throughput(self, host) -> float:
         return self.throughput_overrides.get(host, self.default_throughput_flops)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import TopologySnapshot, node_key
-from .graph import Topology, _total, dijkstra, path_edges, reachable
+from .graph import Topology, _require_finite, _total, dijkstra, path_edges, reachable
 from .interorbit import ShortestPaths, snapshot_edges
 from .msdag import ServiceDag
 
@@ -35,10 +35,8 @@ class EnergyModel:
     e_flop_j: float = 1e-12
 
     def validate(self) -> None:
-        for name in ("e_tx_j_per_bit", "e_rx_j_per_bit", "e_flop_j"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be nonnegative and finite")
+        _require_finite("nonnegative and finite", e_tx_j_per_bit=self.e_tx_j_per_bit,
+                        e_rx_j_per_bit=self.e_rx_j_per_bit, e_flop_j=self.e_flop_j)
 
 
 @dataclass(frozen=True)

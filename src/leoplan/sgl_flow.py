@@ -37,6 +37,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .graph import _require_finite
+
 
 class _Terminal(Enum):
     """The virtual source and sink. Without a str mixin they equal no station
@@ -229,12 +231,9 @@ def schedule_downlink(
         visibility contribute an empty entry), the final state, and whether
         every orbit finished inside the horizon.
     """
-    for name, value in (("epoch_seconds", epoch_seconds), ("horizon", horizon),
-                        ("model_bits", model_bits)):
-        if not math.isfinite(value) or value <= 0:
-            raise ValueError(f"{name} must be positive and finite")
-    if not math.isfinite(start_time):
-        raise ValueError("start_time must be finite")
+    _require_finite("positive and finite", epoch_seconds=epoch_seconds, horizon=horizon,
+                    model_bits=model_bits)
+    _require_finite("finite", start_time=start_time)
     if _resume is not None:
         state = DownlinkState(remaining=dict(_resume.state.remaining))
         epochs = list(_resume.epochs)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from .collective import RingSpec, plan_all_gather, plan_all_reduce
 from .constellation import (LIGHT_SPEED_KM_S, LinkConfig, WalkerConstellation, _StationGeometry,
                             contact_windows, snapshot)
-from .graph import _total
+from .graph import _require_finite, _total
 from .interorbit import build_weighted_graph, parallel_transfer_time, select_disjoint_paths
 from .orchestration import EnergyModel
 from .sgl_flow import schedule_downlink
@@ -97,8 +97,7 @@ class WorkloadSpec:
                 raise ValueError(f"{name} must be nonnegative")
         if self.local_epochs <= 0:
             raise ValueError("local_epochs must be positive")
-        if not (math.isfinite(self.flops_per_sample_head) and self.flops_per_sample_head >= 0):
-            raise ValueError("flops_per_sample_head must be nonnegative and finite")
+        _require_finite("nonnegative and finite", flops_per_sample_head=self.flops_per_sample_head)
 
     @property
     def embedding_bits_per_satellite(self) -> int:
@@ -125,10 +124,9 @@ class FederationConfig:
                 raise ValueError(f"{name} must be positive")
         if self.aggregation_mode not in (GROUND, DECENTRALIZED):
             raise ValueError(f"aggregation_mode must be '{GROUND}' or '{DECENTRALIZED}'")
-        for name in ("epoch_seconds", "horizon_seconds", "window_step_seconds"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be positive and finite")
+        _require_finite("positive and finite", epoch_seconds=self.epoch_seconds,
+                        horizon_seconds=self.horizon_seconds,
+                        window_step_seconds=self.window_step_seconds)
 
 
 @dataclass(frozen=True)
@@ -137,10 +135,8 @@ class ComputeModel:
     cloud_flops_per_s: float = 100e12
 
     def validate(self) -> None:
-        for name in ("satellite_flops_per_s", "cloud_flops_per_s"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be positive and finite")
+        _require_finite("positive and finite", satellite_flops_per_s=self.satellite_flops_per_s,
+                        cloud_flops_per_s=self.cloud_flops_per_s)
 
 
 @dataclass(frozen=True)
@@ -237,9 +233,6 @@ def _campaign(config: FederationConfig, constellation: WalkerConstellation,
         sees the windows that full-horizon sampling gives it
         (test_round_matches_full_horizon_sampling).
         """
-        if not setup.stations:
-            book(phase, config.horizon_seconds)
-            return False
         horizon, step = config.horizon_seconds, config.window_step_seconds
         span = config.epoch_seconds
         result = None

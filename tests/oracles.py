@@ -94,8 +94,8 @@ from leoplan.constellation import (_BLOCK_OFFSETS, _SIEVE_BLOCK, EARTH_ROTATION_
                                    LIGHT_SPEED_KM_S, _norms, _station_frames, _StationGeometry,
                                    _visible_samples)
 from leoplan import deployment
-from leoplan.deployment import (DEAD_END_REWARD, LEARNING_RATE, N_FEATURES, DeploymentMdp,
-                                DeploymentPlan, TrainingReport)
+from leoplan.deployment import (DEAD_END_REWARD, LEARNING_RATE, N_FEATURES, DeploymentPlan,
+                                TrainingReport)
 from leoplan.sgl_flow import (FLOW_TOL, SINK, SOURCE, DownlinkResult, DownlinkState, EpochFlow,
                               FlowAssignment, _overlap)
 from leoplan.simkernel import PHASES, RoundTrace, RunAggregate
@@ -780,22 +780,16 @@ def evaluate_policy(env, policy, episodes, seed, greedy=False):
     return float(np.mean([rollout(env, choose) for _ in range(episodes)]))
 
 
-def reference_train_policy_gradient(envs, episodes, seed):
+def reference_train_policy_gradient(env, episodes, seed):
     """deployment.train_policy_gradient as it was before its per-run cache:
     every step rebuilds the state's features through the library's
     action_features, draws with Generator.choice, and every episode starts from
     a fresh reset. Returns (theta, TrainingReport)."""
-    if isinstance(envs, DeploymentMdp):
-        envs = [envs]
-    envs = list(envs)
     rng = np.random.default_rng(seed)
     theta = np.zeros(N_FEATURES)
-    baselines = [0.0] * len(envs)
-    counts = [0] * len(envs)
+    baseline, count = 0.0, 0
     returns = []
-    for ep in range(episodes):
-        idx = ep % len(envs)
-        env = envs[idx]
+    for _ in range(episodes):
         state = env.reset()
         grads = np.zeros(N_FEATURES)
         total = 0.0
@@ -809,26 +803,23 @@ def reference_train_policy_gradient(envs, episodes, seed):
             tr = env.step(state, actions[choice])
             total += tr.reward
             state = tr.state
-        counts[idx] += 1
-        baselines[idx] += (total - baselines[idx]) / counts[idx]
-        theta = theta + LEARNING_RATE * (total - baselines[idx]) * grads
+        count += 1
+        baseline += (total - baseline) / count
+        theta = theta + LEARNING_RATE * (total - baseline) * grads
         returns.append(total)
 
-    greedy_returns = []
-    for env in envs:
-        state = env.reset()
-        total = 0.0
-        while not state.done:
-            if not state.actions:
-                total += DEAD_END_REWARD
-                break
-            actions, _, probs = policy_distribution(env, state, theta)
-            tr = env.step(state, actions[int(np.argmax(probs))])
-            total += tr.reward
-            state = tr.state
-        greedy_returns.append(total)
+    state = env.reset()
+    greedy = 0.0
+    while not state.done:
+        if not state.actions:
+            greedy += DEAD_END_REWARD
+            break
+        actions, _, probs = policy_distribution(env, state, theta)
+        tr = env.step(state, actions[int(np.argmax(probs))])
+        greedy += tr.reward
+        state = tr.state
     report = TrainingReport(episodes, returns, float(np.mean(returns[-max(1, episodes // 4):])),
-                            greedy_returns)
+                            [greedy])
     return theta, report
 
 

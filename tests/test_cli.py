@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from leoplan import cli
 from leoplan.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -448,6 +449,20 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert json.loads(err)["error"]["type"] == "ScenarioError"
+
+
+def test_input_too_large_to_allocate_exits_1(tmp_path, capsys, monkeypatch):
+    """A command that runs out of memory (a shell too large to route, say)
+    ends with exit 1 and one JSON line, not a traceback."""
+    def routes(scn, args, out):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setitem(cli._COMMANDS, "routes", routes)
+    code, stdout, err = run_cli(capsys, "routes", TWO_TASK, "--out-dir", str(tmp_path))
+    assert (code, stdout) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == {"subcommand": "routes", "type": "MemoryError",
+                                        "message": "Unable to allocate 7.28 TiB for an array"}
 
 
 @pytest.mark.parametrize("section, key, value, message", [

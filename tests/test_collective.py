@@ -22,6 +22,14 @@ def test_ring_spec_validation():
         RingSpec(2, (1e9, 0.0)).validate()
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.inf])
+def test_ring_rejects_a_non_finite_link_rate(rate):
+    """A NaN rate lost every comparison of the schedule (this ring's
+    all-reduce read 4e-07 s); an infinite one sends over its link in no time."""
+    with pytest.raises(ValueError, match="link rate 0 must be positive and finite"):
+        plan_all_reduce(RingSpec(3, (rate, 1e9, 1e9)), 300)
+
+
 def test_two_node_all_reduce():
     # N=2, D=1e9, r=1e9: reduce-scatter one half, all-gather the other.
     res = plan_all_reduce(RingSpec.uniform(2, 1e9), 10**9)

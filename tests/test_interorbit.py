@@ -322,6 +322,14 @@ def test_parallel_transfer_time():
         parallel_transfer_time(ps, -1.0)
 
 
+@pytest.mark.parametrize("bits", [math.nan, math.inf])
+def test_parallel_transfer_rejects_a_non_finite_payload(bits):
+    links = [("o0s0", "o1s0", 2e9)]
+    ps = select_disjoint_paths(build_weighted_graph(toy_snapshot(links)), 0, 1)
+    with pytest.raises(ValueError, match="payload_bits must be nonnegative and finite"):
+        parallel_transfer_time(ps, bits)
+
+
 def test_parallel_transfer_no_paths():
     with pytest.raises(ValueError, match="orbits unreachable"):
         parallel_transfer_time(PathSet((), ()), 1e6)
