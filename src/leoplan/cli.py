@@ -201,6 +201,8 @@ def _cmd_routes(scn, args, out: Path) -> list:
 
 
 def _cmd_deploy(scn, args, out: Path) -> list:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     at_time = scn.constellation.epoch if args.time is None else args.time
     instance = _deployment_instance(scn, at_time)
     body: dict = {"solver": args.solver, "time": at_time}

@@ -188,8 +188,7 @@ class GroundStation:
         )
 
 
-@dataclass(frozen=True)
-class ContactWindow:
+class ContactWindow(NamedTuple):
     """A maximal interval during which a satellite sees a station above its mask."""
 
     satellite: SatelliteId
@@ -328,16 +327,12 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 class _StationGeometry:
     """What visibility from one (constellation, stations) pair needs, built
-    once: the stations, validated and with distinct ids (one listed twice
-    would carry every window twice); each station's rotation basis (its frame
-    at angle theta is cos*(ex, ey, 0) + sin*(-ey, ex, 0) + (0, 0, ez)), mask
+    once and never changed: the stations, validated, with distinct ids (one
+    listed twice would carry every window twice) and stations x satellites
+    below 2**31 (for the keys); each station's rotation basis (its frame at
+    angle theta is cos*(ex, ey, 0) + sin*(-ey, ex, 0) + (0, 0, ez)), mask
     sine, and outer and inner cone angles of _visible_samples before the
-    block slack (an inner 0.0 means no inside); and `keys`, the sorted keys
-    ((station * num_satellites + satellite) << 32) | sample of _visible_samples
-    over the first `count` samples of the last grid start + np.arange(0.0,
-    horizon, step) that visible() sieved. Keys need stations x satellites
-    below 2**31 (checked here) and a grid of at most 2**32 - 1 samples.
-    """
+    block slack (an inner 0.0 means no inside)."""
 
     def __init__(self, constellation: WalkerConstellation, stations) -> None:
         self.constellation, self.stations = constellation, tuple(stations)
@@ -360,28 +355,6 @@ class _StationGeometry:
             self.outer.append(math.acos(min(1.0, (p_star - _CONE_MARGIN_KM) / r)))
             ratio = (p_star + _CONE_MARGIN_KM) / r
             self.inner.append(math.acos(ratio) if ratio < 1.0 else 0.0)
-        self.grid = None  # (start, step) of the kept keys
-
-    def visible(self, start: float, step: float, times: np.ndarray) -> np.ndarray:
-        """The keys of _visible_samples over times = start + np.arange(0.0,
-        horizon, step). On the kept grid, a shorter horizon filters the kept
-        keys on their sample field and a longer one sieves only the samples
-        past them: its grid begins with exactly the shorter one's samples, and
-        a sample's flag does not depend on its sieve block
-        (test_kept_samples_match_one_sampling). Another grid starts over."""
-        if self.grid != (start, step):
-            self.grid, self.count, self.keys = (start, step), 0, np.empty(0, dtype=np.int64)
-        if len(times) < self.count:
-            return self.keys[(self.keys & _SAMPLE_MASK) < len(times)]
-        if len(times) > self.count:
-            keys = _visible_samples(self.constellation, self, times[self.count:])
-            if self.count:
-                # Two sorted runs of distinct keys: the stable sort (a merge
-                # sort) joins them in one pass.
-                keys += self.count
-                keys = np.sort(np.concatenate((self.keys, keys)), kind="stable")
-            self.keys, self.count = keys, len(times)
-        return self.keys
 
 
 def _station_frames(geometry: _StationGeometry, times: np.ndarray, epoch: float) -> tuple:
@@ -424,10 +397,10 @@ def _visible_samples(constellation: WalkerConstellation, geometry: _StationGeome
                      times: np.ndarray) -> np.ndarray:
     """Sorted int64 keys ((s * num_satellites + i) << 32) | t of the samples
     where satellite i is above the mask of geometry.stations[s] at times[t].
-    This is the one visibility test; contact_windows reads it through
-    _StationGeometry.visible. times must be nondecreasing, with fewer than
-    2**32 samples, and geometry is the constellation's (whose stations x
-    satellites is below 2**31, so a key fits in int64).
+    This is the one visibility test; contact_windows reads it. times must be
+    nondecreasing, with fewer than 2**32 samples, and geometry is the
+    constellation's (whose stations x satellites is below 2**31, so a key
+    fits in int64).
 
     The sine of elevation, (p - R) / |sat - st| with p = sat . zenith, rises
     with p, so a mask m holds exactly where p >= p* = R cos^2 m + sin m
@@ -504,9 +477,8 @@ def contact_windows(
     int64; each limit is checked before any array is built.
 
     Station ids must be distinct. _geometry, the _StationGeometry of these
-    constellation and stations kept by a caller, sieves only the samples of
-    the grid that its kept ones lack; the windows are those of a call
-    without it.
+    constellation and stations built once by a caller, saves rebuilding it;
+    every call sieves its whole grid.
     """
     _require_finite("positive and finite", horizon=horizon, step=step)
     _require_finite("finite", start=start)
@@ -523,7 +495,7 @@ def contact_windows(
         _geometry = _StationGeometry(constellation, stations)
     elif _geometry.constellation is not constellation or _geometry.stations != stations:
         raise ValueError("the station geometry is of another constellation or other stations")
-    keys = _geometry.visible(start, step, times)
+    keys = _visible_samples(constellation, _geometry, times)
     if len(keys) == 0:
         return []
     # A run is a stretch of consecutive keys; only the keys at its ends are decoded.

@@ -242,6 +242,8 @@ def parse_scenario(source) -> Scenario:
         dep_sats = tuple(parsed)
 
     seed = _value(root["seed"], "int", "scenario", "seed") if "seed" in root else None
+    if seed is not None and seed < 0:
+        raise ScenarioError("scenario.seed: must be nonnegative")
 
     return Scenario(
         constellation=constellation,

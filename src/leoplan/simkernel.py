@@ -15,14 +15,10 @@ by the booked seconds.
 A campaign validates its inputs, plans both ring collectives and builds its
 station geometry once; the inputs never change between its rounds. Each
 ground-link phase samples visibility from the phase's start only as far as
-its schedule reaches, with the result of sampling the whole horizon. The
-phase is one continuing computation: the geometry keeps one sorted int64
-key, ((station * num_satellites + satellite) << 32) | sample, per visible
-sample of the grid it last sieved, so a longer span sieves only the samples
-past them, and the schedule resumes after its last epoch. So a phase's grid
-holds at most 2**32 - 1 samples and stations x satellites stays below 2**31.
-No sample of a grid is sieved and no epoch is scheduled twice;
-frozen-topology phases all share the epoch's grid.
+its schedule reaches, with the result of sampling the whole horizon: each
+doubling of its span sieves its whole grid afresh, and the schedule resumes
+after its last epoch, so no epoch is scheduled twice. A phase's grid holds
+at most 2**32 - 1 samples and stations x satellites stays below 2**31.
 """
 
 from __future__ import annotations
@@ -227,10 +223,10 @@ def _campaign(config: FederationConfig, constellation: WalkerConstellation,
 
         Samples visibility one step past the scheduled span, one epoch first,
         then twice the span, until the transfer completes or the span reaches
-        the horizon. Each doubling sieves only the samples the campaign's
-        geometry has not kept on this grid and resumes the schedule after its
-        last epoch with the orbits' remaining fractions; each scheduled epoch
-        sees the windows that full-horizon sampling gives it
+        the horizon. Each doubling sieves its whole grid with the campaign's
+        geometry and resumes the schedule after its last epoch with the
+        orbits' remaining fractions; each scheduled epoch sees the windows
+        that full-horizon sampling gives it
         (test_round_matches_full_horizon_sampling).
         """
         horizon, step = config.horizon_seconds, config.window_step_seconds

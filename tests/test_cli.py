@@ -296,6 +296,30 @@ def test_deploy_pg_without_episodes_exits_1(tmp_path, capsys, episodes):
         "message": f"policy-gradient training needs episodes >= 1, got {episodes}"}
     assert not (out / "plan.json").exists()
 
+
+def test_deploy_negative_scenario_seed_exits_2(tmp_path, capsys):
+    obj = json.loads(Path(TWO_TASK).read_text(encoding="utf-8"))
+    obj["seed"] = -1
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, stdout, err = run_cli(capsys, "deploy", str(path), "--out-dir", str(tmp_path / "out"),
+                                "--solver", "pg", "--episodes", "5")
+    assert (code, stdout) == (2, "")
+    assert json.loads(err)["error"] == {"subcommand": "deploy", "type": "ScenarioError",
+                                        "message": "scenario.seed: must be nonnegative"}
+
+
+def test_deploy_negative_seed_flag_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "deploy", TWO_TASK, "--out-dir", str(out),
+                                "--solver", "pg", "--episodes", "5", "--seed", "-1")
+    assert (code, stdout) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == {"subcommand": "deploy", "type": "ValueError",
+                                        "message": "--seed must be nonnegative, got -1"}
+    assert not (out / "plan.json").exists()
+
+
 @pytest.mark.parametrize("solver", ["exact", "greedy", "pg"])
 def test_deploy_applies_the_energy_budget(tmp_path, capsys, solver):
     # Every service draws at least 1e9 flops x energy.e_flop_j (1e-12 J by

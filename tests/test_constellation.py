@@ -12,6 +12,7 @@ from leoplan import (
     EARTH_RADIUS_KM,
     LIGHT_SPEED_KM_S,
     ConstellationSpec,
+    ContactWindow,
     GroundStation,
     Link,
     LinkConfig,
@@ -293,6 +294,12 @@ def test_zenith_pass_window():
     assert 240.0 <= w.end <= 280.0  # 10 deg mask at 550 km: ~15 deg half-angle
     assert w.rate_bps == 1e9
     assert w.duration == w.end - w.start
+    # A window is a tuple of its five fields, in this order, and cannot change.
+    assert ContactWindow._fields == ("satellite", "ground_station", "start", "end", "rate_bps")
+    assert ContactWindow(*w) == w == ContactWindow(
+        satellite=w.satellite, ground_station="gs", start=w.start, end=w.end, rate_bps=1e9)
+    with pytest.raises(AttributeError):
+        w.end = 0.0
 
 
 def test_far_side_station_sees_nothing():
@@ -406,45 +413,6 @@ def test_edge_detection_matches_run_length_oracle(spec, stations, altitude, lat,
     assert all(type(w.start) is float and type(w.end) is float for w in got)
 
 
-@settings(max_examples=100, deadline=None)
-@given(spec=walker_specs(), stations=station_sets(), altitude=altitudes, lat=latitudes,
-       mask=masks, start=st.floats(-1e4, 1e5), step=steps_s, steps=sample_counts,
-       cuts=st.lists(st.floats(0.0, 1.0), max_size=4))
-# A 550 km pass lasts several 100 s steps, so cuts land inside windows.
-@example(spec=ConstellationSpec(4, 6, 550.0, 53.0), stations=(), altitude=None, lat=40.0,
-         mask=10.0, start=0.0, step=100.0, steps=121, cuts=[0.6, 0.3])
-@example(spec=ConstellationSpec(4, 6, 550.0, 53.0), stations=(), altitude=None, lat=40.0,
-         mask=10.0, start=0.0, step=5.0, steps=400, cuts=[])
-def test_kept_samples_match_one_sampling(spec, stations, altitude, lat, mask, start, step,
-                                         steps, cuts):
-    """One station geometry passed to calls over one grid, with sample counts
-    in any order, gives after every call the windows of one contact_windows
-    call over that span, by .hex(): a shorter span filters the kept samples,
-    a longer one extends them, and a window that crosses a cut comes out as
-    one window. Besides the drawn cuts, in their drawn order, one cut falls
-    inside each of the first windows of the final span that hold two samples
-    or more; the full span and its half come last."""
-    if altitude is not None:
-        spec = dataclasses.replace(spec, altitude_km=altitude)
-    walker = build_walker(spec)
-    stations = stations + (GroundStation("gs-x", lat, 10.0, min_elevation_deg=mask),)
-    cfg = LinkConfig(sgl_rate_bps=3e6)
-
-    def windows(count, **kw):
-        # count samples: len(np.arange(0.0, count * step * 0.999, step)) == count
-        return contact_windows(walker, stations, count * step * 0.999, step=step,
-                               link_config=cfg, start=start, **kw)
-
-    times = start + np.arange(0.0, steps * step * 0.999, step)
-    crossed = [int(np.searchsorted(times, w.start)) + 1 for w in windows(steps)
-               if w.end - w.start > 1.5 * step][:4]
-    counts = [max(1, round(f * steps)) for f in cuts] + crossed + [steps, max(1, steps // 2)]
-    geometry = constellation._StationGeometry(walker, stations)
-    for count in counts:
-        assert window_key(windows(count, _geometry=geometry)) == window_key(windows(count))
-    assert geometry.count == steps
-
-
 def test_a_geometry_serves_every_grid_of_its_own_constellation_and_stations():
     """Another step, another start or a shorter horizon gives the windows of
     a fresh call; another constellation or other stations are rejected."""
@@ -517,6 +485,19 @@ def test_a_geometry_across_grids_gives_fresh_windows(spec, stations, lat, mask, 
         got = contact_windows(walker, stations, count * step * 0.999, _geometry=geometry, **kw)
         assert window_key(got) == window_key(contact_windows(walker, stations,
                                                              count * step * 0.999, **kw))
+
+
+def test_a_geometry_holds_no_grid_state():
+    """Calls over a longer, a shorter and another grid leave the station
+    geometry as built: no attribute is rebound."""
+    walker = build_walker(ConstellationSpec(4, 6, 550.0, 53.0))
+    stations = (GroundStation("gs", 40.0, 10.0),)
+    geometry = constellation._StationGeometry(walker, stations)
+    built = {k: id(v) for k, v in vars(geometry).items()}
+    for horizon, kw in ((3000.0, dict(step=5.0)), (9000.0, dict(step=5.0)),
+                        (1000.0, dict(step=5.0)), (6000.0, dict(step=4.0, start=1.0))):
+        contact_windows(walker, stations, horizon, _geometry=geometry, **kw)
+        assert {k: id(v) for k, v in vars(geometry).items()} == built
 
 
 @settings(max_examples=100, deadline=None)

@@ -113,6 +113,16 @@ def test_full_scenario_fields():
     assert s.active_dags() == [dag]
 
 
+def test_negative_seed_is_rejected_at_its_path():
+    obj = minimal()
+    obj["seed"] = -1
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(obj)
+    assert str(info.value) == "scenario.seed: must be nonnegative"
+    obj["seed"] = 0
+    assert parse_scenario(obj).seed == 0
+
+
 def test_parse_accepts_text_dict_and_path(tmp_path):
     obj = full()
     from_dict = parse_scenario(obj)

@@ -335,8 +335,8 @@ def test_resumed_schedule_matches_one_schedule(spec, stations, start, step, epoc
 def full_horizon_round(mp, config, *args, **kwargs):
     """simulate_round with every ground phase sampled and scheduled over the
     whole horizon from scratch, as one contact_windows and one
-    schedule_downlink call per phase would: the campaign's station geometry,
-    with the samples it keeps, and the schedule a phase resumes are dropped."""
+    schedule_downlink call per phase would: the campaign's station geometry
+    and the schedule a phase resumes are dropped."""
     real_windows, real_schedule = simkernel.contact_windows, simkernel.schedule_downlink
     mp.setattr(simkernel, "contact_windows",
                lambda walker, stations, horizon, _geometry=None, **kw:
@@ -411,18 +411,17 @@ def test_demo_samples_a_tenth_of_the_full_horizon(monkeypatch):
     assert sum(sampled) < 40 * scn.federation.horizon_seconds / 10
 
 
-def test_demo_phases_sieve_each_sample_and_schedule_each_epoch_once(monkeypatch):
+def test_demo_phases_sieve_each_grid_whole_and_schedule_each_epoch_once(monkeypatch):
     """Guard: the demo campaign passes one station geometry to every
-    ground-link phase; within a phase no sample is sieved twice and no epoch
-    reaches max_flow twice; the campaign runs max_flow once per non-empty
-    epoch of the phases' final schedules."""
+    ground-link phase; each call sieves its own whole grid, once; within a
+    phase no epoch reaches max_flow twice; the campaign runs max_flow once
+    per non-empty epoch of the phases' final schedules."""
     scn = parse_scenario(REPO / "scenarios" / "demo_walker6.json")
     setup = SimulationSetup(stations=scn.ground_stations, link_config=scn.link_config,
                             compute=scn.compute, energy=scn.energy)
-    phases = []  # per phase: its schedules, the sample times it sieved, its last grid
-    sieved = []  # sample times sieved since the last schedule
+    phases = []  # per phase: its schedules
+    sieved = []  # sample times sieved by the current contact_windows call
     geometries = set()
-    grid = [None]
     flows = [0]
     real_sieve, real_flow = constellation._visible_samples, sgl_flow.max_flow
     real_windows, real_schedule = simkernel.contact_windows, simkernel.schedule_downlink
@@ -433,8 +432,11 @@ def test_demo_phases_sieve_each_sample_and_schedule_each_epoch_once(monkeypatch)
 
     def windows(*args, _geometry, **kw):
         geometries.add(_geometry)
-        grid[0] = kw["start"] + np.arange(0.0, args[2], kw["step"])
-        return real_windows(*args, _geometry=_geometry, **kw)
+        sieved.clear()
+        result = real_windows(*args, _geometry=_geometry, **kw)
+        assert len(sieved) == 1
+        assert np.array_equal(sieved[0], kw["start"] + np.arange(0.0, args[2], kw["step"]))
+        return result
 
     def max_flow(network):
         flows[0] += 1
@@ -449,11 +451,8 @@ def test_demo_phases_sieve_each_sample_and_schedule_each_epoch_once(monkeypatch)
         assert [e.epoch_index for e in new] == list(range(len(done), len(result.epochs)))
         assert flows[0] - before == sum(1 for e in new if e.assignment.flows)
         if _resume is None:
-            phases.append({"schedules": [], "sieved": []})
-        phases[-1]["schedules"].append(result)
-        phases[-1]["sieved"] += sieved
-        phases[-1]["grid"] = grid[0]
-        sieved.clear()
+            phases.append([])
+        phases[-1].append(result)
         return result
 
     monkeypatch.setattr(constellation, "_visible_samples", sieve)
@@ -465,18 +464,14 @@ def test_demo_phases_sieve_each_sample_and_schedule_each_epoch_once(monkeypatch)
     assert agg.complete
     assert len(geometries) == 1
     assert len(phases) == 4 * scn.federation.rounds
-    assert sum(len(p["schedules"]) > 1 for p in phases) > 0  # some phase extends its span
-    for p in phases:
-        # Each sample of the phase's final grid sieved once, in order.
-        assert np.array_equal(np.concatenate(p["sieved"]), p["grid"])
-    assert flows[0] == sum(1 for p in phases for e in p["schedules"][-1].epochs
-                           if e.assignment.flows)
+    assert sum(len(p) > 1 for p in phases) > 0  # some phase extends its span
+    assert flows[0] == sum(1 for p in phases for e in p[-1].epochs if e.assignment.flows)
 
 
-def test_frozen_demo_campaign_sieves_each_sample_once(monkeypatch):
-    """Guard: every ground-link phase of a frozen-topology campaign samples
-    the epoch's grid, so the demo campaign sieves its 13 samples once, not
-    once per phase (520)."""
+def test_frozen_demo_campaign_sieves_the_epoch_grid_on_each_call(monkeypatch):
+    """Guard: every ground-link call of a frozen-topology campaign samples the
+    epoch's grid, and sieves all of it: the demo campaign's calls each sieve
+    its 13 samples."""
     scn = parse_scenario(REPO / "scenarios" / "demo_walker6.json")
     setup = SimulationSetup(stations=scn.ground_stations, link_config=scn.link_config,
                             compute=scn.compute, energy=scn.energy)
@@ -485,7 +480,7 @@ def test_frozen_demo_campaign_sieves_each_sample_once(monkeypatch):
     real_sieve, real_windows = constellation._visible_samples, simkernel.contact_windows
 
     def sieve(walker, geometry, times):
-        sieved.append(len(times))
+        sieved.append(times)
         return real_sieve(walker, geometry, times)
 
     def windows(*args, **kw):
@@ -497,7 +492,9 @@ def test_frozen_demo_campaign_sieves_each_sample_once(monkeypatch):
     _, agg = simulate_fine_tuning(config, build_walker(scn.constellation), scn.workload, setup)
     assert agg.complete
     assert len(calls) >= 4 * config.rounds
-    assert sum(sieved) == 13
+    assert len(sieved) == len(calls)
+    grid = scn.constellation.epoch + np.arange(0.0, 65.0, 5.0)
+    assert all(np.array_equal(times, grid) for times in sieved)
 
 
 def demo_campaign(stations=None):
