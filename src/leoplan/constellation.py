@@ -463,6 +463,7 @@ def contact_windows(
     start: float = 0.0,
     *,
     _geometry: _StationGeometry | None = None,
+    _first: int = 0,
 ) -> list:
     """Sampled visibility windows for every (satellite, station) pair.
 
@@ -477,8 +478,11 @@ def contact_windows(
     int64; each limit is checked before any array is built.
 
     Station ids must be distinct. _geometry, the _StationGeometry of these
-    constellation and stations built once by a caller, saves rebuilding it;
-    every call sieves its whole grid.
+    constellation and stations built once by a caller, saves rebuilding it.
+    _first, when positive, sieves only the grid's samples from index _first
+    on, cut from the same grid so that each keeps its bits: the windows are
+    those of the whole grid that reach past times[_first], each starting no
+    earlier than times[_first] (test_a_clipped_grid_gives_the_clipped_windows).
     """
     _require_finite("positive and finite", horizon=horizon, step=step)
     _require_finite("finite", start=start)
@@ -487,7 +491,7 @@ def contact_windows(
     cfg = link_config if link_config is not None else LinkConfig()
     cfg.validate()
 
-    times = start + np.arange(0.0, horizon, step)
+    times = (start + np.arange(0.0, horizon, step))[_first:]
     stations = tuple(stations)
     if len(times) == 0 or not stations:
         return []

@@ -16,9 +16,11 @@ A campaign validates its inputs, plans both ring collectives and builds its
 station geometry once; the inputs never change between its rounds. Each
 ground-link phase samples visibility from the phase's start only as far as
 its schedule reaches, with the result of sampling the whole horizon: each
-doubling of its span sieves its whole grid afresh, and the schedule resumes
-after its last epoch, so no epoch is scheduled twice. A phase's grid holds
-at most 2**32 - 1 samples and stations x satellites stays below 2**31.
+doubling of its span sieves its grid only from just before its first
+unscheduled epoch, and the schedule resumes after its last epoch, so no
+epoch is scheduled twice. A phase's grid holds at most 2**32 - 1 samples,
+stations x satellites stays below 2**31, and horizon_seconds /
+epoch_seconds is at most sgl_flow._MAX_EPOCHS.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .constellation import (LIGHT_SPEED_KM_S, LinkConfig, WalkerConstellation, _
 from .graph import _require_finite, _total
 from .interorbit import build_weighted_graph, parallel_transfer_time, select_disjoint_paths
 from .orchestration import EnergyModel
-from .sgl_flow import schedule_downlink
+from .sgl_flow import _MAX_EPOCHS, schedule_downlink
 
 GROUND = "ground"
 DECENTRALIZED = "decentralized"
@@ -123,6 +125,9 @@ class FederationConfig:
         _require_finite("positive and finite", epoch_seconds=self.epoch_seconds,
                         horizon_seconds=self.horizon_seconds,
                         window_step_seconds=self.window_step_seconds)
+        if self.horizon_seconds / self.epoch_seconds > _MAX_EPOCHS:
+            raise ValueError(f"epoch_seconds must leave at most {_MAX_EPOCHS} epochs in "
+                             "horizon_seconds")
 
 
 @dataclass(frozen=True)
@@ -223,11 +228,13 @@ def _campaign(config: FederationConfig, constellation: WalkerConstellation,
 
         Samples visibility one step past the scheduled span, one epoch first,
         then twice the span, until the transfer completes or the span reaches
-        the horizon. Each doubling sieves its whole grid with the campaign's
-        geometry and resumes the schedule after its last epoch with the
-        orbits' remaining fractions; each scheduled epoch sees the windows
-        that full-horizon sampling gives it
-        (test_round_matches_full_horizon_sampling).
+        the horizon. Each doubling sieves its grid with the campaign's
+        geometry from the sample one before the last at or before its first
+        unscheduled epoch, and resumes the schedule there with the orbits'
+        remaining fractions: a window cut at that sample overlaps every later
+        epoch as the whole one does, and a window left out ends a step or more
+        before that epoch. Each scheduled epoch sees the windows that full-horizon
+        sampling gives it (test_round_matches_full_horizon_sampling).
         """
         horizon, step = config.horizon_seconds, config.window_step_seconds
         span = config.epoch_seconds
@@ -236,9 +243,12 @@ def _campaign(config: FederationConfig, constellation: WalkerConstellation,
             sampled = span + step
             if sampled >= horizon:
                 span = sampled = horizon
+            done = 0 if result is None else len(result.epochs)
+            first = max(0, int(done * config.epoch_seconds // step) - 1)
             windows = contact_windows(
                 constellation, setup.stations, sampled, step=step,
-                link_config=setup.link_config, start=window_start(), _geometry=geometry)
+                link_config=setup.link_config, start=window_start(), _geometry=geometry,
+                _first=first)
             result = schedule_downlink(
                 windows, model_bits_per_orbit, setup.stations, span,
                 epoch_seconds=config.epoch_seconds, start_time=window_start(),

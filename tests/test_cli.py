@@ -162,13 +162,32 @@ def test_downlink_non_finite_start_prints_one_error_line(tmp_path, start):
 def test_downlink_oversized_grid_prints_one_error_line(tmp_path):
     """A horizon of 1e12 s at a 1e-3 s step is 1e15 samples, more than a
     key's 32-bit sample field holds: exit 1 with one JSON line, before the
-    7.11 PiB grid is asked for, not a MemoryError traceback."""
+    7.11 PiB grid is asked for, not a MemoryError traceback. Epochs of 1e7 s
+    keep the epoch count within its own bound."""
     obj = json.loads((REPO / "scenarios" / "demo_walker6.json").read_text(encoding="utf-8"))
-    obj["federation"].update(horizon_seconds=1e12, window_step_seconds=1e-3)
+    obj["federation"].update(horizon_seconds=1e12, window_step_seconds=1e-3,
+                             epoch_seconds=1e7)
     path = tmp_path / "huge_grid.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     assert_one_error_line(tmp_path, "downlink", str(path),
                           message="horizon / step exceeds 4294967295 samples")
+
+
+def test_downlink_with_too_many_epochs_exits_2(tmp_path, capsys):
+    """1e-300 s epochs over the demo's 5,400 s horizon are rejected at parse
+    time with their field path, not walked one epoch at a time."""
+    obj = json.loads((REPO / "scenarios" / "demo_walker6.json").read_text(encoding="utf-8"))
+    obj["federation"]["epoch_seconds"] = 1e-300
+    path = tmp_path / "tiny_epochs.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, stdout, err = run_cli(capsys, "downlink", str(path), "--out-dir",
+                                str(tmp_path / "out"))
+    assert (code, stdout) == (2, "")
+    assert json.loads(err)["error"] == {
+        "subcommand": "downlink", "type": "ScenarioError",
+        "message": "federation.epoch_seconds: must leave at most 100000 epochs in "
+                   "horizon_seconds"}
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["routes", "deploy"])

@@ -501,6 +501,40 @@ def test_a_geometry_holds_no_grid_state():
 
 
 @settings(max_examples=100, deadline=None)
+@given(spec=walker_specs(), stations=station_sets(), lat=latitudes, mask=masks,
+       start=st.floats(-1e4, 1e5), step=steps_s, steps=sample_counts,
+       where=st.sampled_from(["first", "mid-block", "last", "past"]),
+       pick=st.integers(0, 40))
+# A pass lasts several 100 s steps, so some window is cut at times[k].
+@example(spec=ConstellationSpec(4, 6, 550.0, 53.0), stations=(), lat=40.0, mask=10.0,
+         start=0.0, step=100.0, steps=121, where="mid-block", pick=5)
+def test_a_clipped_grid_gives_the_clipped_windows(spec, stations, lat, mask, start, step,
+                                                  steps, where, pick):
+    """contact_windows(..., _first=k) gives the whole grid's windows that
+    reach past times[k], each start raised to times[k], by .hex(): from the
+    first sample, from inside a sieve block, from the last sample, and from
+    past the grid, which gives none."""
+    walker = build_walker(spec)
+    stations = stations + (GroundStation("gs-x", lat, 10.0, min_elevation_deg=mask),)
+    horizon = steps * step * 0.999
+    times = start + np.arange(0.0, horizon, step)
+    n, block = len(times), constellation._SIEVE_BLOCK
+    k = {"first": 0, "last": n - 1, "past": n + pick % 4,
+         "mid-block": min(n - 1, pick % ((n - 1) // block + 1) * block + block // 2)}[where]
+    kw = dict(step=step, start=start, link_config=LinkConfig(sgl_rate_bps=3e6))
+    got = contact_windows(walker, stations, horizon, _first=k, **kw)
+    if k >= n:
+        assert got == []
+        return
+    t = times[k]
+    # A window ends one step past its last sample, so an end past t + step / 2
+    # means a sample at or after times[k], however the end rounds.
+    want = [w._replace(start=max(w.start, t))
+            for w in contact_windows(walker, stations, horizon, **kw) if w.end > t + step / 2]
+    assert window_key(got) == window_key(want)
+
+
+@settings(max_examples=100, deadline=None)
 @given(spec=walker_specs(),
        altitude=altitudes, lat=latitudes, lon=st.one_of(st.just(0.0), st.floats(-180.0, 180.0)),
        mask=masks, start=st.floats(-1e4, 1e5), step=steps_s, steps=sample_counts)

@@ -235,6 +235,19 @@ def test_semantic_errors_name_their_section(section, key, value, message):
     assert str(info.value) == message
 
 
+def test_epoch_count_is_bounded():
+    """horizon_seconds / epoch_seconds may reach 100,000 epochs and not pass it."""
+    obj = minimal()
+    obj["federation"] = {"horizon_seconds": 1e5, "epoch_seconds": 1.0}
+    assert parse_scenario(obj).federation.epoch_seconds == 1.0
+    for epoch in (math.nextafter(1.0, 0.0), 1e-300):
+        obj["federation"]["epoch_seconds"] = epoch
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(obj)
+        assert str(info.value) == ("federation.epoch_seconds: must leave at most 100000 "
+                                   "epochs in horizon_seconds")
+
+
 def test_semantic_station_error_names_its_index():
     obj = minimal()
     obj["ground_stations"] = [
@@ -523,7 +536,7 @@ def scenarios(draw):
             **some(local_epochs=st.integers(1, 5), flops_per_sample_head=_num(0.0, 1e12))},
         "federation": some(rounds=st.integers(1, 5), intra_orbit_agg_rounds=st.integers(1, 5),
                            aggregation_mode=st.sampled_from(["ground", "decentralized"]),
-                           epoch_seconds=_num(1e-3, 1e4), horizon_seconds=_num(1e-3, 1e5),
+                           epoch_seconds=_num(1.0, 1e4), horizon_seconds=_num(1e-3, 1e5),
                            window_step_seconds=_num(1e-3, 1e3), freeze_topology=st.booleans()),
         "compute": some(satellite_flops_per_s=_num(1.0, 1e15), cloud_flops_per_s=_num(1.0, 1e15),
                         satellite_memory_bytes=_num(0.0, 1e12),

@@ -328,6 +328,20 @@ def test_schedule_downlink_argument_errors():
                               orbits=[0])
 
 
+def test_schedule_downlink_rejects_too_many_epochs():
+    """Its own horizon / epoch_seconds may not pass 100,000 epochs, checked
+    before the first epoch."""
+    windows = [ContactWindow(SatelliteId(0, 0), "gs", 0.0, 600.0, 1e7)]
+    stations = (GroundStation("gs", 0.0, 0.0),)
+    res = schedule_downlink(windows, 1e9, stations, horizon=1e5, epoch_seconds=1.0,
+                            orbits=[0])
+    assert res.complete and res.epochs_used == 100
+    for epoch in (math.nextafter(1.0, 0.0), 1e-300):
+        with pytest.raises(ValueError, match="horizon / epoch_seconds exceeds 100000 epochs"):
+            schedule_downlink(windows, 1e9, stations, horizon=1e5, epoch_seconds=epoch,
+                              orbits=[0])
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("name", ["horizon", "epoch_seconds", "model_bits"])
 def test_schedule_downlink_rejects_non_finite(name, value):

@@ -307,16 +307,19 @@ def test_bounded_sampling_schedules_the_full_horizon_prefix(
        model_bits=st.floats(1e3, 1e6))
 def test_resumed_schedule_matches_one_schedule(spec, stations, start, step, epoch_seconds,
                                                doublings, sgl_rate, model_bits):
-    """Doubling a span on one station geometry and resuming each schedule
-    from the last gives, at every span, the epochs of one from-scratch
-    sampling and schedule of that span, by .hex()."""
+    """Doubling a span on one station geometry, sieving each grid from the
+    sample before the last at or before the first unscheduled epoch and
+    resuming each schedule from the last gives, at every span, the epochs of
+    one from-scratch sampling and schedule of that span, by .hex()."""
     walker = build_walker(spec)
     cfg = LinkConfig(sgl_rate_bps=sgl_rate)
     orbits = range(spec.num_orbits)
 
     def schedule(span, geometry=None, resume=None):
+        done = 0 if resume is None else len(resume.epochs)
+        first = max(0, int(done * epoch_seconds // step) - 1)
         windows = contact_windows(walker, stations, span + step, step=step, link_config=cfg,
-                                  start=start, _geometry=geometry)
+                                  start=start, _geometry=geometry, _first=first)
         return schedule_downlink(windows, model_bits, stations, span,
                                  epoch_seconds=epoch_seconds, start_time=start, orbits=orbits,
                                  _resume=resume)
@@ -335,11 +338,12 @@ def test_resumed_schedule_matches_one_schedule(spec, stations, start, step, epoc
 def full_horizon_round(mp, config, *args, **kwargs):
     """simulate_round with every ground phase sampled and scheduled over the
     whole horizon from scratch, as one contact_windows and one
-    schedule_downlink call per phase would: the campaign's station geometry
-    and the schedule a phase resumes are dropped."""
+    schedule_downlink call per phase would: the campaign's station geometry,
+    the first sample a resumed phase sieves from and the schedule it resumes
+    are dropped."""
     real_windows, real_schedule = simkernel.contact_windows, simkernel.schedule_downlink
     mp.setattr(simkernel, "contact_windows",
-               lambda walker, stations, horizon, _geometry=None, **kw:
+               lambda walker, stations, horizon, _geometry=None, _first=0, **kw:
                real_windows(walker, stations, config.horizon_seconds, **kw))
     mp.setattr(simkernel, "schedule_downlink",
                lambda windows, bits, stations, horizon, _resume=None, **kw:
@@ -411,16 +415,21 @@ def test_demo_samples_a_tenth_of_the_full_horizon(monkeypatch):
     assert sum(sampled) < 40 * scn.federation.horizon_seconds / 10
 
 
-def test_demo_phases_sieve_each_grid_whole_and_schedule_each_epoch_once(monkeypatch):
+def test_demo_phases_sieve_from_the_first_unscheduled_epoch_and_schedule_each_epoch_once(
+        monkeypatch):
     """Guard: the demo campaign passes one station geometry to every
-    ground-link phase; each call sieves its own whole grid, once; within a
-    phase no epoch reaches max_flow twice; the campaign runs max_flow once
-    per non-empty epoch of the phases' final schedules."""
+    ground-link phase; each call sieves its grid once, a phase's first call
+    the whole grid and each resumed call grid[first:] with grid[first] at or
+    before its first unscheduled epoch; the campaign sieves a pinned sample
+    count, below that of its whole grids; within a phase no epoch reaches
+    max_flow twice; the campaign runs max_flow once per non-empty epoch of
+    the phases' final schedules."""
     scn = parse_scenario(REPO / "scenarios" / "demo_walker6.json")
     setup = SimulationSetup(stations=scn.ground_stations, link_config=scn.link_config,
                             compute=scn.compute, energy=scn.energy)
     phases = []  # per phase: its schedules
     sieved = []  # sample times sieved by the current contact_windows call
+    grids = []  # per contact_windows call: its whole grid and its first sample index
     geometries = set()
     flows = [0]
     real_sieve, real_flow = constellation._visible_samples, sgl_flow.max_flow
@@ -430,12 +439,14 @@ def test_demo_phases_sieve_each_grid_whole_and_schedule_each_epoch_once(monkeypa
         sieved.append(times)
         return real_sieve(walker, geometry, times)
 
-    def windows(*args, _geometry, **kw):
+    def windows(*args, _geometry, _first, **kw):
         geometries.add(_geometry)
         sieved.clear()
-        result = real_windows(*args, _geometry=_geometry, **kw)
+        result = real_windows(*args, _geometry=_geometry, _first=_first, **kw)
+        grid = kw["start"] + np.arange(0.0, args[2], kw["step"])
         assert len(sieved) == 1
-        assert np.array_equal(sieved[0], kw["start"] + np.arange(0.0, args[2], kw["step"]))
+        assert np.array_equal(sieved[0], grid[_first:])
+        grids.append((grid, _first))
         return result
 
     def max_flow(network):
@@ -443,6 +454,11 @@ def test_demo_phases_sieve_each_grid_whole_and_schedule_each_epoch_once(monkeypa
         return real_flow(network)
 
     def schedule(*args, _resume, **kw):
+        grid, first = grids[-1]
+        if _resume is None:
+            assert first == 0
+        else:
+            assert grid[first] <= kw["start_time"] + len(_resume.epochs) * kw["epoch_seconds"]
         before = flows[0]
         result = real_schedule(*args, _resume=_resume, **kw)
         done = [] if _resume is None else _resume.epochs
@@ -465,6 +481,8 @@ def test_demo_phases_sieve_each_grid_whole_and_schedule_each_epoch_once(monkeypa
     assert len(geometries) == 1
     assert len(phases) == 4 * scn.federation.rounds
     assert sum(len(p) > 1 for p in phases) > 0  # some phase extends its span
+    assert sum(len(grid) - first for grid, first in grids) == 884
+    assert sum(len(grid) for grid, _ in grids) == 1188
     assert flows[0] == sum(1 for p in phases for e in p[-1].epochs if e.assignment.flows)
 
 
