@@ -4,6 +4,23 @@ The model is deliberately small: circular orbits around a spherical Earth,
 no perturbations, stations fixed to the rotating surface. Everything is a
 pure function of the constellation definition and a time instant, so two
 calls with the same arguments return identical results.
+
+Time range. Every instant t the model samples, over a span of length
+horizon (0 for one instant), keeps |t - epoch| + horizon <= 1e9 s
+(TIME_BOUND_S), and the epoch keeps |epoch| <= 1e9 s. The float spacing
+of an offset from the epoch is then at most 1.2e-7 s, and that of an
+instant, within 2e9 s of zero, at most 2.4e-7 s, so a sample grid
+start + k * step increases strictly with every spacing within 4e-7 s of
+step for any step above that (test_grids_inside_the_time_range_keep_their_step).
+snapshot, contact_windows and the simulator's campaign check the first rule,
+ConstellationSpec the second, and schedule_downlink, which knows no epoch,
+what the two imply: |start_time| + horizon <= 2e9 s.
+
+Memory. contact_windows sieves its grid in chunks of whole sieve blocks of
+at most _SIEVE_CHUNK station-satellite-samples each, and turns each chunk's
+visible samples into runs at once, so one call holds one chunk's stage
+arrays, max(2**20, 12 x stations x satellites) station-satellite-samples,
+plus 16 B per run and its windows: it grows with windows, not samples.
 """
 
 from __future__ import annotations
@@ -24,6 +41,18 @@ EARTH_RADIUS_KM = 6371.0
 EARTH_MU_KM3_S2 = 398600.4418
 EARTH_ROTATION_RAD_S = 7.2921159e-5
 LIGHT_SPEED_KM_S = 299792.458
+
+# The time range and the largest ring of the model (see the module docstring).
+TIME_BOUND_S = 1e9
+MAX_SATS_PER_ORBIT = 1000
+
+
+def _require_near_epoch(name: str, t: float, epoch: float, horizon: float = 0.0) -> None:
+    """Raise ValueError unless the instant t, over a span of length horizon,
+    keeps |t - epoch| + horizon <= TIME_BOUND_S; name is t's name."""
+    if not abs(t - epoch) + horizon <= TIME_BOUND_S:
+        raise ValueError(f"{name} must keep |{name} - epoch| + horizon within 1e9 s, "
+                         f"got {t!r}")
 
 
 class LinkKind(str, Enum):
@@ -93,12 +122,17 @@ class ConstellationSpec:
         for name in ("num_orbits", "sats_per_orbit"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # A ring all-reduce over one plane plans 2N(N - 1) steps.
+        if self.sats_per_orbit > MAX_SATS_PER_ORBIT:
+            raise ValueError(f"sats_per_orbit must be at most {MAX_SATS_PER_ORBIT}")
         _require_finite("positive and finite", altitude_km=self.altitude_km)
         if not 0.0 <= self.inclination_deg <= 180.0:
             raise ValueError("inclination_deg must be in [0, 180]")
         if not 0 <= self.phasing_factor < max(self.num_orbits, 1):
             raise ValueError("phasing_factor must satisfy 0 <= F < num_orbits")
         _require_finite("finite", epoch=self.epoch)
+        if abs(self.epoch) > TIME_BOUND_S:
+            raise ValueError("epoch must be within 1e9 s of 0")
 
 
 @dataclass(frozen=True)
@@ -283,6 +317,7 @@ def snapshot(constellation: WalkerConstellation, t: float,
     (test_snapshot_lengths_match_per_link_norms).
     """
     _require_finite("finite", t=t)
+    _require_near_epoch("t", t, constellation.spec.epoch)
     link_config.validate()
     spec, sats = constellation.spec, constellation.satellites
     P, S = spec.num_orbits, spec.sats_per_orbit
@@ -318,6 +353,11 @@ _SAMPLE_MASK = _MAX_SAMPLES = 2**32 - 1
 # exact test (at a 5 s LEO step the cone widens by 0.03 of its ~0.3 rad).
 _SIEVE_BLOCK = 12
 _BLOCK_OFFSETS = np.arange(_SIEVE_BLOCK)
+
+# Station-satellite-samples per sieve chunk in contact_windows: a chunk is the
+# most whole blocks that fit, and at least one. Any value gives the same
+# windows; it bounds the memory of one call.
+_SIEVE_CHUNK = 2**20
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -454,6 +494,29 @@ def _visible_samples(constellation: WalkerConstellation, geometry: _StationGeome
     return keys[visible]
 
 
+def _grid(start: float, step: float, k: np.ndarray) -> np.ndarray:
+    """Samples k (whole numbers) of the grid start + k * step. np.arange(0.0,
+    horizon, step) fills its sample k with the product k * step, so these
+    equal (start + np.arange(0.0, horizon, step))[k] bit for bit; a chunk
+    cut as (start + k0 * step) + np.arange(k1 - k0) * step would not."""
+    return start + k * step
+
+
+def _runs(keys: np.ndarray) -> tuple:
+    """The first and the last key of each run of consecutive keys in sorted
+    keys, each run one window."""
+    if not len(keys):
+        return keys, keys
+    edge = keys[1:] - keys[:-1] != 1
+    return keys[np.concatenate(([True], edge))], keys[np.concatenate((edge, [True]))]
+
+
+def _grid_length(horizon: float, step: float) -> int:
+    """len(np.arange(0.0, horizon, step)) for a positive horizon and step:
+    ceil(horizon / step), and one sample when that quotient underflows."""
+    return max(1, math.ceil(horizon / step))
+
+
 def contact_windows(
     constellation: WalkerConstellation,
     stations: tuple,
@@ -475,40 +538,66 @@ def contact_windows(
     num_satellites + satellite) << 32) | sample; only its end keys are
     decoded. A grid of at most 2**32 - 1 samples (horizon / step) keeps runs
     of two pairs apart, and stations x satellites below 2**31 keeps keys in
-    int64; each limit is checked before any array is built.
+    int64; each limit, and |start - epoch| + horizon <= 1e9 s, is checked
+    before any array is built.
+
+    The grid is sieved in chunks of whole _SIEVE_BLOCKs, each of at most
+    _SIEVE_CHUNK station-satellite-samples (and at least one block), and no
+    whole time grid is built: a chunk's keys become runs at once, offset by
+    its first sample, and when the grid takes more than one chunk, a run
+    ending on a chunk's last sample joins the pair's run from the next
+    chunk's first. The sieve's
+    flags are those of full evaluation on any grid and positions are
+    elementwise in time, so the windows are those of one whole-grid sieve,
+    and one call holds one chunk's stage arrays plus 16 B per run and its
+    windows.
 
     Station ids must be distinct. _geometry, the _StationGeometry of these
     constellation and stations built once by a caller, saves rebuilding it.
     _first, when positive, sieves only the grid's samples from index _first
-    on, cut from the same grid so that each keeps its bits: the windows are
-    those of the whole grid that reach past times[_first], each starting no
-    earlier than times[_first] (test_a_clipped_grid_gives_the_clipped_windows).
+    on, with the bits they have in the whole grid: the windows are those of
+    the whole grid that reach past sample _first, each starting no earlier
+    than it (test_a_clipped_grid_gives_the_clipped_windows).
     """
     _require_finite("positive and finite", horizon=horizon, step=step)
     _require_finite("finite", start=start)
     if horizon / step > _MAX_SAMPLES:
         raise ValueError(f"horizon / step exceeds {_MAX_SAMPLES} samples")
+    _require_near_epoch("start", start, constellation.spec.epoch, horizon)
     cfg = link_config if link_config is not None else LinkConfig()
     cfg.validate()
 
-    times = (start + np.arange(0.0, horizon, step))[_first:]
+    count = _grid_length(horizon, step)
     stations = tuple(stations)
-    if len(times) == 0 or not stations:
+    if count <= _first or not stations:
         return []
     if _geometry is None:
         _geometry = _StationGeometry(constellation, stations)
     elif _geometry.constellation is not constellation or _geometry.stations != stations:
         raise ValueError("the station geometry is of another constellation or other stations")
-    keys = _visible_samples(constellation, _geometry, times)
-    if len(keys) == 0:
-        return []
-    # A run is a stretch of consecutive keys; only the keys at its ends are decoded.
-    edge = keys[1:] - keys[:-1] != 1
-    first = keys[np.concatenate(([True], edge))]
-    last = keys[np.concatenate((edge, [True]))]
+    pairs = len(stations) * constellation.num_satellites
+    width = max(1, _SIEVE_CHUNK // pairs // _SIEVE_BLOCK) * _SIEVE_BLOCK
+    firsts, lasts = [], []
+    for k0 in range(_first, count, width):
+        # The chunk's keys are freed once _runs returns.
+        f, l = _runs(_visible_samples(constellation, _geometry, _grid(
+            start, step, np.arange(k0, min(k0 + width, count), dtype=float))))
+        firsts.append(f + k0)
+        lasts.append(l + k0)
+    first, last = np.concatenate(firsts), np.concatenate(lasts)
+    if len(firsts) > 1:
+        # Runs are disjoint key ranges, so sorting starts and ends apart
+        # keeps them paired; a pair's runs are then adjacent in time order.
+        first.sort()
+        last.sort()
+        # A run that ends on a chunk's last sample goes on in the next chunk.
+        join = last[:-1] + 1 == first[1:]
+        first = np.concatenate((first[:1], first[1:][~join]))
+        last = np.concatenate((last[:-1][~join], last[-1:]))
+    del firsts, lasts
+    starts = _grid(start, step, first & _SAMPLE_MASK)
+    ends = _grid(start, step, last & _SAMPLE_MASK) + step
     s, i = np.divmod(first >> 32, constellation.num_satellites)
-    starts = times[first & _SAMPLE_MASK].tolist()
-    ends = (times[last & _SAMPLE_MASK] + step).tolist()
     sats = constellation.satellites
     return [ContactWindow(sats[k], stations[j].id, t0, t1, cfg.sgl_rate_bps)
-            for j, k, t0, t1 in zip(s.tolist(), i.tolist(), starts, ends)]
+            for j, k, t0, t1 in zip(s.tolist(), i.tolist(), starts.tolist(), ends.tolist())]

@@ -40,6 +40,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .constellation import TIME_BOUND_S
 from .graph import _require_finite
 
 
@@ -218,7 +219,8 @@ def schedule_downlink(
         windows: the contact window timeline.
         model_bits: one orbit's model size in bits, the same for every orbit.
         stations: stations referenced by the windows.
-        horizon: scheduling stops start_time + horizon seconds in, complete or not.
+        horizon: scheduling stops start_time + horizon seconds in, complete or
+            not; |start_time| + horizon must be at most 2e9 s.
         epoch_seconds: epoch granularity; a window contributes capacity in
             proportion to its overlap with each epoch.
         orbits: orbits holding a model, each with one to deliver; an orbit
@@ -240,6 +242,10 @@ def schedule_downlink(
     _require_finite("finite", start_time=start_time)
     if horizon / epoch_seconds > _MAX_EPOCHS:
         raise ValueError(f"horizon / epoch_seconds exceeds {_MAX_EPOCHS} epochs")
+    # The constellation's time range, with the epoch within 1e9 s of 0.
+    if not abs(start_time) + horizon <= 2 * TIME_BOUND_S:
+        raise ValueError(f"start_time must keep |start_time| + horizon within 2e9 s, "
+                         f"got {start_time!r}")
     if _resume is not None:
         state = DownlinkState(remaining=dict(_resume.state.remaining))
         epochs = list(_resume.epochs)

@@ -19,8 +19,14 @@ its schedule reaches, with the result of sampling the whole horizon: each
 doubling of its span sieves its grid only from just before its first
 unscheduled epoch, and the schedule resumes after its last epoch, so no
 epoch is scheduled twice. A phase's grid holds at most 2**32 - 1 samples,
-stations x satellites stays below 2**31, and horizon_seconds /
-epoch_seconds is at most sgl_flow._MAX_EPOCHS.
+stations x satellites stays below 2**31, horizon_seconds /
+epoch_seconds is at most sgl_flow._MAX_EPOCHS. Each round must start at a
+start_time with |start_time - epoch| + horizon_seconds <= 1e9 s, the
+constellation module's time range, so that its clock keeps its seconds;
+this is an early reject only. A later phase samples from the round clock,
+past start_time, and is held to the range where it samples (contact_windows,
+snapshot, schedule_downlink), so an unfrozen round can still be rejected
+mid-round (test_a_round_is_held_to_the_time_range).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 
 from .collective import RingSpec, plan_all_gather, plan_all_reduce
 from .constellation import (LIGHT_SPEED_KM_S, LinkConfig, WalkerConstellation, _StationGeometry,
-                            contact_windows, snapshot)
+                            _require_near_epoch, contact_windows, snapshot)
 from .graph import _require_finite, _total
 from .interorbit import build_weighted_graph, parallel_transfer_time, select_disjoint_paths
 from .orchestration import EnergyModel
@@ -312,6 +318,8 @@ def _campaign(config: FederationConfig, constellation: WalkerConstellation,
     per_bit = setup.energy.e_tx_j_per_bit + setup.energy.e_rx_j_per_bit
     traces = []
     for r in range(round_index, round_index + rounds):
+        # An early reject: later phases are checked where they sample.
+        _require_near_epoch("start_time", start_time, spec.epoch, config.horizon_seconds)
         seconds = {p: 0.0 for p in PHASES}
         bits = {p: 0.0 for p in PHASES}
         flops = {p: 0.0 for p in PHASES}

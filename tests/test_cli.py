@@ -159,6 +159,16 @@ def test_downlink_non_finite_start_prints_one_error_line(tmp_path, start):
                           message="start must be finite")
 
 
+def test_downlink_start_outside_the_time_range_prints_one_error_line(tmp_path):
+    """A start 1e300 s from the epoch, where floats are 1e284 s apart, is
+    rejected before any sampling, not scheduled as 90 empty epochs."""
+    assert_one_error_line(tmp_path, "downlink", str(REPO / "scenarios" / "demo_walker6.json"),
+                          "--start", "1e300",
+                          message="start must keep |start - epoch| + horizon within 1e9 s, "
+                                  "got 1e+300")
+    assert not (tmp_path / "out").exists()
+
+
 def test_downlink_oversized_grid_prints_one_error_line(tmp_path):
     """A horizon of 1e12 s at a 1e-3 s step is 1e15 samples, more than a
     key's 32-bit sample field holds: exit 1 with one JSON line, before the
@@ -196,6 +206,15 @@ def test_non_finite_time_prints_one_error_line(tmp_path, command):
     a disconnected snapshot or written into the output."""
     assert_one_error_line(tmp_path, command, TWO_TASK, "--time", "nan",
                           message="t must be finite")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["routes", "deploy"])
+def test_time_outside_the_time_range_prints_one_error_line(tmp_path, command):
+    """A snapshot time 1e300 s from the epoch is rejected before any
+    geometry."""
+    assert_one_error_line(tmp_path, command, TWO_TASK, "--time", "1e300",
+                          message="t must keep |t - epoch| + horizon within 1e9 s, got 1e+300")
     assert not (tmp_path / "out").exists()
 
 
@@ -510,6 +529,7 @@ def test_input_too_large_to_allocate_exits_1(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("section, key, value, message", [
     ("constellation", "num_orbits", 0, "constellation.num_orbits: must be >= 1"),
+    ("constellation", "epoch", 1e300, "constellation.epoch: must be within 1e9 s of 0"),
     ("workload", "precision_bits", 8, "workload.precision_bits: must be 16, 32, or 64"),
 ])
 def test_semantic_scenario_errors_exit_2(tmp_path, capsys, section, key, value, message):

@@ -2,10 +2,12 @@ import dataclasses
 import math
 import tracemalloc
 import types
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from leoplan import (
@@ -23,6 +25,7 @@ from leoplan import (
     build_walker,
     build_weighted_graph,
     contact_windows,
+    parse_scenario,
     snapshot,
 )
 from leoplan import constellation
@@ -41,6 +44,7 @@ from oracles import (
 )
 
 EARTH_ROTATION_RAD_S = 7.2921159e-5
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_satellite_id_labels():
@@ -534,6 +538,168 @@ def test_a_clipped_grid_gives_the_clipped_windows(spec, stations, lat, mask, sta
     assert window_key(got) == window_key(want)
 
 
+def sieve_chunks(pairs, blocks):
+    """A patch of _SIEVE_CHUNK to `blocks` sieve blocks of `pairs` pairs."""
+    return mock.patch.object(constellation, "_SIEVE_CHUNK",
+                             pairs * constellation._SIEVE_BLOCK * blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=walker_specs(), stations=station_sets(), lat=latitudes, mask=masks,
+       start=st.floats(-1e4, 1e5), step=steps_s, steps=sample_counts,
+       blocks=st.integers(1, 4), pick=st.integers(0, 400))
+# A pass lasts several 5 s steps, so runs cross every one-block chunk edge.
+@example(spec=ConstellationSpec(4, 6, 550.0, 53.0), stations=(), lat=40.0, mask=10.0,
+         start=0.0, step=5.0, steps=400, blocks=1, pick=7)
+def test_any_sieve_chunk_gives_the_same_windows(spec, stations, lat, mask, start, step, steps,
+                                                blocks, pick):
+    """Chunks of one block, of a few blocks and of 2**20
+    station-satellite-samples give the same windows by .hex(), over the
+    whole grid and from a later sample (_first)."""
+    walker = build_walker(spec)
+    stations = stations + (GroundStation("gs-x", lat, 10.0, min_elevation_deg=mask),)
+    horizon = steps * step * 0.999
+    kw = dict(step=step, start=start, link_config=LinkConfig(sgl_rate_bps=3e6))
+    pairs = len(stations) * walker.num_satellites
+    for first in (0, pick % steps):
+        want = window_key(contact_windows(walker, stations, horizon, _first=first, **kw))
+        for blocks_per_chunk in (1, blocks):
+            with sieve_chunks(pairs, blocks_per_chunk):
+                got = contact_windows(walker, stations, horizon, _first=first, **kw)
+            assert window_key(got) == want
+
+
+def test_runs_join_across_chunk_edges_and_end_on_the_last_sample():
+    """On the demo's shell and stations over 100 samples at 5 s, sieved from
+    sample 7 in one-block chunks: runs cross chunk edges, 8 runs end on the
+    last sample, and the windows are those of one chunk, by .hex()."""
+    scn = parse_scenario(REPO / "scenarios" / "demo_walker6.json")
+    walker, stations = build_walker(scn.constellation), scn.ground_stations
+    start, first = scn.constellation.epoch, 7
+    times = start + np.arange(0.0, 500.0, 5.0)
+    want = contact_windows(walker, stations, 500.0, step=5.0, start=start, _first=first)
+    with sieve_chunks(len(stations) * walker.num_satellites, 1):
+        got = contact_windows(walker, stations, 500.0, step=5.0, start=start, _first=first)
+    assert window_key(got) == window_key(want)
+    edges = range(first + constellation._SIEVE_BLOCK, len(times), constellation._SIEVE_BLOCK)
+    # A run crosses the edge before sample k when it holds samples k - 1 and k.
+    assert any(w.start <= times[k - 1] and times[k] + 5.0 <= w.end for w in got for k in edges)
+    assert sum(w.end == times[-1] + 5.0 for w in got) == 8
+
+
+@st.composite
+def grids(draw):
+    """(start, horizon, step) of grids of up to 3,000 samples inside the
+    time range of an epoch at 0, near zero and far from it, with horizons
+    that end mid-step or underflow horizon / step."""
+    step = draw(st.one_of(st.floats(1e-3, 1e4), st.floats(1e-300, 1e5)))
+    horizon = step * draw(st.one_of(st.floats(1e-3, 3000.0), st.floats(5e-324, 1.0),
+                                    st.integers(1, 3000).map(float)))
+    start = draw(st.one_of(st.just(0.0), st.floats(-1e4, 1e5), st.floats(-1e9, 1e9)))
+    assume(0.0 < horizon and abs(start) + horizon <= 1e9)
+    return start, horizon, step
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=grids(), blocks=st.integers(1, 4), pick=st.integers(0, 3000))
+@example(grid=(0.0, 5e-324, 1e300), blocks=1, pick=0)
+@example(grid=(1e9 - 600.0, 600.0, 0.1), blocks=1, pick=7)
+def test_chunk_instants_are_the_whole_grid_samples(grid, blocks, pick):
+    """The instants contact_windows sieves, chunk by chunk from any first
+    sample, equal start + np.arange(0.0, horizon, step) from that sample bit
+    for bit, every window starts on one of them, and the length rule gives
+    the grid's length, one sample when horizon / step underflows."""
+    start, horizon, step = grid
+    whole = start + np.arange(0.0, horizon, step)
+    assert constellation._grid_length(horizon, step) == len(whole)
+    walker = build_walker(ConstellationSpec(1, 1, 550.0, 0.0))
+    sieved, real = [], constellation._visible_samples
+
+    def sieve(walker, geometry, times):
+        sieved.append(times)
+        return real(walker, geometry, times)
+
+    first = pick % len(whole)
+    with sieve_chunks(1, blocks), mock.patch.object(constellation, "_visible_samples", sieve):
+        got = contact_windows(walker, (GroundStation("gs", 0.0, 0.0, min_elevation_deg=0.0),),
+                              horizon, step=step, start=start, _first=first)
+    assert np.concatenate(sieved).tobytes() == whole[first:].tobytes()
+    assert {w.start for w in got} <= set(whole.tolist())
+
+
+def test_a_long_demo_grid_stays_below_its_memory_pin():
+    """One contact_windows call over 300,000 samples of the demo (66
+    satellites, 5 stations, 1 s step) peaks below 8 MB under tracemalloc, so
+    a call's memory grows with its windows, not its samples. Sieving the
+    whole grid at once peaked at 186.6 MB here, the chunked sieve at 2.1 MB
+    (numpy 2.4)."""
+    scn = parse_scenario(REPO / "scenarios" / "demo_walker6.json")
+    walker = build_walker(scn.constellation)
+    tracemalloc.start()
+    try:
+        windows = contact_windows(walker, scn.ground_stations, 300_000.0, step=1.0,
+                                  start=scn.constellation.epoch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(windows) == 5902
+    assert peak < 8e6
+
+
+@settings(max_examples=200, deadline=None)
+@given(epoch=st.one_of(st.just(0.0), st.sampled_from([-1e9, 1e9]), st.floats(-1e9, 1e9)),
+       step=st.floats(1e-3, 1e4), steps=st.integers(1, 300),
+       side=st.sampled_from([-1.0, 1.0]), inside=st.floats(0.0, 1.0))
+def test_grids_inside_the_time_range_keep_their_step(epoch, step, steps, side, inside):
+    """Up to the last start the time range admits, |start - epoch| +
+    horizon <= 1e9 s, on either side of any epoch within 1e9 s of 0, the
+    sample grid increases strictly with every spacing within 4e-7 s of step;
+    the next float past that start is rejected."""
+    walker = build_walker(ConstellationSpec(2, 3, 550.0, 53.0, epoch=epoch))
+    horizon = steps * step
+
+    def admitted(t):
+        return abs(t - epoch) + horizon <= 1e9
+
+    # Bisect for the last admitted start on this side: edge is admitted and
+    # the next float outward, past, is not.
+    edge, past = epoch, epoch + side * 1.5e9
+    while (mid := 0.5 * (edge + past)) not in (edge, past):
+        edge, past = (mid, past) if admitted(mid) else (edge, mid)
+    assert past == math.nextafter(edge, side * math.inf)
+    for start in (edge, epoch + inside * (edge - epoch)):
+        if not admitted(start):
+            continue
+        assert contact_windows(walker, (), horizon, step=step, start=start) == []
+        count = constellation._grid_length(horizon, step)
+        gaps = np.diff(constellation._grid(start, step, np.arange(count)))
+        assert np.all(gaps > 0.0) and np.all(np.abs(gaps - step) <= 4e-7)
+    with pytest.raises(ValueError, match=r"start must keep \|start - epoch\| \+ horizon "
+                                         r"within 1e9 s"):
+        contact_windows(walker, (), horizon, step=step, start=past)
+
+
+def test_snapshot_and_epoch_are_held_to_the_time_range():
+    """An instant 1e9 s from the epoch and an epoch 1e9 s from 0 are taken;
+    one ulp further, each is rejected. Inside, a grid near the bound still
+    gives windows."""
+    far = math.nextafter(1e9, math.inf)
+    for epoch in (-1e9, 1e9):
+        walker = build_walker(ConstellationSpec(2, 3, 550.0, 53.0, epoch=epoch))
+        snapshot(walker, 0.0, LinkConfig())
+        with pytest.raises(ValueError, match=r"t must keep \|t - epoch\| \+ horizon within "
+                                             r"1e9 s, got "):
+            snapshot(walker, -epoch / 1e9 * (far - 1e9), LinkConfig())
+        with pytest.raises(ValueError, match="epoch must be within 1e9 s of 0"):
+            ConstellationSpec(2, 3, 550.0, 53.0, epoch=epoch / 1e9 * far).validate()
+    walker = build_walker(ConstellationSpec(4, 6, 550.0, 53.0))
+    station = (GroundStation("gs", 40.0, 10.0),)
+    assert contact_windows(walker, station, 6000.0, step=5.0, start=1e9 - 6000.0)
+    with pytest.raises(ValueError, match="start must keep"):
+        contact_windows(walker, station, 6000.0, step=5.0,
+                        start=math.nextafter(1e9 - 6000.0, math.inf))
+
+
 @settings(max_examples=100, deadline=None)
 @given(spec=walker_specs(),
        altitude=altitudes, lat=latitudes, lon=st.one_of(st.just(0.0), st.floats(-180.0, 180.0)),
@@ -622,10 +788,11 @@ def test_shell_plan_windows_match_dense_oracle_in_bounded_memory():
 
 def test_one_cold_shell_call_stays_below_its_memory_pin():
     """One contact_windows call on a 24x22 shell with 8 fixed stations over
-    5,400 s at a 5 s step peaks below 8 MB under tracemalloc. The sieve that
+    5,400 s at a 5 s step peaks below 3 MB under tracemalloc. The sieve that
     returned three index arrays (s, i, t) and held its midpoint arrays through
-    the exact test peaked at 14.1 MB here; the key sieve peaks at 5.3 MB
-    (numpy 2.4)."""
+    the exact test peaked at 14.1 MB here, the key sieve over the whole grid
+    at 5.3 MB; sieved in five chunks of 240 samples whose keys become runs at
+    once, the call peaks at 1.2 MB (numpy 2.4)."""
     sites = [(-4.6323, 175.7868), (42.7633, 142.4084), (-11.4759, -39.567),
              (50.3027, 108.7441), (-29.4408, -161.8942), (30.3212, -23.7257),
              (-22.3627, 27.6316), (50.5392, 91.6324)]
@@ -638,7 +805,7 @@ def test_one_cold_shell_call_stays_below_its_memory_pin():
     finally:
         tracemalloc.stop()
     assert len(windows) == 1236
-    assert peak < 8e6
+    assert peak < 3e6
 
 
 def test_an_oversized_grid_is_rejected_before_any_array(monkeypatch):

@@ -248,6 +248,32 @@ def test_epoch_count_is_bounded():
                                    "epochs in horizon_seconds")
 
 
+@pytest.mark.parametrize("slots", [1000, 1001])
+def test_ring_size_is_bounded(slots):
+    """constellation.sats_per_orbit may reach 1,000, a ring whose all-reduce
+    plans about 2e6 steps, and not pass it."""
+    obj = minimal()
+    obj["constellation"]["sats_per_orbit"] = slots
+    if slots <= 1000:
+        assert parse_scenario(obj).constellation.sats_per_orbit == slots
+        return
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(obj)
+    assert str(info.value) == "constellation.sats_per_orbit: must be at most 1000"
+
+
+def test_epoch_is_bounded():
+    """constellation.epoch may lie 1e9 s from 0 on either side, and no further."""
+    obj = minimal()
+    for epoch in (-1e9, 1e9):
+        obj["constellation"]["epoch"] = epoch
+        assert parse_scenario(obj).constellation.epoch == epoch
+        obj["constellation"]["epoch"] = math.nextafter(epoch, math.copysign(math.inf, epoch))
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(obj)
+        assert str(info.value) == "constellation.epoch: must be within 1e9 s of 0"
+
+
 def test_semantic_station_error_names_its_index():
     obj = minimal()
     obj["ground_stations"] = [

@@ -342,6 +342,23 @@ def test_schedule_downlink_rejects_too_many_epochs():
                               orbits=[0])
 
 
+def test_schedule_downlink_is_held_to_the_time_range():
+    """A span ending 2e9 s from 0, as far as a span within 1e9 s of an epoch
+    within 1e9 s of 0 reaches, is scheduled on either side; one ulp further
+    is rejected."""
+    stations = (GroundStation("gs", 0.0, 0.0),)
+    for start in (2e9 - 600.0, 600.0 - 2e9):
+        windows = [ContactWindow(SatelliteId(0, 0), "gs", start, start + 600.0, 1e7)]
+        res = schedule_downlink(windows, 1e9, stations, horizon=600.0, start_time=start,
+                                orbits=[0])
+        assert res.complete and res.epochs_used == 2
+        with pytest.raises(ValueError, match=r"start_time must keep \|start_time\| \+ horizon "
+                                             r"within 2e9 s, got "):
+            schedule_downlink(windows, 1e9, stations, horizon=600.0,
+                              start_time=math.nextafter(start, math.copysign(math.inf, start)),
+                              orbits=[0])
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("name", ["horizon", "epoch_seconds", "model_bits"])
 def test_schedule_downlink_rejects_non_finite(name, value):

@@ -139,6 +139,30 @@ def test_single_satellite_ground_round_closed_form():
     assert abs(trace.energy_joules - want_energy) < 1e-12
 
 
+def test_a_round_is_held_to_the_time_range():
+    """A round may start where |start_time - epoch| + horizon_seconds is
+    1e9 s (its topology frozen at the epoch, so no later phase samples past
+    the bound), and not one ulp further; the check at a round's start is an
+    early reject, and an unfrozen phase that samples past the range raises
+    where it samples."""
+    walker = build_walker(ConstellationSpec(2, 3, 550.0, 53.0, epoch=1e9))
+    config = FederationConfig(horizon_seconds=600.0, freeze_topology=True)
+    trace = simulate_round(config, walker, small_workload(), zenith_setup(),
+                           start_time=2e9 - 600.0)
+    assert trace.start_time == 2e9 - 600.0
+    with pytest.raises(ValueError, match=r"start_time must keep \|start_time - epoch\| \+ "
+                                         r"horizon within 1e9 s, got 1999999400\.0000002"):
+        simulate_round(config, walker, small_workload(), zenith_setup(),
+                       start_time=math.nextafter(2e9 - 600.0, math.inf))
+    # Unfrozen, a round that passes the check at its start is still held to
+    # the range where its downlink samples, once its embedding time is booked.
+    walker = build_walker(ConstellationSpec(2, 3, 550.0, 53.0))
+    with pytest.raises(ValueError, match=r"start must keep \|start - epoch\| \+ horizon "
+                                         r"within 1e9 s"):
+        simulate_round(FederationConfig(horizon_seconds=600.0), walker, small_workload(),
+                       zenith_setup(), start_time=1e9 - 600.0)
+
+
 def test_no_stations_truncates_round():
     walker = build_walker(ConstellationSpec(1, 1, 550.0, 0.0))
     config = FederationConfig(horizon_seconds=600.0)
