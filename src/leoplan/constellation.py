@@ -14,7 +14,10 @@ start + k * step increases strictly with every spacing within 4e-7 s of
 step for any step above that (test_grids_inside_the_time_range_keep_their_step).
 snapshot, contact_windows and the simulator's campaign check the first rule,
 ConstellationSpec the second, and schedule_downlink, which knows no epoch,
-what the two imply: |start_time| + horizon <= 2e9 s.
+what the two imply: |start_time| + horizon <= 2e9 s. A sampling step is at
+least STEP_FLOOR_S = 1e-6 s, well above that spacing, so no two samples of
+a grid fall on one instant: contact_windows rejects a smaller step, and so
+does FederationConfig its window_step_seconds.
 
 Memory. contact_windows sieves its grid in chunks of whole sieve blocks of
 at most _SIEVE_CHUNK station-satellite-samples each, and turns each chunk's
@@ -28,22 +31,24 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import _require_finite
+from .graph import CsrEdges, _require_finite
 
 EARTH_RADIUS_KM = 6371.0
 EARTH_MU_KM3_S2 = 398600.4418
 EARTH_ROTATION_RAD_S = 7.2921159e-5
 LIGHT_SPEED_KM_S = 299792.458
 
-# The time range and the largest ring of the model (see the module docstring).
+# The time range, the least sampling step and the largest ring of the model
+# (see the module docstring).
 TIME_BOUND_S = 1e9
+STEP_FLOOR_S = 1e-6
 MAX_SATS_PER_ORBIT = 1000
 
 
@@ -53,6 +58,12 @@ def _require_near_epoch(name: str, t: float, epoch: float, horizon: float = 0.0)
     if not abs(t - epoch) + horizon <= TIME_BOUND_S:
         raise ValueError(f"{name} must keep |{name} - epoch| + horizon within 1e9 s, "
                          f"got {t!r}")
+
+
+def _require_step_floor(name: str, step: float) -> None:
+    """Raise ValueError unless the sampling step is at least STEP_FLOOR_S."""
+    if not step >= STEP_FLOOR_S:
+        raise ValueError(f"{name} must be at least 1e-6 s")
 
 
 class LinkKind(str, Enum):
@@ -166,23 +177,57 @@ class Link:
     propagation_delay_s: float
 
 
-@dataclass(frozen=True)
 class TopologySnapshot:
-    """Positions and live ISLs of the constellation at one instant."""
+    """Positions and live ISLs of the constellation at one instant, held as
+    its edge table, numbered = (nodes, table): each satellite once in
+    node_key order, and per link, in link order, the row (end index, end
+    index, rate, delay). snapshot() builds the table from arrays, and links,
+    links_of_kind and positions only when read. A snapshot made by hand,
+    TopologySnapshot(time, links, positions), derives the table from its
+    links on first read, rejecting a node that is not a satellite, such as a
+    link end given by a string. csr is the CSR structure of the directed ISL
+    edges (a -> b, then b -> a, per link) that every graph over the snapshot
+    shares. Two snapshots are equal when their times and links are.
+    """
 
-    time: float
-    links: tuple
-    positions: dict = field(compare=False)
+    def __init__(self, time: float, links: tuple, positions: dict):
+        self.time, self.links, self.positions = time, tuple(links), positions
+
+    @classmethod
+    def _of_table(cls, time: float, nodes: list, table: np.ndarray, kinds: np.ndarray,
+                  pos: np.ndarray) -> "TopologySnapshot":
+        """The snapshot of an edge table, with each link's LinkKind index and
+        the nodes' positions (one row per node)."""
+        snap = cls.__new__(cls)
+        snap.time, snap.numbered, snap._kinds, snap._pos = time, (nodes, table), kinds, pos
+        return snap
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TopologySnapshot):
+            return NotImplemented
+        return (self.time, self.links) == (other.time, other.links)
+
+    def __hash__(self) -> int:
+        return hash((self.time, self.links))
+
+    @cached_property
+    def links(self) -> tuple:
+        nodes, table = self.numbered
+        kinds = tuple(LinkKind)
+        ends = table[:, :2].astype(np.intp).tolist()
+        return tuple(Link(kinds[k], (nodes[i], nodes[j]), rate, delay)
+                     for k, (i, j), rate, delay in zip(self._kinds.tolist(), ends,
+                                                       *table[:, 2:].T.tolist()))
+
+    @cached_property
+    def positions(self) -> dict:
+        return dict(zip(self.numbered[0], self._pos))
 
     def links_of_kind(self, *kinds: LinkKind) -> list:
         return [l for l in self.links if l.kind in kinds]
 
     @cached_property
     def numbered(self) -> tuple:
-        """(nodes, table), read by every graph over the snapshot: each
-        satellite once in node_key order, and per link, in link order, the row
-        (end index, end index, rate, delay). A node that is not a satellite,
-        such as a link end given by a string, is rejected."""
         nodes = sorted({*self.positions, *(v for l in self.links for v in l.endpoints)},
                        key=node_key)
         # node_key sorts every other node after the satellites.
@@ -193,6 +238,12 @@ class TopologySnapshot:
                 for l in self.links for a, b in [l.endpoints]]
         table = np.fromiter(itertools.chain.from_iterable(rows), float, 4 * len(rows))
         return nodes, table.reshape(-1, 4)
+
+    @cached_property
+    def csr(self) -> CsrEdges:
+        nodes, table = self.numbered
+        ends = table[:, :2].astype(np.intp)
+        return CsrEdges(nodes, ends.ravel(), ends[:, ::-1].ravel())
 
 
 @dataclass(frozen=True)
@@ -334,11 +385,10 @@ def snapshot(constellation: WalkerConstellation, t: float,
     d = pos[a] - pos[b]
     length = np.sqrt(np.vecdot(d, d))
     keep = (kind == 0) | (length <= link_config.max_isl_range_km)
-    rate = (link_config.intra_orbit_rate_bps,) + (link_config.inter_orbit_rate_bps,) * 2
-    kinds = tuple(LinkKind)
-    links = [Link(kinds[k], (sats[i], sats[j]), rate[k], x / LIGHT_SPEED_KM_S)
-             for k, i, j, x in zip(*(v[keep].tolist() for v in (kind, a, b, length)))]
-    return TopologySnapshot(time=t, links=tuple(links), positions=dict(zip(sats, pos)))
+    rate = np.array([link_config.intra_orbit_rate_bps] + [link_config.inter_orbit_rate_bps] * 2)
+    kind = kind[keep]
+    table = np.stack((a[keep], b[keep], rate[kind], length[keep] / LIGHT_SPEED_KM_S), axis=1)
+    return TopologySnapshot._of_table(t, list(sats), table, kind, pos)
 
 
 # Margin below the exact cone bound p* in _visible_samples, in km; rounding
@@ -429,8 +479,10 @@ def _kept_blocks(constellation: WalkerConstellation, geometry: _StationGeometry,
     # The (blocks, stations, n) flags as (pair, block) rows.
     near = (p_mid >= np.array(outer)[:, None]).transpose(1, 2, 0).reshape(-1, len(mid))
     inside = (p_mid >= np.array(inner)[:, None]).transpose(1, 2, 0).reshape(-1, len(mid))
-    pair, block = near.nonzero()
-    return pair, block, inside[pair, block]
+    # near is C-contiguous, so its flat indices run in (pair, block) row order.
+    flat = np.flatnonzero(near)
+    pair, block = np.divmod(flat, len(mid))
+    return pair, block, inside.ravel()[flat]
 
 
 def _visible_samples(constellation: WalkerConstellation, geometry: _StationGeometry,
@@ -536,7 +588,8 @@ def contact_windows(
     have positive duration. Windows are ordered by station, then satellite,
     then time: a window is a run of consecutive keys ((station *
     num_satellites + satellite) << 32) | sample; only its end keys are
-    decoded. A grid of at most 2**32 - 1 samples (horizon / step) keeps runs
+    decoded. step is at least STEP_FLOOR_S (1e-6 s; see the module
+    docstring). A grid of at most 2**32 - 1 samples (horizon / step) keeps runs
     of two pairs apart, and stations x satellites below 2**31 keeps keys in
     int64; each limit, and |start - epoch| + horizon <= 1e9 s, is checked
     before any array is built.
@@ -560,6 +613,7 @@ def contact_windows(
     than it (test_a_clipped_grid_gives_the_clipped_windows).
     """
     _require_finite("positive and finite", horizon=horizon, step=step)
+    _require_step_floor("step", step)
     _require_finite("finite", start=start)
     if horizon / step > _MAX_SAMPLES:
         raise ValueError(f"horizon / step exceeds {_MAX_SAMPLES} samples")

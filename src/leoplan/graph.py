@@ -3,7 +3,12 @@
 A Topology numbers its nodes once, in node_key order (on a Walker shell a
 satellite's index is orbit * S + slot; the string nodes of a hand-made graph
 follow by their string) and keeps its edges in CSR lists; planners map back
-to labels only at output.
+to labels only at output. The edge structure (CsrEdges: the sorted CSR, the
+permutation that dedupes it, and a per-node adjacency list of (head, edge)
+pairs in CSR order) is built once per edge set: a snapshot is its edge table
+(constellation.TopologySnapshot.numbered), the snapshot builds one CsrEdges
+from it, and its weighted graph and every energy graph over it are weight
+vectors over that one structure.
 
 Results are deterministic, and the tie-break rules below are part of the
 outputs (placement, routes and trees all follow the chosen paths):
@@ -42,28 +47,34 @@ from functools import cached_property
 import numpy as np
 
 
-class Topology:
-    """A directed graph numbered once: node i is nodes[i] (given in node_key
-    order), edge e runs tails[e] -> heads[e] with weight, capacity (bits/s)
-    and propagation (s) at e; an energy graph has no capacities and delays
-    (None). Edges sort by (tail, head), so node u's out-edges are offsets[u]
-    .. offsets[u + 1] - 1; an edge given twice keeps its last values. All
-    plain lists, which the search loops index fastest.
+class CsrEdges:
+    """The edge structure of a directed graph numbered once: node i is
+    nodes[i] (given in node_key order), and CSR edge e runs tails[e] ->
+    heads[e]. Edges sort by (tail, head), so node u's out-edges are offsets[u]
+    .. offsets[u + 1] - 1; an edge given twice keeps its last entry, and
+    pick[e] is the given edge that CSR edge e keeps. Graphs over the same
+    edges share one structure and differ only in their per-edge vectors.
+    pick and head_array (the heads) are numpy arrays, for gathering per-edge
+    vectors; the rest are plain lists, which the search loops index fastest.
     """
 
-    def __init__(self, nodes, tails, heads, weights, capacities=None, propagation=None):
+    def __init__(self, nodes, tails, heads):
         n = len(nodes)
         key = np.asarray(tails, dtype=np.intp) * n + np.asarray(heads, dtype=np.intp)
         # On the reversed keys, np.unique's first index is an edge's last entry.
         unique, first = np.unique(key[::-1], return_index=True)
-        pick = len(key) - 1 - first
-        tails, heads = np.divmod(unique, max(n, 1))
+        self.pick = len(key) - 1 - first
+        tails, self.head_array = np.divmod(unique, max(n, 1))
         self.nodes = list(nodes)
         self.offsets = np.searchsorted(tails, np.arange(n + 1)).tolist()
-        self.tails, self.heads = tails.tolist(), heads.tolist()
-        self.weights, self.capacities, self.propagation = (
-            None if v is None else np.asarray(v, dtype=float)[pick].tolist()
-            for v in (weights, capacities, propagation))
+        self.tails, self.heads = tails.tolist(), self.head_array.tolist()
+
+    @cached_property
+    def adjacency(self) -> list:
+        """Per node u, its out-edges as (head, edge) pairs in CSR order."""
+        pairs = list(zip(self.heads, range(len(self.heads))))
+        offsets = self.offsets
+        return [pairs[offsets[u]:offsets[u + 1]] for u in range(len(self.nodes))]
 
     @cached_property
     def index(self) -> dict:
@@ -76,6 +87,44 @@ class Topology:
         nodes = self.nodes
         return {(nodes[u], nodes[v]): e for e, (u, v) in enumerate(zip(self.tails, self.heads))}
 
+
+class Topology:
+    """A directed graph over a CsrEdges structure, with weight, capacity
+    (bits/s) and propagation (s) at CSR edge e; an energy graph has no
+    capacities and delays (None). Topology(nodes, tails, heads, ...) builds
+    the structure from edges given in any order, each vector holding one
+    value per given edge; Topology.over reuses a structure, with vectors
+    already in CSR order.
+    """
+
+    def __init__(self, nodes, tails, heads, weights, capacities=None, propagation=None):
+        csr = CsrEdges(nodes, tails, heads)
+        self._adopt(csr, *(None if v is None else np.asarray(v, dtype=float)[csr.pick].tolist()
+                           for v in (weights, capacities, propagation)))
+
+    @classmethod
+    def over(cls, csr: CsrEdges, weights: list, capacities=None, propagation=None) -> "Topology":
+        """A graph over csr's edges with these CSR-order lists."""
+        graph = cls.__new__(cls)
+        graph._adopt(csr, weights, capacities, propagation)
+        return graph
+
+    def _adopt(self, csr, weights, capacities, propagation) -> None:
+        self.csr = csr
+        self.nodes, self.offsets, self.tails, self.heads = (
+            csr.nodes, csr.offsets, csr.tails, csr.heads)
+        self.weights, self.capacities, self.propagation = weights, capacities, propagation
+
+    @property
+    def index(self) -> dict:
+        """Node label -> index."""
+        return self.csr.index
+
+    @property
+    def edges(self) -> dict:
+        """(tail label, head label) -> edge index."""
+        return self.csr.edges
+
     def edge(self, u: int, v: int) -> int:
         """Index of the edge u -> v, which must exist."""
         return bisect.bisect_left(self.heads, v, self.offsets[u], self.offsets[u + 1])
@@ -86,8 +135,9 @@ def dijkstra(graph: Topology, sources, targets=None, weights=None):
     default; an infinite weight takes an edge out), stopping once a node i
     with targets[i] true is settled. Returns (dist, prev, reached): distances
     (inf where unreached), the edge into each node reached by one (else -1),
-    and the settled target or None."""
-    offsets, heads = graph.offsets, graph.heads
+    and the settled target or None. Each settled node's out-edges are relaxed
+    from the structure's adjacency list, in CSR order."""
+    adjacency = graph.csr.adjacency
     weights = graph.weights if weights is None else weights
     n = len(graph.nodes)
     dist, prev, settled = [math.inf] * n, [-1] * n, [False] * n
@@ -103,9 +153,8 @@ def dijkstra(graph: Topology, sources, targets=None, weights=None):
         settled[u] = True
         if targets is not None and targets[u]:
             return dist, prev, u
-        for e in range(offsets[u], offsets[u + 1]):
+        for v, e in adjacency[u]:
             nd = d + weights[e]
-            v = heads[e]
             if nd < dist[v]:
                 dist[v] = nd
                 prev[v] = e

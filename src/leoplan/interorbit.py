@@ -19,21 +19,14 @@ from .graph import (Topology, _require_finite, _total, dijkstra, path_edges, piv
                     replay_columns)
 
 
-def snapshot_edges(snapshot: TopologySnapshot):
-    """(nodes, tails, heads): the satellites, and edges a -> b, b -> a per
-    link, in snapshot.numbered's link order."""
-    nodes, table = snapshot.numbered
-    ends = table[:, :2].astype(np.intp)
-    return nodes, ends.ravel(), ends[:, ::-1].ravel()
-
-
 def build_weighted_graph(snapshot: TopologySnapshot) -> Topology:
-    """One pair of directed edges per ISL, weighted by 1/rate."""
-    nodes, tails, heads = snapshot_edges(snapshot)
-    rates, delays = snapshot.numbered[1][:, 2:].repeat(2, axis=0).T
-    if not np.all((rates > 0) & (rates < np.inf)):
+    """One pair of directed edges per ISL, weighted by 1/rate, over the
+    snapshot's shared CSR structure."""
+    csr, table = snapshot.csr, snapshot.numbered[1]
+    if not np.all((table[:, 2] > 0) & (table[:, 2] < np.inf)):
         raise ValueError("capacity must be positive and finite")
-    return Topology(nodes, tails, heads, 1.0 / rates, rates, delays)
+    rates, delays = table[:, 2:].repeat(2, axis=0)[csr.pick].T
+    return Topology.over(csr, (1.0 / rates).tolist(), rates.tolist(), delays.tolist())
 
 
 class ShortestPaths:

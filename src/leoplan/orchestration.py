@@ -19,7 +19,7 @@ import numpy as np
 
 from .constellation import TopologySnapshot, node_key
 from .graph import Topology, _require_finite, _total, dijkstra, path_edges, reachable
-from .interorbit import ShortestPaths, snapshot_edges
+from .interorbit import ShortestPaths
 from .msdag import ServiceDag
 
 EXACT_MAX_TERMINALS = 6
@@ -92,22 +92,22 @@ def build_augmented_graph(
     for sid in dag.topological_order():
         hosting.setdefault(assignment[sid], []).append(sid)
 
-    nodes, tails, heads = snapshot_edges(snapshot)
-    index = {v: i for i, v in enumerate(nodes)}
+    csr = snapshot.csr
+    index = csr.index
     for sat in [root] + ([] if gateway is None else [gateway]) + list(hosting):
         if sat not in index:
             raise ValueError(f"satellite {sat} not in the snapshot")
     radio = (energy_model.e_tx_j_per_bit + energy_model.e_rx_j_per_bit) * hop_payload_bits
-    energy = np.full(len(nodes), radio)
+    energy = np.full(len(csr.nodes), radio)
     for host, sids in hosting.items():
         e = radio
         for sid in sids:
             e += energy_model.e_flop_j * dag.service(sid).flops
         energy[index[host]] = e
-    energy = energy[heads]
+    energy = energy[csr.head_array]
     if not np.all((energy >= 0) & (energy < np.inf)):
         raise ValueError("edge energy must be nonnegative and finite")
-    g = Topology(nodes, tails, heads, energy)
+    g = Topology.over(csr, energy.tolist())
 
     terminals = set(hosting)
     if gateway is not None:

@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 from .collective import RingSpec, plan_all_gather, plan_all_reduce
 from .constellation import (LIGHT_SPEED_KM_S, LinkConfig, WalkerConstellation, _StationGeometry,
-                            _require_near_epoch, contact_windows, snapshot)
+                            _require_near_epoch, _require_step_floor, contact_windows,
+                            snapshot)
 from .graph import _require_finite, _total
 from .interorbit import build_weighted_graph, parallel_transfer_time, select_disjoint_paths
 from .orchestration import EnergyModel
@@ -131,6 +132,7 @@ class FederationConfig:
         _require_finite("positive and finite", epoch_seconds=self.epoch_seconds,
                         horizon_seconds=self.horizon_seconds,
                         window_step_seconds=self.window_step_seconds)
+        _require_step_floor("window_step_seconds", self.window_step_seconds)
         if self.horizon_seconds / self.epoch_seconds > _MAX_EPOCHS:
             raise ValueError(f"epoch_seconds must leave at most {_MAX_EPOCHS} epochs in "
                              "horizon_seconds")

@@ -201,6 +201,73 @@ def label_path(prev, node):
     return path[::-1]
 
 
+def index_dijkstra(graph, sources, targets=None, weights=None):
+    """leoplan.graph.dijkstra as it walked each settled node's CSR range by
+    index (offsets[u] .. offsets[u + 1] - 1), before it read the adjacency
+    list; the same arguments and returns."""
+    offsets, heads = graph.offsets, graph.heads
+    weights = graph.weights if weights is None else weights
+    n = len(graph.nodes)
+    dist, prev, settled = [math.inf] * n, [-1] * n, [False] * n
+    for s in sources:
+        dist[s] = 0.0
+    heap = [(0.0, s) for s in sources]
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        if targets is not None and targets[u]:
+            return dist, prev, u
+        for e in range(offsets[u], offsets[u + 1]):
+            nd = d + weights[e]
+            v = heads[e]
+            if nd < dist[v]:
+                dist[v] = nd
+                prev[v] = e
+                heapq.heappush(heap, (nd, v))
+    return dist, prev, None
+
+
+def links_graph(snap, energy=None):
+    """A fresh Topology over a snapshot's Link objects, as graphs were built
+    before a snapshot shared one CSR structure: satellites in node_key order,
+    edges a -> b then b -> a per link, weighted 1/rate with capacities and
+    delays, or, with energy ({satellite: joules}), by the head's joules."""
+    nodes = sorted({*snap.positions, *(v for l in snap.links for v in l.endpoints)},
+                   key=node_key)
+    index = {v: i for i, v in enumerate(nodes)}
+    tails, heads, rates, delays = [], [], [], []
+    for link in snap.links:
+        a, b = (index[v] for v in link.endpoints)
+        tails += [a, b]
+        heads += [b, a]
+        rates += [link.rate_bps] * 2
+        delays += [link.propagation_delay_s] * 2
+    if energy is not None:
+        return Topology(nodes, tails, heads, [energy[nodes[h]] for h in heads])
+    return Topology(nodes, tails, heads, [1.0 / r for r in rates], rates, delays)
+
+
+def reference_node_energy(nodes, assignment, dag, model, hop_payload_bits):
+    """{satellite: joules} of an edge into it in build_augmented_graph: the
+    radio energy of the hop payload, plus the compute energy of the stages it
+    hosts, added in the DAG's topological order."""
+    radio = (model.e_tx_j_per_bit + model.e_rx_j_per_bit) * hop_payload_bits
+    energy = dict.fromkeys(nodes, radio)
+    for sid in dag.topological_order():
+        energy[assignment[sid]] += model.e_flop_j * dag.service(sid).flops
+    return energy
+
+
+def graph_hex(graph):
+    """A Topology's structure and per-edge vectors, floats by .hex()."""
+    hexed = lambda v: None if v is None else [x.hex() for x in v]
+    return (graph.nodes, graph.offsets, graph.tails, graph.heads, hexed(graph.weights),
+            hexed(graph.capacities), hexed(graph.propagation))
+
+
 def adjacency(graph, values=None):
     """{u: {v: value}} over every node of a Topology (weights by default)."""
     values = graph.weights if values is None else values

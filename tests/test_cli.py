@@ -530,6 +530,8 @@ def test_input_too_large_to_allocate_exits_1(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("section, key, value, message", [
     ("constellation", "num_orbits", 0, "constellation.num_orbits: must be >= 1"),
     ("constellation", "epoch", 1e300, "constellation.epoch: must be within 1e9 s of 0"),
+    ("federation", "window_step_seconds", 1e-9,
+     "federation.window_step_seconds: must be at least 1e-6 s"),
     ("workload", "precision_bits", 8, "workload.precision_bits: must be 16, 32, or 64"),
 ])
 def test_semantic_scenario_errors_exit_2(tmp_path, capsys, section, key, value, message):

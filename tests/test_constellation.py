@@ -591,8 +591,9 @@ def test_runs_join_across_chunk_edges_and_end_on_the_last_sample():
 def grids(draw):
     """(start, horizon, step) of grids of up to 3,000 samples inside the
     time range of an epoch at 0, near zero and far from it, with horizons
-    that end mid-step or underflow horizon / step."""
-    step = draw(st.one_of(st.floats(1e-3, 1e4), st.floats(1e-300, 1e5)))
+    that end mid-step or underflow horizon / step, and steps from the step
+    floor up."""
+    step = draw(st.one_of(st.floats(1e-3, 1e4), st.floats(constellation.STEP_FLOOR_S, 1e5)))
     horizon = step * draw(st.one_of(st.floats(1e-3, 3000.0), st.floats(5e-324, 1.0),
                                     st.integers(1, 3000).map(float)))
     start = draw(st.one_of(st.just(0.0), st.floats(-1e4, 1e5), st.floats(-1e9, 1e9)))
@@ -677,6 +678,20 @@ def test_grids_inside_the_time_range_keep_their_step(epoch, step, steps, side, i
     with pytest.raises(ValueError, match=r"start must keep \|start - epoch\| \+ horizon "
                                          r"within 1e9 s"):
         contact_windows(walker, (), horizon, step=step, start=past)
+
+
+def test_a_step_below_the_floor_is_rejected():
+    """A step below 1e-6 s would put samples of one grid on one instant:
+    1,000 samples 1e-9 s apart just below 1e9 s hold only 9 distinct
+    instants. Such a step, and the floor less one ulp, are rejected before
+    any array is built; the floor itself is taken."""
+    walker = build_walker(ConstellationSpec(6, 11, 550.0, 53.0))
+    station = (GroundStation("g", 40, 0),)
+    assert len(np.unique(constellation._grid(1e9 - 1.0, 1e-9, np.arange(1000.0)))) == 9
+    for step in (1e-9, math.nextafter(constellation.STEP_FLOOR_S, 0.0)):
+        with pytest.raises(ValueError, match=r"^step must be at least 1e-6 s$"):
+            contact_windows(walker, station, 1e-6, step=step, start=1e9 - 1.0)
+    contact_windows(walker, station, 1e-3, step=constellation.STEP_FLOOR_S, start=1e9 - 1.0)
 
 
 def test_snapshot_and_epoch_are_held_to_the_time_range():
@@ -868,29 +883,60 @@ def test_shell_plan_windows_compute_exact_positions_only_on_cone_rims(monkeypatc
     assert 0 < sum(computed) <= 100_000
 
 
+def range_cut_config(walker, t, seam, ulps, data):
+    """A LinkConfig with the seam policy and max_isl_range_km on one actual
+    plane-pair length at t, or one ulp either side of it."""
+    P, S = walker.spec.num_orbits, walker.spec.sats_per_orbit
+    pos = walker.positions_at(t)
+    lengths = [float(np.linalg.norm(pos[p * S + s] - pos[(p + 1) % P * S + s]))
+               for p in range(P) for s in range(S) if P >= 2]
+    cut = data.draw(st.sampled_from(lengths)) if lengths else 5500.0
+    cut = float(np.nextafter(cut, ulps * math.inf)) if ulps else cut
+    return LinkConfig(max_isl_range_km=max(cut, 1e-9), cross_seam_policy=seam)
+
+
+snapshot_cases = dict(spec=walker_specs(max_orbits=8, max_sats=12), t=st.floats(-1e4, 1e5),
+                      seam=st.sampled_from(["disabled", "enabled"]),
+                      ulps=st.sampled_from([-1, 0, 1]), data=st.data())
+
+
 @settings(max_examples=200, deadline=None)
-@given(spec=walker_specs(max_orbits=8, max_sats=12), t=st.floats(-1e4, 1e5),
-       seam=st.sampled_from(["disabled", "enabled"]), ulps=st.sampled_from([-1, 0, 1]),
-       data=st.data())
+@given(**snapshot_cases)
+def test_snapshot_table_matches_the_table_of_its_links(spec, t, seam, ulps, data):
+    """snapshot's edge table, built from arrays, is the table a snapshot made
+    by hand derives from the same links, and from the per-link reference's
+    links, bit for bit; its links, built when read, and its positions are
+    those of the arrays."""
+    walker = build_walker(spec)
+    config = range_cut_config(walker, t, seam, ulps, data)
+    snap = snapshot(walker, t, config)
+    nodes, table = snap.numbered
+    positions = dict(zip(walker.satellites, walker.positions_at(t)))
+    for links in (snap.links, reference_snapshot(walker, t, config)):
+        hand_nodes, hand_table = TopologySnapshot(t, links, positions).numbered
+        assert hand_nodes == nodes == walker.satellites
+        assert hand_table.tobytes() == table.tobytes()
+    assert list(snap.positions) == walker.satellites
+    assert all(np.array_equal(snap.positions[v], x) for v, x in positions.items())
+    assert snap == TopologySnapshot(t, reference_snapshot(walker, t, config), positions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**snapshot_cases)
 def test_snapshot_lengths_match_per_link_norms(spec, t, seam, ulps, data):
     """snapshot's vectorised lengths give every link, delay (by .hex()) and
     range decision of the per-link norm loop, with max_isl_range_km on one
     actual plane-pair length or one ulp either side of it; its satellite
     endpoints are the constellation's own SatelliteId objects."""
     walker = build_walker(spec)
-    P, S = spec.num_orbits, spec.sats_per_orbit
-    pos = walker.positions_at(t)
-    lengths = [float(np.linalg.norm(pos[p * S + s] - pos[(p + 1) % P * S + s]))
-               for p in range(P) for s in range(S) if P >= 2]
-    cut = data.draw(st.sampled_from(lengths)) if lengths else 5500.0
-    cut = float(np.nextafter(cut, ulps * math.inf)) if ulps else cut
-    config = LinkConfig(max_isl_range_km=max(cut, 1e-9), cross_seam_policy=seam)
+    config = range_cut_config(walker, t, seam, ulps, data)
     links = snapshot(walker, t, config).links
     rows = lambda ls: [(l.kind, l.endpoints, l.rate_bps, l.propagation_delay_s.hex()) for l in ls]
     assert rows(links) == rows(reference_snapshot(walker, t, config))
     for link in links:
         for end in link.endpoints:
-            assert end is walker.satellites[end.orbit_index * S + end.slot_index]
+            assert end is walker.satellites[end.orbit_index * spec.sats_per_orbit
+                                            + end.slot_index]
 
 
 def test_a_link_to_a_non_satellite_is_rejected():

@@ -16,6 +16,7 @@ from leoplan.graph import dijkstra, path_edges, topological_order
 from oracles import (
     adjacency,
     floyd_warshall,
+    index_dijkstra,
     label_dijkstra,
     label_graph,
     label_path,
@@ -42,6 +43,33 @@ def test_topology_sorts_edges_into_rows_and_keeps_last_edge_value():
     assert [g.edge(0, 1), g.edge(0, 2), g.edge(2, 0)] == [0, 1, 2]
     empty = Topology(["x"], [], [], [])
     assert (empty.offsets, empty.edges) == ([0, 0], {})
+
+
+@st.composite
+def tied_graphs(draw):
+    """(Topology, sources, targets or None, weights or None) on up to 8
+    nodes: edges given in any order and often twice, weights from a few tied
+    values and inf, and an optional override with more infinite weights."""
+    n = draw(st.integers(1, 8))
+    weight = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, math.inf])
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight),
+                          max_size=30))
+    g = Topology([f"n{i}" for i in range(n)], [e[0] for e in edges], [e[1] for e in edges],
+                 [e[2] for e in edges])
+    sources = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    targets = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+    weights = draw(st.none() | st.lists(weight, min_size=len(g.heads), max_size=len(g.heads)))
+    return g, sources, targets, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tied_graphs())
+def test_adjacency_dijkstra_matches_the_index_loop(case):
+    """dijkstra over the adjacency list settles, ties and stops as the loop
+    over each node's CSR range did: the same distances, predecessor edges
+    and reached target, on repeated edges, infinite weights and ties."""
+    g, sources, targets, weights = case
+    assert dijkstra(g, sources, targets, weights) == index_dijkstra(g, sources, targets, weights)
 
 
 def test_dijkstra_keeps_first_of_tied_paths_and_stops_at_first_target():

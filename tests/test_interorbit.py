@@ -6,10 +6,14 @@ from hypothesis import strategies as st
 
 from leoplan import (
     ConstellationSpec,
+    EnergyModel,
     LinkConfig,
+    Microservice,
     PathSet,
     SatelliteId,
+    ServiceDag,
     all_pairs_shortest,
+    build_augmented_graph,
     build_walker,
     parse_scenario,
     build_weighted_graph,
@@ -18,6 +22,7 @@ from leoplan import (
     node_key,
     snapshot,
 )
+from leoplan import constellation, graph
 from leoplan.constellation import LinkKind
 from leoplan.graph import pivot_columns
 
@@ -28,14 +33,18 @@ from oracles import (
     dijkstra_distances,
     edge_values,
     floyd_warshall,
+    graph_hex,
     label_graph,
+    links_graph,
     next_hop_path,
     perfbench_module,
     reference_disjoint_paths,
     random_rate_digraph,
     random_sparse_digraph,
+    reference_node_energy,
     shortest_path,
     toy_snapshot,
+    walker_specs,
 )
 
 
@@ -362,3 +371,66 @@ def test_disjoint_paths_on_a_72x22_shell_match_the_reference():
     assert len(got) == len(paths) > 0
     assert got.paths == paths
     assert [b.hex() for b in got.bottlenecks] == [b.hex() for b in bottlenecks]
+
+
+@st.composite
+def snapshots(draw):
+    """A walker_specs shell's snapshot at a drawn instant, or a hand-made one
+    whose links over six satellites repeat, either way round."""
+    if draw(st.booleans()):
+        config = LinkConfig(max_isl_range_km=draw(st.sampled_from([1500.0, 5500.0, 15000.0])),
+                            cross_seam_policy=draw(st.sampled_from(["disabled", "enabled"])))
+        return snapshot(build_walker(draw(walker_specs())), draw(st.floats(0.0, 6000.0)), config)
+    labels = [f"o{o}s{s}" for o in range(2) for s in range(3)]
+    links = draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels),
+                                    st.sampled_from([1e6, 2e9, 3e9]), st.floats(0.0, 0.1)),
+                          max_size=12).map(lambda ls: [l for l in ls if l[0] != l[1]]))
+    return toy_snapshot(links, extra_sats=labels[:1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(snap=snapshots(), data=st.data())
+def test_graphs_over_one_snapshot_equal_fresh_builds(snap, data):
+    """The weighted graph and an energy graph over one snapshot share its CSR
+    structure, and each equals a fresh Topology built from the snapshot's
+    Link objects (by .hex()), repeated links included."""
+    weighted = build_weighted_graph(snap)
+    assert weighted.csr is snap.csr
+    assert graph_hex(weighted) == graph_hex(links_graph(snap))
+
+    nodes = snap.numbered[0]
+    count = data.draw(st.integers(1, 4))
+    services = tuple(Microservice(f"m{k}", data.draw(st.floats(0.0, 1e12)), 1.0, 0.0)
+                     for k in range(count))
+    edges = tuple((f"m{k}", f"m{k + 1}", data.draw(st.floats(0.0, 1e7)))
+                  for k in range(count - 1))
+    dag = ServiceDag("t", services, edges, ("m0",), f"m{count - 1}")
+    assignment = {svc.id: data.draw(st.sampled_from(nodes)) for svc in services}
+    model = EnergyModel()
+    energy, _ = build_augmented_graph(snap, assignment, dag, model, nodes[0])
+    assert energy.csr is snap.csr
+    joules = reference_node_energy(nodes, assignment, dag, model,
+                                   max((bits for _, _, bits in edges), default=0.0))
+    assert graph_hex(energy) == graph_hex(links_graph(snap, joules))
+
+
+def test_a_shell_plan_op_builds_no_link_and_sorts_its_edges_once(monkeypatch):
+    """The benchmark's shell_plan op reads its snapshot only as the edge
+    table: it builds no Link object, and its weighted graph, the placement
+    routes and every energy graph share the one CSR structure it sorts."""
+    workloads = perfbench_module("workloads")
+    made, sorts = [], []
+    link, init = constellation.Link, graph.CsrEdges.__init__
+
+    def counted(self, *args):
+        sorts.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(constellation, "Link", lambda *a, **k: made.append(a) or link(*a, **k))
+    monkeypatch.setattr(graph.CsrEdges, "__init__", counted)
+    result = workloads.shell_plan_op(workloads.shell_plan_input(0, 0))
+    assert workloads.shell_plan_check(result) == []
+    assert made == [] and len(sorts) == 1
+    csr = result["graph"].csr
+    assert result["instance"]._routes.graph.csr is csr
+    assert result["trees"] and all(e["graph"].csr is csr for e in result["trees"].values())

@@ -98,6 +98,15 @@ def test_config_rejects_non_finite(name, value):
         FederationConfig(**{name: value}).validate()
 
 
+def test_config_rejects_a_window_step_below_the_floor():
+    """The sampling step floor of contact_windows holds at parse time: 1e-9 s
+    and 1e-6 s less one ulp are rejected, 1e-6 s is taken."""
+    for step in (1e-9, math.nextafter(1e-6, 0.0)):
+        with pytest.raises(ValueError, match=r"^window_step_seconds must be at least 1e-6 s$"):
+            FederationConfig(window_step_seconds=step).validate()
+    FederationConfig(window_step_seconds=1e-6).validate()
+
+
 def test_single_satellite_ground_round_closed_form():
     # One equatorial satellite starting at zenith of the only station: every
     # coordinated transfer finishes in exactly one 60 s epoch.
