@@ -26,16 +26,25 @@ solve_exact bounds a prefix by running every unplaced service on the fastest
 candidate with free inputs (_bound); no completion finishes a task earlier
 (test_exact_matches_enumeration_oracle).
 
-train_policy_gradient keeps, for one call, each visited assignment's
-feasible actions, their feature matrix and each drawn action's transition:
-the MDP is deterministic and the features never depend on the policy
-weights. _draw is Generator.choice(n, p=probs) for one sample, so
-training equals a run that rebuilds every state and calls choice, bit for
-bit (test_training_matches_the_reference_loop).
+A DeploymentMdp keeps a node table: each visited assignment's feasible
+actions, their feature matrix and each drawn action's transition. The MDP
+is deterministic and the features never depend on the policy weights, so
+training and plan_from_policy on one environment share the table, and a
+decode after training finds the nodes its greedy rollout built.
+
+Each policy step splits its arithmetic by whose bits it must keep. numpy
+does the two matrix-vector products (feats @ theta and probs @ feats), exp
+and the sum reduction, since the reference loop takes those bits from
+numpy. _draw does the cumulative sum, the normalisation and the search in
+Python floats, as the same exact IEEE steps numpy's Generator.choice(n,
+p=probs) takes for one sample. Training therefore equals a run that
+rebuilds every state and calls choice, bit for bit
+(test_training_matches_the_reference_loop).
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -52,6 +61,7 @@ EXACT_MAX_SATELLITES = 6
 EXACT_MAX_SERVICES = 8
 DEAD_END_REWARD = -1e6
 LEARNING_RATE = 0.15
+MAX_EPISODES = 10**6
 
 
 @dataclass(frozen=True)
@@ -315,6 +325,10 @@ class DeploymentMdp:
         # actions share these pairs.
         self._actions = tuple(tuple((sid, sat.id) for sat in instance.satellites)
                               for sid in instance.order)
+        # Assignment (prefix hosts) -> (feasible actions, their feature
+        # matrix, each action's transition or None until stepped), filled
+        # by _cached_episode.
+        self._nodes: dict = {}
 
     def reset(self) -> MdpState:
         prefix = self.instance._empty_prefix
@@ -378,22 +392,35 @@ N_FEATURES = 5
 
 
 def _softmax(feats: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Action probabilities of a linear softmax policy over a feature matrix."""
+    """Action probabilities of a linear softmax policy over a feature matrix.
+
+    numpy does the product, exp and both reductions, whose bits the
+    reference loop takes from numpy too; np.maximum.reduce and
+    np.add.reduce are the ufuncs that .max() and .sum() call, so the bits
+    are those of the method-call form
+    (test_softmax_matches_the_method_call_form)."""
     scores = feats @ theta
-    scores -= scores.max()
+    scores -= np.maximum.reduce(scores)
     probs = np.exp(scores)
-    probs /= probs.sum()
+    probs /= np.add.reduce(probs)
     return probs
 
 
 def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
     """One index drawn as rng.choice(len(probs), p=probs) draws it: the same
-    index and the same use of rng's stream."""
-    cdf = probs.cumsum()
-    if not cdf[-1] > 0.0:
+    index and the same use of rng's stream.
+
+    choice's cumsum, its division by the last sum and its right-side
+    searchsorted are done in Python floats: accumulate adds left to right as
+    cumsum does, each division rounds correctly as numpy's does, and
+    bisect_right is searchsorted(side="right")
+    (test_draw_matches_generator_choice,
+    test_training_matches_the_reference_loop)."""
+    cdf = list(itertools.accumulate(probs.tolist()))
+    total = cdf[-1]
+    if not total > 0.0:
         raise ValueError("Probabilities contain NaN")
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return bisect.bisect_right([c / total for c in cdf], rng.random())
 
 
 @dataclass
@@ -411,22 +438,25 @@ class TrainingReport:
     greedy_returns: list
 
 
-def _cached_episode(env: DeploymentMdp, cache: dict, state: MdpState, theta: np.ndarray,
+def _cached_episode(env: DeploymentMdp, state: MdpState, theta: np.ndarray,
                     rng: np.random.Generator | None):
-    """One episode from state through a training run's cache of env (see the
-    module docstring). rng draws each action; with rng None the most probable
+    """One episode from state through env's node table (see the module
+    docstring). rng draws each action; with rng None the most probable
     action is taken and no gradient is summed.
 
     Returns (episode return, summed score-function gradient, final state).
     """
     grads = np.zeros(N_FEATURES)
     total = 0.0
+    nodes = env._nodes
+    lookup = nodes.get
     while not state.done:
-        node = cache.get(state.prefix.hosts)
+        hosts = state.prefix.hosts
+        node = lookup(hosts)
         if node is None:
             actions = state.actions
             feats = np.array([action_features(env, state, a) for a in actions])
-            node = cache[state.prefix.hosts] = (actions, feats, [None] * len(actions))
+            node = nodes[hosts] = (actions, feats, [None] * len(actions))
         actions, feats, slots = node
         if not actions:
             total += DEAD_END_REWARD  # nothing fits before the first placement
@@ -451,7 +481,7 @@ def train_policy_gradient(env: DeploymentMdp, episodes: int, seed: int):
 
     Args:
         env: the DeploymentMdp to train on.
-        episodes: number of sampled episodes, at least 1.
+        episodes: number of sampled episodes, from 1 to MAX_EPISODES.
         seed: RNG seed; identical seeds give identical training runs.
 
     Returns:
@@ -459,24 +489,27 @@ def train_policy_gradient(env: DeploymentMdp, episodes: int, seed: int):
         greedy rollout's return.
 
     Raises:
-        ValueError: on fewer than one episode.
+        ValueError: on fewer than one episode or more than MAX_EPISODES; the
+            report keeps one return per episode.
     """
     if episodes < 1:
         raise ValueError(f"policy-gradient training needs episodes >= 1, got {episodes}")
+    if episodes > MAX_EPISODES:
+        raise ValueError(f"policy-gradient training needs episodes <= {MAX_EPISODES}, "
+                         f"got {episodes}")
     rng = np.random.default_rng(seed)
     policy = LinearPolicy(np.zeros(N_FEATURES))
     baseline = 0.0
     returns = []
-    cache: dict = {}
     start = env.reset()
 
     for count in range(1, episodes + 1):
-        total, grads, _ = _cached_episode(env, cache, start, policy.theta, rng)
+        total, grads, _ = _cached_episode(env, start, policy.theta, rng)
         baseline += (total - baseline) / count
         policy.theta = policy.theta + LEARNING_RATE * (total - baseline) * grads
         returns.append(total)
 
-    greedy = _cached_episode(env, cache, start, policy.theta, None)[0]
+    greedy = _cached_episode(env, start, policy.theta, None)[0]
     report = TrainingReport(episodes, returns, float(np.mean(returns[-max(1, episodes // 4):])),
                             [greedy])
     return policy, report
@@ -484,8 +517,9 @@ def train_policy_gradient(env: DeploymentMdp, episodes: int, seed: int):
 
 def plan_from_policy(env: DeploymentMdp, policy: LinearPolicy) -> DeploymentPlan:
     """Deterministic greedy rollout of a trained policy into a plan: the most
-    probable action at every step, as the greedy decode of training takes it."""
-    _, _, state = _cached_episode(env, {}, env.reset(), policy.theta, None)
+    probable action at every step, as the greedy decode of training takes it.
+    It walks env's node table, so after training on env it builds no node."""
+    _, _, state = _cached_episode(env, env.reset(), policy.theta, None)
     if not state.done or state.dead_end:
         return DeploymentPlan({}, False, None, "pg")
     return DeploymentPlan(state.placed(), True, state.objective, "pg")

@@ -33,7 +33,8 @@ check must agree with. reference_station_frames rotates the stations as
 _station_frames did before their geometry was built once per campaign, and
 elevation_deg measures elevation one sample at a time.
 rollout, policy_distribution and evaluate_policy play a linear softmax
-policy step by step through DeploymentMdp, drawing with Generator.choice,
+policy step by step through DeploymentMdp, taking the softmax in numpy's
+method-call form (reference_softmax) and drawing with Generator.choice,
 and uniform_all_reduce_time is the ring all-reduce closed form.
 full_hosting_reduction_check runs the library's dst_exact against networkx's
 Edmonds arborescence. reference_snapshot builds snapshot's links one at a
@@ -803,16 +804,22 @@ def reference_action_features(env, state, action):
     return np.array([1.0, run, delta, residual, colocated])
 
 
+def reference_softmax(feats, theta):
+    """Softmax of feats @ theta in numpy's method-call form: .max(), exp and
+    .sum() on the score array."""
+    scores = feats @ theta
+    scores -= scores.max()
+    probs = np.exp(scores)
+    probs /= probs.sum()
+    return probs
+
+
 def policy_distribution(env, state, theta):
     """(feasible actions, feature matrix, softmax probabilities) of a linear
     policy with weights theta in state."""
     actions = state.actions
     feats = np.array([deployment.action_features(env, state, a) for a in actions])
-    scores = feats @ theta
-    scores -= scores.max()
-    probs = np.exp(scores)
-    probs /= probs.sum()
-    return actions, feats, probs
+    return actions, feats, reference_softmax(feats, theta)
 
 
 def rollout(env, choose, record=None):

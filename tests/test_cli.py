@@ -335,6 +335,17 @@ def test_deploy_pg_without_episodes_exits_1(tmp_path, capsys, episodes):
     assert not (out / "plan.json").exists()
 
 
+def test_deploy_pg_with_too_many_episodes_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "deploy", TWO_TASK, "--out-dir", str(out),
+                                "--solver", "pg", "--episodes", "1000001")
+    assert (code, stdout) == (1, "")
+    assert json.loads(err)["error"] == {
+        "subcommand": "deploy", "type": "ValueError",
+        "message": "policy-gradient training needs episodes <= 1000000, got 1000001"}
+    assert not (out / "plan.json").exists()
+
+
 def test_deploy_negative_scenario_seed_exits_2(tmp_path, capsys):
     obj = json.loads(Path(TWO_TASK).read_text(encoding="utf-8"))
     obj["seed"] = -1

@@ -18,7 +18,7 @@ from leoplan import (
     train_policy_gradient,
 )
 from leoplan import deployment
-from leoplan.deployment import DEAD_END_REWARD, N_FEATURES, action_features
+from leoplan.deployment import DEAD_END_REWARD, MAX_EPISODES, N_FEATURES, action_features
 
 from oracles import (
     enumerate_best_assignment,
@@ -30,6 +30,7 @@ from oracles import (
     reference_fits,
     reference_greedy,
     reference_objective,
+    reference_softmax,
     reference_solve_exact,
     reference_train_policy_gradient,
     rollout,
@@ -544,32 +545,71 @@ def test_plan_from_policy_is_the_stepwise_greedy_decode(seed, sharing):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), spread=st.floats(-2.0, 3.0))
 def test_draw_matches_generator_choice(seed, n, spread):
     """_draw picks Generator.choice's index and leaves the generator where
-    choice leaves it, on softmax outputs from near-uniform to one-hot."""
+    choice leaves it, on softmax outputs from near-uniform to one-hot. It
+    never picks a zero probability, which the widest spreads give by
+    underflow."""
     src = np.random.default_rng(seed)
     feats = src.normal(size=(n, N_FEATURES)) * 10.0 ** spread
     probs = deployment._softmax(feats, src.normal(size=N_FEATURES))
     ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(20):
-        assert deployment._draw(probs, ours) == int(ref.choice(n, p=probs))
+        index = deployment._draw(probs, ours)
+        assert index == int(ref.choice(n, p=probs))
+        assert probs[index] > 0.0
     assert ours.random() == ref.random()
 
 
 class FixedDraw:
-    """A generator stand-in whose random() returns one chosen value."""
+    """A generator stand-in whose random() returns one chosen value and
+    counts its calls."""
 
     def __init__(self, u):
         self.u = u
+        self.calls = 0
 
     def random(self):
+        self.calls += 1
         return self.u
 
 
 @pytest.mark.parametrize("probs, u, index", [
     ([0.25, 0.25, 0.5], 0.25, 1),  # a draw on a boundary goes right, as in Generator.choice
     ([0.1] * 10, np.nextafter(1.0, 0.0), 9),  # sums to 1 - 2**-53: the cdf is normalised
+    ([0.5, 0.0, 0.5], 0.5, 2),  # u on the cdf value goes right past the zero entry too
+    ([0.0, 1.0], 0.0, 1),  # a leading zero entry is passed over even at u = 0
+    ([0.5, 0.5, 0.0], np.nextafter(1.0, 0.0), 1),  # a trailing one is never reached
+    # The cdf sums to 1 - 2**-53 and is divided by its last value, not
+    # multiplied by its reciprocal, which would put this u below cdf[1].
+    ([0.5655737704918031, 0.31967213114754095, 0.11475409836065573], 0.8852459016393442, 2),
+    ([1.0], 0.5, 0),  # a single action still takes one draw, as in Generator.choice
 ])
 def test_draw_boundaries(probs, u, index):
-    assert deployment._draw(np.array(probs), FixedDraw(u)) == index
+    rng = FixedDraw(u)
+    assert deployment._draw(np.array(probs), rng) == index
+    assert rng.calls == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), spread=st.floats(-2.0, 3.0),
+       ties=st.integers(0, 3))
+def test_softmax_matches_the_method_call_form(seed, n, spread, ties):
+    """_softmax equals the oracle's .max()/.sum() form byte for byte, on
+    feature spreads from 1e-2 to 1e3 with the top-scoring row copied to up
+    to three random positions; the copies get the same probability, and
+    argmax, the greedy decode's choice, takes the first of them."""
+    src = np.random.default_rng(seed)
+    feats = src.normal(size=(n, N_FEATURES)) * 10.0 ** spread
+    theta = src.normal(size=N_FEATURES)
+    top = feats[int(np.argmax(feats @ theta))]
+    for _ in range(ties):
+        feats = np.insert(feats, int(src.integers(len(feats) + 1)), top, axis=0)
+    probs = deployment._softmax(feats, theta)
+    assert probs.tobytes() == reference_softmax(feats, theta).tobytes()
+    copies = [i for i, row in enumerate(feats) if np.array_equal(row, top)]
+    values = probs.tolist()
+    tied = [i for i, v in enumerate(values) if v == max(values)]
+    assert set(copies) <= set(tied)
+    assert int(np.argmax(probs)) == tied[0]
 
 
 def test_draw_rejects_nan_like_generator_choice():
@@ -592,14 +632,29 @@ def test_training_builds_each_action_features_once(make_env, monkeypatch):
         return features(env, state, action)
 
     monkeypatch.setattr(deployment, "action_features", counted)
-    train_policy_gradient(make_env(), episodes=300, seed=0)
+    env = make_env()
+    policy, _ = train_policy_gradient(env, episodes=300, seed=0)
     assert keys and len(keys) == len(set(keys))
+
+    # The environment keeps the table, so decoding the trained policy on it
+    # walks the nodes that training's greedy decode built and builds none.
+    built = len(keys)
+    plan = plan_from_policy(env, policy)
+    assert len(keys) == built
+    fresh = plan_from_policy(make_env(), policy)
+    assert (plan, plan.assignment) == (fresh, fresh.assignment)
 
 
 @pytest.mark.parametrize("episodes", [0, -5])
 def test_training_needs_an_episode(episodes):
     with pytest.raises(ValueError, match=f"needs episodes >= 1, got {episodes}"):
         train_policy_gradient(benchmark_env(), episodes=episodes, seed=0)
+
+
+def test_training_bounds_the_episode_count():
+    assert MAX_EPISODES == 10**6
+    with pytest.raises(ValueError, match=r"needs episodes <= 1000000, got 1000001"):
+        train_policy_gradient(benchmark_env(), episodes=MAX_EPISODES + 1, seed=0)
 
 
 def test_no_solver_reevaluates_the_objective(monkeypatch):
