@@ -32,6 +32,11 @@ on the destinations after k, over the finite span of row k and column k only
 pivot columns, so replay_columns finishes column j with iterations
 k = j+1 .. n-1. Together they equal the textbook whole-matrix algorithm bit
 for bit, tie-breaks included (test_all_pairs_matches_whole_matrix_reference).
+The pivot pass holds n x n entries: distances in float64, next hops in the
+narrowest signed integer type that holds -1 and n - 1 (_hop_dtype: int8 up
+to 128 nodes, int16 up to 32,768). replay_columns copies out only the rows
+it is asked for, so a route table that keeps those rows and drops the pivot
+arrays holds |destinations| x n entries (interorbit.ShortestPaths).
 
 _total is the one float sum of every total that reaches an output, and
 _require_finite the one check of a scalar input against a finite-number rule.
@@ -126,8 +131,13 @@ class Topology:
         return self.csr.edges
 
     def edge(self, u: int, v: int) -> int:
-        """Index of the edge u -> v, which must exist."""
-        return bisect.bisect_left(self.heads, v, self.offsets[u], self.offsets[u + 1])
+        """Index of the edge u -> v; ValueError naming the pair when there is
+        no such edge."""
+        lo, hi = (self.offsets[u], self.offsets[u + 1]) if 0 <= u < len(self.nodes) else (0, 0)
+        e = bisect.bisect_left(self.heads, v, lo, hi)
+        if e == hi or self.heads[e] != v:
+            raise ValueError(f"no edge from node {u} to node {v}")
+        return e
 
 
 def dijkstra(graph: Topology, sources, targets=None, weights=None):
@@ -171,13 +181,20 @@ def path_edges(graph: Topology, prev: list, node: int) -> list:
     return path[::-1]
 
 
+def _hop_dtype(n: int):
+    """The narrowest signed integer type that holds -1 and n - 1: the type of
+    an n-node graph's next hops."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if n - 1 <= np.iinfo(t).max)
+
+
 def _initial(graph: Topology):
     """Destination-major (dist, next_hop) of the direct edges: entry [j, i]
     is for the pair i -> j, and next_hop[j, i] the node after i on the kept
-    path (i itself when i == j, -1 while j is unreachable from i)."""
+    path (i itself when i == j, -1 while j is unreachable from i), in
+    _hop_dtype(n)."""
     n = len(graph.nodes)
     dist = np.full((n, n), np.inf)
-    nxt = np.full((n, n), -1, dtype=np.int32)
+    nxt = np.full((n, n), -1, dtype=_hop_dtype(n))
     weights = np.array(graph.weights, dtype=float)
     live = weights < np.inf
     heads = np.array(graph.heads, dtype=np.intp)[live]
@@ -215,6 +232,7 @@ def pivot_columns(graph: Topology):
         better = via < d
         np.copyto(d, via, where=better)
         np.copyto(nxt[r0:r1, c0:c1], nxt[k, c0:c1], where=better)
+        del via, better  # else the next block is allocated beside this one
     return dist, nxt
 
 
@@ -231,6 +249,7 @@ def replay_columns(dist, nxt, js):
         better = via < c
         np.copyto(c, via, where=better)
         np.copyto(hops[:len(c)], nxt[k], where=better)
+        del via, better  # else the next block is allocated beside this one
     return cols, hops
 
 

@@ -2,6 +2,13 @@
 destination on request, and iterative selection of edge-disjoint paths
 between two orbits.
 
+A route table (ShortestPaths) holds n x n entries while it is built: the
+Floyd-Warshall pivot pass's distances, and its next hops in the narrowest
+signed integer type that holds -1 and n - 1. A table given its destinations
+drops those n x n arrays on its first request and holds |destinations| x n
+entries from then on; a table without keeps them and replays each column
+when first asked for it.
+
 Paths deleted from the graph after selection cannot be reused, so the
 returned set is pairwise edge-disjoint and the payload can be striped
 across the paths in parallel.
@@ -32,35 +39,64 @@ def build_weighted_graph(snapshot: TopologySnapshot) -> Topology:
 class ShortestPaths:
     """Shortest routes into each destination, built on first request.
 
-    graph.pivot_columns over the graph's weights; ``column(j)`` replays
-    destination j's Floyd-Warshall column once, all the given destinations
-    together on the first request for one (see leoplan.graph for the
-    tie-break). ``hops`` follows a column's next hops. Every planner reads
-    its Floyd-Warshall routes through this class.
+    graph.pivot_columns runs over the graph's weights when the table is
+    built; ``column(j)`` replays destination j's Floyd-Warshall column from
+    the pivot arrays (see leoplan.graph for the tie-break). ``hops`` follows
+    a column's next hops. Every planner reads its Floyd-Warshall routes
+    through this class. Memory:
+
+    * With declared destinations (placement's candidates, dst_exact's every
+      node), the first request replays all of their columns together and
+      drops the two n x n pivot arrays, so from then on the table holds
+      |destinations| x n entries. A request for any other destination
+      raises ValueError.
+    * Without (destinations None, as msdag.Router), each column is replayed
+      on its own first request, and the pivot arrays stay.
+
+    A node index outside 0 .. n-1 raises ValueError wherever one is given.
     """
 
-    def __init__(self, graph: Topology, destinations=()):
+    def __init__(self, graph: Topology, destinations=None):
         self.graph = graph
         self.nodes = graph.nodes
         self.index = graph.index
+        if destinations is not None:
+            destinations = sorted(set(destinations))
+            self._check(*destinations)
         self._pivots = pivot_columns(graph)
-        self._due = sorted(set(destinations))
+        self._due = destinations
         self._columns: dict = {}
         self._metrics: dict = {}
+
+    def _check(self, *indices) -> None:
+        """ValueError naming the first index outside 0 .. n-1."""
+        for i in indices:
+            if not 0 <= i < len(self.nodes):
+                raise ValueError(f"node index {i} outside 0..{len(self.nodes) - 1}")
 
     def column(self, j: int):
         """(dist, next_hop) vectors of the routes into the node at index j:
         entry i is the i -> j distance and the index of the node after i on
         the kept path (i itself when i == j, -1 when j is unreachable)."""
         if j not in self._columns:
-            js = self._due if j in self._due else [j]
+            self._check(j)
+            if self._due is None:
+                js = [j]
+            elif j in self._due:
+                js = self._due
+            else:
+                raise ValueError(f"destination {j} ({self.nodes[j]}) was not declared "
+                                 "to this route table")
             self._columns.update(zip(js, zip(*replay_columns(*self._pivots, js))))
-            self._due = [] if js is self._due else self._due
+            if js is self._due:
+                self._due = []
+                del self._pivots
         return self._columns[j]
 
     def hops(self, i: int, j: int) -> list | None:
         """Node indices of the kept path from i to j, both included; None
         when j is unreachable from i."""
+        self._check(i)
         hop = self.column(j)[1]
         if hop[i] < 0:
             return None
@@ -74,6 +110,8 @@ class ShortestPaths:
         node at index i to the node at index j; 0.0 when i == j. The path's
         (bottleneck, propagation) is cached per index pair."""
         if i == j:
+            if not 0 <= i < len(self.nodes):
+                self._check(i)
             return 0.0
         if (i, j) not in self._metrics:
             hops = self.hops(i, j)
@@ -88,9 +126,10 @@ class ShortestPaths:
         return bits / bottleneck + prop
 
 
-def all_pairs_shortest(graph: Topology, destinations=()) -> ShortestPaths:
+def all_pairs_shortest(graph: Topology, destinations=None) -> ShortestPaths:
     """Floyd-Warshall routes over 1/rate weights, each destination finished
-    on its first request (see ShortestPaths)."""
+    on its first request; declared destinations are finished together and
+    are then the only ones served (see ShortestPaths)."""
     return ShortestPaths(graph, destinations)
 
 

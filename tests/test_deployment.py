@@ -688,11 +688,9 @@ def test_no_solver_reevaluates_the_objective(monkeypatch):
     assert places and len(places) == sum(fits) < len(fits)
 
 
-def test_shell_instance_replays_only_candidate_columns(monkeypatch):
-    # Placement asks for routes between 12 candidates of a 528-node shell: no
-    # full all-pairs matrix may be built, and the candidates' destination
-    # columns are replayed once, together, on the first route asked for.
-    from leoplan import ConstellationSpec, LinkConfig, build_walker, interorbit, snapshot
+def shell_instance():
+    """12 candidates of a 528-node (24x22) shell, two tasks sharing a0 and a1."""
+    from leoplan import ConstellationSpec, LinkConfig, build_walker, snapshot
 
     walker = build_walker(ConstellationSpec(24, 22, 550.0, 53.0, phasing_factor=1))
     snap = snapshot(walker, 0.0, LinkConfig())
@@ -700,8 +698,16 @@ def test_shell_instance_replays_only_candidate_columns(monkeypatch):
             for k in range(12)]
     tasks = [chain_task([f"a{i}" for i in range(6)], task_id="ta"),
              chain_task(["a0", "a1"] + [f"b{i}" for i in range(5)], task_id="tb")]
-    inst = DeploymentInstance(tasks, sats, snap)
+    return DeploymentInstance(tasks, sats, snap)
 
+
+def test_shell_instance_replays_only_candidate_columns(monkeypatch):
+    # Placement asks for routes between 12 candidates of a 528-node shell: no
+    # full all-pairs matrix may be built, and the candidates' destination
+    # columns are replayed once, together, on the first route asked for.
+    from leoplan import interorbit
+
+    inst = shell_instance()
     replayed = []
     replay = interorbit.replay_columns
 
@@ -716,3 +722,25 @@ def test_shell_instance_replays_only_candidate_columns(monkeypatch):
     assert len(set(plan.assignment.values())) > 1  # routes were asked for
     assert replayed == [sorted(inst._route_of)]
     assert sorted(inst._routes._columns) == replayed[0]
+
+
+def test_shell_instance_keeps_no_pivot_arrays_after_solving():
+    # The two 528 x 528 pivot arrays (float64 distances, int16 next hops)
+    # take 2.8 MB; after the first route the table keeps only the 12
+    # candidates' columns and the weighted graph it routes over.
+    import gc
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        inst = shell_instance()
+        assert solve_greedy(inst).feasible
+        assert not hasattr(inst._routes, "_pivots")
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del inst._routes
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < held < 0.5e6

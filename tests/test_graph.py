@@ -45,6 +45,16 @@ def test_topology_sorts_edges_into_rows_and_keeps_last_edge_value():
     assert (empty.offsets, empty.edges) == ([0, 0], {})
 
 
+def test_edge_rejects_a_pair_that_is_not_an_edge():
+    # On a -> b and b -> c, a bisect position alone named b -> c for a -> c
+    # and a position past the last edge for c -> a.
+    g = Topology(["a", "b", "c"], [0, 1], [1, 2], [1.0, 1.0])
+    assert [g.edge(0, 1), g.edge(1, 2)] == [0, 1]
+    for u, v in ((0, 2), (2, 0), (1, 0), (0, 0), (-1, 0), (3, 1)):
+        with pytest.raises(ValueError, match=f"^no edge from node {u} to node {v}$"):
+            g.edge(u, v)
+
+
 @st.composite
 def tied_graphs(draw):
     """(Topology, sources, targets or None, weights or None) on up to 8

@@ -200,6 +200,79 @@ def test_all_pairs_matches_whole_matrix_reference(n, seed, out_degree, isolated_
     assert_same_routes(g, sources=range(n))
 
 
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 261])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), out_degree=st.floats(0.5, 4.0),
+       isolated_share=st.sampled_from([0.0, 0.1, 0.5]),
+       weights=st.sampled_from(["rate", "tied", "energy"]),
+       declared_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+def test_declared_destinations_match_the_lazy_table(n, seed, out_degree, isolated_share,
+                                                    weights, declared_share):
+    """A table given its destinations serves each of them with the distance
+    bytes and next hops of a table given none: on the request that replays
+    them all and drops the pivot arrays, and after it. Any other destination
+    raises, before that request and after it. Destinations may come in any
+    order and repeat."""
+    rng = np.random.default_rng(seed)
+    g = random_sparse_digraph(rng, n, out_degree, isolated_share, weights)
+    declared = np.flatnonzero(rng.random(n) < declared_share).tolist()
+    undeclared = sorted(set(range(n)) - set(declared))[:3]
+    lazy = all_pairs_shortest(g)
+    table = all_pairs_shortest(g, declared[::-1] + declared[:1])
+
+    def assert_undeclared_raise():
+        for j in undeclared:
+            message = f"destination {j} \\({table.nodes[j]}\\) was not declared"
+            with pytest.raises(ValueError, match=message):
+                table.column(j)
+            with pytest.raises(ValueError, match=message):
+                table.hops(0, j)
+
+    def assert_same_column(j):
+        (col, hop), (want_col, want_hop) = table.column(j), lazy.column(j)
+        assert col.tobytes() == want_col.tobytes()
+        assert hop.dtype == want_hop.dtype == graph._hop_dtype(n)
+        assert np.array_equal(hop, want_hop)
+
+    assert_undeclared_raise()
+    assert hasattr(table, "_pivots") and table._columns == {}
+    if declared:
+        assert_same_column(declared[int(rng.integers(len(declared)))])
+        assert not hasattr(table, "_pivots") and sorted(table._columns) == declared
+        for j in declared:
+            assert_same_column(j)
+    assert_undeclared_raise()
+
+
+@pytest.mark.parametrize("n, dtype", [(0, np.int8), (1, np.int8), (128, np.int8),
+                                      (129, np.int16), (32768, np.int16), (32769, np.int32)])
+def test_next_hops_take_the_narrowest_signed_type(n, dtype):
+    # Checked on the rule alone: an n x n table at 32,769 nodes would take
+    # gigabytes.
+    assert graph._hop_dtype(n) == dtype
+    assert np.iinfo(dtype).min <= -1 and n - 1 <= np.iinfo(dtype).max
+
+
+def test_route_table_rejects_a_node_index_outside_the_graph():
+    # A negative index used to alias a node counted from the end:
+    # transfer_at(0, -1, ...) reported a missing route to o2s3.
+    walker = build_walker(ConstellationSpec(3, 4, 550.0, 53.0, phasing_factor=1))
+    g = build_weighted_graph(snapshot(walker, 0.0, LinkConfig()))
+    n = len(g.nodes)
+    for bad in (-1, n):
+        with pytest.raises(ValueError, match=f"node index {bad} outside 0..{n - 1}$"):
+            all_pairs_shortest(g, [0, bad])
+    for sp in (all_pairs_shortest(g), all_pairs_shortest(g, range(n))):
+        for bad in (-1, n):
+            for call in (lambda: sp.column(bad), lambda: sp.hops(bad, 0),
+                         lambda: sp.hops(0, bad), lambda: sp.transfer_at(0, bad, 1e6),
+                         lambda: sp.transfer_at(bad, 0, 1e6),
+                         lambda: sp.transfer_at(bad, bad, 1e6)):
+                with pytest.raises(ValueError, match=f"node index {bad} outside 0..{n - 1}$"):
+                    call()
+        assert -1 not in sp._columns and n not in sp._columns
+
+
 def shell_graph(cross_seam_policy="disabled"):
     walker = build_walker(ConstellationSpec(12, 22, 550.0, 53.0, phasing_factor=1))
     g = build_weighted_graph(snapshot(walker, 0.0,
