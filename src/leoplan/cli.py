@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import deployment, orchestration
 from .constellation import SatelliteId, build_walker, contact_windows, snapshot
+from .graph import _require_finite
 from .interorbit import build_weighted_graph, parallel_transfer_time, select_disjoint_paths
 from .collective import RingSpec, plan_all_reduce
 from .msdag import shared_modules
@@ -182,10 +183,12 @@ def _cmd_routes(scn, args, out: Path) -> list:
     constellation = build_walker(scn.constellation)
     at_time = scn.constellation.epoch if args.time is None else args.time
     dest = args.dest_orbit if args.dest_orbit is not None else scn.constellation.num_orbits - 1
+    payload = args.payload_bits if args.payload_bits is not None else scn.workload.head_bits
+    # Checked before routing: with no path, parallel_transfer_time never sees it.
+    _require_finite("nonnegative and finite", payload_bits=payload)
     topo = snapshot(constellation, at_time, scn.link_config)
     graph = build_weighted_graph(topo)
     paths = select_disjoint_paths(graph, args.source_orbit, dest, max_paths=args.max_paths)
-    payload = args.payload_bits if args.payload_bits is not None else scn.workload.head_bits
 
     routes_json = out / "routes.json"
     _write_json(routes_json, {

@@ -35,8 +35,8 @@ for bit, tie-breaks included (test_all_pairs_matches_whole_matrix_reference).
 The pivot pass holds n x n entries: distances in float64, next hops in the
 narrowest signed integer type that holds -1 and n - 1 (_hop_dtype: int8 up
 to 128 nodes, int16 up to 32,768). replay_columns copies out only the rows
-it is asked for, so a route table that keeps those rows and drops the pivot
-arrays holds |destinations| x n entries (interorbit.ShortestPaths).
+it is asked for: interorbit.ShortestPaths keeps its destinations' rows and
+drops the pivot arrays, so it holds |destinations| x n entries.
 
 _total is the one float sum of every total that reaches an output, and
 _require_finite the one check of a scalar input against a finite-number rule.

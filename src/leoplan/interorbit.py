@@ -1,13 +1,11 @@
-"""Inter-orbit routing: rate-reciprocal weights, shortest paths built per
-destination on request, and iterative selection of edge-disjoint paths
+"""Inter-orbit routing: rate-reciprocal weights, shortest paths into
+declared destinations, and iterative selection of edge-disjoint paths
 between two orbits.
 
-A route table (ShortestPaths) holds n x n entries while it is built: the
-Floyd-Warshall pivot pass's distances, and its next hops in the narrowest
-signed integer type that holds -1 and n - 1. A table given its destinations
-drops those n x n arrays on its first request and holds |destinations| x n
-entries from then on; a table without keeps them and replays each column
-when first asked for it.
+A route table (ShortestPaths) holds n x n entries only while it is
+constructed: the Floyd-Warshall pivot pass's distances, and its next hops in
+the narrowest signed integer type that holds -1 and n - 1. It keeps the rows
+of its destinations, |destinations| x n entries, and drops the rest.
 
 Paths deleted from the graph after selection cannot be reused, so the
 returned set is pairwise edge-disjoint and the payload can be striped
@@ -37,35 +35,29 @@ def build_weighted_graph(snapshot: TopologySnapshot) -> Topology:
 
 
 class ShortestPaths:
-    """Shortest routes into each destination, built on first request.
+    """Shortest routes into each destination, built whole when constructed.
 
-    graph.pivot_columns runs over the graph's weights when the table is
-    built; ``column(j)`` replays destination j's Floyd-Warshall column from
-    the pivot arrays (see leoplan.graph for the tie-break). ``hops`` follows
-    a column's next hops. Every planner reads its Floyd-Warshall routes
-    through this class. Memory:
-
-    * With declared destinations (placement's candidates, dst_exact's every
-      node), the first request replays all of their columns together and
-      drops the two n x n pivot arrays, so from then on the table holds
-      |destinations| x n entries. A request for any other destination
-      raises ValueError.
-    * Without (destinations None, as msdag.Router), each column is replayed
-      on its own first request, and the pivot arrays stay.
-
-    A node index outside 0 .. n-1 raises ValueError wherever one is given.
+    The constructor runs graph.pivot_columns over the graph's weights and
+    graph.replay_columns once over the destinations (every node when
+    destinations is None; see leoplan.graph for the tie-break), then keeps
+    only their |destinations| x n rows. ``column(j)`` looks destination j's
+    column up; ``hops`` follows its next hops. Every planner reads its
+    Floyd-Warshall routes through this class. A request for an undeclared
+    destination, and a node index outside 0 .. n-1 wherever one is given,
+    raise ValueError.
     """
 
     def __init__(self, graph: Topology, destinations=None):
         self.graph = graph
         self.nodes = graph.nodes
         self.index = graph.index
-        if destinations is not None:
-            destinations = sorted(set(destinations))
-            self._check(*destinations)
-        self._pivots = pivot_columns(graph)
-        self._due = destinations
-        self._columns: dict = {}
+        if destinations is None:
+            destinations = range(len(self.nodes))
+        destinations = sorted(set(destinations))
+        self._check(*destinations)
+        # replay_columns starts at destinations[0], so an empty set builds nothing.
+        rows = replay_columns(*pivot_columns(graph), destinations) if destinations else ()
+        self._columns = dict(zip(destinations, zip(*rows)))
         self._metrics: dict = {}
 
     def _check(self, *indices) -> None:
@@ -80,17 +72,8 @@ class ShortestPaths:
         the kept path (i itself when i == j, -1 when j is unreachable)."""
         if j not in self._columns:
             self._check(j)
-            if self._due is None:
-                js = [j]
-            elif j in self._due:
-                js = self._due
-            else:
-                raise ValueError(f"destination {j} ({self.nodes[j]}) was not declared "
-                                 "to this route table")
-            self._columns.update(zip(js, zip(*replay_columns(*self._pivots, js))))
-            if js is self._due:
-                self._due = []
-                del self._pivots
+            raise ValueError(f"destination {j} ({self.nodes[j]}) was not declared "
+                             "to this route table")
         return self._columns[j]
 
     def hops(self, i: int, j: int) -> list | None:
@@ -127,9 +110,8 @@ class ShortestPaths:
 
 
 def all_pairs_shortest(graph: Topology, destinations=None) -> ShortestPaths:
-    """Floyd-Warshall routes over 1/rate weights, each destination finished
-    on its first request; declared destinations are finished together and
-    are then the only ones served (see ShortestPaths)."""
+    """Floyd-Warshall routes over 1/rate weights into the declared
+    destinations, every node when None (see ShortestPaths)."""
     return ShortestPaths(graph, destinations)
 
 

@@ -212,7 +212,12 @@ class LatencyBreakdown:
 
 
 class Router:
-    """Caches ISL routes over a snapshot for repeated latency queries."""
+    """ISL routes over a snapshot for repeated latency queries.
+
+    The route table covers every node of the snapshot and is built whole
+    when the Router is: every column is replayed up front, about one more
+    pivot pass than replaying only the columns a DAG reads.
+    """
 
     def __init__(self, snapshot: TopologySnapshot):
         self._paths: ShortestPaths = all_pairs_shortest(build_weighted_graph(snapshot))
@@ -220,9 +225,11 @@ class Router:
 
     def transfer_seconds(self, u, v, payload_bits: float) -> float:
         """Payload time along the routed u->v path between two satellites of
-        the snapshot; 0.0 when both ends are the same host."""
-        if u == v:
-            return 0.0
+        the snapshot; 0.0 when both ends are the same host. An end outside
+        the snapshot raises ValueError."""
+        for host in (u, v):
+            if host not in self.index:
+                raise ValueError(f"satellite {host} not in the snapshot")
         return self._paths.transfer_at(self.index[u], self.index[v], payload_bits)
 
 

@@ -167,7 +167,7 @@ def dst_exact(graph: Topology, instance: SteinerInstance) -> SteinerTree:
         return SteinerTree(frozenset(), 0.0)
 
     n, index = len(nodes), graph.index
-    routes = ShortestPaths(graph, range(n))
+    routes = ShortestPaths(graph)
     dist = [routes.column(j)[0].tolist() for j in range(n)]  # dist[j][i]: i -> j
 
     for t in terms:

@@ -593,6 +593,20 @@ def test_payload_bits_beyond_float_range_print_one_error_line(tmp_path, command)
                           error="OverflowError", message="int too large to convert to float")
 
 
+@pytest.mark.parametrize("range_km", [5500.0, 100.0])
+def test_routes_negative_payload_prints_one_error_line(tmp_path, range_km):
+    """Rejected before routing: at 100 km no ISL joins two orbits, so no
+    path exists and the payload was once written out unchecked."""
+    obj = json.loads((REPO / "scenarios" / "demo_walker6.json").read_text(encoding="utf-8"))
+    obj["links"]["max_isl_range_km"] = range_km
+    path = tmp_path / "walker6.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert_one_error_line(tmp_path, "routes", str(path), "--source-orbit", "0",
+                          "--payload-bits", "-5",
+                          message="payload_bits must be nonnegative and finite")
+    assert not (tmp_path / "out" / "routes.json").exists()
+
+
 def test_console_script(tmp_path):
     exe = shutil.which("leoplan")
     if exe:

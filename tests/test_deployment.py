@@ -704,10 +704,9 @@ def shell_instance():
 def test_shell_instance_replays_only_candidate_columns(monkeypatch):
     # Placement asks for routes between 12 candidates of a 528-node shell: no
     # full all-pairs matrix may be built, and the candidates' destination
-    # columns are replayed once, together, on the first route asked for.
+    # columns are replayed once, together, when the instance is built.
     from leoplan import interorbit
 
-    inst = shell_instance()
     replayed = []
     replay = interorbit.replay_columns
 
@@ -716,7 +715,8 @@ def test_shell_instance_replays_only_candidate_columns(monkeypatch):
         return replay(dist, nxt, js)
 
     monkeypatch.setattr(interorbit, "replay_columns", counted)
-    assert inst._routes._columns == {}
+    inst = shell_instance()
+    assert replayed == [sorted(inst._route_of)]
     plan = solve_greedy(inst)
     assert plan.feasible
     assert len(set(plan.assignment.values())) > 1  # routes were asked for

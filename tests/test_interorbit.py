@@ -206,42 +206,56 @@ def test_all_pairs_matches_whole_matrix_reference(n, seed, out_degree, isolated_
        isolated_share=st.sampled_from([0.0, 0.1, 0.5]),
        weights=st.sampled_from(["rate", "tied", "energy"]),
        declared_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]))
-def test_declared_destinations_match_the_lazy_table(n, seed, out_degree, isolated_share,
-                                                    weights, declared_share):
-    """A table given its destinations serves each of them with the distance
-    bytes and next hops of a table given none: on the request that replays
-    them all and drops the pivot arrays, and after it. Any other destination
-    raises, before that request and after it. Destinations may come in any
-    order and repeat."""
+def test_declared_destinations_match_whole_matrix_reference(n, seed, out_degree, isolated_share,
+                                                            weights, declared_share):
+    """A table given its destinations keeps exactly their columns, each with
+    the distance bytes and next hops of the whole-matrix reference, and
+    every other destination raises. Destinations may come in any order and
+    repeat."""
     rng = np.random.default_rng(seed)
     g = random_sparse_digraph(rng, n, out_degree, isolated_share, weights)
     declared = np.flatnonzero(rng.random(n) < declared_share).tolist()
-    undeclared = sorted(set(range(n)) - set(declared))[:3]
-    lazy = all_pairs_shortest(g)
     table = all_pairs_shortest(g, declared[::-1] + declared[:1])
+    dist, nxt = floyd_warshall(g)
+    assert sorted(table._columns) == declared
+    for j in declared:
+        col, hop = table.column(j)
+        assert col.tobytes() == dist[:, j].tobytes()
+        assert hop.dtype == graph._hop_dtype(n) and np.array_equal(hop, nxt[:, j])
+    for j in sorted(set(range(n)) - set(declared))[:3]:
+        message = f"destination {j} \\({table.nodes[j]}\\) was not declared"
+        with pytest.raises(ValueError, match=message):
+            table.column(j)
+        with pytest.raises(ValueError, match=message):
+            table.hops(0, j)
 
-    def assert_undeclared_raise():
-        for j in undeclared:
-            message = f"destination {j} \\({table.nodes[j]}\\) was not declared"
+
+def test_a_table_with_no_destinations_builds_and_serves_none(monkeypatch):
+    """A zero-node graph and an empty declared set build a table without a
+    pivot pass (the replay starts at the first destination), and each
+    request raises its error."""
+    from leoplan import interorbit
+
+    def unexpected(*args):
+        raise AssertionError("an empty route table ran a Floyd-Warshall pass")
+
+    monkeypatch.setattr(interorbit, "pivot_columns", unexpected)
+    monkeypatch.setattr(interorbit, "replay_columns", unexpected)
+    empty = all_pairs_shortest(graph.Topology([], [], [], []))
+    assert empty.nodes == [] and empty._columns == {}
+    for call in (lambda: empty.column(0), lambda: empty.hops(0, 0),
+                 lambda: empty.transfer_at(0, 0, 1e6)):
+        with pytest.raises(ValueError, match="^node index 0 outside 0..-1$"):
+            call()
+    g = build_weighted_graph(toy_snapshot([("o0s0", "o0s1", 1e6), ("o0s1", "o0s2", 1e6)]))
+    table = all_pairs_shortest(g, [])
+    assert table._columns == {}
+    for j, node in enumerate(table.nodes):
+        message = f"^destination {j} \\({node}\\) was not declared to this route table$"
+        for call in (lambda: table.column(j), lambda: table.hops(0, j),
+                     lambda: table.transfer_at((j + 1) % 3, j, 1e6)):
             with pytest.raises(ValueError, match=message):
-                table.column(j)
-            with pytest.raises(ValueError, match=message):
-                table.hops(0, j)
-
-    def assert_same_column(j):
-        (col, hop), (want_col, want_hop) = table.column(j), lazy.column(j)
-        assert col.tobytes() == want_col.tobytes()
-        assert hop.dtype == want_hop.dtype == graph._hop_dtype(n)
-        assert np.array_equal(hop, want_hop)
-
-    assert_undeclared_raise()
-    assert hasattr(table, "_pivots") and table._columns == {}
-    if declared:
-        assert_same_column(declared[int(rng.integers(len(declared)))])
-        assert not hasattr(table, "_pivots") and sorted(table._columns) == declared
-        for j in declared:
-            assert_same_column(j)
-    assert_undeclared_raise()
+                call()
 
 
 @pytest.mark.parametrize("n, dtype", [(0, np.int8), (1, np.int8), (128, np.int8),
@@ -262,7 +276,7 @@ def test_route_table_rejects_a_node_index_outside_the_graph():
     for bad in (-1, n):
         with pytest.raises(ValueError, match=f"node index {bad} outside 0..{n - 1}$"):
             all_pairs_shortest(g, [0, bad])
-    for sp in (all_pairs_shortest(g), all_pairs_shortest(g, range(n))):
+    for sp in (all_pairs_shortest(g), all_pairs_shortest(g, [0, n // 2])):
         for bad in (-1, n):
             for call in (lambda: sp.column(bad), lambda: sp.hops(bad, 0),
                          lambda: sp.hops(0, bad), lambda: sp.transfer_at(0, bad, 1e6),

@@ -247,6 +247,19 @@ def test_dag_latency_rejects_a_shared_host_outside_the_snapshot():
         DeploymentInstance([dag], [SatelliteNode(sat("o9s9"), 1e12, 1e12)], snap)
 
 
+def test_transfer_seconds_rejects_a_satellite_outside_the_snapshot():
+    """Either end, and both when they are one host, with dag_latency's
+    message: an unknown end once raised a bare KeyError, and an unknown
+    host paired with itself cost 0.0."""
+    router = Router(toy_snapshot([("o0s0", "o0s1", 1e6, 0.5)]))
+    a, x = sat("o0s0"), sat("o9s9")
+    for u, v, unknown in ((a, x, "o9s9"), (x, a, "o9s9"), (x, x, "o9s9"), ("x", "x", "x")):
+        with pytest.raises(ValueError, match=f"^satellite {unknown} not in the snapshot$"):
+            router.transfer_seconds(u, v, 1e6)
+    assert router.transfer_seconds(a, a, 1e6) == 0.0
+    assert router.transfer_seconds(a, sat("o0s1"), 1e6) == 1.0 + 0.5
+
+
 def test_empty_dag_latency_zero():
     snap = toy_snapshot([("o0s0", "o0s1", 1e6)])
     router = Router(snap)
