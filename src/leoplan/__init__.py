@@ -49,7 +49,6 @@ from .sgl_flow import (
     DownlinkState,
     EpochFlow,
     FlowAssignment,
-    FlowNetwork,
     max_flow,
     schedule_downlink,
 )

@@ -9,6 +9,7 @@ independently of the closed-form timing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -78,7 +79,7 @@ def plan_all_reduce(ring: RingSpec, payload_bits: int) -> CollectiveResult:
     """
     ring.validate()
     n = ring.node_count
-    d = int(payload_bits)
+    d = _whole_bits("payload_bits", payload_bits)
     if d < n:
         raise ValueError("payload_bits must be at least node_count")
     block = -(-d // n)  # ceil
@@ -102,7 +103,7 @@ def plan_all_gather(ring: RingSpec, per_node_bits) -> CollectiveResult:
     """
     ring.validate()
     n = ring.node_count
-    sizes = [int(b) for b in per_node_bits]
+    sizes = [_whole_bits(f"per_node_bits[{j}]", b) for j, b in enumerate(per_node_bits)]
     if len(sizes) != n:
         raise ValueError("need one payload size per node")
     if any(b < 0 for b in sizes):
@@ -122,6 +123,13 @@ def plan_all_gather(ring: RingSpec, per_node_bits) -> CollectiveResult:
     for st in steps:
         sent[st.sender] += st.block_bits
     return CollectiveResult(completion, tuple(sent), schedule)
+
+
+def _whole_bits(name: str, bits) -> int:
+    """bits as an int; ValueError naming it unless it is a whole number."""
+    if not (isinstance(bits, int) or math.isfinite(bits) and bits == math.floor(bits)):
+        raise ValueError(f"{name} must be a whole number of bits, got {bits}")
+    return int(bits)
 
 
 def _schedule_time(schedule: RingSchedule) -> float:

@@ -11,6 +11,16 @@ schedule_downlink fixes the edge order once per call, and every epoch's
 network follows it: source edges by satellite, satellite-to-station edges by
 (orbit, slot, station, timeline index), station-to-sink edges by station id.
 Edge order is search order, so it decides ties between augmenting paths.
+Each epoch builds max_flow's input directly: vertices [SOURCE, satellites in
+(orbit, slot) order, stations by id, SINK], edges as (tail, head) index
+pairs, and one capacity per edge; windows of one (satellite, station) pair
+are one edge, their capacities summed in edge order. max_flow gives edge k
+the reverse residual slot k + m (m edges), and each vertex scans its
+out-edges, then the reverse slots of its in-edges, both in edge order. A
+layered network has no anti-parallel edge: every edge runs from one layer to
+the next, so no two edges join the same two vertices both ways, and the
+scan order is that of a residual dict keyed by vertex pairs
+(test_max_flow_matches_dict_keyed_reference).
 Windows join the epoch sweep in start order once they start before the
 epoch ends, and leave once they end by its start or their orbit has
 finished; epoch bounds never decrease and remaining fractions never grow, so
@@ -64,23 +74,6 @@ def _check_capacity(capacity: float) -> None:
         raise ValueError(f"capacity must be nonnegative and finite, got {capacity}")
 
 
-class FlowNetwork:
-    """Capacitated digraph; insertion order of edges fixes the search order."""
-
-    def __init__(self):
-        self.capacity: dict = {}
-        self.adjacency: dict = {}
-
-    def add_edge(self, u, v, capacity: float) -> None:
-        _check_capacity(capacity)
-        if (u, v) in self.capacity:
-            self.capacity[(u, v)] += capacity
-            return
-        self.capacity[(u, v)] = capacity
-        self.adjacency.setdefault(u, []).append(v)
-        self.adjacency.setdefault(v, [])
-
-
 @dataclass(frozen=True)
 class FlowAssignment:
     flows: dict = field(compare=False)
@@ -97,35 +90,34 @@ class DownlinkState:
         return all(f <= FLOW_TOL for f in self.remaining.values())
 
 
-def max_flow(network: FlowNetwork, source=SOURCE, sink=SINK) -> FlowAssignment:
+def max_flow(vertices: list, edges: list, capacities: list) -> tuple:
     """Ford-Fulkerson with BFS augmenting paths (shortest first), deterministic.
 
-    Runs on integer residual slots, one per ordered pair with an edge either
-    way; each vertex scans its out-edges in insertion order, then the tails
-    of its other in-edges, as a residual dict keyed by vertex pairs does
-    (test_max_flow_matches_dict_keyed_reference). Returns the flow on every
-    forward edge plus the total value, checked by _check_slots.
+    The source is vertices[0] and the sink vertices[-1]; edge k runs from
+    vertex edges[k][0] to vertex edges[k][1] with capacities[k], each checked
+    nonnegative and finite. Edge order is search order: each vertex scans its
+    out-edges, then the reverse slots of its in-edges, both in edge order.
+    Edge k's reverse slot is m + k (m edges), apart from any edge running the
+    other way, so flow may circulate on an anti-parallel pair; the value is
+    still maximum. Returns (the flow on each edge, in edge order; the total
+    value), checked by _check_slots.
     """
-    index = {u: k for k, u in enumerate(network.adjacency)}
-    pairs = [(index[u], index[v]) for u, v in network.capacity]
-    residual = list(network.capacity.values())
-    slot = {pair: k for k, pair in enumerate(pairs)}
-    neighbors: list = [[] for _ in index]
-    for k, (i, j) in enumerate(pairs):
+    for cap in capacities:
+        _check_capacity(cap)
+    m = len(edges)
+    tails = [i for i, _ in edges] + [j for _, j in edges]  # slot m + k reverses edge k
+    neighbors: list = [[] for _ in vertices]
+    for k, (i, j) in enumerate(edges):
         neighbors[i].append((j, k))
-    for i, j in pairs[:len(network.capacity)]:
-        if (j, i) not in slot:
-            slot[(j, i)] = len(pairs)
-            pairs.append((j, i))
-            residual.append(0.0)
-            neighbors[j].append((i, slot[(j, i)]))
-    reverse = [slot[(j, i)] for i, j in pairs]
+    for k, (i, j) in enumerate(edges):
+        neighbors[j].append((i, m + k))
+    residual = list(capacities) + [0.0] * m
 
     value = 0.0
-    s, t = index.get(source), index.get(sink)
-    while s is not None and t is not None and s != t:
-        via = [-1] * len(index)  # residual slot each vertex was reached by
-        via[s] = len(pairs)  # reached, by no slot
+    s, t = 0, len(vertices) - 1
+    while s < t:
+        via = [-1] * len(vertices)  # residual slot each vertex was reached by
+        via[s] = 2 * m  # reached, by no slot
         queue = deque([s])
         while queue and via[t] < 0:
             u = queue.popleft()
@@ -139,44 +131,40 @@ def max_flow(network: FlowNetwork, source=SOURCE, sink=SINK) -> FlowAssignment:
         v = t
         while v != s:
             bottleneck = min(bottleneck, residual[via[v]])
-            v = pairs[via[v]][0]
+            v = tails[via[v]]
         v = t
         while v != s:
             k = via[v]
             residual[k] -= bottleneck
-            residual[reverse[k]] += bottleneck
-            v = pairs[k][0]
+            residual[k - m if k >= m else k + m] += bottleneck
+            v = tails[k]
         value += bottleneck
 
-    flows = []
-    for cap, left in zip(network.capacity.values(), residual):
-        f = cap - left
-        flows.append(f if f > FLOW_TOL else 0.0)
-    _check_slots(list(index), pairs, list(network.capacity.values()), flows, value, s, t)
-    return FlowAssignment(dict(zip(network.capacity, flows)), value)
+    flows = [f if (f := cap - left) > FLOW_TOL else 0.0 for cap, left in zip(capacities, residual)]
+    _check_slots(vertices, edges, capacities, flows, value)
+    return flows, value
 
 
-def _check_slots(vertices: list, pairs: list, capacities: list, flows: list,
-                 value: float, s, t) -> None:
+def _check_slots(vertices: list, edges: list, capacities: list, flows: list,
+                 value: float) -> None:
     """Raise ValueError unless capacities and conservation hold within
     FLOW_TOL, on max_flow's integer numbering.
 
-    Edge k runs from vertices[pairs[k][0]] to vertices[pairs[k][1]] with
-    capacities[k] and flows[k]; s and t are the source and sink indices, or
-    None. It accepts what the dict-keyed check does
+    Edge k runs from vertices[edges[k][0]] to vertices[edges[k][1]] with
+    capacities[k] and flows[k]; the source is vertices[0] and the sink
+    vertices[-1]. It accepts what the dict-keyed check does
     (test_slot_check_agrees_with_check_feasible).
     """
     excess = [0.0] * len(vertices)
-    for (i, j), cap, f in zip(pairs, capacities, flows):
+    for (i, j), cap, f in zip(edges, capacities, flows):
         if f < -FLOW_TOL or f > cap + FLOW_TOL:
             raise ValueError(f"edge {vertices[i]}->{vertices[j]}: flow {f} violates capacity {cap}")
         excess[i] -= f
         excess[j] += f
-    inflow = 0.0 if t is None else excess[t]
-    for k, e in enumerate(excess):
-        if k != s and k != t and abs(e) > FLOW_TOL:
+    for k, e in enumerate(excess[1:-1], 1):
+        if abs(e) > FLOW_TOL:
             raise ValueError(f"node {vertices[k]}: flow imbalance {e}")
-    if abs(inflow - value) > max(FLOW_TOL, 1e-6 * abs(value)):
+    if abs(excess[-1] - value) > max(FLOW_TOL, 1e-6 * abs(value)):
         raise ValueError("flow value does not match net inflow at sink")
 
 
@@ -287,22 +275,30 @@ def schedule_downlink(
         active = [(w, ov) for _, w in live if (ov := _overlap(w.start, w.end, t0, t1)) > 0]
         delivered = {o: 0.0 for o in state.remaining}
         if active:
-            net = FlowNetwork()
-            for w, _ in active:
-                if w.satellite not in net.adjacency:
-                    net.add_edge(SOURCE, w.satellite, state.remaining[w.satellite.orbit_index])
+            sats = list(dict.fromkeys(w.satellite for w, _ in active))
+            present = {w.ground_station for w, _ in active}
+            gss = [gs for gs in sink_capacity if gs in present]
+            vertices = [SOURCE, *sats, *gss, SINK]
+            index = {v: k for k, v in enumerate(vertices[1:-1], 1)}
+            edges = [(0, k) for k in range(1, len(sats) + 1)]
+            caps = [state.remaining[sat.orbit_index] for sat in sats]
             for w, ov in active:
+                edge = (index[w.satellite], index[w.ground_station])
                 # The link's rate scaled to its share of the epoch, times the
                 # epoch: rate * ov / model_bits would round differently.
-                net.add_edge(w.satellite, w.ground_station,
-                             w.rate_bps * ov / epoch_seconds * epoch_seconds / model_bits)
-            present = {w.ground_station for w, _ in active}
-            for gs, cap in sink_capacity.items():
-                if gs in present:
-                    net.add_edge(gs, SINK, cap)
-            assignment = max_flow(net)
-            for sat in net.adjacency[SOURCE]:
-                delivered[sat.orbit_index] += assignment.flows[(SOURCE, sat)]
+                cap = w.rate_bps * ov / epoch_seconds * epoch_seconds / model_bits
+                if edge == edges[-1]:  # a repeated pair adds its capacity
+                    caps[-1] += cap
+                else:
+                    edges.append(edge)
+                    caps.append(cap)
+            edges += [(index[gs], len(vertices) - 1) for gs in gss]
+            caps += [sink_capacity[gs] for gs in gss]
+            flows, value = max_flow(vertices, edges, caps)
+            for sat, f in zip(sats, flows):
+                delivered[sat.orbit_index] += f
+            assignment = FlowAssignment(
+                {(vertices[i], vertices[j]): f for (i, j), f in zip(edges, flows)}, value)
         else:
             assignment = FlowAssignment({}, 0.0)
         for o, f in delivered.items():

@@ -22,8 +22,11 @@ features and drew with Generator.choice, and
 reference_max_flow and reference_schedule_downlink the dict-keyed max-flow
 and the scheduler that tested every window in every epoch and built each
 epoch's network with build_flow_network, which copies the live windows,
-sorts them and re-validates the state (it takes only _overlap and
-FlowNetwork from the library).
+sorts them and re-validates the state (it takes only _overlap from the
+library). FlowNetwork, the dict-keyed network those references take, lives
+here: schedule_downlink builds max_flow's integer form directly, and
+solve_flow_network numbers a FlowNetwork into that form to run max_flow on
+hand-made and random networks.
 reference_simulate_round is the federated round that validated its inputs
 and planned both ring collectives every round, and
 reference_simulate_fine_tuning chains it round by round.
@@ -63,7 +66,6 @@ from hypothesis import strategies as st
 from leoplan import (
     ConstellationSpec,
     ContactWindow,
-    FlowNetwork,
     GroundStation,
     LatencyModel,
     Link,
@@ -98,7 +100,7 @@ from leoplan import deployment
 from leoplan.deployment import (DEAD_END_REWARD, LEARNING_RATE, N_FEATURES, DeploymentPlan,
                                 TrainingReport)
 from leoplan.sgl_flow import (FLOW_TOL, SINK, SOURCE, DownlinkResult, DownlinkState, EpochFlow,
-                              FlowAssignment, _overlap)
+                              FlowAssignment, _overlap, max_flow)
 from leoplan.simkernel import PHASES, RoundTrace, RunAggregate
 
 
@@ -1035,6 +1037,39 @@ def random_window_timeline(rng):
                                              start + float(rng.uniform(40.0, 200.0)),
                                              float(rng.uniform(2e6, 8e6))))
     return windows, stations
+
+
+class FlowNetwork:
+    """Capacitated digraph keyed by vertex pairs; insertion order of edges
+    fixes the search order, and a repeated edge adds its capacity."""
+
+    def __init__(self):
+        self.capacity: dict = {}
+        self.adjacency: dict = {}
+
+    def add_edge(self, u, v, capacity: float) -> None:
+        if not 0 <= capacity < math.inf:
+            raise ValueError(f"capacity must be nonnegative and finite, got {capacity}")
+        if (u, v) in self.capacity:
+            self.capacity[(u, v)] += capacity
+            return
+        self.capacity[(u, v)] = capacity
+        self.adjacency.setdefault(u, []).append(v)
+        self.adjacency.setdefault(v, [])
+
+
+def solve_flow_network(network, source=SOURCE, sink=SINK):
+    """max_flow on a FlowNetwork, as a FlowAssignment keyed by its edges.
+
+    The source is numbered first and the sink last, whether or not an edge
+    touches them, so an absent source or sink gives all-zero flows; vertex
+    numbers do not change the search, which follows edge order only.
+    """
+    vertices = [source, *(v for v in network.adjacency if v not in (source, sink)), sink]
+    index = {v: k for k, v in enumerate(vertices)}
+    flows, value = max_flow(vertices, [(index[u], index[v]) for u, v in network.capacity],
+                            list(network.capacity.values()))
+    return FlowAssignment(dict(zip(network.capacity, flows)), value)
 
 
 def check_feasible(network, assignment, source=SOURCE, sink=SINK, tol=FLOW_TOL):

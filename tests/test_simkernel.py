@@ -482,9 +482,9 @@ def test_demo_phases_sieve_from_the_first_unscheduled_epoch_and_schedule_each_ep
         grids.append((grid, _first))
         return result
 
-    def max_flow(network):
+    def max_flow(vertices, edges, capacities):
         flows[0] += 1
-        return real_flow(network)
+        return real_flow(vertices, edges, capacities)
 
     def schedule(*args, _resume, **kw):
         grid, first = grids[-1]
