@@ -28,7 +28,6 @@ plus 16 B per run and its windows: it grows with windows, not samples.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -181,34 +180,17 @@ class TopologySnapshot:
     """Positions and live ISLs of the constellation at one instant, held as
     its edge table, numbered = (nodes, table): each satellite once in
     node_key order, and per link, in link order, the row (end index, end
-    index, rate, delay). snapshot() builds the table from arrays, and links,
-    links_of_kind and positions only when read. A snapshot made by hand,
-    TopologySnapshot(time, links, positions), derives the table from its
-    links on first read, rejecting a node that is not a satellite, such as a
-    link end given by a string. csr is the CSR structure of the directed ISL
-    edges (a -> b, then b -> a, per link) that every graph over the snapshot
-    shares. Two snapshots are equal when their times and links are.
+    index, rate, delay), with kinds, each link's LinkKind index, and pos, the
+    nodes' positions (one row per node). snapshot() builds every snapshot;
+    the constructor checks none of its arguments. links, links_of_kind and
+    positions are built only when read. csr is the CSR structure of the
+    directed ISL edges (a -> b, then b -> a, per link) that every graph over
+    the snapshot shares. Snapshots compare by identity.
     """
 
-    def __init__(self, time: float, links: tuple, positions: dict):
-        self.time, self.links, self.positions = time, tuple(links), positions
-
-    @classmethod
-    def _of_table(cls, time: float, nodes: list, table: np.ndarray, kinds: np.ndarray,
-                  pos: np.ndarray) -> "TopologySnapshot":
-        """The snapshot of an edge table, with each link's LinkKind index and
-        the nodes' positions (one row per node)."""
-        snap = cls.__new__(cls)
-        snap.time, snap.numbered, snap._kinds, snap._pos = time, (nodes, table), kinds, pos
-        return snap
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TopologySnapshot):
-            return NotImplemented
-        return (self.time, self.links) == (other.time, other.links)
-
-    def __hash__(self) -> int:
-        return hash((self.time, self.links))
+    def __init__(self, time: float, nodes: list, table: np.ndarray, kinds: np.ndarray,
+                 pos: np.ndarray):
+        self.time, self.numbered, self._kinds, self._pos = time, (nodes, table), kinds, pos
 
     @cached_property
     def links(self) -> tuple:
@@ -225,19 +207,6 @@ class TopologySnapshot:
 
     def links_of_kind(self, *kinds: LinkKind) -> list:
         return [l for l in self.links if l.kind in kinds]
-
-    @cached_property
-    def numbered(self) -> tuple:
-        nodes = sorted({*self.positions, *(v for l in self.links for v in l.endpoints)},
-                       key=node_key)
-        # node_key sorts every other node after the satellites.
-        if nodes and not isinstance(nodes[-1], SatelliteId):
-            raise ValueError(f"snapshot node {nodes[-1]!r} is not a satellite")
-        index = {v: i for i, v in enumerate(nodes)}
-        rows = [(index[a], index[b], l.rate_bps, l.propagation_delay_s)
-                for l in self.links for a, b in [l.endpoints]]
-        table = np.fromiter(itertools.chain.from_iterable(rows), float, 4 * len(rows))
-        return nodes, table.reshape(-1, 4)
 
     @cached_property
     def csr(self) -> CsrEdges:
@@ -388,7 +357,7 @@ def snapshot(constellation: WalkerConstellation, t: float,
     rate = np.array([link_config.intra_orbit_rate_bps] + [link_config.inter_orbit_rate_bps] * 2)
     kind = kind[keep]
     table = np.stack((a[keep], b[keep], rate[kind], length[keep] / LIGHT_SPEED_KM_S), axis=1)
-    return TopologySnapshot._of_table(t, list(sats), table, kind, pos)
+    return TopologySnapshot(t, list(sats), table, kind, pos)
 
 
 # Margin below the exact cone bound p* in _visible_samples, in km; rounding

@@ -91,6 +91,7 @@ class DeploymentInstance:
         self.satellites = tuple(sorted(satellites, key=lambda s: s.id))
         self.snapshot = snapshot
         self.e_flop_j = e_flop_j
+        _require_finite("nonnegative and finite", e_flop_j=e_flop_j)
         if not self.tasks:
             raise ValueError("instance needs at least one task")
         if not self.satellites:

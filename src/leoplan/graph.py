@@ -5,10 +5,10 @@ satellite's index is orbit * S + slot; the string nodes of a hand-made graph
 follow by their string) and keeps its edges in CSR lists; planners map back
 to labels only at output. The edge structure (CsrEdges: the sorted CSR, the
 permutation that dedupes it, and a per-node adjacency list of (head, edge)
-pairs in CSR order) is built once per edge set: a snapshot is its edge table
-(constellation.TopologySnapshot.numbered), the snapshot builds one CsrEdges
-from it, and its weighted graph and every energy graph over it are weight
-vectors over that one structure.
+pairs in CSR order) is built once per edge set: a snapshot is the edge table
+constellation.snapshot() builds (TopologySnapshot.numbered), the snapshot
+builds one CsrEdges from it, and its weighted graph and every energy graph
+over it are weight vectors over that one structure.
 
 Results are deterministic, and the tie-break rules below are part of the
 outputs (placement, routes and trees all follow the chosen paths):

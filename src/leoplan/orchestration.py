@@ -170,8 +170,9 @@ def dst_exact(graph: Topology, instance: SteinerInstance) -> SteinerTree:
     routes = ShortestPaths(graph)
     dist = [routes.column(j)[0].tolist() for j in range(n)]  # dist[j][i]: i -> j
 
+    root_i = index.get(instance.root)
     for t in terms:
-        if dist[index[t]][index[instance.root]] == math.inf:
+        if root_i is None or t not in index or dist[index[t]][root_i] == math.inf:
             raise ValueError(f"terminal {t} unreachable from root {instance.root}")
 
     k = len(terms)
@@ -211,7 +212,6 @@ def dst_exact(graph: Topology, instance: SteinerInstance) -> SteinerTree:
             if arg is not None:
                 choice[(mask, v)] = (arg, g_choice[arg])
 
-    root_i = index[instance.root]
     total = f[full][root_i]
 
     # Rebuild the edge set by unwinding the DP, then prune duplicates into a tree.

@@ -42,7 +42,10 @@ and uniform_all_reduce_time is the ring all-reduce closed form.
 full_hosting_reduction_check runs the library's dst_exact against networkx's
 Edmonds arborescence. reference_snapshot builds snapshot's links one at a
 time with a per-link np.linalg.norm, as snapshot did before its lengths were
-vectorised. label_graph builds a Topology from labelled edges for the
+vectorised. toy_snapshot builds a snapshot over satellite labels in the
+table form snapshot() builds, the only form a TopologySnapshot has: its
+satellites sorted, one (i, j, rate, delay) row per edge, kind indices and
+zero positions. label_graph builds a Topology from labelled edges for the
 hand-made and random graphs, and adjacency and edge_values read one back as
 the label-keyed dicts the references take.
 """
@@ -109,19 +112,17 @@ def sat(label):
 
 
 def toy_snapshot(edges, extra_sats=(), kind=LinkKind.INTER_ORBIT_ISL, time=0.0):
-    """Snapshot over satellite labels; edges are (a, b, rate_bps[, prop_s])."""
-    positions = {}
-    links = []
-    for e in edges:
-        a, b, rate = e[0], e[1], e[2]
-        prop = e[3] if len(e) > 3 else 0.0
-        sa, sb = sat(a), sat(b)
-        positions.setdefault(sa, np.zeros(3))
-        positions.setdefault(sb, np.zeros(3))
-        links.append(Link(kind, (sa, sb), rate, prop))
-    for label in extra_sats:
-        positions.setdefault(sat(label), np.zeros(3))
-    return TopologySnapshot(time=time, links=tuple(links), positions=positions)
+    """Snapshot over satellite labels; edges are (a, b, rate_bps[, prop_s]).
+    Built in the table form snapshot() builds: the satellites sorted, one
+    (i, j, rate, delay) row per edge in edge order, every link of kind, and
+    zero positions."""
+    ends = [(sat(e[0]), sat(e[1])) for e in edges]
+    nodes = sorted({*map(sat, extra_sats), *(v for pair in ends for v in pair)})
+    index = {v: i for i, v in enumerate(nodes)}
+    table = np.array([(index[a], index[b], e[2], e[3] if len(e) > 3 else 0.0)
+                      for (a, b), e in zip(ends, edges)], dtype=float).reshape(-1, 4)
+    kinds = np.full(len(edges), list(LinkKind).index(kind))
+    return TopologySnapshot(time, nodes, table, kinds, np.zeros((len(nodes), 3)))
 
 
 def reference_snapshot(constellation, t, link_config):

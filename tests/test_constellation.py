@@ -16,14 +16,11 @@ from leoplan import (
     ConstellationSpec,
     ContactWindow,
     GroundStation,
-    Link,
     LinkConfig,
     LinkKind,
     SatelliteId,
-    TopologySnapshot,
     WalkerConstellation,
     build_walker,
-    build_weighted_graph,
     contact_windows,
     parse_scenario,
     snapshot,
@@ -88,13 +85,18 @@ def test_spec_rejects_non_finite_altitude(value):
         ConstellationSpec(6, 11, value, 53.0).validate()
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [0.0, math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["intra_orbit_rate_bps", "inter_orbit_rate_bps",
                                   "sgl_rate_bps", "ground_dedicated_rate_bps",
                                   "max_isl_range_km"])
 def test_link_config_rejects_non_finite(name, value):
+    """A rate or range that is not positive and finite is rejected, naming
+    its field, also by snapshot, so no such rate reaches a graph's weights."""
     with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
         LinkConfig(**{name: value}).validate()
+    walker = build_walker(ConstellationSpec(3, 4, 550.0, 53.0))
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        snapshot(walker, 0.0, LinkConfig(**{name: value}))
 
 
 def test_link_config_validation():
@@ -903,22 +905,24 @@ snapshot_cases = dict(spec=walker_specs(max_orbits=8, max_sats=12), t=st.floats(
 @settings(max_examples=200, deadline=None)
 @given(**snapshot_cases)
 def test_snapshot_table_matches_the_table_of_its_links(spec, t, seam, ulps, data):
-    """snapshot's edge table, built from arrays, is the table a snapshot made
-    by hand derives from the same links, and from the per-link reference's
-    links, bit for bit; its links, built when read, and its positions are
-    those of the arrays."""
+    """snapshot's edge table, built from arrays, holds per link of the
+    per-link reference, in its order, the row (end index, end index, rate,
+    delay), bit for bit; its links, built when read, are the reference's,
+    and its positions those of the arrays."""
     walker = build_walker(spec)
     config = range_cut_config(walker, t, seam, ulps, data)
     snap = snapshot(walker, t, config)
     nodes, table = snap.numbered
+    reference = reference_snapshot(walker, t, config)
+    index = {v: i for i, v in enumerate(walker.satellites)}
+    rows = [(index[a], index[b], l.rate_bps, l.propagation_delay_s)
+            for l in reference for a, b in [l.endpoints]]
+    assert nodes == walker.satellites
+    assert table.tobytes() == np.array(rows, dtype=float).reshape(-1, 4).tobytes()
+    assert snap.links == tuple(reference)
     positions = dict(zip(walker.satellites, walker.positions_at(t)))
-    for links in (snap.links, reference_snapshot(walker, t, config)):
-        hand_nodes, hand_table = TopologySnapshot(t, links, positions).numbered
-        assert hand_nodes == nodes == walker.satellites
-        assert hand_table.tobytes() == table.tobytes()
     assert list(snap.positions) == walker.satellites
     assert all(np.array_equal(snap.positions[v], x) for v, x in positions.items())
-    assert snap == TopologySnapshot(t, reference_snapshot(walker, t, config), positions)
 
 
 @settings(max_examples=200, deadline=None)
@@ -937,15 +941,3 @@ def test_snapshot_lengths_match_per_link_norms(spec, t, seam, ulps, data):
         for end in link.endpoints:
             assert end is walker.satellites[end.orbit_index * spec.sats_per_orbit
                                             + end.slot_index]
-
-
-def test_a_link_to_a_non_satellite_is_rejected():
-    """A hand-built snapshot is public input: a link reaching a string node
-    has no place in the ISL-only numbering."""
-    a = SatelliteId(0, 0)
-    link = Link(LinkKind.INTRA_ORBIT_ISL, (a, "gs"), 1e9, 0.0)
-    snap = TopologySnapshot(0.0, (link,), {a: np.zeros(3)})
-    with pytest.raises(ValueError, match="snapshot node 'gs' is not a satellite"):
-        snap.numbered
-    with pytest.raises(ValueError, match="'gs' is not a satellite"):
-        build_weighted_graph(snap)

@@ -78,6 +78,14 @@ def test_instance_validation():
         DeploymentInstance([t1, t2], sats, snap)
 
 
+@pytest.mark.parametrize("e_flop_j", [math.nan, -1.0, math.inf, -math.inf])
+def test_instance_rejects_a_bad_energy_per_flop(e_flop_j):
+    """NaN passed every energy budget test and inf failed every one."""
+    with pytest.raises(ValueError, match="e_flop_j must be nonnegative and finite"):
+        two_sat_instance(e_flop_j=e_flop_j)
+    assert two_sat_instance(e_flop_j=0.0).e_flop_j == 0.0
+
+
 def test_instance_satellites_sorted():
     snap = toy_snapshot([("o0s0", "o0s1", 1e9)])
     sats = [SatelliteNode(sat("o0s1"), 1e12, 1.0), SatelliteNode(sat("o0s0"), 1e12, 1.0)]

@@ -179,6 +179,13 @@ def test_dst_unreachable_terminal():
         dst_heuristic(g, inst)
     with pytest.raises(ValueError, match="terminal b unreachable from root r"):
         shortest_path_sum(g, inst)
+    # A terminal, or the root, that is not in the graph is unreachable too.
+    for root, terminal in (("r", "c"), ("x", "a")):
+        inst = SteinerInstance(root, frozenset({terminal}))
+        for solver in (dst_exact, dst_heuristic):
+            with pytest.raises(ValueError,
+                               match=f"terminal {terminal} unreachable from root {root}"):
+                solver(g, inst)
     with pytest.raises(ValueError, match="terminal set must be nonempty"):
         SteinerInstance("r", frozenset()).validate()
 
