@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orchestrate", help="route a placed task at minimum energy")
     common(p)
     p.add_argument("--plan", required=True, help="plan JSON from the deploy subcommand")
-    p.add_argument("--request", required=True, help="request JSON file")
+    p.add_argument("--request", required=True, help="path to a request JSON file")
     p.add_argument("--time", type=float, default=None)
     return parser
 

@@ -5,6 +5,15 @@ no perturbations, stations fixed to the rotating surface. Everything is a
 pure function of the constellation definition and a time instant, so two
 calls with the same arguments return identical results.
 
+One form of each object. Satellite positions come only from
+WalkerConstellation (positions_at, positions_at_times). snapshot() builds
+every TopologySnapshot, which is its edge table and keeps no positions:
+snapshot() uses them for link lengths only.
+
+Altitude. A shell is at most MAX_ALTITUDE_KM = 40,000 km high, a little
+above geostationary: the highest for which _visible_samples argues its
+inside-cone margin. ConstellationSpec rejects a higher one.
+
 Time range. Every instant t the model samples, over a span of length
 horizon (0 for one instant), keeps |t - epoch| + horizon <= 1e9 s
 (TIME_BOUND_S), and the epoch keeps |epoch| <= 1e9 s. The float spacing
@@ -44,11 +53,12 @@ EARTH_MU_KM3_S2 = 398600.4418
 EARTH_ROTATION_RAD_S = 7.2921159e-5
 LIGHT_SPEED_KM_S = 299792.458
 
-# The time range, the least sampling step and the largest ring of the model
-# (see the module docstring).
+# The time range, the least sampling step, the largest ring and the highest
+# shell of the model (see the module docstring and _visible_samples).
 TIME_BOUND_S = 1e9
 STEP_FLOOR_S = 1e-6
 MAX_SATS_PER_ORBIT = 1000
+MAX_ALTITUDE_KM = 40000.0
 
 
 def _require_near_epoch(name: str, t: float, epoch: float, horizon: float = 0.0) -> None:
@@ -115,7 +125,8 @@ class ConstellationSpec:
     Attributes:
         num_orbits: number of orbital planes, >= 1.
         sats_per_orbit: satellites per plane, >= 1.
-        altitude_km: shell altitude above the spherical Earth, > 0.
+        altitude_km: shell altitude above the spherical Earth, in
+            (0, MAX_ALTITUDE_KM], a little above geostationary.
         inclination_deg: plane inclination in degrees, in [0, 180].
         phasing_factor: Walker phasing factor F, 0 <= F < num_orbits.
         epoch: reference time in seconds; phases below are defined at this instant.
@@ -136,6 +147,8 @@ class ConstellationSpec:
         if self.sats_per_orbit > MAX_SATS_PER_ORBIT:
             raise ValueError(f"sats_per_orbit must be at most {MAX_SATS_PER_ORBIT}")
         _require_finite("positive and finite", altitude_km=self.altitude_km)
+        if self.altitude_km > MAX_ALTITUDE_KM:
+            raise ValueError(f"altitude_km must be at most {MAX_ALTITUDE_KM:.0f} km")
         if not 0.0 <= self.inclination_deg <= 180.0:
             raise ValueError("inclination_deg must be in [0, 180]")
         if not 0 <= self.phasing_factor < max(self.num_orbits, 1):
@@ -177,20 +190,18 @@ class Link:
 
 
 class TopologySnapshot:
-    """Positions and live ISLs of the constellation at one instant, held as
-    its edge table, numbered = (nodes, table): each satellite once in
-    node_key order, and per link, in link order, the row (end index, end
-    index, rate, delay), with kinds, each link's LinkKind index, and pos, the
-    nodes' positions (one row per node). snapshot() builds every snapshot;
-    the constructor checks none of its arguments. links, links_of_kind and
-    positions are built only when read. csr is the CSR structure of the
+    """The live ISLs of the constellation at one instant, held as its edge
+    table, numbered = (nodes, table): each satellite once in node_key order,
+    and per link, in link order, the row (end index, end index, rate,
+    delay), with kinds, each link's LinkKind index. snapshot() builds every
+    snapshot; the constructor checks none of its arguments. links and
+    links_of_kind are built only when read. csr is the CSR structure of the
     directed ISL edges (a -> b, then b -> a, per link) that every graph over
     the snapshot shares. Snapshots compare by identity.
     """
 
-    def __init__(self, time: float, nodes: list, table: np.ndarray, kinds: np.ndarray,
-                 pos: np.ndarray):
-        self.time, self.numbered, self._kinds, self._pos = time, (nodes, table), kinds, pos
+    def __init__(self, time: float, nodes: list, table: np.ndarray, kinds: np.ndarray):
+        self.time, self.numbered, self._kinds = time, (nodes, table), kinds
 
     @cached_property
     def links(self) -> tuple:
@@ -200,10 +211,6 @@ class TopologySnapshot:
         return tuple(Link(kinds[k], (nodes[i], nodes[j]), rate, delay)
                      for k, (i, j), rate, delay in zip(self._kinds.tolist(), ends,
                                                        *table[:, 2:].T.tolist()))
-
-    @cached_property
-    def positions(self) -> dict:
-        return dict(zip(self.numbered[0], self._pos))
 
     def links_of_kind(self, *kinds: LinkKind) -> list:
         return [l for l in self.links if l.kind in kinds]
@@ -357,7 +364,7 @@ def snapshot(constellation: WalkerConstellation, t: float,
     rate = np.array([link_config.intra_orbit_rate_bps] + [link_config.inter_orbit_rate_bps] * 2)
     kind = kind[keep]
     table = np.stack((a[keep], b[keep], rate[kind], length[keep] / LIGHT_SPEED_KM_S), axis=1)
-    return TopologySnapshot(t, list(sats), table, kind, pos)
+    return TopologySnapshot(t, list(sats), table, kind)
 
 
 # Margin below the exact cone bound p* in _visible_samples, in km; rounding
@@ -473,8 +480,12 @@ def _visible_samples(constellation: WalkerConstellation, geometry: _StationGeome
     whose midpoint lies outside psi* + slack is dropped. Inside: a midpoint
     within psi_in = acos((p* + _CONE_MARGIN_KM) / r) - slack puts every
     sample of its block at p >= p* + _CONE_MARGIN_KM, where the sine is above
-    the mask by more than 2e-5 at any altitude up to GEO, far above its
-    rounding, so the whole block is flagged without the formula. There is no
+    the mask by more than 1.9e-5, far above its rounding, so the whole block
+    is flagged without the formula. That margin holds at every altitude
+    h = r - R up to MAX_ALTITUDE_KM: on R <= p <= r (a nonnegative mask
+    puts p* at or above R) the sine's slope in p, (r^2 - R p) / (r^2 + R^2 -
+    2 R p)^1.5, is at least r / (sqrt(h) (r + R)^1.5) per km, which falls
+    as h grows, to 1.91e-5 at 40,000 km (2.08e-5 at GEO). There is no
     inside when (p* + _CONE_MARGIN_KM) / r >= 1 or psi_in <= 0; a call only
     adds its slack to the geometry's angles. Each kept block expands straight
     into the keys of its samples; only the keys of the rim blocks left are

@@ -5,10 +5,11 @@ satellite's index is orbit * S + slot; the string nodes of a hand-made graph
 follow by their string) and keeps its edges in CSR lists; planners map back
 to labels only at output. The edge structure (CsrEdges: the sorted CSR, the
 permutation that dedupes it, and a per-node adjacency list of (head, edge)
-pairs in CSR order) is built once per edge set: a snapshot is the edge table
-constellation.snapshot() builds (TopologySnapshot.numbered), the snapshot
-builds one CsrEdges from it, and its weighted graph and every energy graph
-over it are weight vectors over that one structure.
+pairs in CSR order) is built once per edge set, and every Topology is one
+such structure plus per-edge vectors in its CSR order: a snapshot is the
+edge table constellation.snapshot() builds (TopologySnapshot.numbered), the
+snapshot builds one CsrEdges from it, and its weighted graph and every
+energy graph over it are weight vectors over that one structure.
 
 Results are deterministic, and the tie-break rules below are part of the
 outputs (placement, routes and trees all follow the chosen paths):
@@ -95,26 +96,12 @@ class CsrEdges:
 
 class Topology:
     """A directed graph over a CsrEdges structure, with weight, capacity
-    (bits/s) and propagation (s) at CSR edge e; an energy graph has no
-    capacities and delays (None). Topology(nodes, tails, heads, ...) builds
-    the structure from edges given in any order, each vector holding one
-    value per given edge; Topology.over reuses a structure, with vectors
-    already in CSR order.
+    (bits/s) and propagation (s) at CSR edge e, each a list in CSR order; an
+    energy graph has no capacities and delays (None). Graphs over one edge
+    set share its structure.
     """
 
-    def __init__(self, nodes, tails, heads, weights, capacities=None, propagation=None):
-        csr = CsrEdges(nodes, tails, heads)
-        self._adopt(csr, *(None if v is None else np.asarray(v, dtype=float)[csr.pick].tolist()
-                           for v in (weights, capacities, propagation)))
-
-    @classmethod
-    def over(cls, csr: CsrEdges, weights: list, capacities=None, propagation=None) -> "Topology":
-        """A graph over csr's edges with these CSR-order lists."""
-        graph = cls.__new__(cls)
-        graph._adopt(csr, weights, capacities, propagation)
-        return graph
-
-    def _adopt(self, csr, weights, capacities, propagation) -> None:
+    def __init__(self, csr: CsrEdges, weights: list, capacities=None, propagation=None):
         self.csr = csr
         self.nodes, self.offsets, self.tails, self.heads = (
             csr.nodes, csr.offsets, csr.tails, csr.heads)

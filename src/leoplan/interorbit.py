@@ -29,7 +29,7 @@ def build_weighted_graph(snapshot: TopologySnapshot) -> Topology:
     Floyd-Warshall would drop and Dijkstra keep."""
     csr = snapshot.csr
     rates, delays = snapshot.numbered[1][:, 2:].repeat(2, axis=0)[csr.pick].T
-    return Topology.over(csr, (1.0 / rates).tolist(), rates.tolist(), delays.tolist())
+    return Topology(csr, (1.0 / rates).tolist(), rates.tolist(), delays.tolist())
 
 
 class ShortestPaths:

@@ -107,7 +107,7 @@ def build_augmented_graph(
     energy = energy[csr.head_array]
     if not np.all((energy >= 0) & (energy < np.inf)):
         raise ValueError("edge energy must be nonnegative and finite")
-    g = Topology.over(csr, energy.tolist())
+    g = Topology(csr, energy.tolist())
 
     terminals = set(hosting)
     if gateway is not None:

@@ -1,5 +1,8 @@
 """Scenario files: strict JSON in, validated objects out.
 
+A scenario or request source is a file path (str or Path), opened and read
+as JSON whatever its name, or an object already parsed from JSON.
+
 Unknown fields are rejected with their path, missing required fields are
 listed, and parse/serialize round-trips are lossless, so a scenario digest
 is stable no matter how many times it is re-serialized.
@@ -42,12 +45,11 @@ class ScenarioError(ValueError):
 
 
 def _load(source):
-    """The JSON value in a path, in JSON text, or an already parsed object."""
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
+    """The JSON value in the file at a str or Path; any other source is an
+    already parsed object and passes through."""
+    if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    if isinstance(source, str):
-        return json.loads(source)
     return source
 
 
@@ -173,7 +175,7 @@ _ROOT = ("seed", "constellation", "links", "ground_stations", "workload", "feder
 
 
 def parse_scenario(source) -> Scenario:
-    """Parse and validate a scenario from a path, JSON text, or parsed dict."""
+    """Parse and validate a scenario from a file path or a parsed dict."""
     root = _require_mapping(_load(source), "scenario")
     _check_keys(root, "scenario", _ROOT, ("constellation", "workload"))
 
@@ -333,7 +335,7 @@ def scenario_digest(scenario: Scenario) -> str:
 
 
 def parse_request(source) -> dict:
-    """Parse an orchestration request file.
+    """Parse an orchestration request from a file path or a parsed dict.
 
     Schema: {"task_id": str, "source": "oPsS", "gateway": "oPsS" | null,
              "hop_payload_bits": number (optional)}.

@@ -44,10 +44,13 @@ Edmonds arborescence. reference_snapshot builds snapshot's links one at a
 time with a per-link np.linalg.norm, as snapshot did before its lengths were
 vectorised. toy_snapshot builds a snapshot over satellite labels in the
 table form snapshot() builds, the only form a TopologySnapshot has: its
-satellites sorted, one (i, j, rate, delay) row per edge, kind indices and
-zero positions. label_graph builds a Topology from labelled edges for the
-hand-made and random graphs, and adjacency and edge_values read one back as
-the label-keyed dicts the references take.
+satellites sorted, one (i, j, rate, delay) row per edge and kind indices.
+label_graph and links_graph are the only builders of a Topology from an
+edge list (labelled edges for the hand-made and random graphs, a snapshot's
+Link objects): each numbers its edges into one CsrEdges and gathers its
+per-edge vectors by the structure's pick, as the one Topology constructor
+takes them. adjacency and edge_values read a graph back as the label-keyed
+dicts the references take.
 """
 
 from __future__ import annotations
@@ -100,6 +103,7 @@ from leoplan.constellation import (_BLOCK_OFFSETS, _SIEVE_BLOCK, EARTH_ROTATION_
                                    LIGHT_SPEED_KM_S, _norms, _station_frames, _StationGeometry,
                                    _visible_samples)
 from leoplan import deployment
+from leoplan.graph import CsrEdges
 from leoplan.deployment import (DEAD_END_REWARD, LEARNING_RATE, N_FEATURES, DeploymentPlan,
                                 TrainingReport)
 from leoplan.sgl_flow import (FLOW_TOL, SINK, SOURCE, DownlinkResult, DownlinkState, EpochFlow,
@@ -114,15 +118,14 @@ def sat(label):
 def toy_snapshot(edges, extra_sats=(), kind=LinkKind.INTER_ORBIT_ISL, time=0.0):
     """Snapshot over satellite labels; edges are (a, b, rate_bps[, prop_s]).
     Built in the table form snapshot() builds: the satellites sorted, one
-    (i, j, rate, delay) row per edge in edge order, every link of kind, and
-    zero positions."""
+    (i, j, rate, delay) row per edge in edge order, and every link of kind."""
     ends = [(sat(e[0]), sat(e[1])) for e in edges]
     nodes = sorted({*map(sat, extra_sats), *(v for pair in ends for v in pair)})
     index = {v: i for i, v in enumerate(nodes)}
     table = np.array([(index[a], index[b], e[2], e[3] if len(e) > 3 else 0.0)
                       for (a, b), e in zip(ends, edges)], dtype=float).reshape(-1, 4)
     kinds = np.full(len(edges), list(LinkKind).index(kind))
-    return TopologySnapshot(time, nodes, table, kinds, np.zeros((len(nodes), 3)))
+    return TopologySnapshot(time, nodes, table, kinds)
 
 
 def reference_snapshot(constellation, t, link_config):
@@ -151,18 +154,28 @@ def reference_snapshot(constellation, t, link_config):
     return links
 
 
+def _csr_graph(nodes, tails, heads, *vectors):
+    """Topology over edges given in any order, tails[k] -> heads[k] with
+    vectors[.][k] (weights, then capacities and delays): the edges are
+    numbered into one CsrEdges, and each vector is gathered into CSR order
+    by its pick, so an edge given twice keeps its last values."""
+    csr = CsrEdges(nodes, tails, heads)
+    return Topology(csr, *(np.asarray(v, dtype=float)[csr.pick].tolist() for v in vectors))
+
+
 def label_graph(edges, nodes=(), energy=False):
     """Topology over labelled edges, numbered in node_key order: edges are
     (u, v, capacity[, propagation]) with weight 1/capacity or, with energy,
-    (u, v, joules). An edge listed twice keeps its last values."""
+    (u, v, weight), joules or any other weight. An edge listed twice keeps
+    its last values."""
     labels = sorted({*nodes, *(x for e in edges for x in e[:2])}, key=node_key)
     index = {v: i for i, v in enumerate(labels)}
     tails = [index[e[0]] for e in edges]
     heads = [index[e[1]] for e in edges]
     if energy:
-        return Topology(labels, tails, heads, [e[2] for e in edges])
-    return Topology(labels, tails, heads, [1.0 / e[2] for e in edges], [e[2] for e in edges],
-                    [e[3] if len(e) > 3 else 0.0 for e in edges])
+        return _csr_graph(labels, tails, heads, [e[2] for e in edges])
+    return _csr_graph(labels, tails, heads, [1.0 / e[2] for e in edges],
+                      [e[2] for e in edges], [e[3] if len(e) > 3 else 0.0 for e in edges])
 
 
 def edge_values(graph, values=None):
@@ -239,8 +252,7 @@ def links_graph(snap, energy=None):
     before a snapshot shared one CSR structure: satellites in node_key order,
     edges a -> b then b -> a per link, weighted 1/rate with capacities and
     delays, or, with energy ({satellite: joules}), by the head's joules."""
-    nodes = sorted({*snap.positions, *(v for l in snap.links for v in l.endpoints)},
-                   key=node_key)
+    nodes = sorted(snap.numbered[0], key=node_key)
     index = {v: i for i, v in enumerate(nodes)}
     tails, heads, rates, delays = [], [], [], []
     for link in snap.links:
@@ -250,8 +262,8 @@ def links_graph(snap, energy=None):
         rates += [link.rate_bps] * 2
         delays += [link.propagation_delay_s] * 2
     if energy is not None:
-        return Topology(nodes, tails, heads, [energy[nodes[h]] for h in heads])
-    return Topology(nodes, tails, heads, [1.0 / r for r in rates], rates, delays)
+        return _csr_graph(nodes, tails, heads, [energy[nodes[h]] for h in heads])
+    return _csr_graph(nodes, tails, heads, [1.0 / r for r in rates], rates, delays)
 
 
 def reference_node_energy(nodes, assignment, dag, model, hop_payload_bits):

@@ -137,15 +137,20 @@ def test_downlink_outputs(tmp_path, capsys):
     assert lines[1].split(",")[:3] == ["0", "0", "1"]
 
 
-def assert_one_error_line(tmp_path, command, scenario, *argv, message, error="ValueError"):
-    """Runs the CLI in a child process, so stderr is exactly what a user
-    sees: exit 1, no stdout, and one JSON error line with no numpy warning."""
+def child_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def assert_one_error_line(tmp_path, command, scenario, *argv, message, error="ValueError"):
+    """Runs the CLI in a child process, so stderr is exactly what a user
+    sees: exit 1, no stdout, and one JSON error line with no numpy warning."""
     proc = subprocess.run([sys.executable, "-m", "leoplan.cli", command, scenario, *argv,
                            "--out-dir", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=child_env(), timeout=120)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert [json.loads(line) for line in proc.stderr.splitlines()] == [
@@ -544,6 +549,9 @@ def test_input_too_large_to_allocate_exits_1(tmp_path, capsys, monkeypatch):
     ("federation", "window_step_seconds", 1e-9,
      "federation.window_step_seconds: must be at least 1e-6 s"),
     ("workload", "precision_bits", 8, "workload.precision_bits: must be 16, 32, or 64"),
+    ("federation", "rounds", 10**12, "federation.rounds: must be at most 10000"),
+    ("constellation", "altitude_km", 1e120,
+     "constellation.altitude_km: must be at most 40000 km"),
 ])
 def test_semantic_scenario_errors_exit_2(tmp_path, capsys, section, key, value, message):
     path = Path(sim_scenario(tmp_path))
@@ -605,6 +613,29 @@ def test_routes_negative_payload_prints_one_error_line(tmp_path, range_km):
                           "--payload-bits", "-5",
                           message="payload_bits must be nonnegative and finite")
     assert not (tmp_path / "out" / "routes.json").exists()
+
+
+def test_scenario_argument_is_a_path_whatever_its_name(tmp_path, capsys, monkeypatch):
+    """A scenario file named like JSON text ("{demo}.json") is read as a
+    file; it once exited 1 with a JSONDecodeError."""
+    shutil.copy(REPO / "scenarios" / "demo_walker6.json", tmp_path / "{demo}.json")
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = run_cli(capsys, "routes", "{demo}.json", "--source-orbit", "0",
+                              "--dest-orbit", "3", "--out-dir", "out")
+    assert code == 0
+    assert read_report(stdout)["subcommand"] == "routes"
+
+
+def test_python_dash_m_leoplan(tmp_path):
+    """`python -m leoplan` runs the CLI through the package's __main__: exit
+    0 and one JSON report line."""
+    proc = subprocess.run([sys.executable, "-m", "leoplan", "allreduce", TWO_TASK,
+                           "--out-dir", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert read_report(lines[0])["subcommand"] == "allreduce"
 
 
 def test_console_script(tmp_path):

@@ -161,7 +161,7 @@ def test_single_satellite_has_no_isls():
     for t in (0.0, 900.0):
         snap = snapshot(walker, t, LinkConfig())
         assert snap.links == ()
-        assert len(snap.positions) == 1
+        assert snap.numbered[0] == walker.satellites
 
 
 def test_intra_orbit_ring_shapes():
@@ -237,8 +237,8 @@ def test_snapshot_deterministic():
     a = snapshot(walker, 500.0, LinkConfig())
     b = snapshot(walker, 500.0, LinkConfig())
     assert a.links == b.links
-    for sid in a.positions:
-        assert np.array_equal(a.positions[sid], b.positions[sid])
+    assert a.numbered[0] == b.numbered[0]
+    assert a.numbered[1].tobytes() == b.numbered[1].tobytes()
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -369,7 +369,8 @@ def window_key(windows):
 # 1 m shell to beyond geostationary, pole stations, the horizon and
 # near-zenith masks, and steps long enough that the block slack of
 # _visible_samples passes pi, so that every block is kept.
-altitudes = st.one_of(st.none(), st.floats(1e-3, 40000.0), st.sampled_from([1e-3, 35786.0]))
+altitudes = st.one_of(st.none(), st.floats(1e-3, constellation.MAX_ALTITUDE_KM),
+                      st.sampled_from([1e-3, 35786.0]))
 latitudes = st.one_of(st.sampled_from([0.0, -90.0, 90.0]), st.floats(-90.0, 90.0))
 masks = st.one_of(st.just(0.0), st.floats(0.0, 90.0, exclude_max=True), st.just(89.9))
 steps_s = st.one_of(st.floats(0.5, 200.0), st.floats(200.0, 3000.0))
@@ -732,6 +733,10 @@ def test_snapshot_and_epoch_are_held_to_the_time_range():
          mask=10.0, start=0.0, step=5.0, steps=1)
 @example(spec=ConstellationSpec(4, 6, 550.0, 90.0), altitude=None, lat=90.0, lon=0.0,
          mask=10.0, start=0.0, step=5.0, steps=400)
+# The highest shell, where the inside-cone margin is thinnest (1.9e-5):
+# blocks certified inside, and rims where satellites cross the mask.
+@example(spec=ConstellationSpec(4, 3, constellation.MAX_ALTITUDE_KM, 0.0), altitude=None,
+         lat=0.0, lon=45.0, mask=10.0, start=0.0, step=600.0, steps=121)
 def test_visibility_matches_full_evaluation(spec, altitude, lat, lon, mask, start, step, steps):
     """Running the elevation formula only on the sieved blocks changes no
     flag, at any altitude, with the horizon and near-zenith masks and at the
@@ -907,8 +912,7 @@ snapshot_cases = dict(spec=walker_specs(max_orbits=8, max_sats=12), t=st.floats(
 def test_snapshot_table_matches_the_table_of_its_links(spec, t, seam, ulps, data):
     """snapshot's edge table, built from arrays, holds per link of the
     per-link reference, in its order, the row (end index, end index, rate,
-    delay), bit for bit; its links, built when read, are the reference's,
-    and its positions those of the arrays."""
+    delay), bit for bit; its links, built when read, are the reference's."""
     walker = build_walker(spec)
     config = range_cut_config(walker, t, seam, ulps, data)
     snap = snapshot(walker, t, config)
@@ -920,9 +924,6 @@ def test_snapshot_table_matches_the_table_of_its_links(spec, t, seam, ulps, data
     assert nodes == walker.satellites
     assert table.tobytes() == np.array(rows, dtype=float).reshape(-1, 4).tobytes()
     assert snap.links == tuple(reference)
-    positions = dict(zip(walker.satellites, walker.positions_at(t)))
-    assert list(snap.positions) == walker.satellites
-    assert all(np.array_equal(snap.positions[v], x) for v, x in positions.items())
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leoplan import (SatelliteId, SteinerInstance, Topology, all_pairs_shortest, dst_heuristic,
+from leoplan import (SatelliteId, SteinerInstance, all_pairs_shortest, dst_heuristic,
                      select_disjoint_paths)
 from leoplan.deployment import _merged_topological_order
 from leoplan.graph import dijkstra, path_edges, topological_order
@@ -33,22 +33,26 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def test_topology_sorts_edges_into_rows_and_keeps_last_edge_value():
-    # Nodes c, a, b as indices 2, 0, 1; a -> b is given twice.
-    g = Topology(["a", "b", "c"], [0, 2, 0, 0], [1, 0, 1, 2], [1.0, 2.0, 3.0, 4.0],
-                 capacities=[5.0, 6.0, 7.0, 8.0])
+    # a -> b is given twice; the last of its entries stays.
+    g = label_graph([("a", "b", 0.5, 5.0), ("c", "a", 0.25, 6.0), ("a", "b", 2.0, 7.0),
+                     ("a", "c", 4.0, 8.0)])
     assert (g.offsets, g.tails, g.heads) == ([0, 2, 2, 3], [0, 0, 2], [1, 2, 0])
-    assert (g.weights, g.capacities, g.propagation) == ([3.0, 4.0, 2.0], [7.0, 8.0, 6.0], None)
+    assert (g.weights, g.capacities, g.propagation) == (
+        [0.5, 0.25, 4.0], [2.0, 4.0, 0.25], [7.0, 8.0, 6.0])
+    joules = label_graph([("a", "b", 1.0), ("c", "a", 2.0), ("a", "b", 3.0), ("a", "c", 4.0)],
+                         energy=True)
+    assert (joules.weights, joules.capacities, joules.propagation) == ([3.0, 4.0, 2.0], None, None)
     assert g.edges == {("a", "b"): 0, ("a", "c"): 1, ("c", "a"): 2}
     assert g.index == {"a": 0, "b": 1, "c": 2}
     assert [g.edge(0, 1), g.edge(0, 2), g.edge(2, 0)] == [0, 1, 2]
-    empty = Topology(["x"], [], [], [])
+    empty = label_graph([], nodes=["x"])
     assert (empty.offsets, empty.edges) == ([0, 0], {})
 
 
 def test_edge_rejects_a_pair_that_is_not_an_edge():
     # On a -> b and b -> c, a bisect position alone named b -> c for a -> c
     # and a position past the last edge for c -> a.
-    g = Topology(["a", "b", "c"], [0, 1], [1, 2], [1.0, 1.0])
+    g = label_graph([("a", "b", 1.0), ("b", "c", 1.0)])
     assert [g.edge(0, 1), g.edge(1, 2)] == [0, 1]
     for u, v in ((0, 2), (2, 0), (1, 0), (0, 0), (-1, 0), (3, 1)):
         with pytest.raises(ValueError, match=f"^no edge from node {u} to node {v}$"):
@@ -64,8 +68,8 @@ def tied_graphs(draw):
     weight = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, math.inf])
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight),
                           max_size=30))
-    g = Topology([f"n{i}" for i in range(n)], [e[0] for e in edges], [e[1] for e in edges],
-                 [e[2] for e in edges])
+    names = [f"n{i}" for i in range(n)]  # index order: n <= 8, so one digit each
+    g = label_graph([(names[u], names[v], w) for u, v, w in edges], names, energy=True)
     sources = draw(st.lists(st.integers(0, n - 1), max_size=3))
     targets = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
     weights = draw(st.none() | st.lists(weight, min_size=len(g.heads), max_size=len(g.heads)))

@@ -232,7 +232,7 @@ def test_a_table_with_no_destinations_builds_and_serves_none(monkeypatch):
 
     monkeypatch.setattr(interorbit, "pivot_columns", unexpected)
     monkeypatch.setattr(interorbit, "replay_columns", unexpected)
-    empty = all_pairs_shortest(graph.Topology([], [], [], []))
+    empty = all_pairs_shortest(label_graph([]))
     assert empty.nodes == [] and empty._columns == {}
     for call in (lambda: empty.column(0), lambda: empty.hops(0, 0),
                  lambda: empty.transfer_at(0, 0, 1e6)):

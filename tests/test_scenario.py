@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,8 @@ from leoplan import (
     schedule_downlink,
     serialize_scenario,
 )
+from leoplan.constellation import MAX_ALTITUDE_KM
+from leoplan.simkernel import MAX_ROUNDS
 
 
 def minimal():
@@ -123,15 +126,21 @@ def test_negative_seed_is_rejected_at_its_path():
     assert parse_scenario(obj).seed == 0
 
 
-def test_parse_accepts_text_dict_and_path(tmp_path):
+def test_parse_accepts_dict_and_path(tmp_path, monkeypatch):
+    """A str or Path source is a file path, even one whose name opens with
+    "{" (once taken for JSON text); any other source is a parsed object."""
     obj = full()
     from_dict = parse_scenario(obj)
-    from_text = parse_scenario(json.dumps(obj))
-    path = tmp_path / "scn.json"
-    path.write_text(json.dumps(obj), encoding="utf-8")
-    from_path = parse_scenario(path)
-    assert from_dict == from_text == from_path
+    (tmp_path / "{scn}.json").write_text(json.dumps(obj), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    from_path = parse_scenario(Path("{scn}.json"))
+    assert from_dict == from_path == parse_scenario("{scn}.json")
     assert scenario_digest(from_dict) == scenario_digest(from_path)
+    (tmp_path / "{req}.json").write_text('{"task_id": "t1", "source": "o0s0"}',
+                                         encoding="utf-8")
+    assert parse_request("{req}.json") == parse_request({"task_id": "t1", "source": "o0s0"})
+    with pytest.raises(FileNotFoundError):
+        parse_scenario('{"constellation": {}}')
 
 
 def test_round_trip_is_lossless():
@@ -187,7 +196,7 @@ def test_type_errors():
     obj = minimal()
     obj["constellation"]["altitude_km"] = 10**400
     with pytest.raises(ScenarioError, match="constellation.altitude_km: must be finite"):
-        parse_scenario(json.dumps(obj))
+        parse_scenario(json.loads(json.dumps(obj)))
 
 
 @pytest.mark.parametrize("section, name", [("constellation", "num_orbits"),
@@ -197,7 +206,7 @@ def test_int_beyond_float_range_is_rejected(section, name):
     obj = minimal()
     obj[section][name] = 10**400
     with pytest.raises(ScenarioError, match=f"{section}.{name}: must be finite"):
-        parse_scenario(json.dumps(obj))
+        parse_scenario(json.loads(json.dumps(obj)))
 
 
 def test_station_errors():
@@ -260,6 +269,37 @@ def test_ring_size_is_bounded(slots):
     with pytest.raises(ScenarioError) as info:
         parse_scenario(obj)
     assert str(info.value) == "constellation.sats_per_orbit: must be at most 1000"
+
+
+@pytest.mark.parametrize("rounds", [MAX_ROUNDS, MAX_ROUNDS + 1])
+def test_round_count_is_bounded(rounds):
+    """federation.rounds may reach MAX_ROUNDS (10,000), which `leoplan
+    simulate` runs in about 18 s and 80 MB on the demo shell, and not pass
+    it; checked at parse time, before any round runs."""
+    obj = minimal()
+    obj["federation"] = {"rounds": rounds}
+    if rounds <= MAX_ROUNDS:
+        assert parse_scenario(obj).federation.rounds == rounds
+        return
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(obj)
+    assert str(info.value) == "federation.rounds: must be at most 10000"
+
+
+@pytest.mark.parametrize("altitude", [MAX_ALTITUDE_KM, math.nextafter(MAX_ALTITUDE_KM, math.inf),
+                                      1e120])
+def test_altitude_is_bounded(altitude):
+    """constellation.altitude_km may reach MAX_ALTITUDE_KM (40,000 km), the
+    highest shell the visibility sieve's margin is argued for, and not pass
+    it."""
+    obj = minimal()
+    obj["constellation"]["altitude_km"] = altitude
+    if altitude <= MAX_ALTITUDE_KM:
+        assert parse_scenario(obj).constellation.altitude_km == altitude
+        return
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(obj)
+    assert str(info.value) == "constellation.altitude_km: must be at most 40000 km"
 
 
 def test_epoch_is_bounded():
@@ -376,8 +416,8 @@ def test_parse_request():
     req = parse_request({"task_id": "t1", "source": "o0s0"})
     assert req == {"task_id": "t1", "source": SatelliteId(0, 0),
                    "gateway": None, "hop_payload_bits": None}
-    req = parse_request(json.dumps({"task_id": "t1", "source": "o0s0",
-                                    "gateway": "o1s2", "hop_payload_bits": 4e6}))
+    req = parse_request({"task_id": "t1", "source": "o0s0",
+                         "gateway": "o1s2", "hop_payload_bits": 4e6})
     assert req["gateway"] == SatelliteId(1, 2)
     assert req["hop_payload_bits"] == 4e6
     assert parse_request({"task_id": "t", "source": "o0s0", "gateway": None})["gateway"] is None
@@ -409,14 +449,14 @@ def test_compute_host_figures_are_checked(key, value, message):
     obj = minimal()
     obj["compute"] = {key: value}
     with pytest.raises(ScenarioError) as info:
-        parse_scenario(json.dumps(obj))
+        parse_scenario(json.loads(json.dumps(obj)))
     assert str(info.value) == f"compute.{key}: {message}"
 
 
 def test_compute_infinite_energy_budget_means_none():
     obj = minimal()
     obj["compute"] = {"satellite_energy_budget_j": float("inf")}
-    assert parse_scenario(json.dumps(obj)).satellite_energy_budget_j == float("inf")
+    assert parse_scenario(json.loads(json.dumps(obj))).satellite_energy_budget_j == float("inf")
 
 
 @pytest.mark.parametrize("value", [-3.0, float("nan"), float("inf")])
@@ -464,7 +504,7 @@ def test_non_finite_numbers_are_rejected_with_their_field(where, name, value):
     obj = full()
     _at(obj, where)[name] = value
     with pytest.raises(ScenarioError) as info:
-        parse_scenario(json.dumps(obj))
+        parse_scenario(json.loads(json.dumps(obj)))
     message = str(info.value)
     # a task's errors are reported at the task, naming the service or edge
     section = "tasks.library[0]" if where.startswith("tasks") else where
@@ -490,10 +530,10 @@ def test_every_float_field_rejects_bad_values_at_its_path(where, name, value):
     obj = full()
     _at(obj, where)[name] = value
     if (name, value) in _VALID_ODD:
-        parse_scenario(json.dumps(obj))
+        parse_scenario(json.loads(json.dumps(obj)))
         return
     with pytest.raises(ScenarioError) as info:
-        parse_scenario(json.dumps(obj))
+        parse_scenario(json.loads(json.dumps(obj)))
     prefix = (f"tasks.library[0] (t1): microservice a: {name} must be "
               if where.startswith("tasks") else f"{where}.{name}: ")
     assert str(info.value).startswith(prefix), str(info.value)
@@ -518,7 +558,7 @@ def test_flat_field_errors_start_with_their_field_path(field, data, negative):
         obj = full()
         _at(obj, where)[name] = value
         try:
-            parse_scenario(json.dumps(obj))
+            parse_scenario(json.loads(json.dumps(obj)))
         except ScenarioError as exc:
             assert str(exc).startswith(f"{where}.{name}: "), str(exc)
 
